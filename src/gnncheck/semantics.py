@@ -6,11 +6,22 @@ profiles of values their roots can produce, which covers exactly the same
 space as listing trees one by one but shares identical subtrees; the witness
 reconstruction keeps the first tree in canonical order (arity ascending, then
 labels ascending).
+
+Evaluation is column-at-a-time: for each aggregation state (the values of the
+aggregations at a node, given its children's profiles) every DAG node is
+evaluated once, for all labels together, as a scalar when it is the same for
+every label and otherwise as a column with one entry per label.  Nodes that do
+not depend on an aggregation value are evaluated once per search.  The step
+budget still counts one step per (state, label) pair and per child profile
+folded into a state, charged a state at a time, and the first witness is the
+one a label-by-label scan would find.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 
@@ -118,11 +129,17 @@ class _Budget:
         self.deadline = None if time_limit is None else time.monotonic() + time_limit
         self.steps = 0
 
-    def tick(self, n: int = 1):
-        self.steps += n
-        if self.max_steps is not None and self.steps > self.max_steps:
+    def tick(self, n: int) -> None:
+        """Charge a batch of n steps.
+
+        A batch that does not fit stops at its first step past the budget, so
+        the count reads max_steps + 1, as if the steps were taken one by one.
+        """
+        if self.max_steps is not None and self.steps + n > self.max_steps:
+            self.steps = self.max_steps + 1
             raise _OracleLimit("node-limit")
-        if self.deadline is not None and self.steps % 4096 < n and time.monotonic() > self.deadline:
+        self.steps += n
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise _OracleLimit("timeout")
 
 
@@ -131,87 +148,173 @@ class _OracleLimit(Exception):
         self.reason = reason
 
 
+def _column_map(fn, x):
+    """fn of a scalar, or of each entry of a column through a table over the
+    distinct values in it."""
+    if type(x) is not list:
+        return fn(x)
+    table = {v: fn(v) for v in set(x)}
+    return list(map(table.__getitem__, x))
+
+
+def _first_of_each(keys, values) -> dict:
+    """Each distinct key with the value paired with its first occurrence, in
+    the order of first occurrences."""
+    first: dict = {}
+    for k, v in zip(keys, values):
+        if k not in first:
+            first[k] = v
+    return first
+
+
 class _TreeSearch:
+    """Profile enumeration whose node evaluation works on label columns.
+
+    Labels are the rows of ``itertools.product`` over the value set.  Under
+    one aggregation state a node's value is a scalar when it is the same for
+    every label, else a column: a list with one entry per label.  Nodes that
+    depend on no aggregation value are evaluated once per search, the others
+    once per state.
+    """
+
     def __init__(self, f: Formula, delta: int, budget: _Budget):
         self.arena = f.arena
         self.spec: ArithmeticSpec = f.arena.spec
         self.root_fid = f.root
         self.features = features_of(f)
         self.budget = budget
-        _, eids = self.arena.reachable(f.root)
+        fids, eids = self.arena.reachable(f.root)
+        # hash consing interns children first, so id order is a topological order
+        self.eids = sorted(eids)
         self.aggs = [
             (eid, *self.arena.expr(eid)[1:])  # (eid, kind, child, weights)
-            for eid in sorted(eids)
+            for eid in self.eids
             if self.arena.expr(eid)[0] == "agg"
         ]
         self.delta = delta
         for _, kind, _, weights in self.aggs:
             if kind == "weighted":
                 self.delta = min(self.delta, len(weights))
-        self.labels = [
-            dict(zip(self.features, combo))
-            for combo in itertools.product(self.spec.values_p(), repeat=len(self.features))
-        ]
-
-    def eval_with_aggs(self, eid: int, label: dict[str, int], aggvals: dict[int, int], memo: dict) -> int:
-        if eid in memo:
-            return memo[eid]
-        expr = self.arena.expr(eid)
-        tag = expr[0]
-        if tag == "const":
-            out = expr[1]
-        elif tag == "feat":
-            out = label[expr[1]]
-        elif tag == "act":
-            out = self.spec.act_p(expr[1], self.eval_with_aggs(expr[2], label, aggvals, memo))
-        elif tag == "scale":
-            out = self.spec.mul_p(expr[1], self.eval_with_aggs(expr[2], label, aggvals, memo))
-        elif tag == "sum":
-            out = self.spec.add_p(
-                self.eval_with_aggs(expr[1], label, aggvals, memo),
-                self.eval_with_aggs(expr[2], label, aggvals, memo),
-            )
-        else:
-            out = aggvals[eid]
-        memo[eid] = out
-        return out
-
-    def profile(self, label: dict[str, int], aggvals: dict[int, int]) -> tuple[int, ...]:
-        """Values of every aggregation child expression at a node."""
-        memo: dict = {}
-        return tuple(self.eval_with_aggs(child, label, aggvals, memo) for _, _, child, _ in self.aggs)
-
-    def truth(self, label: dict[str, int], aggvals: dict[int, int]) -> bool:
-        memo: dict = {}
-
-        def go(fid: int) -> bool:
-            node = self.arena.formula(fid)
+        self.n_labels = self.spec.n_values ** len(self.features)
+        # level 0 charges all labels in one batch: when they exceed the budget,
+        # the search stops before it evaluates any
+        fits = budget.max_steps is None or self.n_labels <= budget.max_steps
+        rows = itertools.product(self.spec.values_p(), repeat=len(self.features)) if fits else ()
+        self.labels = list(rows)
+        # nodes that depend on no aggregation value are evaluated here, once
+        self.static_exprs: dict[int, int | list[int]] = {}
+        self.dyn_exprs: list[tuple[int, tuple]] = []
+        for eid in self.eids:
+            node = self.arena.expr(eid)
             tag = node[0]
-            if tag == "geq":
-                return self.eval_with_aggs(node[1], label, aggvals, memo) >= node[2]
-            if tag == "eq":
-                return self.eval_with_aggs(node[1], label, aggvals, memo) == node[2]
-            if tag == "not":
-                return not go(node[1])
-            if tag == "and":
-                return go(node[1]) and go(node[2])
-            return go(node[1]) or go(node[2])
+            if tag == "agg":
+                continue
+            kids = (node[1], node[2]) if tag == "sum" else (node[2],) if tag in ("act", "scale") else ()
+            if all(k in self.static_exprs for k in kids):
+                self.static_exprs[eid] = self._expr_value(node, self.static_exprs)
+            else:
+                self.dyn_exprs.append((eid, node))
+        self.static_formulas: dict[int, bool | list[bool]] = {}
+        self.dyn_formulas: list[tuple[int, tuple]] = []
+        for fid in sorted(fids):
+            node = self.arena.formula(fid)
+            if node[0] in ("geq", "eq"):
+                static = node[1] in self.static_exprs
+            else:
+                static = all(k in self.static_formulas for k in node[1:])
+            if static:
+                self.static_formulas[fid] = self._formula_value(node, self.static_formulas, self.static_exprs)
+            else:
+                self.dyn_formulas.append((fid, node))
+        self.static_profiles = all(child in self.static_exprs for _, _, child, _ in self.aggs)
 
-        return go(self.root_fid)
+    def _expr_value(self, node: tuple, ev: dict):
+        tag = node[0]
+        spec = self.spec
+        if tag == "const":
+            return node[1]
+        if tag == "feat":
+            j = self.features.index(node[1])
+            return [label[j] for label in self.labels]
+        if tag == "act":
+            return _column_map(functools.partial(spec.act_p, node[1]), ev[node[2]])
+        if tag == "scale":
+            return _column_map(functools.partial(spec.mul_p, node[1]), ev[node[2]])
+        a, b = ev[node[1]], ev[node[2]]  # sum
+        if type(a) is not list:
+            return _column_map(functools.partial(spec.add_p, a), b)
+        if type(b) is not list:
+            return _column_map(lambda v: spec.add_p(v, b), a)
+        return list(map(spec.add_p, a, b))
+
+    @staticmethod
+    def _formula_value(node: tuple, fv: dict, ev: dict):
+        tag = node[0]
+        if tag in ("geq", "eq"):
+            x, k = ev[node[1]], node[2]
+            test = k.__le__ if tag == "geq" else k.__eq__  # k <= v is v >= k
+            return list(map(test, x)) if type(x) is list else test(x)
+        if tag == "not":
+            x = fv[node[1]]
+            return [not v for v in x] if type(x) is list else not x
+        a, b = fv[node[1]], fv[node[2]]
+        if type(a) is not list:
+            a, b = b, a
+        if type(b) is not list:  # a scalar operand decides, or passes the other through
+            if tag == "and":
+                return a if b else False
+            return True if b else a
+        return list(map(operator.and_ if tag == "and" else operator.or_, a, b))
+
+    def _state_values(self, aggvals: dict[int, int]) -> dict:
+        """Value of every expression under one aggregation state."""
+        ev = dict(self.static_exprs)
+        ev.update(aggvals)
+        for eid, node in self.dyn_exprs:
+            ev[eid] = self._expr_value(node, ev)
+        return ev
+
+    def _first_true(self, aggvals: dict[int, int]) -> int | None:
+        """First label at which the root formula holds under one state."""
+        ev = self._state_values(aggvals)
+        fv = dict(self.static_formulas)
+        for fid, node in self.dyn_formulas:
+            fv[fid] = self._formula_value(node, fv, ev)
+        t = fv[self.root_fid]
+        if type(t) is not list:
+            return 0 if t else None
+        try:
+            return t.index(True)
+        except ValueError:
+            return None
+
+    def _profiles(self, aggvals: dict[int, int]) -> dict[tuple[int, ...], int]:
+        """Distinct profiles under one state, with the first label giving each,
+        in label order."""
+        ev = self._state_values(aggvals)
+        cols = [ev[child] for _, _, child, _ in self.aggs]
+        if not any(type(c) is list for c in cols):
+            return {tuple(cols): 0}
+        n = self.n_labels
+        rows = zip(*(c if type(c) is list else itertools.repeat(c, n) for c in cols))
+        return _first_of_each(rows, itertools.count())
+
+    def _step_fns(self, pos: int) -> list:
+        """Per aggregation, the accumulator update by the successor at 1-based pos."""
+        spec = self.spec
+        fns = []
+        for _, kind, _, weights in self.aggs:
+            if kind in ("sum", "mean"):
+                fns.append(spec.add_p)
+            elif kind == "max":
+                fns.append(lambda a, v: v if a is None else max(a, v))
+            else:
+                fns.append(lambda a, v, w=weights[pos - 1]: spec.add_p(a, spec.mul_p(w, v)))
+        return fns
 
     def _step_acc(self, acc: tuple, prof: tuple[int, ...], pos: int) -> tuple:
-        """Advance all aggregation accumulators by one successor (1-based pos)."""
-        out = []
-        for j, (_, kind, _, weights) in enumerate(self.aggs):
-            a = acc[j]
-            v = prof[j]
-            if kind in ("sum", "mean"):
-                out.append(self.spec.add_p(a, v))
-            elif kind == "max":
-                out.append(v if a is None else max(a, v))
-            else:
-                out.append(self.spec.add_p(a, self.spec.mul_p(weights[pos - 1], v)))
-        return tuple(out)
+        """Advance all aggregation accumulators by one successor."""
+        return tuple(fn(a, v) for fn, a, v in zip(self._step_fns(pos), acc, prof))
 
     def _init_acc(self) -> tuple:
         return tuple(None if kind == "max" else 0 for _, kind, _, _ in self.aggs)
@@ -230,34 +333,44 @@ class _TreeSearch:
 
     def reachable_states(self, arity: int, prev_level: dict) -> dict:
         """Accumulator values reachable with `arity` ordered children, with first witnesses."""
+        profs = list(prev_level)
+        # per aggregation, its column of child values over the previous level
+        cols = [list(col) for col in zip(*profs)]
         states: dict[tuple, tuple] = {self._init_acc(): ()}
         for pos in range(1, arity + 1):
+            fns = self._step_fns(pos)
             nxt: dict[tuple, tuple] = {}
             for acc, kids in states.items():
-                for prof in prev_level:
-                    self.budget.tick()
-                    new = self._step_acc(acc, prof, pos)
+                self.budget.tick(len(profs))
+                stepped = [_column_map(functools.partial(fn, a), col) for fn, a, col in zip(fns, acc, cols)]
+                news = zip(*stepped) if stepped else [()] * len(profs)
+                for new, prof in _first_of_each(news, profs).items():
                     if new not in nxt:
                         nxt[new] = kids + (prof,)
             states = nxt
         return states
 
     def level_profiles(self, prev_level: dict | None) -> dict:
-        """Profiles achievable at the root of a tree of the next depth."""
+        """Profiles achievable at the root of a tree of the next depth.
+
+        Each state charges one step per label.
+        """
         out: dict[tuple[int, ...], tuple] = {}
         arities = [0] if prev_level is None else range(0, self.delta + 1)
         for arity in arities:
             states = {self._init_acc(): ()} if arity == 0 else self.reachable_states(arity, prev_level)
             for acc, kids in states.items():
-                aggvals = self._finalize(acc, arity)
-                for label in self.labels:
-                    self.budget.tick()
-                    prof = self.profile(label, aggvals)
+                self.budget.tick(self.n_labels)
+                if self.static_profiles and out:
+                    continue  # every state gives the profiles of the first
+                for prof, i in self._profiles(self._finalize(acc, arity)).items():
                     if prof not in out:
-                        out[prof] = (label, arity, kids)
+                        out[prof] = (i, arity, kids)
         return out
 
     def search(self, depth: int):
+        """First (label index, arity, child profiles) whose root satisfies the
+        formula; each state charges one step per label up to the one found."""
         levels: list[dict] = [self.level_profiles(None)]
         for _ in range(max(0, depth - 1)):
             levels.append(self.level_profiles(levels[-1]))
@@ -265,11 +378,11 @@ class _TreeSearch:
         for arity in range(0, (self.delta if depth > 0 else 0) + 1):
             states = {self._init_acc(): ()} if arity == 0 else self.reachable_states(arity, prev)
             for acc, kids in states.items():
-                aggvals = self._finalize(acc, arity)
-                for label in self.labels:
-                    self.budget.tick()
-                    if self.truth(label, aggvals):
-                        return (label, arity, kids), levels
+                i = self._first_true(self._finalize(acc, arity))
+                if i is not None:
+                    self.budget.tick(i + 1)  # stops here when label i lies past the budget
+                    return (i, arity, kids), levels
+                self.budget.tick(self.n_labels)
         return None, levels
 
     def build_tree(self, witness, levels, depth: int):
@@ -279,16 +392,14 @@ class _TreeSearch:
         trace: dict[str, dict[int, int]] = {}
 
         def emit(name: str, wit, level: int):
-            label, arity, kids = wit
+            i, arity, kids = wit
             nodes.append(name)
-            labels[name] = dict(label)
-            aggvals_acc = self._init_acc()
+            labels[name] = dict(zip(self.features, self.labels[i]))
+            acc = self._init_acc()
             for pos, prof in enumerate(kids, start=1):
-                aggvals_acc = self._step_acc(aggvals_acc, prof, pos)
-            aggvals = self._finalize(aggvals_acc, arity)
-            memo: dict = {}
-            _, eids = self.arena.reachable(self.root_fid)
-            trace[name] = {eid: self.eval_with_aggs(eid, label, aggvals, memo) for eid in sorted(eids)}
+                acc = self._step_acc(acc, prof, pos)
+            ev = self._state_values(self._finalize(acc, arity))
+            trace[name] = {eid: ev[eid][i] if type(ev[eid]) is list else ev[eid] for eid in self.eids}
             for pos, prof in enumerate(kids, start=1):
                 child_name = f"{name}.{pos}"
                 edges.append((name, child_name))

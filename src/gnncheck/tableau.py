@@ -20,6 +20,7 @@ the arity modes differ only in the arity cap.
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass, field
 
@@ -88,6 +89,46 @@ class _State:
         child.walks = list(self.walks)
         child.walked = set(self.walked)
         return child
+
+
+def max_walk_window(spec: ArithmeticSpec, acc: int | None, target: int, reach_later: bool):
+    """Interval of successor values that keep a max walk able to end at target.
+
+    ``acc`` is the running maximum (None before the first successor) and
+    ``reach_later`` says whether a later successor can still supply the target.
+    A value above the target overshoots it; below it, the value only works when
+    the accumulator or a later successor supplies the target.
+    """
+    if acc is not None and acc > target:
+        return None
+    if reach_later or acc == target:
+        return (-spec.max_payload, target)
+    return (target, target)
+
+
+def weighted_walk_window(spec: ArithmeticSpec, acc: int, target: int, w: int, contribs, clo: int, chi: int):
+    """Interval of successor values in [clo, chi] from which a weighted walk
+    can still end at target.
+
+    A value v makes the accumulator ``add_p(acc, mul_p(w, v))``; each later
+    successor then adds a contribution from its ``(lo, hi)`` interval in
+    ``contribs``.  Saturating addition and multiplication are monotone, so
+    along v ordered by the sign of w neither the lowest nor the highest
+    completion decreases: the values whose lowest completion stays <= target
+    and whose highest reaches it form one interval, found by binary search.
+    """
+
+    def completion(v: int, side: int) -> int:
+        x = spec.add_p(acc, spec.mul_p(w, v))
+        for c in contribs:
+            x = spec.add_p(x, c[side])
+        return x
+
+    vs = range(clo, chi + 1) if w >= 0 else range(chi, clo - 1, -1)
+    lo = bisect.bisect_left(vs, target, key=lambda v: completion(v, 1))
+    hi = bisect.bisect_right(vs, target, key=lambda v: completion(v, 0))
+    found = vs[lo:hi]
+    return (min(found[0], found[-1]), max(found[0], found[-1])) if found else None
 
 
 class _Search:
@@ -700,50 +741,22 @@ class _Search:
                     return
             alo, ahi = self._acc_window(t, remaining, flo, fhi)
             rng = self.spec.add_preimage(acc, alo, ahi)
-            if rng is None:
-                return
-            for v in range(max(rng[0], clo), min(rng[1], chi) + 1):
-                yield ("walk_step", v)
-            return
-        if kind == "max":
-            if acc is not None and acc > target:
-                return
+        elif kind == "max":
             reach_later = remaining >= 1 and flo <= target <= fhi
-            for v in range(clo, min(chi, target) + 1):
-                current = v if acc is None else max(acc, v)
-                if remaining == 0:
-                    if current == target:
-                        yield ("walk_step", v)
-                elif current == target or reach_later:
-                    yield ("walk_step", v)
-            return
-        # weighted: candidate contribution is mul(w, v)
-        if arity > len(weights):
-            return
-        w = weights[pos - 1]
-        if remaining == 0:
-            urange = self.spec.add_preimage(acc, target, target)
-            if urange is None:
+            rng = max_walk_window(self.spec, acc, target, reach_later)
+        else:  # weighted: candidate contribution is mul(w, v)
+            if arity > len(weights):
                 return
-            pre = self.spec.mul_preimage(w, urange[0], urange[1])
-            if pre is None:
-                return
-            for v in range(max(pre[0], clo), min(pre[1], chi) + 1):
-                yield ("walk_step", v)
+            contribs = []
+            for i in range(pos + 1, arity + 1):
+                a = self.spec.mul_p(weights[i - 1], flo)
+                b = self.spec.mul_p(weights[i - 1], fhi)
+                contribs.append((min(a, b), max(a, b)))
+            rng = weighted_walk_window(self.spec, acc, target, weights[pos - 1], contribs, clo, chi)
+        if rng is None:
             return
-        contribs = []
-        for i in range(pos + 1, arity + 1):
-            a = self.spec.mul_p(weights[i - 1], flo)
-            b = self.spec.mul_p(weights[i - 1], fhi)
-            contribs.append((min(a, b), max(a, b)))
-        for v in range(clo, chi + 1):
-            nxt = self.spec.add_p(acc, self.spec.mul_p(w, v))
-            lo_chain, hi_chain = nxt, nxt
-            for c_lo, c_hi in contribs:
-                lo_chain = self.spec.add_p(lo_chain, c_lo)
-                hi_chain = self.spec.add_p(hi_chain, c_hi)
-            if lo_chain <= target <= hi_chain:
-                yield ("walk_step", v)
+        for v in range(max(rng[0], clo), min(rng[1], chi) + 1):
+            yield ("walk_step", v)
 
     def _acc_window(self, t: tuple[int, int], remaining: int, clo: int, chi: int) -> tuple[int, int]:
         """Accumulator values from which the target interval stays reachable."""

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
+from gnncheck import semantics
 from gnncheck.arith import ArithmeticSpec
 from gnncheck.errors import UsageError
-from gnncheck.formula import parse
+from gnncheck.formula import features_of, parse, to_text
+from gnncheck.fuzz import random_formula
 from gnncheck.graph import LabeledGraph
 from gnncheck.semantics import Sat, Unknown, Unsat, brute_force_sat, check, eval_expr, eval_payload
 
@@ -106,6 +109,11 @@ class TestBruteForce:
         assert isinstance(verdict, Unknown)
         assert verdict.reason == "node-limit"
 
+    def test_label_set_past_budget_stops_before_evaluating(self):
+        # 2**32 - 1 labels: level 0 alone charges them all, past the default budget
+        verdict = brute_force_sat(parse("x1 >= 0", FIX32_4), delta=1)
+        assert isinstance(verdict, Unknown) and verdict.reason == "node-limit"
+
     def test_depth_limit_yields_unknown(self):
         f = parse("agg(1) = 2", SAT15)
         verdict = brute_force_sat(f, delta=3, depth=0)
@@ -155,15 +163,112 @@ class TestBruteForce:
             want = naive_sat_depth1(f, spec, delta=2)
             assert isinstance(got, Sat) == want, text
 
+    def test_exhaustive_against_naive_two_features_all_kinds(self):
+        spec = ArithmeticSpec.satint(1)
+        texts = [
+            "agg(x1 + x2) = 1 and x1 = -1",
+            "agg(x1) = 1 and maxagg(x1) = 0",
+            "mean(x1 + x2) = 1 and not x2 >= 0",
+            "mean(x1) = -1 and agg(x2) = 1 and x1 - x2 >= 1",
+            "maxagg(x2) = -1 and agg(x1) >= 1",
+            "maxagg(relu(x1 - x2)) = 1 and x1 + x2 = -1",
+            "wagg[1,-1](x1 + x2) >= 1 and x1 - x2 = 0",
+            "wagg[1,1](x2) = 1 and maxagg(x1) < 0 and mean(x2) = 0",
+        ]
+        outcomes = set()
+        for text in texts:
+            f = parse(text, spec)
+            got = brute_force_sat(f, delta=2)
+            want = naive_sat_depth1(f, spec, delta=2)
+            assert isinstance(got, Sat) == want, text
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """Every oracle step budget created while the test runs, with the size of
+    each batch charged to it."""
+    made = []
+
+    class Recording(semantics._Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.batches = []
+            made.append(self)
+
+        def tick(self, n):
+            self.batches.append(n)
+            super().tick(n)
+
+    monkeypatch.setattr(semantics, "_Budget", Recording)
+    return made
+
+
+def budget_formulas():
+    cases = []
+    for arith, delta, kinds in (("satint:3", 2, ("sum", "max")), ("satint:5", 3, ("mean", "weighted"))):
+        spec = ArithmeticSpec.parse(arith)
+        rng = random.Random(f"budget:{arith}")
+        for _ in range(8):
+            cases.append((random_formula(rng, spec, agg_kinds=kinds, delta=delta), delta))
+    # fixed:5:1 with two features: every state charges a batch of 961 labels
+    fix = ArithmeticSpec.fixed(5, 1)
+    for text, delta in (
+        ("mean(x1) >= 1 and maxagg(x1) < 1 and x2 = 0.5", 2),
+        ("mean(x1 - x2) = 1.5 and maxagg(x2) >= 0", 3),
+        ("agg(x1 + x2) = 1 and x1 = 0.5", 2),
+        ("agg(mean(1) + x2) >= 1.5 and x1 = -1", 2),
+        ("maxagg(x1) = 1 and x1 + x2 >= 1.2 and x2 < 0.5", 2),
+    ):
+        cases.append((parse(text, fix), delta))
+    return cases
+
+
+def witness(verdict):
+    return (verdict.model.graph, verdict.model.point) if isinstance(verdict, Sat) else None
+
+
+class TestOracleBudget:
+    def test_step_budget_boundary(self, budgets):
+        # at b - 1 the last batch, a root state's labels up to the first
+        # satisfying one (or all of them), is one step wider than the budget left
+        for f, delta in budget_formulas():
+            full = brute_force_sat(f, delta, max_steps=None)
+            b = budgets[-1].steps
+            assert not isinstance(full, Unknown)
+            low = brute_force_sat(f, delta, max_steps=b - 1)
+            assert isinstance(low, Unknown) and low.reason == "node-limit", to_text(f)
+            assert budgets[-1].steps == b
+            for max_steps in (b, b + 1):
+                again = brute_force_sat(f, delta, max_steps=max_steps)
+                assert type(again) is type(full) and witness(again) == witness(full), to_text(f)
+                assert budgets[-1].steps == b
+
+    def test_every_batch_stops_at_its_first_step_past_the_budget(self, budgets):
+        # level batches (the first is the 961 labels of level 0), successor
+        # batches and root batches alike
+        for f, delta in budget_formulas()[-3:]:
+            brute_force_sat(f, delta, max_steps=None)
+            ends = list(itertools.accumulate(budgets[-1].batches))
+            assert ends[0] == 961
+            for end in ends[:12]:
+                verdict = brute_force_sat(f, delta, max_steps=end - 1)
+                assert isinstance(verdict, Unknown) and verdict.reason == "node-limit"
+                assert budgets[-1].steps == end
+
 
 def naive_sat_depth1(f, spec, delta):
-    """Literal enumeration of all depth<=1 single-feature trees."""
+    """Literal enumeration of all depth<=1 trees over the formula's features."""
+    features = features_of(f)
+    labels = [dict(zip(features, row)) for row in itertools.product(spec.values_p(), repeat=len(features))]
     for arity in range(delta + 1):
-        for root in spec.values_p():
-            for kids in itertools.product(spec.values_p(), repeat=arity):
+        for root in labels:
+            for kids in itertools.product(labels, repeat=arity):
                 nodes = ["u"] + [f"c{i}" for i in range(arity)]
-                labels = {"u": {"x1": root}, **{f"c{i}": {"x1": kids[i]} for i in range(arity)}}
-                g = LabeledGraph(spec, ("x1",), tuple(nodes), tuple(("u", f"c{i}") for i in range(arity)), labels)
+                node_labels = {"u": root, **{f"c{i}": kids[i] for i in range(arity)}}
+                edges = tuple(("u", f"c{i}") for i in range(arity))
+                g = LabeledGraph(spec, features, tuple(nodes), edges, node_labels)
                 if check(g, "u", f):
                     return True
     return False

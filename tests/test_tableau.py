@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gnncheck.arith import ArithmeticSpec
@@ -6,7 +8,15 @@ from gnncheck.fuzz import run_differential
 from gnncheck.gnn import DeltaMode, LinIneq, LvpInstance, eval_linineq, gnn_eval
 from gnncheck.graph import save_json
 from gnncheck.semantics import Sat, Unknown, Unsat, brute_force_sat, check
-from gnncheck.tableau import Invalid, SolveLimits, Valid, solve, verify_lvp
+from gnncheck.tableau import (
+    Invalid,
+    SolveLimits,
+    Valid,
+    max_walk_window,
+    solve,
+    verify_lvp,
+    weighted_walk_window,
+)
 
 from conftest import FIX32_4, SAT7, message_instance, message_model, two_layer_instance
 
@@ -188,6 +198,9 @@ class TestVerifyLvp:
 class TestDifferential:
     def test_small_differential_agreement(self):
         results = run_differential(60, seed=77, spec=ArithmeticSpec.satint(3), delta=2)
+        results += run_differential(
+            150, seed=81, spec=ArithmeticSpec.satint(5), delta=3, agg_kinds=("sum", "mean", "max", "weighted")
+        )
         assert all(r.agree for r in results), [r for r in results if not r.agree][:3]
 
     @pytest.mark.parametrize("kind", ["mean", "max", "weighted"])
@@ -196,3 +209,121 @@ class TestDifferential:
             40, seed=31, spec=ArithmeticSpec.satint(2), delta=2, agg_kinds=(kind,), max_agg_depth=1
         )
         assert all(r.agree for r in results), [r for r in results if not r.agree][:3]
+
+
+# Reference copies of the value scans that max_walk_window and
+# weighted_walk_window replace in the tableau's successor walk.
+
+
+def scan_max(acc, target, remaining, clo, chi, flo, fhi):
+    if acc is not None and acc > target:
+        return []
+    reach_later = remaining >= 1 and flo <= target <= fhi
+    out = []
+    for v in range(clo, min(chi, target) + 1):
+        current = v if acc is None else max(acc, v)
+        if remaining == 0:
+            if current == target:
+                out.append(v)
+        elif current == target or reach_later:
+            out.append(v)
+    return out
+
+
+def scan_weighted(spec, acc, target, w, contribs, clo, chi):
+    if not contribs:
+        urange = spec.add_preimage(acc, target, target)
+        if urange is None:
+            return []
+        pre = spec.mul_preimage(w, urange[0], urange[1])
+        if pre is None:
+            return []
+        return list(range(max(pre[0], clo), min(pre[1], chi) + 1))
+    out = []
+    for v in range(clo, chi + 1):
+        nxt = spec.add_p(acc, spec.mul_p(w, v))
+        lo_chain, hi_chain = nxt, nxt
+        for c_lo, c_hi in contribs:
+            lo_chain = spec.add_p(lo_chain, c_lo)
+            hi_chain = spec.add_p(hi_chain, c_hi)
+        if lo_chain <= target <= hi_chain:
+            out.append(v)
+    return out
+
+
+def window_values(rng, clo, chi):
+    return [] if rng is None else list(range(max(rng[0], clo), min(rng[1], chi) + 1))
+
+
+def new_max(spec, acc, target, remaining, clo, chi, flo, fhi):
+    reach_later = remaining >= 1 and flo <= target <= fhi
+    return window_values(max_walk_window(spec, acc, target, reach_later), clo, chi)
+
+
+def new_weighted(spec, acc, target, w, contribs, clo, chi):
+    return window_values(weighted_walk_window(spec, acc, target, w, contribs, clo, chi), clo, chi)
+
+
+def intervals(values):
+    return [(lo, hi) for lo in values for hi in values if lo <= hi]
+
+
+SAT3 = ArithmeticSpec.satint(3)
+FIX5_1 = ArithmeticSpec.fixed(5, 1)
+
+
+class TestWalkWindows:
+    def test_max_matches_scan_satint3(self):
+        vals = list(SAT3.values_p())
+        for acc in [None] + vals:
+            for target in vals:
+                for remaining in (0, 1):
+                    for clo, chi in intervals(vals):
+                        for flo, fhi in intervals(vals):
+                            args = (acc, target, remaining, clo, chi, flo, fhi)
+                            assert new_max(SAT3, *args) == scan_max(*args), args
+
+    def test_max_matches_scan_fixed5_1(self):
+        vals = list(FIX5_1.values_p())
+        m = FIX5_1.max_payload
+        spans = [(-m, m), (-m, -m), (m, m), (0, 0), (-4, 7)]
+        for acc in [None] + vals:
+            for target in vals:
+                for remaining in (0, 1):
+                    for clo, chi in spans + [(target, target), (target - 1, target + 1)]:
+                        for flo, fhi in spans:
+                            args = (acc, target, remaining, max(clo, -m), min(chi, m), flo, fhi)
+                            assert new_max(FIX5_1, *args) == scan_max(*args), args
+
+    def test_weighted_matches_scan_satint3(self):
+        # later successors enter the scan only through their contribution intervals
+        vals = list(SAT3.values_p())
+        m = SAT3.max_payload
+        for acc in vals:
+            for target in vals:
+                for w in vals:
+                    for clo, chi in intervals(vals):
+                        args = (acc, target, w, [], clo, chi)
+                        assert new_weighted(SAT3, *args) == scan_weighted(SAT3, *args), args
+                    for contrib in intervals(vals):
+                        args = (acc, target, w, [contrib], -m, m)
+                        assert new_weighted(SAT3, *args) == scan_weighted(SAT3, *args), args
+
+    def test_weighted_matches_scan_fixed5_1(self):
+        vals = list(FIX5_1.values_p())
+        m = FIX5_1.max_payload
+        for acc in vals:
+            for target in vals:
+                for w in vals[::3]:
+                    args = (acc, target, w, [(-2, 3)], -m, m)
+                    assert new_weighted(FIX5_1, *args) == scan_weighted(FIX5_1, *args), args
+
+    def test_weighted_matches_scan_sampled(self):
+        rng = random.Random(5)
+        for spec in (SAT3, FIX5_1):
+            vals = list(spec.values_p())
+            for _ in range(3000):
+                contribs = [tuple(sorted(rng.choices(vals, k=2))) for _ in range(rng.randint(0, 3))]
+                clo, chi = sorted(rng.choices(vals, k=2))
+                args = (rng.choice(vals), rng.choice(vals), rng.choice(vals), contribs, clo, chi)
+                assert new_weighted(spec, *args) == scan_weighted(spec, *args), args

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import ConfigError, UsageError
@@ -39,6 +38,16 @@ def _round_div_away(num: int, den: int) -> int:
     if 2 * r >= den:
         q += 1
     return q if num >= 0 else -q
+
+
+def _least(num: int, d: int, strict: bool) -> int:
+    """Least integer p with d*p >= num, or d*p > num when strict (d > 0)."""
+    return num // d + 1 if strict else -(-num // d)
+
+
+def _greatest(num: int, d: int, strict: bool) -> int:
+    """Greatest integer p with d*p <= num, or d*p < num when strict (d > 0)."""
+    return -(-num // d) - 1 if strict else num // d
 
 
 def _intersect(a: Optional[tuple[int, int]], b: Optional[tuple[int, int]]) -> Optional[tuple[int, int]]:
@@ -249,26 +258,32 @@ class ArithmeticSpec:
             return _intersect((tlo, thi), (-m, m))
         raise ConfigError(f"unknown activation {name!r}; known: {', '.join(ACTIVATIONS)}")
 
-    def _round_window(self, tlo: int, thi: int):
-        """Rational window of x with clamp(round_away(x)) in [tlo, thi].
+    def _round_preimage(self, a: int, b: int, tlo: int, thi: int) -> Optional[tuple[int, int]]:
+        """Payload interval {p : clamp(round_away(a*p/b)) in [tlo, thi]}, a != 0, b > 0.
 
-        Saturation makes the window unbounded at the extremes; unbounded ends
-        are returned as None.
+        Rounding ties away from zero, round_away(x) >= tlo iff 2x >= 2*tlo - 1
+        for tlo > 0, and 2x > 2*tlo - 1 for tlo <= 0, where the tie rounds
+        down; likewise round_away(x) <= thi iff 2x <= 2*thi + 1 for thi < 0,
+        and 2x < 2*thi + 1 otherwise.  Saturation leaves the extreme ends
+        unbounded.  Multiplying through by b turns each end into a bound on
+        2*a*p, which flips its side for a < 0.
         """
-        half = Fraction(1, 2)
-        if tlo == -self.max_payload:
-            lo, lo_strict = None, False
-        elif tlo > 0:
-            lo, lo_strict = Fraction(tlo) - half, False
-        else:
-            lo, lo_strict = Fraction(tlo) - half, True
-        if thi == self.max_payload:
-            hi, hi_strict = None, False
-        elif thi < 0:
-            hi, hi_strict = Fraction(thi) + half, False
-        else:
-            hi, hi_strict = Fraction(thi) + half, True
-        return lo, lo_strict, hi, hi_strict
+        m = self.max_payload
+        lo, hi = -m, m
+        d = 2 * abs(a)
+        if tlo != -m:
+            bound = (2 * tlo - 1) * b
+            if a > 0:
+                lo = _least(bound, d, tlo <= 0)
+            else:
+                hi = _greatest(-bound, d, tlo <= 0)
+        if thi != m:
+            bound = (2 * thi + 1) * b
+            if a > 0:
+                hi = _greatest(bound, d, thi >= 0)
+            else:
+                lo = _least(-bound, d, thi >= 0)
+        return _intersect((lo, hi), (-m, m))
 
     def mul_preimage(self, c: int, tlo: int, thi: int) -> Optional[tuple[int, int]]:
         """Payload interval {p : mul_p(c, p) in [tlo, thi]} or None."""
@@ -277,16 +292,7 @@ class ArithmeticSpec:
         m = self.max_payload
         if c == 0:
             return (-m, m) if tlo <= 0 <= thi else None
-        lo, lo_strict, hi, hi_strict = self._round_window(tlo, thi)
-        # c*p/scale in window  =>  p in scale*window/c (order flips for c < 0)
-        s = Fraction(self.scale, c)
-        a = None if lo is None else lo * s
-        b = None if hi is None else hi * s
-        if c < 0:
-            a, b, lo_strict, hi_strict = b, a, hi_strict, lo_strict
-        plo = -m if a is None else (math.floor(a) + 1 if lo_strict else math.ceil(a))
-        phi = m if b is None else (math.ceil(b) - 1 if hi_strict else math.floor(b))
-        return _intersect((plo, phi), (-m, m))
+        return self._round_preimage(c, self.scale, tlo, thi)
 
     def add_preimage(self, a: int, tlo: int, thi: int) -> Optional[tuple[int, int]]:
         """Payload interval {q : add_p(a, q) in [tlo, thi]} or None."""
@@ -310,11 +316,7 @@ class ArithmeticSpec:
 
     def div_preimage(self, k: int, m: int) -> Optional[tuple[int, int]]:
         """Payload interval {S : div_p(S, m) = k}."""
-        top = self.max_payload
-        lo, lo_strict, hi, hi_strict = self._round_window(k, k)
-        slo = -top if lo is None else (math.floor(lo * m) + 1 if lo_strict else math.ceil(lo * m))
-        shi = top if hi is None else (math.ceil(hi * m) - 1 if hi_strict else math.floor(hi * m))
-        return _intersect((slo, shi), (-top, top))
+        return self._round_preimage(1, m, k, k)
 
 
 @dataclass(frozen=True, order=False)

@@ -30,13 +30,16 @@ EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
 
 
+def _time_limit(args) -> float | None:
+    """--time-limit, else the QGNN_TIME_LIMIT environment variable, else none."""
+    if args.time_limit is not None:
+        return args.time_limit
+    env = os.environ.get("QGNN_TIME_LIMIT")
+    return float(env) if env else None
+
+
 def _limits(args) -> SolveLimits:
-    time_limit = args.time_limit
-    if time_limit is None:
-        env = os.environ.get("QGNN_TIME_LIMIT")
-        if env:
-            time_limit = float(env)
-    return SolveLimits(time_limit=time_limit, max_terms=args.term_limit, max_arity=args.max_arity)
+    return SolveLimits(time_limit=_time_limit(args), max_terms=args.term_limit, max_arity=args.max_arity)
 
 
 def _load_doc(path: str):
@@ -169,14 +172,11 @@ def cmd_eval(args) -> int:
 
 def cmd_oracle_sat(args) -> int:
     formula = _read_formula(args)
-    time_limit = args.time_limit
-    if time_limit is None and os.environ.get("QGNN_TIME_LIMIT"):
-        time_limit = float(os.environ["QGNN_TIME_LIMIT"])
     verdict = brute_force_sat(
         formula,
         _delta_for_oracle(args.delta),
         depth=args.depth,
-        time_limit=time_limit,
+        time_limit=_time_limit(args),
         max_steps=args.term_limit or 5_000_000,
     )
     return _sat_result(args, verdict)

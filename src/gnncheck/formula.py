@@ -625,7 +625,12 @@ class _Parser:
 def parse(text: str, spec: ArithmeticSpec, default_activation: str = "relu") -> Formula:
     """Parse formula text into a hash-consed DAG."""
     parser = _Parser(text, spec, default_activation)
-    root = parser.parse()
+    try:
+        root = parser.parse()
+    except RecursionError:
+        # the recursive descent ran out of interpreter stack
+        tok = parser.peek()
+        raise FormulaSyntaxError("formula nested too deeply", tok.line, tok.col) from None
     return Formula(parser.arena, root)
 
 

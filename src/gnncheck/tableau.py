@@ -16,13 +16,18 @@ provably cannot be completed, so the enumeration stays exhaustive.
 Aggregation constraints walk their successors incrementally with a running
 accumulator, which serves both the unary rule and the binary/unbounded rules;
 the arity modes differ only in the arity cap.
+
+The search's work is counted in ticks: one per branch alternative tried, one
+per value assigned, and one per value newly derived into the store by forward
+evaluation.  ``SolveLimits.max_terms`` bounds the ticks.
 """
 
 from __future__ import annotations
 
 import bisect
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from .arith import ArithmeticSpec, Value
 from .compile import compile_lvp
@@ -65,6 +70,20 @@ class _LimitHit(Exception):
         self.reason = reason
 
 
+class _Memo(dict):
+    """Results of one unary primitive by argument payload, filled on demand."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, p: int) -> int:
+        out = self[p] = self.fn(p)
+        return out
+
+
 class _State:
     __slots__ = ("values", "arity", "bounds", "bools", "atoms", "obligations", "walks", "walked")
 
@@ -80,14 +99,14 @@ class _State:
 
     def fork(self) -> "_State":
         child = _State.__new__(_State)
-        child.values = dict(self.values)
-        child.arity = dict(self.arity)
-        child.bounds = dict(self.bounds)
-        child.bools = list(self.bools)
-        child.atoms = list(self.atoms)
-        child.obligations = dict(self.obligations)
-        child.walks = list(self.walks)
-        child.walked = set(self.walked)
+        child.values = self.values.copy()
+        child.arity = self.arity.copy()
+        child.bounds = self.bounds.copy()
+        child.bools = self.bools.copy()
+        child.atoms = self.atoms.copy()
+        child.obligations = self.obligations.copy()
+        child.walks = self.walks.copy()
+        child.walked = self.walked.copy()
         return child
 
 
@@ -136,12 +155,23 @@ class _Search:
         self.formula = formula
         self.arena: Arena = formula.arena
         self.spec: ArithmeticSpec = formula.spec
-        self.limits = limits
         self.deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
+        self.max_terms = limits.max_terms
         self.ticks = 0
+        fids, eids = self.arena.reachable(formula.root)
+        # the node table: expression nodes by id, and for each act node and
+        # each non-zero scale node its child and the memo of its primitive
+        self.nodes: dict[int, tuple] = {eid: self.arena.expr(eid) for eid in eids}
+        self._memos: dict[tuple, _Memo] = {}
+        self.unary: dict[int, tuple[int, _Memo]] = {
+            eid: (node[2], self._memo(node[0], node[1]))
+            for eid, node in self.nodes.items()
+            if node[0] == "act" or (node[0] == "scale" and node[1] != 0)
+        }
+        self._empty = _State()  # never written: ranges over it are structural
         # arity cap: 2^n * |formula| successors always suffice for distinct
         # summand combinations, so larger guesses are never needed
-        combinatorial = (2 ** self.spec.bit_width) * self.arena.dag_size(formula.root)
+        combinatorial = (2 ** self.spec.bit_width) * (len(fids) + len(eids))
         if delta.kind == "unary":
             cap = delta.value
         elif delta.kind == "binary":
@@ -155,11 +185,20 @@ class _Search:
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def tick(self, n: int = 1):
-        self.ticks += n
-        if self.limits.max_terms is not None and self.ticks > self.limits.max_terms:
+    def _memo(self, tag: str, param) -> _Memo:
+        """Memo of act by an activation name or of scale by a weight, shared by
+        every node and walk step that applies the same primitive."""
+        memo = self._memos.get((tag, param))
+        if memo is None:
+            fn = self.spec.act_p if tag == "act" else self.spec.mul_p
+            memo = self._memos[(tag, param)] = _Memo(partial(fn, param))
+        return memo
+
+    def tick(self):
+        self.ticks += 1
+        if self.max_terms is not None and self.ticks > self.max_terms:
             raise _LimitHit("node-limit")
-        if self.deadline is not None and self.ticks % 1024 < n and time.monotonic() > self.deadline:
+        if self.deadline is not None and self.ticks % 1024 == 0 and time.monotonic() > self.deadline:
             raise _LimitHit("timeout")
 
     def assign(self, st: _State, word: Word, eid: int, payload: int):
@@ -171,7 +210,7 @@ class _Search:
                 raise _Clash()
             return
         self.tick()
-        node = self.arena.expr(eid)
+        node = self.nodes[eid]
         tag = node[0]
         if tag == "const":
             if node[1] != payload:
@@ -183,20 +222,6 @@ class _Search:
         st.values[key] = payload
         if tag != "feat":
             st.obligations[key] = True
-
-    def record(self, st: _State, word: Word, eid: int, payload: int):
-        """Memoize a derived (forward-computed) value; clash on disagreement."""
-        key = (word, eid)
-        old = st.values.get(key)
-        if old is not None:
-            if old != payload:
-                raise _Clash()
-            return
-        self.tick()
-        bounds = st.bounds.get(key)
-        if bounds is not None and not bounds[0] <= payload <= bounds[1]:
-            raise _Clash()
-        st.values[key] = payload
 
     def tighten(self, st: _State, word: Word, eid: int, lo: int, hi: int) -> bool:
         """Narrow the known interval of an expression, pushing bounds through
@@ -215,7 +240,7 @@ class _Search:
         if lo > hi:
             raise _Clash()
         st.bounds[key] = (lo, hi)
-        node = self.arena.expr(eid)
+        node = self.nodes[eid]
         tag = node[0]
         if tag == "const":
             if not lo <= node[1] <= hi:
@@ -234,33 +259,51 @@ class _Search:
 
     def forward(self, st: _State, word: Word, eid: int) -> int | None:
         """Evaluate an expression at a word from the store, memoizing results."""
-        key = (word, eid)
-        if key in st.values:
-            return st.values[key]
-        node = self.arena.expr(eid)
+        out = st.values.get((word, eid))
+        return self._derive(st, word, eid) if out is None else out
+
+    def _derive(self, st: _State, word: Word, eid: int) -> int | None:
+        """Evaluate an expression whose value is not in the store, and record it.
+
+        Operands are evaluated left to right and evaluation stops at the first
+        unknown one, so which values get derived (and ticked) is fixed.
+        """
+        values = st.values
+        node = self.nodes[eid]
         tag = node[0]
-        spec = self.spec
-        out: int | None = None
-        if tag == "const":
+        if tag == "sum":
+            left = values.get((word, node[1]))
+            if left is None:
+                left = self._derive(st, word, node[1])
+                if left is None:
+                    return None
+            right = values.get((word, node[2]))
+            if right is None:
+                right = self._derive(st, word, node[2])
+                if right is None:
+                    return None
+            out = left + right
+            m = self.spec.max_payload
+            if out > m:
+                out = m
+            elif out < -m:
+                out = -m
+        elif tag == "act" or tag == "scale":
+            unary = self.unary.get(eid)
+            if unary is None:  # 0 * e
+                out = 0
+            else:
+                child, memo = unary
+                value = values.get((word, child))
+                if value is None:
+                    value = self._derive(st, word, child)
+                    if value is None:
+                        return None
+                out = memo[value]
+        elif tag == "const":
             out = node[1]
         elif tag == "feat":
             return None
-        elif tag == "act":
-            child = self.forward(st, word, node[2])
-            if child is not None:
-                out = spec.act_p(node[1], child)
-        elif tag == "scale":
-            if node[1] == 0:
-                out = 0
-            else:
-                child = self.forward(st, word, node[2])
-                if child is not None:
-                    out = spec.mul_p(node[1], child)
-        elif tag == "sum":
-            left = self.forward(st, word, node[1])
-            right = self.forward(st, word, node[2]) if left is not None else None
-            if left is not None and right is not None:
-                out = spec.add_p(left, right)
         else:  # agg
             arity = st.arity.get(word)
             if arity is None:
@@ -268,13 +311,25 @@ class _Search:
             kind, child, weights = node[1], node[2], node[3]
             acc: int | None = None if kind == "max" else 0
             for i in range(1, arity + 1):
-                v = self.forward(st, word + (i,), child)
-                if v is None:
-                    return None
-                acc = self._step_acc(kind, weights, acc, v, i)
+                succ = word + (i,)
+                value = values.get((succ, child))
+                if value is None:
+                    value = self._derive(st, succ, child)
+                    if value is None:
+                        return None
+                acc = self._step_acc(kind, weights, acc, value, i)
             out = self._finalize_acc(kind, acc, arity)
-        if out is not None:
-            self.record(st, word, eid, out)
+        # record the derived value: the same tick and checks as tick()
+        ticks = self.ticks = self.ticks + 1
+        if self.max_terms is not None and ticks > self.max_terms:
+            raise _LimitHit("node-limit")
+        if self.deadline is not None and ticks % 1024 == 0 and time.monotonic() > self.deadline:
+            raise _LimitHit("timeout")
+        key = (word, eid)
+        bounds = st.bounds.get(key)
+        if bounds is not None and not bounds[0] <= out <= bounds[1]:
+            raise _Clash()
+        values[key] = out
         return out
 
     def _step_acc(self, kind: str, weights, acc, v: int, pos: int) -> int:
@@ -284,7 +339,7 @@ class _Search:
         if kind == "weighted":
             if pos > len(weights):
                 raise _Clash()  # no weight for this successor: not evaluable
-            return spec.add_p(acc, spec.mul_p(weights[pos - 1], v))
+            return spec.add_p(acc, self._memo("scale", weights[pos - 1])[v])
         return spec.add_p(acc, v)
 
     def _finalize_acc(self, kind: str, acc, arity: int) -> int:
@@ -295,55 +350,45 @@ class _Search:
         return acc
 
     def expr_range(self, st: _State, word: Word, eid: int) -> tuple[int, int]:
-        """Sound interval over-approximation of the expression's value."""
+        """Sound interval over-approximation of the expression's value.
+
+        Over the empty store it is the structural range: the interval of the
+        expression's possible values at any fresh word.
+        """
         key = (word, eid)
-        if key in st.values:
-            v = st.values[key]
-            return v, v
-        node = self.arena.expr(eid)
+        known = st.values.get(key)
+        if known is not None:
+            return known, known
+        node = self.nodes[eid]
         tag = node[0]
-        spec = self.spec
-        m = spec.max_payload
-        if tag == "const":
-            lo, hi = node[1], node[1]
-        elif tag in ("feat", "agg"):
-            lo, hi = -m, m
-        elif tag == "act":
-            clo, chi = self.expr_range(st, word, node[2])
-            lo, hi = spec.act_p(node[1], clo), spec.act_p(node[1], chi)
-        elif tag == "scale":
-            clo, chi = self.expr_range(st, word, node[2])
-            a, b = spec.mul_p(node[1], clo), spec.mul_p(node[1], chi)
-            lo, hi = (a, b) if a <= b else (b, a)
-        else:
+        if tag == "sum":
             lo1, hi1 = self.expr_range(st, word, node[1])
             lo2, hi2 = self.expr_range(st, word, node[2])
-            lo, hi = spec.add_p(lo1, lo2), spec.add_p(hi1, hi2)
+            m = self.spec.max_payload
+            lo, hi = lo1 + lo2, hi1 + hi2
+            lo = -m if lo < -m else m if lo > m else lo
+            hi = -m if hi < -m else m if hi > m else hi
+        elif tag == "act" or tag == "scale":
+            unary = self.unary.get(eid)
+            if unary is None:  # 0 * e
+                lo, hi = 0, 0
+            else:
+                child, memo = unary
+                clo, chi = self.expr_range(st, word, child)
+                lo, hi = memo[clo], memo[chi]
+                # act maps each end in place, so an empty interval (lo > hi,
+                # from contradicting bounds) keeps its order; scale sorts them
+                if tag == "scale" and lo > hi:
+                    lo, hi = hi, lo
+        elif tag == "const":
+            lo, hi = node[1], node[1]
+        else:  # feat, agg
+            m = self.spec.max_payload
+            lo, hi = -m, m
         bounds = st.bounds.get(key)
         if bounds is not None:
             lo, hi = max(lo, bounds[0]), min(hi, bounds[1])
         return lo, hi
-
-    def structural_range(self, eid: int) -> tuple[int, int]:
-        """Interval of the expression's possible values at any fresh word."""
-        node = self.arena.expr(eid)
-        tag = node[0]
-        spec = self.spec
-        m = spec.max_payload
-        if tag == "const":
-            return node[1], node[1]
-        if tag in ("feat", "agg"):
-            return -m, m
-        if tag == "act":
-            lo, hi = self.structural_range(node[2])
-            return spec.act_p(node[1], lo), spec.act_p(node[1], hi)
-        if tag == "scale":
-            lo, hi = self.structural_range(node[2])
-            a, b = spec.mul_p(node[1], lo), spec.mul_p(node[1], hi)
-            return (a, b) if a <= b else (b, a)
-        lo1, hi1 = self.structural_range(node[1])
-        lo2, hi2 = self.structural_range(node[2])
-        return spec.add_p(lo1, lo2), spec.add_p(hi1, hi2)
 
     # -- saturation -------------------------------------------------------------
 
@@ -415,39 +460,37 @@ class _Search:
         for key in list(st.obligations):
             if key not in st.obligations:
                 continue
-            word, eid = key
-            target = st.values[key]
-            node = self.arena.expr(eid)
+            node = self.nodes[key[1]]
             tag = node[0]
             if tag == "act":
-                progress |= self._oblige_unary(st, key, node[2], self.spec.act_preimage(node[1], target))
+                progress |= self._oblige_unary(st, key, node)
             elif tag == "scale":
                 if node[1] == 0:
                     # 0 * e is 0 whatever e evaluates to
-                    if target != 0:
+                    if st.values[key] != 0:
                         raise _Clash()
                     del st.obligations[key]
                     progress = True
                     continue
-                progress |= self._oblige_unary(st, key, node[2], self.spec.mul_preimage(node[1], target, target))
+                progress |= self._oblige_unary(st, key, node)
             elif tag == "sum":
                 progress |= self._oblige_sum(st, key, node)
             else:  # agg
                 progress |= self._oblige_agg(st, key, node)
         return progress
 
-    def _oblige_unary(self, st: _State, key, child: int, preimage) -> bool:
+    def _oblige_unary(self, st: _State, key, node) -> bool:
         """act/scale: verify a known child, else force a unique preimage."""
         word, eid = key
         target = st.values[key]
-        node = self.arena.expr(eid)
+        child, memo = self.unary[eid]
         value = self.forward(st, word, child)
         if value is not None:
-            got = self.spec.act_p(node[1], value) if node[0] == "act" else self.spec.mul_p(node[1], value)
-            if got != target:
+            if memo[value] != target:
                 raise _Clash()
             del st.obligations[key]
             return True
+        preimage = self._unary_preimage(node, target)
         if preimage is None:
             raise _Clash()
         lo, hi = preimage
@@ -459,6 +502,12 @@ class _Search:
             self.assign(st, word, child, lo)
             return True
         return False
+
+    def _unary_preimage(self, node, target: int):
+        """Payload interval of an act or scale node's child values that map to target."""
+        if node[0] == "act":
+            return self.spec.act_preimage(node[1], target)
+        return self.spec.mul_preimage(node[1], target, target)
 
     def _oblige_sum(self, st: _State, key, node) -> bool:
         word, eid = key
@@ -536,7 +585,7 @@ class _Search:
                 continue
             return ("atom", idx, word, fid, sign)
         for key in st.obligations:
-            if self.arena.expr(key[1])[0] != "agg":
+            if self.nodes[key[1]][0] != "agg":
                 return self._plan_stuck(st, key)
         if st.walks:
             return ("walk", 0)
@@ -553,7 +602,7 @@ class _Search:
         unknown operands: guessing a value there cannot propagate."""
 
         def stuck(eid: int) -> bool:
-            node = self.arena.expr(eid)
+            node = self.nodes[eid]
             tag = node[0]
             if tag in ("const", "feat", "agg"):
                 return False
@@ -594,7 +643,7 @@ class _Search:
 
     def _first_unknown_leaf(self, st: _State, word: Word, eid: int):
         """First unvalued feature or missing arity the expression depends on."""
-        node = self.arena.expr(eid)
+        node = self.nodes[eid]
         tag = node[0]
         if tag == "const":
             return None
@@ -624,14 +673,10 @@ class _Search:
         """Number of alternatives backward inversion of this obligation would try."""
         word, eid = key
         target = st.values[key]
-        node = self.arena.expr(eid)
+        node = self.nodes[eid]
         tag = node[0]
         if tag in ("act", "scale"):
-            pre = (
-                self.spec.act_preimage(node[1], target)
-                if tag == "act"
-                else self.spec.mul_preimage(node[1], target, target)
-            )
+            pre = self._unary_preimage(node, target)
             if pre is None:
                 return 0
             clo, chi = self.expr_range(st, word, node[2])
@@ -683,7 +728,7 @@ class _Search:
         cap = self.arity_cap
         for key in st.obligations:
             if key[0] == word:
-                node = self.arena.expr(key[1])
+                node = self.nodes[key[1]]
                 if node[0] == "agg" and node[1] == "weighted":
                     cap = min(cap, len(node[3]))
         for a in range(0, cap + 1):
@@ -692,15 +737,11 @@ class _Search:
     def _invert_alternatives(self, st: _State, key):
         word, eid = key
         target = st.values[key]
-        node = self.arena.expr(eid)
+        node = self.nodes[eid]
         tag = node[0]
         if tag in ("act", "scale"):
             child = node[2]
-            pre = (
-                self.spec.act_preimage(node[1], target)
-                if tag == "act"
-                else self.spec.mul_preimage(node[1], target, target)
-            )
+            pre = self._unary_preimage(node, target)
             if pre is None:
                 return
             clo, chi = self.expr_range(st, word, child)
@@ -723,7 +764,7 @@ class _Search:
 
     def _walk_alternatives(self, st: _State):
         word, eid, pos, acc = st.walks[0]
-        node = self.arena.expr(eid)
+        node = self.nodes[eid]
         kind, child, weights = node[1], node[2], node[3]
         target = st.values[(word, eid)]
         arity = st.arity[word]
@@ -731,7 +772,7 @@ class _Search:
         remaining = arity - pos
         known = self.forward(st, succ, child)
         clo, chi = (known, known) if known is not None else self.expr_range(st, succ, child)
-        flo, fhi = self.structural_range(child) if remaining else (0, 0)
+        flo, fhi = self.expr_range(self._empty, (), child) if remaining else (0, 0)
         if kind in ("sum", "mean"):
             if kind == "sum":
                 t = (target, target)
@@ -749,8 +790,8 @@ class _Search:
                 return
             contribs = []
             for i in range(pos + 1, arity + 1):
-                a = self.spec.mul_p(weights[i - 1], flo)
-                b = self.spec.mul_p(weights[i - 1], fhi)
+                mul = self._memo("scale", weights[i - 1])
+                a, b = mul[flo], mul[fhi]
                 contribs.append((min(a, b), max(a, b)))
             rng = weighted_walk_window(self.spec, acc, target, weights[pos - 1], contribs, clo, chi)
         if rng is None:
@@ -790,7 +831,7 @@ class _Search:
             st.arity[word] = a
         else:  # walk_step
             word, eid, pos, acc = st.walks.pop(0)
-            node = self.arena.expr(eid)
+            node = self.nodes[eid]
             kind_, child, weights = node[1], node[2], node[3]
             v = alternative[1]
             self.assign(st, word + (pos,), child, v)
@@ -847,13 +888,10 @@ class _Search:
         ordered = sorted(words, key=lambda w: (len(w), w))
         names = {w: "v" + ".".join(str(i) for i in w) if w else "v" for w in ordered}
         features = self.formula.features
-        feat_ids = {f: self.arena._expr_ids.get(("feat", f)) for f in features}
+        feat_ids = {node[1]: eid for eid, node in self.nodes.items() if node[0] == "feat"}
         labels = {}
         for w in ordered:
-            labels[names[w]] = {
-                f: st.values.get((w, feat_ids[f]), 0) if feat_ids[f] is not None else 0
-                for f in features
-            }
+            labels[names[w]] = {f: st.values.get((w, feat_ids.get(f)), 0) for f in features}
         edges = []
         for w in ordered:
             for i in range(1, st.arity.get(w, 0) + 1):
@@ -889,8 +927,7 @@ def solve(formula: Formula, delta: DeltaMode, limits: SolveLimits | None = None)
     finally:
         sys.setrecursionlimit(old_limit)
     if final is None:
-        _, eids = formula.arena.reachable(formula.root)
-        has_aggs = any(formula.arena.expr(e)[0] == "agg" for e in eids)
+        has_aggs = any(node[0] == "agg" for node in search.nodes.values())
         if search.cap_truncated and has_aggs:
             return Unknown("depth-limit")
         return Unsat()

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -289,3 +292,90 @@ def test_mul_preimage_sound_fixed_point(c, k):
             assert spec.mul_p(c, lo - 1) != k
         if spec.contains(hi + 1):
             assert spec.mul_p(c, hi + 1) != k
+
+
+# -- integer preimages against the rational windows they replaced -------------
+
+
+def fraction_round_window(spec, tlo, thi):
+    """Reference: rational window of x with clamp(round_away(x)) in [tlo, thi]."""
+    half = Fraction(1, 2)
+    if tlo == -spec.max_payload:
+        lo, lo_strict = None, False
+    elif tlo > 0:
+        lo, lo_strict = Fraction(tlo) - half, False
+    else:
+        lo, lo_strict = Fraction(tlo) - half, True
+    if thi == spec.max_payload:
+        hi, hi_strict = None, False
+    elif thi < 0:
+        hi, hi_strict = Fraction(thi) + half, False
+    else:
+        hi, hi_strict = Fraction(thi) + half, True
+    return lo, lo_strict, hi, hi_strict
+
+
+def clip(spec, lo, hi):
+    m = spec.max_payload
+    lo, hi = max(lo, -m), min(hi, m)
+    return None if lo > hi else (lo, hi)
+
+
+def fraction_mul_preimage(spec, c, tlo, thi):
+    """Reference: mul_preimage computed through Fraction windows."""
+    if tlo > thi:
+        return None
+    m = spec.max_payload
+    if c == 0:
+        return (-m, m) if tlo <= 0 <= thi else None
+    lo, lo_strict, hi, hi_strict = fraction_round_window(spec, tlo, thi)
+    s = Fraction(spec.scale, c)
+    a = None if lo is None else lo * s
+    b = None if hi is None else hi * s
+    if c < 0:
+        a, b, lo_strict, hi_strict = b, a, hi_strict, lo_strict
+    plo = -m if a is None else (math.floor(a) + 1 if lo_strict else math.ceil(a))
+    phi = m if b is None else (math.ceil(b) - 1 if hi_strict else math.floor(b))
+    return clip(spec, plo, phi)
+
+
+def fraction_div_preimage(spec, k, m):
+    """Reference: div_preimage computed through Fraction windows."""
+    top = spec.max_payload
+    lo, lo_strict, hi, hi_strict = fraction_round_window(spec, k, k)
+    slo = -top if lo is None else (math.floor(lo * m) + 1 if lo_strict else math.ceil(lo * m))
+    shi = top if hi is None else (math.ceil(hi * m) - 1 if hi_strict else math.floor(hi * m))
+    return clip(spec, slo, shi)
+
+
+PREIMAGE_SPECS = [ArithmeticSpec.satint(3), ArithmeticSpec.satint(7), ArithmeticSpec.fixed(5, 1), ArithmeticSpec.fixed(7, 1)]
+
+
+class TestIntegerPreimages:
+    @pytest.mark.parametrize("spec", PREIMAGE_SPECS[:3], ids=lambda s: s.spec_string())
+    def test_mul_preimage_matches_fractions_exhaustive(self, spec):
+        values = list(spec.values_p())
+        for c in values:
+            for tlo in values:
+                for thi in values:
+                    assert spec.mul_preimage(c, tlo, thi) == fraction_mul_preimage(spec, c, tlo, thi), (c, tlo, thi)
+
+    def test_mul_preimage_matches_fractions_fixed7_1(self):
+        # every c and every lower end; upper ends at the lower end and just
+        # around it (one below is empty), and saturated at either extreme
+        spec = ArithmeticSpec.fixed(7, 1)
+        m = spec.max_payload
+        values = list(spec.values_p())
+        for c in values:
+            for tlo in values:
+                for thi in {tlo - 1, tlo, tlo + 1, tlo + 7, -m, m}:
+                    if spec.contains(thi):
+                        assert spec.mul_preimage(c, tlo, thi) == fraction_mul_preimage(spec, c, tlo, thi), (c, tlo, thi)
+            for thi in values:
+                assert spec.mul_preimage(c, -m, thi) == fraction_mul_preimage(spec, c, -m, thi), (c, thi)
+
+    @pytest.mark.parametrize("spec", PREIMAGE_SPECS, ids=lambda s: s.spec_string())
+    def test_div_preimage_matches_fractions_exhaustive(self, spec):
+        for k in spec.values_p():
+            for m in range(1, 9):
+                assert spec.div_preimage(k, m) == fraction_div_preimage(spec, k, m), (k, m)

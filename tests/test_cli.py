@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gnncheck
 from gnncheck.cli import main
 from gnncheck.gnn import lvp_to_json, gnn_to_json
 from gnncheck.graph import save_json
@@ -112,6 +117,20 @@ class TestSat:
     def test_syntax_error_exits_2(self, capsys):
         assert main(["sat", "x1 >=", "--arith", "satint:7", "--delta", "unary:1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_deep_nesting_exits_2_without_traceback(self):
+        deep = "relu(" * 3000 + "x1" + ")" * 3000 + " >= 1"
+        src = str(Path(gnncheck.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "gnncheck.cli", "sat", deep, "--arith", "satint:7", "--delta", "unary:1"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert run.returncode == 2
+        assert "nested too deeply" in run.stderr
+        assert "Traceback" not in run.stderr
 
 
 class TestCompileEval:

@@ -110,6 +110,16 @@ class TestParser:
             parse("x1 >= 99", SAT15)
         assert "99" in str(err.value)
 
+    @pytest.mark.parametrize("depth", [400, 3000])
+    def test_deep_nesting_is_a_syntax_error(self, depth):
+        text = "relu(" * depth + "x1" + ")" * depth + " >= 1"
+        with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+            parse(text, SAT15)
+
+    def test_deep_formula_parentheses_are_a_syntax_error(self):
+        with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+            parse("(" * 3000 + "x1 >= 1" + ")" * 3000, SAT15)
+
     def test_weighted_syntax(self):
         f = parse("wagg[1,2](x1) = 3", SAT15)
         agg = f.arena.expr(f.arena.formula(f.root)[1])

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gnncheck.arith import ArithmeticSpec
-from gnncheck.formula import parse, to_text
+from gnncheck.formula import Arena, Formula, parse, to_text
 from gnncheck.fuzz import run_differential
 from gnncheck.gnn import DeltaMode, LinIneq, LvpInstance, eval_linineq, gnn_eval
 from gnncheck.graph import save_json
@@ -12,6 +12,8 @@ from gnncheck.tableau import (
     Invalid,
     SolveLimits,
     Valid,
+    _Search,
+    _State,
     max_walk_window,
     solve,
     verify_lvp,
@@ -124,6 +126,24 @@ class TestSolve:
         v = solve(parse("truncrelu(x1) = 1 and x1 >= 2", spec), DeltaMode.unary(1))
         assert isinstance(v, Sat)
         assert isinstance(solve(parse("truncrelu(x1) = 2", spec), DeltaMode.unary(1)), Unsat)
+
+
+class TestExprRange:
+    def test_empty_interval_passes_act_unchanged(self):
+        arena = Arena(SAT7)
+        inner = arena.add(arena.act("relu", arena.feature("x1")), arena.const(4))  # range [4, 7]
+        outer = arena.act("relu", inner)
+        negated = arena.scale(-1, inner)
+        doubled = arena.scale(2, inner)
+        atoms = [arena.geq(e, 0) for e in (outer, negated, doubled)]
+        search = _Search(Formula(arena, arena.conjoin(atoms)), DeltaMode.unary(1), SolveLimits())
+        st = _State()
+        st.bounds[((), inner)] = (1, 2)  # contradicts the range: the interval is empty
+        assert search.expr_range(st, (), inner) == (4, 2)
+        assert search.expr_range(st, (), outer) == (4, 2)
+        # scale orders the ends of its image, whatever the sign of the weight
+        assert search.expr_range(st, (), negated) == (-4, -2)
+        assert search.expr_range(st, (), doubled) == (4, 7)
 
 
 class TestExtractModel:

@@ -13,7 +13,7 @@ import sys
 
 from .arith import ArithmeticSpec
 from .compile import compile_lvp
-from .errors import GnnCheckError
+from .errors import GnnCheckError, UsageError
 from .formula import parse as parse_formula
 from .formula import to_text
 from .fuzz import run_differential
@@ -35,7 +35,12 @@ def _time_limit(args) -> float | None:
     if args.time_limit is not None:
         return args.time_limit
     env = os.environ.get("QGNN_TIME_LIMIT")
-    return float(env) if env else None
+    if not env:
+        return None
+    try:
+        return float(env)
+    except ValueError:
+        raise UsageError(f"QGNN_TIME_LIMIT is not a number: {env!r}") from None
 
 
 def _limits(args) -> SolveLimits:

@@ -634,64 +634,69 @@ def parse(text: str, spec: ArithmeticSpec, default_activation: str = "relu") -> 
     return Formula(parser.arena, root)
 
 
-def _expr_text(arena: Arena, eid: int) -> str:
-    node = arena.expr(eid)
-    tag = node[0]
-    if tag == "const":
-        return arena.spec.format_payload(node[1])
-    if tag == "feat":
-        return node[1]
-    if tag == "act":
-        return f"{node[1]}({_expr_text(arena, node[2])})"
-    if tag == "agg":
-        kind = node[1]
-        inner = _expr_text(arena, node[2])
-        if kind == "sum":
-            return f"agg({inner})"
-        if kind == "mean":
-            return f"mean({inner})"
-        if kind == "max":
-            return f"maxagg({inner})"
-        weights = ",".join(arena.spec.format_payload(w) for w in node[3])
-        return f"wagg[{weights}]({inner})"
-    if tag == "scale":
-        return f"{arena.spec.format_payload(node[1])}*{_factor_text(arena, node[2])}"
-    left = _expr_text(arena, node[1])
-    right_node = arena.expr(node[2])
-    right = _expr_text(arena, node[2])
-    if right_node[0] == "sum":
-        right = f"({right})"
-    return f"{left} + {right}"
-
-
-def _factor_text(arena: Arena, eid: int) -> str:
-    node = arena.expr(eid)
-    if node[0] in ("sum", "scale") or (node[0] == "const" and node[1] < 0):
-        return f"({_expr_text(arena, eid)})"
-    return _expr_text(arena, eid)
-
-
-def _formula_text(arena: Arena, fid: int, level: int) -> str:
-    # levels: 0 disjunction, 1 conjunction, 2 literal
-    node = arena.formula(fid)
-    tag = node[0]
-    if tag == "geq":
-        text, mine = f"{_expr_text(arena, node[1])} >= {arena.spec.format_payload(node[2])}", 2
-    elif tag == "eq":
-        text, mine = f"{_expr_text(arena, node[1])} = {arena.spec.format_payload(node[2])}", 2
-    elif tag == "not":
-        text, mine = f"not {_formula_text(arena, node[1], 2)}", 2
-    elif tag == "and":
-        text = f"{_formula_text(arena, node[1], 1)} and {_formula_text(arena, node[2], 2)}"
-        mine = 1
-    else:
-        text = f"{_formula_text(arena, node[1], 0)} or {_formula_text(arena, node[2], 1)}"
-        mine = 0
-    if mine < level:
-        return f"({text})"
-    return text
+_AGG_TEXT = {"sum": "agg(", "mean": "mean(", "max": "maxagg("}
 
 
 def to_text(f: Formula) -> str:
-    """Canonical text; parsing it back yields a structurally identical DAG."""
-    return _formula_text(f.arena, f.root, 0)
+    """Canonical text; parsing it back yields a structurally identical DAG.
+
+    The printer works from an explicit stack of pending items, so nesting
+    depth is not bounded by the interpreter's recursion limit.  An item is
+    text to emit, an expression id, or a (formula id, level) pair, where the
+    level (0 disjunction, 1 conjunction, 2 literal) says how tightly the
+    context binds.  Expanding a node emits its leading text at once and
+    pushes the rest in reverse order.
+    """
+    arena = f.arena
+    expr, formula, fmt = arena.expr, arena.formula, arena.spec.format_payload
+    out: list[str] = []
+    emit = out.append
+    stack: list = [(f.root, 0)]
+    pop = stack.pop
+    while stack:
+        item = pop()
+        if type(item) is int:
+            node = expr(item)
+            tag = node[0]
+            if tag == "const":
+                emit(fmt(node[1]))
+            elif tag == "feat":
+                emit(node[1])
+            elif tag == "act":
+                emit(f"{node[1]}(")
+                stack += (")", node[2])
+            elif tag == "agg":
+                emit(_AGG_TEXT.get(node[1]) or f"wagg[{','.join(fmt(w) for w in node[3])}](")
+                stack += (")", node[2])
+            elif tag == "scale":
+                emit(f"{fmt(node[1])}*")
+                child = expr(node[2])
+                if child[0] in ("sum", "scale") or (child[0] == "const" and child[1] < 0):
+                    emit("(")
+                    stack += (")", node[2])
+                else:
+                    stack.append(node[2])
+            elif expr(node[2])[0] == "sum":  # sum: a sum on the right is parenthesized
+                stack += (")", node[2], " + (", node[1])
+            else:
+                stack += (node[2], " + ", node[1])
+        elif type(item) is str:
+            emit(item)
+        else:
+            fid, level = item
+            node = formula(fid)
+            tag = node[0]
+            mine = 2 if tag in ("geq", "eq", "not") else 1 if tag == "and" else 0
+            if mine < level:
+                emit("(")
+                stack.append(")")
+            if tag == "geq" or tag == "eq":
+                stack += (f" {'>=' if tag == 'geq' else '='} {fmt(node[2])}", node[1])
+            elif tag == "not":
+                emit("not ")
+                stack.append((node[1], 2))
+            elif tag == "and":
+                stack += ((node[2], 2), " and ", (node[1], 1))
+            else:
+                stack += ((node[2], 1), " or ", (node[1], 0))
+    return "".join(out)

@@ -1,7 +1,12 @@
 """Tableau decision procedure for formula satisfiability and LVP verification.
 
 A branch keeps one value per (word, expression) pair; asserting a second,
-different value clashes the branch.  The engine alternates
+different value clashes the branch.  A word names a node of the tree model by
+its path: the root is (), its i-th successor (i,), and so on.  Each search
+interns its words and holds word number n as the offset n * K, where K
+(``_Search.stride``) exceeds every expression id of the formula.  The root
+word is 0, and the store key of a (word, expression) pair is the single
+integer word + eid (eid = key % K, word = key - eid).  The engine alternates
 
 1. saturation: all deterministic consequences (boolean decomposition,
    forward evaluation of ground subexpressions, single-candidate inversions),
@@ -87,15 +92,17 @@ class _Memo(dict):
 class _State:
     __slots__ = ("values", "arity", "bounds", "bools", "atoms", "obligations", "walks", "walked")
 
+    # words are offsets and (word, expression) pairs store keys (see the
+    # module docstring); the tables themselves belong to the _Search
     def __init__(self):
-        self.values: dict[tuple[Word, int], int] = {}
-        self.arity: dict[Word, int] = {}
-        self.bounds: dict[tuple[Word, int], tuple[int, int]] = {}
-        self.bools: list[tuple[Word, int, bool]] = []
-        self.atoms: list[tuple[Word, int, bool]] = []
-        self.obligations: dict[tuple[Word, int], bool] = {}
+        self.values: dict[int, int] = {}
+        self.arity: dict[int, int] = {}
+        self.bounds: dict[int, tuple[int, int]] = {}
+        self.bools: list[tuple[int, int, bool]] = []
+        self.atoms: list[tuple[int, int, bool]] = []
+        self.obligations: dict[int, bool] = {}
         self.walks: list[tuple] = []  # (word, agg_eid, pos, acc)
-        self.walked: set[tuple[Word, int]] = set()
+        self.walked: set[int] = set()
 
     def fork(self) -> "_State":
         child = _State.__new__(_State)
@@ -169,6 +176,11 @@ class _Search:
             if node[0] == "act" or (node[0] == "scale" and node[1] != 0)
         }
         self._empty = _State()  # never written: ranges over it are structural
+        # the word table: word number n has offset n * stride, its tuple in
+        # words[n] and the offsets of its successors 1, 2, ... in succs[n]
+        self.stride = max(eids, default=0) + 1
+        self.words: list[Word] = [()]
+        self.succs: list[list[int]] = [[]]
         # arity cap: 2^n * |formula| successors always suffice for distinct
         # summand combinations, so larger guesses are never needed
         combinatorial = (2 ** self.spec.bit_width) * (len(fids) + len(eids))
@@ -184,6 +196,31 @@ class _Search:
         self.arity_cap = cap
 
     # -- bookkeeping -----------------------------------------------------------
+
+    def root_state(self) -> _State:
+        """The initial branch: the formula asserted at the root word."""
+        st = _State()
+        st.bools.append((0, self.formula.root, True))
+        return st
+
+    def successors(self, word: int, n: int) -> list[int]:
+        """Offsets of the word's successors; entry i - 1 is the i-th, and at
+        least the first n exist (new ones are interned here)."""
+        succs = self.succs[word // self.stride]
+        if len(succs) < n:
+            path = self.words[word // self.stride]
+            for i in range(len(succs) + 1, n + 1):
+                succs.append(len(self.words) * self.stride)
+                self.words.append(path + (i,))
+                self.succs.append([])
+        return succs
+
+    def key(self, word: Word, eid: int) -> int:
+        """Store key of an expression at the word given as a tuple."""
+        offset = 0
+        for i in word:
+            offset = self.successors(offset, i)[i - 1]
+        return offset + eid
 
     def _memo(self, tag: str, param) -> _Memo:
         """Memo of act by an activation name or of scale by a weight, shared by
@@ -201,9 +238,9 @@ class _Search:
         if self.deadline is not None and self.ticks % 1024 == 0 and time.monotonic() > self.deadline:
             raise _LimitHit("timeout")
 
-    def assign(self, st: _State, word: Word, eid: int, payload: int):
+    def assign(self, st: _State, word: int, eid: int, payload: int):
         """Constrain an expression's value at a word; clash on disagreement."""
-        key = (word, eid)
+        key = word + eid
         old = st.values.get(key)
         if old is not None:
             if old != payload:
@@ -223,10 +260,10 @@ class _Search:
         if tag != "feat":
             st.obligations[key] = True
 
-    def tighten(self, st: _State, word: Word, eid: int, lo: int, hi: int) -> bool:
+    def tighten(self, st: _State, word: int, eid: int, lo: int, hi: int) -> bool:
         """Narrow the known interval of an expression, pushing bounds through
         invertible unary chains down to their leaves."""
-        key = (word, eid)
+        key = word + eid
         known = st.values.get(key)
         if known is not None:
             if not lo <= known <= hi:
@@ -257,12 +294,12 @@ class _Search:
             self.tighten(st, word, node[2], pre[0], pre[1])
         return True
 
-    def forward(self, st: _State, word: Word, eid: int) -> int | None:
+    def forward(self, st: _State, word: int, eid: int) -> int | None:
         """Evaluate an expression at a word from the store, memoizing results."""
-        out = st.values.get((word, eid))
+        out = st.values.get(word + eid)
         return self._derive(st, word, eid) if out is None else out
 
-    def _derive(self, st: _State, word: Word, eid: int) -> int | None:
+    def _derive(self, st: _State, word: int, eid: int) -> int | None:
         """Evaluate an expression whose value is not in the store, and record it.
 
         Operands are evaluated left to right and evaluation stops at the first
@@ -272,12 +309,12 @@ class _Search:
         node = self.nodes[eid]
         tag = node[0]
         if tag == "sum":
-            left = values.get((word, node[1]))
+            left = values.get(word + node[1])
             if left is None:
                 left = self._derive(st, word, node[1])
                 if left is None:
                     return None
-            right = values.get((word, node[2]))
+            right = values.get(word + node[2])
             if right is None:
                 right = self._derive(st, word, node[2])
                 if right is None:
@@ -294,7 +331,7 @@ class _Search:
                 out = 0
             else:
                 child, memo = unary
-                value = values.get((word, child))
+                value = values.get(word + child)
                 if value is None:
                     value = self._derive(st, word, child)
                     if value is None:
@@ -310,14 +347,15 @@ class _Search:
                 return None
             kind, child, weights = node[1], node[2], node[3]
             acc: int | None = None if kind == "max" else 0
-            for i in range(1, arity + 1):
-                succ = word + (i,)
-                value = values.get((succ, child))
+            succs = self.successors(word, arity)
+            for i in range(arity):
+                succ = succs[i]
+                value = values.get(succ + child)
                 if value is None:
                     value = self._derive(st, succ, child)
                     if value is None:
                         return None
-                acc = self._step_acc(kind, weights, acc, value, i)
+                acc = self._step_acc(kind, weights, acc, value, i + 1)
             out = self._finalize_acc(kind, acc, arity)
         # record the derived value: the same tick and checks as tick()
         ticks = self.ticks = self.ticks + 1
@@ -325,7 +363,7 @@ class _Search:
             raise _LimitHit("node-limit")
         if self.deadline is not None and ticks % 1024 == 0 and time.monotonic() > self.deadline:
             raise _LimitHit("timeout")
-        key = (word, eid)
+        key = word + eid
         bounds = st.bounds.get(key)
         if bounds is not None and not bounds[0] <= out <= bounds[1]:
             raise _Clash()
@@ -349,13 +387,13 @@ class _Search:
             return self.spec.div_p(acc, arity)
         return acc
 
-    def expr_range(self, st: _State, word: Word, eid: int) -> tuple[int, int]:
+    def expr_range(self, st: _State, word: int, eid: int) -> tuple[int, int]:
         """Sound interval over-approximation of the expression's value.
 
         Over the empty store it is the structural range: the interval of the
         expression's possible values at any fresh word.
         """
-        key = (word, eid)
+        key = word + eid
         known = st.values.get(key)
         if known is not None:
             return known, known
@@ -457,13 +495,15 @@ class _Search:
 
     def _saturate_obligations(self, st: _State) -> bool:
         progress = False
+        stride = self.stride
         for key in list(st.obligations):
             if key not in st.obligations:
                 continue
-            node = self.nodes[key[1]]
+            eid = key % stride
+            node = self.nodes[eid]
             tag = node[0]
             if tag == "act":
-                progress |= self._oblige_unary(st, key, node)
+                progress |= self._oblige_unary(st, key - eid, eid, node)
             elif tag == "scale":
                 if node[1] == 0:
                     # 0 * e is 0 whatever e evaluates to
@@ -472,16 +512,16 @@ class _Search:
                     del st.obligations[key]
                     progress = True
                     continue
-                progress |= self._oblige_unary(st, key, node)
+                progress |= self._oblige_unary(st, key - eid, eid, node)
             elif tag == "sum":
-                progress |= self._oblige_sum(st, key, node)
+                progress |= self._oblige_sum(st, key - eid, eid, node)
             else:  # agg
-                progress |= self._oblige_agg(st, key, node)
+                progress |= self._oblige_agg(st, key - eid, eid, node)
         return progress
 
-    def _oblige_unary(self, st: _State, key, node) -> bool:
+    def _oblige_unary(self, st: _State, word: int, eid: int, node) -> bool:
         """act/scale: verify a known child, else force a unique preimage."""
-        word, eid = key
+        key = word + eid
         target = st.values[key]
         child, memo = self.unary[eid]
         value = self.forward(st, word, child)
@@ -509,8 +549,8 @@ class _Search:
             return self.spec.act_preimage(node[1], target)
         return self.spec.mul_preimage(node[1], target, target)
 
-    def _oblige_sum(self, st: _State, key, node) -> bool:
-        word, eid = key
+    def _oblige_sum(self, st: _State, word: int, eid: int, node) -> bool:
+        key = word + eid
         target = st.values[key]
         left = self.forward(st, word, node[1])
         right = self.forward(st, word, node[2])
@@ -539,8 +579,8 @@ class _Search:
             return True
         return False
 
-    def _oblige_agg(self, st: _State, key, node) -> bool:
-        word, eid = key
+    def _oblige_agg(self, st: _State, word: int, eid: int, node) -> bool:
+        key = word + eid
         target = st.values[key]
         arity = st.arity.get(word)
         if arity is None or key in st.walked:
@@ -553,7 +593,7 @@ class _Search:
             del st.obligations[key]
             st.walked.add(key)
             return True
-        values = [self.forward(st, word + (i,), child) for i in range(1, arity + 1)]
+        values = [self.forward(st, succ, child) for succ in self.successors(word, arity)[:arity]]
         if all(v is not None for v in values):
             acc: int | None = None if kind == "max" else 0
             for i, v in enumerate(values, start=1):
@@ -584,20 +624,22 @@ class _Search:
                 deferred = idx
                 continue
             return ("atom", idx, word, fid, sign)
+        stride = self.stride
         for key in st.obligations:
-            if self.nodes[key[1]][0] != "agg":
+            if self.nodes[key % stride][0] != "agg":
                 return self._plan_stuck(st, key)
         if st.walks:
             return ("walk", 0)
         for key in st.obligations:
-            if key[0] not in st.arity:
-                return ("arity", key[0])
+            word = key - key % stride
+            if word not in st.arity:
+                return ("arity", word)
         if deferred is not None:
             word, fid, sign = st.atoms[deferred]
             return ("atom", deferred, word, fid, sign)
         return None
 
-    def _atom_stuck(self, st: _State, word: Word, fid: int) -> bool:
+    def _atom_stuck(self, st: _State, word: int, fid: int) -> bool:
         """True when assigning the atom's expression would hit a sum with two
         unknown operands: guessing a value there cannot propagate."""
 
@@ -624,7 +666,8 @@ class _Search:
         """Resolve a stuck inversion either backward (enumerate the rule's
         witnesses) or forward (ground its first unknown leaf), whichever
         branches less."""
-        word, eid = key
+        eid = key % self.stride
+        word = key - eid
         leaf = self._first_unknown_leaf(st, word, eid)
         invert_width = self._invert_width(st, key)
         if leaf is None:
@@ -641,14 +684,14 @@ class _Search:
             return ("arity", leaf[1])
         return ("ground", leaf[1], leaf[2])
 
-    def _first_unknown_leaf(self, st: _State, word: Word, eid: int):
+    def _first_unknown_leaf(self, st: _State, word: int, eid: int):
         """First unvalued feature or missing arity the expression depends on."""
         node = self.nodes[eid]
         tag = node[0]
         if tag == "const":
             return None
         if tag == "feat":
-            return None if (word, eid) in st.values else ("feat", word, eid)
+            return None if word + eid in st.values else ("feat", word, eid)
         if tag in ("act", "scale"):
             return self._first_unknown_leaf(st, word, node[2])
         if tag == "sum":
@@ -659,10 +702,10 @@ class _Search:
                         return found
             return None
         # agg
-        if word not in st.arity:
+        arity = st.arity.get(word)
+        if arity is None:
             return ("arity", word)
-        for i in range(1, st.arity[word] + 1):
-            succ = word + (i,)
+        for succ in self.successors(word, arity)[:arity]:
             if self.forward(st, succ, node[2]) is None:
                 found = self._first_unknown_leaf(st, succ, node[2])
                 if found is not None:
@@ -671,7 +714,8 @@ class _Search:
 
     def _invert_width(self, st: _State, key) -> int:
         """Number of alternatives backward inversion of this obligation would try."""
-        word, eid = key
+        eid = key % self.stride
+        word = key - eid
         target = st.values[key]
         node = self.nodes[eid]
         tag = node[0]
@@ -727,15 +771,16 @@ class _Search:
         word = choice[1]
         cap = self.arity_cap
         for key in st.obligations:
-            if key[0] == word:
-                node = self.nodes[key[1]]
+            if word <= key < word + self.stride:  # an obligation at this word
+                node = self.nodes[key - word]
                 if node[0] == "agg" and node[1] == "weighted":
                     cap = min(cap, len(node[3]))
         for a in range(0, cap + 1):
             yield ("set_arity", word, a)
 
     def _invert_alternatives(self, st: _State, key):
-        word, eid = key
+        eid = key % self.stride
+        word = key - eid
         target = st.values[key]
         node = self.nodes[eid]
         tag = node[0]
@@ -766,13 +811,13 @@ class _Search:
         word, eid, pos, acc = st.walks[0]
         node = self.nodes[eid]
         kind, child, weights = node[1], node[2], node[3]
-        target = st.values[(word, eid)]
+        target = st.values[word + eid]
         arity = st.arity[word]
-        succ = word + (pos,)
+        succ = self.successors(word, pos)[pos - 1]
         remaining = arity - pos
         known = self.forward(st, succ, child)
         clo, chi = (known, known) if known is not None else self.expr_range(st, succ, child)
-        flo, fhi = self.expr_range(self._empty, (), child) if remaining else (0, 0)
+        flo, fhi = self.expr_range(self._empty, 0, child) if remaining else (0, 0)
         if kind in ("sum", "mean"):
             if kind == "sum":
                 t = (target, target)
@@ -834,12 +879,12 @@ class _Search:
             node = self.nodes[eid]
             kind_, child, weights = node[1], node[2], node[3]
             v = alternative[1]
-            self.assign(st, word + (pos,), child, v)
+            self.assign(st, self.successors(word, pos)[pos - 1], child, v)
             acc = self._step_acc(kind_, weights, acc, v, pos)
             arity = st.arity[word]
             if pos == arity:
                 final = self._finalize_acc(kind_, acc, arity)
-                if final != st.values[(word, eid)]:
+                if final != st.values[word + eid]:
                     raise _Clash()
             else:
                 st.walks.append((word, eid, pos + 1, acc))
@@ -874,10 +919,14 @@ class _Search:
                 return result
 
     def extract_model(self, st: _State) -> tuple[PointedGraph, dict[str, dict[int, int]]]:
+        # back from word numbers (key // stride) to tuples, which name the nodes
+        stride, tuples = self.stride, self.words
+        values = {(tuples[key // stride], key % stride): payload for key, payload in st.values.items()}
+        arities = {tuples[word // stride]: arity for word, arity in st.arity.items()}
         words: set[Word] = {()}
-        for word, _ in st.values:
+        for word, _ in values:
             words.add(word)
-        for word, arity in st.arity.items():
+        for word, arity in arities.items():
             words.add(word)
             for i in range(1, arity + 1):
                 words.add(word + (i,))
@@ -891,14 +940,14 @@ class _Search:
         feat_ids = {node[1]: eid for eid, node in self.nodes.items() if node[0] == "feat"}
         labels = {}
         for w in ordered:
-            labels[names[w]] = {f: st.values.get((w, feat_ids.get(f)), 0) for f in features}
+            labels[names[w]] = {f: values.get((w, feat_ids.get(f)), 0) for f in features}
         edges = []
         for w in ordered:
-            for i in range(1, st.arity.get(w, 0) + 1):
+            for i in range(1, arities.get(w, 0) + 1):
                 edges.append((names[w], names[w + (i,)]))
         graph = LabeledGraph(self.spec, features, tuple(names[w] for w in ordered), tuple(edges), labels)
         trace: dict[str, dict[int, int]] = {}
-        for (w, eid), payload in st.values.items():
+        for (w, eid), payload in values.items():
             trace.setdefault(names[w], {})[eid] = payload
         return PointedGraph(graph, "v"), trace
 
@@ -913,8 +962,7 @@ def solve(formula: Formula, delta: DeltaMode, limits: SolveLimits | None = None)
 
     limits = limits or SolveLimits()
     search = _Search(formula, delta, limits)
-    root = _State()
-    root.bools.append(((), formula.root, True))
+    root = search.root_state()
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 100_000))
     try:

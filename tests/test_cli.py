@@ -132,6 +132,19 @@ class TestSat:
         assert "nested too deeply" in run.stderr
         assert "Traceback" not in run.stderr
 
+    def test_time_limit_env_not_a_number_exits_2_without_traceback(self):
+        src = str(Path(gnncheck.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "gnncheck.cli", "sat", "x1 >= 0", "--arith", "satint:3", "--delta", "unary:1"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "QGNN_TIME_LIMIT": "abc"},
+            timeout=60,
+        )
+        assert run.returncode == 2
+        assert "QGNN_TIME_LIMIT" in run.stderr
+        assert "Traceback" not in run.stderr
+
 
 class TestCompileEval:
     def test_compile_prints_formula(self, supp_files, capsys):

@@ -144,6 +144,31 @@ class TestPrinter:
         "wagg[1,-2](x1) = 3",
         "2*(3*x1) + -4*agg(x1 + (x2 + 1)) >= -5",
     ]
+    PRINTED = [
+        "agg(x1) >= 1",
+        "x1 + relu(x2) >= 0",
+        "x1 >= 2 and -1*x1 + 2 >= 0",
+        "agg(3) = 10",
+        "not (x1 >= 1 or x2 = 0) and x1 + -1*x1 >= 0",
+        "not mean(x1 + x2) >= 2",
+        "maxagg(truncrelu(x1)) = 1",
+        "wagg[1,-2](x1) = 3",
+        "2*(3*x1) + -4*agg(x1 + (x2 + 1)) >= -5",
+    ]
+
+    def test_canonical_text(self):
+        assert [to_text(parse(text, SAT15)) for text in self.CASES] == self.PRINTED
+
+    def test_deep_nesting_prints(self):
+        arena = Arena(SAT15)
+        chain = arena.feature("x1")
+        for _ in range(3000):
+            chain = arena.act("relu", chain)
+        assert to_text(Formula(arena, arena.geq(chain, 1))) == "relu(" * 3000 + "x1" + ")" * 3000 + " >= 1"
+        chain = arena.feature("x1")
+        for _ in range(3000):
+            chain = arena.add(arena.feature("x2"), chain)
+        assert to_text(Formula(arena, arena.eq(chain, 0))) == "x2 + (" * 2999 + "x2 + x1" + ")" * 2999 + " = 0"
 
     @pytest.mark.parametrize("text", CASES)
     def test_round_trip_structural(self, text):

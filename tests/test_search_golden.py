@@ -4,18 +4,27 @@ GOLDEN holds (outcome, ticks) for seeded random formulas and compiled random
 GNN instances under a tick budget.  It was generated before the tableau's
 forward and interval evaluation were made table-driven; the search must
 still take exactly the same branches and records, so every outcome and tick
-count must repeat.  Regenerate it only for a change that means to alter the
-search: ``PYTHONPATH=src python tests/test_search_golden.py``.
+count must repeat.  The MODELS dicts hold, for each case that ends in a
+model, a digest of the extracted graph and trace (node names and order,
+edges, labels, trace entries in order); they were generated before words
+became interned offsets in the tableau's store.  Regenerate both only for a
+change that means to alter the search or the models:
+``PYTHONPATH=src python tests/test_search_golden.py``.
 """
 
+import hashlib
+import json
 import random
 import sys
 
+import pytest
+
 from gnncheck.arith import ArithmeticSpec
 from gnncheck.compile import compile_lvp
+from gnncheck.formula import parse
 from gnncheck.fuzz import random_formula
 from gnncheck.gnn import DeltaMode, LinIneq, LvpInstance
-from gnncheck.tableau import SolveLimits, _LimitHit, _Search, _State
+from gnncheck.tableau import SolveLimits, _LimitHit, _Search, solve
 
 from test_compile import random_model
 
@@ -49,24 +58,41 @@ def gnn_cases():
         yield compile_lvp(instance).formula, instance.delta
 
 
+# a model with more than nine successors at depth 2: v1.10 sorts after v1.9
+WIDE_FORMULA = "maxagg(agg(1)) >= 11 and maxagg(maxagg(x1)) >= 3 and agg(x2) = 2"
+WIDE_SPEC, WIDE_DELTA = ArithmeticSpec.satint(15), DeltaMode.unary(12)
+
+
+def model_digest(search, final) -> str:
+    """sha256 prefix of the JSON of the extracted model, in extraction order."""
+    pointed, trace = search.extract_model(final)
+    graph = pointed.graph
+    doc = [list(graph.nodes), [list(edge) for edge in graph.edges], graph.labels, trace]
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()[:16]
+
+
 def search_outcome(formula, delta, max_terms=MAX_TICKS):
-    """Run the search as ``solve`` does; return how it ended and its ticks."""
+    """Run the search as ``solve`` does; return how it ended, its ticks and
+    the digest of its model (None when it found none)."""
     search = _Search(formula, delta, SolveLimits(max_terms=max_terms))
-    root = _State()
-    root.bools.append(((), formula.root, True))
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 100_000))
     try:
-        outcome = "model" if search.attempt(root) is not None else "exhausted"
+        final = search.attempt(search.root_state())
+        outcome = "model" if final is not None else "exhausted"
     except _LimitHit as hit:
-        outcome = hit.reason
+        final, outcome = None, hit.reason
     finally:
         sys.setrecursionlimit(old_limit)
-    return outcome, search.ticks
+    return outcome, search.ticks, None if final is None else model_digest(search, final)
 
 
 def outcomes(cases):
     return [search_outcome(f, delta) for f, delta in cases]
+
+
+def digests(runs) -> dict[int, str]:
+    return {i: digest for i, (_, _, digest) in enumerate(runs) if digest is not None}
 
 
 GOLDEN_FORMULAS = [
@@ -111,18 +137,91 @@ GOLDEN_GNNS = [
 ]
 
 
-def test_formula_searches_repeat_tick_for_tick():
-    assert outcomes(formula_cases()) == GOLDEN_FORMULAS
+MODELS_FORMULAS = {
+    1: 'a36be255d541d48a', 2: '8f7299e35811fc15', 3: '30f4c20dd06439f1', 4: '0110d11cc3685458',
+    5: 'ba8e10d29bddee9e', 6: '1e99e100042750c7', 7: '6e1100fc4421f765', 9: '83dd6d862d05dacf',
+    10: 'c8b748d1ede09c50', 11: '35cce0796f2f334c', 12: '12d9855e53995de3', 13: '710f6c4f9b1aa026',
+    14: 'c17b6a19a19a1df6', 15: 'fa1eccb80e6c5fa5', 16: '1d1e5b498f753344', 19: 'f42e08f1405e39ae',
+    20: '4b4817b6d738c703', 21: 'd111053003dab69a', 23: '6aae08d26e5f6154', 24: 'c8877a7234e1c74c',
+    25: 'de93d7e1e59bef5e', 26: 'b1b26ea5a6081b09', 27: 'a084c21c8e0d3bbd', 28: 'b3284ef56c763987',
+    29: 'e50511c84adbbc65', 31: '59d4c2d67218c3da', 32: '6fba2d7e642120f5', 33: 'c2494263e568dd91',
+    35: 'ecc544a56f220fa6', 36: '274fc46ad5d229f9', 37: 'f1f99b8f3cdd1457', 39: '27f742ddf3482bfb',
+    41: '7a597fabe6581bd4', 43: 'f9f4cb13fbbecfd2', 45: 'd22aa2f48286a79b', 46: '77f1498720b8c017',
+    47: '81a25fa00b5b4215', 49: '47806179eda75cdb', 51: '72c2ab8dc9becfd1', 52: 'afb6e17c188a06a7',
+    53: '2a0530ddc988c111', 54: 'eaf085b938a01204', 57: '712900611303ffdc', 58: '79f1baf4a0157a55',
+    59: '12bd2174d7fa7fdf', 60: '712900611303ffdc', 61: 'f3725192123d8622', 62: 'f6f2af4e7624b832',
+    63: '916816cb65591643', 65: '5efd7a54a1b2e326', 66: '036c1c4a84f805ca', 67: '7dfe1c8fd3abcb49',
+    68: 'd2cac57fa27efbef', 69: 'bf44a423b72f6678', 70: '095c938debb573b2', 71: '9ddbe5d54dca21c3',
+    72: 'a137d6d3fbf1eb1b', 75: '07ecf75ae8069d18', 76: '36d371f8ceadab3a', 78: '2cd5732220c1e8d8',
+    79: 'f9b4a5be465cf169', 80: 'bf1f8149c545fb21', 81: '850046a1966a9cee', 82: 'febb077a7dab87a5',
+    83: 'eceae2cd9e8b92dd', 84: '2dd0ae8596e818fb', 85: '224a242eb4d121f9', 86: '4016b7edf5f25405',
+    87: '22e08d234d79536f', 88: '0d3a497323f7d427', 89: '7d8c0b90192717f8', 90: 'a6434250695efec9',
+    92: 'b0e2e3e2eb5b10d8', 94: '4785e1a533ce76a6', 95: '898879ed322d1871', 96: '0e32c73c3bdf7de9',
+    97: '1ed1add9ecfd2678', 98: 'ca30520c5c6acf14', 99: 'a3df6e01814c6348', 100: 'd5c053d5fb709afb',
+    101: 'e193b324bef45f8a', 103: 'be2d3b511eaabcc4', 105: '73ebd4ebd72bda13', 107: '83201fba8478c2de',
+    108: '57591b6c467a0f4a', 110: '407db940297e6801', 111: '1a94e3b1b7d003da', 112: '50cede92d2918b9a',
+    113: '7d768d8c99f70f61', 114: 'b22ffcaa86b8ebfb', 115: '12a3be3133e1aa2e', 116: '8360cfd852583040',
+    117: '8b2e00e5e7acf35b', 118: 'a138f710aa3dbb7f', 119: '4f305eb2a3c2feae', 120: '88136eaecfc48243',
+    121: '93bff87aa02b07d1', 122: '90e6973667642cf2', 125: '3d9f2f77e98e6e11', 126: 'ddcd3761eb837609',
+    127: '87fe552aba78f89e', 128: '577fb28a5b29e9f5', 129: '355cf7c33e3cd3d4', 131: 'f11c83048e83b6ce',
+    132: '296df3c539ea6e26', 133: 'b69a020505cefbdd', 134: 'bca6684b24f33a51', 136: '9b26b30996f1a64f',
+    137: 'b783b3869c4b70c2', 138: 'e2760b06ff779d69', 139: '635defc9db4ed275', 140: 'b4d60df8b6480795',
+    141: 'a3df6e01814c6348', 142: '7d8c0b90192717f8', 147: 'fae561473f0f0504', 148: 'ba238daa2e86156c',
+    149: '59215a5a7c85989c',
+}
+
+MODELS_GNNS = {
+    0: '82e30edde7753315', 1: 'd4d8d5014fea346b', 5: '588e7e884ed3d01f', 6: 'd8ee7e6d61eb90c0',
+    7: 'b56b55e5dc3a11b7', 10: '7ea07a179199cf35', 11: 'c00c37292f8ac885', 12: '59e1d690b2f3a26a',
+    13: 'a70d28e5c5027e78', 14: 'f2d04136a386f836', 16: 'f110e24f1fce807d', 17: 'c71124940aad8455',
+    18: 'f743e060b8147c37', 19: '73b143a12898ec44', 20: 'b6632c0c5b45a170', 22: '8d5884baf1f716db',
+}
+
+WIDE_GOLDEN = ('model', 113, '8950ec9c9425e76a')
 
 
-def test_gnn_searches_repeat_tick_for_tick():
-    assert outcomes(gnn_cases()) == GOLDEN_GNNS
+@pytest.fixture(scope="module")
+def formula_runs():
+    return outcomes(formula_cases())
+
+
+@pytest.fixture(scope="module")
+def gnn_runs():
+    return outcomes(gnn_cases())
+
+
+def test_formula_searches_repeat_tick_for_tick(formula_runs):
+    assert [run[:2] for run in formula_runs] == GOLDEN_FORMULAS
+
+
+def test_gnn_searches_repeat_tick_for_tick(gnn_runs):
+    assert [run[:2] for run in gnn_runs] == GOLDEN_GNNS
+
+
+def test_formula_models_repeat(formula_runs):
+    assert digests(formula_runs) == MODELS_FORMULAS
+
+
+def test_gnn_models_repeat(gnn_runs):
+    assert digests(gnn_runs) == MODELS_GNNS
+
+
+def test_wide_model_repeats():
+    assert search_outcome(parse(WIDE_FORMULA, WIDE_SPEC), WIDE_DELTA) == WIDE_GOLDEN
+    verdict = solve(parse(WIDE_FORMULA, WIDE_SPEC), WIDE_DELTA)
+    assert verdict.model.graph.nodes[-3:] == ("v1.9", "v1.10", "v1.11")
 
 
 if __name__ == "__main__":
-    for name, cases in (("GOLDEN_FORMULAS", formula_cases()), ("GOLDEN_GNNS", gnn_cases())):
+    for name, cases in (("FORMULAS", formula_cases()), ("GNNS", gnn_cases())):
         found = outcomes(cases)
-        print(f"{name} = [")
+        print(f"GOLDEN_{name} = [")
         for start in range(0, len(found), 5):
-            print("    " + " ".join(f"{item!r}," for item in found[start:start + 5]))
+            print("    " + " ".join(f"{item[:2]!r}," for item in found[start:start + 5]))
         print("]\n")
+        items = list(digests(found).items())
+        print(f"MODELS_{name} = {{")
+        for start in range(0, len(items), 4):
+            print("    " + " ".join(f"{i}: {d!r}," for i, d in items[start:start + 4]))
+        print("}\n")
+    print(f"WIDE_GOLDEN = {search_outcome(parse(WIDE_FORMULA, WIDE_SPEC), WIDE_DELTA)!r}")

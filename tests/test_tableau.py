@@ -138,12 +138,13 @@ class TestExprRange:
         atoms = [arena.geq(e, 0) for e in (outer, negated, doubled)]
         search = _Search(Formula(arena, arena.conjoin(atoms)), DeltaMode.unary(1), SolveLimits())
         st = _State()
-        st.bounds[((), inner)] = (1, 2)  # contradicts the range: the interval is empty
-        assert search.expr_range(st, (), inner) == (4, 2)
-        assert search.expr_range(st, (), outer) == (4, 2)
+        st.bounds[search.key((), inner)] = (1, 2)  # contradicts the range: the interval is empty
+        root = search.key((), 0)  # the root word itself
+        assert search.expr_range(st, root, inner) == (4, 2)
+        assert search.expr_range(st, root, outer) == (4, 2)
         # scale orders the ends of its image, whatever the sign of the weight
-        assert search.expr_range(st, (), negated) == (-4, -2)
-        assert search.expr_range(st, (), doubled) == (4, 7)
+        assert search.expr_range(st, root, negated) == (-4, -2)
+        assert search.expr_range(st, root, doubled) == (4, 7)
 
 
 class TestExtractModel:

@@ -31,16 +31,25 @@ EXIT_UNKNOWN = 3
 
 
 def _time_limit(args) -> float | None:
-    """--time-limit, else the QGNN_TIME_LIMIT environment variable, else none."""
+    """--time-limit, else the QGNN_TIME_LIMIT environment variable, else none.
+
+    NaN and negative values are refused: a NaN deadline never passes, so it
+    would turn the limit off.
+    """
     if args.time_limit is not None:
-        return args.time_limit
-    env = os.environ.get("QGNN_TIME_LIMIT")
-    if not env:
-        return None
-    try:
-        return float(env)
-    except ValueError:
-        raise UsageError(f"QGNN_TIME_LIMIT is not a number: {env!r}") from None
+        source, value = "--time-limit", args.time_limit
+    else:
+        env = os.environ.get("QGNN_TIME_LIMIT")
+        if not env:
+            return None
+        source = "QGNN_TIME_LIMIT"
+        try:
+            value = float(env)
+        except ValueError:
+            raise UsageError(f"QGNN_TIME_LIMIT is not a number: {env!r}") from None
+    if not value >= 0:
+        raise UsageError(f"{source} must be a non-negative number of seconds, got {value!r}")
+    return value
 
 
 def _limits(args) -> SolveLimits:
@@ -182,7 +191,7 @@ def cmd_oracle_sat(args) -> int:
         _delta_for_oracle(args.delta),
         depth=args.depth,
         time_limit=_time_limit(args),
-        max_steps=args.term_limit or 5_000_000,
+        max_steps=5_000_000 if args.term_limit is None else args.term_limit,
     )
     return _sat_result(args, verdict)
 
@@ -215,7 +224,13 @@ def _add_common(parser, with_arith=True, with_delta=True):
     if with_delta:
         parser.add_argument("--delta", help="arity bound: unary:<k>, binary:<k> or inf")
     parser.add_argument("--time-limit", type=float, default=None, help="seconds before giving up (default: QGNN_TIME_LIMIT)")
-    parser.add_argument("--term-limit", type=int, default=None, help="created-term budget before giving up")
+    parser.add_argument(
+        "--term-limit",
+        type=int,
+        default=None,
+        help="work budget before giving up: ticks of the tableau (for verify, shared with the "
+        "counterexample sampling that runs first), or steps of the brute-force search for oracle sat",
+    )
     parser.add_argument("--max-arity", type=int, default=None, help="practical cap on guessed arities")
     parser.add_argument("--output", choices=("text", "json"), default="text")
 

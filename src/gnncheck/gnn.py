@@ -99,6 +99,11 @@ class GnnModel:
         dim = len(self.input_features)
         if dim == 0:
             raise UsageError("a GNN needs at least one input feature")
+        names = self.input_features + self.output_features
+        if len(set(names)) != len(names):
+            # compiled formulas name features by these strings: a shared name
+            # would make an output and an input one feature
+            raise UsageError(f"input and output feature names must be distinct, got {names}")
         for i, layer in enumerate(self.layers):
             if layer.comb.input_dim != 2 * dim:
                 raise UsageError(

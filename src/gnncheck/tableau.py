@@ -24,7 +24,9 @@ the arity modes differ only in the arity cap.
 
 The search's work is counted in ticks: one per branch alternative tried, one
 per value assigned, and one per value newly derived into the store by forward
-evaluation.  ``SolveLimits.max_terms`` bounds the ticks.
+evaluation.  ``SolveLimits.max_terms`` bounds the ticks.  ``verify_lvp``
+first samples counterexamples (``gnncheck.falsify``) at one tick per node
+and layer that ``gnn_eval`` evaluates, and the tableau gets the ticks left.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from .arith import ArithmeticSpec, Value
-from .compile import compile_lvp
+from .compile import CompiledInstance, compile_lvp
 from .errors import UsageError
+from .falsify import falsify
 from .formula import Arena, Formula
 from .gnn import DeltaMode, LvpInstance, eval_linineq, gnn_eval
 from .graph import LabeledGraph, PointedGraph
@@ -986,26 +989,55 @@ def solve(formula: Formula, delta: DeltaMode, limits: SolveLimits | None = None)
 
 
 def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpVerdict:
-    """Valid when the compiled formula is unsatisfiable, else a counterexample."""
+    """Valid when the compiled formula is unsatisfiable, else a counterexample.
+
+    A counterexample search by sampling (``falsify``) runs first and the
+    tableau gets the ticks it leaves.  Either way, a counterexample is checked
+    by ``gnn_eval`` and by the formula semantics before it is returned.
+    """
+    limits = limits or SolveLimits()
+    deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
     compiled = compile_lvp(instance)
-    verdict = solve(compiled.formula, instance.delta, limits)
+    hit, ticks = falsify(instance, limits.max_terms, deadline)
+    if hit is not None:
+        return _checked_invalid(instance, compiled, *hit)
+    rest = SolveLimits(
+        time_limit=None if deadline is None else max(0.0, deadline - time.monotonic()),
+        max_terms=None if limits.max_terms is None else limits.max_terms - ticks,
+        max_arity=limits.max_arity,
+    )
+    verdict = solve(compiled.formula, instance.delta, rest)
     if isinstance(verdict, Unknown):
         return verdict
     if isinstance(verdict, Unsat):
         return Valid()
     model = verdict.model
-    spec = instance.model.spec
     inputs = tuple(instance.model.input_features)
     graph = model.graph
     labels = {n: {f: graph.labels[n].get(f, 0) for f in inputs} for n in graph.nodes}
     projected = PointedGraph(
-        LabeledGraph(spec, inputs, graph.nodes, graph.edges, labels), model.point
+        LabeledGraph(instance.model.spec, inputs, graph.nodes, graph.edges, labels), model.point
     )
-    outputs = gnn_eval(instance.model, projected)
-    point_label = {f: labels[model.point][f] for f in inputs}
-    if not all(eval_linineq(q, point_label, spec) for q in instance.l_in):
+    return _checked_invalid(instance, compiled, projected, gnn_eval(instance.model, projected))
+
+
+def _checked_invalid(instance: LvpInstance, compiled: CompiledInstance, pointed: PointedGraph, outputs: list[Value]) -> Invalid:
+    """The counterexample, once the point satisfies L_in, the outputs violate
+    L_out, and the compiled formula holds on the graph labelled with the
+    inputs and, at the point, the outputs."""
+    model, spec = instance.model, instance.model.spec
+    graph, point = pointed.graph, pointed.point
+    if not all(eval_linineq(q, graph.labels[point], spec) for q in instance.l_in):
         raise RuntimeError("counterexample fails the input constraints")
-    out_vals = dict(zip(instance.model.output_features, (v.payload for v in outputs)))
+    out_vals = dict(zip(model.output_features, (v.payload for v in outputs)))
     if all(eval_linineq(q, out_vals, spec) for q in instance.l_out):
         raise RuntimeError("counterexample satisfies the output constraints")
-    return Invalid(projected, outputs)
+    features = compiled.formula.features
+    labels = {
+        n: {f: graph.labels[n].get(f, out_vals.get(f, 0) if n == point else 0) for f in features}
+        for n in graph.nodes
+    }
+    labelled = LabeledGraph(spec, features, graph.nodes, graph.edges, labels)
+    if not check(labelled, point, compiled.formula):
+        raise RuntimeError("the formula semantics reject the counterexample gnn_eval reports")
+    return Invalid(pointed, outputs)

@@ -145,6 +145,25 @@ class TestSat:
         assert "QGNN_TIME_LIMIT" in run.stderr
         assert "Traceback" not in run.stderr
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    @pytest.mark.parametrize("source", ["--time-limit", "QGNN_TIME_LIMIT"])
+    def test_time_limit_nan_or_negative_exits_2(self, source, value):
+        # a NaN deadline never passes: without the check this ran to unsat (exit 1)
+        src = str(Path(gnncheck.__file__).resolve().parents[1])
+        argv = ["sat", "x1 >= -3000 and not (x1 - x1 >= 0)", "--arith", "satint:3000", "--delta", "unary:1"]
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("QGNN_TIME_LIMIT", None)
+        if source == "--time-limit":
+            argv += [f"--time-limit={value}"]
+        else:
+            env["QGNN_TIME_LIMIT"] = value
+        run = subprocess.run(
+            [sys.executable, "-m", "gnncheck.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert run.returncode == 2
+        assert source in run.stderr
+        assert "Traceback" not in run.stderr
+
 
 class TestCompileEval:
     def test_compile_prints_formula(self, supp_files, capsys):
@@ -168,6 +187,12 @@ class TestOracle:
     def test_oracle_sat_mirrors_sat(self, capsys):
         assert main(["oracle", "sat", "agg(3) = 10", "--arith", "satint:15", "--delta", "unary:5"]) == 1
         assert main(["oracle", "sat", "agg(1) = 4", "--arith", "satint:15", "--delta", "unary:5"]) == 0
+
+    def test_oracle_zero_term_limit_is_a_budget(self, capsys):
+        # a zero budget used to fall back to the default of 5 000 000 steps
+        argv = ["oracle", "sat", "agg(1) = 4", "--arith", "satint:15", "--delta", "unary:5", "--term-limit", "0"]
+        assert main(argv) == 3
+        assert "node-limit" in capsys.readouterr().out
 
     def test_oracle_rejects_infinite_delta(self, capsys):
         assert main(["oracle", "sat", "x1 >= 0", "--arith", "satint:3", "--delta", "inf"]) == 2

@@ -130,6 +130,16 @@ class TestJson:
             gnn_from_json(doc)
         assert "weights" in str(err.value)
 
+    def test_shared_feature_name_rejected(self):
+        # an output named like an input became the same formula feature, and
+        # y1 = x1 + 1 >= 0 under x1 >= -7 was reported valid
+        doc = gnn_to_json(message_model())
+        doc["outputs"] = ["x1", "y2"]
+        with pytest.raises(SchemaError):
+            gnn_from_json(doc)
+        with pytest.raises(UsageError):
+            GnnModel(SAT7, (), Fnn.identity(2, SAT7), ("x1", "x1"), ("y1", "y2"))
+
     def test_default_feature_names(self):
         doc = gnn_to_json(message_model())
         del doc["features"]

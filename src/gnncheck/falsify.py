@@ -1,12 +1,13 @@
 """Counterexample search by sampling, run ahead of the tableau.
 
-``falsify`` draws random pointed trees for an LVP instance, runs each through
-``gnn_eval`` and stops at the first whose outputs violate L_out.  A tree is
-as deep as the network has layers (deeper nodes cannot reach the point's
-output), and each node has at most ``arity_cap`` successors.  Labels favour
-the values where saturating arithmetic turns: 0, ±one, ±M and small multiples
-of one, next to uniform draws from the whole domain.  The point's label is
-drawn again until it satisfies L_in.
+``falsify`` draws ``SAMPLES`` random pointed trees for an LVP instance, runs
+each through ``gnn_eval`` and returns, among those whose outputs violate
+L_out, the one with the fewest nodes.  A tree is as deep as the network has
+layers (deeper nodes cannot reach the point's output), and each node has at
+most ``arity_cap`` successors.  Labels favour the values where saturating
+arithmetic turns: 0, ±one, ±M and small multiples of one, next to uniform
+draws from the whole domain.  The point's label is drawn again until it
+satisfies L_in.
 
 The draws come from a ``random.Random`` seeded by a sha256 of the instance's
 JSON, so an instance always gets the same trees, whatever PYTHONHASHSEED is.
@@ -28,8 +29,11 @@ from .gnn import LvpInstance, eval_linineq, lvp_to_json
 from .graph import LabeledGraph, PointedGraph
 
 # Samples per instance.  Each costs about as much as a few hundred tableau
-# ticks of wall time, and a Valid instance pays for all of them, so the
-# number stays small.
+# ticks of wall time, and every instance pays for all of them, so the number
+# stays small.  Sampling goes on after a hit: a later, smaller tree makes a
+# more readable counterexample, and sampling costs the same whether and
+# when a sample hits, so the time of a batch of instances does not swing
+# with how many of them are Invalid.
 SAMPLES = 32
 # Successors per node when the arity bound allows more: trees grow as this
 # number to the power of the layer count.
@@ -99,15 +103,17 @@ def sample_tree(rng: random.Random, instance: LvpInstance, cap: int) -> PointedG
 def falsify(instance: LvpInstance, max_ticks: int | None = None, deadline: float | None = None) -> tuple[Hit | None, int]:
     """Search for a tree whose outputs violate L_out.
 
-    Returns the counterexample and its outputs (or None) and the ticks
-    spent.  Sampling stops before a tree that would take the ticks past
-    ``max_ticks``, and once ``time.monotonic()`` passes ``deadline``.
+    Returns the smallest counterexample drawn (the first of the smallest)
+    with its outputs, or None, and the ticks spent.  Sampling stops before a
+    tree that would take the ticks past ``max_ticks``, and once
+    ``time.monotonic()`` passes ``deadline``.
     """
     model = instance.model
     rng = instance_rng(instance)
     cap = arity_cap(instance)
     layers = len(model.layers)
     ticks = 0
+    best: Hit | None = None
     for _ in range(SAMPLES):
         if deadline is not None and time.monotonic() > deadline:
             break
@@ -123,5 +129,6 @@ def falsify(instance: LvpInstance, max_ticks: int | None = None, deadline: float
         outputs = gnn.gnn_eval(model, tree)
         out_vals = dict(zip(model.output_features, (v.payload for v in outputs)))
         if not all(eval_linineq(q, out_vals, model.spec) for q in instance.l_out):
-            return (tree, outputs), ticks
-    return None, ticks
+            if best is None or len(tree.graph.nodes) < len(best[0].graph.nodes):
+                best = (tree, outputs)
+    return best, ticks

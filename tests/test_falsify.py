@@ -13,7 +13,7 @@ import gnncheck
 from gnncheck import gnn as gnn_mod
 from gnncheck.arith import ArithmeticSpec, Value
 from gnncheck.compile import compile_lvp
-from gnncheck.falsify import MAX_SAMPLED_ARITY, arity_cap, falsify, instance_rng, sample_tree
+from gnncheck.falsify import MAX_SAMPLED_ARITY, SAMPLES, arity_cap, falsify, instance_rng, sample_tree
 from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnLayer, GnnModel, LinIneq, LvpInstance, eval_linineq, gnn_eval
 from gnncheck.semantics import Unknown, Unsat, brute_force_sat
 from gnncheck.tableau import Invalid, SolveLimits, Valid, _Search, verify_lvp
@@ -150,6 +150,19 @@ def test_doctored_hit_trips_the_cross_check(monkeypatch):
     assert hit is not None  # the sampler believes the doctored outputs
     with pytest.raises(RuntimeError, match="semantics"):
         verify_lvp(instance)
+
+
+def test_sampling_draws_every_tree_and_keeps_the_smallest_hit(monkeypatch):
+    instance = positive_instance()
+    _, unhit_ticks = falsify(instance)
+    monkeypatch.setattr(gnn_mod, "gnn_eval", lambda model, pointed: [Value(-1, model.spec)])
+    hit, ticks = falsify(instance)
+    assert ticks == unhit_ticks  # every sample hits, and none ends the sampling
+    rng = instance_rng(instance)
+    trees = [sample_tree(rng, instance, arity_cap(instance)) for _ in range(SAMPLES)]
+    sizes = [len(t.graph.nodes) for t in trees]
+    assert max(sizes) > min(sizes)
+    assert hit[0] == trees[sizes.index(min(sizes))]
 
 
 def test_sampling_is_charged_to_the_tick_budget():

@@ -170,6 +170,30 @@ class ArithmeticSpec:
             acc = self.add_p(acc, p)
         return acc
 
+    # The fold of an aggregation (kind sum, mean, max or weighted) over its
+    # successors in order: start, one step per successor, finish.  A step
+    # takes the successor's contribution, which for weighted is already the
+    # product with the successor's weight.
+
+    @staticmethod
+    def fold_start(kind: str) -> int | None:
+        """Accumulator before the first successor."""
+        return None if kind == "max" else 0
+
+    def fold_step(self, kind: str, acc: int | None, p: int) -> int:
+        """Accumulator after one more successor contributing p."""
+        if kind == "max":
+            return p if acc is None or p > acc else acc
+        return self.add_p(acc, p)
+
+    def fold_finish(self, kind: str, acc: int | None, arity: int) -> int:
+        """Value of the aggregation over arity successors; 0 for none."""
+        if arity == 0:
+            return 0
+        if kind == "mean":
+            return self.div_p(acc, arity)
+        return acc
+
     # -- literals ------------------------------------------------------------
 
     def parse_literal(self, text: str) -> int:

@@ -18,6 +18,11 @@ Formula node shapes::
     ("not", child)
     ("and", left, right)
     ("or", left, right)
+
+Every pass over a DAG follows one order, the walk of :meth:`Arena.reachable`:
+post-order, each node once, children before parents, left to right.  Passes
+that only read the DAG, or rebuild it, are loops over that list, so no pass
+is bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -29,6 +34,50 @@ from .arith import ACTIVATIONS, ArithmeticSpec
 from .errors import FormulaSyntaxError, UsageError
 
 AGG_KINDS = ("sum", "mean", "max", "weighted")
+
+_ATOMS = ("geq", "eq")
+# positions of a node's children in its tuple, by tag; an atom's expression
+# is not among them, since it lives in the other id space
+_KIDS = {
+    "const": (), "feat": (), "act": (2,), "scale": (2,), "agg": (2,), "sum": (1, 2),
+    "geq": (), "eq": (), "not": (1,), "and": (1, 2), "or": (1, 2),
+}
+
+
+def _post_order(nodes: list[tuple], root: int, seen: set[int]) -> list[int]:
+    """Ids of the nodes under root that are not in seen, in post-order: each
+    once, children before parents, left to right.  They are added to seen.
+
+    A node popped for the first time pushes a marker (its id inverted) and
+    then its children, rightmost first; the marker pops once they are done.
+    """
+    order = []
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        if n < 0:
+            order.append(~n)
+        elif n not in seen:
+            seen.add(n)
+            node = nodes[n]
+            stack.append(~n)
+            for i in reversed(_KIDS[node[0]]):
+                stack.append(node[i])
+    return order
+
+
+def _relabel(node: tuple, ids: dict[int, int], expr_ids: dict[int, int]) -> tuple:
+    """The node with its children's ids mapped through ids, and an atom's
+    expression id through expr_ids."""
+    if node[0] in _ATOMS:
+        return (node[0], expr_ids[node[1]], node[2])
+    kids = _KIDS[node[0]]
+    if not kids:
+        return node
+    out = list(node)
+    for i in kids:
+        out[i] = ids[out[i]]
+    return tuple(out)
 
 
 class Arena:
@@ -137,42 +186,21 @@ class Arena:
 
     # -- traversal -----------------------------------------------------------
 
-    def reachable(self, fid: int) -> tuple[set[int], set[int]]:
-        """(formula ids, expression ids) reachable from a formula root."""
-        fids: set[int] = set()
-        eids: set[int] = set()
-        stack = [fid]
-        while stack:
-            f = stack.pop()
-            if f in fids:
-                continue
-            fids.add(f)
-            node = self._formulas[f]
-            if node[0] in ("geq", "eq"):
-                self._collect_exprs(node[1], eids)
-            elif node[0] == "not":
-                stack.append(node[1])
-            else:
-                stack.append(node[1])
-                stack.append(node[2])
-        return fids, eids
+    def reachable(self, fid: int) -> tuple[list[int], list[int]]:
+        """(formula ids, expression ids) reachable from a formula root.
 
-    def _collect_exprs(self, eid: int, seen: set[int]) -> None:
-        stack = [eid]
-        while stack:
-            e = stack.pop()
-            if e in seen:
-                continue
-            seen.add(e)
-            node = self._exprs[e]
-            tag = node[0]
-            if tag in ("act", "scale"):
-                stack.append(node[2])
-            elif tag == "agg":
-                stack.append(node[2])
-            elif tag == "sum":
-                stack.append(node[1])
-                stack.append(node[2])
+        Both lists are in post-order: each node once, children before parents,
+        left to right.  The expressions come in the order a post-order walk of
+        the whole DAG finishes them, atom by atom.
+        """
+        fids = _post_order(self._formulas, fid, set())
+        eids: list[int] = []
+        seen: set[int] = set()
+        for f in fids:
+            node = self._formulas[f]
+            if node[0] in _ATOMS:
+                eids += _post_order(self._exprs, node[1], seen)
+        return fids, eids
 
     def dag_size(self, fid: int) -> int:
         fids, eids = self.reachable(fid)
@@ -210,31 +238,34 @@ def features_of(f: Formula | tuple[Arena, int]) -> tuple[str, ...]:
 def agg_depth(f: Formula) -> int:
     """Maximum nesting of aggregation operators."""
     arena = f.arena
-    memo: dict[int, int] = {}
-
-    def depth(eid: int) -> int:
-        if eid in memo:
-            return memo[eid]
+    depth: dict[int, int] = {}
+    for eid in arena.reachable(f.root)[1]:
         node = arena.expr(eid)
-        tag = node[0]
-        if tag in ("const", "feat"):
-            d = 0
-        elif tag in ("act", "scale"):
-            d = depth(node[2])
-        elif tag == "agg":
-            d = 1 + depth(node[2])
-        else:
-            d = max(depth(node[1]), depth(node[2]))
-        memo[eid] = d
-        return d
+        depth[eid] = max((depth[node[i]] for i in _KIDS[node[0]]), default=0) + (node[0] == "agg")
+    return max(depth.values())
 
-    fids, _ = arena.reachable(f.root)
-    best = 0
+
+def _rebuild(dst: Arena, src: Arena, root: int, replace=lambda node: None) -> int:
+    """Copy the formula DAG under root from src into dst, in walk order.
+
+    Each node is interned in dst with its children already rebuilt, unless
+    ``replace``, given that rebuilt node, returns the id of a node to stand
+    for it (an expression id for an expression, a formula id for a formula).
+    Rebuilding within one arena keeps every node that is not replaced, nor
+    above a replaced one, at its id.
+    """
+    fids, eids = src.reachable(root)
+    new_expr: dict[int, int] = {}
+    for eid in eids:
+        node = _relabel(src.expr(eid), new_expr, new_expr)
+        out = replace(node)
+        new_expr[eid] = dst._intern_expr(node) if out is None else out
+    new_formula: dict[int, int] = {}
     for fid in fids:
-        node = arena.formula(fid)
-        if node[0] in ("geq", "eq"):
-            best = max(best, depth(node[1]))
-    return best
+        node = _relabel(src.formula(fid), new_formula, new_expr)
+        out = replace(node)
+        new_formula[fid] = dst._intern_formula(node) if out is None else out
+    return new_formula[root]
 
 
 def rewrite_truncrelu(f: Formula) -> Formula:
@@ -245,144 +276,60 @@ def rewrite_truncrelu(f: Formula) -> Formula:
     """
     arena = f.arena
     one = arena.spec.one
-    ememo: dict[int, int] = {}
 
-    def rw_expr(eid: int) -> int:
-        if eid in ememo:
-            return ememo[eid]
-        node = arena.expr(eid)
-        tag = node[0]
-        if tag in ("const", "feat"):
-            out = eid
-        elif tag == "act":
-            child = rw_expr(node[2])
-            if node[1] == "truncrelu":
-                minus_one = arena.scale(-one, arena.const(one))
-                inner = arena.act("relu", arena.add(child, minus_one))
-                out = arena.act("relu", arena.add(arena.act("relu", child), arena.scale(-one, inner)))
-            else:
-                out = arena.act(node[1], child)
-        elif tag == "scale":
-            out = arena.scale(node[1], rw_expr(node[2]))
-        elif tag == "agg":
-            out = arena.agg(node[1], rw_expr(node[2]), node[3])
-        else:
-            out = arena.add(rw_expr(node[1]), rw_expr(node[2]))
-        ememo[eid] = out
-        return out
+    def replace(node: tuple) -> int | None:
+        if node[0] != "act" or node[1] != "truncrelu":
+            return None
+        child = node[2]
+        minus_one = arena.scale(-one, arena.const(one))
+        inner = arena.act("relu", arena.add(child, minus_one))
+        return arena.act("relu", arena.add(arena.act("relu", child), arena.scale(-one, inner)))
 
-    fmemo: dict[int, int] = {}
-
-    def rw_formula(fid: int) -> int:
-        if fid in fmemo:
-            return fmemo[fid]
-        node = arena.formula(fid)
-        tag = node[0]
-        if tag in ("geq", "eq"):
-            out = arena._intern_formula((tag, rw_expr(node[1]), node[2]))
-        elif tag == "not":
-            out = arena.not_(rw_formula(node[1]))
-        elif tag == "and":
-            out = arena.and_(rw_formula(node[1]), rw_formula(node[2]))
-        else:
-            out = arena.or_(rw_formula(node[1]), rw_formula(node[2]))
-        fmemo[fid] = out
-        return out
-
-    return Formula(arena, rw_formula(f.root), f.features)
+    return Formula(arena, _rebuild(arena, arena, f.root, replace), f.features)
 
 
 def desugar_eq(f: Formula) -> Formula:
     """Expand each eq atom into (e >= k) and (-1*e + k >= 0)."""
     arena = f.arena
-    memo: dict[int, int] = {}
 
-    def rw(fid: int) -> int:
-        if fid in memo:
-            return memo[fid]
-        node = arena.formula(fid)
-        tag = node[0]
-        if tag == "eq":
-            e, k = node[1], node[2]
-            flipped = arena.geq(arena.add(arena.scale(-arena.spec.one, e), arena.const(k)), 0)
-            out = arena.and_(arena.geq(e, k), flipped)
-        elif tag == "geq":
-            out = fid
-        elif tag == "not":
-            out = arena.not_(rw(node[1]))
-        elif tag == "and":
-            out = arena.and_(rw(node[1]), rw(node[2]))
-        else:
-            out = arena.or_(rw(node[1]), rw(node[2]))
-        memo[fid] = out
-        return out
+    def replace(node: tuple) -> int | None:
+        if node[0] != "eq":
+            return None
+        e, k = node[1], node[2]
+        flipped = arena.geq(arena.add(arena.scale(-arena.spec.one, e), arena.const(k)), 0)
+        return arena.and_(arena.geq(e, k), flipped)
 
-    return Formula(arena, rw(f.root), f.features)
+    return Formula(arena, _rebuild(arena, arena, f.root, replace), f.features)
 
 
 def structural_expr_key(arena: Arena, eid: int):
-    """Arena-independent structural form of an expression, for comparisons."""
-    node = arena.expr(eid)
-    tag = node[0]
-    if tag in ("const", "feat"):
-        return node
-    if tag in ("act", "scale"):
-        return (tag, node[1], structural_expr_key(arena, node[2]))
-    if tag == "agg":
-        return (tag, node[1], structural_expr_key(arena, node[2]), node[3])
-    return (tag, structural_expr_key(arena, node[1]), structural_expr_key(arena, node[2]))
+    """Arena-independent structural form of an expression, for comparisons.
+
+    The key is flat: the nodes of the walk in order, each child written as its
+    position in the walk.  (Comparing deeply nested tuples would recurse in
+    the interpreter.)  Two expressions have equal keys exactly when they are
+    equal as trees, because hash consing makes the walks of equal trees alike.
+    """
+    eids = _post_order(arena._exprs, eid, set())
+    at = {e: i for i, e in enumerate(eids)}
+    return tuple(_relabel(arena.expr(e), at, at) for e in eids)
 
 
 def structural_key(arena: Arena, fid: int):
-    """Arena-independent structural form of a formula."""
-    node = arena.formula(fid)
-    tag = node[0]
-    if tag in ("geq", "eq"):
-        return (tag, structural_expr_key(arena, node[1]), node[2])
-    if tag == "not":
-        return (tag, structural_key(arena, node[1]))
-    return (tag, structural_key(arena, node[1]), structural_key(arena, node[2]))
+    """Arena-independent structural form of a formula: flat, as
+    :func:`structural_expr_key`, over its formulas and its expressions."""
+    fids, eids = arena.reachable(fid)
+    at = {e: i for i, e in enumerate(eids)}
+    fat = {f: i for i, f in enumerate(fids)}
+    exprs = tuple(_relabel(arena.expr(e), at, at) for e in eids)
+    return exprs, tuple(_relabel(arena.formula(f), fat, at) for f in fids)
 
 
 def import_formula(dst: Arena, src: Arena, fid: int) -> int:
     """Copy a formula DAG between arenas, re-sharing through the target's consing."""
     if dst.spec != src.spec:
         raise UsageError("cannot import between arenas with different specs")
-    ememo: dict[int, int] = {}
-
-    def imp_expr(eid: int) -> int:
-        if eid in ememo:
-            return ememo[eid]
-        node = src.expr(eid)
-        tag = node[0]
-        if tag in ("const", "feat"):
-            out = dst._intern_expr(node)
-        elif tag in ("act", "scale"):
-            out = dst._intern_expr((tag, node[1], imp_expr(node[2])))
-        elif tag == "agg":
-            out = dst._intern_expr((tag, node[1], imp_expr(node[2]), node[3]))
-        else:
-            out = dst._intern_expr((tag, imp_expr(node[1]), imp_expr(node[2])))
-        ememo[eid] = out
-        return out
-
-    fmemo: dict[int, int] = {}
-
-    def imp_formula(f: int) -> int:
-        if f in fmemo:
-            return fmemo[f]
-        node = src.formula(f)
-        tag = node[0]
-        if tag in ("geq", "eq"):
-            out = dst._intern_formula((tag, imp_expr(node[1]), node[2]))
-        elif tag == "not":
-            out = dst._intern_formula((tag, imp_formula(node[1])))
-        else:
-            out = dst._intern_formula((tag, imp_formula(node[1]), imp_formula(node[2])))
-        fmemo[f] = out
-        return out
-
-    return imp_formula(fid)
+    return _rebuild(dst, src, fid)
 
 
 # -- concrete syntax ----------------------------------------------------------

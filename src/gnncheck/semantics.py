@@ -51,46 +51,55 @@ Verdict = Sat | Unsat | Unknown
 
 
 def eval_payload(graph: LabeledGraph, node: str, arena: Arena, eid: int, _memo=None) -> int:
-    """Value (as payload) of an expression at a node."""
-    if _memo is None:
-        _memo = {}
-    key = (node, eid)
-    if key in _memo:
-        return _memo[key]
+    """Value (as payload) of an expression at a node.
+
+    The pairs (graph node, expression) wait on an explicit stack and are
+    evaluated in the order of a recursive evaluation: operands left to right,
+    an aggregation's successors in order, each pair once.
+    """
+    memo = {} if _memo is None else _memo
     spec = arena.spec
-    expr = arena.expr(eid)
-    tag = expr[0]
-    if tag == "const":
-        out = expr[1]
-    elif tag == "feat":
-        out = graph.label_payload(node, expr[1])
-    elif tag == "act":
-        out = spec.act_p(expr[1], eval_payload(graph, node, arena, expr[2], _memo))
-    elif tag == "scale":
-        out = spec.mul_p(expr[1], eval_payload(graph, node, arena, expr[2], _memo))
-    elif tag == "sum":
-        out = spec.add_p(
-            eval_payload(graph, node, arena, expr[1], _memo),
-            eval_payload(graph, node, arena, expr[2], _memo),
-        )
-    else:  # agg
-        kind, child, weights = expr[1], expr[2], expr[3]
-        succs = graph.successors(node)
-        vals = [eval_payload(graph, s, arena, child, _memo) for s in succs]
-        if kind == "sum":
-            out = spec.fold_add(vals)
-        elif kind == "mean":
-            out = spec.div_p(spec.fold_add(vals), len(vals)) if vals else 0
-        elif kind == "max":
-            out = max(vals) if vals else 0
-        else:  # weighted
-            if len(weights) < len(vals):
+    stack: list = [(node, eid, None)]  # None: not yet visited, else the expression node
+    while stack:
+        v, e, expr = stack.pop()
+        if (v, e) in memo:
+            continue
+        if expr is None:
+            expr = arena.expr(e)
+            tag = expr[0]
+            if tag == "const":
+                memo[v, e] = expr[1]
+            elif tag == "feat":
+                memo[v, e] = graph.label_payload(v, expr[1])
+            elif tag == "sum":
+                stack += ((v, e, expr), (v, expr[2], None), (v, expr[1], None))
+            elif tag == "agg":
+                stack.append((v, e, expr))
+                stack += ((s, expr[2], None) for s in reversed(graph.successors(v)))
+            else:
+                stack += ((v, e, expr), (v, expr[2], None))
+            continue
+        tag = expr[0]
+        if tag == "act":
+            out = spec.act_p(expr[1], memo[v, expr[2]])
+        elif tag == "scale":
+            out = spec.mul_p(expr[1], memo[v, expr[2]])
+        elif tag == "sum":
+            out = spec.add_p(memo[v, expr[1]], memo[v, expr[2]])
+        else:  # agg
+            kind, child, weights = expr[1], expr[2], expr[3]
+            succs = graph.successors(v)
+            if weights is not None and len(weights) < len(succs):
                 raise UsageError(
-                    f"weighted aggregation has {len(weights)} weights but node {node} has {len(vals)} successors"
+                    f"weighted aggregation has {len(weights)} weights but node {v} has {len(succs)} successors"
                 )
-            out = spec.fold_add(spec.mul_p(w, v) for w, v in zip(weights, vals))
-    _memo[key] = out
-    return out
+            acc = spec.fold_start(kind)
+            for i, s in enumerate(succs):
+                p = memo[s, child]
+                acc = spec.fold_step(kind, acc, p if weights is None else spec.mul_p(weights[i], p))
+            out = spec.fold_finish(kind, acc, len(succs))
+        memo[v, e] = out
+    return memo[node, eid]
 
 
 def eval_expr(graph: LabeledGraph, node: str, arena: Arena, eid: int):
@@ -100,24 +109,32 @@ def eval_expr(graph: LabeledGraph, node: str, arena: Arena, eid: int):
 
 
 def check(graph: LabeledGraph, node: str, f: Formula, fid: int | None = None) -> bool:
-    """Truth of a formula at a pointed graph."""
+    """Truth of a formula at a pointed graph.
+
+    Connectives short-circuit left to right.  A connective waits on an
+    explicit stack while its first operand is decided, then negates that
+    truth, keeps it, or hands over to its second operand.
+    """
     arena = f.arena
     memo: dict = {}
-
-    def truth(g: int) -> bool:
+    truth = False
+    stack = [(f.root if fid is None else fid, False)]
+    while stack:
+        g, resumed = stack.pop()
         fnode = arena.formula(g)
         tag = fnode[0]
-        if tag == "geq":
-            return eval_payload(graph, node, arena, fnode[1], memo) >= fnode[2]
-        if tag == "eq":
-            return eval_payload(graph, node, arena, fnode[1], memo) == fnode[2]
-        if tag == "not":
-            return not truth(fnode[1])
-        if tag == "and":
-            return truth(fnode[1]) and truth(fnode[2])
-        return truth(fnode[1]) or truth(fnode[2])
-
-    return truth(f.root if fid is None else fid)
+        if resumed:
+            if tag == "not":
+                truth = not truth
+            elif truth == (tag == "and"):  # a true left "and" operand, a false left "or" one
+                stack.append((fnode[2], False))
+        elif tag == "geq":
+            truth = eval_payload(graph, node, arena, fnode[1], memo) >= fnode[2]
+        elif tag == "eq":
+            truth = eval_payload(graph, node, arena, fnode[1], memo) == fnode[2]
+        else:
+            stack += ((g, True), (fnode[1], False))
+    return truth
 
 
 # -- brute-force satisfiability oracle ----------------------------------------
@@ -183,9 +200,7 @@ class _TreeSearch:
         self.root_fid = f.root
         self.features = features_of(f)
         self.budget = budget
-        fids, eids = self.arena.reachable(f.root)
-        # hash consing interns children first, so id order is a topological order
-        self.eids = sorted(eids)
+        fids, self.eids = self.arena.reachable(f.root)
         self.aggs = [
             (eid, *self.arena.expr(eid)[1:])  # (eid, kind, child, weights)
             for eid in self.eids
@@ -216,7 +231,7 @@ class _TreeSearch:
                 self.dyn_exprs.append((eid, node))
         self.static_formulas: dict[int, bool | list[bool]] = {}
         self.dyn_formulas: list[tuple[int, tuple]] = []
-        for fid in sorted(fids):
+        for fid in fids:
             node = self.arena.formula(fid)
             if node[0] in ("geq", "eq"):
                 static = node[1] in self.static_exprs
@@ -304,12 +319,10 @@ class _TreeSearch:
         spec = self.spec
         fns = []
         for _, kind, _, weights in self.aggs:
-            if kind in ("sum", "mean"):
-                fns.append(spec.add_p)
-            elif kind == "max":
-                fns.append(lambda a, v: v if a is None else max(a, v))
+            if weights is None:
+                fns.append(functools.partial(spec.fold_step, kind))
             else:
-                fns.append(lambda a, v, w=weights[pos - 1]: spec.add_p(a, spec.mul_p(w, v)))
+                fns.append(lambda a, v, w=weights[pos - 1]: spec.fold_step("weighted", a, spec.mul_p(w, v)))
         return fns
 
     def _step_acc(self, acc: tuple, prof: tuple[int, ...], pos: int) -> tuple:
@@ -317,19 +330,11 @@ class _TreeSearch:
         return tuple(fn(a, v) for fn, a, v in zip(self._step_fns(pos), acc, prof))
 
     def _init_acc(self) -> tuple:
-        return tuple(None if kind == "max" else 0 for _, kind, _, _ in self.aggs)
+        return tuple(self.spec.fold_start(kind) for _, kind, _, _ in self.aggs)
 
     def _finalize(self, acc: tuple, arity: int) -> dict[int, int]:
-        vals = {}
-        for j, (eid, kind, _, _) in enumerate(self.aggs):
-            a = acc[j]
-            if arity == 0:
-                vals[eid] = 0
-            elif kind == "mean":
-                vals[eid] = self.spec.div_p(a, arity)
-            else:
-                vals[eid] = a
-        return vals
+        fold_finish = self.spec.fold_finish
+        return {eid: fold_finish(kind, a, arity) for (eid, kind, _, _), a in zip(self.aggs, acc)}
 
     def reachable_states(self, arity: int, prev_level: dict) -> dict:
         """Accumulator values reachable with `arity` ordered children, with first witnesses."""

@@ -265,37 +265,40 @@ class _Search:
 
     def tighten(self, st: _State, word: int, eid: int, lo: int, hi: int) -> bool:
         """Narrow the known interval of an expression, pushing bounds through
-        invertible unary chains down to their leaves."""
-        key = word + eid
-        known = st.values.get(key)
-        if known is not None:
-            if not lo <= known <= hi:
+        invertible unary chains down to their leaves.  True when the
+        expression's own interval narrowed."""
+        changed = False
+        while True:
+            key = word + eid
+            known = st.values.get(key)
+            if known is not None:
+                if not lo <= known <= hi:
+                    raise _Clash()
+                return changed
+            old = st.bounds.get(key)
+            if old is not None:
+                lo, hi = max(lo, old[0]), min(hi, old[1])
+                if (lo, hi) == old:
+                    return changed
+            if lo > hi:
                 raise _Clash()
-            return False
-        old = st.bounds.get(key)
-        if old is not None:
-            lo, hi = max(lo, old[0]), min(hi, old[1])
-            if (lo, hi) == old:
-                return False
-        if lo > hi:
-            raise _Clash()
-        st.bounds[key] = (lo, hi)
-        node = self.nodes[eid]
-        tag = node[0]
-        if tag == "const":
-            if not lo <= node[1] <= hi:
-                raise _Clash()
-        elif tag == "act":
-            pre = self.spec.act_preimage_interval(node[1], lo, hi)
+            st.bounds[key] = (lo, hi)
+            changed = True
+            node = self.nodes[eid]
+            tag = node[0]
+            if tag == "const":
+                if not lo <= node[1] <= hi:
+                    raise _Clash()
+                return True
+            if tag == "act":
+                pre = self.spec.act_preimage_interval(node[1], lo, hi)
+            elif tag == "scale" and node[1] != 0:
+                pre = self.spec.mul_preimage(node[1], lo, hi)
+            else:
+                return True
             if pre is None:
                 raise _Clash()
-            self.tighten(st, word, node[2], pre[0], pre[1])
-        elif tag == "scale" and node[1] != 0:
-            pre = self.spec.mul_preimage(node[1], lo, hi)
-            if pre is None:
-                raise _Clash()
-            self.tighten(st, word, node[2], pre[0], pre[1])
-        return True
+            eid, (lo, hi) = node[2], pre
 
     def forward(self, st: _State, word: int, eid: int) -> int | None:
         """Evaluate an expression at a word from the store, memoizing results."""
@@ -306,130 +309,147 @@ class _Search:
         """Evaluate an expression whose value is not in the store, and record it.
 
         Operands are evaluated left to right and evaluation stops at the first
-        unknown one, so which values get derived (and ticked) is fixed.
+        unknown one, so which values get derived (and ticked) is fixed.  A
+        node whose operand is missing waits on a stack while the operand is
+        derived.  Then a unary node maps the operand's value, and a sum or an
+        aggregation is evaluated again and finds the operand in the store.
         """
-        values = st.values
-        node = self.nodes[eid]
-        tag = node[0]
-        if tag == "sum":
-            left = values.get(word + node[1])
-            if left is None:
-                left = self._derive(st, word, node[1])
+        values, nodes, unary = st.values, self.nodes, self.unary
+        m = self.spec.max_payload
+        waiting: list[tuple[int, int]] = []  # (word, eid), innermost last
+        while True:
+            node = nodes[eid]
+            tag = node[0]
+            if tag == "sum":
+                left = values.get(word + node[1])
                 if left is None:
-                    return None
-            right = values.get(word + node[2])
-            if right is None:
-                right = self._derive(st, word, node[2])
+                    waiting.append((word, eid))
+                    eid = node[1]
+                    continue
+                right = values.get(word + node[2])
                 if right is None:
-                    return None
-            out = left + right
-            m = self.spec.max_payload
-            if out > m:
-                out = m
-            elif out < -m:
-                out = -m
-        elif tag == "act" or tag == "scale":
-            unary = self.unary.get(eid)
-            if unary is None:  # 0 * e
-                out = 0
-            else:
-                child, memo = unary
-                value = values.get(word + child)
-                if value is None:
-                    value = self._derive(st, word, child)
+                    waiting.append((word, eid))
+                    eid = node[2]
+                    continue
+                out = left + right
+                out = -m if out < -m else m if out > m else out
+            elif tag == "act" or tag == "scale":
+                op = unary.get(eid)
+                if op is None:  # 0 * e
+                    out = 0
+                else:
+                    value = values.get(word + op[0])
                     if value is None:
-                        return None
-                out = memo[value]
-        elif tag == "const":
-            out = node[1]
-        elif tag == "feat":
-            return None
-        else:  # agg
-            arity = st.arity.get(word)
-            if arity is None:
+                        waiting.append((word, eid))
+                        eid = op[0]
+                        continue
+                    out = op[1][value]
+            elif tag == "const":
+                out = node[1]
+            elif tag == "feat":
                 return None
-            kind, child, weights = node[1], node[2], node[3]
-            acc: int | None = None if kind == "max" else 0
-            succs = self.successors(word, arity)
-            for i in range(arity):
-                succ = succs[i]
-                value = values.get(succ + child)
-                if value is None:
-                    value = self._derive(st, succ, child)
+            else:  # agg
+                arity = st.arity.get(word)
+                if arity is None:
+                    return None
+                kind, child = node[1], node[2]
+                acc = self.spec.fold_start(kind)
+                missing = None
+                for pos, succ in enumerate(self.successors(word, arity)[:arity], start=1):
+                    value = values.get(succ + child)
                     if value is None:
-                        return None
-                acc = self._step_acc(kind, weights, acc, value, i + 1)
-            out = self._finalize_acc(kind, acc, arity)
-        # record the derived value: the same tick and checks as tick()
-        ticks = self.ticks = self.ticks + 1
-        if self.max_terms is not None and ticks > self.max_terms:
-            raise _LimitHit("node-limit")
-        if self.deadline is not None and ticks % 1024 == 0 and time.monotonic() > self.deadline:
-            raise _LimitHit("timeout")
-        key = word + eid
-        bounds = st.bounds.get(key)
-        if bounds is not None and not bounds[0] <= out <= bounds[1]:
-            raise _Clash()
-        values[key] = out
-        return out
+                        missing = succ
+                        break
+                    acc = self.spec.fold_step(kind, acc, self._contribution(node, pos, value))
+                if missing is not None:
+                    waiting.append((word, eid))
+                    word, eid = missing, child
+                    continue
+                out = self.spec.fold_finish(kind, acc, arity)
+            while True:
+                # record the derived value: the same tick and checks as tick()
+                ticks = self.ticks = self.ticks + 1
+                if self.max_terms is not None and ticks > self.max_terms:
+                    raise _LimitHit("node-limit")
+                if self.deadline is not None and ticks % 1024 == 0 and time.monotonic() > self.deadline:
+                    raise _LimitHit("timeout")
+                key = word + eid
+                bounds = st.bounds.get(key)
+                if bounds is not None and not bounds[0] <= out <= bounds[1]:
+                    raise _Clash()
+                values[key] = out
+                if not waiting:
+                    return out
+                word, eid = waiting.pop()
+                op = unary.get(eid)
+                if op is None:
+                    break  # a sum or an aggregation: evaluate it again
+                out = op[1][out]  # a unary node, of the value just recorded
 
-    def _step_acc(self, kind: str, weights, acc, v: int, pos: int) -> int:
-        spec = self.spec
-        if kind == "max":
-            return v if acc is None else max(acc, v)
-        if kind == "weighted":
-            if pos > len(weights):
-                raise _Clash()  # no weight for this successor: not evaluable
-            return spec.add_p(acc, self._memo("scale", weights[pos - 1])[v])
-        return spec.add_p(acc, v)
-
-    def _finalize_acc(self, kind: str, acc, arity: int) -> int:
-        if arity == 0:
-            return 0
-        if kind == "mean":
-            return self.spec.div_p(acc, arity)
-        return acc
+    def _contribution(self, node: tuple, pos: int, v: int) -> int:
+        """What the successor at pos with value v adds to an aggregation."""
+        weights = node[3]
+        if weights is None:
+            return v
+        if pos > len(weights):
+            raise _Clash()  # no weight for this successor: not evaluable
+        return self._memo("scale", weights[pos - 1])[v]
 
     def expr_range(self, st: _State, word: int, eid: int) -> tuple[int, int]:
         """Sound interval over-approximation of the expression's value.
 
         Over the empty store it is the structural range: the interval of the
-        expression's possible values at any fresh word.
+        expression's possible values at any fresh word.  Subexpressions are
+        ranged in post-order: an inverted id on the stack combines the ranges
+        of its operands, which lie on top of ``done``.
         """
-        key = word + eid
-        known = st.values.get(key)
-        if known is not None:
-            return known, known
-        node = self.nodes[eid]
-        tag = node[0]
-        if tag == "sum":
-            lo1, hi1 = self.expr_range(st, word, node[1])
-            lo2, hi2 = self.expr_range(st, word, node[2])
-            m = self.spec.max_payload
-            lo, hi = lo1 + lo2, hi1 + hi2
-            lo = -m if lo < -m else m if lo > m else lo
-            hi = -m if hi < -m else m if hi > m else hi
-        elif tag == "act" or tag == "scale":
-            unary = self.unary.get(eid)
-            if unary is None:  # 0 * e
-                lo, hi = 0, 0
+        values, bounds, nodes, unary = st.values, st.bounds, self.nodes, self.unary
+        m = self.spec.max_payload
+        done: list[tuple[int, int]] = []
+        stack = [eid]
+        while stack:
+            e = stack.pop()
+            if e >= 0:
+                known = values.get(word + e)
+                if known is not None:
+                    done.append((known, known))
+                    continue
+                node = nodes[e]
+                tag = node[0]
+                if tag == "sum":
+                    stack += (~e, node[2], node[1])
+                    continue
+                if tag == "act" or tag == "scale":
+                    op = unary.get(e)
+                    if op is not None:
+                        stack += (~e, op[0])
+                        continue
+                    lo, hi = 0, 0  # 0 * e
+                elif tag == "const":
+                    lo, hi = node[1], node[1]
+                else:  # feat, agg
+                    lo, hi = -m, m
             else:
-                child, memo = unary
-                clo, chi = self.expr_range(st, word, child)
-                lo, hi = memo[clo], memo[chi]
-                # act maps each end in place, so an empty interval (lo > hi,
-                # from contradicting bounds) keeps its order; scale sorts them
-                if tag == "scale" and lo > hi:
-                    lo, hi = hi, lo
-        elif tag == "const":
-            lo, hi = node[1], node[1]
-        else:  # feat, agg
-            m = self.spec.max_payload
-            lo, hi = -m, m
-        bounds = st.bounds.get(key)
-        if bounds is not None:
-            lo, hi = max(lo, bounds[0]), min(hi, bounds[1])
-        return lo, hi
+                e = ~e
+                op = unary.get(e)
+                if op is None:  # sum
+                    lo2, hi2 = done.pop()
+                    lo1, hi1 = done.pop()
+                    lo, hi = lo1 + lo2, hi1 + hi2
+                    lo = -m if lo < -m else m if lo > m else lo
+                    hi = -m if hi < -m else m if hi > m else hi
+                else:
+                    clo, chi = done.pop()
+                    lo, hi = op[1][clo], op[1][chi]
+                    # act maps each end in place, so an empty interval (lo > hi,
+                    # from contradicting bounds) keeps its order; scale sorts them
+                    if lo > hi and nodes[e][0] == "scale":
+                        lo, hi = hi, lo
+            bound = bounds.get(word + e)
+            if bound is not None:
+                lo, hi = max(lo, bound[0]), min(hi, bound[1])
+            done.append((lo, hi))
+        return done[0]
 
     # -- saturation -------------------------------------------------------------
 
@@ -588,7 +608,7 @@ class _Search:
         arity = st.arity.get(word)
         if arity is None or key in st.walked:
             return False
-        kind, child, weights = node[1], node[2], node[3]
+        kind, child = node[1], node[2]
         if arity == 0:
             # empty aggregate: every kind folds to 0
             if target != 0:
@@ -598,18 +618,17 @@ class _Search:
             return True
         values = [self.forward(st, succ, child) for succ in self.successors(word, arity)[:arity]]
         if all(v is not None for v in values):
-            acc: int | None = None if kind == "max" else 0
-            for i, v in enumerate(values, start=1):
-                acc = self._step_acc(kind, weights, acc, v, i)
-            if self._finalize_acc(kind, acc, arity) != target:
+            acc = self.spec.fold_start(kind)
+            for pos, v in enumerate(values, start=1):
+                acc = self.spec.fold_step(kind, acc, self._contribution(node, pos, v))
+            if self.spec.fold_finish(kind, acc, arity) != target:
                 raise _Clash()
             del st.obligations[key]
             st.walked.add(key)
             return True
         st.walked.add(key)
         del st.obligations[key]
-        acc = None if kind == "max" else 0
-        st.walks.append((word, eid, 1, acc))
+        st.walks.append((word, eid, 1, self.spec.fold_start(kind)))
         return True
 
     # -- choice points -----------------------------------------------------------
@@ -645,25 +664,27 @@ class _Search:
     def _atom_stuck(self, st: _State, word: int, fid: int) -> bool:
         """True when assigning the atom's expression would hit a sum with two
         unknown operands: guessing a value there cannot propagate."""
-
-        def stuck(eid: int) -> bool:
+        eid = self.arena.formula(fid)[1]
+        while True:
             node = self.nodes[eid]
             tag = node[0]
             if tag in ("const", "feat", "agg"):
                 return False
             if tag in ("act", "scale"):
-                return self.forward(st, word, node[2]) is None and stuck(node[2])
+                if self.forward(st, word, node[2]) is not None:
+                    return False
+                eid = node[2]
+                continue
             left = self.forward(st, word, node[1])
             right = self.forward(st, word, node[2])
             if left is None and right is None:
                 return True
             if left is None:
-                return stuck(node[1])
-            if right is None:
-                return stuck(node[2])
-            return False
-
-        return stuck(self.arena.formula(fid)[1])
+                eid = node[1]
+            elif right is None:
+                eid = node[2]
+            else:
+                return False
 
     def _plan_stuck(self, st: _State, key):
         """Resolve a stuck inversion either backward (enumerate the rule's
@@ -688,31 +709,32 @@ class _Search:
         return ("ground", leaf[1], leaf[2])
 
     def _first_unknown_leaf(self, st: _State, word: int, eid: int):
-        """First unvalued feature or missing arity the expression depends on."""
-        node = self.nodes[eid]
-        tag = node[0]
-        if tag == "const":
-            return None
-        if tag == "feat":
-            return None if word + eid in st.values else ("feat", word, eid)
-        if tag in ("act", "scale"):
-            return self._first_unknown_leaf(st, word, node[2])
-        if tag == "sum":
-            for operand in (node[1], node[2]):
-                if self.forward(st, word, operand) is None:
-                    found = self._first_unknown_leaf(st, word, operand)
-                    if found is not None:
-                        return found
-            return None
-        # agg
-        arity = st.arity.get(word)
-        if arity is None:
-            return ("arity", word)
-        for succ in self.successors(word, arity)[:arity]:
-            if self.forward(st, succ, node[2]) is None:
-                found = self._first_unknown_leaf(st, succ, node[2])
-                if found is not None:
-                    return found
+        """First unvalued feature or missing arity the expression depends on.
+
+        Depth first, operands left to right.  An operand of a sum or of an
+        aggregation is only entered when forward evaluation leaves it unknown,
+        and that evaluation runs when the operand comes off the stack.
+        """
+        stack = [(word, eid, False)]  # (word, expression, evaluate first)
+        while stack:
+            word, eid, evaluate = stack.pop()
+            if evaluate and self.forward(st, word, eid) is not None:
+                continue
+            node = self.nodes[eid]
+            tag = node[0]
+            if tag == "feat":
+                if word + eid not in st.values:
+                    return ("feat", word, eid)
+            elif tag in ("act", "scale"):
+                stack.append((word, node[2], False))
+            elif tag == "sum":
+                stack += ((word, node[2], True), (word, node[1], True))
+            elif tag == "agg":
+                arity = st.arity.get(word)
+                if arity is None:
+                    return ("arity", word)
+                succs = self.successors(word, arity)[:arity]
+                stack += ((succ, node[2], True) for succ in reversed(succs))
         return None
 
     def _invert_width(self, st: _State, key) -> int:
@@ -880,14 +902,12 @@ class _Search:
         else:  # walk_step
             word, eid, pos, acc = st.walks.pop(0)
             node = self.nodes[eid]
-            kind_, child, weights = node[1], node[2], node[3]
             v = alternative[1]
-            self.assign(st, self.successors(word, pos)[pos - 1], child, v)
-            acc = self._step_acc(kind_, weights, acc, v, pos)
+            self.assign(st, self.successors(word, pos)[pos - 1], node[2], v)
+            acc = self.spec.fold_step(node[1], acc, self._contribution(node, pos, v))
             arity = st.arity[word]
             if pos == arity:
-                final = self._finalize_acc(kind_, acc, arity)
-                if final != st.values[word + eid]:
+                if self.spec.fold_finish(node[1], acc, arity) != st.values[word + eid]:
                     raise _Clash()
             else:
                 st.walks.append((word, eid, pos + 1, acc))
@@ -895,31 +915,37 @@ class _Search:
     # -- search -------------------------------------------------------------------
 
     def attempt(self, st: _State) -> _State | None:
-        try:
-            self.saturate(st)
-            choice = self.pick_choice(st)
-        except _Clash:
-            return None
-        if choice is None:
-            return st
-        candidates = self.alternatives(st, choice)
+        """Depth-first search from a branch for one that saturates with no
+        choice left.  Each open choice point keeps its branch and the stream
+        of alternatives still to try on a stack."""
+        open_points: list[tuple[_State, object]] = []
         while True:
             try:
-                alternative = next(candidates)
-            except StopIteration:
-                return None
+                self.saturate(st)
+                choice = self.pick_choice(st)
             except _Clash:
-                # enumeration itself exposed a contradiction in this branch
-                return None
-            self.tick()
-            child = st.fork()
-            try:
-                self.apply(child, alternative)
-            except _Clash:
-                continue
-            result = self.attempt(child)
-            if result is not None:
-                return result
+                pass
+            else:
+                if choice is None:
+                    return st
+                open_points.append((st, self.alternatives(st, choice)))
+            st = None
+            while st is None:
+                if not open_points:
+                    return None
+                parent, candidates = open_points[-1]
+                try:
+                    alternative = next(candidates)
+                except (StopIteration, _Clash):
+                    # exhausted, or enumeration itself exposed a contradiction
+                    open_points.pop()
+                    continue
+                self.tick()
+                st = parent.fork()
+                try:
+                    self.apply(st, alternative)
+                except _Clash:
+                    st = None
 
     def extract_model(self, st: _State) -> tuple[PointedGraph, dict[str, dict[int, int]]]:
         # back from word numbers (key // stride) to tuples, which name the nodes
@@ -961,22 +987,12 @@ def solve(formula: Formula, delta: DeltaMode, limits: SolveLimits | None = None)
     When the practical arity cap truncates the search space of the requested
     mode, an exhausted search is inconclusive rather than Unsat.
     """
-    import sys
-
     limits = limits or SolveLimits()
     search = _Search(formula, delta, limits)
-    root = search.root_state()
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 100_000))
     try:
-        final = search.attempt(root)
+        final = search.attempt(search.root_state())
     except _LimitHit as hit:
         return Unknown(hit.reason)
-    except RecursionError:
-        # branches deeper than the interpreter allows (gigantic arities)
-        return Unknown("node-limit")
-    finally:
-        sys.setrecursionlimit(old_limit)
     if final is None:
         has_aggs = any(node[0] == "agg" for node in search.nodes.values())
         if search.cap_truncated and has_aggs:

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import gnncheck
+from gnncheck.arith import ArithmeticSpec
 from gnncheck.cli import main
-from gnncheck.gnn import lvp_to_json, gnn_to_json
+from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnModel, LinIneq, LvpInstance, lvp_to_json, gnn_to_json
 from gnncheck.graph import save_json
 
 from conftest import (
@@ -75,6 +76,28 @@ class TestVerify:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["verify", "no-such-file.json"]) == 2
+
+    @pytest.mark.parametrize("bound, code, verdict", [(1, 1, "invalid"), (0, 0, "valid")])
+    def test_deep_network_gives_a_verdict_without_traceback(self, tmp_path, bound, code, verdict):
+        # 3000 width-1 relu layers compile into a formula 3000 levels deep
+        spec = ArithmeticSpec.satint(3)
+        out = Fnn(tuple(FnnLayer(((spec.one,),), (0,), ("relu",)) for _ in range(3000)))
+        model = GnnModel(spec, (), out, ("x1",), ("y1",))
+        l_out = (LinIneq((("y1", spec.one),), bound * spec.one),)
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(lvp_to_json(LvpInstance(model, (), l_out, DeltaMode.unary(1)))))
+        src = str(Path(gnncheck.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "gnncheck.cli", "verify", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert run.returncode == code
+        assert run.stdout.splitlines()[0] == verdict
+        assert ("counterexample" in run.stdout) == (verdict == "invalid")
+        assert "Traceback" not in run.stderr
 
 
 class TestSat:

@@ -15,7 +15,6 @@ change that means to alter the search or the models:
 import hashlib
 import json
 import random
-import sys
 
 import pytest
 
@@ -75,15 +74,11 @@ def search_outcome(formula, delta, max_terms=MAX_TICKS):
     """Run the search as ``solve`` does; return how it ended, its ticks and
     the digest of its model (None when it found none)."""
     search = _Search(formula, delta, SolveLimits(max_terms=max_terms))
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 100_000))
     try:
         final = search.attempt(search.root_state())
         outcome = "model" if final is not None else "exhausted"
     except _LimitHit as hit:
         final, outcome = None, hit.reason
-    finally:
-        sys.setrecursionlimit(old_limit)
     return outcome, search.ticks, None if final is None else model_digest(search, final)
 
 

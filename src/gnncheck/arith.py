@@ -147,6 +147,8 @@ class ArithmeticSpec:
         return self.clamp(a + b)
 
     def mul_p(self, c: int, p: int) -> int:
+        if self.frac_decimals == 0:  # no rounding at scale 1
+            return self.clamp(c * p)
         return self.clamp(_round_div_away(c * p, self.scale))
 
     def div_p(self, p: int, m: int) -> int:

@@ -11,9 +11,10 @@ satisfies L_in.
 
 The draws come from a ``random.Random`` seeded by a sha256 of the instance's
 JSON, so an instance always gets the same trees, whatever PYTHONHASHSEED is.
-The search is charged to the caller's tick budget: one tick per node-layer
-that ``gnn_eval`` evaluates (every node once per layer, and the output
-network at the point once).
+The search is charged to the caller's tick budget at a fixed price per tree:
+its nodes times the layers, plus one for the output network.  The price is
+not a count of evaluations (``gnn_eval`` skips the nodes that cannot reach
+the point's output), so it does not move when the evaluator gets cheaper.
 """
 
 from __future__ import annotations

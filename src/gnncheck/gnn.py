@@ -130,15 +130,15 @@ class GnnModel:
 def fnn_eval_p(fnn: Fnn, inputs: Sequence[int], spec: ArithmeticSpec) -> list[int]:
     if len(inputs) != fnn.input_dim:
         raise UsageError(f"expected {fnn.input_dim} inputs, got {len(inputs)}")
+    add_p, mul_p, act_p = spec.add_p, spec.mul_p, spec.act_p
     state = list(inputs)
     for layer in fnn.layers:
         nxt = []
         for row, b, act in zip(layer.weights, layer.bias, layer.activations):
             acc = 0
             for w, x in zip(row, state):
-                acc = spec.add_p(acc, spec.mul_p(w, x))
-            acc = spec.add_p(acc, b)
-            nxt.append(spec.act_p(act, acc))
+                acc = add_p(acc, mul_p(w, x))
+            nxt.append(act_p(act, add_p(acc, b)))
         state = nxt
     return state
 
@@ -165,33 +165,52 @@ def _aggregate(layer: GnnLayer, states: list[list[int]], spec: ArithmeticSpec) -
         elif layer.agg_kind == "max":
             out.append(max(vals))
         else:
-            if len(layer.agg_weights) < len(vals):
-                raise UsageError(
-                    f"weighted layer has {len(layer.agg_weights)} weights for {len(vals)} successors"
-                )
             out.append(spec.fold_add(spec.mul_p(w, v) for w, v in zip(layer.agg_weights, vals)))
     return out
 
 
 def gnn_eval(model: GnnModel, pointed: PointedGraph) -> list[Value]:
-    """Forward evaluation: layerwise states for every node, output net at the point."""
-    graph = pointed.graph
-    if graph.spec != model.spec:
+    """Forward evaluation: layerwise states for the nodes within reach of the
+    point, output net at the point.
+
+    A node at distance d from the point reaches the output only through
+    layers 1..L-d, so layer l evaluates only the nodes within L-l of the point
+    (shortest distance, so cycles and paths of different lengths are covered).
+    """
+    graph, spec = pointed.graph, model.spec
+    if graph.spec != spec:
         raise UsageError("graph and model use different arithmetic specs")
     missing = [f for f in model.input_features if f not in graph.features]
     if missing:
         raise UsageError(f"graph lacks input features {missing}")
-    states: dict[str, list[int]] = {
-        n: [graph.label_payload(n, f) for f in model.input_features] for n in graph.nodes
-    }
+    successors = graph.successors
     for layer in model.layers:
+        if layer.agg_weights is not None:
+            for n in graph.nodes:
+                arity = len(successors(n))
+                if arity > len(layer.agg_weights):
+                    raise UsageError(f"weighted layer has {len(layer.agg_weights)} weights for {arity} successors")
+    # breadth-first from the point: the nodes within distance d are order[:within[d]]
+    order, seen, within = [pointed.point], {pointed.point}, [1]
+    ring = 0
+    for _ in model.layers:
+        for n in order[ring:]:
+            for s in successors(n):
+                if s not in seen:
+                    seen.add(s)
+                    order.append(s)
+        ring = within[-1]
+        within.append(len(order))
+    states = {n: [graph.label_payload(n, f) for f in model.input_features] for n in order}
+    depth = len(model.layers)
+    for l, layer in enumerate(model.layers, start=1):
         nxt = {}
-        for n in graph.nodes:
-            agg = _aggregate(layer, [states[s] for s in graph.successors(n)], model.spec)
-            nxt[n] = fnn_eval_p(layer.comb, states[n] + agg, model.spec)
+        for n in order[: within[depth - l]]:
+            agg = _aggregate(layer, [states[s] for s in successors(n)], spec)
+            nxt[n] = fnn_eval_p(layer.comb, states[n] + agg, spec)
         states = nxt
-    out = fnn_eval_p(model.out, states[pointed.point], model.spec)
-    return [Value(p, model.spec) for p in out]
+    out = fnn_eval_p(model.out, states[pointed.point], spec)
+    return [Value(p, spec) for p in out]
 
 
 # -- linear constraint systems and LVP instances -------------------------------

@@ -395,9 +395,13 @@ class _TreeSearch:
         edges: list[tuple[str, str]] = []
         labels: dict[str, dict[str, int]] = {}
         trace: dict[str, dict[int, int]] = {}
-
-        def emit(name: str, wit, level: int):
-            i, arity, kids = wit
+        # pre-order from an explicit stack: a node, then its children's
+        # subtrees in order, each edge listed just before its child
+        stack = [(None, "v", witness, depth)]
+        while stack:
+            parent, name, (i, arity, kids), level = stack.pop()
+            if parent is not None:
+                edges.append((parent, name))
             nodes.append(name)
             labels[name] = dict(zip(self.features, self.labels[i]))
             acc = self._init_acc()
@@ -405,12 +409,8 @@ class _TreeSearch:
                 acc = self._step_acc(acc, prof, pos)
             ev = self._state_values(self._finalize(acc, arity))
             trace[name] = {eid: ev[eid][i] if type(ev[eid]) is list else ev[eid] for eid in self.eids}
-            for pos, prof in enumerate(kids, start=1):
-                child_name = f"{name}.{pos}"
-                edges.append((name, child_name))
-                emit(child_name, levels[level - 1][prof], level - 1)
-
-        emit("v", witness, depth)
+            for pos in range(len(kids), 0, -1):
+                stack.append((name, f"{name}.{pos}", levels[level - 1][kids[pos - 1]], level - 1))
         graph = LabeledGraph(self.spec, self.features, tuple(nodes), tuple(edges), labels)
         return PointedGraph(graph, "v"), trace
 

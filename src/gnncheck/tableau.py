@@ -25,8 +25,8 @@ the arity modes differ only in the arity cap.
 The search's work is counted in ticks: one per branch alternative tried, one
 per value assigned, and one per value newly derived into the store by forward
 evaluation.  ``SolveLimits.max_terms`` bounds the ticks.  ``verify_lvp``
-first samples counterexamples (``gnncheck.falsify``) at one tick per node
-and layer that ``gnn_eval`` evaluates, and the tableau gets the ticks left.
+first samples counterexamples (``gnncheck.falsify``) at a fixed price of
+nodes × layers + 1 ticks per sampled tree, and the tableau gets the ticks left.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from gnncheck.arith import (
     ArithmeticSpec,
     Ordering,
     Value,
+    _round_div_away,
     act_inverses,
     add,
     add_inverses,
@@ -124,6 +125,23 @@ class TestMul:
         # 0.5 * 0.5 = 0.25 -> rounds to 0.3 with one decimal
         assert mul(v(FIX16_1, "0.5"), v(FIX16_1, "0.5")) == v(FIX16_1, "0.3")
         assert mul(v(FIX16_1, "-0.5"), v(FIX16_1, "0.5")) == v(FIX16_1, "-0.3")
+
+    @pytest.mark.parametrize("text", ["satint:3", "satint:7"])
+    def test_mul_p_satint_is_the_rounded_clamped_product_exhaustive(self, text):
+        spec = ArithmeticSpec.parse(text)
+        vals = list(spec.values_p())
+        for c in vals:
+            for p in vals:
+                assert spec.mul_p(c, p) == spec.clamp(_round_div_away(c * p, spec.scale)), (c, p)
+
+    def test_mul_p_fixed_rounds_ties_away_exhaustive(self):
+        spec = ArithmeticSpec.fixed(5, 1)
+        vals = list(spec.values_p())
+        for c in vals:
+            for p in vals:
+                exact = Fraction(c * p, spec.scale)
+                rounded = math.floor(abs(exact) + Fraction(1, 2)) * (1 if exact >= 0 else -1)
+                assert spec.mul_p(c, p) == spec.clamp(rounded), (c, p)
 
 
 class TestDiv:

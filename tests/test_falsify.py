@@ -1,5 +1,6 @@
 """The counterexample sampler ahead of the tableau (gnncheck.falsify)."""
 
+import hashlib
 import json
 import os
 import random
@@ -15,6 +16,7 @@ from gnncheck.arith import ArithmeticSpec, Value
 from gnncheck.compile import compile_lvp
 from gnncheck.falsify import MAX_SAMPLED_ARITY, SAMPLES, arity_cap, falsify, instance_rng, sample_tree
 from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnLayer, GnnModel, LinIneq, LvpInstance, eval_linineq, gnn_eval
+from gnncheck.graph import save_json
 from gnncheck.semantics import Unknown, Unsat, brute_force_sat
 from gnncheck.tableau import Invalid, SolveLimits, Valid, _Search, verify_lvp
 
@@ -207,3 +209,131 @@ def test_hits_replay_and_never_meet_an_oracle_unsat():
         oracle = brute_force_sat(compile_lvp(instance).formula, instance.delta.value, max_steps=200_000)
         assert not isinstance(oracle, Unsat), i
     assert hits >= 100
+
+
+# (nodes of the hit, its output payloads, the first 16 hex digits of the
+# sha256 of its JSON, ticks spent) for each instance of sampler_results, or
+# None in the first three places when nothing was hit.  Generated while
+# gnn_eval still evaluated every node at every layer: the draws, their order
+# and the price of a tree must not depend on what the evaluator skips.
+SAMPLER_GOLDEN = [
+    (None, None, None, 191),
+    (1, [-1], '2af39d51f9e3df5e', 389),
+    (1, [-3], '3e6be5d7d66056db', 106),
+    (1, [1], '5108985dcc60bd3a', 32),
+    (1, [2], '859526904783eb98', 148),
+    (1, [-3], 'c7f4326143de274a', 244),
+    (None, None, None, 32),
+    (None, None, None, 616),
+    (None, None, None, 206),
+    (1, [-2], '1ad3dee26ebde290', 31),
+    (None, None, None, 748),
+    (1, [-2], '4b983455c2f8610e', 366),
+    (1, [-6], '1ad3dee26ebde290', 32),
+    (None, None, None, 676),
+    (1, [-3], '4b983455c2f8610e', 263),
+    (None, None, None, 4092),
+    (1, [-1], '6fc3c9567f47d52a', 152),
+    (4, [-1], 'c08790b401bf873c', 244),
+    (1, [-1], '4b983455c2f8610e', 228),
+    (1, [-409], 'a1c7846c576fb411', 32),
+    (1, [-2], '638c1c0df318fca6', 32),
+    (1, [-2], 'c7f4326143de274a', 32),
+    (1, [-1], 'e190c3bc2bb89559', 116),
+    (1, [1], '4b983455c2f8610e', 32),
+    (None, None, None, 32),
+    (None, None, None, 736),
+    (1, [-2], '50d29b9c1ae83214', 114),
+    (None, None, None, 140),
+    (None, None, None, 203),
+    (3, [-2], 'a1af89f4eb87f61d', 238),
+    (None, None, None, 2200),
+    (None, None, None, 5416),
+    (None, None, None, 86),
+    (1, [-7], 'dfd1b788566c3560', 32),
+    (1, [1], '87f2e174bf72d428', 104),
+    (1, [-2], 'e8263456efdda81b', 483),
+    (1, [-1], 'b263ac919291eaf8', 32),
+    (1, [-1], 'a1c7846c576fb411', 768),
+    (1, [-1], 'a7f759d1d7702a8b', 32),
+    (None, None, None, 1343),
+    (None, None, None, 206),
+    (1, [-3], '5dbb68cb381ca86a', 194),
+    (1, [-2], '5108985dcc60bd3a', 108),
+    (None, None, None, 268),
+    (None, None, None, 142),
+    (1, [-7], 'c85738ec7eb1ff8a', 93),
+    (1, [0], '0c05b29eedebe5a6', 800),
+    (None, None, None, 454),
+    (None, None, None, 79),
+    (1, [-1], '07b9da8d4748218a', 197),
+    (None, None, None, 737),
+    (1, [-7], '1ad3dee26ebde290', 1517),
+    (None, None, None, 150),
+    (1, [-2], '950a4d2c49f542e6', 214),
+    (1, [-1], 'c9b3325f1c702189', 362),
+    (1, [-128], '892b0b518cb86507', 31),
+    (1, [-3], 'c063ae99852374e0', 156),
+    (1, [-7], '1ad3dee26ebde290', 96),
+    (None, None, None, 476),
+    (1, [-3], 'a2608137619897f0', 370),
+    (1, [-2], 'fda243d5b727535a', 135),
+    (1, [-571], '53d18404555e2d44', 32),
+    (None, None, None, 280),
+    (None, None, None, 1592),
+    (None, None, None, 32),
+    (1, [0], 'c063ae99852374e0', 96),
+    (1, [0], '3326b575a9b28b9e', 154),
+    (None, None, None, 308),
+    (1, [-2], '4b983455c2f8610e', 292),
+    (2, [-5], '75891c4621addf9d', 452),
+    (1, [-2], 'a1c7846c576fb411', 740),
+    (1, [-3], '4b983455c2f8610e', 430),
+    (None, None, None, 280),
+    (1, [-207], '950a0e5305240578', 31),
+    (1, [-3], '5108985dcc60bd3a', 111),
+    (1, [-3], 'bd2f24a918d8e72c', 119),
+    (1, [2], '69cf3d7a5c3470b4', 144),
+    (1, [-3], '4b983455c2f8610e', 31),
+    (1, [-5], '4b983455c2f8610e', 1795),
+    (1, [2], 'd9facfae9cc7058d', 121),
+    (1, [-2], '3e6be5d7d66056db', 77),
+    (1, [-1], 'dfd1b788566c3560', 724),
+    (None, None, None, 268),
+    (1, [-3], '1c614f1f85805224', 76),
+    (1, [-2], '5108985dcc60bd3a', 80),
+    (1, [-27], '3d96eff3abb96c8b', 93),
+    (None, None, None, 32),
+    (1, [-7], '930cf264c4fe7411', 32),
+    (1, [1], '8737a5bc2b7e86cb', 144),
+    (1, [-3], '4b983455c2f8610e', 425),
+    (1, [-7], '7b01d21eab1eb59d', 32),
+    (1, [-319], '3c46a9eaae988b7c', 32),
+    (1, [-1], 'c063ae99852374e0', 300),
+    (1, [-2], '1ad3dee26ebde290', 380),
+    (None, None, None, 707),
+    (1, [-2], 'c7f4326143de274a', 139),
+    (2, [-4], 'e26d51fae590e4a5', 275),
+    (None, None, None, 202),
+    (2, [0], 'ebe837fa41391371', 350),
+    (1, [-5], 'dfd1b788566c3560', 32),
+]
+
+
+def sampler_results():
+    specs = (ArithmeticSpec.satint(7), ArithmeticSpec.fixed(12, 1), ArithmeticSpec.satint(3))
+    deltas = (DeltaMode.unary(1), DeltaMode.unary(2), DeltaMode.binary(3), DeltaMode.infinite())
+    rng = random.Random(808)
+    for i in range(len(SAMPLER_GOLDEN)):
+        hit, ticks = falsify(random_instance(rng, specs[i % 3], deltas[i % 4], max_layers=4))
+        if hit is None:
+            yield (None, None, None, ticks)
+            continue
+        tree, outputs = hit
+        doc = json.dumps(save_json(tree.graph, tree.point), sort_keys=True)
+        digest = hashlib.sha256(doc.encode()).hexdigest()[:16]
+        yield (len(tree.graph.nodes), [o.payload for o in outputs], digest, ticks)
+
+
+def test_sampler_draws_and_prices_are_pinned():
+    assert list(sampler_results()) == SAMPLER_GOLDEN

@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
 
+from gnncheck import gnn as gnn_mod
 from gnncheck.arith import ArithmeticSpec, Value
 from gnncheck.errors import SchemaError, UsageError
 from gnncheck.gnn import (
+    _aggregate,
     DeltaMode,
     Fnn,
     FnnLayer,
@@ -13,6 +16,7 @@ from gnncheck.gnn import (
     LinIneq,
     eval_linineq,
     fnn_eval,
+    fnn_eval_p,
     gnn_eval,
     gnn_from_json,
     gnn_to_json,
@@ -105,6 +109,100 @@ class TestGnnEval:
         assert run("mean") == 4  # 3.5 rounds away from zero
         assert run("max") == 4
         assert run("weighted", (2, -1)) == 2
+
+
+def all_nodes_eval(model, pointed):
+    """gnn_eval before it skipped nodes out of reach: every node at every layer."""
+    graph, spec = pointed.graph, model.spec
+    states = {n: [graph.label_payload(n, f) for f in model.input_features] for n in graph.nodes}
+    for layer in model.layers:
+        nxt = {}
+        for n in graph.nodes:
+            succ = [states[s] for s in graph.successors(n)]
+            if layer.agg_weights is not None and len(layer.agg_weights) < len(succ):
+                raise UsageError("more successors than weights")
+            nxt[n] = fnn_eval_p(layer.comb, states[n] + _aggregate(layer, succ, spec), spec)
+        states = nxt
+    return [Value(p, spec) for p in fnn_eval_p(model.out, states[pointed.point], spec)]
+
+
+AGG_KINDS = ("sum", "mean", "max", "weighted")
+MAX_OUT_DEGREE = 4
+
+
+def random_gnn(rng, spec, n_layers, first_kind, n_weights):
+    top = min(spec.max_payload, 2 * spec.one)
+    dims = [rng.randint(1, 2)]
+    layers = []
+    for l in range(n_layers):
+        kind = first_kind if l == 0 else rng.choice(AGG_KINDS)
+        width = rng.randint(1, 2)
+        rows = tuple(tuple(rng.randint(-top, top) for _ in range(2 * dims[-1])) for _ in range(width))
+        bias = tuple(rng.randint(-top, top) for _ in range(width))
+        comb = Fnn((FnnLayer(rows, bias, tuple(rng.choice(("relu", "id", "truncrelu")) for _ in range(width))),))
+        weights = tuple(rng.randint(-top, top) for _ in range(n_weights)) if kind == "weighted" else None
+        layers.append(GnnLayer(kind, comb, weights))
+        dims.append(width)
+    out = Fnn((FnnLayer((tuple(rng.randint(-top, top) for _ in range(dims[-1])),), (0,), ("id",)),))
+    return GnnModel(spec, tuple(layers), out, tuple(f"x{i + 1}" for i in range(dims[0])), ("y1",))
+
+
+def random_graph(rng, spec, features):
+    """A graph pointed at "p" with a cycle p -> a -> b -> a, a self-loop at b,
+    b reachable at distances 1 and 2, nodes "u" and "w" out of reach of the
+    point (u has an edge into it), and random extra nodes and edges."""
+    extra = [f"e{i}" for i in range(rng.randint(0, 6))]
+    nodes = ["p", "a", "b", "u", "w"] + extra
+    edges = {("p", "a"), ("a", "b"), ("p", "b"), ("b", "b"), ("b", "a"), ("u", "p"), ("u", "w")}
+    targets = [n for n in nodes if n not in ("u", "w")]
+    for _ in range(rng.randint(0, 3 * len(nodes))):
+        src, dst = rng.choice(nodes), rng.choice(targets)
+        if sum(1 for e in edges if e[0] == src) < MAX_OUT_DEGREE:
+            edges.add((src, dst))
+    m = spec.max_payload
+    labels = {n: {f: rng.choice((0, spec.one, -spec.one, m, -m, rng.randint(-m, m))) for f in features} for n in nodes}
+    order = sorted(edges, key=lambda e: rng.random())
+    return PointedGraph(LabeledGraph(spec, features, tuple(rng.sample(nodes, len(nodes))), tuple(order), labels), "p")
+
+
+class TestReachPruning:
+    @pytest.mark.parametrize("spec", [SAT7, ArithmeticSpec.fixed(5, 1)], ids=["satint:7", "fixed:5:1"])
+    @pytest.mark.parametrize("first_kind", AGG_KINDS)
+    def test_matches_all_nodes_evaluation(self, spec, first_kind):
+        rng = random.Random(f"reach:{spec.spec_string()}:{first_kind}")
+        for i in range(60):
+            model = random_gnn(rng, spec, i % 5, first_kind, MAX_OUT_DEGREE + rng.randint(0, 1))
+            pointed = random_graph(rng, spec, model.input_features)
+            assert gnn_eval(model, pointed) == all_nodes_eval(model, pointed), i
+
+    def test_layer_l_evaluates_the_nodes_within_L_minus_l(self, monkeypatch):
+        # a path p -> n1 -> ... -> n5 under two layers: layer 1 needs p and
+        # n1, layer 2 only p, then the output net at p
+        spec = SAT7
+        nodes = ("p",) + tuple(f"n{i}" for i in range(1, 6))
+        graph = LabeledGraph(spec, ("x1",), nodes, tuple(zip(nodes, nodes[1:])), {n: {"x1": 1} for n in nodes})
+        comb = Fnn((FnnLayer(((1, 1),), (0,), ("id",)),))
+        model = GnnModel(spec, (GnnLayer("sum", comb), GnnLayer("sum", comb)), Fnn.identity(1, spec), ("x1",), ("y1",))
+        calls = []
+
+        def counted(fnn, inputs, spec):
+            calls.append(fnn)
+            return fnn_eval_p(fnn, inputs, spec)
+
+        monkeypatch.setattr(gnn_mod, "fnn_eval_p", counted)
+        assert gnn_eval(model, PointedGraph(graph, "p"))[0].payload == 4
+        assert len(calls) == 2 + 1 + 1
+
+    def test_weighted_arity_checked_beyond_reach(self):
+        # u has two successors but a single weight, and cannot reach the point
+        spec = SAT7
+        graph = LabeledGraph(
+            spec, ("x1",), ("p", "u", "x"), (("u", "p"), ("u", "x")), {n: {"x1": 1} for n in ("p", "u", "x")}
+        )
+        comb = Fnn((FnnLayer(((1, 1),), (0,), ("id",)),))
+        model = GnnModel(spec, (GnnLayer("weighted", comb, (1,)),), Fnn.identity(1, spec), ("x1",), ("y1",))
+        with pytest.raises(UsageError, match="1 weights for 2 successors"):
+            gnn_eval(model, PointedGraph(graph, "p"))
 
 
 class TestJson:

@@ -272,3 +272,61 @@ def naive_sat_depth1(f, spec, delta):
                 if check(g, "u", f):
                     return True
     return False
+
+
+def recursive_build_tree(search, witness, levels, depth):
+    """The oracle's tree building as it was written before it looped: a
+    recursive pre-order, each edge listed just before its child's subtree."""
+    nodes, edges, labels, trace = [], [], {}, {}
+
+    def emit(name, wit, level):
+        i, arity, kids = wit
+        nodes.append(name)
+        labels[name] = dict(zip(search.features, search.labels[i]))
+        acc = search._init_acc()
+        for pos, prof in enumerate(kids, start=1):
+            acc = search._step_acc(acc, prof, pos)
+        ev = search._state_values(search._finalize(acc, arity))
+        trace[name] = {eid: ev[eid][i] if type(ev[eid]) is list else ev[eid] for eid in search.eids}
+        for pos, prof in enumerate(kids, start=1):
+            child_name = f"{name}.{pos}"
+            edges.append((name, child_name))
+            emit(child_name, levels[level - 1][prof], level - 1)
+
+    emit("v", witness, depth)
+    return nodes, edges, labels, trace
+
+
+def build_tree_cases():
+    for i in range(300):
+        rng = random.Random(f"build-tree:{i}")
+        spec = (ArithmeticSpec.satint(3), ArithmeticSpec.fixed(5, 1))[i % 2]
+        delta = 2 + i % 2
+        yield random_formula(rng, spec, agg_kinds=("sum", "mean", "max", "weighted"), delta=delta, max_agg_depth=3), delta
+    # few random formulas force a branching tree deeper than one level; these do
+    sat7 = ArithmeticSpec.satint(7)
+    yield parse("agg(agg(1)) = 3", sat7), 2
+    yield parse("agg(agg(agg(1))) >= 5", sat7), 2
+
+
+def test_build_tree_loop_matches_the_recursive_pre_order():
+    built = 0
+    for i, (f, delta) in enumerate(build_tree_cases()):
+        search = semantics._TreeSearch(f, delta, semantics._Budget(20_000, None))
+        depth = semantics.agg_depth(f)
+        try:
+            wit, levels = search.search(depth)
+        except semantics._OracleLimit:
+            continue
+        if wit is None:
+            continue
+        model, trace = search.build_tree(wit, levels, depth)
+        nodes, edges, labels, want_trace = recursive_build_tree(search, wit, levels, depth)
+        graph = model.graph
+        assert (graph.nodes, graph.edges, model.point) == (tuple(nodes), tuple(edges), "v"), i
+        assert list(graph.labels.items()) == list(labels.items()), i
+        assert [(n, list(t.items())) for n, t in trace.items()] == [
+            (n, list(t.items())) for n, t in want_trace.items()
+        ], i
+        built += 1
+    assert built >= 100

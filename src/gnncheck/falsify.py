@@ -1,8 +1,10 @@
 """Counterexample search by sampling, run ahead of the tableau.
 
-``falsify`` draws ``SAMPLES`` random pointed trees for an LVP instance, runs
-each through ``gnn_eval`` and returns, among those whose outputs violate
-L_out, the one with the fewest nodes.  A tree is as deep as the network has
+``falsify`` draws ``SAMPLES`` random pointed trees for an LVP instance and
+returns, among those whose outputs under ``gnn_eval`` violate L_out, the
+first with the fewest nodes.  It draws every tree first, then builds and
+evaluates them smallest first, and stops at the first hit: no tree larger
+than the answer is evaluated.  A tree is as deep as the network has
 layers (deeper nodes cannot reach the point's output), and each node has at
 most ``arity_cap`` successors.  Labels favour the values where saturating
 arithmetic turns: 0, ±one, ±M and small multiples of one, next to uniform
@@ -11,10 +13,13 @@ satisfies L_in.
 
 The draws come from a ``random.Random`` seeded by a sha256 of the instance's
 JSON, so an instance always gets the same trees, whatever PYTHONHASHSEED is.
-The search is charged to the caller's tick budget at a fixed price per tree:
-its nodes times the layers, plus one for the output network.  The price is
-not a count of evaluations (``gnn_eval`` skips the nodes that cannot reach
-the point's output), so it does not move when the evaluator gets cheaper.
+The search is charged to the caller's tick budget at a fixed price per
+drawn tree: its nodes times the layers, plus one for the output network.
+The price is not a count of evaluations (trees past the first hit are not
+evaluated, and ``gnn_eval`` skips the nodes that cannot reach the point's
+output), so the ticks an instance pays do not depend on whether or where a
+sample hits, while its wall time does.  A tree that grows past the ticks
+left ends the sampling as soon as a layer shows it.
 """
 
 from __future__ import annotations
@@ -29,12 +34,12 @@ from .arith import ArithmeticSpec, Value
 from .gnn import LvpInstance, eval_linineq, lvp_to_json
 from .graph import LabeledGraph, PointedGraph
 
-# Samples per instance.  Each costs about as much as a few hundred tableau
-# ticks of wall time, and every instance pays for all of them, so the number
-# stays small.  Sampling goes on after a hit: a later, smaller tree makes a
-# more readable counterexample, and sampling costs the same whether and
-# when a sample hits, so the time of a batch of instances does not swing
-# with how many of them are Invalid.
+# Samples per instance.  Every one is drawn and charged, even after a hit:
+# a later, smaller tree makes a more readable counterexample, and the ticks
+# left to the tableau do not depend on where a sample hits.  Only the trees
+# up to the first smallest hit are evaluated, so an instance without a hit
+# pays the most wall time, about a few hundred tableau ticks' worth per
+# sample, and the number stays small.
 SAMPLES = 32
 # Successors per node when the arity bound allows more: trees grow as this
 # number to the power of the layer count.
@@ -75,15 +80,28 @@ def draw_payload(rng: random.Random, spec: ArithmeticSpec) -> int:
     return rng.randint(-m, m)
 
 
-def sample_tree(rng: random.Random, instance: LvpInstance, cap: int) -> PointedGraph | None:
-    """One random tree pointed at its root "v", or None when no drawn point
-    label satisfied L_in.  Node names follow the tableau's models: "v1" is
+def price(nodes: int, layers: int) -> int:
+    """The ticks a sampled tree of ``nodes`` nodes costs: nodes × layers + 1."""
+    return nodes * layers + 1
+
+
+def grow_tree(
+    rng: random.Random, layers: int, cap: int, room: int | None = None, deadline: float | None = None
+) -> tuple[list[str], list[tuple[str, str]]] | None:
+    """The nodes and edges of a random tree rooted at "v", ``layers`` deep,
+    or None as soon as its price passes ``room`` ticks or
+    ``time.monotonic()`` passes ``deadline``.  Both are checked before the
+    first layer and after each one, so an oversized tree stops growing one
+    layer past the budget.  Node names follow the tableau's models: "v1" is
     the root's first successor, "v1.2" that node's second."""
-    model = instance.model
-    spec, features = model.spec, model.input_features
-    nodes, edges = ["v"], []
-    frontier = ["v"]
-    for _ in model.layers:
+    nodes, edges, frontier = ["v"], [], ["v"]
+    for depth in range(layers + 1):
+        if (room is not None and price(len(nodes), layers) > room) or (
+            deadline is not None and time.monotonic() > deadline
+        ):
+            return None
+        if depth == layers:
+            break
         grown = []
         for parent in frontier:
             for i in range(1, rng.randint(0, cap) + 1):
@@ -92,44 +110,72 @@ def sample_tree(rng: random.Random, instance: LvpInstance, cap: int) -> PointedG
                 grown.append(child)
         nodes += grown
         frontier = grown
+    return nodes, edges
+
+
+def draw_labels(rng: random.Random, instance: LvpInstance, nodes: list[str]) -> dict[str, dict[str, int]] | None:
+    """Input labels for ``nodes``, or None when no drawn label of the point
+    "v" satisfied L_in."""
+    spec, features = instance.model.spec, instance.model.input_features
     labels = {n: {f: draw_payload(rng, spec) for f in features} for n in nodes}
     point = labels["v"]
     for _ in range(POINT_DRAWS):
         if all(eval_linineq(q, point, spec) for q in instance.l_in):
-            return PointedGraph(LabeledGraph(spec, features, tuple(nodes), tuple(edges), labels), "v")
+            return labels
         point.update((f, draw_payload(rng, spec)) for f in features)
     return None
+
+
+def pointed_tree(instance: LvpInstance, nodes: list[str], edges: list[tuple[str, str]], labels: dict) -> PointedGraph:
+    """The validated graph of a drawn tree, pointed at its root."""
+    model = instance.model
+    return PointedGraph(LabeledGraph(model.spec, model.input_features, tuple(nodes), tuple(edges), labels), "v")
+
+
+def sample_tree(rng: random.Random, instance: LvpInstance, cap: int) -> PointedGraph | None:
+    """One random tree pointed at its root "v", or None when no drawn point
+    label satisfied L_in: the draws ``falsify`` makes for one sample."""
+    nodes, edges = grow_tree(rng, len(instance.model.layers), cap)
+    labels = draw_labels(rng, instance, nodes)
+    return None if labels is None else pointed_tree(instance, nodes, edges, labels)
 
 
 def falsify(instance: LvpInstance, max_ticks: int | None = None, deadline: float | None = None) -> tuple[Hit | None, int]:
     """Search for a tree whose outputs violate L_out.
 
     Returns the smallest counterexample drawn (the first of the smallest)
-    with its outputs, or None, and the ticks spent.  Sampling stops before a
-    tree that would take the ticks past ``max_ticks``, and once
-    ``time.monotonic()`` passes ``deadline``.
+    with its outputs, or None, and the ticks spent.  Every tree is drawn
+    and charged first; then the trees are built and evaluated smallest
+    first, in draw order among equals, up to the first hit.  Sampling stops
+    before a tree whose price would take the ticks past ``max_ticks`` (as
+    soon as its growth shows it), and once ``time.monotonic()`` passes
+    ``deadline``.
     """
     model = instance.model
     rng = instance_rng(instance)
     cap = arity_cap(instance)
     layers = len(model.layers)
     ticks = 0
-    best: Hit | None = None
+    drawn = []
     for _ in range(SAMPLES):
+        shape = grow_tree(rng, layers, cap, None if max_ticks is None else max_ticks - ticks, deadline)
+        if shape is None:
+            break
+        nodes, edges = shape
+        labels = draw_labels(rng, instance, nodes)
+        if labels is None:
+            continue
+        ticks += price(len(nodes), layers)
+        drawn.append((nodes, edges, labels))
+    drawn.sort(key=lambda tree: len(tree[0]))  # stable: draw order among equals
+    for nodes, edges, labels in drawn:
         if deadline is not None and time.monotonic() > deadline:
             break
-        tree = sample_tree(rng, instance, cap)
-        if tree is None:
-            continue
-        cost = len(tree.graph.nodes) * layers + 1
-        if max_ticks is not None and ticks + cost > max_ticks:
-            break
-        ticks += cost
+        tree = pointed_tree(instance, nodes, edges, labels)
         # through the module attribute, so that a wrapper installed on
         # gnn.gnn_eval (a profiler, lvpbench's tracer) sees the call
         outputs = gnn.gnn_eval(model, tree)
         out_vals = dict(zip(model.output_features, (v.payload for v in outputs)))
         if not all(eval_linineq(q, out_vals, model.spec) for q in instance.l_out):
-            if best is None or len(tree.graph.nodes) < len(best[0].graph.nodes):
-                best = (tree, outputs)
-    return best, ticks
+            return (tree, outputs), ticks
+    return None, ticks

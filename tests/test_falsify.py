@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,18 @@ import gnncheck
 from gnncheck import gnn as gnn_mod
 from gnncheck.arith import ArithmeticSpec, Value
 from gnncheck.compile import compile_lvp
-from gnncheck.falsify import MAX_SAMPLED_ARITY, SAMPLES, arity_cap, falsify, instance_rng, sample_tree
+from gnncheck.falsify import (
+    MAX_SAMPLED_ARITY,
+    POINT_DRAWS,
+    SAMPLES,
+    arity_cap,
+    draw_payload,
+    falsify,
+    instance_rng,
+    sample_tree,
+)
 from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnLayer, GnnModel, LinIneq, LvpInstance, eval_linineq, gnn_eval
-from gnncheck.graph import save_json
+from gnncheck.graph import LabeledGraph, PointedGraph, save_json
 from gnncheck.semantics import Unknown, Unsat, brute_force_sat
 from gnncheck.tableau import Invalid, SolveLimits, Valid, _Search, verify_lvp
 
@@ -154,10 +164,23 @@ def test_doctored_hit_trips_the_cross_check(monkeypatch):
         verify_lvp(instance)
 
 
+def recording_eval(monkeypatch, outputs=None):
+    """Route gnn.gnn_eval through a recorder; with ``outputs``, every call
+    returns them instead of evaluating."""
+    evaluated = []
+
+    def recorded(model, pointed):
+        evaluated.append(pointed)
+        return gnn_eval(model, pointed) if outputs is None else outputs(model)
+
+    monkeypatch.setattr(gnn_mod, "gnn_eval", recorded)
+    return evaluated
+
+
 def test_sampling_draws_every_tree_and_keeps_the_smallest_hit(monkeypatch):
     instance = positive_instance()
     _, unhit_ticks = falsify(instance)
-    monkeypatch.setattr(gnn_mod, "gnn_eval", lambda model, pointed: [Value(-1, model.spec)])
+    evaluated = recording_eval(monkeypatch, lambda model: [Value(-1, model.spec)])
     hit, ticks = falsify(instance)
     assert ticks == unhit_ticks  # every sample hits, and none ends the sampling
     rng = instance_rng(instance)
@@ -165,6 +188,104 @@ def test_sampling_draws_every_tree_and_keeps_the_smallest_hit(monkeypatch):
     sizes = [len(t.graph.nodes) for t in trees]
     assert max(sizes) > min(sizes)
     assert hit[0] == trees[sizes.index(min(sizes))]
+    assert evaluated == [hit[0]]  # the larger trees are never evaluated
+
+
+def test_without_a_hit_every_drawn_tree_is_evaluated_once_smallest_first(monkeypatch):
+    instance = positive_instance()
+    evaluated = recording_eval(monkeypatch)
+    assert falsify(instance)[0] is None
+    rng = instance_rng(instance)
+    trees = [sample_tree(rng, instance, arity_cap(instance)) for _ in range(SAMPLES)]
+    drawn = [t for t in trees if t is not None]
+    assert evaluated == sorted(drawn, key=lambda t: len(t.graph.nodes))
+
+
+def deep_sum_instance(layers):
+    """A ``layers``-deep sum network under δ = unary:4: its sampled trees
+    grow about twice wider per layer."""
+    spec = ArithmeticSpec.satint(7)
+    comb = Fnn((FnnLayer(((1, 1),), (0,), ("relu",)),))
+    out = Fnn((FnnLayer(((1,),), (1,), ("id",)),))
+    model = GnnModel(spec, (GnnLayer("sum", comb),) * layers, out, ("x1",), ("y1",))
+    return LvpInstance(model, (), (LinIneq((("y1", 1),), 1),), DeltaMode.unary(4))
+
+
+def test_an_oversized_tree_stops_growing_at_the_budget():
+    instance = deep_sum_instance(24)
+    start = time.monotonic()
+    _, ticks = falsify(instance, max_ticks=10_000)
+    assert time.monotonic() - start < 1.0
+    assert ticks <= 10_000
+    assert falsify(instance, max_ticks=10_000, deadline=time.monotonic() - 1) == (None, 0)
+
+
+def old_sample_tree(rng, instance, cap):
+    """The sampler's draws for one tree before they were split: the whole
+    tree, its labels and the point's redraws.  Returns the validated graph,
+    or None when the point failed L_in, with the tree's node count."""
+    model = instance.model
+    spec, features = model.spec, model.input_features
+    nodes, edges, frontier = ["v"], [], ["v"]
+    for _ in model.layers:
+        grown = []
+        for parent in frontier:
+            for i in range(1, rng.randint(0, cap) + 1):
+                child = f"v{i}" if parent == "v" else f"{parent}.{i}"
+                edges.append((parent, child))
+                grown.append(child)
+        nodes += grown
+        frontier = grown
+    labels = {n: {f: draw_payload(rng, spec) for f in features} for n in nodes}
+    point = labels["v"]
+    for _ in range(POINT_DRAWS):
+        if all(eval_linineq(q, point, spec) for q in instance.l_in):
+            return PointedGraph(LabeledGraph(spec, features, tuple(nodes), tuple(edges), labels), "v"), len(nodes)
+        point.update((f, draw_payload(rng, spec)) for f in features)
+    return None, len(nodes)
+
+
+def old_falsify(instance, max_ticks=None):
+    """Reference: evaluate every tree in draw order, keep the first of the
+    smallest hits.  An over-budget tree ends sampling even when its point
+    fails L_in: the one way bounded growth may change the result, since it
+    stops the tree before the point is drawn."""
+    model = instance.model
+    rng = instance_rng(instance)
+    cap = arity_cap(instance)
+    layers = len(model.layers)
+    ticks, best = 0, None
+    for _ in range(SAMPLES):
+        tree, size = old_sample_tree(rng, instance, cap)
+        cost = size * layers + 1
+        if max_ticks is not None and ticks + cost > max_ticks:
+            break
+        if tree is None:
+            continue
+        ticks += cost
+        outputs = gnn_eval(model, tree)
+        out_vals = dict(zip(model.output_features, (v.payload for v in outputs)))
+        if not all(eval_linineq(q, out_vals, model.spec) for q in instance.l_out):
+            if best is None or len(tree.graph.nodes) < len(best[0].graph.nodes):
+                best = (tree, outputs)
+    return best, ticks
+
+
+def test_smallest_first_matches_evaluating_every_tree():
+    rng = random.Random(909)
+    specs = (ArithmeticSpec.satint(3), ArithmeticSpec.fixed(8, 1), ArithmeticSpec.satint(7))
+    deltas = (DeltaMode.unary(1), DeltaMode.unary(3), DeltaMode.binary(5), DeltaMode.infinite())
+    hits = cut = 0
+    for i in range(240):
+        instance = random_instance(rng, specs[i % 3], deltas[i % 4])
+        full = old_falsify(instance)
+        assert falsify(instance) == full, i
+        hits += full[0] is not None
+        for budget in (full[1] - 1, rng.randint(0, full[1])):
+            old = old_falsify(instance, budget)
+            assert falsify(instance, budget) == old, (i, budget)
+            cut += old[1] < full[1]
+    assert hits >= 100 and cut >= 300
 
 
 def test_sampling_is_charged_to_the_tick_budget():

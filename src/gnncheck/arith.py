@@ -10,8 +10,11 @@ Two families of value sets are supported:
 Internally every value is a scaled integer payload; all operations are exact
 integer arithmetic followed by round-to-nearest (ties away from zero) and a
 clamp.  Besides the forward operations this module provides the inverse
-enumerators the tableau rules consume: every stream is lazy, deterministic
-and yields exactly the witnessing values.
+interval services the tableau prunes its candidates with
+(``act_preimage_interval``, ``mul_preimage``, ``add_preimage``,
+``sum_left_window``, ``div_preimage``), and, as public API, the inverse
+enumerators over ``Value``: every stream is lazy, deterministic and yields
+exactly the witnessing values.
 """
 
 from __future__ import annotations
@@ -244,25 +247,7 @@ class ArithmeticSpec:
 
     def act_preimage(self, name: str, k: int) -> Optional[tuple[int, int]]:
         """Payload interval {p : act(p) = k} or None if no preimage exists."""
-        m = self.max_payload
-        if name == "relu":
-            if k > 0:
-                return (k, k) if k <= m else None
-            if k == 0:
-                return (-m, 0)
-            return None
-        if name == "truncrelu":
-            one = self.one
-            if k == 0:
-                return (-m, 0)
-            if k == one:
-                return (one, m)
-            if 0 < k < one:
-                return (k, k)
-            return None
-        if name == "id":
-            return (k, k) if self.contains(k) else None
-        raise ConfigError(f"unknown activation {name!r}; known: {', '.join(ACTIVATIONS)}")
+        return self.act_preimage_interval(name, k, k)
 
     def act_preimage_interval(self, name: str, tlo: int, thi: int) -> Optional[tuple[int, int]]:
         """Payload interval {p : act(p) in [tlo, thi]} or None."""

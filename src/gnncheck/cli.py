@@ -218,11 +218,9 @@ def cmd_fuzz(args) -> int:
     return EXIT_POSITIVE if not disagreements else EXIT_NEGATIVE
 
 
-def _add_common(parser, with_arith=True, with_delta=True):
-    if with_arith:
-        parser.add_argument("--arith", help="arithmetic spec, satint:<a> or fixed:<bits>:<decimals>")
-    if with_delta:
-        parser.add_argument("--delta", help="arity bound: unary:<k>, binary:<k> or inf")
+def _add_common(parser, required=False):
+    parser.add_argument("--arith", required=required, help="arithmetic spec, satint:<a> or fixed:<bits>:<decimals>")
+    parser.add_argument("--delta", required=required, help="arity bound: unary:<k>, binary:<k> or inf")
     parser.add_argument("--time-limit", type=float, default=None, help="seconds before giving up (default: QGNN_TIME_LIMIT)")
     parser.add_argument(
         "--term-limit",
@@ -247,10 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sat", help="decide satisfiability of a formula")
     p.add_argument("formula", help="formula text or a file containing it")
-    _add_common(p)
+    _add_common(p, required=True)
     p.add_argument("--alpha", default="relu", choices=("relu", "truncrelu", "id"), help="activation the alpha token resolves to")
     p.add_argument("--emit-dot", help="write the model as DOT")
-    p.set_defaults(func=cmd_sat, require_arith=True, require_delta=True)
+    p.set_defaults(func=cmd_sat)
 
     p = sub.add_parser("compile", help="print the formula an LVP instance reduces to")
     p.add_argument("instance")
@@ -268,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     osub = oracle.add_subparsers(dest="oracle_command", required=True)
     p = osub.add_parser("sat", help="decide satisfiability by brute force")
     p.add_argument("formula")
-    _add_common(p)
+    _add_common(p, required=True)
     p.add_argument("--alpha", default="relu", choices=("relu", "truncrelu", "id"))
     p.add_argument("--depth", type=int, default=None, help="tree depth (defaults to the aggregation depth)")
     p.add_argument("--emit-dot", help="write the model as DOT")
-    p.set_defaults(func=cmd_oracle_sat, require_arith=True, require_delta=True)
+    p.set_defaults(func=cmd_oracle_sat)
 
     p = sub.add_parser("fuzz", help="differential test: tableau vs brute force")
     p.add_argument("--cases", type=int, default=100)
@@ -293,12 +291,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if getattr(args, "require_arith", False) and not args.arith:
-        print("error: --arith is required for this command", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "require_delta", False) and not args.delta:
-        print("error: --delta is required for this command", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except GnnCheckError as exc:

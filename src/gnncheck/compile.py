@@ -20,9 +20,6 @@ from .gnn import Fnn, GnnModel, LinIneq, LvpInstance
 @dataclass
 class CompiledInstance:
     formula: Formula
-    gnn_formula: int
-    input_features: tuple[str, ...]
-    output_features: tuple[str, ...]
 
 
 def _linear_chain(arena: Arena, terms: list[tuple[int, int]], bias: int) -> int:
@@ -92,9 +89,7 @@ def compile_lvp(instance: LvpInstance) -> CompiledInstance:
         conjuncts.append(arena.not_(arena.geq(arena.const(0), 0)))
     root = arena.conjoin(conjuncts)
     features = tuple(sorted(set(model.input_features) | set(outputs) | set(features_of((arena, root)))))
-    return CompiledInstance(
-        Formula(arena, root, features), phi_n, tuple(model.input_features), outputs
-    )
+    return CompiledInstance(Formula(arena, root, features))
 
 
 def compile_generalized(model: GnnModel, pre: Formula, post: Formula) -> CompiledInstance:
@@ -113,6 +108,4 @@ def compile_generalized(model: GnnModel, pre: Formula, post: Formula) -> Compile
     post_id = import_formula(arena, post.arena, post.root)
     root = arena.conjoin([pre_id, phi_n, arena.not_(post_id)])
     features = tuple(sorted(set(model.input_features) | set(outputs) | set(features_of((arena, root)))))
-    return CompiledInstance(
-        Formula(arena, root, features), phi_n, tuple(model.input_features), outputs
-    )
+    return CompiledInstance(Formula(arena, root, features))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .arith import ArithmeticSpec, Value
+from .arith import ArithmeticSpec
 from .errors import SchemaError, UsageError
 
 
@@ -68,9 +68,6 @@ class LabeledGraph:
             return self.labels[v][feature]
         except KeyError:
             raise UsageError(f"no feature {feature!r} at node {v!r}") from None
-
-    def label_value(self, v: str, feature: str) -> Value:
-        return Value(self.label_payload(v, feature), self.spec)
 
     def __eq__(self, other):
         return (

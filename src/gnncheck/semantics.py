@@ -102,12 +102,6 @@ def eval_payload(graph: LabeledGraph, node: str, arena: Arena, eid: int, _memo=N
     return memo[node, eid]
 
 
-def eval_expr(graph: LabeledGraph, node: str, arena: Arena, eid: int):
-    from .arith import Value
-
-    return Value(eval_payload(graph, node, arena, eid), arena.spec)
-
-
 def check(graph: LabeledGraph, node: str, f: Formula, fid: int | None = None) -> bool:
     """Truth of a formula at a pointed graph.
 

@@ -93,7 +93,7 @@ class _Memo(dict):
 
 
 class _State:
-    __slots__ = ("values", "arity", "bounds", "bools", "atoms", "obligations", "walks", "walked")
+    __slots__ = ("values", "arity", "bounds", "bools", "atoms", "obligations", "walks")
 
     # words are offsets and (word, expression) pairs store keys (see the
     # module docstring); the tables themselves belong to the _Search
@@ -105,7 +105,6 @@ class _State:
         self.atoms: list[tuple[int, int, bool]] = []
         self.obligations: dict[int, bool] = {}
         self.walks: list[tuple] = []  # (word, agg_eid, pos, acc)
-        self.walked: set[int] = set()
 
     def fork(self) -> "_State":
         child = _State.__new__(_State)
@@ -116,7 +115,6 @@ class _State:
         child.atoms = self.atoms.copy()
         child.obligations = self.obligations.copy()
         child.walks = self.walks.copy()
-        child.walked = self.walked.copy()
         return child
 
 
@@ -290,15 +288,19 @@ class _Search:
                 if not lo <= node[1] <= hi:
                     raise _Clash()
                 return True
-            if tag == "act":
-                pre = self.spec.act_preimage_interval(node[1], lo, hi)
-            elif tag == "scale" and node[1] != 0:
-                pre = self.spec.mul_preimage(node[1], lo, hi)
-            else:
+            if eid not in self.unary:
                 return True
+            pre = self._preimage(node, lo, hi)
             if pre is None:
                 raise _Clash()
             eid, (lo, hi) = node[2], pre
+
+    def _preimage(self, node, lo: int, hi: int) -> tuple[int, int] | None:
+        """Payload interval of the child values an act node or a non-zero
+        scale node maps into [lo, hi], or None."""
+        if node[0] == "act":
+            return self.spec.act_preimage_interval(node[1], lo, hi)
+        return self.spec.mul_preimage(node[1], lo, hi)
 
     def forward(self, st: _State, word: int, eid: int) -> int | None:
         """Evaluate an expression at a word from the store, memoizing results."""
@@ -526,7 +528,7 @@ class _Search:
             node = self.nodes[eid]
             tag = node[0]
             if tag == "act":
-                progress |= self._oblige_unary(st, key - eid, eid, node)
+                progress |= self._oblige_unary(st, key - eid, eid)
             elif tag == "scale":
                 if node[1] == 0:
                     # 0 * e is 0 whatever e evaluates to
@@ -535,42 +537,30 @@ class _Search:
                     del st.obligations[key]
                     progress = True
                     continue
-                progress |= self._oblige_unary(st, key - eid, eid, node)
+                progress |= self._oblige_unary(st, key - eid, eid)
             elif tag == "sum":
                 progress |= self._oblige_sum(st, key - eid, eid, node)
             else:  # agg
                 progress |= self._oblige_agg(st, key - eid, eid, node)
         return progress
 
-    def _oblige_unary(self, st: _State, word: int, eid: int, node) -> bool:
+    def _oblige_unary(self, st: _State, word: int, eid: int) -> bool:
         """act/scale: verify a known child, else force a unique preimage."""
         key = word + eid
-        target = st.values[key]
         child, memo = self.unary[eid]
         value = self.forward(st, word, child)
         if value is not None:
-            if memo[value] != target:
+            if memo[value] != st.values[key]:
                 raise _Clash()
             del st.obligations[key]
             return True
-        preimage = self._unary_preimage(node, target)
-        if preimage is None:
-            raise _Clash()
-        lo, hi = preimage
-        clo, chi = self.expr_range(st, word, child)
-        lo, hi = max(lo, clo), min(hi, chi)
+        _, lo, hi = self._window(st, key)
         if lo > hi:
             raise _Clash()
         if lo == hi:
             self.assign(st, word, child, lo)
             return True
         return False
-
-    def _unary_preimage(self, node, target: int):
-        """Payload interval of an act or scale node's child values that map to target."""
-        if node[0] == "act":
-            return self.spec.act_preimage(node[1], target)
-        return self.spec.mul_preimage(node[1], target, target)
 
     def _oblige_sum(self, st: _State, word: int, eid: int, node) -> bool:
         key = word + eid
@@ -606,7 +596,7 @@ class _Search:
         key = word + eid
         target = st.values[key]
         arity = st.arity.get(word)
-        if arity is None or key in st.walked:
+        if arity is None:
             return False
         kind, child = node[1], node[2]
         if arity == 0:
@@ -614,7 +604,6 @@ class _Search:
             if target != 0:
                 raise _Clash()
             del st.obligations[key]
-            st.walked.add(key)
             return True
         values = [self.forward(st, succ, child) for succ in self.successors(word, arity)[:arity]]
         if all(v is not None for v in values):
@@ -624,9 +613,7 @@ class _Search:
             if self.spec.fold_finish(kind, acc, arity) != target:
                 raise _Clash()
             del st.obligations[key]
-            st.walked.add(key)
             return True
-        st.walked.add(key)
         del st.obligations[key]
         st.walks.append((word, eid, 1, self.spec.fold_start(kind)))
         return True
@@ -663,7 +650,8 @@ class _Search:
 
     def _atom_stuck(self, st: _State, word: int, fid: int) -> bool:
         """True when assigning the atom's expression would hit a sum with two
-        unknown operands: guessing a value there cannot propagate."""
+        unknown operands: guessing a value there cannot propagate.  The atom
+        is open after saturation, so its expression is unknown."""
         eid = self.arena.formula(fid)[1]
         while True:
             node = self.nodes[eid]
@@ -671,8 +659,7 @@ class _Search:
             if tag in ("const", "feat", "agg"):
                 return False
             if tag in ("act", "scale"):
-                if self.forward(st, word, node[2]) is not None:
-                    return False
+                # an unknown act or scale node has an unknown child
                 eid = node[2]
                 continue
             left = self.forward(st, word, node[1])
@@ -693,17 +680,18 @@ class _Search:
         eid = key % self.stride
         word = key - eid
         leaf = self._first_unknown_leaf(st, word, eid)
-        invert_width = self._invert_width(st, key)
+        operand, lo, hi = self._window(st, key)
+        invert = ("invert", key, operand, lo, hi)
         if leaf is None:
-            return ("invert", key)
+            return invert
         if leaf[0] == "arity":
             leaf_width = self.arity_cap + 1
         else:
             leaf_width = self.spec.n_values
         # grounding collapses everything downstream of the leaf, backward
         # inversion tends to cascade; invert only when clearly narrower
-        if invert_width <= max(2, leaf_width // 64):
-            return ("invert", key)
+        if hi - lo + 1 <= max(2, leaf_width // 64):
+            return invert
         if leaf[0] == "arity":
             return ("arity", leaf[1])
         return ("ground", leaf[1], leaf[2])
@@ -737,25 +725,27 @@ class _Search:
                 stack += ((succ, node[2], True) for succ in reversed(succs))
         return None
 
-    def _invert_width(self, st: _State, key) -> int:
-        """Number of alternatives backward inversion of this obligation would try."""
+    def _window(self, st: _State, key: int) -> tuple[int, int, int]:
+        """Candidate interval (operand, lo, hi) of the backward inversion of
+        an act, scale or sum obligation, empty when lo > hi: for act and
+        scale, the child values that map to the target; for a sum, the left
+        operand values that some value of the right one completes.  Either
+        is cut to the operand's range."""
         eid = key % self.stride
         word = key - eid
         target = st.values[key]
         node = self.nodes[eid]
-        tag = node[0]
-        if tag in ("act", "scale"):
-            pre = self._unary_preimage(node, target)
-            if pre is None:
-                return 0
-            clo, chi = self.expr_range(st, word, node[2])
-            return max(0, min(pre[1], chi) - max(pre[0], clo) + 1)
-        alo, ahi = self.expr_range(st, word, node[1])
-        blo, bhi = self.expr_range(st, word, node[2])
-        window = self.spec.sum_left_window(target, blo, bhi)
-        if window is None:
-            return 0
-        return max(0, min(window[1], ahi) - max(window[0], alo) + 1)
+        if node[0] == "sum":
+            operand = node[1]
+            blo, bhi = self.expr_range(st, word, node[2])
+            pre = self.spec.sum_left_window(target, blo, bhi)
+        else:
+            operand = node[2]
+            pre = self._preimage(node, target, target)
+        if pre is None:
+            return operand, 1, 0
+        lo, hi = self.expr_range(st, word, operand)
+        return operand, max(pre[0], lo), min(pre[1], hi)
 
     def alternatives(self, st: _State, choice):
         """Deterministic candidate stream for a choice point."""
@@ -782,7 +772,7 @@ class _Search:
                         yield ("set", word, eid, v)
             return
         if kind == "invert":
-            yield from self._invert_alternatives(st, choice[1])
+            yield from self._invert_alternatives(st, *choice[1:])
             return
         if kind == "ground":
             _, word, eid = choice
@@ -803,34 +793,24 @@ class _Search:
         for a in range(0, cap + 1):
             yield ("set_arity", word, a)
 
-    def _invert_alternatives(self, st: _State, key):
+    def _invert_alternatives(self, st: _State, key: int, operand: int, lo: int, hi: int):
         eid = key % self.stride
         word = key - eid
-        target = st.values[key]
         node = self.nodes[eid]
-        tag = node[0]
-        if tag in ("act", "scale"):
-            child = node[2]
-            pre = self._unary_preimage(node, target)
-            if pre is None:
-                return
-            clo, chi = self.expr_range(st, word, child)
-            for v in range(max(pre[0], clo), min(pre[1], chi) + 1):
-                yield ("set", word, child, v)
+        if node[0] != "sum":
+            for v in range(lo, hi + 1):
+                yield ("set", word, operand, v)
             return
         # sum with two unknown operands: pick the left value, derive partners
-        a, b = node[1], node[2]
-        alo, ahi = self.expr_range(st, word, a)
+        target = st.values[key]
+        b = node[2]
         blo, bhi = self.expr_range(st, word, b)
-        window = self.spec.sum_left_window(target, blo, bhi)
-        if window is None:
-            return
-        for k1 in range(max(window[0], alo), min(window[1], ahi) + 1):
+        for k1 in range(lo, hi + 1):
             partners = self.spec.add_preimage(k1, target, target)
             if partners is None:
                 continue
             for k2 in range(max(partners[0], blo), min(partners[1], bhi) + 1):
-                yield ("set2", word, a, k1, b, k2)
+                yield ("set2", word, operand, k1, b, k2)
 
     def _walk_alternatives(self, st: _State):
         word, eid, pos, acc = st.walks[0]

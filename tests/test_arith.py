@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnncheck.arith import (
+    ACTIVATIONS,
     ArithmeticSpec,
     Ordering,
     Value,
@@ -391,6 +392,19 @@ class TestIntegerPreimages:
                         assert spec.mul_preimage(c, tlo, thi) == fraction_mul_preimage(spec, c, tlo, thi), (c, tlo, thi)
             for thi in values:
                 assert spec.mul_preimage(c, -m, thi) == fraction_mul_preimage(spec, c, -m, thi), (c, thi)
+
+    @pytest.mark.parametrize("spec", PREIMAGE_SPECS[:3], ids=lambda s: s.spec_string())
+    def test_act_preimages_exhaustive(self, spec):
+        values = list(spec.values_p())
+        for name in ACTIVATIONS:
+            images = [(p, spec.act_p(name, p)) for p in values]
+            for tlo in values:
+                for thi in values[values.index(tlo):]:
+                    want = [p for p, a in images if tlo <= a <= thi]
+                    want = (want[0], want[-1]) if want else None
+                    assert spec.act_preimage_interval(name, tlo, thi) == want, (name, tlo, thi)
+                    if tlo == thi:
+                        assert spec.act_preimage(name, tlo) == want, (name, tlo)
 
     @pytest.mark.parametrize("spec", PREIMAGE_SPECS, ids=lambda s: s.spec_string())
     def test_div_preimage_matches_fractions_exhaustive(self, spec):

@@ -137,6 +137,16 @@ class TestSat:
     def test_missing_arith_exits_2(self, capsys):
         assert main(["sat", "x1 >= 0", "--delta", "unary:1"]) == 2
 
+    @pytest.mark.parametrize("missing", ["--arith", "--delta"])
+    @pytest.mark.parametrize("command", [["sat"], ["oracle", "sat"]], ids=" ".join)
+    def test_missing_arith_or_delta_exits_2(self, command, missing, capsys):
+        argv = [*command, "x1 >= 0"]
+        for flag, value in (("--arith", "satint:3"), ("--delta", "unary:1")):
+            if flag != missing:
+                argv += [flag, value]
+        assert main(argv) == 2
+        assert missing in capsys.readouterr().err
+
     def test_syntax_error_exits_2(self, capsys):
         assert main(["sat", "x1 >=", "--arith", "satint:7", "--delta", "unary:1"]) == 2
         assert "error" in capsys.readouterr().err

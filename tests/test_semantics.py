@@ -9,7 +9,7 @@ from gnncheck.errors import UsageError
 from gnncheck.formula import features_of, parse, to_text
 from gnncheck.fuzz import random_formula
 from gnncheck.graph import LabeledGraph
-from gnncheck.semantics import Sat, Unknown, Unsat, brute_force_sat, check, eval_expr, eval_payload
+from gnncheck.semantics import Sat, Unknown, Unsat, brute_force_sat, check, eval_payload
 
 SAT15 = ArithmeticSpec.satint(15)
 FIX32_4 = ArithmeticSpec.fixed(32, 4)
@@ -41,7 +41,7 @@ class TestEvalExpr:
                        [{"x1": FIX32_4.parse_literal("250")}] * 4)
         f = parse("0.001*agg(x1) = 1.0", FIX32_4)
         expr = f.arena.formula(f.root)[1]
-        assert eval_expr(g, "u", f.arena, expr).payload == FIX32_4.parse_literal("1.0")
+        assert eval_payload(g, "u", f.arena, expr) == FIX32_4.parse_literal("1.0")
 
     def test_mean_divides_and_max_picks(self):
         g = star_graph(SAT15, ("x1",), {"x1": 0}, [{"x1": 3}, {"x1": 4}])

@@ -9,7 +9,8 @@ Two families of value sets are supported:
 
 Internally every value is a scaled integer payload; all operations are exact
 integer arithmetic followed by round-to-nearest (ties away from zero) and a
-clamp.  Besides the forward operations this module provides the inverse
+clamp.  Besides the forward operations and the aggregation fold with its
+interval hull over arities (``agg_hull``), this module provides the inverse
 interval services the tableau prunes its candidates with
 (``act_preimage_interval``, ``mul_preimage``, ``add_preimage``,
 ``sum_left_window``, ``div_preimage``), and, as public API, the inverse
@@ -198,6 +199,36 @@ class ArithmeticSpec:
         if kind == "mean":
             return self.div_p(acc, arity)
         return acc
+
+    def agg_hull(
+        self, kind: str, lo: int, hi: int, cap: int | None, weights: tuple[int, ...] | None = None
+    ) -> tuple[int, int]:
+        """Payload interval holding the aggregation's value over any 0..cap
+        successors (cap None: any number; weighted: at most one per weight)
+        whose values lie in [lo, hi].
+
+        Every fold step is monotone in the successor's value and arity 0 gives
+        0, so the interval is the hull over the arities of the folds of the
+        ends.  A saturated mean can fall below lo (satint:7: two successors
+        at 5 sum to 7, and div_p(7, 2) = 4), but never below min(lo, 0).
+        """
+        if cap == 0:
+            return (0, 0)
+        if kind == "sum":
+            m = self.max_payload
+            if cap is None:
+                return (-m if lo < 0 else 0, m if hi > 0 else 0)
+            return (min(0, self.clamp(cap * lo)), max(0, self.clamp(cap * hi)))
+        if kind != "weighted":  # max, mean
+            return (min(lo, 0), max(hi, 0))
+        acc_lo = acc_hi = out_lo = out_hi = 0
+        for w in weights[:cap]:
+            a, b = self.mul_p(w, lo), self.mul_p(w, hi)
+            if w < 0:
+                a, b = b, a
+            acc_lo, acc_hi = self.add_p(acc_lo, a), self.add_p(acc_hi, b)
+            out_lo, out_hi = min(out_lo, acc_lo), max(out_hi, acc_hi)
+        return (out_lo, out_hi)
 
     # -- literals ------------------------------------------------------------
 

@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
     result = verify_lvp(instance, _limits(args))
     as_json = args.output == "json"
     if isinstance(result, Valid):
-        print(json.dumps({"verdict": "valid"}) if as_json else "valid")
+        print(json.dumps({"verdict": "valid", "by": result.by}) if as_json else "valid")
         return EXIT_POSITIVE
     if isinstance(result, Invalid):
         graph = result.counterexample.graph

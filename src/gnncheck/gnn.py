@@ -1,10 +1,13 @@
-"""Quantized aggregate-combine GNNs: data model, forward evaluation, JSON I/O.
+"""Quantized aggregate-combine GNNs: data model, forward evaluation, interval
+bounds, JSON I/O.
 
 All numeric parameters are payloads of one arithmetic spec.  The affine
 accumulation inside an FNN layer is the left fold of saturating addition over
 weight*input products in input-index order, then the bias; the compiler
 unfolds formulas with the same chain so that logic and evaluation agree
-bit for bit.
+bit for bit.  ``gnn_bounds`` maps intervals through the same primitives,
+each of which is monotone, and ``valid_by_bounds`` proves an LVP instance
+valid when its output constraints hold on the whole output box.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from .arith import ArithmeticSpec, Value
+from .arith import ACTIVATIONS, ArithmeticSpec, Value
 from .errors import SchemaError, UsageError
 from .graph import PointedGraph
 
@@ -34,6 +37,9 @@ class FnnLayer:
         width = len(self.weights[0])
         if any(len(r) != width for r in self.weights):
             raise UsageError("ragged weight matrix")
+        unknown = [a for a in self.activations if a not in ACTIVATIONS]
+        if unknown:
+            raise UsageError(f"unknown activation {unknown[0]!r}; known: {', '.join(ACTIVATIONS)}")
 
     @property
     def input_dim(self) -> int:
@@ -213,6 +219,49 @@ def gnn_eval(model: GnnModel, pointed: PointedGraph) -> list[Value]:
     return [Value(p, spec) for p in out]
 
 
+Box = list[tuple[int, int]]
+
+
+def fnn_bounds(fnn: Fnn, box: Box, spec: ArithmeticSpec) -> Box:
+    """Interval of each output of the FNN over inputs in ``box``: every
+    primitive is monotone, so each end maps through it (a negative weight
+    swaps the ends of its product)."""
+    add_p, mul_p, act_p = spec.add_p, spec.mul_p, spec.act_p
+    for layer in fnn.layers:
+        nxt = []
+        for row, b, act in zip(layer.weights, layer.bias, layer.activations):
+            lo = hi = 0
+            for w, (xlo, xhi) in zip(row, box):
+                if w < 0:
+                    xlo, xhi = xhi, xlo
+                lo, hi = add_p(lo, mul_p(w, xlo)), add_p(hi, mul_p(w, xhi))
+            nxt.append((act_p(act, add_p(lo, b)), act_p(act, add_p(hi, b))))
+        box = nxt
+    return box
+
+
+def gnn_bounds(model: GnnModel, point: Box, delta: DeltaMode) -> Box:
+    """Interval of each output at a point whose input features lie in
+    ``point``, over every graph whose nodes have at most δ successors.
+
+    Two boxes go through the layers: the point's, and one that holds every
+    node's state (the point's own, successors', on cycles and self-loops),
+    which starts at [-M, M].  Layer l maps the point box through
+    comb(point ++ agg(any)) and the any-node box through comb(any ++ agg(any)),
+    where agg is ``ArithmeticSpec.agg_hull`` over arities 0..δ.
+    """
+    spec = model.spec
+    m = spec.max_payload
+    anywhere = [(-m, m)] * model.input_dim
+    last = len(model.layers) - 1
+    for l, layer in enumerate(model.layers):
+        agg = [spec.agg_hull(layer.agg_kind, lo, hi, delta.value, layer.agg_weights) for lo, hi in anywhere]
+        point = fnn_bounds(layer.comb, point + agg, spec)
+        if l < last:  # the last layer's any-node box is read by nothing
+            anywhere = fnn_bounds(layer.comb, anywhere + agg, spec)
+    return fnn_bounds(model.out, point, spec)
+
+
 # -- linear constraint systems and LVP instances -------------------------------
 
 
@@ -292,6 +341,46 @@ class LvpInstance:
             bad = set(ineq.variables()) - out_names
             if bad:
                 raise UsageError(f"output constraints mention unknown variables {sorted(bad)}")
+
+
+def input_box(instance: LvpInstance) -> Box | None:
+    """Interval of each input feature at a point that meets L_in, or None when
+    none does.  Only single-variable inequalities c*x >= k narrow the box
+    (to ``mul_preimage(c, k, M)``); the others are left out, which is sound."""
+    spec = instance.model.spec
+    m = spec.max_payload
+    box = dict.fromkeys(instance.model.input_features, (-m, m))
+    for q in instance.l_in:
+        if len(q.coeffs) != 1:
+            continue
+        ((var, c),) = q.coeffs
+        pre = spec.mul_preimage(c, q.const, m)
+        if pre is None:
+            return None
+        lo, hi = max(box[var][0], pre[0]), min(box[var][1], pre[1])
+        if lo > hi:
+            return None
+        box[var] = (lo, hi)
+    return list(box.values())
+
+
+def valid_by_bounds(instance: LvpInstance) -> bool:
+    """True when every output inequality holds at every point of the output
+    box (``gnn_bounds`` over ``input_box``), or no point meets L_in: then the
+    instance is valid.  False says nothing."""
+    point = input_box(instance)
+    if point is None:
+        return True
+    model, spec = instance.model, instance.model.spec
+    box = dict(zip(model.output_features, gnn_bounds(model, point, instance.delta)))
+    for q in instance.l_out:
+        acc = 0  # the least value of the left-hand side over the box
+        for var, c in q.coeffs:
+            lo, hi = box[var]
+            acc = spec.add_p(acc, spec.mul_p(c, lo if c >= 0 else hi))
+        if acc < q.const:
+            return False
+    return True
 
 
 # -- JSON schemas ---------------------------------------------------------------

@@ -25,8 +25,10 @@ the arity modes differ only in the arity cap.
 The search's work is counted in ticks: one per branch alternative tried, one
 per value assigned, and one per value newly derived into the store by forward
 evaluation.  ``SolveLimits.max_terms`` bounds the ticks.  ``verify_lvp``
-first samples counterexamples (``gnncheck.falsify``) at a fixed price of
-nodes × layers + 1 ticks per sampled tree, and the tableau gets the ticks left.
+first tries to prove the instance valid from interval bounds of the network's
+outputs (``gnn.valid_by_bounds``), free of ticks.  Failing that, it samples
+counterexamples (``gnncheck.falsify``) at a fixed price of nodes × layers + 1
+ticks per sampled tree, and the tableau gets the ticks left.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .compile import CompiledInstance, compile_lvp
 from .errors import UsageError
 from .falsify import falsify
 from .formula import Arena, Formula
-from .gnn import DeltaMode, LvpInstance, eval_linineq, gnn_eval
+from .gnn import DeltaMode, LvpInstance, eval_linineq, gnn_eval, valid_by_bounds
 from .graph import LabeledGraph, PointedGraph
 from .semantics import Sat, Unknown, Unsat, Verdict, check
 
@@ -57,7 +59,7 @@ class SolveLimits:
 
 @dataclass
 class Valid:
-    pass
+    by: str  # the stage that proved it: "bounds" or "tableau"
 
 
 @dataclass
@@ -987,12 +989,18 @@ def solve(formula: Formula, delta: DeltaMode, limits: SolveLimits | None = None)
 def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpVerdict:
     """Valid when the compiled formula is unsatisfiable, else a counterexample.
 
-    A counterexample search by sampling (``falsify``) runs first and the
-    tableau gets the ticks it leaves.  Either way, a counterexample is checked
-    by ``gnn_eval`` and by the formula semantics before it is returned.
+    An interval pass over the network (``valid_by_bounds``) runs first: when
+    L_out holds on the whole output box the instance is ``Valid("bounds")``,
+    with nothing compiled, sampled or searched and no ticks charged.  Then a
+    counterexample search by sampling (``falsify``) runs, and the tableau
+    gets the ticks it leaves; its ``Unsat`` is ``Valid("tableau")``.  Either
+    way, a counterexample is checked by ``gnn_eval`` and by the formula
+    semantics before it is returned.
     """
     limits = limits or SolveLimits()
     deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
+    if valid_by_bounds(instance):
+        return Valid("bounds")
     compiled = compile_lvp(instance)
     hit, ticks = falsify(instance, limits.max_terms, deadline)
     if hit is not None:
@@ -1006,7 +1014,7 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
     if isinstance(verdict, Unknown):
         return verdict
     if isinstance(verdict, Unsat):
-        return Valid()
+        return Valid("tableau")
     model = verdict.model
     inputs = tuple(instance.model.input_features)
     graph = model.graph

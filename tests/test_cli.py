@@ -12,6 +12,8 @@ from gnncheck.cli import main
 from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnModel, LinIneq, LvpInstance, lvp_to_json, gnn_to_json
 from gnncheck.graph import save_json
 
+from test_falsify import positive_instance, relational_instance
+
 from conftest import (
     message_counterexample,
     message_instance,
@@ -60,6 +62,24 @@ class TestVerify:
         assert doc["verdict"] == "invalid"
         assert "nodes" in doc["counterexample"]
         assert set(doc["outputs"]) == {"y1", "y2", "y3"}
+
+    @pytest.mark.parametrize("fixture, by", [(positive_instance, "bounds"), (relational_instance, "tableau")])
+    def test_json_output_names_the_stage_that_proved_valid(self, tmp_path, capsys, fixture, by):
+        path = tmp_path / "valid.json"
+        path.write_text(json.dumps(lvp_to_json(fixture())))
+        assert main(["verify", str(path), "--output", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"verdict": "valid", "by": by}
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out == "valid\n"
+
+    def test_unknown_activation_exits_2_naming_its_path(self, tmp_path, capsys):
+        doc = lvp_to_json(positive_instance())
+        doc["gnn"]["layers"][0]["comb"]["activation"] = ["sigmoid"]
+        path = tmp_path / "sigmoid.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "$.layers[0].comb" in err and "unknown activation 'sigmoid'" in err
 
     def test_emit_dot(self, supp_files, tmp_path, capsys):
         lvp, _, _ = supp_files

@@ -150,8 +150,25 @@ def positive_instance():
     return LvpInstance(model, (), (LinIneq((("y1", 1),), 1),), DeltaMode.unary(2))
 
 
+def relational_instance():
+    """y1 = relu(x1) - x1 >= 0 at every point: valid, but only through the
+    relation between the two terms.  Interval bounds lose it (y1's box is
+    [-7, 7]), so the sampler and then the tableau decide it."""
+    spec = ArithmeticSpec.satint(7)
+    comb = Fnn((FnnLayer(((1, 0), (1, 0)), (0, 0), ("relu", "id")),))
+    out = Fnn((FnnLayer(((1, -1),), (0,), ("id",)),))
+    model = GnnModel(spec, (GnnLayer("sum", comb),), out, ("x1",), ("y1",))
+    return LvpInstance(model, (), (LinIneq((("y1", 1),), 0),), DeltaMode.unary(2))
+
+
+def test_bounds_prove_positive_instance_before_any_sampling(monkeypatch):
+    evaluated = recording_eval(monkeypatch)
+    assert verify_lvp(positive_instance(), SolveLimits(max_terms=0)) == Valid("bounds")
+    assert evaluated == []
+
+
 def test_doctored_hit_trips_the_cross_check(monkeypatch):
-    instance = positive_instance()
+    instance = relational_instance()
     assert isinstance(verify_lvp(instance), Valid)
 
     def doctored(model, pointed):
@@ -298,7 +315,7 @@ def test_sampling_is_charged_to_the_tick_budget():
 
 
 def test_tableau_gets_the_ticks_sampling_leaves():
-    instance = positive_instance()
+    instance = relational_instance()
     _, sampled = falsify(instance)
     search = _Search(compile_lvp(instance).formula, instance.delta, SolveLimits())
     assert search.attempt(search.root_state()) is None

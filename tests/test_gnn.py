@@ -228,6 +228,15 @@ class TestJson:
             gnn_from_json(doc)
         assert "weights" in str(err.value)
 
+    def test_unknown_activation_is_a_schema_error_at_load(self):
+        doc = gnn_to_json(two_layer_model())
+        doc["layers"][0]["comb"]["activation"] = ["sigmoid"] * len(doc["layers"][0]["comb"]["bias"])
+        with pytest.raises(SchemaError, match="unknown activation 'sigmoid'") as err:
+            gnn_from_json(doc)
+        assert err.value.path == "$.layers[0].comb"
+        with pytest.raises(UsageError, match="unknown activation"):
+            FnnLayer(((1,),), (0,), ("sigmoid",))
+
     def test_shared_feature_name_rejected(self):
         # an output named like an input became the same formula feature, and
         # y1 = x1 + 1 >= 0 under x1 >= -7 was reported valid

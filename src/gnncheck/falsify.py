@@ -2,14 +2,16 @@
 
 ``falsify`` draws ``SAMPLES`` random pointed trees for an LVP instance and
 returns, among those whose outputs under ``gnn_eval`` violate L_out, the
-first with the fewest nodes.  It draws every tree first, then builds and
-evaluates them smallest first, and stops at the first hit: no tree larger
-than the answer is evaluated.  A tree is as deep as the network has
-layers (deeper nodes cannot reach the point's output), and each node has at
-most ``arity_cap`` successors.  Labels favour the values where saturating
-arithmetic turns: 0, ±one, ±M and small multiples of one, next to uniform
-draws from the whole domain.  The point's label is drawn again until it
-satisfies L_in.
+first with the fewest nodes.  A tree of one node, the point alone, is
+evaluated as soon as it is drawn, and a hit there ends the sampling: no
+later tree can be smaller.  The larger trees are kept until every tree is
+drawn, then built and evaluated smallest first up to the first hit, so the
+trees evaluated, and their order, are those of evaluating every drawn tree
+smallest first.  A tree is as deep as the network has layers (deeper nodes
+cannot reach the point's output), and each node has at most ``arity_cap``
+successors.  Labels favour the values where saturating arithmetic turns: 0,
+±one, ±M and small multiples of one, next to uniform draws from the whole
+domain.  The point's label is drawn again until it satisfies L_in.
 
 The draws come from a ``random.Random`` seeded by a sha256 of the instance's
 JSON, so an instance always gets the same trees, whatever PYTHONHASHSEED is.
@@ -17,9 +19,11 @@ The search is charged to the caller's tick budget at a fixed price per
 drawn tree: its nodes times the layers, plus one for the output network.
 The price is not a count of evaluations (trees past the first hit are not
 evaluated, and ``gnn_eval`` skips the nodes that cannot reach the point's
-output), so the ticks an instance pays do not depend on whether or where a
-sample hits, while its wall time does.  A tree that grows past the ticks
-left ends the sampling as soon as a layer shows it.
+output).  Without a hit, or with a hit of more than one node, every tree is
+drawn and charged, so the ticks left to the tableau do not depend on the
+samples' outputs; a one-node hit is charged only the trees drawn up to it.
+A tree that grows past the ticks left ends the sampling as soon as a layer
+shows it.
 """
 
 from __future__ import annotations
@@ -34,12 +38,12 @@ from .arith import ArithmeticSpec, Value
 from .gnn import LvpInstance, eval_linineq, lvp_to_json
 from .graph import LabeledGraph, PointedGraph
 
-# Samples per instance.  Every one is drawn and charged, even after a hit:
-# a later, smaller tree makes a more readable counterexample, and the ticks
-# left to the tableau do not depend on where a sample hits.  Only the trees
-# up to the first smallest hit are evaluated, so an instance without a hit
-# pays the most wall time, about a few hundred tableau ticks' worth per
-# sample, and the number stays small.
+# Samples per instance.  Every one is drawn and charged unless a one-node
+# tree hits: after a larger hit a later, smaller tree makes a more readable
+# counterexample, and when nothing hits the tableau gets the ticks left
+# after all of them.  Only the trees up to the first smallest hit are
+# evaluated, so an instance without a hit pays the most wall time, about a
+# few hundred tableau ticks' worth per sample, and the number stays small.
 SAMPLES = 32
 # Successors per node when the arity bound allows more: trees grow as this
 # number to the power of the layer count.
@@ -144,17 +148,17 @@ def falsify(instance: LvpInstance, max_ticks: int | None = None, deadline: float
     """Search for a tree whose outputs violate L_out.
 
     Returns the smallest counterexample drawn (the first of the smallest)
-    with its outputs, or None, and the ticks spent.  Every tree is drawn
-    and charged first; then the trees are built and evaluated smallest
-    first, in draw order among equals, up to the first hit.  Sampling stops
-    before a tree whose price would take the ticks past ``max_ticks`` (as
-    soon as its growth shows it), and once ``time.monotonic()`` passes
-    ``deadline``.
+    with its outputs, or None, and the ticks spent.  A one-node tree is
+    evaluated when it is drawn, and a hit there returns at once, charged
+    the trees drawn so far.  The larger trees are drawn and charged first;
+    then they are built and evaluated smallest first, in draw order among
+    equals, up to the first hit.  Sampling stops before a tree whose price
+    would take the ticks past ``max_ticks`` (as soon as its growth shows
+    it), and once ``time.monotonic()`` passes ``deadline``.
     """
-    model = instance.model
     rng = instance_rng(instance)
     cap = arity_cap(instance)
-    layers = len(model.layers)
+    layers = len(instance.model.layers)
     ticks = 0
     drawn = []
     for _ in range(SAMPLES):
@@ -166,16 +170,34 @@ def falsify(instance: LvpInstance, max_ticks: int | None = None, deadline: float
         if labels is None:
             continue
         ticks += price(len(nodes), layers)
-        drawn.append((nodes, edges, labels))
+        if len(nodes) > 1:
+            drawn.append((nodes, edges, labels))
+            continue
+        # the smallest-first pass would evaluate this tree before every
+        # larger one and after the one-node trees drawn before it, and no
+        # later tree can be smaller: a hit here is its answer
+        if deadline is not None and time.monotonic() > deadline:
+            return None, ticks
+        hit = _violation(instance, pointed_tree(instance, nodes, edges, labels))
+        if hit is not None:
+            return hit, ticks
     drawn.sort(key=lambda tree: len(tree[0]))  # stable: draw order among equals
     for nodes, edges, labels in drawn:
         if deadline is not None and time.monotonic() > deadline:
             break
-        tree = pointed_tree(instance, nodes, edges, labels)
-        # through the module attribute, so that a wrapper installed on
-        # gnn.gnn_eval (a profiler, lvpbench's tracer) sees the call
-        outputs = gnn.gnn_eval(model, tree)
-        out_vals = dict(zip(model.output_features, (v.payload for v in outputs)))
-        if not all(eval_linineq(q, out_vals, model.spec) for q in instance.l_out):
-            return (tree, outputs), ticks
+        hit = _violation(instance, pointed_tree(instance, nodes, edges, labels))
+        if hit is not None:
+            return hit, ticks
     return None, ticks
+
+
+def _violation(instance: LvpInstance, tree: PointedGraph) -> Hit | None:
+    """The tree with its outputs when they violate L_out, else None."""
+    model = instance.model
+    # through the module attribute, so that a wrapper installed on
+    # gnn.gnn_eval (a profiler, lvpbench's tracer) sees the call
+    outputs = gnn.gnn_eval(model, tree)
+    out_vals = dict(zip(model.output_features, (v.payload for v in outputs)))
+    if all(eval_linineq(q, out_vals, model.spec) for q in instance.l_out):
+        return None
+    return tree, outputs

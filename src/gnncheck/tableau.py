@@ -993,9 +993,10 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
     L_out holds on the whole output box the instance is ``Valid("bounds")``,
     with nothing compiled, sampled or searched and no ticks charged.  Then a
     counterexample search by sampling (``falsify``) runs, and the tableau
-    gets the ticks it leaves; its ``Unsat`` is ``Valid("tableau")``.  Either
-    way, a counterexample is checked by ``gnn_eval`` and by the formula
-    semantics before it is returned.
+    gets the ticks it leaves, under δ capped as ``gnn_eval`` caps arities;
+    its ``Unsat`` is ``Valid("tableau")``.  Either way, a counterexample is
+    checked by ``gnn_eval`` and by the formula semantics before it is
+    returned.
     """
     limits = limits or SolveLimits()
     deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
@@ -1010,7 +1011,7 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
         max_terms=None if limits.max_terms is None else limits.max_terms - ticks,
         max_arity=limits.max_arity,
     )
-    verdict = solve(compiled.formula, instance.delta, rest)
+    verdict = solve(compiled.formula, _network_delta(instance), rest)
     if isinstance(verdict, Unknown):
         return verdict
     if isinstance(verdict, Unsat):
@@ -1023,6 +1024,18 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
         LabeledGraph(instance.model.spec, inputs, graph.nodes, graph.edges, labels), model.point
     )
     return _checked_invalid(instance, compiled, projected, gnn_eval(instance.model, projected))
+
+
+def _network_delta(instance: LvpInstance) -> DeltaMode:
+    """The instance's δ, capped at the fewest weights of any weighted layer:
+    ``gnn_eval`` rejects a node with more successors than that, so no
+    counterexample has one.  A capped ``inf`` becomes ``binary``, which the
+    tableau, as for ``inf``, also bounds by its own combinatorial cap."""
+    delta = instance.delta
+    counts = [len(layer.agg_weights) for layer in instance.model.layers if layer.agg_weights is not None]
+    if not counts or (delta.value is not None and delta.value <= min(counts)):
+        return delta
+    return DeltaMode("binary" if delta.kind == "inf" else delta.kind, min(counts))
 
 
 def _checked_invalid(instance: LvpInstance, compiled: CompiledInstance, pointed: PointedGraph, outputs: list[Value]) -> Invalid:

@@ -187,23 +187,40 @@ def test_oracle_never_satisfies_a_precheck_valid():
     assert proved >= 100 and unsat == proved
 
 
-def test_weighted_cap_is_per_layer():
-    """A node that evaluates only a sum layer may have more successors than a
-    later weighted layer has weights: min(δ, that count) must not bound it."""
+def sum_sum_weighted_model():
+    """y1 is the sum of t = truncrelu(x1), in [0, 1], over the successors of
+    the point's one successor that its weighted(1) layer reads."""
     spec = ArithmeticSpec.satint(7)
-    own = Fnn((FnnLayer(((1, 0),), (0,), ("truncrelu",)),))  # t = truncrelu(x) in [0, 1]
+    own = Fnn((FnnLayer(((1, 0),), (0,), ("truncrelu",)),))
     aggregated = Fnn((FnnLayer(((0, 1),), (0,), ("id",)),))
-    model = GnnModel(
+    return GnnModel(
         spec,
         (GnnLayer("sum", own), GnnLayer("sum", aggregated), GnnLayer("weighted", aggregated, (1,))),
         Fnn((FnnLayer(((1,),), (0,), ("id",)),)),
         ("x1",),
         ("y1",),
     )
-    # y1 is the sum of t over the point's first successor's successors: up to 3
+
+
+def test_weighted_cap_is_per_layer():
+    """A node that evaluates only a sum layer may have more successors than a
+    later weighted layer has weights: min(δ, that count) must not bound it."""
+    model = sum_sum_weighted_model()
+    # y1 is up to 3 when the successor may have 3 successors
     instance = LvpInstance(model, (), (LinIneq((("y1", -1),), -1),), DeltaMode.unary(3))
     assert gnn_bounds(model, input_box(instance), instance.delta) == [(0, 3)]
     assert not valid_by_bounds(instance)
+
+
+def test_the_tableau_gives_no_node_more_successors_than_weights():
+    """gnn_eval, and so the oracle, give no node more successors than the
+    weighted layer's one weight, so y1 <= 1 holds; the tableau must not
+    return a model whose successor has two."""
+    model = sum_sum_weighted_model()
+    for delta in (DeltaMode.unary(3), DeltaMode.binary(3), DeltaMode.infinite()):
+        instance = LvpInstance(model, (), (LinIneq((("y1", -1),), -1),), delta)
+        assert verify_lvp(instance, SolveLimits(max_terms=100_000)) == Valid("tableau"), delta
+    assert isinstance(brute_force_sat(compile_lvp(instance).formula, 3), Unsat)
 
 
 def test_vacuous_and_proved_instances_are_valid_by_bounds():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import gnncheck
+from gnncheck import falsify as falsify_mod
 from gnncheck import gnn as gnn_mod
 from gnncheck.arith import ArithmeticSpec, Value
 from gnncheck.compile import compile_lvp
@@ -20,9 +21,13 @@ from gnncheck.falsify import (
     POINT_DRAWS,
     SAMPLES,
     arity_cap,
+    draw_labels,
     draw_payload,
     falsify,
+    grow_tree,
     instance_rng,
+    pointed_tree,
+    price,
     sample_tree,
 )
 from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnLayer, GnnModel, LinIneq, LvpInstance, eval_linineq, gnn_eval
@@ -194,18 +199,41 @@ def recording_eval(monkeypatch, outputs=None):
     return evaluated
 
 
-def test_sampling_draws_every_tree_and_keeps_the_smallest_hit(monkeypatch):
+def test_sampling_keeps_the_smallest_hit_and_stops_drawing_at_a_one_node_hit(monkeypatch):
     instance = positive_instance()
-    _, unhit_ticks = falsify(instance)
     evaluated = recording_eval(monkeypatch, lambda model: [Value(-1, model.spec)])
     hit, ticks = falsify(instance)
-    assert ticks == unhit_ticks  # every sample hits, and none ends the sampling
     rng = instance_rng(instance)
     trees = [sample_tree(rng, instance, arity_cap(instance)) for _ in range(SAMPLES)]
     sizes = [len(t.graph.nodes) for t in trees]
-    assert max(sizes) > min(sizes)
-    assert hit[0] == trees[sizes.index(min(sizes))]
+    first = sizes.index(1)
+    assert first > 0  # a larger tree is drawn before it
+    assert hit[0] == trees[first]
+    # every sample hits, so the sampling ends at the first one-node tree
+    assert ticks == sum(price(n, len(instance.model.layers)) for n in sizes[: first + 1])
     assert evaluated == [hit[0]]  # the larger trees are never evaluated
+
+
+def test_a_one_node_hit_on_the_first_draw_grows_no_other_tree(monkeypatch):
+    """y1 = relu(x1 + relu(x1 + Σ)) >= 1 fails at a lone point with x1 <= 0,
+    the first tree this instance draws."""
+    spec = ArithmeticSpec.satint(7)
+    comb = Fnn((FnnLayer(((1, 1),), (0,), ("relu",)),))
+    out = Fnn((FnnLayer(((1,),), (0,), ("id",)),))
+    model = GnnModel(spec, (GnnLayer("sum", comb),) * 2, out, ("x1",), ("y1",))
+    instance = LvpInstance(model, (), (LinIneq((("y1", 1),), 1),), DeltaMode.unary(3))
+    first = sample_tree(instance_rng(instance), instance, arity_cap(instance))
+    assert first.graph.nodes == ("v",)
+    grown = []
+
+    def counted(*args):
+        grown.append(grow_tree(*args))
+        return grown[-1]
+
+    monkeypatch.setattr(falsify_mod, "grow_tree", counted)
+    evaluated = recording_eval(monkeypatch)
+    assert falsify(instance) == ((first, [Value(0, spec)]), price(1, 2))
+    assert len(grown) == 1 and evaluated == [first]
 
 
 def test_without_a_hit_every_drawn_tree_is_evaluated_once_smallest_first(monkeypatch):
@@ -264,9 +292,10 @@ def old_sample_tree(rng, instance, cap):
 
 def old_falsify(instance, max_ticks=None):
     """Reference: evaluate every tree in draw order, keep the first of the
-    smallest hits.  An over-budget tree ends sampling even when its point
-    fails L_in: the one way bounded growth may change the result, since it
-    stops the tree before the point is drawn."""
+    smallest hits, and stop at a one-node hit, which no later tree can beat.
+    An over-budget tree ends sampling even when its point fails L_in: the
+    one way bounded growth may change the result, since it stops the tree
+    before the point is drawn."""
     model = instance.model
     rng = instance_rng(instance)
     cap = arity_cap(instance)
@@ -285,24 +314,76 @@ def old_falsify(instance, max_ticks=None):
         if not all(eval_linineq(q, out_vals, model.spec) for q in instance.l_out):
             if best is None or len(tree.graph.nodes) < len(best[0].graph.nodes):
                 best = (tree, outputs)
+            if size == 1:
+                break
     return best, ticks
 
 
-def test_smallest_first_matches_evaluating_every_tree():
+def smallest_first_falsify(instance, max_ticks=None):
+    """Reference: draw and charge every tree, then evaluate them smallest
+    first, in draw order among equals, up to the first hit."""
+    model = instance.model
+    rng = instance_rng(instance)
+    cap = arity_cap(instance)
+    layers = len(model.layers)
+    ticks, drawn = 0, []
+    for _ in range(SAMPLES):
+        shape = grow_tree(rng, layers, cap, None if max_ticks is None else max_ticks - ticks)
+        if shape is None:
+            break
+        nodes, edges = shape
+        labels = draw_labels(rng, instance, nodes)
+        if labels is None:
+            continue
+        ticks += price(len(nodes), layers)
+        drawn.append((nodes, edges, labels))
+    drawn.sort(key=lambda tree: len(tree[0]))
+    for nodes, edges, labels in drawn:
+        tree = pointed_tree(instance, nodes, edges, labels)
+        outputs = gnn_mod.gnn_eval(model, tree)
+        out_vals = dict(zip(model.output_features, (v.payload for v in outputs)))
+        if not all(eval_linineq(q, out_vals, model.spec) for q in instance.l_out):
+            return (tree, outputs), ticks
+    return None, ticks
+
+
+def comparison_cases():
+    """240 random instances, each with no budget and two that may cut its
+    sampling short: one tick below its full price, and a random one."""
     rng = random.Random(909)
     specs = (ArithmeticSpec.satint(3), ArithmeticSpec.fixed(8, 1), ArithmeticSpec.satint(7))
     deltas = (DeltaMode.unary(1), DeltaMode.unary(3), DeltaMode.binary(5), DeltaMode.infinite())
-    hits = cut = 0
     for i in range(240):
         instance = random_instance(rng, specs[i % 3], deltas[i % 4])
+        full = falsify(instance)[1]
+        yield i, instance, (None, full - 1, rng.randint(0, full))
+
+
+def test_smallest_first_matches_evaluating_every_tree():
+    hits = cut = 0
+    for i, instance, budgets in comparison_cases():
         full = old_falsify(instance)
-        assert falsify(instance) == full, i
         hits += full[0] is not None
-        for budget in (full[1] - 1, rng.randint(0, full[1])):
+        for budget in budgets:
             old = old_falsify(instance, budget)
             assert falsify(instance, budget) == old, (i, budget)
             cut += old[1] < full[1]
     assert hits >= 100 and cut >= 300
+
+
+def test_the_early_stop_evaluates_the_trees_of_the_smallest_first_pass(monkeypatch):
+    evaluated = recording_eval(monkeypatch)
+    stopped = 0
+    for i, instance, budgets in comparison_cases():
+        for budget in budgets:
+            evaluated.clear()
+            hit, ticks = falsify(instance, budget)
+            ours = evaluated[:]
+            evaluated.clear()
+            reference = smallest_first_falsify(instance, budget)
+            assert hit == reference[0] and evaluated == ours, (i, budget)
+            stopped += ticks < reference[1]
+    assert stopped >= 100
 
 
 def test_sampling_is_charged_to_the_tick_budget():
@@ -353,108 +434,109 @@ def test_hits_replay_and_never_meet_an_oracle_unsat():
 # sha256 of its JSON, ticks spent) for each instance of sampler_results, or
 # None in the first three places when nothing was hit.  Generated while
 # gnn_eval still evaluated every node at every layer: the draws, their order
-# and the price of a tree must not depend on what the evaluator skips.
+# and the price of a tree must not depend on what the evaluator skips.  The
+# ticks of a one-node hit are the price of the trees drawn up to it.
 SAMPLER_GOLDEN = [
     (None, None, None, 191),
-    (1, [-1], '2af39d51f9e3df5e', 389),
-    (1, [-3], '3e6be5d7d66056db', 106),
-    (1, [1], '5108985dcc60bd3a', 32),
-    (1, [2], '859526904783eb98', 148),
-    (1, [-3], 'c7f4326143de274a', 244),
+    (1, [-1], '2af39d51f9e3df5e', 4),
+    (1, [-3], '3e6be5d7d66056db', 95),
+    (1, [1], '5108985dcc60bd3a', 1),
+    (1, [2], '859526904783eb98', 15),
+    (1, [-3], 'c7f4326143de274a', 5),
     (None, None, None, 32),
     (None, None, None, 616),
     (None, None, None, 206),
-    (1, [-2], '1ad3dee26ebde290', 31),
+    (1, [-2], '1ad3dee26ebde290', 1),
     (None, None, None, 748),
-    (1, [-2], '4b983455c2f8610e', 366),
-    (1, [-6], '1ad3dee26ebde290', 32),
+    (1, [-2], '4b983455c2f8610e', 3),
+    (1, [-6], '1ad3dee26ebde290', 2),
     (None, None, None, 676),
-    (1, [-3], '4b983455c2f8610e', 263),
+    (1, [-3], '4b983455c2f8610e', 5),
     (None, None, None, 4092),
-    (1, [-1], '6fc3c9567f47d52a', 152),
+    (1, [-1], '6fc3c9567f47d52a', 22),
     (4, [-1], 'c08790b401bf873c', 244),
-    (1, [-1], '4b983455c2f8610e', 228),
-    (1, [-409], 'a1c7846c576fb411', 32),
-    (1, [-2], '638c1c0df318fca6', 32),
-    (1, [-2], 'c7f4326143de274a', 32),
-    (1, [-1], 'e190c3bc2bb89559', 116),
-    (1, [1], '4b983455c2f8610e', 32),
+    (1, [-1], '4b983455c2f8610e', 25),
+    (1, [-409], 'a1c7846c576fb411', 11),
+    (1, [-2], '638c1c0df318fca6', 1),
+    (1, [-2], 'c7f4326143de274a', 1),
+    (1, [-1], 'e190c3bc2bb89559', 12),
+    (1, [1], '4b983455c2f8610e', 1),
     (None, None, None, 32),
     (None, None, None, 736),
-    (1, [-2], '50d29b9c1ae83214', 114),
+    (1, [-2], '50d29b9c1ae83214', 7),
     (None, None, None, 140),
     (None, None, None, 203),
     (3, [-2], 'a1af89f4eb87f61d', 238),
     (None, None, None, 2200),
     (None, None, None, 5416),
     (None, None, None, 86),
-    (1, [-7], 'dfd1b788566c3560', 32),
-    (1, [1], '87f2e174bf72d428', 104),
-    (1, [-2], 'e8263456efdda81b', 483),
-    (1, [-1], 'b263ac919291eaf8', 32),
-    (1, [-1], 'a1c7846c576fb411', 768),
-    (1, [-1], 'a7f759d1d7702a8b', 32),
+    (1, [-7], 'dfd1b788566c3560', 1),
+    (1, [1], '87f2e174bf72d428', 2),
+    (1, [-2], 'e8263456efdda81b', 3),
+    (1, [-1], 'b263ac919291eaf8', 2),
+    (1, [-1], 'a1c7846c576fb411', 5),
+    (1, [-1], 'a7f759d1d7702a8b', 4),
     (None, None, None, 1343),
     (None, None, None, 206),
-    (1, [-3], '5dbb68cb381ca86a', 194),
-    (1, [-2], '5108985dcc60bd3a', 108),
+    (1, [-3], '5dbb68cb381ca86a', 3),
+    (1, [-2], '5108985dcc60bd3a', 62),
     (None, None, None, 268),
     (None, None, None, 142),
-    (1, [-7], 'c85738ec7eb1ff8a', 93),
-    (1, [0], '0c05b29eedebe5a6', 800),
+    (1, [-7], 'c85738ec7eb1ff8a', 5),
+    (1, [0], '0c05b29eedebe5a6', 96),
     (None, None, None, 454),
     (None, None, None, 79),
-    (1, [-1], '07b9da8d4748218a', 197),
+    (1, [-1], '07b9da8d4748218a', 4),
     (None, None, None, 737),
-    (1, [-7], '1ad3dee26ebde290', 1517),
+    (1, [-7], '1ad3dee26ebde290', 377),
     (None, None, None, 150),
-    (1, [-2], '950a4d2c49f542e6', 214),
-    (1, [-1], 'c9b3325f1c702189', 362),
-    (1, [-128], '892b0b518cb86507', 31),
-    (1, [-3], 'c063ae99852374e0', 156),
-    (1, [-7], '1ad3dee26ebde290', 96),
+    (1, [-2], '950a4d2c49f542e6', 3),
+    (1, [-1], 'c9b3325f1c702189', 30),
+    (1, [-128], '892b0b518cb86507', 1),
+    (1, [-3], 'c063ae99852374e0', 24),
+    (1, [-7], '1ad3dee26ebde290', 2),
     (None, None, None, 476),
-    (1, [-3], 'a2608137619897f0', 370),
-    (1, [-2], 'fda243d5b727535a', 135),
-    (1, [-571], '53d18404555e2d44', 32),
+    (1, [-3], 'a2608137619897f0', 80),
+    (1, [-2], 'fda243d5b727535a', 3),
+    (1, [-571], '53d18404555e2d44', 2),
     (None, None, None, 280),
     (None, None, None, 1592),
     (None, None, None, 32),
-    (1, [0], 'c063ae99852374e0', 96),
-    (1, [0], '3326b575a9b28b9e', 154),
+    (1, [0], 'c063ae99852374e0', 21),
+    (1, [0], '3326b575a9b28b9e', 10),
     (None, None, None, 308),
-    (1, [-2], '4b983455c2f8610e', 292),
+    (1, [-2], '4b983455c2f8610e', 18),
     (2, [-5], '75891c4621addf9d', 452),
-    (1, [-2], 'a1c7846c576fb411', 740),
-    (1, [-3], '4b983455c2f8610e', 430),
+    (1, [-2], 'a1c7846c576fb411', 5),
+    (1, [-3], '4b983455c2f8610e', 83),
     (None, None, None, 280),
-    (1, [-207], '950a0e5305240578', 31),
-    (1, [-3], '5108985dcc60bd3a', 111),
-    (1, [-3], 'bd2f24a918d8e72c', 119),
-    (1, [2], '69cf3d7a5c3470b4', 144),
-    (1, [-3], '4b983455c2f8610e', 31),
-    (1, [-5], '4b983455c2f8610e', 1795),
-    (1, [2], 'd9facfae9cc7058d', 121),
-    (1, [-2], '3e6be5d7d66056db', 77),
-    (1, [-1], 'dfd1b788566c3560', 724),
+    (1, [-207], '950a0e5305240578', 1),
+    (1, [-3], '5108985dcc60bd3a', 35),
+    (1, [-3], 'bd2f24a918d8e72c', 7),
+    (1, [2], '69cf3d7a5c3470b4', 10),
+    (1, [-3], '4b983455c2f8610e', 1),
+    (1, [-5], '4b983455c2f8610e', 541),
+    (1, [2], 'd9facfae9cc7058d', 12),
+    (1, [-2], '3e6be5d7d66056db', 5),
+    (1, [-1], 'dfd1b788566c3560', 84),
     (None, None, None, 268),
-    (1, [-3], '1c614f1f85805224', 76),
-    (1, [-2], '5108985dcc60bd3a', 80),
-    (1, [-27], '3d96eff3abb96c8b', 93),
+    (1, [-3], '1c614f1f85805224', 10),
+    (1, [-2], '5108985dcc60bd3a', 26),
+    (1, [-27], '3d96eff3abb96c8b', 4),
     (None, None, None, 32),
-    (1, [-7], '930cf264c4fe7411', 32),
-    (1, [1], '8737a5bc2b7e86cb', 144),
-    (1, [-3], '4b983455c2f8610e', 425),
-    (1, [-7], '7b01d21eab1eb59d', 32),
-    (1, [-319], '3c46a9eaae988b7c', 32),
-    (1, [-1], 'c063ae99852374e0', 300),
-    (1, [-2], '1ad3dee26ebde290', 380),
+    (1, [-7], '930cf264c4fe7411', 4),
+    (1, [1], '8737a5bc2b7e86cb', 10),
+    (1, [-3], '4b983455c2f8610e', 78),
+    (1, [-7], '7b01d21eab1eb59d', 1),
+    (1, [-319], '3c46a9eaae988b7c', 2),
+    (1, [-1], 'c063ae99852374e0', 5),
+    (1, [-2], '1ad3dee26ebde290', 8),
     (None, None, None, 707),
-    (1, [-2], 'c7f4326143de274a', 139),
+    (1, [-2], 'c7f4326143de274a', 52),
     (2, [-4], 'e26d51fae590e4a5', 275),
     (None, None, None, 202),
     (2, [0], 'ebe837fa41391371', 350),
-    (1, [-5], 'dfd1b788566c3560', 32),
+    (1, [-5], 'dfd1b788566c3560', 4),
 ]
 
 

@@ -21,7 +21,7 @@ exactly the witnessing values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator, Optional
 
@@ -68,12 +68,20 @@ class ArithmeticSpec:
 
     ``max_payload`` is the largest representable payload M; the value set is
     the symmetric range [-M, M] of payloads, each denoting payload / 10**frac_decimals.
+    ``scale`` (10**frac_decimals) and ``one``, the payload of the value 1 (the
+    same number), are set once, when the spec is made.
     """
 
     kind: str  # "satint" | "fixed"
     max_payload: int
     frac_decimals: int
     total_bits: int | None = None
+    scale: int = field(init=False, repr=False, compare=False)
+    one: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "scale", 10 ** self.frac_decimals)
+        object.__setattr__(self, "one", self.scale)
 
     @staticmethod
     def satint(a: int) -> "ArithmeticSpec":
@@ -114,15 +122,6 @@ class ArithmeticSpec:
         return f"fixed:{self.total_bits}:{self.frac_decimals}"
 
     @property
-    def scale(self) -> int:
-        return 10 ** self.frac_decimals
-
-    @property
-    def one(self) -> int:
-        """Payload of the value 1."""
-        return self.scale
-
-    @property
     def bit_width(self) -> int:
         """Minimal number of bits that encodes the payload range."""
         if self.total_bits is not None:
@@ -147,13 +146,21 @@ class ArithmeticSpec:
 
     # -- forward operations on payloads ------------------------------------
 
+    # add_p and mul_p clamp inline: they are the innermost calls of every
+    # evaluator
+
     def add_p(self, a: int, b: int) -> int:
-        return self.clamp(a + b)
+        s, m = a + b, self.max_payload
+        return -m if s < -m else m if s > m else s
 
     def mul_p(self, c: int, p: int) -> int:
-        if self.frac_decimals == 0:  # no rounding at scale 1
-            return self.clamp(c * p)
-        return self.clamp(_round_div_away(c * p, self.scale))
+        x, m, scale = c * p, self.max_payload, self.scale
+        if scale != 1:  # round half away from zero, as _round_div_away
+            q, r = divmod(-x if x < 0 else x, scale)
+            if 2 * r >= scale:
+                q += 1
+            x = -q if x < 0 else q
+        return -m if x < -m else m if x > m else x
 
     def div_p(self, p: int, m: int) -> int:
         if m < 1:

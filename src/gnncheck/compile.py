@@ -87,9 +87,7 @@ def compile_lvp(instance: LvpInstance) -> CompiledInstance:
     else:
         # empty disjunction: no output constraint can fail, the formula is false
         conjuncts.append(arena.not_(arena.geq(arena.const(0), 0)))
-    root = arena.conjoin(conjuncts)
-    features = tuple(sorted(set(model.input_features) | set(outputs) | set(features_of((arena, root)))))
-    return CompiledInstance(Formula(arena, root, features))
+    return _compiled(arena, arena.conjoin(conjuncts), model, outputs)
 
 
 def compile_generalized(model: GnnModel, pre: Formula, post: Formula) -> CompiledInstance:
@@ -106,6 +104,12 @@ def compile_generalized(model: GnnModel, pre: Formula, post: Formula) -> Compile
     phi_n, outputs = compile_gnn(arena, model)
     pre_id = import_formula(arena, pre.arena, pre.root)
     post_id = import_formula(arena, post.arena, post.root)
-    root = arena.conjoin([pre_id, phi_n, arena.not_(post_id)])
-    features = tuple(sorted(set(model.input_features) | set(outputs) | set(features_of((arena, root)))))
-    return CompiledInstance(Formula(arena, root, features))
+    return _compiled(arena, arena.conjoin([pre_id, phi_n, arena.not_(post_id)]), model, outputs)
+
+
+def _compiled(arena: Arena, root: int, model: GnnModel, outputs: tuple[str, ...]) -> CompiledInstance:
+    """The formula at root, declaring the model's inputs and outputs besides
+    the features it mentions: one walk of the DAG, the formula's own."""
+    formula = Formula(arena, root)
+    formula.features = tuple(sorted(set(model.input_features) | set(outputs) | set(formula.features)))
+    return CompiledInstance(formula)

@@ -7,7 +7,10 @@ evaluated as soon as it is drawn, and a hit there ends the sampling: no
 later tree can be smaller.  The larger trees are kept until every tree is
 drawn, then built and evaluated smallest first up to the first hit, so the
 trees evaluated, and their order, are those of evaluating every drawn tree
-smallest first.  A tree is as deep as the network has layers (deeper nodes
+smallest first.  A drawn tree is kept compact: the successor counts of its
+nodes in breadth-first order and their label payloads in one flat list.
+Node names, edges, label dicts and the validated graph are built only for
+the trees that are evaluated.  A tree is as deep as the network has layers (deeper nodes
 cannot reach the point's output), and each node has at most ``arity_cap``
 successors.  Labels favour the values where saturating arithmetic turns: 0,
 ±one, ±M and small multiples of one, next to uniform draws from the whole
@@ -15,6 +18,9 @@ domain.  The point's label is drawn again until it satisfies L_in.
 
 The draws come from a ``random.Random`` seeded by a sha256 of the instance's
 JSON, so an instance always gets the same trees, whatever PYTHONHASHSEED is.
+Each integer is drawn straight from its ``getrandbits`` by the rejection rule
+of ``randrange``, ``randint`` and ``choice`` (see ``_payloads``): the same
+words give the same values, without the calls of those methods.
 The search is charged to the caller's tick budget at a fixed price per
 drawn tree: its nodes times the layers, plus one for the output network.
 The price is not a count of evaluations (trees past the first hit are not
@@ -41,9 +47,11 @@ from .graph import LabeledGraph, PointedGraph
 # Samples per instance.  Every one is drawn and charged unless a one-node
 # tree hits: after a larger hit a later, smaller tree makes a more readable
 # counterexample, and when nothing hits the tableau gets the ticks left
-# after all of them.  Only the trees up to the first smallest hit are
-# evaluated, so an instance without a hit pays the most wall time, about a
-# few hundred tableau ticks' worth per sample, and the number stays small.
+# after all of them.  A drawn tree costs a few direct draws per node and is
+# held compact; only the trees up to the first smallest hit are built into
+# graphs and evaluated, so an instance without a hit pays the most wall
+# time, about a few hundred tableau ticks' worth per sample, and the number
+# stays small.
 SAMPLES = 32
 # Successors per node when the arity bound allows more: trees grow as this
 # number to the power of the layer count.
@@ -70,18 +78,49 @@ def arity_cap(instance: LvpInstance) -> int:
     return cap
 
 
+def _payloads(bits, count: int, spec: ArithmeticSpec) -> list[int]:
+    """``count`` label payloads drawn with ``bits``, a generator's
+    ``getrandbits``: 0, ±one, ±M, a clamped multiple k·one with |k| <= 3, or
+    a uniform payload, each with probability 1/5.
+
+    Each integer below n is drawn as ``random.Random._randbelow`` draws it:
+    ``n.bit_length()`` bits, drawn again while they read n or more.  That
+    is what ``randrange``, ``randint`` and ``choice`` do, so the same words
+    are consumed and the same values come out as from those calls.
+    """
+    m, one = spec.max_payload, spec.one
+    width = 2 * m + 1
+    k = width.bit_length()
+    out = []
+    for _ in range(count):
+        pick = bits(3)
+        while pick >= 5:
+            pick = bits(3)
+        if pick == 0:
+            out.append(0)
+        elif pick < 3:  # choice((one, -one)) or choice((m, -m))
+            sign = bits(2)
+            while sign >= 2:
+                sign = bits(2)
+            v = one if pick == 1 else m
+            out.append(-v if sign else v)
+        elif pick == 3:  # clamp(randint(-3, 3) * one)
+            r = bits(3)
+            while r >= 7:
+                r = bits(3)
+            v = (r - 3) * one
+            out.append(-m if v < -m else m if v > m else v)
+        else:  # randint(-m, m)
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            out.append(r - m)
+    return out
+
+
 def draw_payload(rng: random.Random, spec: ArithmeticSpec) -> int:
-    m = spec.max_payload
-    pick = rng.randrange(5)
-    if pick == 0:
-        return 0
-    if pick == 1:
-        return rng.choice((spec.one, -spec.one))
-    if pick == 2:
-        return rng.choice((m, -m))
-    if pick == 3:
-        return spec.clamp(rng.randint(-3, 3) * spec.one)
-    return rng.randint(-m, m)
+    """One label payload drawn from ``rng``."""
+    return _payloads(rng.getrandbits, 1, spec)[0]
 
 
 def price(nodes: int, layers: int) -> int:
@@ -89,45 +128,94 @@ def price(nodes: int, layers: int) -> int:
     return nodes * layers + 1
 
 
-def grow_tree(
-    rng: random.Random, layers: int, cap: int, room: int | None = None, deadline: float | None = None
-) -> tuple[list[str], list[tuple[str, str]]] | None:
-    """The nodes and edges of a random tree rooted at "v", ``layers`` deep,
-    or None as soon as its price passes ``room`` ticks or
-    ``time.monotonic()`` passes ``deadline``.  Both are checked before the
-    first layer and after each one, so an oversized tree stops growing one
-    layer past the budget.  Node names follow the tableau's models: "v1" is
-    the root's first successor, "v1.2" that node's second."""
-    nodes, edges, frontier = ["v"], [], ["v"]
+def grow_counts(
+    bits, layers: int, cap: int, room: int | None = None, deadline: float | None = None
+) -> list[int] | None:
+    """A random tree rooted at the point, ``layers`` deep, as the successor
+    counts of its nodes above the last layer in breadth-first order (each
+    drawn as ``randint(0, cap)``), or None as soon as its price passes
+    ``room`` ticks or ``time.monotonic()`` passes ``deadline``.  Both are
+    checked before the first layer and after each one, so an oversized tree
+    stops growing one layer past the budget."""
+    k = (cap + 1).bit_length()
+    counts: list[int] = []
+    size = width = 1
     for depth in range(layers + 1):
-        if (room is not None and price(len(nodes), layers) > room) or (
+        if (room is not None and price(size, layers) > room) or (
             deadline is not None and time.monotonic() > deadline
         ):
             return None
         if depth == layers:
             break
-        grown = []
-        for parent in frontier:
-            for i in range(1, rng.randint(0, cap) + 1):
-                child = f"v{i}" if parent == "v" else f"{parent}.{i}"
-                edges.append((parent, child))
-                grown.append(child)
-        nodes += grown
-        frontier = grown
+        grown = 0
+        for _ in range(width):
+            r = bits(k)
+            while r > cap:
+                r = bits(k)
+            counts.append(r)
+            grown += r
+        size += grown
+        width = grown
+    return counts
+
+
+def label_payloads(bits, instance: LvpInstance, nodes: int) -> list[int] | None:
+    """Input labels of ``nodes`` nodes, flat: node by node in breadth-first
+    order, each in feature order, the point first.  None when no drawn label
+    of the point satisfied L_in."""
+    spec, features = instance.model.spec, instance.model.input_features
+    n = len(features)
+    payloads = _payloads(bits, nodes * n, spec)
+    for _ in range(POINT_DRAWS):
+        point = dict(zip(features, payloads))
+        if all(eval_linineq(q, point, spec) for q in instance.l_in):
+            return payloads
+        payloads[:n] = _payloads(bits, n, spec)
+    return None
+
+
+def _shape(counts: list[int]) -> tuple[list[str], list[tuple[str, str]]]:
+    """Node names and edges of a tree given by its successor counts.  Names
+    follow the tableau's models: "v" is the point, "v1" its first successor,
+    "v1.2" that node's second."""
+    nodes, edges = ["v"], []
+    for at, count in enumerate(counts):
+        parent = nodes[at]
+        prefix = "v" if at == 0 else parent + "."
+        for i in range(1, count + 1):
+            child = f"{prefix}{i}"
+            edges.append((parent, child))
+            nodes.append(child)
     return nodes, edges
 
 
+def _labels(instance: LvpInstance, nodes: list[str], payloads: list[int]) -> dict[str, dict[str, int]]:
+    """The label dicts of ``nodes`` from their flat payloads."""
+    features = instance.model.input_features
+    n = len(features)
+    return {name: dict(zip(features, payloads[i * n : i * n + n])) for i, name in enumerate(nodes)}
+
+
+def build_tree(instance: LvpInstance, counts: list[int], payloads: list[int]) -> PointedGraph:
+    """The validated graph of a compact tree, pointed at its root."""
+    nodes, edges = _shape(counts)
+    return pointed_tree(instance, nodes, edges, _labels(instance, nodes, payloads))
+
+
+def grow_tree(
+    rng: random.Random, layers: int, cap: int, room: int | None = None, deadline: float | None = None
+) -> tuple[list[str], list[tuple[str, str]]] | None:
+    """The nodes and edges of the tree ``grow_counts`` draws from ``rng``,
+    or None when it stops."""
+    counts = grow_counts(rng.getrandbits, layers, cap, room, deadline)
+    return None if counts is None else _shape(counts)
+
+
 def draw_labels(rng: random.Random, instance: LvpInstance, nodes: list[str]) -> dict[str, dict[str, int]] | None:
-    """Input labels for ``nodes``, or None when no drawn label of the point
-    "v" satisfied L_in."""
-    spec, features = instance.model.spec, instance.model.input_features
-    labels = {n: {f: draw_payload(rng, spec) for f in features} for n in nodes}
-    point = labels["v"]
-    for _ in range(POINT_DRAWS):
-        if all(eval_linineq(q, point, spec) for q in instance.l_in):
-            return labels
-        point.update((f, draw_payload(rng, spec)) for f in features)
-    return None
+    """Input labels for ``nodes`` (the point "v" first), or None when no
+    drawn label of the point satisfied L_in."""
+    payloads = label_payloads(rng.getrandbits, instance, len(nodes))
+    return None if payloads is None else _labels(instance, nodes, payloads)
 
 
 def pointed_tree(instance: LvpInstance, nodes: list[str], edges: list[tuple[str, str]], labels: dict) -> PointedGraph:
@@ -139,9 +227,10 @@ def pointed_tree(instance: LvpInstance, nodes: list[str], edges: list[tuple[str,
 def sample_tree(rng: random.Random, instance: LvpInstance, cap: int) -> PointedGraph | None:
     """One random tree pointed at its root "v", or None when no drawn point
     label satisfied L_in: the draws ``falsify`` makes for one sample."""
-    nodes, edges = grow_tree(rng, len(instance.model.layers), cap)
-    labels = draw_labels(rng, instance, nodes)
-    return None if labels is None else pointed_tree(instance, nodes, edges, labels)
+    bits = rng.getrandbits
+    counts = grow_counts(bits, len(instance.model.layers), cap)
+    payloads = label_payloads(bits, instance, 1 + sum(counts))
+    return None if payloads is None else build_tree(instance, counts, payloads)
 
 
 def falsify(instance: LvpInstance, max_ticks: int | None = None, deadline: float | None = None) -> tuple[Hit | None, int]:
@@ -150,42 +239,42 @@ def falsify(instance: LvpInstance, max_ticks: int | None = None, deadline: float
     Returns the smallest counterexample drawn (the first of the smallest)
     with its outputs, or None, and the ticks spent.  A one-node tree is
     evaluated when it is drawn, and a hit there returns at once, charged
-    the trees drawn so far.  The larger trees are drawn and charged first;
-    then they are built and evaluated smallest first, in draw order among
-    equals, up to the first hit.  Sampling stops before a tree whose price
-    would take the ticks past ``max_ticks`` (as soon as its growth shows
-    it), and once ``time.monotonic()`` passes ``deadline``.
+    the trees drawn so far.  The larger trees are drawn and charged first,
+    and kept compact; then they are built and evaluated smallest first, in
+    draw order among equals, up to the first hit.  Sampling stops before a
+    tree whose price would take the ticks past ``max_ticks`` (as soon as
+    its growth shows it), and once ``time.monotonic()`` passes ``deadline``.
     """
-    rng = instance_rng(instance)
+    bits = instance_rng(instance).getrandbits
     cap = arity_cap(instance)
     layers = len(instance.model.layers)
     ticks = 0
     drawn = []
     for _ in range(SAMPLES):
-        shape = grow_tree(rng, layers, cap, None if max_ticks is None else max_ticks - ticks, deadline)
-        if shape is None:
+        counts = grow_counts(bits, layers, cap, None if max_ticks is None else max_ticks - ticks, deadline)
+        if counts is None:
             break
-        nodes, edges = shape
-        labels = draw_labels(rng, instance, nodes)
-        if labels is None:
+        size = 1 + sum(counts)
+        payloads = label_payloads(bits, instance, size)
+        if payloads is None:
             continue
-        ticks += price(len(nodes), layers)
-        if len(nodes) > 1:
-            drawn.append((nodes, edges, labels))
+        ticks += price(size, layers)
+        if size > 1:
+            drawn.append((size, counts, payloads))
             continue
         # the smallest-first pass would evaluate this tree before every
         # larger one and after the one-node trees drawn before it, and no
         # later tree can be smaller: a hit here is its answer
         if deadline is not None and time.monotonic() > deadline:
             return None, ticks
-        hit = _violation(instance, pointed_tree(instance, nodes, edges, labels))
+        hit = _violation(instance, build_tree(instance, counts, payloads))
         if hit is not None:
             return hit, ticks
-    drawn.sort(key=lambda tree: len(tree[0]))  # stable: draw order among equals
-    for nodes, edges, labels in drawn:
+    drawn.sort(key=lambda tree: tree[0])  # stable: draw order among equals
+    for _, counts, payloads in drawn:
         if deadline is not None and time.monotonic() > deadline:
             break
-        hit = _violation(instance, pointed_tree(instance, nodes, edges, labels))
+        hit = _violation(instance, build_tree(instance, counts, payloads))
         if hit is not None:
             return hit, ticks
     return None, ticks

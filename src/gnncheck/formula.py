@@ -209,14 +209,23 @@ class Arena:
 
 @dataclass
 class Formula:
-    """A formula root in an arena, with its spec and declared feature set."""
+    """A formula root in an arena, with its spec and declared feature set.
+
+    ``fids`` and ``eids`` hold the walk of :meth:`Arena.reachable` from the
+    root, made once here and read by every later pass.  Nodes are never
+    changed once interned, so what a fixed root reaches stays the same when
+    the arena grows.
+    """
 
     arena: Arena
     root: int
     features: tuple[str, ...] = field(default=())
+    fids: list[int] = field(init=False, repr=False, compare=False)
+    eids: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        found = features_of(self)
+        self.fids, self.eids = self.arena.reachable(self.root)
+        found = _feature_names(self.arena, self.eids)
         if not self.features:
             self.features = found
         elif not set(found) <= set(self.features):
@@ -227,19 +236,25 @@ class Formula:
         return self.arena.spec
 
 
+def _feature_names(arena: Arena, eids: list[int]) -> tuple[str, ...]:
+    """Sorted names of the features among the expressions eids."""
+    exprs = arena._exprs
+    return tuple(sorted({exprs[e][1] for e in eids if exprs[e][0] == "feat"}))
+
+
 def features_of(f: Formula | tuple[Arena, int]) -> tuple[str, ...]:
     """Sorted names of all features reachable from the root."""
-    arena, root = (f.arena, f.root) if isinstance(f, Formula) else f
-    _, eids = arena.reachable(root)
-    names = {arena.expr(e)[1] for e in eids if arena.expr(e)[0] == "feat"}
-    return tuple(sorted(names))
+    if isinstance(f, Formula):
+        return _feature_names(f.arena, f.eids)
+    arena, root = f
+    return _feature_names(arena, arena.reachable(root)[1])
 
 
 def agg_depth(f: Formula) -> int:
     """Maximum nesting of aggregation operators."""
     arena = f.arena
     depth: dict[int, int] = {}
-    for eid in arena.reachable(f.root)[1]:
+    for eid in f.eids:
         node = arena.expr(eid)
         depth[eid] = max((depth[node[i]] for i in _KIDS[node[0]]), default=0) + (node[0] == "agg")
     return max(depth.values())

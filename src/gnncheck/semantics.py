@@ -194,7 +194,7 @@ class _TreeSearch:
         self.root_fid = f.root
         self.features = features_of(f)
         self.budget = budget
-        fids, self.eids = self.arena.reachable(f.root)
+        fids, self.eids = f.fids, f.eids
         self.aggs = [
             (eid, *self.arena.expr(eid)[1:])  # (eid, kind, child, weights)
             for eid in self.eids

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import bisect
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -168,7 +169,7 @@ class _Search:
         self.deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
         self.max_terms = limits.max_terms
         self.ticks = 0
-        fids, eids = self.arena.reachable(formula.root)
+        fids, eids = formula.fids, formula.eids
         # the node table: expression nodes by id, and for each act node and
         # each non-zero scale node its child and the memo of its primitive
         self.nodes: dict[int, tuple] = {eid: self.arena.expr(eid) for eid in eids}
@@ -468,10 +469,10 @@ class _Search:
     def _saturate_bools(self, st: _State) -> bool:
         progress = False
         remaining = []
-        queue = st.bools
+        queue = deque(st.bools)
         st.bools = []
         while queue:
-            word, fid, sign = queue.pop(0)
+            word, fid, sign = queue.popleft()
             node = self.arena.formula(fid)
             tag = node[0]
             if tag == "not":

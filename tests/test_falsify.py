@@ -24,6 +24,7 @@ from gnncheck.falsify import (
     draw_labels,
     draw_payload,
     falsify,
+    grow_counts,
     grow_tree,
     instance_rng,
     pointed_tree,
@@ -63,6 +64,48 @@ def random_instance(rng, spec, delta, max_layers=3):
         (LinIneq((("y1", one),), rng.randint(-2, 2) * one),),
         delta,
     )
+
+
+# sizes of the integer draws: 2 and 5 (the sign and kind of a payload), 7
+# (a multiple of one), 15 and 8191 (a uniform payload of satint:7 and
+# fixed:13:1), and 131071, which needs 17 bits
+DRAW_SIZES = (2, 5, 7, 15, 8191, 131071)
+
+
+def stdlib_draw_payload(rng, spec):
+    """A label payload drawn through randrange, choice and randint."""
+    m = spec.max_payload
+    pick = rng.randrange(5)
+    if pick == 0:
+        return 0
+    if pick == 1:
+        return rng.choice((spec.one, -spec.one))
+    if pick == 2:
+        return rng.choice((m, -m))
+    if pick == 3:
+        return spec.clamp(rng.randint(-3, 3) * spec.one)
+    return rng.randint(-m, m)
+
+
+def test_direct_draws_take_the_values_and_words_of_the_stdlib_calls():
+    for n in DRAW_SIZES:
+        for seed in range(200):
+            ours, twin = random.Random(seed), random.Random(seed)
+            # a count of successors under cap n - 1 is one integer below n
+            for reference in (lambda: twin.randrange(n), lambda: twin.randint(0, n - 1), lambda: twin.choice(range(n))):
+                assert grow_counts(ours.getrandbits, 1, n - 1) == [reference()], (n, seed)
+                assert ours.getstate() == twin.getstate(), (n, seed)
+
+
+def test_direct_payload_draws_take_the_values_and_words_of_the_stdlib_calls():
+    specs = [ArithmeticSpec.satint((n - 1) // 2) for n in DRAW_SIZES if n % 2]
+    specs += [ArithmeticSpec.fixed(13, 1), ArithmeticSpec.fixed(17, 2)]
+    for spec in specs:
+        for seed in range(200):
+            ours, twin = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert draw_payload(ours, spec) == stdlib_draw_payload(twin, spec), (spec, seed)
+                assert ours.getstate() == twin.getstate(), (spec, seed)
 
 
 def depths(graph):
@@ -227,10 +270,10 @@ def test_a_one_node_hit_on_the_first_draw_grows_no_other_tree(monkeypatch):
     grown = []
 
     def counted(*args):
-        grown.append(grow_tree(*args))
+        grown.append(grow_counts(*args))
         return grown[-1]
 
-    monkeypatch.setattr(falsify_mod, "grow_tree", counted)
+    monkeypatch.setattr(falsify_mod, "grow_counts", counted)
     evaluated = recording_eval(monkeypatch)
     assert falsify(instance) == ((first, [Value(0, spec)]), price(1, 2))
     assert len(grown) == 1 and evaluated == [first]

@@ -10,6 +10,7 @@ from gnncheck.formula import (
     agg_depth,
     desugar_eq,
     features_of,
+    import_formula,
     parse,
     rewrite_truncrelu,
     structural_key,
@@ -224,6 +225,29 @@ class TestQueries:
     def test_features_of_worked_example(self):
         f = parse("x1 >= 100 and relu(0.008*x1) + -1*y1 = 0 and not y1 >= 0.9", FIX32_4)
         assert features_of(f) == ("x1", "y1")
+
+    def test_the_walk_kept_by_a_formula_outlives_the_arena_growing(self):
+        import random
+
+        from gnncheck.fuzz import random_formula
+
+        def assert_walk(f):
+            assert (f.fids, f.eids) == f.arena.reachable(f.root)
+            assert features_of(f) == features_of((f.arena, f.root))
+
+        rng = random.Random(61)
+        for _ in range(100):
+            f = random_formula(rng, SAT15, agg_kinds=("sum", "mean", "max", "weighted"), max_atoms=4)
+            other = random_formula(rng, SAT15, n_features=3)
+            grown = [
+                Formula(f.arena, import_formula(f.arena, other.arena, other.root)),
+                rewrite_truncrelu(f),
+                desugar_eq(f),
+                desugar_eq(rewrite_truncrelu(f)),
+            ]
+            for g in [f, *grown]:
+                assert g.arena is f.arena
+                assert_walk(g)
 
 
 class TestRewrite:

@@ -186,12 +186,13 @@ def cmd_eval(args) -> int:
 
 def cmd_oracle_sat(args) -> int:
     formula = _read_formula(args)
+    limits = _limits(args)
     verdict = brute_force_sat(
         formula,
         _delta_for_oracle(args.delta),
         depth=args.depth,
-        time_limit=_time_limit(args),
-        max_steps=5_000_000 if args.term_limit is None else args.term_limit,
+        time_limit=limits.time_limit,
+        max_steps=5_000_000 if limits.max_terms is None else limits.max_terms,
     )
     return _sat_result(args, verdict)
 

@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .arith import ArithmeticSpec
+from .errors import UsageError
 from .formula import Arena, Formula, to_text
 from .gnn import DeltaMode
 from .semantics import Sat, Unknown, Unsat, brute_force_sat
@@ -103,6 +104,8 @@ def run_differential(
     A case agrees when both sides return the same decisive verdict (and, when
     requested, the binary-mode tableau concurs).
     """
+    if cases < 0 or max_agg_depth < 0:
+        raise UsageError(f"cases and max_agg_depth must be >= 0, got {cases} and {max_agg_depth}")
     rng = random.Random(seed)
     results = []
     limits = SolveLimits(time_limit=time_limit, max_terms=max_terms)

@@ -17,7 +17,13 @@ integer word + eid (eid = key % K, word = key - eid).  The engine alternates
 
 Candidate streams are pruned by sound interval reasoning (value ranges of
 subexpressions and reachability of aggregation targets); pruned candidates
-provably cannot be completed, so the enumeration stays exhaustive.
+provably cannot be completed, so the enumeration stays exhaustive.  Atom
+guesses, inversions and successor walks are also cut to each expression's
+structural range, its interval at any word (``_Search.structural_ranges``,
+where an aggregation ranges over ``ArithmeticSpec.agg_hull`` of its child's
+range up to the arity cap).  That drops only failing subtrees, in place, so
+the search finds the same models in no more ticks.  Saturation keeps [-M, M]
+for aggregations not in the store.
 Aggregation constraints walk their successors incrementally with a running
 accumulator, which serves both the unary rule and the binary/unbounded rules;
 the arity modes differ only in the arity cap.
@@ -56,6 +62,15 @@ class SolveLimits:
     time_limit: float | None = None
     max_terms: int | None = None
     max_arity: int | None = None
+
+    def __post_init__(self):
+        # a NaN deadline never passes, so it would turn the limit off
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise UsageError(f"time_limit must be a non-negative number of seconds, got {self.time_limit!r}")
+        for name in ("max_terms", "max_arity"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise UsageError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass
@@ -179,7 +194,7 @@ class _Search:
             for eid, node in self.nodes.items()
             if node[0] == "act" or (node[0] == "scale" and node[1] != 0)
         }
-        self._empty = _State()  # never written: ranges over it are structural
+        self._table: dict[int, tuple[int, int]] | None = None  # built on first use
         # the word table: word number n has offset n * stride, its tuple in
         # words[n] and the offsets of its successors 1, 2, ... in succs[n]
         self.stride = max(eids, default=0) + 1
@@ -403,10 +418,9 @@ class _Search:
     def expr_range(self, st: _State, word: int, eid: int) -> tuple[int, int]:
         """Sound interval over-approximation of the expression's value.
 
-        Over the empty store it is the structural range: the interval of the
-        expression's possible values at any fresh word.  Subexpressions are
-        ranged in post-order: an inverted id on the stack combines the ranges
-        of its operands, which lie on top of ``done``.
+        Features and aggregations not in the store range over [-M, M].
+        Subexpressions are ranged in post-order: an inverted id on the stack
+        combines the ranges of its operands, which lie on top of ``done``.
         """
         values, bounds, nodes, unary = st.values, st.bounds, self.nodes, self.unary
         m = self.spec.max_payload
@@ -436,25 +450,66 @@ class _Search:
                     lo, hi = -m, m
             else:
                 e = ~e
-                op = unary.get(e)
-                if op is None:  # sum
-                    lo2, hi2 = done.pop()
-                    lo1, hi1 = done.pop()
-                    lo, hi = lo1 + lo2, hi1 + hi2
-                    lo = -m if lo < -m else m if lo > m else lo
-                    hi = -m if hi < -m else m if hi > m else hi
-                else:
-                    clo, chi = done.pop()
-                    lo, hi = op[1][clo], op[1][chi]
-                    # act maps each end in place, so an empty interval (lo > hi,
-                    # from contradicting bounds) keeps its order; scale sorts them
-                    if lo > hi and nodes[e][0] == "scale":
-                        lo, hi = hi, lo
+                lo, hi = self._combine(e, done)
             bound = bounds.get(word + e)
             if bound is not None:
                 lo, hi = max(lo, bound[0]), min(hi, bound[1])
             done.append((lo, hi))
         return done[0]
+
+    def _combine(self, e: int, done: list[tuple[int, int]]) -> tuple[int, int]:
+        """Range of a sum, an act or a non-zero scale node from the ranges of
+        its operands, popped off the top of ``done`` (a sum's right one last)."""
+        op = self.unary.get(e)
+        if op is None:  # sum
+            m = self.spec.max_payload
+            lo2, hi2 = done.pop()
+            lo1, hi1 = done.pop()
+            lo, hi = lo1 + lo2, hi1 + hi2
+            return (-m if lo < -m else m if lo > m else lo, -m if hi < -m else m if hi > m else hi)
+        clo, chi = done.pop()
+        lo, hi = op[1][clo], op[1][chi]
+        # act maps each end in place, so an empty interval (lo > hi, from
+        # contradicting bounds) keeps its order; scale sorts them
+        if lo > hi and self.nodes[e][0] == "scale":
+            return hi, lo
+        return lo, hi
+
+    def structural_ranges(self) -> dict[int, tuple[int, int]]:
+        """Each expression's interval at any word, whatever the store holds:
+        an aggregation's is ``agg_hull`` of its child's over arities 0 to
+        the arity cap.  Built in post-order, so operands come first."""
+        m, table = self.spec.max_payload, {}
+        for e, node in self.nodes.items():
+            tag = node[0]
+            if tag == "const":
+                table[e] = (node[1], node[1])
+            elif tag == "feat":
+                table[e] = (-m, m)
+            elif tag == "agg":
+                table[e] = self.spec.agg_hull(node[1], *table[node[2]], self.arity_cap, node[3])
+            elif tag == "sum":
+                table[e] = self._combine(e, [table[node[1]], table[node[2]]])
+            elif e in self.unary:
+                table[e] = self._combine(e, [table[node[2]]])
+            else:  # 0 * e
+                table[e] = (0, 0)
+        return table
+
+    def _structural(self) -> dict[int, tuple[int, int]]:
+        """The structural range table, built on first use.  Without an
+        aggregation it would cut nothing from ``expr_range``, so it is left
+        empty."""
+        table = self._table
+        if table is None:
+            has_aggs = any(node[0] == "agg" for node in self.nodes.values())
+            table = self._table = self.structural_ranges() if has_aggs else {}
+        return table
+
+    def _cut(self, eid: int, lo: int, hi: int) -> tuple[int, int]:
+        """[lo, hi] cut to the expression's structural range."""
+        r = self._structural().get(eid)
+        return (lo, hi) if r is None else (max(lo, r[0]), min(hi, r[1]))
 
     # -- saturation -------------------------------------------------------------
 
@@ -762,7 +817,7 @@ class _Search:
             _, idx, word, fid, sign = choice
             node = self.arena.formula(fid)
             eid, k = node[1], node[2]
-            lo, hi = self.expr_range(st, word, eid)
+            lo, hi = self._cut(eid, *self.expr_range(st, word, eid))
             if node[0] == "geq" and sign:
                 for v in range(max(k, lo), hi + 1):
                     yield ("set", word, eid, v)
@@ -800,6 +855,7 @@ class _Search:
         eid = key % self.stride
         word = key - eid
         node = self.nodes[eid]
+        lo, hi = self._cut(operand, lo, hi)
         if node[0] != "sum":
             for v in range(lo, hi + 1):
                 yield ("set", word, operand, v)
@@ -807,7 +863,7 @@ class _Search:
         # sum with two unknown operands: pick the left value, derive partners
         target = st.values[key]
         b = node[2]
-        blo, bhi = self.expr_range(st, word, b)
+        blo, bhi = self._cut(b, *self.expr_range(st, word, b))
         for k1 in range(lo, hi + 1):
             partners = self.spec.add_preimage(k1, target, target)
             if partners is None:
@@ -824,8 +880,8 @@ class _Search:
         succ = self.successors(word, pos)[pos - 1]
         remaining = arity - pos
         known = self.forward(st, succ, child)
-        clo, chi = (known, known) if known is not None else self.expr_range(st, succ, child)
-        flo, fhi = self.expr_range(self._empty, 0, child) if remaining else (0, 0)
+        clo, chi = (known, known) if known is not None else self._cut(child, *self.expr_range(st, succ, child))
+        flo, fhi = self._structural()[child] if remaining else (0, 0)
         if kind in ("sum", "mean"):
             if kind == "sum":
                 t = (target, target)

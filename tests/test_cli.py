@@ -218,6 +218,23 @@ class TestSat:
         assert "Traceback" not in run.stderr
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sat", "x1>=0", "--arith", "satint:3", "--delta", "unary:1", "--max-arity", "-1"],
+            ["sat", "x1>=0", "--arith", "satint:3", "--delta", "unary:1", "--term-limit", "-5"],
+            ["oracle", "sat", "x1>=0", "--arith", "satint:3", "--delta", "unary:1", "--term-limit", "-5"],
+            ["fuzz", "--cases", "-3"],
+            ["fuzz", "--cases", "2", "--agg-depth", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_negative_limits_exit_2(self, argv, capsys):
+        # these used to run: exit 0, or 3 for a negative term limit
+        assert main(argv) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+
 class TestCompileEval:
     def test_compile_prints_formula(self, supp_files, capsys):
         lvp, _, _ = supp_files

@@ -1,0 +1,137 @@
+"""The tableau's structural range table and the candidate streams it cuts.
+
+``_Search.structural_ranges`` gives each expression an interval that holds
+its value at any node of any graph within the search's arity cap.  The
+containment tests check that on random graphs with cycles and self-loops
+and on the models the tableau finds.  The differential test runs each search
+again with the table widened to [-M, M], which cuts nothing: the shipped
+search must never take more ticks, must agree with every decisive outcome of
+the widened one, and must find the same models.
+"""
+
+import random
+
+import pytest
+
+from gnncheck.arith import ArithmeticSpec
+from gnncheck.formula import parse
+from gnncheck.fuzz import random_formula
+from gnncheck.gnn import DeltaMode
+from gnncheck.graph import LabeledGraph
+from gnncheck.semantics import Sat, eval_payload
+from gnncheck.tableau import SolveLimits, _Search, solve
+
+from test_search_golden import MAX_TICKS, formula_cases, gnn_cases, search_outcome
+
+KINDS = ("sum", "mean", "max", "weighted")
+SPECS = tuple(ArithmeticSpec.satint(a) for a in range(2, 8)) + (ArithmeticSpec.fixed(5, 1),)
+
+
+def containment_cases(n):
+    """Random formulas over every spec, aggregation kind and δ mode."""
+    for i in range(n):
+        rng = random.Random(f"ranges:{i}")
+        spec = SPECS[i % len(SPECS)]
+        k = 1 + i % 4
+        delta = (DeltaMode.unary(k), DeltaMode.binary(k), DeltaMode("inf"))[(i // len(SPECS)) % 3]
+        f = random_formula(rng, spec, agg_kinds=KINDS, delta=k, max_agg_nodes=3)
+        yield rng, f, delta
+
+
+def random_graph(rng, spec, features, max_degree):
+    """Up to five nodes, each with at most max_degree successors drawn from
+    all nodes: self-loops and cycles included."""
+    nodes = tuple(f"n{i}" for i in range(rng.randint(1, 5)))
+    edges = []
+    for src in nodes:
+        k = rng.randint(0, min(max_degree, len(nodes)))
+        edges += ((src, dst) for dst in rng.sample(nodes, k))
+    m = spec.max_payload
+    labels = {n: {f: rng.randint(-m, m) for f in features} for n in nodes}
+    return LabeledGraph(spec, features, nodes, tuple(edges), labels)
+
+
+@pytest.mark.parametrize("i0", range(0, 420, 60))
+def test_every_value_lies_in_its_structural_range(i0):
+    checked = 0
+    for rng, f, delta in list(containment_cases(i0 + 60))[i0:]:
+        search = _Search(f, delta, SolveLimits())
+        table = search.structural_ranges()
+        assert set(table) == set(f.eids)
+        degree = search.arity_cap
+        for node in search.nodes.values():
+            if node[0] == "agg" and node[1] == "weighted":
+                degree = min(degree, len(node[3]))
+        for _ in range(3):
+            graph = random_graph(rng, f.spec, f.features, min(degree, 5))
+            for v in graph.nodes:
+                for eid in f.eids:
+                    lo, hi = table[eid]
+                    assert lo <= eval_payload(graph, v, f.arena, eid) <= hi, (f, delta, eid)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_every_value_of_a_model_lies_in_its_structural_range():
+    models = 0
+    for _, f, delta in containment_cases(300):
+        if delta.kind == "inf":
+            continue
+        verdict = solve(f, delta, SolveLimits(max_terms=MAX_TICKS))
+        if not isinstance(verdict, Sat):
+            continue
+        table = _Search(f, delta, SolveLimits()).structural_ranges()
+        for entries in verdict.trace.values():
+            for eid, payload in entries.items():
+                assert table[eid][0] <= payload <= table[eid][1], (f, delta, eid)
+        models += 1
+    assert models > 50
+
+
+def test_an_aggregation_ranges_over_its_hull():
+    # the motivating case: the mean of relu(x2) cannot be negative
+    f = parse("(-0.5*(x2 + -1.3) >= -0.7 or x1 = 0.2) and mean(relu(x2)) >= -1.4", ArithmeticSpec.fixed(5, 1))
+    search = _Search(f, DeltaMode.unary(3), SolveLimits())
+    agg = next(eid for eid, node in search.nodes.items() if node[0] == "agg")
+    assert search.structural_ranges()[agg] == (0, 15)
+    assert isinstance(solve(f, DeltaMode.unary(3), SolveLimits(max_terms=10)), Sat)
+
+
+def test_the_table_is_built_on_first_use_and_only_with_aggregations():
+    spec = ArithmeticSpec.satint(3)
+    plain = _Search(parse("relu(x1) + x2 >= 2", spec), DeltaMode.unary(2), SolveLimits())
+    assert plain._table is None
+    assert plain._structural() == {}
+    nested = _Search(parse("agg(relu(x1)) >= 2", spec), DeltaMode.unary(2), SolveLimits())
+    assert nested._table is None
+    assert nested._structural() == nested.structural_ranges()
+
+
+def fuzz_cases(n):
+    for i in range(n):
+        rng = random.Random(f"ranges-differential:{i}")
+        spec = SPECS[i % len(SPECS)]
+        k = 2 + i % 2
+        f = random_formula(rng, spec, agg_kinds=KINDS, delta=k)
+        yield f, (DeltaMode.unary(k) if i % 3 else DeltaMode.binary(k))
+
+
+def test_the_cut_only_prunes(monkeypatch):
+    cases = [*formula_cases(), *gnn_cases(), *fuzz_cases(300)]
+    shipped = [search_outcome(f, delta) for f, delta in cases]
+
+    def widened(search):
+        m = search.spec.max_payload
+        return dict.fromkeys(search.nodes, (-m, m))
+
+    monkeypatch.setattr(_Search, "structural_ranges", widened)
+    wide = [search_outcome(f, delta) for f, delta in cases]
+    decisive = ("model", "exhausted")
+    for i, ((outcome, ticks, digest), (w_outcome, w_ticks, w_digest)) in enumerate(zip(shipped, wide)):
+        assert ticks <= w_ticks, i
+        if w_outcome in decisive:
+            assert outcome == w_outcome, i
+        if digest is not None and w_digest is not None:
+            assert digest == w_digest, i
+    # the cut must also matter: some searches fall in ticks
+    assert sum(t for _, t, _ in shipped) < sum(t for _, t, _ in wide)

@@ -7,8 +7,15 @@ still take exactly the same branches and records, so every outcome and tick
 count must repeat.  The MODELS dicts hold, for each case that ends in a
 model, a digest of the extracted graph and trace (node names and order,
 edges, labels, trace entries in order); they were generated before words
-became interned offsets in the tableau's store.  Regenerate both only for a
-change that means to alter the search or the models:
+became interned offsets in the tableau's store.
+
+GOLDEN_FORMULAS' tick column was regenerated once, when the candidate
+streams were cut to the structural ranges (aggregations through
+``agg_hull``): that drops only candidates no model can realise, so eleven
+searches fell in ticks, case 17 went from node-limit to exhausted, and no
+search gained a tick.  GOLDEN_GNNS, the MODELS dicts and WIDE_GOLDEN did not
+move.  Regenerate them only for a change that means to alter the search or
+the models:
 ``PYTHONPATH=src python tests/test_search_golden.py``.
 """
 
@@ -91,34 +98,34 @@ def digests(runs) -> dict[int, str]:
 
 
 GOLDEN_FORMULAS = [
-    ('exhausted', 1), ('model', 1648), ('model', 10), ('model', 6), ('model', 62),
+    ('exhausted', 1), ('model', 16), ('model', 10), ('model', 6), ('model', 5),
     ('model', 22), ('model', 2), ('model', 4), ('exhausted', 3), ('model', 3),
     ('model', 10), ('model', 17), ('model', 23), ('model', 5), ('model', 43),
-    ('model', 14), ('model', 4), ('node-limit', 4001), ('exhausted', 2), ('model', 22),
-    ('model', 49), ('model', 3), ('exhausted', 23), ('model', 9), ('model', 10),
+    ('model', 14), ('model', 4), ('exhausted', 1), ('exhausted', 2), ('model', 22),
+    ('model', 9), ('model', 3), ('exhausted', 23), ('model', 9), ('model', 10),
     ('model', 2), ('model', 16), ('model', 6), ('model', 2), ('model', 2),
-    ('exhausted', 2), ('model', 4), ('model', 6), ('model', 8), ('exhausted', 410),
-    ('model', 60), ('model', 1), ('model', 7), ('exhausted', 70), ('model', 3),
+    ('exhausted', 2), ('model', 4), ('model', 6), ('model', 8), ('exhausted', 3),
+    ('model', 60), ('model', 1), ('model', 7), ('exhausted', 0), ('model', 3),
     ('exhausted', 2146), ('model', 4), ('exhausted', 36), ('model', 6), ('exhausted', 2),
     ('model', 22), ('model', 18), ('model', 54), ('exhausted', 35), ('model', 9),
     ('exhausted', 7), ('model', 4), ('model', 8), ('model', 12), ('model', 3),
-    ('exhausted', 1), ('exhausted', 25), ('model', 1), ('model', 8), ('model', 1),
-    ('model', 121), ('model', 12), ('model', 33), ('model', 6), ('exhausted', 63),
+    ('exhausted', 1), ('exhausted', 0), ('model', 1), ('model', 8), ('model', 1),
+    ('model', 121), ('model', 12), ('model', 33), ('model', 6), ('exhausted', 3),
     ('model', 2), ('model', 3), ('model', 4), ('model', 71), ('model', 12),
     ('model', 2), ('model', 6), ('model', 49), ('exhausted', 1), ('exhausted', 197),
     ('model', 11), ('model', 8), ('exhausted', 139), ('model', 4), ('model', 6),
-    ('model', 151), ('model', 19), ('model', 3), ('model', 3), ('model', 20),
+    ('model', 5), ('model', 19), ('model', 3), ('model', 3), ('model', 20),
     ('model', 47), ('model', 1), ('model', 7), ('model', 3), ('model', 3),
     ('model', 7), ('exhausted', 0), ('model', 8), ('exhausted', 1), ('model', 6),
     ('model', 1), ('model', 4), ('model', 1369), ('model', 8), ('model', 3),
     ('model', 8), ('model', 7), ('exhausted', 1), ('model', 13), ('exhausted', 3),
     ('model', 29), ('exhausted', 2), ('model', 2), ('model', 2), ('exhausted', 6),
-    ('model', 3), ('model', 4), ('model', 51), ('model', 363), ('model', 8),
+    ('model', 3), ('model', 4), ('model', 51), ('model', 3), ('model', 8),
     ('model', 9), ('model', 2), ('model', 3), ('model', 3), ('model', 28),
     ('model', 7), ('model', 2), ('model', 4), ('exhausted', 3), ('exhausted', 0),
     ('model', 6), ('model', 7), ('model', 5), ('model', 3), ('model', 6),
     ('exhausted', 2), ('model', 5), ('model', 11), ('model', 4), ('model', 6),
-    ('exhausted', 563), ('model', 12), ('model', 8), ('model', 2), ('model', 24),
+    ('exhausted', 11), ('model', 12), ('model', 8), ('model', 2), ('model', 24),
     ('model', 5), ('model', 3), ('model', 3), ('exhausted', 1), ('exhausted', 0),
     ('exhausted', 2), ('exhausted', 3), ('model', 4), ('model', 10), ('model', 3),
 ]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gnncheck.arith import ArithmeticSpec
+from gnncheck.errors import UsageError
 from gnncheck.formula import Arena, Formula, parse, to_text
 from gnncheck.fuzz import run_differential
 from gnncheck.gnn import DeltaMode, LinIneq, LvpInstance, eval_linineq, gnn_eval
@@ -126,6 +127,36 @@ class TestSolve:
         v = solve(parse("truncrelu(x1) = 1 and x1 >= 2", spec), DeltaMode.unary(1))
         assert isinstance(v, Sat)
         assert isinstance(solve(parse("truncrelu(x1) = 2", spec), DeltaMode.unary(1)), Unsat)
+
+
+class TestLimits:
+    def test_negative_max_arity_is_refused(self):
+        # it used to truncate every arity and report Unknown("depth-limit")
+        f = parse("agg(x1) >= -3", ArithmeticSpec.satint(3))
+        assert isinstance(solve(f, DeltaMode.unary(2), SolveLimits(max_arity=0)), Sat)
+        with pytest.raises(UsageError, match="max_arity"):
+            solve(f, DeltaMode.unary(2), SolveLimits(max_arity=-1))
+
+    @pytest.mark.parametrize(
+        "limits",
+        [{"time_limit": float("nan")}, {"time_limit": -1.0}, {"max_terms": -5}, {"max_arity": -1}],
+        ids=repr,
+    )
+    def test_nan_or_negative_limits_are_refused(self, limits):
+        with pytest.raises(UsageError):
+            SolveLimits(**limits)
+
+    def test_zero_limits_are_budgets(self):
+        f = parse("x1 >= 0 and x2 >= 0", SAT7)
+        assert solve(f, DeltaMode.unary(1), SolveLimits(max_terms=0)) == Unknown("node-limit")
+        assert isinstance(solve(f, DeltaMode.unary(1), SolveLimits(time_limit=0.0, max_arity=0)), Sat)
+
+    @pytest.mark.parametrize("max_terms", range(0, 40, 3))
+    def test_verify_leaves_the_tableau_valid_limits(self, msg_instance, max_terms):
+        # the sampler never spends more than the budget, so the limits it
+        # hands on are never negative
+        result = verify_lvp(msg_instance, SolveLimits(max_terms=max_terms))
+        assert isinstance(result, (Invalid, Unknown))
 
 
 class TestExprRange:

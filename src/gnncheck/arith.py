@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import ConfigError, UsageError
 
@@ -60,6 +60,16 @@ def _intersect(a: Optional[tuple[int, int]], b: Optional[tuple[int, int]]) -> Op
     lo = max(a[0], b[0])
     hi = min(a[1], b[1])
     return None if lo > hi else (lo, hi)
+
+
+def weight_cap(weight_vectors: Iterable[tuple[int, ...] | None]) -> int | None:
+    """The fewest weights of any weighted aggregation among the vectors
+    (None entries are unweighted ones), or None when there is none.
+
+    This is the one arity rule: where a weighted aggregation occurs, no node
+    may have more successors than this, whichever aggregation it evaluates.
+    """
+    return min((len(w) for w in weight_vectors if w is not None), default=None)
 
 
 @dataclass(frozen=True)

@@ -69,13 +69,10 @@ def instance_rng(instance: LvpInstance) -> random.Random:
 
 
 def arity_cap(instance: LvpInstance) -> int:
-    """Largest arity sampled: within δ and the weight count of every weighted layer."""
-    value = instance.delta.value
-    cap = MAX_SAMPLED_ARITY if value is None else min(value, MAX_SAMPLED_ARITY)
-    for layer in instance.model.layers:
-        if layer.agg_weights is not None:
-            cap = min(cap, len(layer.agg_weights))
-    return cap
+    """Largest arity sampled: within δ, ``MAX_SAMPLED_ARITY`` and the
+    network's weight cap."""
+    caps = (instance.delta.value, instance.model.weight_cap, MAX_SAMPLED_ARITY)
+    return min(c for c in caps if c is not None)
 
 
 def _payloads(bits, count: int, spec: ArithmeticSpec) -> list[int]:
@@ -116,11 +113,6 @@ def _payloads(bits, count: int, spec: ArithmeticSpec) -> list[int]:
                 r = bits(k)
             out.append(r - m)
     return out
-
-
-def draw_payload(rng: random.Random, spec: ArithmeticSpec) -> int:
-    """One label payload drawn from ``rng``."""
-    return _payloads(rng.getrandbits, 1, spec)[0]
 
 
 def price(nodes: int, layers: int) -> int:
@@ -198,39 +190,10 @@ def _labels(instance: LvpInstance, nodes: list[str], payloads: list[int]) -> dic
 
 def build_tree(instance: LvpInstance, counts: list[int], payloads: list[int]) -> PointedGraph:
     """The validated graph of a compact tree, pointed at its root."""
-    nodes, edges = _shape(counts)
-    return pointed_tree(instance, nodes, edges, _labels(instance, nodes, payloads))
-
-
-def grow_tree(
-    rng: random.Random, layers: int, cap: int, room: int | None = None, deadline: float | None = None
-) -> tuple[list[str], list[tuple[str, str]]] | None:
-    """The nodes and edges of the tree ``grow_counts`` draws from ``rng``,
-    or None when it stops."""
-    counts = grow_counts(rng.getrandbits, layers, cap, room, deadline)
-    return None if counts is None else _shape(counts)
-
-
-def draw_labels(rng: random.Random, instance: LvpInstance, nodes: list[str]) -> dict[str, dict[str, int]] | None:
-    """Input labels for ``nodes`` (the point "v" first), or None when no
-    drawn label of the point satisfied L_in."""
-    payloads = label_payloads(rng.getrandbits, instance, len(nodes))
-    return None if payloads is None else _labels(instance, nodes, payloads)
-
-
-def pointed_tree(instance: LvpInstance, nodes: list[str], edges: list[tuple[str, str]], labels: dict) -> PointedGraph:
-    """The validated graph of a drawn tree, pointed at its root."""
     model = instance.model
+    nodes, edges = _shape(counts)
+    labels = _labels(instance, nodes, payloads)
     return PointedGraph(LabeledGraph(model.spec, model.input_features, tuple(nodes), tuple(edges), labels), "v")
-
-
-def sample_tree(rng: random.Random, instance: LvpInstance, cap: int) -> PointedGraph | None:
-    """One random tree pointed at its root "v", or None when no drawn point
-    label satisfied L_in: the draws ``falsify`` makes for one sample."""
-    bits = rng.getrandbits
-    counts = grow_counts(bits, len(instance.model.layers), cap)
-    payloads = label_payloads(bits, instance, 1 + sum(counts))
-    return None if payloads is None else build_tree(instance, counts, payloads)
 
 
 def falsify(instance: LvpInstance, max_ticks: int | None = None, deadline: float | None = None) -> tuple[Hit | None, int]:

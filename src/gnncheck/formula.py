@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .arith import ACTIVATIONS, ArithmeticSpec
+from .arith import ACTIVATIONS, ArithmeticSpec, weight_cap
 from .errors import FormulaSyntaxError, UsageError
 
 AGG_KINDS = ("sum", "mean", "max", "weighted")
@@ -214,7 +214,9 @@ class Formula:
     ``fids`` and ``eids`` hold the walk of :meth:`Arena.reachable` from the
     root, made once here and read by every later pass.  Nodes are never
     changed once interned, so what a fixed root reaches stays the same when
-    the arena grows.
+    the arena grows.  ``weight_cap`` is the fewest weights of any weighted
+    aggregation (``arith.weight_cap``), or None: no node of a model may have
+    more successors, whichever subformula it evaluates.
     """
 
     arena: Arena
@@ -222,9 +224,12 @@ class Formula:
     features: tuple[str, ...] = field(default=())
     fids: list[int] = field(init=False, repr=False, compare=False)
     eids: list[int] = field(init=False, repr=False, compare=False)
+    weight_cap: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.fids, self.eids = self.arena.reachable(self.root)
+        exprs = self.arena._exprs
+        self.weight_cap = weight_cap(exprs[e][3] for e in self.eids if exprs[e][0] == "agg")
         found = _feature_names(self.arena, self.eids)
         if not self.features:
             self.features = found

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from .arith import ACTIVATIONS, ArithmeticSpec, Value
+from .arith import ACTIVATIONS, ArithmeticSpec, Value, weight_cap
 from .errors import SchemaError, UsageError
 from .graph import PointedGraph
 
@@ -129,6 +129,12 @@ class GnnModel:
     def output_dim(self) -> int:
         return len(self.output_features)
 
+    @property
+    def weight_cap(self) -> int | None:
+        """The fewest weights of any weighted layer (``arith.weight_cap``):
+        ``gnn_eval`` takes no graph with a node of more successors."""
+        return weight_cap(layer.agg_weights for layer in self.layers)
+
     def size(self) -> int:
         return sum(l.comb.size() for l in self.layers) + self.out.size()
 
@@ -189,13 +195,8 @@ def gnn_eval(model: GnnModel, pointed: PointedGraph) -> list[Value]:
     missing = [f for f in model.input_features if f not in graph.features]
     if missing:
         raise UsageError(f"graph lacks input features {missing}")
+    graph.require_arity(model.weight_cap)
     successors = graph.successors
-    for layer in model.layers:
-        if layer.agg_weights is not None:
-            for n in graph.nodes:
-                arity = len(successors(n))
-                if arity > len(layer.agg_weights):
-                    raise UsageError(f"weighted layer has {len(layer.agg_weights)} weights for {arity} successors")
     # breadth-first from the point: the nodes within distance d are order[:within[d]]
     order, seen, within = [pointed.point], {pointed.point}, [1]
     ring = 0

@@ -63,6 +63,18 @@ class LabeledGraph:
     def out_degree(self, v: str) -> int:
         return len(self.successors(v))
 
+    def require_arity(self, weight_cap: int | None) -> None:
+        """Raise UsageError when a node has more successors than ``weight_cap``,
+        the fewest weights of a weighted aggregation (``arith.weight_cap``);
+        None allows any number."""
+        if weight_cap is None:
+            return
+        for n, succs in self._successors.items():
+            if len(succs) > weight_cap:
+                raise UsageError(
+                    f"a weighted aggregation has {weight_cap} weights for {len(succs)} successors of node {n}"
+                )
+
     def label_payload(self, v: str, feature: str) -> int:
         try:
             return self.labels[v][feature]

@@ -105,10 +105,14 @@ def eval_payload(graph: LabeledGraph, node: str, arena: Arena, eid: int, _memo=N
 def check(graph: LabeledGraph, node: str, f: Formula, fid: int | None = None) -> bool:
     """Truth of a formula at a pointed graph.
 
+    A graph with a node of more successors than ``f.weight_cap`` is no model
+    of f, nor of its negation: it raises UsageError before anything is
+    evaluated, so the answer does not depend on which operands are reached.
     Connectives short-circuit left to right.  A connective waits on an
     explicit stack while its first operand is decided, then negates that
     truth, keeps it, or hands over to its second operand.
     """
+    graph.require_arity(f.weight_cap)
     arena = f.arena
     memo: dict = {}
     truth = False
@@ -132,6 +136,17 @@ def check(graph: LabeledGraph, node: str, f: Formula, fid: int | None = None) ->
 
 
 # -- brute-force satisfiability oracle ----------------------------------------
+
+
+def check_limits(time_limit: float | None, **counts: int | None) -> None:
+    """Raise UsageError on a time limit that is NaN or negative (a NaN
+    deadline never passes, so it would turn the limit off) or on a negative
+    count limit, given by name."""
+    if time_limit is not None and not time_limit >= 0:
+        raise UsageError(f"time_limit must be a non-negative number of seconds, got {time_limit!r}")
+    for name, value in counts.items():
+        if value is not None and value < 0:
+            raise UsageError(f"{name} must be >= 0, got {value!r}")
 
 
 class _Budget:
@@ -200,10 +215,7 @@ class _TreeSearch:
             for eid in self.eids
             if self.arena.expr(eid)[0] == "agg"
         ]
-        self.delta = delta
-        for _, kind, _, weights in self.aggs:
-            if kind == "weighted":
-                self.delta = min(self.delta, len(weights))
+        self.delta = delta if f.weight_cap is None else min(delta, f.weight_cap)
         self.n_labels = self.spec.n_values ** len(self.features)
         # level 0 charges all labels in one batch: when they exceed the budget,
         # the search stops before it evaluates any
@@ -425,6 +437,7 @@ def brute_force_sat(
     """
     if delta < 0:
         raise UsageError(f"arity bound must be >= 0, got {delta}")
+    check_limits(time_limit, max_steps=max_steps)
     needed = agg_depth(f)
     d = needed if depth is None else depth
     budget = _Budget(max_steps, time_limit)

@@ -47,12 +47,11 @@ from functools import partial
 
 from .arith import ArithmeticSpec, Value
 from .compile import CompiledInstance, compile_lvp
-from .errors import UsageError
 from .falsify import falsify
 from .formula import Arena, Formula
 from .gnn import DeltaMode, LvpInstance, eval_linineq, gnn_eval, valid_by_bounds
 from .graph import LabeledGraph, PointedGraph
-from .semantics import Sat, Unknown, Unsat, Verdict, check
+from .semantics import Sat, Unknown, Unsat, Verdict, check, check_limits
 
 Word = tuple[int, ...]
 
@@ -64,13 +63,7 @@ class SolveLimits:
     max_arity: int | None = None
 
     def __post_init__(self):
-        # a NaN deadline never passes, so it would turn the limit off
-        if self.time_limit is not None and not self.time_limit >= 0:
-            raise UsageError(f"time_limit must be a non-negative number of seconds, got {self.time_limit!r}")
-        for name in ("max_terms", "max_arity"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise UsageError(f"{name} must be >= 0, got {value!r}")
+        check_limits(self.time_limit, max_terms=self.max_terms, max_arity=self.max_arity)
 
 
 @dataclass
@@ -209,6 +202,9 @@ class _Search:
             cap = min(delta.value, combinatorial)
         else:
             cap = combinatorial
+        # the weight cap is semantic: no model has a node of more successors
+        if formula.weight_cap is not None:
+            cap = min(cap, formula.weight_cap)
         self.cap_truncated = limits.max_arity is not None and limits.max_arity < cap
         if self.cap_truncated:
             cap = limits.max_arity
@@ -409,11 +405,7 @@ class _Search:
     def _contribution(self, node: tuple, pos: int, v: int) -> int:
         """What the successor at pos with value v adds to an aggregation."""
         weights = node[3]
-        if weights is None:
-            return v
-        if pos > len(weights):
-            raise _Clash()  # no weight for this successor: not evaluable
-        return self._memo("scale", weights[pos - 1])[v]
+        return v if weights is None else self._memo("scale", weights[pos - 1])[v]
 
     def expr_range(self, st: _State, word: int, eid: int) -> tuple[int, int]:
         """Sound interval over-approximation of the expression's value.
@@ -841,15 +833,8 @@ class _Search:
             yield from self._walk_alternatives(st)
             return
         # arity, ascending from 0
-        word = choice[1]
-        cap = self.arity_cap
-        for key in st.obligations:
-            if word <= key < word + self.stride:  # an obligation at this word
-                node = self.nodes[key - word]
-                if node[0] == "agg" and node[1] == "weighted":
-                    cap = min(cap, len(node[3]))
-        for a in range(0, cap + 1):
-            yield ("set_arity", word, a)
+        for a in range(0, self.arity_cap + 1):
+            yield ("set_arity", choice[1], a)
 
     def _invert_alternatives(self, st: _State, key: int, operand: int, lo: int, hi: int):
         eid = key % self.stride
@@ -895,8 +880,6 @@ class _Search:
             reach_later = remaining >= 1 and flo <= target <= fhi
             rng = max_walk_window(self.spec, acc, target, reach_later)
         else:  # weighted: candidate contribution is mul(w, v)
-            if arity > len(weights):
-                return
             contribs = []
             for i in range(pos + 1, arity + 1):
                 mul = self._memo("scale", weights[i - 1])
@@ -1050,8 +1033,9 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
     L_out holds on the whole output box the instance is ``Valid("bounds")``,
     with nothing compiled, sampled or searched and no ticks charged.  Then a
     counterexample search by sampling (``falsify``) runs, and the tableau
-    gets the ticks it leaves, under δ capped as ``gnn_eval`` caps arities;
-    its ``Unsat`` is ``Valid("tableau")``.  Either way, a counterexample is
+    gets the ticks it leaves, under δ capped at the network's weight cap
+    (``_network_delta``), the one ``gnn_eval`` enforces; its ``Unsat`` is
+    ``Valid("tableau")``.  Either way, a counterexample is
     checked by ``gnn_eval`` and by the formula semantics before it is
     returned.
     """
@@ -1084,15 +1068,17 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
 
 
 def _network_delta(instance: LvpInstance) -> DeltaMode:
-    """The instance's δ, capped at the fewest weights of any weighted layer:
-    ``gnn_eval`` rejects a node with more successors than that, so no
-    counterexample has one.  A capped ``inf`` becomes ``binary``, which the
-    tableau, as for ``inf``, also bounds by its own combinatorial cap."""
-    delta = instance.delta
-    counts = [len(layer.agg_weights) for layer in instance.model.layers if layer.agg_weights is not None]
-    if not counts or (delta.value is not None and delta.value <= min(counts)):
+    """The instance's δ, capped at the network's weight cap: ``gnn_eval``
+    rejects a node with more successors than that, so no counterexample has
+    one.  The search caps δ at the compiled formula's own weight cap as
+    well, but the compiler drops zero-weight products, so a weighted layer
+    can leave no aggregation in the formula and only this cap keeps it.  A
+    capped ``inf`` becomes ``binary``, which the tableau, as for ``inf``,
+    also bounds by its own combinatorial cap."""
+    delta, cap = instance.delta, instance.model.weight_cap
+    if cap is None or (delta.value is not None and delta.value <= cap):
         return delta
-    return DeltaMode("binary" if delta.kind == "inf" else delta.kind, min(counts))
+    return DeltaMode("binary" if delta.kind == "inf" else delta.kind, cap)
 
 
 def _checked_invalid(instance: LvpInstance, compiled: CompiledInstance, pointed: PointedGraph, outputs: list[Value]) -> Invalid:

@@ -1,0 +1,142 @@
+"""One arity rule for every engine: no node has more successors than the
+fewest weights of any weighted aggregation in the formula (``weight_cap``).
+
+The tableau (unary and binary δ), the brute-force oracle and the formula
+semantics must agree on which tree models exist, whatever the order of the
+operands of ``and`` and ``or``.  ``fuzz.random_formula`` gives every weighted
+aggregation exactly δ weights, so no cap binds on its formulas; the cases
+here rebuild them with shorter weight vectors, a sum aggregation around each
+weighted one, and every connective's operands swapped.
+"""
+
+import random
+
+import pytest
+
+from gnncheck.arith import ArithmeticSpec
+from gnncheck.errors import UsageError
+from gnncheck.formula import Arena, Formula, _rebuild, parse
+from gnncheck.fuzz import random_formula
+from gnncheck.gnn import DeltaMode
+from gnncheck.graph import LabeledGraph
+from gnncheck.semantics import Sat, Unknown, Unsat, brute_force_sat, check
+from gnncheck.tableau import SolveLimits, solve
+
+SAT3 = ArithmeticSpec.satint(3)
+
+
+def verdicts(f, delta, max_arity=None):
+    """The verdicts of solve under unary and binary δ, and of the oracle."""
+    limits = SolveLimits(max_terms=20_000, max_arity=max_arity)
+    return [
+        solve(f, DeltaMode.unary(delta), limits),
+        solve(f, DeltaMode.binary(delta), limits),
+        brute_force_sat(f, delta, max_steps=200_000),
+    ]
+
+
+def outcome(graph, f):
+    """check at the point "v", or "error" when the graph is no model of f's kind."""
+    try:
+        return check(graph, "v", f)
+    except UsageError:
+        return "error"
+
+
+def star(spec, features, arity):
+    """The point "v" with ``arity`` successors; every label is 0."""
+    nodes = ("v",) + tuple(f"v{i}" for i in range(1, arity + 1))
+    edges = tuple(("v", n) for n in nodes[1:])
+    return LabeledGraph(spec, features, nodes, edges, {n: {x: 0 for x in features} for n in nodes})
+
+
+REPRODUCTIONS = [
+    ("agg(agg(1)) = 2 and wagg[1](x1) >= -3", 2, None),
+    ("(x1 >= 0 or wagg[1](x1) >= 0) and agg(1) = 2", 2, None),
+    ("(wagg[1](x1) >= 0 or x1 >= 0) and agg(1) = 2", 2, None),
+    # max_arity=1 is the weight cap, so it truncates nothing
+    ("wagg[1](x1) = 2 and agg(1) = 2", 3, 1),
+]
+
+
+@pytest.mark.parametrize("text,delta,max_arity", REPRODUCTIONS)
+def test_reproductions_are_unsat_for_every_engine(text, delta, max_arity):
+    f = parse(text, SAT3)
+    assert f.weight_cap == 1
+    assert all(isinstance(v, Unsat) for v in verdicts(f, delta, max_arity)), verdicts(f, delta, max_arity)
+
+
+def test_check_refuses_a_node_past_the_cap_whatever_the_operand_order():
+    first = parse("(x1 >= 0 or wagg[1](x1) >= 0) and agg(1) = 2", SAT3)
+    swapped = parse("(wagg[1](x1) >= 0 or x1 >= 0) and agg(1) = 2", SAT3)
+    for f in (first, swapped):
+        # x1 >= 0 holds at v, so the weighted operand is never evaluated
+        assert outcome(star(SAT3, ("x1",), 2), f) == "error"
+        assert outcome(star(SAT3, ("x1",), 1), f) is False
+        assert outcome(star(SAT3, ("x1",), 0), f) is False
+
+
+def variant(f, seed, swap):
+    """f rebuilt in a new arena: each weighted aggregation keeps 1..δ of its
+    weights and is wrapped in a sum aggregation, and with ``swap`` every
+    ``and`` and ``or`` has its operands swapped.  The cuts are drawn in walk
+    order from ``seed``, so both orders get the same ones."""
+    rng = random.Random(seed)
+    dst = Arena(f.spec)
+
+    def replace(node):
+        if node[0] == "agg" and node[1] == "weighted":
+            weights = node[3][: rng.randint(1, len(node[3]))]
+            return dst.agg("sum", dst.agg("weighted", node[2], weights))
+        if swap and node[0] == "and":
+            return dst.and_(node[2], node[1])
+        if swap and node[0] == "or":
+            return dst.or_(node[2], node[1])
+        return None
+
+    return Formula(dst, _rebuild(dst, f.arena, f.root, replace), f.features)
+
+
+def weight_counts(f):
+    """The weight count of each weighted aggregation in f."""
+    nodes = (f.arena.expr(e) for e in f.eids)
+    return [len(node[3]) for node in nodes if node[0] == "agg" and node[1] == "weighted"]
+
+
+def random_tree(rng, spec, features, depth, max_arity):
+    """A random tree rooted at "v", ``depth`` deep, with 0..max_arity
+    successors per node above the last level and random labels."""
+    nodes, edges, frontier = ["v"], [], ["v"]
+    for _ in range(depth):
+        grown = []
+        for parent in frontier:
+            for i in range(1, rng.randint(0, max_arity) + 1):
+                child = f"{parent}.{i}"
+                edges.append((parent, child))
+                grown.append(child)
+        nodes += grown
+        frontier = grown
+    m = spec.max_payload
+    labels = {n: {x: rng.randint(-m, m) for x in features} for n in nodes}
+    return LabeledGraph(spec, features, tuple(nodes), tuple(edges), labels)
+
+
+def test_rebuilt_fuzz_cases_agree_across_engines_and_operand_orders():
+    delta = 2
+    rng, trees = random.Random(16), random.Random(17)
+    capped = decided = 0
+    for i in range(800):
+        f = random_formula(rng, SAT3, agg_kinds=("sum", "mean", "max", "weighted"), delta=delta, max_agg_depth=1)
+        if not weight_counts(f):
+            continue
+        pair = variant(f, i, swap=False), variant(f, i, swap=True)
+        capped += min(weight_counts(pair[0])) < delta
+        found = [v for g in pair for v in verdicts(g, delta)]
+        decisive = {type(v) for v in found if not isinstance(v, Unknown)}
+        assert len(decisive) <= 1, (i, found)
+        decided += bool(decisive)
+        graphs = [v.model.graph for v in found if isinstance(v, Sat)]
+        graphs += [random_tree(trees, SAT3, f.features, 2, delta + 1) for _ in range(4)]
+        for graph in graphs:
+            assert outcome(graph, pair[0]) == outcome(graph, pair[1]), i
+    assert capped >= 10 and decided >= 30, (capped, decided)

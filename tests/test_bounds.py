@@ -27,7 +27,7 @@ from gnncheck.gnn import (
 )
 from gnncheck.graph import LabeledGraph, PointedGraph
 from gnncheck.semantics import Sat, Unsat, brute_force_sat
-from gnncheck.tableau import Invalid, SolveLimits, Valid, verify_lvp
+from gnncheck.tableau import Invalid, SolveLimits, Valid, solve, verify_lvp
 
 from test_compile import random_model
 
@@ -203,8 +203,12 @@ def sum_sum_weighted_model():
 
 
 def test_weighted_cap_is_per_layer():
-    """A node that evaluates only a sum layer may have more successors than a
-    later weighted layer has weights: min(δ, that count) must not bound it."""
+    """The hull of each layer is taken over arities up to δ, or up to that
+    layer's weight count, not up to the fewest weights of any layer.
+    ``gnn_eval`` gives no node more successors than the weighted layer's one
+    weight, so this box is wider than the outputs can reach (y1 <= 1 holds,
+    as the next test shows), but it is sound: the per-layer hull
+    over-approximates the network's one arity rule."""
     model = sum_sum_weighted_model()
     # y1 is up to 3 when the successor may have 3 successors
     instance = LvpInstance(model, (), (LinIneq((("y1", -1),), -1),), DeltaMode.unary(3))
@@ -215,11 +219,13 @@ def test_weighted_cap_is_per_layer():
 def test_the_tableau_gives_no_node_more_successors_than_weights():
     """gnn_eval, and so the oracle, give no node more successors than the
     weighted layer's one weight, so y1 <= 1 holds; the tableau must not
-    return a model whose successor has two."""
+    return a model whose successor has two, through verify_lvp or called
+    on the compiled formula under the instance's own δ."""
     model = sum_sum_weighted_model()
     for delta in (DeltaMode.unary(3), DeltaMode.binary(3), DeltaMode.infinite()):
         instance = LvpInstance(model, (), (LinIneq((("y1", -1),), -1),), delta)
         assert verify_lvp(instance, SolveLimits(max_terms=100_000)) == Valid("tableau"), delta
+        assert solve(compile_lvp(instance).formula, delta, SolveLimits(max_terms=100_000)) == Unsat(), delta
     assert isinstance(brute_force_sat(compile_lvp(instance).formula, 3), Unsat)
 
 

@@ -20,16 +20,14 @@ from gnncheck.falsify import (
     MAX_SAMPLED_ARITY,
     POINT_DRAWS,
     SAMPLES,
+    _payloads,
     arity_cap,
-    draw_labels,
-    draw_payload,
+    build_tree,
     falsify,
     grow_counts,
-    grow_tree,
     instance_rng,
-    pointed_tree,
+    label_payloads,
     price,
-    sample_tree,
 )
 from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnLayer, GnnModel, LinIneq, LvpInstance, eval_linineq, gnn_eval
 from gnncheck.graph import LabeledGraph, PointedGraph, save_json
@@ -104,8 +102,16 @@ def test_direct_payload_draws_take_the_values_and_words_of_the_stdlib_calls():
         for seed in range(200):
             ours, twin = random.Random(seed), random.Random(seed)
             for _ in range(5):
-                assert draw_payload(ours, spec) == stdlib_draw_payload(twin, spec), (spec, seed)
+                assert _payloads(ours.getrandbits, 1, spec) == [stdlib_draw_payload(twin, spec)], (spec, seed)
                 assert ours.getstate() == twin.getstate(), (spec, seed)
+
+
+def sample_tree(rng, instance):
+    """The draws ``falsify`` makes for one sample: successor counts, then
+    labels.  The built tree, or None when no drawn point label satisfied L_in."""
+    counts = grow_counts(rng.getrandbits, len(instance.model.layers), arity_cap(instance))
+    payloads = label_payloads(rng.getrandbits, instance, 1 + sum(counts))
+    return None if payloads is None else build_tree(instance, counts, payloads)
 
 
 def depths(graph):
@@ -138,7 +144,7 @@ def test_sampled_trees_respect_depth_arity_weights_and_l_in():
         assert cap == min(bounds)
         sampler = instance_rng(instance)
         for _ in range(20):
-            tree = sample_tree(sampler, instance, cap)
+            tree = sample_tree(sampler, instance)
             if tree is None:
                 continue
             trees += 1
@@ -247,7 +253,7 @@ def test_sampling_keeps_the_smallest_hit_and_stops_drawing_at_a_one_node_hit(mon
     evaluated = recording_eval(monkeypatch, lambda model: [Value(-1, model.spec)])
     hit, ticks = falsify(instance)
     rng = instance_rng(instance)
-    trees = [sample_tree(rng, instance, arity_cap(instance)) for _ in range(SAMPLES)]
+    trees = [sample_tree(rng, instance) for _ in range(SAMPLES)]
     sizes = [len(t.graph.nodes) for t in trees]
     first = sizes.index(1)
     assert first > 0  # a larger tree is drawn before it
@@ -265,7 +271,7 @@ def test_a_one_node_hit_on_the_first_draw_grows_no_other_tree(monkeypatch):
     out = Fnn((FnnLayer(((1,),), (0,), ("id",)),))
     model = GnnModel(spec, (GnnLayer("sum", comb),) * 2, out, ("x1",), ("y1",))
     instance = LvpInstance(model, (), (LinIneq((("y1", 1),), 1),), DeltaMode.unary(3))
-    first = sample_tree(instance_rng(instance), instance, arity_cap(instance))
+    first = sample_tree(instance_rng(instance), instance)
     assert first.graph.nodes == ("v",)
     grown = []
 
@@ -284,7 +290,7 @@ def test_without_a_hit_every_drawn_tree_is_evaluated_once_smallest_first(monkeyp
     evaluated = recording_eval(monkeypatch)
     assert falsify(instance)[0] is None
     rng = instance_rng(instance)
-    trees = [sample_tree(rng, instance, arity_cap(instance)) for _ in range(SAMPLES)]
+    trees = [sample_tree(rng, instance) for _ in range(SAMPLES)]
     drawn = [t for t in trees if t is not None]
     assert evaluated == sorted(drawn, key=lambda t: len(t.graph.nodes))
 
@@ -324,12 +330,12 @@ def old_sample_tree(rng, instance, cap):
                 grown.append(child)
         nodes += grown
         frontier = grown
-    labels = {n: {f: draw_payload(rng, spec) for f in features} for n in nodes}
+    labels = {n: {f: stdlib_draw_payload(rng, spec) for f in features} for n in nodes}
     point = labels["v"]
     for _ in range(POINT_DRAWS):
         if all(eval_linineq(q, point, spec) for q in instance.l_in):
             return PointedGraph(LabeledGraph(spec, features, tuple(nodes), tuple(edges), labels), "v"), len(nodes)
-        point.update((f, draw_payload(rng, spec)) for f in features)
+        point.update((f, stdlib_draw_payload(rng, spec)) for f in features)
     return None, len(nodes)
 
 
@@ -366,23 +372,23 @@ def smallest_first_falsify(instance, max_ticks=None):
     """Reference: draw and charge every tree, then evaluate them smallest
     first, in draw order among equals, up to the first hit."""
     model = instance.model
-    rng = instance_rng(instance)
+    bits = instance_rng(instance).getrandbits
     cap = arity_cap(instance)
     layers = len(model.layers)
     ticks, drawn = 0, []
     for _ in range(SAMPLES):
-        shape = grow_tree(rng, layers, cap, None if max_ticks is None else max_ticks - ticks)
-        if shape is None:
+        counts = grow_counts(bits, layers, cap, None if max_ticks is None else max_ticks - ticks)
+        if counts is None:
             break
-        nodes, edges = shape
-        labels = draw_labels(rng, instance, nodes)
-        if labels is None:
+        size = 1 + sum(counts)
+        payloads = label_payloads(bits, instance, size)
+        if payloads is None:
             continue
-        ticks += price(len(nodes), layers)
-        drawn.append((nodes, edges, labels))
-    drawn.sort(key=lambda tree: len(tree[0]))
-    for nodes, edges, labels in drawn:
-        tree = pointed_tree(instance, nodes, edges, labels)
+        ticks += price(size, layers)
+        drawn.append((size, counts, payloads))
+    drawn.sort(key=lambda tree: tree[0])
+    for _, counts, payloads in drawn:
+        tree = build_tree(instance, counts, payloads)
         outputs = gnn_mod.gnn_eval(model, tree)
         out_vals = dict(zip(model.output_features, (v.payload for v in outputs)))
         if not all(eval_linineq(q, out_vals, model.spec) for q in instance.l_out):

@@ -109,6 +109,18 @@ class TestBruteForce:
         assert isinstance(verdict, Unknown)
         assert verdict.reason == "node-limit"
 
+    @pytest.mark.parametrize(
+        "limits", [{"max_steps": -5}, {"time_limit": float("nan")}, {"time_limit": -1.0}], ids=repr
+    )
+    def test_nan_or_negative_limits_are_refused(self, limits):
+        # SolveLimits refuses the same values, through the same validator
+        with pytest.raises(UsageError):
+            brute_force_sat(parse("agg(x1) >= 2", ArithmeticSpec.satint(3)), delta=2, **limits)
+
+    def test_a_zero_step_limit_is_a_budget(self):
+        f = parse("agg(x1) >= 2", ArithmeticSpec.satint(3))
+        assert brute_force_sat(f, delta=2, max_steps=0) == Unknown("node-limit")
+
     def test_label_set_past_budget_stops_before_evaluating(self):
         # 2**32 - 1 labels: level 0 alone charges them all, past the default budget
         verdict = brute_force_sat(parse("x1 >= 0", FIX32_4), delta=1)

@@ -228,7 +228,8 @@ def _add_common(parser, required=False):
         type=int,
         default=None,
         help="work budget before giving up: ticks of the tableau (for verify, shared with the "
-        "counterexample sampling that runs first), or steps of the brute-force search for oracle sat",
+        "counterexample sampling and the box split that run first), or steps of the brute-force "
+        "search for oracle sat",
     )
     parser.add_argument("--max-arity", type=int, default=None, help="practical cap on guessed arities")
     parser.add_argument("--output", choices=("text", "json"), default="text")

@@ -1,8 +1,11 @@
 """Counterexample search by sampling, run ahead of the tableau.
 
-``falsify`` draws ``SAMPLES`` random pointed trees for an LVP instance and
-returns, among those whose outputs under ``gnn_eval`` violate L_out, the
-first with the fewest nodes.  A tree of one node, the point alone, is
+A round (``Sampler.round``) draws ``SAMPLES`` random pointed trees for an
+LVP instance and returns, among those whose outputs under ``gnn_eval``
+violate L_out, the first with the fewest nodes.  ``falsify`` is one round;
+``verify_lvp`` draws up to ``EXTRA_ROUNDS`` more from the same generator
+when the first round and the box split decide nothing, and each round
+holds only its own trees.  A tree of one node, the point alone, is
 evaluated as soon as it is drawn, and a hit there ends the sampling: no
 later tree can be smaller.  The larger trees are kept until every tree is
 drawn, then built and evaluated smallest first up to the first hit, so the
@@ -28,8 +31,8 @@ evaluated, and ``gnn_eval`` skips the nodes that cannot reach the point's
 output).  Without a hit, or with a hit of more than one node, every tree is
 drawn and charged, so the ticks left to the tableau do not depend on the
 samples' outputs; a one-node hit is charged only the trees drawn up to it.
-A tree that grows past the ticks left ends the sampling as soon as a layer
-shows it.
+A tree that grows past the ticks left ends the round, and the sampling, as
+soon as a layer shows it.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ from .graph import LabeledGraph, PointedGraph
 # time, about a few hundred tableau ticks' worth per sample, and the number
 # stays small.
 SAMPLES = 32
+# Rounds of SAMPLES more that ``verify_lvp`` draws, from the same generator,
+# when the first round and the box split decide nothing.  A sampled tick
+# costs a few times a tableau tick in wall time, so the rounds stop well
+# short of the budget: three decide most of what more rounds would.
+EXTRA_ROUNDS = 3
 # Successors per node when the arity bound allows more: trees grow as this
 # number to the power of the layer count.
 MAX_SAMPLED_ARITY = 4
@@ -196,51 +204,78 @@ def build_tree(instance: LvpInstance, counts: list[int], payloads: list[int]) ->
     return PointedGraph(LabeledGraph(model.spec, model.input_features, tuple(nodes), tuple(edges), labels), "v")
 
 
-def falsify(instance: LvpInstance, max_ticks: int | None = None, deadline: float | None = None) -> tuple[Hit | None, int]:
-    """Search for a tree whose outputs violate L_out.
+class Sampler:
+    """The sampling rounds of one instance, drawn from one generator.
 
-    Returns the smallest counterexample drawn (the first of the smallest)
-    with its outputs, or None, and the ticks spent.  A one-node tree is
-    evaluated when it is drawn, and a hit there returns at once, charged
-    the trees drawn so far.  The larger trees are drawn and charged first,
-    and kept compact; then they are built and evaluated smallest first, in
-    draw order among equals, up to the first hit.  Sampling stops before a
-    tree whose price would take the ticks past ``max_ticks`` (as soon as
-    its growth shows it), and once ``time.monotonic()`` passes ``deadline``.
+    Each ``round`` draws ``SAMPLES`` trees where the last round stopped,
+    under the same draw rule and price, and keeps them only until it
+    returns, so a round without a tick budget holds one round's trees.
+    ``ticks`` sums the price of every round.  A round that stops at its
+    budget or at the deadline sets ``cut``.
     """
-    bits = instance_rng(instance).getrandbits
-    cap = arity_cap(instance)
-    layers = len(instance.model.layers)
-    ticks = 0
-    drawn = []
-    for _ in range(SAMPLES):
-        counts = grow_counts(bits, layers, cap, None if max_ticks is None else max_ticks - ticks, deadline)
-        if counts is None:
-            break
-        size = 1 + sum(counts)
-        payloads = label_payloads(bits, instance, size)
-        if payloads is None:
-            continue
-        ticks += price(size, layers)
-        if size > 1:
-            drawn.append((size, counts, payloads))
-            continue
-        # the smallest-first pass would evaluate this tree before every
-        # larger one and after the one-node trees drawn before it, and no
-        # later tree can be smaller: a hit here is its answer
-        if deadline is not None and time.monotonic() > deadline:
-            return None, ticks
-        hit = _violation(instance, build_tree(instance, counts, payloads))
-        if hit is not None:
-            return hit, ticks
-    drawn.sort(key=lambda tree: tree[0])  # stable: draw order among equals
-    for _, counts, payloads in drawn:
-        if deadline is not None and time.monotonic() > deadline:
-            break
-        hit = _violation(instance, build_tree(instance, counts, payloads))
-        if hit is not None:
-            return hit, ticks
-    return None, ticks
+
+    def __init__(self, instance: LvpInstance, deadline: float | None = None):
+        self.instance = instance
+        self.deadline = deadline
+        self.bits = instance_rng(instance).getrandbits
+        self.cap = arity_cap(instance)
+        self.layers = len(instance.model.layers)
+        self.ticks = 0
+        self.cut = False
+
+    def round(self, room: int | None = None) -> Hit | None:
+        """The smallest counterexample of one round (the first of the
+        smallest) with its outputs, or None.  A one-node tree is evaluated
+        when it is drawn, and a hit there returns at once, charged the
+        trees drawn so far.  The larger trees are drawn and charged first,
+        and kept compact; then they are built and evaluated smallest first,
+        in draw order among equals, up to the first hit.  The round stops
+        drawing before a tree whose price would spend more than ``room``
+        ticks in it (as soon as its growth shows it), and once
+        ``time.monotonic()`` passes the deadline."""
+        instance, bits, deadline, layers = self.instance, self.bits, self.deadline, self.layers
+        start = self.ticks
+        drawn = []
+        for _ in range(SAMPLES):
+            left = None if room is None else room - (self.ticks - start)
+            counts = grow_counts(bits, layers, self.cap, left, deadline)
+            if counts is None:
+                self.cut = True
+                break
+            size = 1 + sum(counts)
+            payloads = label_payloads(bits, instance, size)
+            if payloads is None:
+                continue
+            self.ticks += price(size, layers)
+            if size > 1:
+                drawn.append((size, counts, payloads))
+                continue
+            # the smallest-first pass would evaluate this tree before every
+            # larger one and after the one-node trees drawn before it, and no
+            # later tree can be smaller: a hit here is its answer
+            if deadline is not None and time.monotonic() > deadline:
+                self.cut = True
+                return None
+            hit = _violation(instance, build_tree(instance, counts, payloads))
+            if hit is not None:
+                return hit
+        drawn.sort(key=lambda tree: tree[0])  # stable: draw order among equals
+        for _, counts, payloads in drawn:
+            if deadline is not None and time.monotonic() > deadline:
+                self.cut = True
+                break
+            hit = _violation(instance, build_tree(instance, counts, payloads))
+            if hit is not None:
+                return hit
+        return None
+
+
+def falsify(instance: LvpInstance, max_ticks: int | None = None, deadline: float | None = None) -> tuple[Hit | None, int]:
+    """Search for a tree whose outputs violate L_out: one ``Sampler``
+    round under ``max_ticks``.  Returns the round's hit, or None, and the
+    ticks spent."""
+    sampler = Sampler(instance, deadline)
+    return sampler.round(max_ticks), sampler.ticks
 
 
 def _violation(instance: LvpInstance, tree: PointedGraph) -> Hit | None:

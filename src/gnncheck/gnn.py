@@ -8,10 +8,13 @@ unfolds formulas with the same chain so that logic and evaluation agree
 bit for bit.  ``gnn_bounds`` maps intervals through the same primitives,
 each of which is monotone, and ``valid_by_bounds`` proves an LVP instance
 valid when its output constraints hold on the whole output box.
+``valid_by_split`` bisects the last layer's input box until they hold on
+every piece (branch and bound); ``valid_by_bounds`` is its one-box case.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -241,26 +244,43 @@ def fnn_bounds(fnn: Fnn, box: Box, spec: ArithmeticSpec) -> Box:
     return box
 
 
-def gnn_bounds(model: GnnModel, point: Box, delta: DeltaMode) -> Box:
-    """Interval of each output at a point whose input features lie in
-    ``point``, over every graph whose nodes have at most δ successors.
+def last_fnns(model: GnnModel) -> tuple[Fnn, ...]:
+    """The FNNs after the last aggregation: the last layer's ``comb`` and
+    ``out``, or ``out`` alone without layers."""
+    return (model.layers[-1].comb, model.out) if model.layers else (model.out,)
 
-    Two boxes go through the layers: the point's, and one that holds every
-    node's state (the point's own, successors', on cycles and self-loops),
-    which starts at [-M, M].  Layer l maps the point box through
-    comb(point ++ agg(any)) and the any-node box through comb(any ++ agg(any)),
-    where agg is ``ArithmeticSpec.agg_hull`` over arities 0..δ.
+
+def last_layer_box(model: GnnModel, point: Box, delta: DeltaMode) -> Box:
+    """The box of the inputs of ``last_fnns`` at a point whose input
+    features lie in ``point``, over every graph whose nodes have at most δ
+    successors.
+
+    Two boxes go through layers 1..L-1: the point's, and one that holds
+    every node's state (the point's own, successors', on cycles and
+    self-loops), which starts at [-M, M].  Layer l maps the point box
+    through comb(point ++ agg(any)) and the any-node box through
+    comb(any ++ agg(any)), where agg is ``ArithmeticSpec.agg_hull`` over
+    arities 0..δ.  The last layer's input box is point ++ agg(any).
     """
     spec = model.spec
     m = spec.max_payload
     anywhere = [(-m, m)] * model.input_dim
-    last = len(model.layers) - 1
     for l, layer in enumerate(model.layers):
         agg = [spec.agg_hull(layer.agg_kind, lo, hi, delta.value, layer.agg_weights) for lo, hi in anywhere]
-        point = fnn_bounds(layer.comb, point + agg, spec)
-        if l < last:  # the last layer's any-node box is read by nothing
-            anywhere = fnn_bounds(layer.comb, anywhere + agg, spec)
-    return fnn_bounds(model.out, point, spec)
+        if l == len(model.layers) - 1:
+            return point + agg
+        anywhere, point = fnn_bounds(layer.comb, anywhere + agg, spec), fnn_bounds(layer.comb, point + agg, spec)
+    return point
+
+
+def gnn_bounds(model: GnnModel, point: Box, delta: DeltaMode) -> Box:
+    """Interval of each output at a point whose input features lie in
+    ``point``, over every graph whose nodes have at most δ successors: the
+    ``last_layer_box`` mapped through the last FNNs."""
+    box = last_layer_box(model, point, delta)
+    for fnn in last_fnns(model):
+        box = fnn_bounds(fnn, box, model.spec)
+    return box
 
 
 # -- linear constraint systems and LVP instances -------------------------------
@@ -365,15 +385,20 @@ def input_box(instance: LvpInstance) -> Box | None:
     return list(box.values())
 
 
-def valid_by_bounds(instance: LvpInstance) -> bool:
-    """True when every output inequality holds at every point of the output
-    box (``gnn_bounds`` over ``input_box``), or no point meets L_in: then the
-    instance is valid.  False says nothing."""
-    point = input_box(instance)
-    if point is None:
-        return True
-    model, spec = instance.model, instance.model.spec
-    box = dict(zip(model.output_features, gnn_bounds(model, point, instance.delta)))
+# Boxes ``valid_by_split`` maps before it gives up.
+MAX_BOXES = 2000
+
+
+def box_price(model: GnnModel) -> int:
+    """The ticks one box of ``valid_by_split`` costs: a tick per FNN layer
+    it is mapped through."""
+    return sum(len(fnn.layers) for fnn in last_fnns(model))
+
+
+def _meets_l_out(instance: LvpInstance, out_box: Box) -> bool:
+    """Whether every output inequality holds at every point of the box."""
+    spec = instance.model.spec
+    box = dict(zip(instance.model.output_features, out_box))
     for q in instance.l_out:
         acc = 0  # the least value of the left-hand side over the box
         for var, c in q.coeffs:
@@ -382,6 +407,53 @@ def valid_by_bounds(instance: LvpInstance) -> bool:
         if acc < q.const:
             return False
     return True
+
+
+def valid_by_split(instance: LvpInstance, max_boxes: int = 1, deadline: float | None = None) -> tuple[bool, int]:
+    """Branch and bound over the last layer's input box (``last_layer_box``
+    over ``input_box``): (proved, boxes mapped).
+
+    Each box is mapped through the last FNNs with ``fnn_bounds``.  A box
+    whose outputs meet L_out is done; one that does not is bisected at the
+    middle of its widest dimension (the first of the widest), depth first,
+    lower half first.  Proved when every leaf meets L_out, or when no point
+    meets L_in (with no box mapped).  Not proved at the first failing box
+    of one value in every dimension, when ``max_boxes`` boxes are mapped
+    and more remain, or once ``time.monotonic()`` passes ``deadline``: the
+    earlier layers' boxes over-approximate, so a failing leaf is no
+    counterexample.  With one box this is ``valid_by_bounds``.
+    """
+    point = input_box(instance)
+    if point is None:
+        return True, 0
+    model = instance.model
+    fnns = last_fnns(model)
+    stack, boxes = [last_layer_box(model, point, instance.delta)], 0
+    while stack:
+        if boxes == max_boxes or (deadline is not None and time.monotonic() > deadline):
+            return False, boxes
+        box = stack.pop()
+        boxes += 1
+        out = box
+        for fnn in fnns:
+            out = fnn_bounds(fnn, out, model.spec)
+        if _meets_l_out(instance, out):
+            continue
+        dim = max(range(len(box)), key=lambda i: box[i][1] - box[i][0])
+        lo, hi = box[dim]
+        if lo == hi:  # one value in every dimension
+            return False, boxes
+        mid = (lo + hi) // 2
+        stack.append(box[:dim] + [(mid + 1, hi)] + box[dim + 1 :])
+        stack.append(box[:dim] + [(lo, mid)] + box[dim + 1 :])
+    return True, boxes
+
+
+def valid_by_bounds(instance: LvpInstance) -> bool:
+    """True when every output inequality holds at every point of the output
+    box (``gnn_bounds`` over ``input_box``), or no point meets L_in: then the
+    instance is valid.  False says nothing."""
+    return valid_by_split(instance)[0]
 
 
 # -- JSON schemas ---------------------------------------------------------------

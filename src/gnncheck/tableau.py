@@ -30,11 +30,14 @@ the arity modes differ only in the arity cap.
 
 The search's work is counted in ticks: one per branch alternative tried, one
 per value assigned, and one per value newly derived into the store by forward
-evaluation.  ``SolveLimits.max_terms`` bounds the ticks.  ``verify_lvp``
-first tries to prove the instance valid from interval bounds of the network's
-outputs (``gnn.valid_by_bounds``), free of ticks.  Failing that, it samples
-counterexamples (``gnncheck.falsify``) at a fixed price of nodes × layers + 1
-ticks per sampled tree, and the tableau gets the ticks left.
+evaluation.  ``SolveLimits.max_terms`` bounds the ticks.  ``verify_lvp`` runs
+cheaper sound deciders first, on the same budget.  Interval bounds of the
+network's outputs (``gnn.valid_by_bounds``) are free of ticks.  A round of
+counterexample sampling (``gnncheck.falsify``) costs nodes × layers + 1 ticks
+per sampled tree; branch and bound over the last layer's input box
+(``gnn.valid_by_split``) costs a tick per box per FNN layer; up to
+``falsify.EXTRA_ROUNDS`` more rounds follow at the sampling price, and the
+tableau gets the ticks left.
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ from functools import partial
 
 from .arith import ArithmeticSpec, Value
 from .compile import CompiledInstance, compile_lvp
-from .falsify import falsify
+from .falsify import EXTRA_ROUNDS, Sampler
 from .formula import Arena, Formula
-from .gnn import DeltaMode, LvpInstance, eval_linineq, gnn_eval, valid_by_bounds
+from .gnn import MAX_BOXES, DeltaMode, LvpInstance, box_price, eval_linineq, gnn_eval, valid_by_bounds, valid_by_split
 from .graph import LabeledGraph, PointedGraph
 from .semantics import Sat, Unknown, Unsat, Verdict, check, check_limits
 
@@ -68,7 +71,7 @@ class SolveLimits:
 
 @dataclass
 class Valid:
-    by: str  # the stage that proved it: "bounds" or "tableau"
+    by: str  # the phase that proved it: "bounds", "split" or "tableau"
 
 
 @dataclass
@@ -1029,27 +1032,49 @@ def solve(formula: Formula, delta: DeltaMode, limits: SolveLimits | None = None)
 def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpVerdict:
     """Valid when the compiled formula is unsatisfiable, else a counterexample.
 
-    An interval pass over the network (``valid_by_bounds``) runs first: when
-    L_out holds on the whole output box the instance is ``Valid("bounds")``,
-    with nothing compiled, sampled or searched and no ticks charged.  Then a
-    counterexample search by sampling (``falsify``) runs, and the tableau
-    gets the ticks it leaves, under δ capped at the network's weight cap
-    (``_network_delta``), the one ``gnn_eval`` enforces; its ``Unsat`` is
-    ``Valid("tableau")``.  Either way, a counterexample is
-    checked by ``gnn_eval`` and by the formula semantics before it is
-    returned.
+    The phases run cheapest first and share one tick budget:
+
+    1. an interval pass over the network (``valid_by_bounds``): when L_out
+       holds on the whole output box the instance is ``Valid("bounds")``,
+       with nothing compiled, sampled or searched and no ticks charged;
+    2. a round of counterexample sampling (``falsify.Sampler``);
+    3. branch and bound over the last layer's input box
+       (``valid_by_split``), at ``box_price`` ticks a box and at most
+       ``MAX_BOXES`` boxes: ``Valid("split")``;
+    4. up to ``EXTRA_ROUNDS`` more sampling rounds from the same generator;
+    5. the tableau, with the ticks left, under δ capped at the network's
+       weight cap (``_network_delta``), the one ``gnn_eval`` enforces; its
+       ``Unsat`` is ``Valid("tableau")``.
+
+    Whichever phase finds it, a counterexample is checked by ``gnn_eval``
+    and by the formula semantics before it is returned.
     """
     limits = limits or SolveLimits()
     deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
     if valid_by_bounds(instance):
         return Valid("bounds")
     compiled = compile_lvp(instance)
-    hit, ticks = falsify(instance, limits.max_terms, deadline)
+    budget = limits.max_terms
+    sampler = Sampler(instance, deadline)
+    hit = sampler.round(budget)
     if hit is not None:
         return _checked_invalid(instance, compiled, *hit)
+    per_box = box_price(instance.model)
+    boxes = MAX_BOXES if budget is None else min(MAX_BOXES, (budget - sampler.ticks) // per_box)
+    proved, boxes = valid_by_split(instance, boxes, deadline)
+    if proved:
+        return Valid("split")
+    if budget is not None:
+        budget -= boxes * per_box  # the rounds and the tableau share what the split leaves
+    for _ in range(EXTRA_ROUNDS):
+        if sampler.cut:
+            break
+        hit = sampler.round(None if budget is None else budget - sampler.ticks)
+        if hit is not None:
+            return _checked_invalid(instance, compiled, *hit)
     rest = SolveLimits(
         time_limit=None if deadline is None else max(0.0, deadline - time.monotonic()),
-        max_terms=None if limits.max_terms is None else limits.max_terms - ticks,
+        max_terms=None if budget is None else budget - sampler.ticks,
         max_arity=limits.max_arity,
     )
     verdict = solve(compiled.formula, _network_delta(instance), rest)

@@ -12,7 +12,7 @@ from gnncheck.cli import main
 from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnModel, LinIneq, LvpInstance, lvp_to_json, gnn_to_json
 from gnncheck.graph import save_json
 
-from test_falsify import positive_instance, relational_instance
+from test_falsify import positive_instance, relational_instance, split_instance
 
 from conftest import (
     message_counterexample,
@@ -63,7 +63,9 @@ class TestVerify:
         assert "nodes" in doc["counterexample"]
         assert set(doc["outputs"]) == {"y1", "y2", "y3"}
 
-    @pytest.mark.parametrize("fixture, by", [(positive_instance, "bounds"), (relational_instance, "tableau")])
+    @pytest.mark.parametrize(
+        "fixture, by", [(positive_instance, "bounds"), (split_instance, "split"), (relational_instance, "tableau")]
+    )
     def test_json_output_names_the_stage_that_proved_valid(self, tmp_path, capsys, fixture, by):
         path = tmp_path / "valid.json"
         path.write_text(json.dumps(lvp_to_json(fixture())))

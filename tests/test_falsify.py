@@ -17,9 +17,11 @@ from gnncheck import gnn as gnn_mod
 from gnncheck.arith import ArithmeticSpec, Value
 from gnncheck.compile import compile_lvp
 from gnncheck.falsify import (
+    EXTRA_ROUNDS,
     MAX_SAMPLED_ARITY,
     POINT_DRAWS,
     SAMPLES,
+    Sampler,
     _payloads,
     arity_cap,
     build_tree,
@@ -29,7 +31,20 @@ from gnncheck.falsify import (
     label_payloads,
     price,
 )
-from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnLayer, GnnModel, LinIneq, LvpInstance, eval_linineq, gnn_eval
+from gnncheck.gnn import (
+    MAX_BOXES,
+    DeltaMode,
+    Fnn,
+    FnnLayer,
+    GnnLayer,
+    GnnModel,
+    LinIneq,
+    LvpInstance,
+    box_price,
+    eval_linineq,
+    gnn_eval,
+    valid_by_split,
+)
 from gnncheck.graph import LabeledGraph, PointedGraph, save_json
 from gnncheck.semantics import Unknown, Unsat, brute_force_sat
 from gnncheck.tableau import Invalid, SolveLimits, Valid, _Search, verify_lvp
@@ -204,14 +219,29 @@ def positive_instance():
     return LvpInstance(model, (), (LinIneq((("y1", 1),), 1),), DeltaMode.unary(2))
 
 
-def relational_instance():
+def split_instance():
     """y1 = relu(x1) - x1 >= 0 at every point: valid, but only through the
     relation between the two terms.  Interval bounds lose it (y1's box is
-    [-7, 7]), so the sampler and then the tableau decide it."""
+    [-7, 7]); splitting the last layer's input box down to single values of
+    x1 recovers it."""
     spec = ArithmeticSpec.satint(7)
     comb = Fnn((FnnLayer(((1, 0), (1, 0)), (0, 0), ("relu", "id")),))
     out = Fnn((FnnLayer(((1, -1),), (0,), ("id",)),))
     model = GnnModel(spec, (GnnLayer("sum", comb),), out, ("x1",), ("y1",))
+    return LvpInstance(model, (), (LinIneq((("y1", 1),), 0),), DeltaMode.unary(2))
+
+
+def relational_instance():
+    """``split_instance``'s relation through two layers: layer 1 computes
+    relu(x1) and x1, layer 2 passes them on, and y1 is their difference.
+    The last layer's input box holds them as two independent intervals, so
+    the split fails at a box with relu(x1) = 0 and x1 = 1, and after the
+    sampler finds nothing the tableau decides it."""
+    spec = ArithmeticSpec.satint(7)
+    first = Fnn((FnnLayer(((1, 0), (1, 0)), (0, 0), ("relu", "id")),))
+    second = Fnn((FnnLayer(((1, 0, 0, 0), (0, 1, 0, 0)), (0, 0), ("id", "id")),))
+    out = Fnn((FnnLayer(((1, -1),), (0,), ("id",)),))
+    model = GnnModel(spec, (GnnLayer("sum", first), GnnLayer("sum", second)), out, ("x1",), ("y1",))
     return LvpInstance(model, (), (LinIneq((("y1", 1),), 0),), DeltaMode.unary(2))
 
 
@@ -445,12 +475,18 @@ def test_sampling_is_charged_to_the_tick_budget():
 
 
 def test_tableau_gets_the_ticks_sampling_leaves():
+    """The tableau gets what the first round, the split and the extra
+    rounds leave: one tick fewer than their sum and its own is Unknown."""
     instance = relational_instance()
-    _, sampled = falsify(instance)
+    sampler = Sampler(instance)
+    rounds = [sampler.round() for _ in range(1 + EXTRA_ROUNDS)]
+    assert rounds == [None] * (1 + EXTRA_ROUNDS)
+    proved, boxes = valid_by_split(instance, MAX_BOXES)
+    assert not proved and 1 < boxes < MAX_BOXES
     search = _Search(compile_lvp(instance).formula, instance.delta, SolveLimits())
     assert search.attempt(search.root_state()) is None
-    needed = sampled + search.ticks
-    assert isinstance(verify_lvp(instance, SolveLimits(max_terms=needed)), Valid)
+    needed = sampler.ticks + boxes * box_price(instance.model) + search.ticks
+    assert verify_lvp(instance, SolveLimits(max_terms=needed)) == Valid("tableau")
     assert verify_lvp(instance, SolveLimits(max_terms=needed - 1)) == Unknown("node-limit")
 
 

@@ -1,0 +1,207 @@
+"""What ``verify_lvp`` runs between the first sampling round and the
+tableau: branch and bound over the last layer's input box
+(``gnn.valid_by_split``), then ``EXTRA_ROUNDS`` more rounds of the sampler
+(``falsify.Sampler``)."""
+
+import dataclasses
+import random
+import time
+import tracemalloc
+
+from gnncheck import falsify as falsify_mod
+from gnncheck import gnn as gnn_mod
+from gnncheck.arith import ArithmeticSpec, Value
+from gnncheck.compile import compile_lvp
+from gnncheck.falsify import EXTRA_ROUNDS, Sampler, falsify
+from gnncheck.gnn import (
+    MAX_BOXES,
+    DeltaMode,
+    GnnLayer,
+    LinIneq,
+    LvpInstance,
+    box_price,
+    eval_linineq,
+    gnn_bounds,
+    gnn_eval,
+    input_box,
+    last_layer_box,
+    valid_by_bounds,
+    valid_by_split,
+)
+from gnncheck.graph import LabeledGraph
+from gnncheck.semantics import Sat, Unknown, Unsat, brute_force_sat, check
+from gnncheck.tableau import Invalid, SolveLimits, Valid, _network_delta, verify_lvp
+
+from test_compile import random_model
+from test_falsify import KINDS, deep_sum_instance, random_instance, relational_instance, split_instance
+
+
+def oracle_cases(count):
+    """``random_model`` GNNs over satint:3-7 with one or two layers, each
+    layer of a drawn aggregation kind (a weighted one with fewer weights
+    than δ where δ allows), under unary δ 1-3 and a random constraint on x1."""
+    rng = random.Random(4711)
+    for i in range(count):
+        spec = ArithmeticSpec.satint(3 + i % 5)
+        delta = DeltaMode.unary(1 + (i // 5) % 3)
+        model = random_model(rng, spec, max_layers=2, max_dim=2)
+        layers = []
+        for j, layer in enumerate(model.layers):
+            kind = KINDS[(i // 15 + j) % 4]
+            weights = None
+            if kind == "weighted":
+                weights = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, max(1, delta.value - 1))))
+            layers.append(GnnLayer(kind, layer.comb, weights))
+        model = dataclasses.replace(model, layers=tuple(layers))
+        yield LvpInstance(model, (LinIneq((("x1", 1),), rng.randint(-2, 2)),), (), delta)
+
+
+def tightest_split_bound(instance, y, c):
+    """The largest k for which the split proves c*y >= k and the output box
+    does not, or None."""
+    box = dict(zip(instance.model.output_features, gnn_bounds(instance.model, input_box(instance), instance.delta)))
+    lo, hi = box[y]
+    base = k = lo if c > 0 else -hi
+    while k < instance.model.spec.max_payload:
+        stronger = dataclasses.replace(instance, l_out=(LinIneq(((y, c),), k + 1),))
+        if not valid_by_split(stronger, MAX_BOXES)[0]:
+            break
+        k += 1
+    return None if k == base else k
+
+
+def test_the_oracle_never_satisfies_a_split_valid():
+    """Each bound the split proves on an output, from below and from above,
+    at its tightest: a point past it would be a counterexample."""
+    proved = unsat = 0
+    for i, instance in enumerate(oracle_cases(400)):
+        for y in instance.model.output_features:
+            for c in (1, -1):
+                k = tightest_split_bound(instance, y, c)
+                if k is None:
+                    continue
+                proved += 1
+                formula = compile_lvp(dataclasses.replace(instance, l_out=(LinIneq(((y, c),), k),))).formula
+                verdict = brute_force_sat(formula, _network_delta(instance).value, max_steps=50_000)
+                assert not isinstance(verdict, Sat), (i, y, c, k)
+                unsat += isinstance(verdict, Unsat)
+    assert proved >= 30 and unsat >= 15
+
+
+def recorded_boxes(monkeypatch, comb):
+    """Route gnn.fnn_bounds through a recorder of the boxes mapped through
+    ``comb``."""
+    boxes = []
+    bounds = gnn_mod.fnn_bounds
+
+    def recorded(fnn, box, spec):
+        if fnn is comb:
+            boxes.append(box)
+        return bounds(fnn, box, spec)
+
+    monkeypatch.setattr(gnn_mod, "fnn_bounds", recorded)
+    return boxes
+
+
+def test_the_split_bisects_the_widest_dimension_depth_first_lower_half_first(monkeypatch):
+    instance = split_instance()
+    boxes = recorded_boxes(monkeypatch, instance.model.layers[-1].comb)
+    assert valid_by_split(instance, MAX_BOXES) == (True, len(boxes))
+    root = last_layer_box(instance.model, input_box(instance), instance.delta)
+    # x1 and the sum over two successors both span [-7, 7], and x1 comes
+    # first; y1 >= 0 holds for x1 <= 0, and the upper half splits the sum
+    assert boxes[:4] == [root, [(-7, 0), (-7, 7)], [(1, 7), (-7, 7)], [(1, 7), (-7, 0)]]
+    assert valid_by_bounds(instance) is False
+
+
+def test_the_split_respects_its_box_cap():
+    instance = split_instance()
+    proved, needed = valid_by_split(instance, MAX_BOXES)
+    assert proved and 1 < needed < MAX_BOXES
+    assert valid_by_split(instance, needed) == (True, needed)
+    assert valid_by_split(instance, needed - 1) == (False, needed - 1)
+    assert valid_by_split(instance, 0) == (False, 0)
+    assert valid_by_split(instance, MAX_BOXES, deadline=time.monotonic() - 1) == (False, 0)
+
+
+def test_the_split_is_charged_to_the_tick_budget():
+    """One tick short of the first round and every box the split needs, the
+    split stops a box early and the tableau gets at most one tick."""
+    instance = split_instance()
+    _, sampled = falsify(instance)
+    _, needed = valid_by_split(instance, MAX_BOXES)
+    budget = sampled + needed * box_price(instance.model)
+    assert verify_lvp(instance, SolveLimits(max_terms=budget)) == Valid("split")
+    assert verify_lvp(instance, SolveLimits(max_terms=budget - 1)) == Unknown("node-limit")
+
+
+def test_the_split_gives_up_at_a_failing_single_value_box(monkeypatch):
+    """relu(x1) and x1 reach the last layer as two independent intervals,
+    so a box of single values with relu(x1) = 0 and x1 = 1 fails, and no
+    box after it is mapped."""
+    instance = relational_instance()
+    boxes = recorded_boxes(monkeypatch, instance.model.layers[-1].comb)
+    proved, mapped = valid_by_split(instance, MAX_BOXES)
+    assert not proved and mapped == len(boxes) < MAX_BOXES
+    last = boxes[-1]
+    assert all(lo == hi for lo, hi in last) and last[:2] == [(0, 0), (1, 1)]
+    out = last
+    for fnn in gnn_mod.last_fnns(instance.model):
+        out = gnn_mod.fnn_bounds(fnn, out, instance.model.spec)
+    assert out[0][0] < 0  # y1 >= 0 fails on it
+
+
+def test_hits_of_later_rounds_replay_through_gnn_eval_and_check():
+    rng = random.Random(7)
+    rounds = []
+    for i in range(100):
+        spec = (ArithmeticSpec.satint(7), ArithmeticSpec.fixed(8, 1))[i % 2]
+        instance = random_instance(rng, spec, DeltaMode.unary(1 + i % 3), max_layers=3)
+        if valid_by_bounds(instance):
+            continue
+        sampler = Sampler(instance)
+        if sampler.round() is not None or valid_by_split(instance, MAX_BOXES)[0]:
+            continue
+        hits = [sampler.round() for _ in range(EXTRA_ROUNDS)]
+        found = [(k, hit) for k, hit in enumerate(hits, start=2) if hit is not None]
+        if not found:
+            continue
+        k, (tree, outputs) = found[0]
+        rounds.append(k)
+        verdict = verify_lvp(instance)
+        assert verdict == Invalid(tree, outputs), i
+        model = instance.model
+        assert gnn_eval(model, tree) == outputs
+        out_vals = dict(zip(model.output_features, (v.payload for v in outputs)))
+        assert not all(eval_linineq(q, out_vals, spec) for q in instance.l_out)
+        formula = compile_lvp(instance).formula
+        graph = tree.graph
+        labels = {
+            n: {f: graph.labels[n].get(f, out_vals.get(f, 0) if n == tree.point else 0) for f in formula.features}
+            for n in graph.nodes
+        }
+        assert check(LabeledGraph(spec, formula.features, graph.nodes, graph.edges, labels), tree.point, formula)
+    assert len(rounds) >= 3 and {2, 4} <= set(rounds)
+
+
+def test_rounds_without_a_budget_hold_one_round_of_trees(monkeypatch):
+    """Each round drops its trees before the next is drawn: the peak of three
+    extra rounds is that of one.  Evaluation builds one tree at a time and
+    is left out (every tree meets L_out), so the peaks are those of the
+    trees the rounds keep."""
+    monkeypatch.setattr(gnn_mod, "gnn_eval", lambda model, pointed: [Value(1, model.spec)])
+    monkeypatch.setattr(falsify_mod, "build_tree", lambda instance, counts, payloads: None)
+    instance = deep_sum_instance(10)
+    tracemalloc.start()
+    try:
+        falsify(instance)
+        _, alone = tracemalloc.get_traced_memory()
+        sampler = Sampler(instance)
+        sampler.round()
+        tracemalloc.reset_peak()
+        for _ in range(EXTRA_ROUNDS):
+            assert sampler.round() is None
+        _, extra = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert extra <= 1.2 * alone

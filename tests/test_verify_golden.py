@@ -4,8 +4,8 @@ GOLDEN holds, for seeded random GNN instances (``random_model`` with drawn
 aggregation kinds, satint:7 and fixed:8:1, 1-3 layers, unary and binary δ)
 under a tick budget, the verdict with its detail: ``Valid.by``, or the
 counterexample's digest and outputs, or the ``Unknown`` reason.  The
-interval pre-check, the sampler's draws and hits, and the tableau's search
-all feed these outcomes, so a change that means to keep them byte-identical
+interval pre-check, the sampler's rounds, the box split and the tableau's
+search all feed these outcomes, so a change that means to keep them byte-identical
 must repeat every row.  Regenerate only for a change that means to alter
 them: ``PYTHONPATH=src:tests python tests/test_verify_golden.py``.
 """
@@ -71,7 +71,7 @@ GOLDEN = [
     ('valid', 'bounds', None),
     ('invalid', 'c063ae99852374e0', [1, 1]),
     ('invalid', 'd9facfae9cc7058d', [1, 2]),
-    ('unknown', 'node-limit', None),
+    ('valid', 'split', None),
     ('valid', 'bounds', None),
     ('invalid', 'f82d05bba5d1f6a0', [-3]),
     ('invalid', '6c3fdbddece29450', [-5]),

@@ -1,23 +1,26 @@
 """Counterexample search by sampling, run ahead of the tableau.
 
 A round (``Sampler.round``) draws ``SAMPLES`` random pointed trees for an
-LVP instance and returns, among those whose outputs under ``gnn_eval``
-violate L_out, the first with the fewest nodes.  ``falsify`` is one round;
-``verify_lvp`` draws up to ``EXTRA_ROUNDS`` more from the same generator
-when the first round and the box split decide nothing, and each round
-holds only its own trees.  A tree of one node, the point alone, is
+LVP instance and returns, among those whose outputs violate L_out, the
+first with the fewest nodes.  ``falsify`` is one round; ``verify_lvp``
+draws up to ``EXTRA_ROUNDS`` more from the same generator when the first
+round and the box split decide nothing, and each round holds only its own
+trees.  A tree of one node, the point alone, is
 evaluated as soon as it is drawn, and a hit there ends the sampling: no
 later tree can be smaller.  The larger trees are kept until every tree is
-drawn, then built and evaluated smallest first up to the first hit, so the
-trees evaluated, and their order, are those of evaluating every drawn tree
+drawn, then evaluated smallest first up to the first hit, so the trees
+evaluated, and their order, are those of evaluating every drawn tree
 smallest first.  A drawn tree is kept compact: the successor counts of its
 nodes in breadth-first order and their label payloads in one flat list.
-Node names, edges, label dicts and the validated graph are built only for
-the trees that are evaluated.  A tree is as deep as the network has layers (deeper nodes
-cannot reach the point's output), and each node has at most ``arity_cap``
-successors.  Labels favour the values where saturating arithmetic turns: 0,
-±one, ±M and small multiples of one, next to uniform draws from the whole
-domain.  The point's label is drawn again until it satisfies L_in.
+It is evaluated in that form (``tree_eval``), by the forward core that
+``gnn.gnn_eval`` runs after its graph checks, ``gnn.gnn_eval_p``: the
+breadth-first order is the core's node order.  Node names, edges, label
+dicts and the validated graph are built only for the hit a round returns.
+A tree is as deep as the network has layers (deeper nodes cannot reach the
+point's output), and each node has at most ``arity_cap`` successors.
+Labels favour the values where saturating arithmetic turns: 0, ±one, ±M
+and small multiples of one, next to uniform draws from the whole domain.
+The point's label is drawn again until it satisfies L_in.
 
 The draws come from a ``random.Random`` seeded by a sha256 of the instance's
 JSON, so an instance always gets the same trees, whatever PYTHONHASHSEED is.
@@ -27,12 +30,12 @@ words give the same values, without the calls of those methods.
 The search is charged to the caller's tick budget at a fixed price per
 drawn tree: its nodes times the layers, plus one for the output network.
 The price is not a count of evaluations (trees past the first hit are not
-evaluated, and ``gnn_eval`` skips the nodes that cannot reach the point's
-output).  Without a hit, or with a hit of more than one node, every tree is
-drawn and charged, so the ticks left to the tableau do not depend on the
-samples' outputs; a one-node hit is charged only the trees drawn up to it.
-A tree that grows past the ticks left ends the round, and the sampling, as
-soon as a layer shows it.
+evaluated, and the forward core skips the nodes that cannot reach the
+point's output).  Without a hit, or with a hit of more than one node, every
+tree is drawn and charged, so the ticks left to the tableau do not depend
+on the samples' outputs; a one-node hit is charged only the trees drawn up
+to it.  A tree that grows past the ticks left ends the round, and the
+sampling, as soon as a layer shows it.
 """
 
 from __future__ import annotations
@@ -42,19 +45,18 @@ import json
 import random
 import time
 
-from . import gnn
 from .arith import ArithmeticSpec, Value
-from .gnn import LvpInstance, eval_linineq, lvp_to_json
+from .gnn import LvpInstance, eval_linineq, gnn_eval_p, lvp_to_json
 from .graph import LabeledGraph, PointedGraph
 
 # Samples per instance.  Every one is drawn and charged unless a one-node
 # tree hits: after a larger hit a later, smaller tree makes a more readable
 # counterexample, and when nothing hits the tableau gets the ticks left
 # after all of them.  A drawn tree costs a few direct draws per node and is
-# held compact; only the trees up to the first smallest hit are built into
-# graphs and evaluated, so an instance without a hit pays the most wall
-# time, about a few hundred tableau ticks' worth per sample, and the number
-# stays small.
+# held compact; only the trees up to the first smallest hit are evaluated,
+# and only that hit is built into a graph, so an instance without a hit pays
+# the most wall time, about a few hundred tableau ticks' worth per sample,
+# and the number stays small.
 SAMPLES = 32
 # Rounds of SAMPLES more that ``verify_lvp`` draws, from the same generator,
 # when the first round and the box split decide nothing.  A sampled tick
@@ -228,11 +230,11 @@ class Sampler:
         smallest) with its outputs, or None.  A one-node tree is evaluated
         when it is drawn, and a hit there returns at once, charged the
         trees drawn so far.  The larger trees are drawn and charged first,
-        and kept compact; then they are built and evaluated smallest first,
-        in draw order among equals, up to the first hit.  The round stops
-        drawing before a tree whose price would spend more than ``room``
-        ticks in it (as soon as its growth shows it), and once
-        ``time.monotonic()`` passes the deadline."""
+        and kept compact; then they are evaluated smallest first, in draw
+        order among equals, up to the first hit, which alone is built into
+        a graph.  The round stops drawing before a tree whose price would
+        spend more than ``room`` ticks in it (as soon as its growth shows
+        it), and once ``time.monotonic()`` passes the deadline."""
         instance, bits, deadline, layers = self.instance, self.bits, self.deadline, self.layers
         start = self.ticks
         drawn = []
@@ -256,7 +258,7 @@ class Sampler:
             if deadline is not None and time.monotonic() > deadline:
                 self.cut = True
                 return None
-            hit = _violation(instance, build_tree(instance, counts, payloads))
+            hit = _violation(instance, counts, payloads)
             if hit is not None:
                 return hit
         drawn.sort(key=lambda tree: tree[0])  # stable: draw order among equals
@@ -264,7 +266,7 @@ class Sampler:
             if deadline is not None and time.monotonic() > deadline:
                 self.cut = True
                 break
-            hit = _violation(instance, build_tree(instance, counts, payloads))
+            hit = _violation(instance, counts, payloads)
             if hit is not None:
                 return hit
         return None
@@ -278,13 +280,33 @@ def falsify(instance: LvpInstance, max_ticks: int | None = None, deadline: float
     return sampler.round(max_ticks), sampler.ticks
 
 
-def _violation(instance: LvpInstance, tree: PointedGraph) -> Hit | None:
-    """The tree with its outputs when they violate L_out, else None."""
+def tree_eval(instance: LvpInstance, counts: list[int], payloads: list[int]) -> list[int]:
+    """The output payloads of a compact tree, from ``gnn.gnn_eval_p`` on its
+    indices: its breadth-first order is the core's node order, and each
+    node's children are the next ``count`` indices.  No arity check: a
+    sampled node has at most ``arity_cap`` successors, which is at most the
+    network's weight cap."""
+    model = instance.model
+    n = model.input_dim
+    rows = [payloads[i : i + n] for i in range(0, len(payloads), n)]
+    kids, end = [], 1
+    for count in counts:
+        kids.append(range(end, end + count))
+        end += count
+    # the nodes within d + 1 end with the children of the last node within d
+    within = [1]
+    for _ in model.layers:
+        within.append(kids[within[-1] - 1].stop)
+    return gnn_eval_p(model, rows, kids, within)
+
+
+def _violation(instance: LvpInstance, counts: list[int], payloads: list[int]) -> Hit | None:
+    """The tree, built, with its outputs when they violate L_out, else None."""
     model = instance.model
     # through the module attribute, so that a wrapper installed on
-    # gnn.gnn_eval (a profiler, lvpbench's tracer) sees the call
-    outputs = gnn.gnn_eval(model, tree)
-    out_vals = dict(zip(model.output_features, (v.payload for v in outputs)))
+    # tree_eval (a profiler, a test's recorder) sees every evaluation
+    out = tree_eval(instance, counts, payloads)
+    out_vals = dict(zip(model.output_features, out))
     if all(eval_linineq(q, out_vals, model.spec) for q in instance.l_out):
         return None
-    return tree, outputs
+    return build_tree(instance, counts, payloads), [Value(p, model.spec) for p in out]

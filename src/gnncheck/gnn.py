@@ -8,8 +8,8 @@ unfolds formulas with the same chain so that logic and evaluation agree
 bit for bit.  ``gnn_bounds`` maps intervals through the same primitives,
 each of which is monotone, and ``valid_by_bounds`` proves an LVP instance
 valid when its output constraints hold on the whole output box.
-``valid_by_split`` bisects the last layer's input box until they hold on
-every piece (branch and bound); ``valid_by_bounds`` is its one-box case.
+``BoxSplit`` bisects the last layer's input box until they hold on every
+piece (branch and bound); ``valid_by_bounds`` is its one-box case.
 """
 
 from __future__ import annotations
@@ -185,13 +185,10 @@ def _aggregate(layer: GnnLayer, states: list[list[int]], spec: ArithmeticSpec) -
 
 
 def gnn_eval(model: GnnModel, pointed: PointedGraph) -> list[Value]:
-    """Forward evaluation: layerwise states for the nodes within reach of the
-    point, output net at the point.
-
-    A node at distance d from the point reaches the output only through
-    layers 1..L-d, so layer l evaluates only the nodes within L-l of the point
-    (shortest distance, so cycles and paths of different lengths are covered).
-    """
+    """Forward evaluation of a pointed graph: the spec, feature and arity
+    checks, then ``gnn_eval_p`` over the nodes within reach of the point, in
+    breadth-first order from it.  Node names live only here: the core sees
+    each node as its index in that order."""
     graph, spec = pointed.graph, model.spec
     if graph.spec != spec:
         raise UsageError("graph and model use different arithmetic specs")
@@ -200,27 +197,43 @@ def gnn_eval(model: GnnModel, pointed: PointedGraph) -> list[Value]:
         raise UsageError(f"graph lacks input features {missing}")
     graph.require_arity(model.weight_cap)
     successors = graph.successors
-    # breadth-first from the point: the nodes within distance d are order[:within[d]]
-    order, seen, within = [pointed.point], {pointed.point}, [1]
-    ring = 0
+    # breadth-first from the point: the nodes within distance d are
+    # order[:within[d]], and kids[i] holds the indices of order[i]'s
+    # successors for every node the layers expand
+    order, index, kids, within = [pointed.point], {pointed.point: 0}, [], [1]
     for _ in model.layers:
-        for n in order[ring:]:
+        for n in order[len(kids) :]:
+            row = []
             for s in successors(n):
-                if s not in seen:
-                    seen.add(s)
+                if s not in index:
+                    index[s] = len(order)
                     order.append(s)
-        ring = within[-1]
+                row.append(index[s])
+            kids.append(row)
         within.append(len(order))
-    states = {n: [graph.label_payload(n, f) for f in model.input_features] for n in order}
-    depth = len(model.layers)
+    rows = [[graph.label_payload(n, f) for f in model.input_features] for n in order]
+    return [Value(p, spec) for p in gnn_eval_p(model, rows, kids, within)]
+
+
+def gnn_eval_p(model: GnnModel, rows: list[list[int]], kids: Sequence[Sequence[int]], within: list[int]) -> list[int]:
+    """The output payloads at node 0 of a graph given by indices: ``rows[i]``
+    is node i's input labels in feature order, ``kids[i]`` its successors'
+    indices in successor order, and the nodes within distance d of node 0
+    are the first ``within[d]``, for d up to the layer count.
+
+    A node at distance d from node 0 reaches the output only through
+    layers 1..L-d, so layer l evaluates only the nodes within L-l of it
+    (shortest distance, so cycles and paths of different lengths are
+    covered).  No arity check: callers see to it that no node has more
+    successors than ``model.weight_cap``."""
+    spec, depth = model.spec, len(model.layers)
+    states = rows
     for l, layer in enumerate(model.layers, start=1):
-        nxt = {}
-        for n in order[: within[depth - l]]:
-            agg = _aggregate(layer, [states[s] for s in successors(n)], spec)
-            nxt[n] = fnn_eval_p(layer.comb, states[n] + agg, spec)
-        states = nxt
-    out = fnn_eval_p(model.out, states[pointed.point], spec)
-    return [Value(p, spec) for p in out]
+        states = [
+            fnn_eval_p(layer.comb, states[i] + _aggregate(layer, [states[k] for k in kids[i]], spec), spec)
+            for i in range(within[depth - l])
+        ]
+    return fnn_eval_p(model.out, states[0], spec)
 
 
 Box = list[tuple[int, int]]
@@ -385,12 +398,12 @@ def input_box(instance: LvpInstance) -> Box | None:
     return list(box.values())
 
 
-# Boxes ``valid_by_split`` maps before it gives up.
+# Boxes ``BoxSplit.run`` maps, at most, before it gives up.
 MAX_BOXES = 2000
 
 
 def box_price(model: GnnModel) -> int:
-    """The ticks one box of ``valid_by_split`` costs: a tick per FNN layer
+    """The ticks one box of ``BoxSplit.run`` costs: a tick per FNN layer
     it is mapped through."""
     return sum(len(fnn.layers) for fnn in last_fnns(model))
 
@@ -409,51 +422,84 @@ def _meets_l_out(instance: LvpInstance, out_box: Box) -> bool:
     return True
 
 
-def valid_by_split(instance: LvpInstance, max_boxes: int = 1, deadline: float | None = None) -> tuple[bool, int]:
-    """Branch and bound over the last layer's input box (``last_layer_box``
-    over ``input_box``): (proved, boxes mapped).
+class BoxSplit:
+    """Branch and bound over the last layer's input box of one instance
+    (``last_layer_box`` over ``input_box``, the root).
 
     Each box is mapped through the last FNNs with ``fnn_bounds``.  A box
     whose outputs meet L_out is done; one that does not is bisected at the
-    middle of its widest dimension (the first of the widest), depth first,
-    lower half first.  Proved when every leaf meets L_out, or when no point
-    meets L_in (with no box mapped).  Not proved at the first failing box
-    of one value in every dimension, when ``max_boxes`` boxes are mapped
-    and more remain, or once ``time.monotonic()`` passes ``deadline``: the
-    earlier layers' boxes over-approximate, so a failing leaf is no
-    counterexample.  With one box this is ``valid_by_bounds``.
+    middle of its widest read dimension (the first of the widest), depth
+    first, lower half first.  A read dimension is one that the first layer
+    of the last FNNs reads with a non-zero weight: the others leave the
+    outputs' box as it is, so splitting them proves nothing.  ``bounds``
+    and ``run`` share the root's mapping, so it is mapped once whichever
+    asks first, and ``run`` still counts it as its first box.
     """
-    point = input_box(instance)
-    if point is None:
-        return True, 0
-    model = instance.model
-    fnns = last_fnns(model)
-    stack, boxes = [last_layer_box(model, point, instance.delta)], 0
-    while stack:
-        if boxes == max_boxes or (deadline is not None and time.monotonic() > deadline):
-            return False, boxes
-        box = stack.pop()
-        boxes += 1
-        out = box
-        for fnn in fnns:
-            out = fnn_bounds(fnn, out, model.spec)
-        if _meets_l_out(instance, out):
-            continue
-        dim = max(range(len(box)), key=lambda i: box[i][1] - box[i][0])
-        lo, hi = box[dim]
-        if lo == hi:  # one value in every dimension
-            return False, boxes
-        mid = (lo + hi) // 2
-        stack.append(box[:dim] + [(mid + 1, hi)] + box[dim + 1 :])
-        stack.append(box[:dim] + [(lo, mid)] + box[dim + 1 :])
-    return True, boxes
+
+    def __init__(self, instance: LvpInstance):
+        self.instance = instance
+        model = instance.model
+        self.fnns = last_fnns(model)
+        point = input_box(instance)
+        self.root = None if point is None else last_layer_box(model, point, instance.delta)
+        first = self.fnns[0].layers[0]
+        self.read = [i for i in range(first.input_dim) if any(row[i] for row in first.weights)]
+        self._root_meets: bool | None = None
+
+    def _meets(self, box: Box) -> bool:
+        for fnn in self.fnns:
+            box = fnn_bounds(fnn, box, self.instance.model.spec)
+        return _meets_l_out(self.instance, box)
+
+    def bounds(self) -> bool:
+        """True when L_out holds on the root's whole output box, or no point
+        meets L_in: then the instance is valid.  False says nothing."""
+        if self.root is None:
+            return True
+        if self._root_meets is None:
+            self._root_meets = self._meets(self.root)
+        return self._root_meets
+
+    def run(self, max_boxes: int = 1, deadline: float | None = None) -> tuple[bool, int]:
+        """(proved, boxes mapped, the root among them).  Proved when every
+        leaf meets L_out, or when no point meets L_in (with no box mapped).
+        Not proved at the first failing box of one value in every read
+        dimension (at the first failing box when none is read), when
+        ``max_boxes`` boxes are mapped and more remain, or once
+        ``time.monotonic()`` passes ``deadline``: the earlier layers' boxes
+        over-approximate, so a failing leaf is no counterexample."""
+        if self.root is None:
+            return True, 0
+        stack, boxes = [self.root], 0
+        while stack:
+            if boxes == max_boxes or (deadline is not None and time.monotonic() > deadline):
+                return False, boxes
+            box = stack.pop()
+            boxes += 1
+            if self._meets(box) if boxes > 1 else self.bounds():  # box 1 is the root
+                continue
+            if not self.read:
+                return False, boxes
+            dim = max(self.read, key=lambda i: box[i][1] - box[i][0])
+            lo, hi = box[dim]
+            if lo == hi:  # one value in every read dimension
+                return False, boxes
+            mid = (lo + hi) // 2
+            stack.append(box[:dim] + [(mid + 1, hi)] + box[dim + 1 :])
+            stack.append(box[:dim] + [(lo, mid)] + box[dim + 1 :])
+        return True, boxes
+
+
+def valid_by_split(instance: LvpInstance, max_boxes: int = 1, deadline: float | None = None) -> tuple[bool, int]:
+    """``BoxSplit.run`` on a fresh split; with one box this is
+    ``valid_by_bounds``."""
+    return BoxSplit(instance).run(max_boxes, deadline)
 
 
 def valid_by_bounds(instance: LvpInstance) -> bool:
-    """True when every output inequality holds at every point of the output
-    box (``gnn_bounds`` over ``input_box``), or no point meets L_in: then the
-    instance is valid.  False says nothing."""
-    return valid_by_split(instance)[0]
+    """``BoxSplit.bounds`` on a fresh split: when True the instance is
+    valid, and False says nothing."""
+    return BoxSplit(instance).bounds()
 
 
 # -- JSON schemas ---------------------------------------------------------------

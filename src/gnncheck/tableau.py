@@ -32,10 +32,11 @@ The search's work is counted in ticks: one per branch alternative tried, one
 per value assigned, and one per value newly derived into the store by forward
 evaluation.  ``SolveLimits.max_terms`` bounds the ticks.  ``verify_lvp`` runs
 cheaper sound deciders first, on the same budget.  Interval bounds of the
-network's outputs (``gnn.valid_by_bounds``) are free of ticks.  A round of
+network's outputs (``gnn.BoxSplit.bounds``) are free of ticks.  A round of
 counterexample sampling (``gnncheck.falsify``) costs nodes × layers + 1 ticks
 per sampled tree; branch and bound over the last layer's input box
-(``gnn.valid_by_split``) costs a tick per box per FNN layer; up to
+(``gnn.BoxSplit.run``) costs a tick per box per FNN layer, the root's box
+among them, though the bounds already mapped it; up to
 ``falsify.EXTRA_ROUNDS`` more rounds follow at the sampling price, and the
 tableau gets the ticks left.
 """
@@ -52,7 +53,7 @@ from .arith import ArithmeticSpec, Value
 from .compile import CompiledInstance, compile_lvp
 from .falsify import EXTRA_ROUNDS, Sampler
 from .formula import Arena, Formula
-from .gnn import MAX_BOXES, DeltaMode, LvpInstance, box_price, eval_linineq, gnn_eval, valid_by_bounds, valid_by_split
+from .gnn import MAX_BOXES, BoxSplit, DeltaMode, LvpInstance, box_price, eval_linineq, gnn_eval
 from .graph import LabeledGraph, PointedGraph
 from .semantics import Sat, Unknown, Unsat, Verdict, check, check_limits
 
@@ -1034,24 +1035,28 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
 
     The phases run cheapest first and share one tick budget:
 
-    1. an interval pass over the network (``valid_by_bounds``): when L_out
+    1. an interval pass over the network (``BoxSplit.bounds``): when L_out
        holds on the whole output box the instance is ``Valid("bounds")``,
        with nothing compiled, sampled or searched and no ticks charged;
     2. a round of counterexample sampling (``falsify.Sampler``);
-    3. branch and bound over the last layer's input box
-       (``valid_by_split``), at ``box_price`` ticks a box and at most
-       ``MAX_BOXES`` boxes: ``Valid("split")``;
+    3. branch and bound over the last layer's input box (``BoxSplit.run``
+       on the same split, whose root box is not mapped again), at
+       ``box_price`` ticks a box and at most ``MAX_BOXES`` boxes, the root
+       counted as the first: ``Valid("split")``;
     4. up to ``EXTRA_ROUNDS`` more sampling rounds from the same generator;
     5. the tableau, with the ticks left, under δ capped at the network's
        weight cap (``_network_delta``), the one ``gnn_eval`` enforces; its
        ``Unsat`` is ``Valid("tableau")``.
 
-    Whichever phase finds it, a counterexample is checked by ``gnn_eval``
-    and by the formula semantics before it is returned.
+    A sampled counterexample's outputs come from the forward core
+    (``gnn.gnn_eval_p``) on the drawn tree, a tableau model's from
+    ``gnn_eval``; either way the formula semantics check them on the built
+    graph before it is returned.
     """
     limits = limits or SolveLimits()
     deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
-    if valid_by_bounds(instance):
+    split = BoxSplit(instance)
+    if split.bounds():
         return Valid("bounds")
     compiled = compile_lvp(instance)
     budget = limits.max_terms
@@ -1061,7 +1066,7 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
         return _checked_invalid(instance, compiled, *hit)
     per_box = box_price(instance.model)
     boxes = MAX_BOXES if budget is None else min(MAX_BOXES, (budget - sampler.ticks) // per_box)
-    proved, boxes = valid_by_split(instance, boxes, deadline)
+    proved, boxes = split.run(boxes, deadline)
     if proved:
         return Valid("split")
     if budget is not None:

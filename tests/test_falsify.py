@@ -13,7 +13,6 @@ import pytest
 
 import gnncheck
 from gnncheck import falsify as falsify_mod
-from gnncheck import gnn as gnn_mod
 from gnncheck.arith import ArithmeticSpec, Value
 from gnncheck.compile import compile_lvp
 from gnncheck.falsify import (
@@ -30,6 +29,7 @@ from gnncheck.falsify import (
     instance_rng,
     label_payloads,
     price,
+    tree_eval,
 )
 from gnncheck.gnn import (
     MAX_BOXES,
@@ -50,6 +50,7 @@ from gnncheck.semantics import Unknown, Unsat, brute_force_sat
 from gnncheck.tableau import Invalid, SolveLimits, Valid, _Search, verify_lvp
 
 from test_compile import random_model
+from test_gnn import all_nodes_eval, random_gnn
 
 KINDS = ("sum", "mean", "max", "weighted")
 
@@ -175,6 +176,52 @@ def test_sampled_trees_respect_depth_arity_weights_and_l_in():
     assert trees > 600
 
 
+CORE_SPECS = tuple(ArithmeticSpec.satint(b) for b in range(3, 8)) + (ArithmeticSpec.fixed(5, 1), ArithmeticSpec.fixed(12, 1))
+
+
+def random_counts(rng, layers, cap):
+    """Successor counts of a random tree ``layers`` deep, in breadth-first
+    order, each in [0, cap], a third of them 0, and the depth of every
+    node."""
+    counts, node_depths, width = [], [0], 1
+    for depth in range(layers):
+        grown = 0
+        for _ in range(width):
+            count = 0 if rng.random() < 1 / 3 else rng.randint(0, cap)
+            counts.append(count)
+            grown += count
+        node_depths += [depth + 1] * grown
+        width = grown
+    return counts, node_depths
+
+
+@pytest.mark.parametrize("first_kind", KINDS)
+def test_tree_eval_matches_gnn_eval_and_all_nodes_eval(first_kind):
+    """The sampler's forward pass on a compact tree gives the outputs of
+    gnn_eval on the built tree and of the evaluation of every node at every
+    layer, on trees with childless nodes at every depth above the last: a
+    childless point, and childless nodes beside parents below it."""
+    rng = random.Random(f"core:{first_kind}")
+    childless = [0] * 3  # such trees, per depth
+    for i in range(210):
+        spec = CORE_SPECS[i % len(CORE_SPECS)]
+        delta = DeltaMode.unary(rng.randint(2, 5))
+        model = random_gnn(rng, spec, i % 4, first_kind, rng.randint(1, delta.value - 1))
+        instance = LvpInstance(model, (), (), delta)
+        counts, node_depths = random_counts(rng, len(model.layers), arity_cap(instance))
+        m = spec.max_payload
+        picks = (0, spec.one, -spec.one, m, -m)
+        payloads = [rng.choice(picks + (rng.randint(-m, m),)) for _ in range(len(node_depths) * model.input_dim)]
+        tree = build_tree(instance, counts, payloads)
+        want = gnn_eval(model, tree)
+        assert want == all_nodes_eval(model, tree), i
+        assert tree_eval(instance, counts, payloads) == [v.payload for v in want], i
+        for d in range(len(model.layers)):
+            at = [c for c, nd in zip(counts, node_depths) if nd == d]
+            childless[d] += 0 in at and (d == 0 or any(at))
+    assert min(childless) >= 5
+
+
 HASHSEED_SCRIPT = """
 import json, random
 from gnncheck.arith import ArithmeticSpec
@@ -255,10 +302,10 @@ def test_doctored_hit_trips_the_cross_check(monkeypatch):
     instance = relational_instance()
     assert isinstance(verify_lvp(instance), Valid)
 
-    def doctored(model, pointed):
-        return [Value(-1, model.spec)]
+    def doctored(instance, counts, payloads):
+        return [-1]
 
-    monkeypatch.setattr(gnn_mod, "gnn_eval", doctored)
+    monkeypatch.setattr(falsify_mod, "tree_eval", doctored)
     hit, _ = falsify(instance)
     assert hit is not None  # the sampler believes the doctored outputs
     with pytest.raises(RuntimeError, match="semantics"):
@@ -266,21 +313,22 @@ def test_doctored_hit_trips_the_cross_check(monkeypatch):
 
 
 def recording_eval(monkeypatch, outputs=None):
-    """Route gnn.gnn_eval through a recorder; with ``outputs``, every call
-    returns them instead of evaluating."""
+    """Route the sampler's evaluations (falsify.tree_eval) through a
+    recorder of the trees they evaluate, built; with ``outputs``, every call
+    returns those payloads instead of evaluating."""
     evaluated = []
 
-    def recorded(model, pointed):
-        evaluated.append(pointed)
-        return gnn_eval(model, pointed) if outputs is None else outputs(model)
+    def recorded(instance, counts, payloads):
+        evaluated.append(build_tree(instance, counts, payloads))
+        return tree_eval(instance, counts, payloads) if outputs is None else outputs(instance.model)
 
-    monkeypatch.setattr(gnn_mod, "gnn_eval", recorded)
+    monkeypatch.setattr(falsify_mod, "tree_eval", recorded)
     return evaluated
 
 
 def test_sampling_keeps_the_smallest_hit_and_stops_drawing_at_a_one_node_hit(monkeypatch):
     instance = positive_instance()
-    evaluated = recording_eval(monkeypatch, lambda model: [Value(-1, model.spec)])
+    evaluated = recording_eval(monkeypatch, lambda model: [-1])
     hit, ticks = falsify(instance)
     rng = instance_rng(instance)
     trees = [sample_tree(rng, instance) for _ in range(SAMPLES)]
@@ -418,11 +466,10 @@ def smallest_first_falsify(instance, max_ticks=None):
         drawn.append((size, counts, payloads))
     drawn.sort(key=lambda tree: tree[0])
     for _, counts, payloads in drawn:
-        tree = build_tree(instance, counts, payloads)
-        outputs = gnn_mod.gnn_eval(model, tree)
-        out_vals = dict(zip(model.output_features, (v.payload for v in outputs)))
+        outputs = falsify_mod.tree_eval(instance, counts, payloads)
+        out_vals = dict(zip(model.output_features, outputs))
         if not all(eval_linineq(q, out_vals, model.spec) for q in instance.l_out):
-            return (tree, outputs), ticks
+            return (build_tree(instance, counts, payloads), [Value(p, model.spec) for p in outputs]), ticks
     return None, ticks
 
 

@@ -10,13 +10,16 @@ import tracemalloc
 
 from gnncheck import falsify as falsify_mod
 from gnncheck import gnn as gnn_mod
-from gnncheck.arith import ArithmeticSpec, Value
+from gnncheck.arith import ArithmeticSpec
 from gnncheck.compile import compile_lvp
 from gnncheck.falsify import EXTRA_ROUNDS, Sampler, falsify
 from gnncheck.gnn import (
     MAX_BOXES,
     DeltaMode,
+    Fnn,
+    FnnLayer,
     GnnLayer,
+    GnnModel,
     LinIneq,
     LvpInstance,
     box_price,
@@ -108,10 +111,37 @@ def test_the_split_bisects_the_widest_dimension_depth_first_lower_half_first(mon
     boxes = recorded_boxes(monkeypatch, instance.model.layers[-1].comb)
     assert valid_by_split(instance, MAX_BOXES) == (True, len(boxes))
     root = last_layer_box(instance.model, input_box(instance), instance.delta)
-    # x1 and the sum over two successors both span [-7, 7], and x1 comes
-    # first; y1 >= 0 holds for x1 <= 0, and the upper half splits the sum
-    assert boxes[:4] == [root, [(-7, 0), (-7, 7)], [(1, 7), (-7, 7)], [(1, 7), (-7, 0)]]
+    # x1 and the sum over two successors both span [-7, 7], but the last
+    # comb reads the sum with weight 0, so only x1 is split; y1 >= 0 holds
+    # for x1 <= 0, and the upper half splits x1 again, lower half first
+    assert boxes[:4] == [root, [(-7, 0), (-7, 7)], [(1, 7), (-7, 7)], [(1, 4), (-7, 7)]]
+    assert all(box[1] == (-7, 7) for box in boxes)
     assert valid_by_bounds(instance) is False
+
+
+def test_verify_lvp_maps_the_root_box_once(monkeypatch):
+    """The bounds map the root box; the split that follows starts from
+    that mapping, and still counts the root as its first box.  On
+    ``split_instance`` the split proves it, on ``relational_instance`` it
+    gives up and the tableau decides."""
+    for instance in (split_instance(), relational_instance()):
+        _, needed = valid_by_split(instance, MAX_BOXES)
+        root = last_layer_box(instance.model, input_box(instance), instance.delta)
+        with monkeypatch.context() as patched:
+            boxes = recorded_boxes(patched, instance.model.layers[-1].comb)
+            assert isinstance(verify_lvp(instance), Valid)
+        assert boxes[0] == root and boxes.count(root) == 1
+        assert len(boxes) == needed
+
+
+def test_a_split_without_read_dimensions_gives_up_at_its_first_failing_box():
+    """y1 = 0*x1 + 0*agg - 1 >= 0 fails everywhere, and no bisection can
+    change the box the last comb sees."""
+    spec = ArithmeticSpec.satint(7)
+    comb = Fnn((FnnLayer(((0, 0),), (-1,), ("id",)),))
+    model = GnnModel(spec, (GnnLayer("sum", comb),), Fnn.identity(1, spec), ("x1",), ("y1",))
+    instance = LvpInstance(model, (), (LinIneq((("y1", 1),), 0),), DeltaMode.unary(2))
+    assert valid_by_split(instance, MAX_BOXES) == (False, 1)
 
 
 def test_the_split_respects_its_box_cap():
@@ -138,13 +168,14 @@ def test_the_split_is_charged_to_the_tick_budget():
 def test_the_split_gives_up_at_a_failing_single_value_box(monkeypatch):
     """relu(x1) and x1 reach the last layer as two independent intervals,
     so a box of single values with relu(x1) = 0 and x1 = 1 fails, and no
-    box after it is mapped."""
+    box after it is mapped.  The last comb reads only those two (the
+    aggregated ones with weight 0), so the others are never split."""
     instance = relational_instance()
     boxes = recorded_boxes(monkeypatch, instance.model.layers[-1].comb)
     proved, mapped = valid_by_split(instance, MAX_BOXES)
     assert not proved and mapped == len(boxes) < MAX_BOXES
     last = boxes[-1]
-    assert all(lo == hi for lo, hi in last) and last[:2] == [(0, 0), (1, 1)]
+    assert last[:2] == [(0, 0), (1, 1)] and last[2:] == boxes[0][2:]
     out = last
     for fnn in gnn_mod.last_fnns(instance.model):
         out = gnn_mod.fnn_bounds(fnn, out, instance.model.spec)
@@ -186,11 +217,9 @@ def test_hits_of_later_rounds_replay_through_gnn_eval_and_check():
 
 def test_rounds_without_a_budget_hold_one_round_of_trees(monkeypatch):
     """Each round drops its trees before the next is drawn: the peak of three
-    extra rounds is that of one.  Evaluation builds one tree at a time and
-    is left out (every tree meets L_out), so the peaks are those of the
-    trees the rounds keep."""
-    monkeypatch.setattr(gnn_mod, "gnn_eval", lambda model, pointed: [Value(1, model.spec)])
-    monkeypatch.setattr(falsify_mod, "build_tree", lambda instance, counts, payloads: None)
+    extra rounds is that of one.  Evaluation is left out (every tree meets
+    L_out), so the peaks are those of the trees the rounds keep."""
+    monkeypatch.setattr(falsify_mod, "tree_eval", lambda instance, counts, payloads: [1])
     instance = deep_sum_instance(10)
     tracemalloc.start()
     try:

@@ -9,12 +9,16 @@ labels ascending).
 
 Evaluation is column-at-a-time: for each aggregation state (the values of the
 aggregations at a node, given its children's profiles) every DAG node is
-evaluated once, for all labels together, as a scalar when it is the same for
-every label and otherwise as a column with one entry per label.  Nodes that do
-not depend on an aggregation value are evaluated once per search.  The step
-budget still counts one step per (state, label) pair and per child profile
-folded into a state, charged a state at a time, and the first witness is the
-one a label-by-label scan would find.
+evaluated once, for all labels together.  A node's column spans only
+its support, the features it reads without crossing an aggregation: a node
+that reads no feature is a scalar, and one that reads x1 alone has one entry
+per value of x1, however many features the formula has.  Nodes that do not
+depend on an aggregation value are evaluated once per search.  The states
+reachable with a successors extend those reachable with a - 1, so each
+arity's states are built once per level.  The step budget still counts one
+step per (state, label) pair and per child profile folded into a state, for
+every arity, charged a state at a time, and the first witness is the one a
+label-by-label scan would find.
 """
 
 from __future__ import annotations
@@ -174,13 +178,11 @@ class _OracleLimit(Exception):
         self.reason = reason
 
 
-def _column_map(fn, x):
-    """fn of a scalar, or of each entry of a column through a table over the
-    distinct values in it."""
-    if type(x) is not list:
-        return fn(x)
-    table = {v: fn(v) for v in set(x)}
-    return list(map(table.__getitem__, x))
+# The oracle's tables of primitive results hold at most about this many
+# entries: the fold-step tables of a search with many accumulators and child
+# profiles would otherwise hold one entry per step charged.  fixed:5:1 and
+# smaller value sets stay well inside it.
+TABLE_ENTRIES = 1 << 16
 
 
 def _first_of_each(keys, values) -> dict:
@@ -193,14 +195,28 @@ def _first_of_each(keys, values) -> dict:
     return first
 
 
+def _union(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The union of two supports, in label order."""
+    if a == b or not b:
+        return a
+    return b if not a else tuple(sorted({*a, *b}))
+
+
 class _TreeSearch:
     """Profile enumeration whose node evaluation works on label columns.
 
-    Labels are the rows of ``itertools.product`` over the value set.  Under
-    one aggregation state a node's value is a scalar when it is the same for
-    every label, else a column: a list with one entry per label.  Nodes that
-    depend on no aggregation value are evaluated once per search, the others
-    once per state.
+    Label i is row i of ``itertools.product`` over the value set, first
+    feature slowest; it is decoded from i, never listed.  A node's support is
+    the set of features it reaches without crossing an aggregation, fixed per
+    formula.  Under one aggregation state a node's value is a scalar when its
+    support is empty, else a column: a list with one entry per assignment of
+    its support, in label order.  Operands whose supports differ are spread
+    to their union.  An index into a column maps to the first label with
+    those support values: every other feature at its lowest value.  Nodes
+    that depend on no aggregation value are evaluated once per search, the
+    others once per state.  The results of ``act``, ``scale``, a scalar
+    ``sum`` and each fold step are kept in tables that live as long as the
+    search, up to about TABLE_ENTRIES entries in all.
     """
 
     def __init__(self, f: Formula, delta: int, budget: _Budget):
@@ -210,104 +226,238 @@ class _TreeSearch:
         self.features = features_of(f)
         self.budget = budget
         fids, self.eids = f.fids, f.eids
-        self.aggs = [
-            (eid, *self.arena.expr(eid)[1:])  # (eid, kind, child, weights)
-            for eid in self.eids
-            if self.arena.expr(eid)[0] == "agg"
-        ]
+        self.aggs: list[tuple] = []  # (eid, kind, child, weights)
         self.delta = delta if f.weight_cap is None else min(delta, f.weight_cap)
         self.n_labels = self.spec.n_values ** len(self.features)
+        self.tables: dict[tuple, dict] = {}  # per method and leading operands: value -> result
+        self.table_room = TABLE_ENTRIES
+        self.index_maps: dict[tuple, list[int]] = {}  # spreads and first labels, per supports
+        self.clamp: list[int] | None = None  # the sum of two columns, through add_p
         # level 0 charges all labels in one batch: when they exceed the budget,
-        # the search stops before it evaluates any
+        # the search stops there, so nothing is evaluated
         fits = budget.max_steps is None or self.n_labels <= budget.max_steps
-        rows = itertools.product(self.spec.values_p(), repeat=len(self.features)) if fits else ()
-        self.labels = list(rows)
+        position = {name: j for j, name in enumerate(self.features)}
+        support = self.expr_support = {}
         # nodes that depend on no aggregation value are evaluated here, once
-        self.static_exprs: dict[int, int | list[int]] = {}
+        static = self.static_exprs = {}
         self.dyn_exprs: list[tuple[int, tuple]] = []
         for eid in self.eids:
             node = self.arena.expr(eid)
             tag = node[0]
-            if tag == "agg":
+            if tag == "sum":
+                support[eid] = _union(support[node[1]], support[node[2]])
+                is_static = node[1] in static and node[2] in static
+            elif tag in ("act", "scale"):
+                support[eid] = support[node[2]]
+                is_static = node[2] in static
+            elif tag == "agg":
+                support[eid] = ()
+                self.aggs.append((eid, *node[1:]))
                 continue
-            kids = (node[1], node[2]) if tag == "sum" else (node[2],) if tag in ("act", "scale") else ()
-            if all(k in self.static_exprs for k in kids):
-                self.static_exprs[eid] = self._expr_value(node, self.static_exprs)
+            else:
+                support[eid] = (position[node[1]],) if tag == "feat" else ()
+                is_static = True
+            if fits and is_static:
+                static[eid] = self._expr_value(eid, node, static)
             else:
                 self.dyn_exprs.append((eid, node))
+        self.child_supports = [support[child] for _, _, child, _ in self.aggs]
+        self.profile_support = functools.reduce(_union, self.child_supports, ())
         self.static_formulas: dict[int, bool | list[bool]] = {}
+        self.static_supports: dict[int, tuple[int, ...]] = {}  # of their columns
         self.dyn_formulas: list[tuple[int, tuple]] = []
         for fid in fids:
             node = self.arena.formula(fid)
             if node[0] in ("geq", "eq"):
-                static = node[1] in self.static_exprs
+                is_static = node[1] in static
             else:
-                static = all(k in self.static_formulas for k in node[1:])
-            if static:
-                self.static_formulas[fid] = self._formula_value(node, self.static_formulas, self.static_exprs)
+                is_static = all(k in self.static_formulas for k in node[1:])
+            if fits and is_static:
+                self.static_formulas[fid] = self._formula_value(
+                    fid, node, self.static_formulas, self.static_supports, static
+                )
             else:
                 self.dyn_formulas.append((fid, node))
-        self.static_profiles = all(child in self.static_exprs for _, _, child, _ in self.aggs)
+        self.static_profiles = all(child in static for _, _, child, _ in self.aggs)
 
-    def _expr_value(self, node: tuple, ev: dict):
+    # -- labels and column indices ----------------------------------------------
+
+    def label(self, i: int) -> tuple[int, ...]:
+        """The payloads of label i, one per feature."""
+        n, k, low = self.spec.n_values, len(self.features), -self.spec.max_payload
+        return tuple(low + i // n ** (k - 1 - f) % n for f in range(k))
+
+    def entries(self, ev: dict, i: int) -> dict[int, int]:
+        """The value of every expression at label i, from the values ev of one state."""
+        k, support = len(self.features), self.expr_support
+        out = {}
+        for eid in self.eids:
+            x = ev[eid]
+            if type(x) is list:
+                s = support[eid]
+                x = x[i if len(s) == k else self._column_index(s, i)]
+            out[eid] = x
+        return out
+
+    def _column_index(self, support: tuple[int, ...], i: int) -> int:
+        """The index of label i in a column over support."""
+        if len(support) == len(self.features):
+            return i
+        n, k = self.spec.n_values, len(self.features)
+        j = 0
+        for f in support:
+            j = j * n + i // n ** (k - 1 - f) % n
+        return j
+
+    def _first_labels(self, support: tuple[int, ...]) -> list[int]:
+        """Per index of a column over support, the first label with the
+        support values of that index: every other feature at its lowest."""
+        n, k = self.spec.n_values, len(self.features)
+        return self._index_map(("labels", support), support, {f: n ** (k - 1 - f) for f in support})
+
+    def _spread(self, x: list, support: tuple[int, ...], union: tuple[int, ...]):
+        """The entries of a column over support, in the order of a column over
+        union; the column itself when the two supports are the same."""
+        if support == union:
+            return x
+        n = self.spec.n_values
+        weight = {f: n ** (len(support) - 1 - p) for p, f in enumerate(support)}
+        return map(x.__getitem__, self._index_map((support, union), union, weight))
+
+    def _index_map(self, key: tuple, dims: tuple[int, ...], weight: dict[int, int]) -> list[int]:
+        """For each assignment of the features dims in label order, the sum
+        of each digit times its feature's weight (none: 0); kept under key
+        for the rest of the search."""
+        index = self.index_maps.get(key)
+        if index is None:
+            n = self.spec.n_values
+            index = [0]
+            for f in reversed(dims):  # innermost first: a feature without weight repeats the block
+                w = weight.get(f)
+                index = index * n if w is None else [digit * w + base for digit in range(n) for base in index]
+            self.index_maps[key] = index
+        return index
+
+    # -- node evaluation -----------------------------------------------------------
+
+    def _mapped(self, key: tuple, x: list) -> list:
+        """An ArithmeticSpec method of one more operand, named with its leading
+        operands by key (say ``("add_p", 3)``), applied to each entry of a
+        column through the search's table for key."""
+        table = self.tables.get(key)
+        if table is not None:
+            try:
+                return list(map(table.__getitem__, x))
+            except KeyError:
+                pass
+        else:
+            table = self.tables[key] = {}
+        fn = functools.partial(getattr(self.spec, key[0]), *key[1:])
+        missing = set(x).difference(table)
+        for v in missing:
+            table[v] = fn(v)
+        out = list(map(table.__getitem__, x))
+        self.table_room -= len(missing)
+        if self.table_room < 0:  # the tables are full: start them again
+            self.tables.clear()
+            self.table_room = TABLE_ENTRIES
+        return out
+
+    def _expr_value(self, eid: int, node: tuple, ev: dict):
         tag = node[0]
-        spec = self.spec
         if tag == "const":
             return node[1]
         if tag == "feat":
-            j = self.features.index(node[1])
-            return [label[j] for label in self.labels]
-        if tag == "act":
-            return _column_map(functools.partial(spec.act_p, node[1]), ev[node[2]])
-        if tag == "scale":
-            return _column_map(functools.partial(spec.mul_p, node[1]), ev[node[2]])
+            return list(self.spec.values_p())
+        spec = self.spec
+        if tag in ("act", "scale"):
+            x = ev[node[2]]
+            if type(x) is list:
+                return self._mapped(("act_p" if tag == "act" else "mul_p", node[1]), x)
+            return spec.act_p(node[1], x) if tag == "act" else spec.mul_p(node[1], x)
         a, b = ev[node[1]], ev[node[2]]  # sum
         if type(a) is not list:
-            return _column_map(functools.partial(spec.add_p, a), b)
+            return self._mapped(("add_p", a), b) if type(b) is list else spec.add_p(a, b)
         if type(b) is not list:
-            return _column_map(lambda v: spec.add_p(v, b), a)
-        return list(map(spec.add_p, a, b))
+            return self._mapped(("add_p", b), a)  # add_p is symmetric
+        sa, sb = self.expr_support[node[1]], self.expr_support[node[2]]
+        if sa != sb:
+            union = self.expr_support[eid]
+            a, b = self._spread(a, sa, union), self._spread(b, sb, union)
+        if self.clamp is None:
+            # add_p(s, 0) for every sum s of two payloads, a negative s at
+            # its place from the end
+            top = 2 * spec.max_payload
+            self.clamp = [spec.add_p(v, 0) for v in (*range(top + 1), *range(-top, 0))]
+        return list(map(self.clamp.__getitem__, map(operator.add, a, b)))
 
-    @staticmethod
-    def _formula_value(node: tuple, fv: dict, ev: dict):
+    def _formula_value(self, fid: int, node: tuple, fv: dict, fs: dict, ev: dict):
+        """The value of a formula node, given those of its operands.
+
+        A scalar operand of "and" or "or" can decide the node or pass the
+        other operand through, so the support of a formula's column is known
+        only once it is evaluated: it is recorded in fs, or for a column of
+        a node that depends on no aggregation value, in static_supports.
+        """
         tag = node[0]
         if tag in ("geq", "eq"):
             x, k = ev[node[1]], node[2]
             test = k.__le__ if tag == "geq" else k.__eq__  # k <= v is v >= k
-            return list(map(test, x)) if type(x) is list else test(x)
+            if type(x) is not list:
+                return test(x)
+            fs[fid] = self.expr_support[node[1]]
+            return list(map(test, x))
         if tag == "not":
             x = fv[node[1]]
-            return [not v for v in x] if type(x) is list else not x
-        a, b = fv[node[1]], fv[node[2]]
-        if type(a) is not list:
-            a, b = b, a
+            if type(x) is not list:
+                return not x
+            fs[fid] = self._formula_support(fs, node[1])
+            return [not v for v in x]
+        ga, gb = node[1], node[2]
+        if type(fv[ga]) is not list:
+            ga, gb = gb, ga
+        a, b = fv[ga], fv[gb]
         if type(b) is not list:  # a scalar operand decides, or passes the other through
-            if tag == "and":
-                return a if b else False
-            return True if b else a
+            if (tag == "and") != bool(b):
+                return tag == "or"
+            if type(a) is list:
+                fs[fid] = self._formula_support(fs, ga)
+            return a
+        sa, sb = self._formula_support(fs, ga), self._formula_support(fs, gb)
+        if sa != sb:
+            union = _union(sa, sb)
+            a, b = self._spread(a, sa, union), self._spread(b, sb, union)
+            sa = union
+        fs[fid] = sa
         return list(map(operator.and_ if tag == "and" else operator.or_, a, b))
+
+    def _formula_support(self, fs: dict, fid: int) -> tuple[int, ...]:
+        """The support of the column of formula fid."""
+        return fs.get(fid) or self.static_supports[fid]
 
     def _state_values(self, aggvals: dict[int, int]) -> dict:
         """Value of every expression under one aggregation state."""
         ev = dict(self.static_exprs)
         ev.update(aggvals)
         for eid, node in self.dyn_exprs:
-            ev[eid] = self._expr_value(node, ev)
+            ev[eid] = self._expr_value(eid, node, ev)
         return ev
 
     def _first_true(self, aggvals: dict[int, int]) -> int | None:
         """First label at which the root formula holds under one state."""
         ev = self._state_values(aggvals)
-        fv = dict(self.static_formulas)
+        fv, fs = dict(self.static_formulas), {}
         for fid, node in self.dyn_formulas:
-            fv[fid] = self._formula_value(node, fv, ev)
+            fv[fid] = self._formula_value(fid, node, fv, fs, ev)
         t = fv[self.root_fid]
         if type(t) is not list:
             return 0 if t else None
         try:
-            return t.index(True)
+            j = t.index(True)
         except ValueError:
             return None
+        support = self._formula_support(fs, self.root_fid)
+        return j if len(support) == len(self.features) else self._first_labels(support)[j]
 
     def _profiles(self, aggvals: dict[int, int]) -> dict[tuple[int, ...], int]:
         """Distinct profiles under one state, with the first label giving each,
@@ -316,24 +466,27 @@ class _TreeSearch:
         cols = [ev[child] for _, _, child, _ in self.aggs]
         if not any(type(c) is list for c in cols):
             return {tuple(cols): 0}
-        n = self.n_labels
-        rows = zip(*(c if type(c) is list else itertools.repeat(c, n) for c in cols))
-        return _first_of_each(rows, itertools.count())
+        union = self.profile_support
+        n = self.spec.n_values ** len(union)
+        rows = zip(*(
+            self._spread(c, support, union) if type(c) is list else itertools.repeat(c, n)
+            for c, support in zip(cols, self.child_supports)
+        ))
+        first = _first_of_each(rows, itertools.count())
+        if len(union) == len(self.features):
+            return first
+        labels = self._first_labels(union)
+        return {prof: labels[j] for prof, j in first.items()}
 
-    def _step_fns(self, pos: int) -> list:
-        """Per aggregation, the accumulator update by the successor at 1-based pos."""
-        spec = self.spec
-        fns = []
-        for _, kind, _, weights in self.aggs:
-            if weights is None:
-                fns.append(functools.partial(spec.fold_step, kind))
-            else:
-                fns.append(lambda a, v, w=weights[pos - 1]: spec.fold_step("weighted", a, spec.mul_p(w, v)))
-        return fns
+    # -- states and levels ---------------------------------------------------------
 
     def _step_acc(self, acc: tuple, prof: tuple[int, ...], pos: int) -> tuple:
-        """Advance all aggregation accumulators by one successor."""
-        return tuple(fn(a, v) for fn, a, v in zip(self._step_fns(pos), acc, prof))
+        """Advance all aggregation accumulators by one successor, at 1-based pos."""
+        spec = self.spec
+        return tuple(
+            spec.fold_step(kind, a, v if weights is None else spec.mul_p(weights[pos - 1], v))
+            for (_, kind, _, weights), a, v in zip(self.aggs, acc, prof)
+        )
 
     def _init_acc(self) -> tuple:
         return tuple(self.spec.fold_start(kind) for _, kind, _, _ in self.aggs)
@@ -342,24 +495,51 @@ class _TreeSearch:
         fold_finish = self.spec.fold_finish
         return {eid: fold_finish(kind, a, arity) for (eid, kind, _, _), a in zip(self.aggs, acc)}
 
-    def reachable_states(self, arity: int, prev_level: dict) -> dict:
-        """Accumulator values reachable with `arity` ordered children, with first witnesses."""
+    def _extend(self, states: dict, pos: int, profs: list, cols: list) -> dict:
+        """The states after one more successor, at 1-based pos, with first
+        witnesses; each state charges one step per child profile."""
+        # a fold step adds the successor's contribution to the accumulator, or
+        # keeps the larger for max; under weighted, the contribution is the
+        # successor's value times the weight at pos
+        steps = [("fold_step", "max") if kind == "max" else ("add_p",) for _, kind, _, _ in self.aggs]
+        cols = [
+            col if weights is None else self._mapped(("mul_p", weights[pos - 1]), col)
+            for (_, _, _, weights), col in zip(self.aggs, cols)
+        ]
+        nxt: dict[tuple, tuple] = {}
+        for acc, kids in states.items():
+            self.budget.tick(len(profs))
+            stepped = [self._mapped((*step, a), col) for step, a, col in zip(steps, acc, cols)]
+            news = zip(*stepped) if stepped else [()] * len(profs)
+            for new, prof in _first_of_each(news, profs).items():
+                if new not in nxt:
+                    nxt[new] = kids + (prof,)
+        return nxt
+
+    def _states_by_arity(self, prev_level: dict | None, max_arity: int):
+        """(arity, states) for arity 0..max_arity: the accumulator values
+        reachable with that many ordered children, with first witnesses.
+
+        The states after positions 1..a are the same for every arity >= a, so
+        each arity extends those of the last by one position.  The positions
+        it shares are charged again, batch for batch, so the budget sees what
+        it would if every arity extended its states from none.
+        """
+        states: dict[tuple, tuple] = {self._init_acc(): ()}
+        yield 0, states
+        if max_arity == 0:
+            return
         profs = list(prev_level)
         # per aggregation, its column of child values over the previous level
         cols = [list(col) for col in zip(*profs)]
-        states: dict[tuple, tuple] = {self._init_acc(): ()}
-        for pos in range(1, arity + 1):
-            fns = self._step_fns(pos)
-            nxt: dict[tuple, tuple] = {}
-            for acc, kids in states.items():
-                self.budget.tick(len(profs))
-                stepped = [_column_map(functools.partial(fn, a), col) for fn, a, col in zip(fns, acc, cols)]
-                news = zip(*stepped) if stepped else [()] * len(profs)
-                for new, prof in _first_of_each(news, profs).items():
-                    if new not in nxt:
-                        nxt[new] = kids + (prof,)
-            states = nxt
-        return states
+        shared: list[int] = []  # the number of states before each position so far
+        for arity in range(1, max_arity + 1):
+            for n_states in shared:
+                for _ in range(n_states):
+                    self.budget.tick(len(profs))
+            shared.append(len(states))
+            states = self._extend(states, arity, profs, cols)
+            yield arity, states
 
     def level_profiles(self, prev_level: dict | None) -> dict:
         """Profiles achievable at the root of a tree of the next depth.
@@ -367,9 +547,7 @@ class _TreeSearch:
         Each state charges one step per label.
         """
         out: dict[tuple[int, ...], tuple] = {}
-        arities = [0] if prev_level is None else range(0, self.delta + 1)
-        for arity in arities:
-            states = {self._init_acc(): ()} if arity == 0 else self.reachable_states(arity, prev_level)
+        for arity, states in self._states_by_arity(prev_level, 0 if prev_level is None else self.delta):
             for acc, kids in states.items():
                 self.budget.tick(self.n_labels)
                 if self.static_profiles and out:
@@ -386,8 +564,7 @@ class _TreeSearch:
         for _ in range(max(0, depth - 1)):
             levels.append(self.level_profiles(levels[-1]))
         prev = levels[depth - 1] if depth > 0 else None
-        for arity in range(0, (self.delta if depth > 0 else 0) + 1):
-            states = {self._init_acc(): ()} if arity == 0 else self.reachable_states(arity, prev)
+        for arity, states in self._states_by_arity(prev, self.delta if depth > 0 else 0):
             for acc, kids in states.items():
                 i = self._first_true(self._finalize(acc, arity))
                 if i is not None:
@@ -409,12 +586,12 @@ class _TreeSearch:
             if parent is not None:
                 edges.append((parent, name))
             nodes.append(name)
-            labels[name] = dict(zip(self.features, self.labels[i]))
+            labels[name] = dict(zip(self.features, self.label(i)))
             acc = self._init_acc()
             for pos, prof in enumerate(kids, start=1):
                 acc = self._step_acc(acc, prof, pos)
             ev = self._state_values(self._finalize(acc, arity))
-            trace[name] = {eid: ev[eid][i] if type(ev[eid]) is list else ev[eid] for eid in self.eids}
+            trace[name] = self.entries(ev, i)
             for pos in range(len(kids), 0, -1):
                 stack.append((name, f"{name}.{pos}", levels[level - 1][kids[pos - 1]], level - 1))
         graph = LabeledGraph(self.spec, self.features, tuple(nodes), tuple(edges), labels)

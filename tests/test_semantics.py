@@ -196,6 +196,29 @@ class TestBruteForce:
             outcomes.add(want)
         assert outcomes == {True, False}
 
+    def test_exhaustive_against_naive_three_features_support_gap(self):
+        # 125 labels.  Nodes read x1 and x3 but not x2, so their columns skip
+        # the middle digit of a label: they are spread past it to meet x2,
+        # and their first entries map back to labels with x2 at its lowest
+        spec = ArithmeticSpec.satint(2)
+        texts = [
+            "x1 - x3 = 2 and x2 = 1",
+            "x1 - x3 >= 1 and x3 - x1 >= 0 and x2 = 0",
+            "agg(x1 - x3) = 2 and x2 = -1 and x3 >= 1",
+            "agg(x1 - x3) >= 1 and maxagg(x3 - x1) >= 1 and x2 = 0",
+            "maxagg(2*x1 + x3) = -1 and x2 - x1 >= 2",
+            "(x1 - x3 = 1 or agg(x2) = 1) and not x2 >= 0 and x1 + x3 = -1",
+            "mean(x3 - x1) = 1 and (agg(x1 + x2) >= 2 or x1 - x3 = 2)",
+        ]
+        outcomes = set()
+        for text in texts:
+            f = parse(text, spec)
+            got = brute_force_sat(f, delta=1)
+            want = naive_sat_depth1(f, spec, delta=1)
+            assert isinstance(got, Sat) == want, text
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
 
 @pytest.fixture
 def budgets(monkeypatch):
@@ -294,12 +317,12 @@ def recursive_build_tree(search, witness, levels, depth):
     def emit(name, wit, level):
         i, arity, kids = wit
         nodes.append(name)
-        labels[name] = dict(zip(search.features, search.labels[i]))
+        labels[name] = dict(zip(search.features, search.label(i)))
         acc = search._init_acc()
         for pos, prof in enumerate(kids, start=1):
             acc = search._step_acc(acc, prof, pos)
         ev = search._state_values(search._finalize(acc, arity))
-        trace[name] = {eid: ev[eid][i] if type(ev[eid]) is list else ev[eid] for eid in search.eids}
+        trace[name] = search.entries(ev, i)
         for pos, prof in enumerate(kids, start=1):
             child_name = f"{name}.{pos}"
             edges.append((name, child_name))

@@ -21,7 +21,7 @@ from .gnn import DeltaMode, gnn_from_json, gnn_eval, lvp_from_json
 from .graph import load_json as graph_from_json
 from .graph import save_json as graph_to_json
 from .graph import to_dot
-from .semantics import Sat, Unknown, Unsat, brute_force_sat
+from .semantics import ORACLE_STEPS, Sat, Unknown, Unsat, brute_force_sat
 from .tableau import Invalid, SolveLimits, Valid, solve, verify_lvp
 
 EXIT_POSITIVE = 0
@@ -192,7 +192,7 @@ def cmd_oracle_sat(args) -> int:
         _delta_for_oracle(args.delta),
         depth=args.depth,
         time_limit=limits.time_limit,
-        max_steps=5_000_000 if limits.max_terms is None else limits.max_terms,
+        max_steps=ORACLE_STEPS if limits.max_terms is None else limits.max_terms,
     )
     return _sat_result(args, verdict)
 

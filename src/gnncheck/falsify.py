@@ -1,33 +1,33 @@
 """Counterexample search by sampling, run ahead of the tableau.
 
 A round (``Sampler.round``) draws ``SAMPLES`` random pointed trees for an
-LVP instance and returns, among those whose outputs violate L_out, the
-first with the fewest nodes.  ``falsify`` is one round; ``verify_lvp``
-draws up to ``EXTRA_ROUNDS`` more from the same generator when the first
-round and the box split decide nothing, and each round holds only its own
-trees.  A tree of one node, the point alone, is
-evaluated as soon as it is drawn, and a hit there ends the sampling: no
-later tree can be smaller.  The larger trees are kept until every tree is
-drawn, then evaluated smallest first up to the first hit, so the trees
-evaluated, and their order, are those of evaluating every drawn tree
-smallest first.  A drawn tree is kept compact: the successor counts of its
-nodes in breadth-first order and their label payloads in one flat list.
-It is evaluated in that form (``tree_eval``), by the forward core that
-``gnn.gnn_eval`` runs after its graph checks, ``gnn.gnn_eval_p``: the
-breadth-first order is the core's node order.  Node names, edges, label
-dicts and the validated graph are built only for the hit a round returns.
-A tree is as deep as the network has layers (deeper nodes cannot reach the
-point's output), and each node has at most ``arity_cap`` successors.
-Labels favour the values where saturating arithmetic turns: 0, ±one, ±M
-and small multiples of one, next to uniform draws from the whole domain.
-The point's label is drawn again until it satisfies L_in.
+LVP instance and returns, among those whose outputs violate L_out, the first
+with the fewest nodes.  ``verify_lvp`` runs one round, then up to
+``EXTRA_ROUNDS`` more from the same generator when the first round and the
+box split decide nothing, and each round holds only its own trees.  A tree
+of one node, the point alone, is evaluated as soon as it is drawn, and a hit
+there ends the sampling: no later tree can be smaller.  The larger trees are
+kept until every tree is drawn, then evaluated smallest first up to the
+first hit, so the trees evaluated, and their order, are those of evaluating
+every drawn tree smallest first.  A drawn tree is kept compact: the
+successor counts of its nodes in breadth-first order and their label
+payloads in one flat list.  It is evaluated in that form (``tree_eval``), by
+the forward core that ``gnn.gnn_eval`` runs after its graph checks,
+``gnn.gnn_eval_p``: the breadth-first order is the core's node order.  Node
+names, edges, label dicts and the validated graph are built only for the hit
+a round returns.  A tree is as deep as the network has layers (deeper nodes
+cannot reach the point's output), and each node has at most ``arity_cap``
+successors.  Labels favour the values where saturating arithmetic turns: 0,
+±one, ±M and small multiples of one, next to uniform draws from the whole
+domain.  The point's label is drawn again until it satisfies L_in.
 
 The draws come from a ``random.Random`` seeded by a sha256 of the instance's
 JSON, so an instance always gets the same trees, whatever PYTHONHASHSEED is.
 Each integer is drawn straight from its ``getrandbits`` by the rejection rule
 of ``randrange``, ``randint`` and ``choice`` (see ``_payloads``): the same
 words give the same values, without the calls of those methods.
-The search is charged to the caller's tick budget at a fixed price per
+The search is charged to the ``semantics.Budget`` the sampler is given,
+which ``verify_lvp`` shares with its other phases, at a fixed price per
 drawn tree: its nodes times the layers, plus one for the output network.
 The price is not a count of evaluations (trees past the first hit are not
 evaluated, and the forward core skips the nodes that cannot reach the
@@ -43,11 +43,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import time
 
 from .arith import ArithmeticSpec, Value
 from .gnn import LvpInstance, eval_linineq, gnn_eval_p, lvp_to_json
 from .graph import LabeledGraph, PointedGraph
+from .semantics import Budget
 
 # Samples per instance.  Every one is drawn and charged unless a one-node
 # tree hits: after a larger hit a later, smaller tree makes a more readable
@@ -130,22 +130,18 @@ def price(nodes: int, layers: int) -> int:
     return nodes * layers + 1
 
 
-def grow_counts(
-    bits, layers: int, cap: int, room: int | None = None, deadline: float | None = None
-) -> list[int] | None:
+def grow_counts(bits, layers: int, cap: int, budget: Budget) -> list[int] | None:
     """A random tree rooted at the point, ``layers`` deep, as the successor
     counts of its nodes above the last layer in breadth-first order (each
-    drawn as ``randint(0, cap)``), or None as soon as its price passes
-    ``room`` ticks or ``time.monotonic()`` passes ``deadline``.  Both are
-    checked before the first layer and after each one, so an oversized tree
-    stops growing one layer past the budget."""
+    drawn as ``randint(0, cap)``), or None as soon as its price no longer
+    fits ``budget`` or the budget's deadline passes.  Both are checked
+    before the first layer and after each one, so an oversized tree stops
+    growing one layer past the budget.  Nothing is charged here."""
     k = (cap + 1).bit_length()
     counts: list[int] = []
     size = width = 1
     for depth in range(layers + 1):
-        if (room is not None and price(size, layers) > room) or (
-            deadline is not None and time.monotonic() > deadline
-        ):
+        if not budget.fits(price(size, layers)) or budget.expired():
             return None
         if depth == layers:
             break
@@ -207,40 +203,37 @@ def build_tree(instance: LvpInstance, counts: list[int], payloads: list[int]) ->
 
 
 class Sampler:
-    """The sampling rounds of one instance, drawn from one generator.
+    """The sampling rounds of one instance, drawn from one generator and
+    charged to one budget.
 
     Each ``round`` draws ``SAMPLES`` trees where the last round stopped,
     under the same draw rule and price, and keeps them only until it
-    returns, so a round without a tick budget holds one round's trees.
-    ``ticks`` sums the price of every round.  A round that stops at its
-    budget or at the deadline sets ``cut``.
+    returns, so a round without a tick limit holds one round's trees.  A
+    round that stops at the budget's limit or deadline sets ``cut``.
     """
 
-    def __init__(self, instance: LvpInstance, deadline: float | None = None):
+    def __init__(self, instance: LvpInstance, budget: Budget):
         self.instance = instance
-        self.deadline = deadline
+        self.budget = budget
         self.bits = instance_rng(instance).getrandbits
         self.cap = arity_cap(instance)
         self.layers = len(instance.model.layers)
-        self.ticks = 0
         self.cut = False
 
-    def round(self, room: int | None = None) -> Hit | None:
+    def round(self) -> Hit | None:
         """The smallest counterexample of one round (the first of the
         smallest) with its outputs, or None.  A one-node tree is evaluated
         when it is drawn, and a hit there returns at once, charged the
         trees drawn so far.  The larger trees are drawn and charged first,
         and kept compact; then they are evaluated smallest first, in draw
         order among equals, up to the first hit, which alone is built into
-        a graph.  The round stops drawing before a tree whose price would
-        spend more than ``room`` ticks in it (as soon as its growth shows
-        it), and once ``time.monotonic()`` passes the deadline."""
-        instance, bits, deadline, layers = self.instance, self.bits, self.deadline, self.layers
-        start = self.ticks
+        a graph.  The round stops drawing before a tree whose price no
+        longer fits the budget (as soon as its growth shows it), and once
+        the budget's deadline passes."""
+        instance, bits, budget, layers = self.instance, self.bits, self.budget, self.layers
         drawn = []
         for _ in range(SAMPLES):
-            left = None if room is None else room - (self.ticks - start)
-            counts = grow_counts(bits, layers, self.cap, left, deadline)
+            counts = grow_counts(bits, layers, self.cap, budget)
             if counts is None:
                 self.cut = True
                 break
@@ -248,14 +241,14 @@ class Sampler:
             payloads = label_payloads(bits, instance, size)
             if payloads is None:
                 continue
-            self.ticks += price(size, layers)
+            budget.charge(price(size, layers))  # fits: grow_counts checked the whole tree
             if size > 1:
                 drawn.append((size, counts, payloads))
                 continue
             # the smallest-first pass would evaluate this tree before every
             # larger one and after the one-node trees drawn before it, and no
             # later tree can be smaller: a hit here is its answer
-            if deadline is not None and time.monotonic() > deadline:
+            if budget.expired():
                 self.cut = True
                 return None
             hit = _violation(instance, counts, payloads)
@@ -263,21 +256,13 @@ class Sampler:
                 return hit
         drawn.sort(key=lambda tree: tree[0])  # stable: draw order among equals
         for _, counts, payloads in drawn:
-            if deadline is not None and time.monotonic() > deadline:
+            if budget.expired():
                 self.cut = True
                 break
             hit = _violation(instance, counts, payloads)
             if hit is not None:
                 return hit
         return None
-
-
-def falsify(instance: LvpInstance, max_ticks: int | None = None, deadline: float | None = None) -> tuple[Hit | None, int]:
-    """Search for a tree whose outputs violate L_out: one ``Sampler``
-    round under ``max_ticks``.  Returns the round's hit, or None, and the
-    ticks spent."""
-    sampler = Sampler(instance, deadline)
-    return sampler.round(max_ticks), sampler.ticks
 
 
 def tree_eval(instance: LvpInstance, counts: list[int], payloads: list[int]) -> list[int]:

@@ -6,21 +6,21 @@ accumulation inside an FNN layer is the left fold of saturating addition over
 weight*input products in input-index order, then the bias; the compiler
 unfolds formulas with the same chain so that logic and evaluation agree
 bit for bit.  ``gnn_bounds`` maps intervals through the same primitives,
-each of which is monotone, and ``valid_by_bounds`` proves an LVP instance
+each of which is monotone, and ``BoxSplit.bounds`` proves an LVP instance
 valid when its output constraints hold on the whole output box.
-``BoxSplit`` bisects the last layer's input box until they hold on every
-piece (branch and bound); ``valid_by_bounds`` is its one-box case.
+``BoxSplit.run`` bisects the last layer's input box until they hold on
+every piece (branch and bound), charging each box to a tick budget.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from .arith import ACTIVATIONS, ArithmeticSpec, Value, weight_cap
 from .errors import SchemaError, UsageError
 from .graph import PointedGraph
+from .semantics import Budget
 
 AGG_LAYER_KINDS = ("sum", "mean", "max", "weighted")
 
@@ -460,20 +460,23 @@ class BoxSplit:
             self._root_meets = self._meets(self.root)
         return self._root_meets
 
-    def run(self, max_boxes: int = 1, deadline: float | None = None) -> tuple[bool, int]:
-        """(proved, boxes mapped, the root among them).  Proved when every
-        leaf meets L_out, or when no point meets L_in (with no box mapped).
-        Not proved at the first failing box of one value in every read
-        dimension (at the first failing box when none is read), when
-        ``max_boxes`` boxes are mapped and more remain, or once
-        ``time.monotonic()`` passes ``deadline``: the earlier layers' boxes
+    def run(self, budget: Budget) -> tuple[bool, int]:
+        """(proved, boxes mapped, the root among them).  Each box is charged
+        ``box_price`` ticks to ``budget``.  Proved when every leaf meets
+        L_out, or when no point meets L_in (with no box mapped).  Not proved
+        at the first failing box of one value in every read dimension (at
+        the first failing box when none is read), when more boxes remain and
+        another no longer fits the budget or ``MAX_BOXES`` are mapped, or
+        once the budget's deadline passes: the earlier layers' boxes
         over-approximate, so a failing leaf is no counterexample."""
         if self.root is None:
             return True, 0
+        per_box = box_price(self.instance.model)
         stack, boxes = [self.root], 0
         while stack:
-            if boxes == max_boxes or (deadline is not None and time.monotonic() > deadline):
+            if boxes == MAX_BOXES or not budget.fits(per_box) or budget.expired():
                 return False, boxes
+            budget.charge(per_box)
             box = stack.pop()
             boxes += 1
             if self._meets(box) if boxes > 1 else self.bounds():  # box 1 is the root
@@ -488,18 +491,6 @@ class BoxSplit:
             stack.append(box[:dim] + [(mid + 1, hi)] + box[dim + 1 :])
             stack.append(box[:dim] + [(lo, mid)] + box[dim + 1 :])
         return True, boxes
-
-
-def valid_by_split(instance: LvpInstance, max_boxes: int = 1, deadline: float | None = None) -> tuple[bool, int]:
-    """``BoxSplit.run`` on a fresh split; with one box this is
-    ``valid_by_bounds``."""
-    return BoxSplit(instance).run(max_boxes, deadline)
-
-
-def valid_by_bounds(instance: LvpInstance) -> bool:
-    """``BoxSplit.bounds`` on a fresh split: when True the instance is
-    valid, and False says nothing."""
-    return BoxSplit(instance).bounds()
 
 
 # -- JSON schemas ---------------------------------------------------------------

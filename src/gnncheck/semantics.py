@@ -153,27 +153,46 @@ def check_limits(time_limit: float | None, **counts: int | None) -> None:
             raise UsageError(f"{name} must be >= 0, got {value!r}")
 
 
-class _Budget:
-    def __init__(self, max_steps: int | None, time_limit: float | None):
-        self.max_steps = max_steps
+# The oracle's step limit when none is given.
+ORACLE_STEPS = 5_000_000
+
+
+class Budget:
+    """A tick budget and a deadline, shared by every engine that charges it.
+
+    ``ticks`` counts what was charged, up to ``limit`` (None: no limit).  The
+    deadline is ``time_limit`` seconds after the budget is made; each engine
+    asks ``expired`` as often as its own work allows.
+    """
+
+    def __init__(self, limit: int | None = None, time_limit: float | None = None):
+        self.limit = limit
         self.deadline = None if time_limit is None else time.monotonic() + time_limit
-        self.steps = 0
+        self.ticks = 0
 
-    def tick(self, n: int) -> None:
-        """Charge a batch of n steps.
+    def fits(self, n: int) -> bool:
+        """Whether n more ticks stay within the limit."""
+        return self.limit is None or self.ticks + n <= self.limit
 
-        A batch that does not fit stops at its first step past the budget, so
-        the count reads max_steps + 1, as if the steps were taken one by one.
+    def charge(self, n: int) -> None:
+        """Charge a batch of n ticks.
+
+        A batch that does not fit stops at its first tick past the limit, so
+        the count reads limit + 1, as if the ticks were taken one by one.
         """
-        if self.max_steps is not None and self.steps + n > self.max_steps:
-            self.steps = self.max_steps + 1
-            raise _OracleLimit("node-limit")
-        self.steps += n
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _OracleLimit("timeout")
+        if not self.fits(n):
+            self.ticks = self.limit + 1
+            raise LimitHit("node-limit")
+        self.ticks += n
+
+    def expired(self) -> bool:
+        """Whether the deadline has passed."""
+        return self.deadline is not None and time.monotonic() > self.deadline
 
 
-class _OracleLimit(Exception):
+class LimitHit(Exception):
+    """An engine stopped at its budget: ``reason`` is "node-limit" or "timeout"."""
+
     def __init__(self, reason: str):
         self.reason = reason
 
@@ -219,7 +238,7 @@ class _TreeSearch:
     search, up to about TABLE_ENTRIES entries in all.
     """
 
-    def __init__(self, f: Formula, delta: int, budget: _Budget):
+    def __init__(self, f: Formula, delta: int, budget: Budget):
         self.arena = f.arena
         self.spec: ArithmeticSpec = f.arena.spec
         self.root_fid = f.root
@@ -235,7 +254,7 @@ class _TreeSearch:
         self.clamp: list[int] | None = None  # the sum of two columns, through add_p
         # level 0 charges all labels in one batch: when they exceed the budget,
         # the search stops there, so nothing is evaluated
-        fits = budget.max_steps is None or self.n_labels <= budget.max_steps
+        fits = budget.fits(self.n_labels)
         position = {name: j for j, name in enumerate(self.features)}
         support = self.expr_support = {}
         # nodes that depend on no aggregation value are evaluated here, once
@@ -480,6 +499,12 @@ class _TreeSearch:
 
     # -- states and levels ---------------------------------------------------------
 
+    def _charge(self, n: int) -> None:
+        """Charge a batch of n steps; the deadline is checked after each batch."""
+        self.budget.charge(n)
+        if self.budget.expired():
+            raise LimitHit("timeout")
+
     def _step_acc(self, acc: tuple, prof: tuple[int, ...], pos: int) -> tuple:
         """Advance all aggregation accumulators by one successor, at 1-based pos."""
         spec = self.spec
@@ -508,7 +533,7 @@ class _TreeSearch:
         ]
         nxt: dict[tuple, tuple] = {}
         for acc, kids in states.items():
-            self.budget.tick(len(profs))
+            self._charge(len(profs))
             stepped = [self._mapped((*step, a), col) for step, a, col in zip(steps, acc, cols)]
             news = zip(*stepped) if stepped else [()] * len(profs)
             for new, prof in _first_of_each(news, profs).items():
@@ -536,7 +561,7 @@ class _TreeSearch:
         for arity in range(1, max_arity + 1):
             for n_states in shared:
                 for _ in range(n_states):
-                    self.budget.tick(len(profs))
+                    self._charge(len(profs))
             shared.append(len(states))
             states = self._extend(states, arity, profs, cols)
             yield arity, states
@@ -549,7 +574,7 @@ class _TreeSearch:
         out: dict[tuple[int, ...], tuple] = {}
         for arity, states in self._states_by_arity(prev_level, 0 if prev_level is None else self.delta):
             for acc, kids in states.items():
-                self.budget.tick(self.n_labels)
+                self._charge(self.n_labels)
                 if self.static_profiles and out:
                     continue  # every state gives the profiles of the first
                 for prof, i in self._profiles(self._finalize(acc, arity)).items():
@@ -568,9 +593,9 @@ class _TreeSearch:
             for acc, kids in states.items():
                 i = self._first_true(self._finalize(acc, arity))
                 if i is not None:
-                    self.budget.tick(i + 1)  # stops here when label i lies past the budget
+                    self._charge(i + 1)  # stops here when label i lies past the budget
                     return (i, arity, kids), levels
-                self.budget.tick(self.n_labels)
+                self._charge(self.n_labels)
         return None, levels
 
     def build_tree(self, witness, levels, depth: int):
@@ -603,7 +628,7 @@ def brute_force_sat(
     delta: int,
     depth: int | None = None,
     *,
-    max_steps: int | None = 5_000_000,
+    max_steps: int | None = ORACLE_STEPS,
     time_limit: float | None = None,
 ) -> Verdict:
     """Exhaustive satisfiability over labeled trees of bounded depth and arity.
@@ -617,11 +642,10 @@ def brute_force_sat(
     check_limits(time_limit, max_steps=max_steps)
     needed = agg_depth(f)
     d = needed if depth is None else depth
-    budget = _Budget(max_steps, time_limit)
-    search = _TreeSearch(f, delta, budget)
+    search = _TreeSearch(f, delta, Budget(max_steps, time_limit))
     try:
         witness, levels = search.search(d)
-    except _OracleLimit as hit:
+    except LimitHit as hit:
         return Unknown(hit.reason)
     if witness is None:
         return Unsat() if d >= needed else Unknown("depth-limit")

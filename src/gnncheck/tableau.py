@@ -30,21 +30,22 @@ the arity modes differ only in the arity cap.
 
 The search's work is counted in ticks: one per branch alternative tried, one
 per value assigned, and one per value newly derived into the store by forward
-evaluation.  ``SolveLimits.max_terms`` bounds the ticks.  ``verify_lvp`` runs
-cheaper sound deciders first, on the same budget.  Interval bounds of the
-network's outputs (``gnn.BoxSplit.bounds``) are free of ticks.  A round of
-counterexample sampling (``gnncheck.falsify``) costs nodes × layers + 1 ticks
-per sampled tree; branch and bound over the last layer's input box
+evaluation, charged to a ``semantics.Budget`` of ``SolveLimits.max_terms``
+ticks and ``SolveLimits.time_limit`` seconds, whose clock is read once every
+1 024 ticks.  ``verify_lvp`` runs cheaper sound deciders first, and every
+phase charges the same budget.  Interval bounds of the network's outputs
+(``gnn.BoxSplit.bounds``) are free of ticks.  A round of counterexample
+sampling (``falsify.Sampler``) costs nodes × layers + 1 ticks per sampled
+tree; branch and bound over the last layer's input box
 (``gnn.BoxSplit.run``) costs a tick per box per FNN layer, the root's box
 among them, though the bounds already mapped it; up to
 ``falsify.EXTRA_ROUNDS`` more rounds follow at the sampling price, and the
-tableau gets the ticks left.
+tableau gets what is left.
 """
 
 from __future__ import annotations
 
 import bisect
-import time
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -53,9 +54,9 @@ from .arith import ArithmeticSpec, Value
 from .compile import CompiledInstance, compile_lvp
 from .falsify import EXTRA_ROUNDS, Sampler
 from .formula import Arena, Formula
-from .gnn import MAX_BOXES, BoxSplit, DeltaMode, LvpInstance, box_price, eval_linineq, gnn_eval
+from .gnn import BoxSplit, DeltaMode, LvpInstance, eval_linineq, gnn_eval
 from .graph import LabeledGraph, PointedGraph
-from .semantics import Sat, Unknown, Unsat, Verdict, check, check_limits
+from .semantics import Budget, LimitHit, Sat, Unknown, Unsat, Verdict, check, check_limits
 
 Word = tuple[int, ...]
 
@@ -86,11 +87,6 @@ LvpVerdict = Valid | Invalid | Unknown
 
 class _Clash(Exception):
     pass
-
-
-class _LimitHit(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
 
 
 class _Memo(dict):
@@ -174,13 +170,11 @@ def weighted_walk_window(spec: ArithmeticSpec, acc: int, target: int, w: int, co
 
 
 class _Search:
-    def __init__(self, formula: Formula, delta: DeltaMode, limits: SolveLimits):
+    def __init__(self, formula: Formula, delta: DeltaMode, budget: Budget, max_arity: int | None = None):
         self.formula = formula
         self.arena: Arena = formula.arena
         self.spec: ArithmeticSpec = formula.spec
-        self.deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
-        self.max_terms = limits.max_terms
-        self.ticks = 0
+        self.budget = budget
         fids, eids = formula.fids, formula.eids
         # the node table: expression nodes by id, and for each act node and
         # each non-zero scale node its child and the memo of its primitive
@@ -209,9 +203,9 @@ class _Search:
         # the weight cap is semantic: no model has a node of more successors
         if formula.weight_cap is not None:
             cap = min(cap, formula.weight_cap)
-        self.cap_truncated = limits.max_arity is not None and limits.max_arity < cap
+        self.cap_truncated = max_arity is not None and max_arity < cap
         if self.cap_truncated:
-            cap = limits.max_arity
+            cap = max_arity
         self.arity_cap = cap
 
     # -- bookkeeping -----------------------------------------------------------
@@ -251,11 +245,11 @@ class _Search:
         return memo
 
     def tick(self):
-        self.ticks += 1
-        if self.max_terms is not None and self.ticks > self.max_terms:
-            raise _LimitHit("node-limit")
-        if self.deadline is not None and self.ticks % 1024 == 0 and time.monotonic() > self.deadline:
-            raise _LimitHit("timeout")
+        """Charge one tick to the budget; the clock is read once every 1 024."""
+        budget = self.budget
+        budget.charge(1)
+        if budget.ticks % 1024 == 0 and budget.expired():
+            raise LimitHit("timeout")
 
     def assign(self, st: _State, word: int, eid: int, payload: int):
         """Constrain an expression's value at a word; clash on disagreement."""
@@ -336,6 +330,8 @@ class _Search:
         """
         values, nodes, unary = st.values, self.nodes, self.unary
         m = self.spec.max_payload
+        budget = self.budget
+        limit = budget.limit
         waiting: list[tuple[int, int]] = []  # (word, eid), innermost last
         while True:
             node = nodes[eid]
@@ -387,12 +383,12 @@ class _Search:
                     continue
                 out = self.spec.fold_finish(kind, acc, arity)
             while True:
-                # record the derived value: the same tick and checks as tick()
-                ticks = self.ticks = self.ticks + 1
-                if self.max_terms is not None and ticks > self.max_terms:
-                    raise _LimitHit("node-limit")
-                if self.deadline is not None and ticks % 1024 == 0 and time.monotonic() > self.deadline:
-                    raise _LimitHit("timeout")
+                # record the derived value: tick(), inline
+                ticks = budget.ticks = budget.ticks + 1
+                if limit is not None and ticks > limit:
+                    raise LimitHit("node-limit")
+                if ticks % 1024 == 0 and budget.expired():
+                    raise LimitHit("timeout")
                 key = word + eid
                 bounds = st.bounds.get(key)
                 if bounds is not None and not bounds[0] <= out <= bounds[1]:
@@ -1007,17 +1003,23 @@ class _Search:
         return PointedGraph(graph, "v"), trace
 
 
-def solve(formula: Formula, delta: DeltaMode, limits: SolveLimits | None = None) -> Verdict:
+def solve(
+    formula: Formula, delta: DeltaMode, limits: SolveLimits | None = None, *, _budget: Budget | None = None
+) -> Verdict:
     """Decide satisfiability; Sat verdicts carry a checked model.
 
     When the practical arity cap truncates the search space of the requested
-    mode, an exhausted search is inconclusive rather than Unsat.
+    mode, an exhausted search is inconclusive rather than Unsat.  The search
+    charges a budget of ``limits.max_terms`` ticks and ``limits.time_limit``
+    seconds; ``verify_lvp`` passes instead, as ``_budget``, the one its
+    earlier phases charged.
     """
     limits = limits or SolveLimits()
-    search = _Search(formula, delta, limits)
+    budget = Budget(limits.max_terms, limits.time_limit) if _budget is None else _budget
+    search = _Search(formula, delta, budget, limits.max_arity)
     try:
         final = search.attempt(search.root_state())
-    except _LimitHit as hit:
+    except LimitHit as hit:
         return Unknown(hit.reason)
     if final is None:
         has_aggs = any(node[0] == "agg" for node in search.nodes.values())
@@ -1033,7 +1035,9 @@ def solve(formula: Formula, delta: DeltaMode, limits: SolveLimits | None = None)
 def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpVerdict:
     """Valid when the compiled formula is unsatisfiable, else a counterexample.
 
-    The phases run cheapest first and share one tick budget:
+    The phases run cheapest first, and each charges the one
+    ``semantics.Budget`` built from ``limits``, so a phase gets the ticks
+    and the time the earlier ones left:
 
     1. an interval pass over the network (``BoxSplit.bounds``): when L_out
        holds on the whole output box the instance is ``Valid("bounds")``,
@@ -1044,9 +1048,9 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
        ``box_price`` ticks a box and at most ``MAX_BOXES`` boxes, the root
        counted as the first: ``Valid("split")``;
     4. up to ``EXTRA_ROUNDS`` more sampling rounds from the same generator;
-    5. the tableau, with the ticks left, under δ capped at the network's
-       weight cap (``_network_delta``), the one ``gnn_eval`` enforces; its
-       ``Unsat`` is ``Valid("tableau")``.
+    5. the tableau, under δ capped at the network's weight cap
+       (``_network_delta``), the one ``gnn_eval`` enforces; its ``Unsat``
+       is ``Valid("tableau")``.
 
     A sampled counterexample's outputs come from the forward core
     (``gnn.gnn_eval_p``) on the drawn tree, a tableau model's from
@@ -1054,35 +1058,24 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
     graph before it is returned.
     """
     limits = limits or SolveLimits()
-    deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
+    budget = Budget(limits.max_terms, limits.time_limit)
     split = BoxSplit(instance)
     if split.bounds():
         return Valid("bounds")
     compiled = compile_lvp(instance)
-    budget = limits.max_terms
-    sampler = Sampler(instance, deadline)
-    hit = sampler.round(budget)
+    sampler = Sampler(instance, budget)
+    hit = sampler.round()
     if hit is not None:
         return _checked_invalid(instance, compiled, *hit)
-    per_box = box_price(instance.model)
-    boxes = MAX_BOXES if budget is None else min(MAX_BOXES, (budget - sampler.ticks) // per_box)
-    proved, boxes = split.run(boxes, deadline)
-    if proved:
+    if split.run(budget)[0]:
         return Valid("split")
-    if budget is not None:
-        budget -= boxes * per_box  # the rounds and the tableau share what the split leaves
     for _ in range(EXTRA_ROUNDS):
         if sampler.cut:
             break
-        hit = sampler.round(None if budget is None else budget - sampler.ticks)
+        hit = sampler.round()
         if hit is not None:
             return _checked_invalid(instance, compiled, *hit)
-    rest = SolveLimits(
-        time_limit=None if deadline is None else max(0.0, deadline - time.monotonic()),
-        max_terms=None if budget is None else budget - sampler.ticks,
-        max_arity=limits.max_arity,
-    )
-    verdict = solve(compiled.formula, _network_delta(instance), rest)
+    verdict = solve(compiled.formula, _network_delta(instance), limits, _budget=budget)
     if isinstance(verdict, Unknown):
         return verdict
     if isinstance(verdict, Unsat):

@@ -1,13 +1,38 @@
 """Shared model and graph fixtures used across the test suite."""
 
+from contextlib import contextmanager
+
 import pytest
 
+from gnncheck import semantics
 from gnncheck.arith import ArithmeticSpec
 from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnLayer, GnnModel, LinIneq, LvpInstance
 from gnncheck.graph import LabeledGraph, PointedGraph
 
 SAT7 = ArithmeticSpec.satint(7)
 FIX32_4 = ArithmeticSpec.fixed(32, 4)
+
+
+@contextmanager
+def recording_budgets(module=semantics):
+    """Inside the block, every ``semantics.Budget`` that ``module`` makes
+    records in ``batches`` the size of each batch charged to it; yields the
+    list of those budgets, in the order they were made."""
+    made = []
+
+    class Recording(semantics.Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.batches = []
+            made.append(self)
+
+        def charge(self, n):
+            self.batches.append(n)
+            super().charge(n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "Budget", Recording)
+        yield made
 
 
 def two_layer_model(spec=SAT7):

@@ -1,5 +1,5 @@
 """The interval pre-check ahead of sampling: ``ArithmeticSpec.agg_hull``,
-``gnn.input_box``, ``gnn.gnn_bounds`` and ``gnn.valid_by_bounds``.
+``gnn.input_box``, ``gnn.gnn_bounds`` and ``gnn.BoxSplit.bounds``.
 
 Each bound is checked against the program's own point semantics: folds
 through ``fold_start``/``fold_step``/``fold_finish``, outputs through
@@ -12,6 +12,7 @@ import random
 from gnncheck.arith import ArithmeticSpec
 from gnncheck.compile import compile_lvp
 from gnncheck.gnn import (
+    BoxSplit,
     DeltaMode,
     Fnn,
     FnnLayer,
@@ -23,7 +24,6 @@ from gnncheck.gnn import (
     gnn_bounds,
     gnn_eval,
     input_box,
-    valid_by_bounds,
 )
 from gnncheck.graph import LabeledGraph, PointedGraph
 from gnncheck.semantics import Sat, Unsat, brute_force_sat
@@ -178,7 +178,7 @@ def test_oracle_never_satisfies_a_precheck_valid():
         spec = ArithmeticSpec.satint(2 + i % 2)
         delta = deltas[i % len(deltas)]
         instance = random_instance(rng, spec, delta, max_layers=1)
-        if not valid_by_bounds(instance):
+        if not BoxSplit(instance).bounds():
             continue
         proved += 1
         verdict = brute_force_sat(compile_lvp(instance).formula, delta.value)
@@ -213,7 +213,7 @@ def test_weighted_cap_is_per_layer():
     # y1 is up to 3 when the successor may have 3 successors
     instance = LvpInstance(model, (), (LinIneq((("y1", -1),), -1),), DeltaMode.unary(3))
     assert gnn_bounds(model, input_box(instance), instance.delta) == [(0, 3)]
-    assert not valid_by_bounds(instance)
+    assert not BoxSplit(instance).bounds()
 
 
 def test_the_tableau_gives_no_node_more_successors_than_weights():

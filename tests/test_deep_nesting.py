@@ -24,8 +24,8 @@ from gnncheck.formula import (
 )
 from gnncheck.gnn import DeltaMode, Fnn, GnnModel
 from gnncheck.graph import LabeledGraph
-from gnncheck.semantics import Sat, brute_force_sat, check
-from gnncheck.tableau import SolveLimits, _Search, solve
+from gnncheck.semantics import Budget, Sat, brute_force_sat, check
+from gnncheck.tableau import _Search, solve
 
 DEPTH = 3000
 SPEC = ArithmeticSpec.satint(3)
@@ -166,7 +166,8 @@ def test_tableau_passes_on_a_deep_chain():
     arena = Arena(SPEC)
     top, x1 = chain(arena), arena.feature("x1")
     f = Formula(arena, arena.geq(top, 1))
-    search = _Search(f, DeltaMode.unary(1), SolveLimits())
+    budget = Budget()
+    search = _Search(f, DeltaMode.unary(1), budget)
     st = search.root_state()
     assert search.forward(st, 0, top) is None
     assert search.expr_range(st, 0, top) == (0, 3)
@@ -175,4 +176,4 @@ def test_tableau_passes_on_a_deep_chain():
     assert st.bounds[0 + x1] == (1, 3)
     search.assign(st, 0, x1, 2)
     assert search.forward(st, 0, top) == 2
-    assert search.ticks == 1 + DEPTH
+    assert budget.ticks == 1 + DEPTH

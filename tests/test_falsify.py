@@ -24,7 +24,6 @@ from gnncheck.falsify import (
     _payloads,
     arity_cap,
     build_tree,
-    falsify,
     grow_counts,
     instance_rng,
     label_payloads,
@@ -33,6 +32,7 @@ from gnncheck.falsify import (
 )
 from gnncheck.gnn import (
     MAX_BOXES,
+    BoxSplit,
     DeltaMode,
     Fnn,
     FnnLayer,
@@ -43,16 +43,22 @@ from gnncheck.gnn import (
     box_price,
     eval_linineq,
     gnn_eval,
-    valid_by_split,
 )
 from gnncheck.graph import LabeledGraph, PointedGraph, save_json
-from gnncheck.semantics import Unknown, Unsat, brute_force_sat
+from gnncheck.semantics import Budget, Unknown, Unsat, brute_force_sat
 from gnncheck.tableau import Invalid, SolveLimits, Valid, _Search, verify_lvp
 
 from test_compile import random_model
 from test_gnn import all_nodes_eval, random_gnn
 
 KINDS = ("sum", "mean", "max", "weighted")
+
+
+def first_round(instance, budget=None):
+    """The first ``Sampler`` round of an instance under ``budget`` (by
+    default one without limits): its hit, or None, and the ticks it charged."""
+    budget = Budget() if budget is None else budget
+    return Sampler(instance, budget).round(), budget.ticks
 
 
 def random_instance(rng, spec, delta, max_layers=3):
@@ -107,7 +113,7 @@ def test_direct_draws_take_the_values_and_words_of_the_stdlib_calls():
             ours, twin = random.Random(seed), random.Random(seed)
             # a count of successors under cap n - 1 is one integer below n
             for reference in (lambda: twin.randrange(n), lambda: twin.randint(0, n - 1), lambda: twin.choice(range(n))):
-                assert grow_counts(ours.getrandbits, 1, n - 1) == [reference()], (n, seed)
+                assert grow_counts(ours.getrandbits, 1, n - 1, Budget()) == [reference()], (n, seed)
                 assert ours.getstate() == twin.getstate(), (n, seed)
 
 
@@ -123,9 +129,10 @@ def test_direct_payload_draws_take_the_values_and_words_of_the_stdlib_calls():
 
 
 def sample_tree(rng, instance):
-    """The draws ``falsify`` makes for one sample: successor counts, then
-    labels.  The built tree, or None when no drawn point label satisfied L_in."""
-    counts = grow_counts(rng.getrandbits, len(instance.model.layers), arity_cap(instance))
+    """The draws a ``Sampler`` round makes for one sample: successor counts,
+    then labels.  The built tree, or None when no drawn point label
+    satisfied L_in."""
+    counts = grow_counts(rng.getrandbits, len(instance.model.layers), arity_cap(instance), Budget())
     payloads = label_payloads(rng.getrandbits, instance, 1 + sum(counts))
     return None if payloads is None else build_tree(instance, counts, payloads)
 
@@ -306,7 +313,7 @@ def test_doctored_hit_trips_the_cross_check(monkeypatch):
         return [-1]
 
     monkeypatch.setattr(falsify_mod, "tree_eval", doctored)
-    hit, _ = falsify(instance)
+    hit, _ = first_round(instance)
     assert hit is not None  # the sampler believes the doctored outputs
     with pytest.raises(RuntimeError, match="semantics"):
         verify_lvp(instance)
@@ -329,7 +336,7 @@ def recording_eval(monkeypatch, outputs=None):
 def test_sampling_keeps_the_smallest_hit_and_stops_drawing_at_a_one_node_hit(monkeypatch):
     instance = positive_instance()
     evaluated = recording_eval(monkeypatch, lambda model: [-1])
-    hit, ticks = falsify(instance)
+    hit, ticks = first_round(instance)
     rng = instance_rng(instance)
     trees = [sample_tree(rng, instance) for _ in range(SAMPLES)]
     sizes = [len(t.graph.nodes) for t in trees]
@@ -359,14 +366,14 @@ def test_a_one_node_hit_on_the_first_draw_grows_no_other_tree(monkeypatch):
 
     monkeypatch.setattr(falsify_mod, "grow_counts", counted)
     evaluated = recording_eval(monkeypatch)
-    assert falsify(instance) == ((first, [Value(0, spec)]), price(1, 2))
+    assert first_round(instance) == ((first, [Value(0, spec)]), price(1, 2))
     assert len(grown) == 1 and evaluated == [first]
 
 
 def test_without_a_hit_every_drawn_tree_is_evaluated_once_smallest_first(monkeypatch):
     instance = positive_instance()
     evaluated = recording_eval(monkeypatch)
-    assert falsify(instance)[0] is None
+    assert first_round(instance)[0] is None
     rng = instance_rng(instance)
     trees = [sample_tree(rng, instance) for _ in range(SAMPLES)]
     drawn = [t for t in trees if t is not None]
@@ -386,10 +393,10 @@ def deep_sum_instance(layers):
 def test_an_oversized_tree_stops_growing_at_the_budget():
     instance = deep_sum_instance(24)
     start = time.monotonic()
-    _, ticks = falsify(instance, max_ticks=10_000)
+    _, ticks = first_round(instance, Budget(10_000))
     assert time.monotonic() - start < 1.0
     assert ticks <= 10_000
-    assert falsify(instance, max_ticks=10_000, deadline=time.monotonic() - 1) == (None, 0)
+    assert first_round(instance, Budget(10_000, time_limit=-1)) == (None, 0)  # a deadline passed
 
 
 def old_sample_tree(rng, instance, cap):
@@ -453,24 +460,24 @@ def smallest_first_falsify(instance, max_ticks=None):
     bits = instance_rng(instance).getrandbits
     cap = arity_cap(instance)
     layers = len(model.layers)
-    ticks, drawn = 0, []
+    budget, drawn = Budget(max_ticks), []
     for _ in range(SAMPLES):
-        counts = grow_counts(bits, layers, cap, None if max_ticks is None else max_ticks - ticks)
+        counts = grow_counts(bits, layers, cap, budget)
         if counts is None:
             break
         size = 1 + sum(counts)
         payloads = label_payloads(bits, instance, size)
         if payloads is None:
             continue
-        ticks += price(size, layers)
+        budget.charge(price(size, layers))
         drawn.append((size, counts, payloads))
     drawn.sort(key=lambda tree: tree[0])
     for _, counts, payloads in drawn:
         outputs = falsify_mod.tree_eval(instance, counts, payloads)
         out_vals = dict(zip(model.output_features, outputs))
         if not all(eval_linineq(q, out_vals, model.spec) for q in instance.l_out):
-            return (build_tree(instance, counts, payloads), [Value(p, model.spec) for p in outputs]), ticks
-    return None, ticks
+            return (build_tree(instance, counts, payloads), [Value(p, model.spec) for p in outputs]), budget.ticks
+    return None, budget.ticks
 
 
 def comparison_cases():
@@ -481,7 +488,7 @@ def comparison_cases():
     deltas = (DeltaMode.unary(1), DeltaMode.unary(3), DeltaMode.binary(5), DeltaMode.infinite())
     for i in range(240):
         instance = random_instance(rng, specs[i % 3], deltas[i % 4])
-        full = falsify(instance)[1]
+        full = first_round(instance)[1]
         yield i, instance, (None, full - 1, rng.randint(0, full))
 
 
@@ -492,7 +499,7 @@ def test_smallest_first_matches_evaluating_every_tree():
         hits += full[0] is not None
         for budget in budgets:
             old = old_falsify(instance, budget)
-            assert falsify(instance, budget) == old, (i, budget)
+            assert first_round(instance, Budget(budget)) == old, (i, budget)
             cut += old[1] < full[1]
     assert hits >= 100 and cut >= 300
 
@@ -503,7 +510,7 @@ def test_the_early_stop_evaluates_the_trees_of_the_smallest_first_pass(monkeypat
     for i, instance, budgets in comparison_cases():
         for budget in budgets:
             evaluated.clear()
-            hit, ticks = falsify(instance, budget)
+            hit, ticks = first_round(instance, Budget(budget))
             ours = evaluated[:]
             evaluated.clear()
             reference = smallest_first_falsify(instance, budget)
@@ -514,25 +521,26 @@ def test_the_early_stop_evaluates_the_trees_of_the_smallest_first_pass(monkeypat
 
 def test_sampling_is_charged_to_the_tick_budget():
     instance = positive_instance()
-    hit, ticks = falsify(instance, max_ticks=40)
+    hit, ticks = first_round(instance, Budget(40))
     assert hit is None and 0 < ticks <= 40
-    hit, ticks = falsify(instance)
+    hit, ticks = first_round(instance)
     assert hit is None and ticks > 40
-    assert falsify(instance, max_ticks=0) == (None, 0)
+    assert first_round(instance, Budget(0)) == (None, 0)
 
 
 def test_tableau_gets_the_ticks_sampling_leaves():
     """The tableau gets what the first round, the split and the extra
     rounds leave: one tick fewer than their sum and its own is Unknown."""
     instance = relational_instance()
-    sampler = Sampler(instance)
+    sampled, searched = Budget(), Budget()
+    sampler = Sampler(instance, sampled)
     rounds = [sampler.round() for _ in range(1 + EXTRA_ROUNDS)]
     assert rounds == [None] * (1 + EXTRA_ROUNDS)
-    proved, boxes = valid_by_split(instance, MAX_BOXES)
+    proved, boxes = BoxSplit(instance).run(Budget())
     assert not proved and 1 < boxes < MAX_BOXES
-    search = _Search(compile_lvp(instance).formula, instance.delta, SolveLimits())
+    search = _Search(compile_lvp(instance).formula, instance.delta, searched)
     assert search.attempt(search.root_state()) is None
-    needed = sampler.ticks + boxes * box_price(instance.model) + search.ticks
+    needed = sampled.ticks + boxes * box_price(instance.model) + searched.ticks
     assert verify_lvp(instance, SolveLimits(max_terms=needed)) == Valid("tableau")
     assert verify_lvp(instance, SolveLimits(max_terms=needed - 1)) == Unknown("node-limit")
 
@@ -550,7 +558,7 @@ def test_hits_replay_and_never_meet_an_oracle_unsat():
             (LinIneq((("y1", one),), rng.randint(-2, 2) * one),),
             DeltaMode.unary(1 + i % 2),
         )
-        hit, _ = falsify(instance)
+        hit, _ = first_round(instance)
         if hit is None:
             continue
         hits += 1
@@ -677,7 +685,7 @@ def sampler_results():
     deltas = (DeltaMode.unary(1), DeltaMode.unary(2), DeltaMode.binary(3), DeltaMode.infinite())
     rng = random.Random(808)
     for i in range(len(SAMPLER_GOLDEN)):
-        hit, ticks = falsify(random_instance(rng, specs[i % 3], deltas[i % 4], max_layers=4))
+        hit, ticks = first_round(random_instance(rng, specs[i % 3], deltas[i % 4], max_layers=4))
         if hit is None:
             yield (None, None, None, ticks)
             continue

@@ -18,7 +18,7 @@ from gnncheck.formula import parse
 from gnncheck.fuzz import random_formula
 from gnncheck.gnn import DeltaMode
 from gnncheck.graph import LabeledGraph
-from gnncheck.semantics import Sat, eval_payload
+from gnncheck.semantics import Budget, Sat, eval_payload
 from gnncheck.tableau import SolveLimits, _Search, solve
 
 from test_search_golden import MAX_TICKS, formula_cases, gnn_cases, search_outcome
@@ -55,7 +55,7 @@ def random_graph(rng, spec, features, max_degree):
 def test_every_value_lies_in_its_structural_range(i0):
     checked = 0
     for rng, f, delta in list(containment_cases(i0 + 60))[i0:]:
-        search = _Search(f, delta, SolveLimits())
+        search = _Search(f, delta, Budget())
         table = search.structural_ranges()
         assert set(table) == set(f.eids)
         degree = search.arity_cap
@@ -80,7 +80,7 @@ def test_every_value_of_a_model_lies_in_its_structural_range():
         verdict = solve(f, delta, SolveLimits(max_terms=MAX_TICKS))
         if not isinstance(verdict, Sat):
             continue
-        table = _Search(f, delta, SolveLimits()).structural_ranges()
+        table = _Search(f, delta, Budget()).structural_ranges()
         for entries in verdict.trace.values():
             for eid, payload in entries.items():
                 assert table[eid][0] <= payload <= table[eid][1], (f, delta, eid)
@@ -91,7 +91,7 @@ def test_every_value_of_a_model_lies_in_its_structural_range():
 def test_an_aggregation_ranges_over_its_hull():
     # the motivating case: the mean of relu(x2) cannot be negative
     f = parse("(-0.5*(x2 + -1.3) >= -0.7 or x1 = 0.2) and mean(relu(x2)) >= -1.4", ArithmeticSpec.fixed(5, 1))
-    search = _Search(f, DeltaMode.unary(3), SolveLimits())
+    search = _Search(f, DeltaMode.unary(3), Budget())
     agg = next(eid for eid, node in search.nodes.items() if node[0] == "agg")
     assert search.structural_ranges()[agg] == (0, 15)
     assert isinstance(solve(f, DeltaMode.unary(3), SolveLimits(max_terms=10)), Sat)
@@ -99,10 +99,10 @@ def test_an_aggregation_ranges_over_its_hull():
 
 def test_the_table_is_built_on_first_use_and_only_with_aggregations():
     spec = ArithmeticSpec.satint(3)
-    plain = _Search(parse("relu(x1) + x2 >= 2", spec), DeltaMode.unary(2), SolveLimits())
+    plain = _Search(parse("relu(x1) + x2 >= 2", spec), DeltaMode.unary(2), Budget())
     assert plain._table is None
     assert plain._structural() == {}
-    nested = _Search(parse("agg(relu(x1)) >= 2", spec), DeltaMode.unary(2), SolveLimits())
+    nested = _Search(parse("agg(relu(x1)) >= 2", spec), DeltaMode.unary(2), Budget())
     assert nested._table is None
     assert nested._structural() == nested.structural_ranges()
 

@@ -30,7 +30,8 @@ from gnncheck.compile import compile_lvp
 from gnncheck.formula import parse
 from gnncheck.fuzz import random_formula
 from gnncheck.gnn import DeltaMode, LinIneq, LvpInstance
-from gnncheck.tableau import SolveLimits, _LimitHit, _Search, solve
+from gnncheck.semantics import Budget, LimitHit
+from gnncheck.tableau import _Search, solve
 
 from test_compile import random_model
 
@@ -80,13 +81,14 @@ def model_digest(search, final) -> str:
 def search_outcome(formula, delta, max_terms=MAX_TICKS):
     """Run the search as ``solve`` does; return how it ended, its ticks and
     the digest of its model (None when it found none)."""
-    search = _Search(formula, delta, SolveLimits(max_terms=max_terms))
+    budget = Budget(max_terms)
+    search = _Search(formula, delta, budget)
     try:
         final = search.attempt(search.root_state())
         outcome = "model" if final is not None else "exhausted"
-    except _LimitHit as hit:
+    except LimitHit as hit:
         final, outcome = None, hit.reason
-    return outcome, search.ticks, None if final is None else model_digest(search, final)
+    return outcome, budget.ticks, None if final is None else model_digest(search, final)
 
 
 def outcomes(cases):

@@ -11,6 +11,8 @@ from gnncheck.fuzz import random_formula
 from gnncheck.graph import LabeledGraph
 from gnncheck.semantics import Sat, Unknown, Unsat, brute_force_sat, check, eval_payload
 
+from conftest import recording_budgets
+
 SAT15 = ArithmeticSpec.satint(15)
 FIX32_4 = ArithmeticSpec.fixed(32, 4)
 
@@ -221,23 +223,11 @@ class TestBruteForce:
 
 
 @pytest.fixture
-def budgets(monkeypatch):
+def budgets():
     """Every oracle step budget created while the test runs, with the size of
     each batch charged to it."""
-    made = []
-
-    class Recording(semantics._Budget):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.batches = []
-            made.append(self)
-
-        def tick(self, n):
-            self.batches.append(n)
-            super().tick(n)
-
-    monkeypatch.setattr(semantics, "_Budget", Recording)
-    return made
+    with recording_budgets() as made:
+        yield made
 
 
 def budget_formulas():
@@ -270,15 +260,15 @@ class TestOracleBudget:
         # satisfying one (or all of them), is one step wider than the budget left
         for f, delta in budget_formulas():
             full = brute_force_sat(f, delta, max_steps=None)
-            b = budgets[-1].steps
+            b = budgets[-1].ticks
             assert not isinstance(full, Unknown)
             low = brute_force_sat(f, delta, max_steps=b - 1)
             assert isinstance(low, Unknown) and low.reason == "node-limit", to_text(f)
-            assert budgets[-1].steps == b
+            assert budgets[-1].ticks == b
             for max_steps in (b, b + 1):
                 again = brute_force_sat(f, delta, max_steps=max_steps)
                 assert type(again) is type(full) and witness(again) == witness(full), to_text(f)
-                assert budgets[-1].steps == b
+                assert budgets[-1].ticks == b
 
     def test_every_batch_stops_at_its_first_step_past_the_budget(self, budgets):
         # level batches (the first is the 961 labels of level 0), successor
@@ -290,7 +280,7 @@ class TestOracleBudget:
             for end in ends[:12]:
                 verdict = brute_force_sat(f, delta, max_steps=end - 1)
                 assert isinstance(verdict, Unknown) and verdict.reason == "node-limit"
-                assert budgets[-1].steps == end
+                assert budgets[-1].ticks == end
 
 
 def naive_sat_depth1(f, spec, delta):
@@ -347,11 +337,11 @@ def build_tree_cases():
 def test_build_tree_loop_matches_the_recursive_pre_order():
     built = 0
     for i, (f, delta) in enumerate(build_tree_cases()):
-        search = semantics._TreeSearch(f, delta, semantics._Budget(20_000, None))
+        search = semantics._TreeSearch(f, delta, semantics.Budget(20_000))
         depth = semantics.agg_depth(f)
         try:
             wit, levels = search.search(depth)
-        except semantics._OracleLimit:
+        except semantics.LimitHit:
             continue
         if wit is None:
             continue

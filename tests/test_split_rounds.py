@@ -1,20 +1,20 @@
 """What ``verify_lvp`` runs between the first sampling round and the
 tableau: branch and bound over the last layer's input box
-(``gnn.valid_by_split``), then ``EXTRA_ROUNDS`` more rounds of the sampler
+(``gnn.BoxSplit.run``), then ``EXTRA_ROUNDS`` more rounds of the sampler
 (``falsify.Sampler``)."""
 
 import dataclasses
 import random
-import time
 import tracemalloc
 
 from gnncheck import falsify as falsify_mod
 from gnncheck import gnn as gnn_mod
 from gnncheck.arith import ArithmeticSpec
 from gnncheck.compile import compile_lvp
-from gnncheck.falsify import EXTRA_ROUNDS, Sampler, falsify
+from gnncheck.falsify import EXTRA_ROUNDS, Sampler
 from gnncheck.gnn import (
     MAX_BOXES,
+    BoxSplit,
     DeltaMode,
     Fnn,
     FnnLayer,
@@ -28,15 +28,13 @@ from gnncheck.gnn import (
     gnn_eval,
     input_box,
     last_layer_box,
-    valid_by_bounds,
-    valid_by_split,
 )
 from gnncheck.graph import LabeledGraph
-from gnncheck.semantics import Sat, Unknown, Unsat, brute_force_sat, check
+from gnncheck.semantics import Budget, Sat, Unknown, Unsat, brute_force_sat, check
 from gnncheck.tableau import Invalid, SolveLimits, Valid, _network_delta, verify_lvp
 
 from test_compile import random_model
-from test_falsify import KINDS, deep_sum_instance, random_instance, relational_instance, split_instance
+from test_falsify import KINDS, deep_sum_instance, first_round, random_instance, relational_instance, split_instance
 
 
 def oracle_cases(count):
@@ -67,7 +65,7 @@ def tightest_split_bound(instance, y, c):
     base = k = lo if c > 0 else -hi
     while k < instance.model.spec.max_payload:
         stronger = dataclasses.replace(instance, l_out=(LinIneq(((y, c),), k + 1),))
-        if not valid_by_split(stronger, MAX_BOXES)[0]:
+        if not BoxSplit(stronger).run(Budget())[0]:
             break
         k += 1
     return None if k == base else k
@@ -109,14 +107,14 @@ def recorded_boxes(monkeypatch, comb):
 def test_the_split_bisects_the_widest_dimension_depth_first_lower_half_first(monkeypatch):
     instance = split_instance()
     boxes = recorded_boxes(monkeypatch, instance.model.layers[-1].comb)
-    assert valid_by_split(instance, MAX_BOXES) == (True, len(boxes))
+    assert BoxSplit(instance).run(Budget()) == (True, len(boxes))
     root = last_layer_box(instance.model, input_box(instance), instance.delta)
     # x1 and the sum over two successors both span [-7, 7], but the last
     # comb reads the sum with weight 0, so only x1 is split; y1 >= 0 holds
     # for x1 <= 0, and the upper half splits x1 again, lower half first
     assert boxes[:4] == [root, [(-7, 0), (-7, 7)], [(1, 7), (-7, 7)], [(1, 4), (-7, 7)]]
     assert all(box[1] == (-7, 7) for box in boxes)
-    assert valid_by_bounds(instance) is False
+    assert BoxSplit(instance).bounds() is False
 
 
 def test_verify_lvp_maps_the_root_box_once(monkeypatch):
@@ -125,7 +123,7 @@ def test_verify_lvp_maps_the_root_box_once(monkeypatch):
     ``split_instance`` the split proves it, on ``relational_instance`` it
     gives up and the tableau decides."""
     for instance in (split_instance(), relational_instance()):
-        _, needed = valid_by_split(instance, MAX_BOXES)
+        _, needed = BoxSplit(instance).run(Budget())
         root = last_layer_box(instance.model, input_box(instance), instance.delta)
         with monkeypatch.context() as patched:
             boxes = recorded_boxes(patched, instance.model.layers[-1].comb)
@@ -141,25 +139,29 @@ def test_a_split_without_read_dimensions_gives_up_at_its_first_failing_box():
     comb = Fnn((FnnLayer(((0, 0),), (-1,), ("id",)),))
     model = GnnModel(spec, (GnnLayer("sum", comb),), Fnn.identity(1, spec), ("x1",), ("y1",))
     instance = LvpInstance(model, (), (LinIneq((("y1", 1),), 0),), DeltaMode.unary(2))
-    assert valid_by_split(instance, MAX_BOXES) == (False, 1)
+    assert BoxSplit(instance).run(Budget()) == (False, 1)
 
 
-def test_the_split_respects_its_box_cap():
+def test_the_split_respects_its_box_cap(monkeypatch):
     instance = split_instance()
-    proved, needed = valid_by_split(instance, MAX_BOXES)
+    proved, needed = BoxSplit(instance).run(Budget())
     assert proved and 1 < needed < MAX_BOXES
-    assert valid_by_split(instance, needed) == (True, needed)
-    assert valid_by_split(instance, needed - 1) == (False, needed - 1)
-    assert valid_by_split(instance, 0) == (False, 0)
-    assert valid_by_split(instance, MAX_BOXES, deadline=time.monotonic() - 1) == (False, 0)
+    with monkeypatch.context() as patched:
+        patched.setattr(gnn_mod, "MAX_BOXES", needed - 1)
+        assert BoxSplit(instance).run(Budget()) == (False, needed - 1)
+    per_box = box_price(instance.model)
+    assert BoxSplit(instance).run(Budget(needed * per_box)) == (True, needed)
+    assert BoxSplit(instance).run(Budget((needed - 1) * per_box)) == (False, needed - 1)
+    assert BoxSplit(instance).run(Budget(0)) == (False, 0)
+    assert BoxSplit(instance).run(Budget(None, time_limit=-1)) == (False, 0)  # a deadline passed
 
 
 def test_the_split_is_charged_to_the_tick_budget():
     """One tick short of the first round and every box the split needs, the
     split stops a box early and the tableau gets at most one tick."""
     instance = split_instance()
-    _, sampled = falsify(instance)
-    _, needed = valid_by_split(instance, MAX_BOXES)
+    _, sampled = first_round(instance)
+    _, needed = BoxSplit(instance).run(Budget())
     budget = sampled + needed * box_price(instance.model)
     assert verify_lvp(instance, SolveLimits(max_terms=budget)) == Valid("split")
     assert verify_lvp(instance, SolveLimits(max_terms=budget - 1)) == Unknown("node-limit")
@@ -172,7 +174,7 @@ def test_the_split_gives_up_at_a_failing_single_value_box(monkeypatch):
     aggregated ones with weight 0), so the others are never split."""
     instance = relational_instance()
     boxes = recorded_boxes(monkeypatch, instance.model.layers[-1].comb)
-    proved, mapped = valid_by_split(instance, MAX_BOXES)
+    proved, mapped = BoxSplit(instance).run(Budget())
     assert not proved and mapped == len(boxes) < MAX_BOXES
     last = boxes[-1]
     assert last[:2] == [(0, 0), (1, 1)] and last[2:] == boxes[0][2:]
@@ -188,10 +190,10 @@ def test_hits_of_later_rounds_replay_through_gnn_eval_and_check():
     for i in range(100):
         spec = (ArithmeticSpec.satint(7), ArithmeticSpec.fixed(8, 1))[i % 2]
         instance = random_instance(rng, spec, DeltaMode.unary(1 + i % 3), max_layers=3)
-        if valid_by_bounds(instance):
+        if BoxSplit(instance).bounds():
             continue
-        sampler = Sampler(instance)
-        if sampler.round() is not None or valid_by_split(instance, MAX_BOXES)[0]:
+        sampler = Sampler(instance, Budget())
+        if sampler.round() is not None or BoxSplit(instance).run(Budget())[0]:
             continue
         hits = [sampler.round() for _ in range(EXTRA_ROUNDS)]
         found = [(k, hit) for k, hit in enumerate(hits, start=2) if hit is not None]
@@ -223,9 +225,9 @@ def test_rounds_without_a_budget_hold_one_round_of_trees(monkeypatch):
     instance = deep_sum_instance(10)
     tracemalloc.start()
     try:
-        falsify(instance)
+        first_round(instance)
         _, alone = tracemalloc.get_traced_memory()
-        sampler = Sampler(instance)
+        sampler = Sampler(instance, Budget())
         sampler.round()
         tracemalloc.reset_peak()
         for _ in range(EXTRA_ROUNDS):

@@ -8,7 +8,7 @@ from gnncheck.formula import Arena, Formula, parse, to_text
 from gnncheck.fuzz import run_differential
 from gnncheck.gnn import DeltaMode, LinIneq, LvpInstance, eval_linineq, gnn_eval
 from gnncheck.graph import save_json
-from gnncheck.semantics import Sat, Unknown, Unsat, brute_force_sat, check
+from gnncheck.semantics import Budget, Sat, Unknown, Unsat, brute_force_sat, check
 from gnncheck.tableau import (
     Invalid,
     SolveLimits,
@@ -167,7 +167,7 @@ class TestExprRange:
         negated = arena.scale(-1, inner)
         doubled = arena.scale(2, inner)
         atoms = [arena.geq(e, 0) for e in (outer, negated, doubled)]
-        search = _Search(Formula(arena, arena.conjoin(atoms)), DeltaMode.unary(1), SolveLimits())
+        search = _Search(Formula(arena, arena.conjoin(atoms)), DeltaMode.unary(1), Budget())
         st = _State()
         st.bounds[search.key((), inner)] = (1, 2)  # contradicts the range: the interval is empty
         root = search.key((), 0)  # the root word itself

@@ -19,6 +19,13 @@ arity's states are built once per level.  The step budget still counts one
 step per (state, label) pair and per child profile folded into a state, for
 every arity, charged a state at a time, and the first witness is the one a
 label-by-label scan would find.
+
+On a value set of at most 127 values (M = max_payload <= 63) columns are
+bytes, one lane of payload + M per entry, and every elementwise step runs in
+C through translation tables cached for the process.  63 is the largest M for
+which two lanes, each at most 2M, add to a byte (4M <= 252), so that two
+columns add as big integers.  Wider value sets keep lists of payloads.  The
+two column types charge, find and return the same.
 """
 
 from __future__ import annotations
@@ -199,9 +206,69 @@ class LimitHit(Exception):
 
 # The oracle's tables of primitive results hold at most about this many
 # entries: the fold-step tables of a search with many accumulators and child
-# profiles would otherwise hold one entry per step charged.  fixed:5:1 and
-# smaller value sets stay well inside it.
+# profiles would otherwise hold one entry per step charged.  Only value sets
+# wider than the byte lanes below use them.
 TABLE_ENTRIES = 1 << 16
+
+# Value sets of payloads up to this bound M (at most 127 values) keep the
+# oracle's columns as bytes, a lane of payload + M per entry.  Two lanes add
+# to at most 4M = 252, which still fits a byte, so two columns add as big
+# integers without a carry between lanes.
+LANE_PAYLOAD = 63
+
+
+@functools.lru_cache(maxsize=1024)
+def _lane_table(spec: ArithmeticSpec, key: tuple) -> bytes:
+    """The ``bytes.translate`` table of one step on byte lanes.
+
+    key names an ArithmeticSpec method with its leading operands, say
+    ``("mul_p", 2)``, which maps lane p + M to f(p) + M; ``("geq", k)`` and
+    ``("eq", k)`` map it to 1 or 0; ``("not",)`` swaps 0 and 1, and
+    ``("clamp",)`` maps the sum a + b + 2M of two lanes to add_p(a, b) + M.
+    """
+    m, name = spec.max_payload, key[0]
+    if name == "clamp":
+        out = [spec.add_p(s, 0) + m for s in range(-2 * m, 2 * m + 1)]
+    elif name == "not":
+        out = [1, 0]
+    elif name in ("geq", "eq"):
+        k = key[1]
+        out = [p >= k if name == "geq" else p == k for p in spec.values_p()]
+    else:
+        fn = getattr(spec, name)
+        out = [fn(*key[1:], p) + m for p in spec.values_p()]
+    return bytes(out).ljust(256, b"\0")
+
+
+@functools.lru_cache(maxsize=1024)
+def _payload_table(spec: ArithmeticSpec, key: tuple) -> tuple[int, ...]:
+    """An ArithmeticSpec method with leading operands, named by key as for
+    ``_lane_table``, applied to every payload p, at index p: a negative p
+    counts from the end."""
+    m = spec.max_payload
+    return tuple(map(functools.partial(getattr(spec, key[0]), *key[1:]), (*range(m + 1), *range(-m, 0))))
+
+
+def _spread_lanes(x: bytes, support: tuple[int, ...], union: tuple[int, ...], n: int) -> bytes:
+    """The entries of a byte column over support, in the order of a column
+    over union, a superset of it, for n values per feature.
+
+    It is built innermost feature first, in blocks of one entry per
+    assignment of the features done so far: a feature of support joins n
+    blocks into one, any other repeats each block n times.
+    """
+    size = 1
+    for f in reversed(union):
+        if f not in support:
+            if size == 1:
+                out = bytearray(len(x) * n)
+                for r in range(n):
+                    out[r::n] = x
+                x = bytes(out)
+            else:
+                x = b"".join(x[i : i + size] * n for i in range(0, len(x), size))
+        size *= n
+    return x
 
 
 def _first_of_each(keys, values) -> dict:
@@ -228,14 +295,23 @@ class _TreeSearch:
     feature slowest; it is decoded from i, never listed.  A node's support is
     the set of features it reaches without crossing an aggregation, fixed per
     formula.  Under one aggregation state a node's value is a scalar when its
-    support is empty, else a column: a list with one entry per assignment of
-    its support, in label order.  Operands whose supports differ are spread
-    to their union.  An index into a column maps to the first label with
-    those support values: every other feature at its lowest value.  Nodes
-    that depend on no aggregation value are evaluated once per search, the
-    others once per state.  The results of ``act``, ``scale``, a scalar
-    ``sum`` and each fold step are kept in tables that live as long as the
-    search, up to about TABLE_ENTRIES entries in all.
+    support is empty, else a column with one entry per assignment of its
+    support, in label order.  Operands whose supports differ are spread to
+    their union.  An index into a column maps to the first label with those
+    support values: every other feature at its lowest value.  Nodes that
+    depend on no aggregation value are evaluated once per search, checking
+    the deadline after each column, the others once per state.
+
+    With ``lanes`` (max_payload <= LANE_PAYLOAD) a column is ``bytes``: an
+    expression's entries are payload + M, a formula's 0 or 1, and a profile
+    holds such lane values too.  ``bytes.translate`` does act, scale, a
+    scalar sum, the tests and not; two columns add as big integers, then
+    through a clamp table; and and or are big-integer & and |.  The tables,
+    and those of the fold steps over profile payloads, are immutable and
+    cached per process and per (spec, step, operands).  Otherwise a column
+    is a list of payloads or bools, and the results of ``act``, ``scale``, a
+    scalar ``sum`` and each fold step are kept in tables that live as long
+    as the search, up to about TABLE_ENTRIES entries in all.
     """
 
     def __init__(self, f: Formula, delta: int, budget: Budget):
@@ -248,6 +324,7 @@ class _TreeSearch:
         self.aggs: list[tuple] = []  # (eid, kind, child, weights)
         self.delta = delta if f.weight_cap is None else min(delta, f.weight_cap)
         self.n_labels = self.spec.n_values ** len(self.features)
+        self.lanes = self.spec.max_payload <= LANE_PAYLOAD  # columns as bytes
         self.tables: dict[tuple, dict] = {}  # per method and leading operands: value -> result
         self.table_room = TABLE_ENTRIES
         self.index_maps: dict[tuple, list[int]] = {}  # spreads and first labels, per supports
@@ -278,6 +355,7 @@ class _TreeSearch:
                 is_static = True
             if fits and is_static:
                 static[eid] = self._expr_value(eid, node, static)
+                self._check_column(static[eid])
             else:
                 self.dyn_exprs.append((eid, node))
         self.child_supports = [support[child] for _, _, child, _ in self.aggs]
@@ -295,9 +373,15 @@ class _TreeSearch:
                 self.static_formulas[fid] = self._formula_value(
                     fid, node, self.static_formulas, self.static_supports, static
                 )
+                self._check_column(self.static_formulas[fid])
             else:
                 self.dyn_formulas.append((fid, node))
         self.static_profiles = all(child in static for _, _, child, _ in self.aggs)
+
+    def _check_column(self, x) -> None:
+        """After a column evaluated once per search, check the deadline."""
+        if not isinstance(x, int) and self.budget.expired():
+            raise LimitHit("timeout")
 
     # -- labels and column indices ----------------------------------------------
 
@@ -312,9 +396,11 @@ class _TreeSearch:
         out = {}
         for eid in self.eids:
             x = ev[eid]
-            if type(x) is list:
+            if not isinstance(x, int):
                 s = support[eid]
                 x = x[i if len(s) == k else self._column_index(s, i)]
+                if self.lanes:
+                    x -= self.spec.max_payload
             out[eid] = x
         return out
 
@@ -334,12 +420,14 @@ class _TreeSearch:
         n, k = self.spec.n_values, len(self.features)
         return self._index_map(("labels", support), support, {f: n ** (k - 1 - f) for f in support})
 
-    def _spread(self, x: list, support: tuple[int, ...], union: tuple[int, ...]):
+    def _spread(self, x, support: tuple[int, ...], union: tuple[int, ...]):
         """The entries of a column over support, in the order of a column over
         union; the column itself when the two supports are the same."""
         if support == union:
             return x
         n = self.spec.n_values
+        if self.lanes:
+            return _spread_lanes(x, support, union, n)
         weight = {f: n ** (len(support) - 1 - p) for p, f in enumerate(support)}
         return map(x.__getitem__, self._index_map((support, union), union, weight))
 
@@ -359,10 +447,15 @@ class _TreeSearch:
 
     # -- node evaluation -----------------------------------------------------------
 
-    def _mapped(self, key: tuple, x: list) -> list:
+    def _mapped(self, key: tuple, x):
         """An ArithmeticSpec method of one more operand, named with its leading
         operands by key (say ``("add_p", 3)``), applied to each entry of a
-        column through the search's table for key."""
+        column, or of a list of payloads, through a table for key: a cached
+        one on byte lanes, else the search's own."""
+        if self.lanes:
+            if type(x) is bytes:
+                return x.translate(_lane_table(self.spec, key))
+            return list(map(_payload_table(self.spec, key).__getitem__, x))
         table = self.tables.get(key)
         if table is not None:
             try:
@@ -382,27 +475,38 @@ class _TreeSearch:
             self.table_room = TABLE_ENTRIES
         return out
 
+    def _payloads(self, x):
+        """The payloads of the values of a profile, or of one aggregation's
+        values over a level's profiles; x itself without lanes."""
+        if not self.lanes:
+            return x
+        m = self.spec.max_payload
+        return [v - m for v in x]
+
     def _expr_value(self, eid: int, node: tuple, ev: dict):
         tag = node[0]
         if tag == "const":
             return node[1]
-        if tag == "feat":
-            return list(self.spec.values_p())
         spec = self.spec
+        if tag == "feat":
+            return bytes(range(spec.n_values)) if self.lanes else list(spec.values_p())
         if tag in ("act", "scale"):
             x = ev[node[2]]
-            if type(x) is list:
+            if not isinstance(x, int):
                 return self._mapped(("act_p" if tag == "act" else "mul_p", node[1]), x)
             return spec.act_p(node[1], x) if tag == "act" else spec.mul_p(node[1], x)
         a, b = ev[node[1]], ev[node[2]]  # sum
-        if type(a) is not list:
-            return self._mapped(("add_p", a), b) if type(b) is list else spec.add_p(a, b)
-        if type(b) is not list:
+        if isinstance(a, int):
+            return spec.add_p(a, b) if isinstance(b, int) else self._mapped(("add_p", a), b)
+        if isinstance(b, int):
             return self._mapped(("add_p", b), a)  # add_p is symmetric
         sa, sb = self.expr_support[node[1]], self.expr_support[node[2]]
         if sa != sb:
             union = self.expr_support[eid]
             a, b = self._spread(a, sa, union), self._spread(b, sb, union)
+        if self.lanes:
+            s = int.from_bytes(a, "big") + int.from_bytes(b, "big")
+            return s.to_bytes(len(a), "big").translate(_lane_table(spec, ("clamp",)))
         if self.clamp is None:
             # add_p(s, 0) for every sum s of two payloads, a negative s at
             # its place from the end
@@ -422,24 +526,24 @@ class _TreeSearch:
         if tag in ("geq", "eq"):
             x, k = ev[node[1]], node[2]
             test = k.__le__ if tag == "geq" else k.__eq__  # k <= v is v >= k
-            if type(x) is not list:
+            if isinstance(x, int):
                 return test(x)
             fs[fid] = self.expr_support[node[1]]
-            return list(map(test, x))
+            return x.translate(_lane_table(self.spec, (tag, k))) if self.lanes else list(map(test, x))
         if tag == "not":
             x = fv[node[1]]
-            if type(x) is not list:
+            if isinstance(x, int):
                 return not x
             fs[fid] = self._formula_support(fs, node[1])
-            return [not v for v in x]
+            return x.translate(_lane_table(self.spec, ("not",))) if self.lanes else [not v for v in x]
         ga, gb = node[1], node[2]
-        if type(fv[ga]) is not list:
+        if isinstance(fv[ga], int):
             ga, gb = gb, ga
         a, b = fv[ga], fv[gb]
-        if type(b) is not list:  # a scalar operand decides, or passes the other through
+        if isinstance(b, int):  # a scalar operand decides, or passes the other through
             if (tag == "and") != bool(b):
                 return tag == "or"
-            if type(a) is list:
+            if not isinstance(a, int):
                 fs[fid] = self._formula_support(fs, ga)
             return a
         sa, sb = self._formula_support(fs, ga), self._formula_support(fs, gb)
@@ -448,6 +552,9 @@ class _TreeSearch:
             a, b = self._spread(a, sa, union), self._spread(b, sb, union)
             sa = union
         fs[fid] = sa
+        if self.lanes:
+            n, a, b = len(a), int.from_bytes(a, "big"), int.from_bytes(b, "big")
+            return (a & b if tag == "and" else a | b).to_bytes(n, "big")
         return list(map(operator.and_ if tag == "and" else operator.or_, a, b))
 
     def _formula_support(self, fs: dict, fid: int) -> tuple[int, ...]:
@@ -469,7 +576,7 @@ class _TreeSearch:
         for fid, node in self.dyn_formulas:
             fv[fid] = self._formula_value(fid, node, fv, fs, ev)
         t = fv[self.root_fid]
-        if type(t) is not list:
+        if isinstance(t, int):
             return 0 if t else None
         try:
             j = t.index(True)
@@ -482,16 +589,21 @@ class _TreeSearch:
         """Distinct profiles under one state, with the first label giving each,
         in label order."""
         ev = self._state_values(aggvals)
+        m = self.spec.max_payload if self.lanes else 0  # a scalar's lane value is c + m
         cols = [ev[child] for _, _, child, _ in self.aggs]
-        if not any(type(c) is list for c in cols):
-            return {tuple(cols): 0}
+        if all(isinstance(c, int) for c in cols):
+            return {tuple(c + m for c in cols): 0}
         union = self.profile_support
-        n = self.spec.n_values ** len(union)
-        rows = zip(*(
-            self._spread(c, support, union) if type(c) is list else itertools.repeat(c, n)
-            for c, support in zip(cols, self.child_supports)
-        ))
-        first = _first_of_each(rows, itertools.count())
+        if self.lanes and len(cols) == 1:
+            (c,) = cols  # each lane value at its first index
+            first = {(c[j],): j for j in sorted(map(c.find, set(c)))}
+        else:
+            n = self.spec.n_values ** len(union)
+            rows = zip(*(
+                itertools.repeat(c + m, n) if isinstance(c, int) else self._spread(c, support, union)
+                for c, support in zip(cols, self.child_supports)
+            ))
+            first = _first_of_each(rows, itertools.count())
         if len(union) == len(self.features):
             return first
         labels = self._first_labels(union)
@@ -510,7 +622,7 @@ class _TreeSearch:
         spec = self.spec
         return tuple(
             spec.fold_step(kind, a, v if weights is None else spec.mul_p(weights[pos - 1], v))
-            for (_, kind, _, weights), a, v in zip(self.aggs, acc, prof)
+            for (_, kind, _, weights), a, v in zip(self.aggs, acc, self._payloads(prof))
         )
 
     def _init_acc(self) -> tuple:
@@ -556,7 +668,7 @@ class _TreeSearch:
             return
         profs = list(prev_level)
         # per aggregation, its column of child values over the previous level
-        cols = [list(col) for col in zip(*profs)]
+        cols = [list(self._payloads(col)) for col in zip(*profs)]
         shared: list[int] = []  # the number of states before each position so far
         for arity in range(1, max_arity + 1):
             for n_states in shared:
@@ -642,8 +754,8 @@ def brute_force_sat(
     check_limits(time_limit, max_steps=max_steps)
     needed = agg_depth(f)
     d = needed if depth is None else depth
-    search = _TreeSearch(f, delta, Budget(max_steps, time_limit))
     try:
+        search = _TreeSearch(f, delta, Budget(max_steps, time_limit))
         witness, levels = search.search(d)
     except LimitHit as hit:
         return Unknown(hit.reason)

@@ -123,6 +123,28 @@ class TestBruteForce:
         f = parse("agg(x1) >= 2", ArithmeticSpec.satint(3))
         assert brute_force_sat(f, delta=2, max_steps=0) == Unknown("node-limit")
 
+    def test_deadline_is_checked_between_static_columns(self, monkeypatch):
+        # satint:1000 has 2 001 values, so each column below that depends on
+        # no aggregation is built once per search, before the first batch; with
+        # no time at all, the search stops after the first of them
+        spec = ArithmeticSpec.satint(1000)
+        f = parse(
+            "relu(x1 + x2) + relu(x2 + -3*x1) >= 7 and (x1 + 2*x2 >= 3 or relu(x1 + -1*x2) = 5) and agg(x1) >= 1",
+            spec,
+        )
+        columns = []
+        expr_value = semantics._TreeSearch._expr_value
+
+        def counting(search, eid, node, ev):
+            out = expr_value(search, eid, node, ev)
+            if not isinstance(out, int):
+                columns.append(eid)
+            return out
+
+        monkeypatch.setattr(semantics._TreeSearch, "_expr_value", counting)
+        assert brute_force_sat(f, 2, time_limit=0) == Unknown("timeout")
+        assert len(columns) <= 1
+
     def test_label_set_past_budget_stops_before_evaluating(self):
         # 2**32 - 1 labels: level 0 alone charges them all, past the default budget
         verdict = brute_force_sat(parse("x1 >= 0", FIX32_4), delta=1)

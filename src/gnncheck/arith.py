@@ -13,27 +13,20 @@ clamp.  Besides the forward operations and the aggregation fold with its
 interval hull over arities (``agg_hull``), this module provides the inverse
 interval services the tableau prunes its candidates with
 (``act_preimage_interval``, ``mul_preimage``, ``add_preimage``,
-``sum_left_window``, ``div_preimage``), and, as public API, the inverse
-enumerators over ``Value``: every stream is lazy, deterministic and yields
-exactly the witnessing values.
+``sum_left_window``, ``div_preimage``), and the inverse enumerators over
+``Value``: every stream is lazy, deterministic and yields exactly the
+witnessing values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import IntEnum
 from typing import Iterable, Iterator, Optional
 
 from .errors import ConfigError, UsageError
 
 ACTIVATIONS = ("relu", "truncrelu", "id")
-
-
-class Ordering(IntEnum):
-    LT = -1
-    EQ = 0
-    GT = 1
 
 
 def _round_div_away(num: int, den: int) -> int:
@@ -399,41 +392,6 @@ class Value:
         return f"Value({self} @ {self.spec.spec_string()})"
 
 
-def _same_spec(*values: Value) -> ArithmeticSpec:
-    spec = values[0].spec
-    for v in values[1:]:
-        if v.spec != spec:
-            raise UsageError(f"mixed arithmetic specs: {spec.spec_string()} vs {v.spec.spec_string()}")
-    return spec
-
-
-def add(a: Value, b: Value) -> Value:
-    spec = _same_spec(a, b)
-    return Value(spec.add_p(a.payload, b.payload), spec)
-
-
-def mul(c: Value, v: Value) -> Value:
-    spec = _same_spec(c, v)
-    return Value(spec.mul_p(c.payload, v.payload), spec)
-
-
-def div(a: Value, m: int) -> Value:
-    return Value(a.spec.div_p(a.payload, m), a.spec)
-
-
-def compare(a: Value, b: Value) -> Ordering:
-    _same_spec(a, b)
-    if a.payload < b.payload:
-        return Ordering.LT
-    if a.payload > b.payload:
-        return Ordering.GT
-    return Ordering.EQ
-
-
-def apply_activation(name: str, v: Value) -> Value:
-    return Value(v.spec.act_p(name, v.payload), v.spec)
-
-
 # -- inverse enumeration streams ---------------------------------------------
 
 
@@ -452,7 +410,7 @@ def values_lt(k: Value) -> Iterator[Value]:
 
 
 def add_inverses(k: Value) -> Iterator[tuple[Value, Value]]:
-    """All pairs (k1, k2) with add(k1, k2) = k; k1 ascending, then k2 ascending."""
+    """All pairs (k1, k2) with add_p(k1, k2) = k; k1 ascending, then k2 ascending."""
     spec = k.spec
     for p1 in range(-spec.max_payload, spec.max_payload + 1):
         rng = spec.add_preimage(p1, k.payload, k.payload)
@@ -463,8 +421,10 @@ def add_inverses(k: Value) -> Iterator[tuple[Value, Value]]:
 
 
 def mul_inverses(c: Value, k: Value) -> Iterator[Value]:
-    """All values v with mul(c, v) = k, ascending."""
-    spec = _same_spec(c, k)
+    """All values v with mul_p(c, v) = k, ascending."""
+    spec = k.spec
+    if c.spec != spec:
+        raise UsageError(f"mixed arithmetic specs: {c.spec.spec_string()} vs {spec.spec_string()}")
     rng = spec.mul_preimage(c.payload, k.payload, k.payload)
     if rng is None:
         return
@@ -473,7 +433,7 @@ def mul_inverses(c: Value, k: Value) -> Iterator[Value]:
 
 
 def act_inverses(name: str, k: Value) -> Iterator[Value]:
-    """All values v with activation(v) = k, ascending."""
+    """All values v with act_p(name, v) = k, ascending."""
     spec = k.spec
     rng = spec.act_preimage(name, k.payload)
     if rng is None:

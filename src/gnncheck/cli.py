@@ -13,11 +13,12 @@ import sys
 
 from .arith import ArithmeticSpec
 from .compile import compile_lvp
-from .errors import GnnCheckError, UsageError
+from .errors import GnnCheckError, SchemaError, UsageError
 from .formula import parse as parse_formula
 from .formula import to_text
 from .fuzz import run_differential
 from .gnn import DeltaMode, gnn_from_json, gnn_eval, lvp_from_json
+from .graph import _expect
 from .graph import load_json as graph_from_json
 from .graph import save_json as graph_to_json
 from .graph import to_dot
@@ -56,14 +57,18 @@ def _limits(args) -> SolveLimits:
     return SolveLimits(time_limit=_time_limit(args), max_terms=args.term_limit, max_arity=args.max_arity)
 
 
-def _load_doc(path: str):
+def _load_doc(path: str) -> dict:
+    """The JSON object in the file; every document the CLI reads is one."""
     try:
         with open(path) as handle:
-            return json.load(handle)
+            doc = json.load(handle)
     except OSError as exc:
         raise GnnCheckError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise GnnCheckError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("expected an object", "$")
+    return doc
 
 
 def _read_formula(args):
@@ -118,7 +123,7 @@ def _delta_for_oracle(text: str) -> int:
 def cmd_verify(args) -> int:
     doc = _load_doc(args.instance)
     if args.arith:
-        doc.setdefault("gnn", {})["arith"] = args.arith
+        _expect(doc, "gnn", dict, "$")["arith"] = args.arith
     if args.delta:
         mode = DeltaMode.parse(args.delta)
         doc["delta"] = {"mode": mode.kind} | ({} if mode.value is None else {"value": mode.value})
@@ -160,7 +165,7 @@ def cmd_sat(args) -> int:
 def cmd_compile(args) -> int:
     doc = _load_doc(args.instance)
     if args.arith:
-        doc.setdefault("gnn", {})["arith"] = args.arith
+        _expect(doc, "gnn", dict, "$")["arith"] = args.arith
     instance = lvp_from_json(doc)
     print(to_text(compile_lvp(instance).formula))
     return EXIT_POSITIVE

@@ -230,7 +230,7 @@ class Formula:
         self.fids, self.eids = self.arena.reachable(self.root)
         exprs = self.arena._exprs
         self.weight_cap = weight_cap(exprs[e][3] for e in self.eids if exprs[e][0] == "agg")
-        found = _feature_names(self.arena, self.eids)
+        found = features_of(self)
         if not self.features:
             self.features = found
         elif not set(found) <= set(self.features):
@@ -241,18 +241,10 @@ class Formula:
         return self.arena.spec
 
 
-def _feature_names(arena: Arena, eids: list[int]) -> tuple[str, ...]:
-    """Sorted names of the features among the expressions eids."""
-    exprs = arena._exprs
-    return tuple(sorted({exprs[e][1] for e in eids if exprs[e][0] == "feat"}))
-
-
-def features_of(f: Formula | tuple[Arena, int]) -> tuple[str, ...]:
+def features_of(f: Formula) -> tuple[str, ...]:
     """Sorted names of all features reachable from the root."""
-    if isinstance(f, Formula):
-        return _feature_names(f.arena, f.eids)
-    arena, root = f
-    return _feature_names(arena, arena.reachable(root)[1])
+    exprs = f.arena._exprs
+    return tuple(sorted({exprs[e][1] for e in f.eids if exprs[e][0] == "feat"}))
 
 
 def agg_depth(f: Formula) -> int:

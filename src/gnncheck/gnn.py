@@ -5,9 +5,10 @@ All numeric parameters are payloads of one arithmetic spec.  The affine
 accumulation inside an FNN layer is the left fold of saturating addition over
 weight*input products in input-index order, then the bias; the compiler
 unfolds formulas with the same chain so that logic and evaluation agree
-bit for bit.  ``gnn_bounds`` maps intervals through the same primitives,
-each of which is monotone, and ``BoxSplit.bounds`` proves an LVP instance
-valid when its output constraints hold on the whole output box.
+bit for bit.  ``fnn_bounds`` maps intervals through the same primitives,
+each of which is monotone, ``last_layer_box`` bounds the inputs of the last
+FNNs over every graph, and ``BoxSplit.bounds`` proves an LVP instance valid
+when its output constraints hold on the whole box those FNNs map it to.
 ``BoxSplit.run`` bisects the last layer's input box until they hold on
 every piece (branch and bound), charging each box to a tick budget.
 """
@@ -19,7 +20,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .arith import ACTIVATIONS, ArithmeticSpec, Value, weight_cap
 from .errors import SchemaError, UsageError
-from .graph import PointedGraph
+from .graph import PointedGraph, _expect
 from .semantics import Budget
 
 AGG_LAYER_KINDS = ("sum", "mean", "max", "weighted")
@@ -158,13 +159,6 @@ def fnn_eval_p(fnn: Fnn, inputs: Sequence[int], spec: ArithmeticSpec) -> list[in
     return state
 
 
-def fnn_eval(fnn: Fnn, inputs: Sequence[Value], spec: ArithmeticSpec) -> list[Value]:
-    for v in inputs:
-        if v.spec != spec:
-            raise UsageError("input values must share the model's arithmetic spec")
-    return [Value(p, spec) for p in fnn_eval_p(fnn, [v.payload for v in inputs], spec)]
-
-
 def _aggregate(layer: GnnLayer, states: list[list[int]], spec: ArithmeticSpec) -> list[int]:
     """Fold successor state vectors componentwise, in successor order."""
     if not states:
@@ -286,16 +280,6 @@ def last_layer_box(model: GnnModel, point: Box, delta: DeltaMode) -> Box:
     return point
 
 
-def gnn_bounds(model: GnnModel, point: Box, delta: DeltaMode) -> Box:
-    """Interval of each output at a point whose input features lie in
-    ``point``, over every graph whose nodes have at most δ successors: the
-    ``last_layer_box`` mapped through the last FNNs."""
-    box = last_layer_box(model, point, delta)
-    for fnn in last_fnns(model):
-        box = fnn_bounds(fnn, box, model.spec)
-    return box
-
-
 # -- linear constraint systems and LVP instances -------------------------------
 
 
@@ -329,8 +313,8 @@ class DeltaMode:
             raise UsageError(f"unknown delta mode {self.kind!r}")
         if (self.kind == "inf") != (self.value is None):
             raise UsageError("finite delta modes carry a value, inf carries none")
-        if self.value is not None and self.value < 0:
-            raise UsageError("arity bound must be >= 0")
+        if self.value is not None and not (type(self.value) is int and self.value >= 0):
+            raise UsageError(f"arity bound must be an int >= 0, got {self.value!r}")
 
     @staticmethod
     def unary(k: int) -> "DeltaMode":
@@ -543,14 +527,21 @@ def _parse_payload(spec: ArithmeticSpec, raw: Any, path: str) -> int:
 def _layer_from_json(doc: Any, spec: ArithmeticSpec, path: str) -> FnnLayer:
     if not isinstance(doc, dict) or "weights" not in doc:
         raise SchemaError("expected an object with 'weights'", path)
+    rows = _expect(doc, "weights", list, path)
+    for j, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise SchemaError("a weight row must be a list", f"{path}.weights[{j}]")
     weights = tuple(
         tuple(_parse_payload(spec, w, f"{path}.weights[{j}][{i}]") for i, w in enumerate(row))
-        for j, row in enumerate(doc["weights"])
+        for j, row in enumerate(rows)
     )
-    bias = tuple(_parse_payload(spec, b, f"{path}.bias[{j}]") for j, b in enumerate(doc.get("bias", [])))
+    bias = _expect(doc, "bias", list, path, [])
+    bias = tuple(_parse_payload(spec, b, f"{path}.bias[{j}]") for j, b in enumerate(bias))
     acts = doc.get("activation", [])
     if isinstance(acts, str):
         acts = [acts] * len(weights)
+    elif not isinstance(acts, list):
+        raise SchemaError("'activation' must be str or list", f"{path}.activation")
     try:
         return FnnLayer(weights, bias, tuple(acts))
     except UsageError as exc:
@@ -559,7 +550,9 @@ def _layer_from_json(doc: Any, spec: ArithmeticSpec, path: str) -> FnnLayer:
 
 def _fnn_from_json(doc: Any, spec: ArithmeticSpec, path: str) -> Fnn:
     if isinstance(doc, dict) and "layers" in doc:
-        layers = tuple(_layer_from_json(l, spec, f"{path}.layers[{i}]") for i, l in enumerate(doc["layers"]))
+        layers = tuple(
+            _layer_from_json(l, spec, f"{path}.layers[{i}]") for i, l in enumerate(_expect(doc, "layers", list, path))
+        )
     else:
         layers = (_layer_from_json(doc, spec, path),)
     try:
@@ -572,17 +565,21 @@ def gnn_from_json(doc: Any) -> GnnModel:
     if not isinstance(doc, dict) or "arith" not in doc:
         raise SchemaError("expected an object with 'arith'", "$")
     spec = ArithmeticSpec.parse(str(doc["arith"]))
-    if "features" in doc:
-        features = tuple(doc["features"])
-    elif "input_dim" in doc:
-        features = tuple(f"x{i + 1}" for i in range(int(doc["input_dim"])))
-    else:
-        raise SchemaError("need 'features' or 'input_dim'", "$")
-    if "input_dim" in doc and int(doc["input_dim"]) != len(features):
+    features = _expect(doc, "features", list, "$", None)
+    dim = _expect(doc, "input_dim", int, "$", None)
+    if features is None:
+        if dim is None:
+            raise SchemaError("need 'features' or 'input_dim'", "$")
+        features = [f"x{i + 1}" for i in range(dim)]
+    elif dim is not None and dim != len(features):
         raise SchemaError("input_dim disagrees with features", "$.input_dim")
+    elif not all(isinstance(name, str) for name in features):
+        raise SchemaError("feature names must be strings", "$.features")
     layers = []
-    for i, ld in enumerate(doc.get("layers", [])):
+    for i, ld in enumerate(_expect(doc, "layers", list, "$", [])):
         path = f"$.layers[{i}]"
+        if not isinstance(ld, dict):
+            raise SchemaError("expected an object", path)
         agg = ld.get("agg", "sum")
         weights = None
         if isinstance(agg, dict):
@@ -590,7 +587,8 @@ def gnn_from_json(doc: Any) -> GnnModel:
             if kind != "weighted":
                 raise SchemaError(f"unknown aggregation {kind!r}", f"{path}.agg")
             weights = tuple(
-                _parse_payload(spec, w, f"{path}.agg.weights[{j}]") for j, w in enumerate(agg.get("weights", []))
+                _parse_payload(spec, w, f"{path}.agg.weights[{j}]")
+                for j, w in enumerate(_expect(agg, "weights", list, f"{path}.agg", []))
             )
             agg = "weighted"
         elif agg not in AGG_LAYER_KINDS or agg == "weighted":
@@ -603,9 +601,11 @@ def gnn_from_json(doc: Any) -> GnnModel:
     if "out" not in doc:
         raise SchemaError("missing output network", "$.out")
     out = _fnn_from_json(doc["out"], spec, "$.out")
-    outputs = tuple(doc.get("outputs", (f"y{i + 1}" for i in range(out.output_dim))))
+    outputs = tuple(_expect(doc, "outputs", list, "$", [f"y{i + 1}" for i in range(out.output_dim)]))
+    if not all(isinstance(name, str) for name in outputs):
+        raise SchemaError("output names must be strings", "$.outputs")
     try:
-        return GnnModel(spec, tuple(layers), out, features, outputs)
+        return GnnModel(spec, tuple(layers), out, tuple(features), outputs)
     except UsageError as exc:
         raise SchemaError(str(exc), "$") from None
 
@@ -624,7 +624,8 @@ def linineq_from_json(doc: Any, spec: ArithmeticSpec, path: str) -> LinIneq:
     if doc.get("rel", ">=") != ">=":
         raise SchemaError("only '>=' inequalities are supported", f"{path}.rel")
     coeffs = tuple(
-        (var, _parse_payload(spec, c, f"{path}.coeffs.{var}")) for var, c in doc.get("coeffs", {}).items()
+        (var, _parse_payload(spec, c, f"{path}.coeffs.{var}"))
+        for var, c in _expect(doc, "coeffs", dict, path, {}).items()
     )
     const = _parse_payload(spec, doc.get("const", "0"), f"{path}.const")
     return LinIneq(coeffs, const)
@@ -648,9 +649,11 @@ def lvp_from_json(doc: Any) -> LvpInstance:
         raise SchemaError("expected an object with 'gnn'", "$")
     model = gnn_from_json(doc["gnn"])
     spec = model.spec
-    l_in = tuple(linineq_from_json(q, spec, f"$.l_in[{i}]") for i, q in enumerate(doc.get("l_in", [])))
-    l_out = tuple(linineq_from_json(q, spec, f"$.l_out[{i}]") for i, q in enumerate(doc.get("l_out", [])))
-    raw_delta = doc.get("delta", {"mode": "inf"})
+    l_in, l_out = (
+        tuple(linineq_from_json(q, spec, f"$.{key}[{i}]") for i, q in enumerate(_expect(doc, key, list, "$", [])))
+        for key in ("l_in", "l_out")
+    )
+    raw_delta = _expect(doc, "delta", dict, "$", {"mode": "inf"})
     try:
         delta = DeltaMode(raw_delta.get("mode", "inf"), raw_delta.get("value"))
     except UsageError as exc:

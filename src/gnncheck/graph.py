@@ -116,8 +116,15 @@ def save_json(graph: LabeledGraph, point: str | None = None) -> dict[str, Any]:
     return doc
 
 
-def _expect(doc: Any, key: str, kind, path: str):
+_REQUIRED = object()
+
+
+def _expect(doc: Any, key: str, kind, path: str, default: Any = _REQUIRED):
+    """doc[key], which must be of type kind; default when the key is
+    missing, if one is given.  doc must be an object."""
     if not isinstance(doc, dict) or key not in doc:
+        if isinstance(doc, dict) and default is not _REQUIRED:
+            return default
         raise SchemaError(f"missing key {key!r}", path)
     value = doc[key]
     if not isinstance(value, kind):
@@ -128,6 +135,8 @@ def _expect(doc: Any, key: str, kind, path: str):
 def load_json(doc: Any, spec: ArithmeticSpec) -> tuple[LabeledGraph, str | None]:
     """Build a graph from its JSON document; label strings are read under spec."""
     features = _expect(doc, "features", list, "$")
+    if not all(isinstance(name, str) for name in features):
+        raise SchemaError("feature names must be strings", "$.features")
     raw_nodes = _expect(doc, "nodes", list, "$")
     raw_edges = _expect(doc, "edges", list, "$")
     nodes = []
@@ -148,14 +157,14 @@ def load_json(doc: Any, spec: ArithmeticSpec) -> tuple[LabeledGraph, str | None]
         labels[node_id] = lab
     edges = []
     for i, e in enumerate(raw_edges):
-        if not (isinstance(e, list) and len(e) == 2):
-            raise SchemaError("edge must be a [source, target] pair", f"$.edges[{i}]")
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)):
+            raise SchemaError("edge must be a [source, target] pair of node ids", f"$.edges[{i}]")
         edges.append((e[0], e[1]))
     try:
         graph = LabeledGraph(spec, tuple(features), tuple(nodes), tuple(edges), labels)
     except UsageError as exc:
         raise SchemaError(str(exc), "$") from None
-    point = doc.get("point")
+    point = _expect(doc, "point", str, "$", None)
     if point is not None and point not in labels:
         raise SchemaError(f"point {point!r} is not a node", "$.point")
     return graph, point

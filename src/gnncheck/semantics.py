@@ -113,7 +113,7 @@ def eval_payload(graph: LabeledGraph, node: str, arena: Arena, eid: int, _memo=N
     return memo[node, eid]
 
 
-def check(graph: LabeledGraph, node: str, f: Formula, fid: int | None = None) -> bool:
+def check(graph: LabeledGraph, node: str, f: Formula) -> bool:
     """Truth of a formula at a pointed graph.
 
     A graph with a node of more successors than ``f.weight_cap`` is no model
@@ -127,7 +127,7 @@ def check(graph: LabeledGraph, node: str, f: Formula, fid: int | None = None) ->
     arena = f.arena
     memo: dict = {}
     truth = False
-    stack = [(f.root if fid is None else fid, False)]
+    stack = [(f.root, False)]
     while stack:
         g, resumed = stack.pop()
         fnode = arena.formula(g)
@@ -751,7 +751,7 @@ def brute_force_sat(
     """
     if delta < 0:
         raise UsageError(f"arity bound must be >= 0, got {delta}")
-    check_limits(time_limit, max_steps=max_steps)
+    check_limits(time_limit, max_steps=max_steps, depth=depth)
     needed = agg_depth(f)
     d = needed if depth is None else depth
     try:

@@ -228,13 +228,6 @@ class _Search:
                 self.succs.append([])
         return succs
 
-    def key(self, word: Word, eid: int) -> int:
-        """Store key of an expression at the word given as a tuple."""
-        offset = 0
-        for i in word:
-            offset = self.successors(offset, i)[i - 1]
-        return offset + eid
-
     def _memo(self, tag: str, param) -> _Memo:
         """Memo of act by an activation name or of scale by a weight, shared by
         every node and walk step that applies the same primitive."""

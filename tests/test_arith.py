@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,16 +9,10 @@ from hypothesis import strategies as st
 from gnncheck.arith import (
     ACTIVATIONS,
     ArithmeticSpec,
-    Ordering,
     Value,
     _round_div_away,
     act_inverses,
-    add,
     add_inverses,
-    apply_activation,
-    compare,
-    div,
-    mul,
     mul_inverses,
     values_geq,
     values_lt,
@@ -29,8 +24,12 @@ FIX32_4 = ArithmeticSpec.fixed(32, 4)
 FIX16_1 = ArithmeticSpec.fixed(16, 1)
 
 
-def v(spec, lit):
-    return Value.of(spec, lit)
+def v(spec, text):
+    return Value.of(spec, text)
+
+
+def lit(spec, text):
+    return spec.parse_literal(text)
 
 
 def all_values(spec):
@@ -79,18 +78,15 @@ class TestSpecConstruction:
 
 class TestAdd:
     def test_saturating_add_clamps(self):
-        assert add(v(SAT10, "7"), v(SAT10, "5")).payload == 10
+        assert SAT10.add_p(7, 5) == 10
 
     def test_additive_identity(self):
-        for k in all_values(ArithmeticSpec.satint(3)):
-            assert add(Value(0, k.spec), k) == k
+        spec = ArithmeticSpec.satint(3)
+        for k in spec.values_p():
+            assert spec.add_p(0, k) == k
 
     def test_exact_cancellation(self):
-        assert str(add(v(FIX32_4, "0.8"), v(FIX32_4, "-0.8"))) == "0.0000"
-
-    def test_mixed_specs_rejected(self):
-        with pytest.raises(UsageError):
-            add(v(SAT10, "1"), v(FIX32_4, "1"))
+        assert FIX32_4.format_payload(FIX32_4.add_p(lit(FIX32_4, "0.8"), lit(FIX32_4, "-0.8"))) == "0.0000"
 
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
     def test_clamp_law_exhaustive(self, a):
@@ -113,19 +109,20 @@ class TestAdd:
 class TestMul:
     def test_fixed_point_scaling(self):
         # 1/125 * 100 = 0.8 in four-decimal fixed point
-        assert mul(v(FIX32_4, "0.008"), v(FIX32_4, "100.0")) == v(FIX32_4, "0.8")
+        assert FIX32_4.mul_p(lit(FIX32_4, "0.008"), lit(FIX32_4, "100.0")) == lit(FIX32_4, "0.8")
 
     def test_multiplicative_identity(self):
-        for k in all_values(ArithmeticSpec.satint(4)):
-            assert mul(Value(k.spec.one, k.spec), k) == k
+        spec = ArithmeticSpec.satint(4)
+        for k in spec.values_p():
+            assert spec.mul_p(spec.one, k) == k
 
     def test_clamped_product(self):
-        assert mul(v(SAT10, "3"), v(SAT10, "4")).payload == 10
+        assert SAT10.mul_p(3, 4) == 10
 
     def test_rounding_ties_away(self):
         # 0.5 * 0.5 = 0.25 -> rounds to 0.3 with one decimal
-        assert mul(v(FIX16_1, "0.5"), v(FIX16_1, "0.5")) == v(FIX16_1, "0.3")
-        assert mul(v(FIX16_1, "-0.5"), v(FIX16_1, "0.5")) == v(FIX16_1, "-0.3")
+        assert FIX16_1.mul_p(lit(FIX16_1, "0.5"), lit(FIX16_1, "0.5")) == lit(FIX16_1, "0.3")
+        assert FIX16_1.mul_p(lit(FIX16_1, "-0.5"), lit(FIX16_1, "0.5")) == lit(FIX16_1, "-0.3")
 
     @pytest.mark.parametrize("text", ["satint:3", "satint:7"])
     def test_mul_p_satint_is_the_rounded_clamped_product_exhaustive(self, text):
@@ -147,46 +144,35 @@ class TestMul:
 
 class TestDiv:
     def test_rounds_away_from_zero(self):
-        assert div(v(SAT10, "7"), 2).payload == 4
-        assert div(v(SAT10, "-7"), 2).payload == -4
+        assert SAT10.div_p(7, 2) == 4
+        assert SAT10.div_p(-7, 2) == -4
 
     def test_identity_divisor(self):
-        for k in all_values(ArithmeticSpec.satint(4)):
-            assert div(k, 1) == k
+        spec = ArithmeticSpec.satint(4)
+        for k in spec.values_p():
+            assert spec.div_p(k, 1) == k
 
     def test_exact_quarter(self):
-        assert div(v(FIX32_4, "1.0"), 4) == v(FIX32_4, "0.25")
+        assert FIX32_4.div_p(lit(FIX32_4, "1.0"), 4) == lit(FIX32_4, "0.25")
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(UsageError):
-            div(v(SAT10, "4"), 0)
-
-
-class TestCompare:
-    def test_lt(self):
-        assert compare(v(FIX32_4, "0.8"), v(FIX32_4, "0.9")) is Ordering.LT
-
-    def test_reflexive(self):
-        assert compare(v(SAT10, "3"), v(SAT10, "3")) is Ordering.EQ
-
-    def test_sign_ordering(self):
-        s2 = ArithmeticSpec.satint(2)
-        assert compare(v(s2, "-2"), v(s2, "2")) is Ordering.LT
+            SAT10.div_p(4, 0)
 
 
 class TestActivations:
     def test_relu(self):
-        assert apply_activation("relu", v(FIX32_4, "-0.5")) == v(FIX32_4, "0")
-        assert apply_activation("relu", v(FIX32_4, "0.8")) == v(FIX32_4, "0.8")
+        assert FIX32_4.act_p("relu", lit(FIX32_4, "-0.5")) == lit(FIX32_4, "0")
+        assert FIX32_4.act_p("relu", lit(FIX32_4, "0.8")) == lit(FIX32_4, "0.8")
 
     def test_truncrelu(self):
-        assert apply_activation("truncrelu", v(SAT10, "3")).payload == SAT10.one
-        assert apply_activation("truncrelu", v(FIX32_4, "0.5")) == v(FIX32_4, "0.5")
-        assert apply_activation("truncrelu", v(FIX32_4, "-3")) == v(FIX32_4, "0")
+        assert SAT10.act_p("truncrelu", 3) == SAT10.one
+        assert FIX32_4.act_p("truncrelu", lit(FIX32_4, "0.5")) == lit(FIX32_4, "0.5")
+        assert FIX32_4.act_p("truncrelu", lit(FIX32_4, "-3")) == lit(FIX32_4, "0")
 
     def test_unknown_activation(self):
         with pytest.raises(ConfigError):
-            apply_activation("sigmoid", v(SAT10, "1"))
+            SAT10.act_p("sigmoid", 1)
 
     @pytest.mark.parametrize("spec", [ArithmeticSpec.satint(8), FIX16_1])
     def test_truncrelu_relu_identity_exhaustive(self, spec):
@@ -244,6 +230,10 @@ class TestInverseStreams:
     def test_mul_inverses_negation(self):
         got = list(mul_inverses(v(FIX32_4, "-1"), v(FIX32_4, "-0.8")))
         assert got == [v(FIX32_4, "0.8")]
+
+    def test_mul_inverses_mixed_specs_rejected(self):
+        with pytest.raises(UsageError):
+            list(mul_inverses(v(SAT10, "1"), v(FIX32_4, "1")))
 
     @pytest.mark.parametrize("a", [1, 2, 3])
     def test_mul_inverses_complete(self, a):
@@ -368,6 +358,15 @@ def fraction_div_preimage(spec, k, m):
 
 
 PREIMAGE_SPECS = [ArithmeticSpec.satint(3), ArithmeticSpec.satint(7), ArithmeticSpec.fixed(5, 1), ArithmeticSpec.fixed(7, 1)]
+WINDOW_SPECS = [*map(ArithmeticSpec.satint, (1, 2, 3)), ArithmeticSpec.fixed(5, 1)]
+
+
+def interval_of(ps):
+    """(lo, hi) when the ascending payloads ps are the run lo..hi, None when
+    there are none, else ps itself, which equals no interval."""
+    if not ps:
+        return None
+    return (ps[0], ps[-1]) if ps == list(range(ps[0], ps[-1] + 1)) else ps
 
 
 class TestIntegerPreimages:
@@ -411,3 +410,28 @@ class TestIntegerPreimages:
         for k in spec.values_p():
             for m in range(1, 9):
                 assert spec.div_preimage(k, m) == fraction_div_preimage(spec, k, m), (k, m)
+
+    @pytest.mark.parametrize("spec", WINDOW_SPECS, ids=lambda s: s.spec_string())
+    def test_add_preimage_exhaustive(self, spec):
+        values = list(spec.values_p())
+        for a in values:
+            sums = [(q, spec.add_p(a, q)) for q in values]
+            for tlo in values:
+                for thi in values[values.index(tlo):]:
+                    want = interval_of([q for q, s in sums if tlo <= s <= thi])
+                    assert spec.add_preimage(a, tlo, thi) == want, (a, tlo, thi)
+
+    @pytest.mark.parametrize("spec", WINDOW_SPECS, ids=lambda s: s.spec_string())
+    def test_sum_left_window_exhaustive(self, spec):
+        values = list(spec.values_p())
+        m = spec.max_payload
+        for k in values:
+            # hits[k1][j]: how many k2 among the first j values have add_p(k1, k2) = k
+            hits = {
+                k1: list(itertools.accumulate((spec.add_p(k1, k2) == k for k2 in values), initial=0))
+                for k1 in values
+            }
+            for blo in values:
+                for bhi in values[blo + m :]:
+                    want = interval_of([k1 for k1 in values if hits[k1][bhi + m + 1] > hits[k1][blo + m]])
+                    assert spec.sum_left_window(k, blo, bhi) == want, (k, blo, bhi)

@@ -1,5 +1,6 @@
 """The interval pre-check ahead of sampling: ``ArithmeticSpec.agg_hull``,
-``gnn.input_box``, ``gnn.gnn_bounds`` and ``gnn.BoxSplit.bounds``.
+``gnn.input_box``, ``gnn.last_layer_box`` mapped through ``gnn.last_fnns``
+with ``gnn.fnn_bounds``, and ``gnn.BoxSplit.bounds``.
 
 Each bound is checked against the program's own point semantics: folds
 through ``fold_start``/``fold_step``/``fold_finish``, outputs through
@@ -21,9 +22,11 @@ from gnncheck.gnn import (
     LinIneq,
     LvpInstance,
     eval_linineq,
-    gnn_bounds,
+    fnn_bounds,
     gnn_eval,
     input_box,
+    last_fnns,
+    last_layer_box,
 )
 from gnncheck.graph import LabeledGraph, PointedGraph
 from gnncheck.semantics import Sat, Unsat, brute_force_sat
@@ -158,7 +161,9 @@ def test_every_output_lies_in_the_box():
         point = input_box(instance)
         if point is None:
             continue
-        box = gnn_bounds(instance.model, point, delta)
+        box = last_layer_box(instance.model, point, delta)
+        for fnn in last_fnns(instance.model):
+            box = fnn_bounds(fnn, box, spec)
         boxes += 1
         for _ in range(12):
             pointed = random_graph(rng, instance)
@@ -212,7 +217,10 @@ def test_weighted_cap_is_per_layer():
     model = sum_sum_weighted_model()
     # y1 is up to 3 when the successor may have 3 successors
     instance = LvpInstance(model, (), (LinIneq((("y1", -1),), -1),), DeltaMode.unary(3))
-    assert gnn_bounds(model, input_box(instance), instance.delta) == [(0, 3)]
+    box = last_layer_box(model, input_box(instance), instance.delta)
+    for fnn in last_fnns(model):
+        box = fnn_bounds(fnn, box, model.spec)
+    assert box == [(0, 3)]
     assert not BoxSplit(instance).bounds()
 
 

@@ -228,6 +228,7 @@ class TestSat:
             ["oracle", "sat", "x1>=0", "--arith", "satint:3", "--delta", "unary:1", "--term-limit", "-5"],
             ["fuzz", "--cases", "-3"],
             ["fuzz", "--cases", "2", "--agg-depth", "-1"],
+            ["oracle", "sat", "x1 >= 0", "--arith", "satint:3", "--delta", "unary:2", "--depth", "-1"],
         ],
         ids=" ".join,
     )
@@ -253,6 +254,94 @@ class TestCompileEval:
         _, gnn, graph = supp_files
         assert main(["eval", str(gnn), str(graph), "--point", "v1"]) == 0
         capsys.readouterr()
+
+
+def _set(doc, keys, value):
+    """A copy of doc with the entry at the path of keys set to value."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = keys
+    target = doc
+    for k in parents:
+        target = target[k]
+    target[last] = value
+    return doc
+
+
+MALFORMED_LVP = [
+    (("gnn", "input_dim"), "abc", "$.input_dim"),
+    (("gnn", "input_dim"), [1], "$.input_dim"),
+    (("gnn", "layers"), 5, "$.layers"),
+    (("gnn", "layers", 0), 5, "$.layers[0]"),
+    (("gnn", "layers", 0, "comb", "weights"), 5, "$.layers[0].comb.weights"),
+    (("gnn", "layers", 0, "comb", "weights", 1), 5, "$.layers[0].comb.weights[1]"),
+    (("gnn", "layers", 0, "comb", "bias"), 5, "$.layers[0].comb.bias"),
+    (("gnn", "layers", 0, "comb", "activation"), 5, "$.layers[0].comb.activation"),
+    (("gnn", "layers", 0, "agg"), {"kind": "weighted", "weights": 5}, "$.layers[0].agg.weights"),
+    (("gnn", "features"), 5, "$.features"),
+    (("gnn", "features"), [["x1"], "x2"], "$.features"),
+    (("gnn", "outputs"), 5, "$.outputs"),
+    (("gnn", "outputs"), [["y1"], "y2", "y3"], "$.outputs"),
+    (("gnn", "out"), {"layers": 5}, "$.out.layers"),
+    (("l_in",), 5, "$.l_in"),
+    (("l_out",), 5, "$.l_out"),
+    (("l_out", 0, "coeffs"), ["y1"], "$.l_out[0].coeffs"),
+    (("delta",), "unary:2", "$.delta"),
+    (("delta",), {"mode": "unary", "value": 2.5}, "$.delta"),
+    (("delta",), {"mode": "unary", "value": "2"}, "$.delta"),
+    (("delta",), {"mode": "unary", "value": True}, "$.delta"),
+]
+
+
+class TestMalformedJson:
+    """Malformed documents exit 2 with the JSON path of the fault, never
+    with a traceback and exit 1, the code for invalid."""
+
+    @pytest.mark.parametrize(
+        "keys, value, path",
+        MALFORMED_LVP,
+        ids=[".".join(map(str, k)) + "=" + json.dumps(v) for k, v, _ in MALFORMED_LVP],
+    )
+    def test_verify_exits_2(self, tmp_path, capsys, keys, value, path):
+        doc = tmp_path / "lvp.json"
+        doc.write_text(json.dumps(_set(lvp_to_json(two_layer_instance()), keys, value)))
+        assert main(["verify", str(doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "keys, value, path",
+        [
+            (("point",), ["v"], "$.point"),
+            (("edges", 0, 1), ["v1"], "$.edges[0]"),
+            (("features", 0), ["x1"], "$.features"),
+        ],
+        ids=["point", "edge endpoint", "feature name"],
+    )
+    def test_eval_exits_2(self, supp_files, capsys, keys, value, path):
+        _, gnn, graph = supp_files
+        graph.write_text(json.dumps(_set(json.loads(graph.read_text()), keys, value)))
+        assert main(["eval", str(gnn), str(graph)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["verify", "--arith", "satint:7"], ["verify", "--delta", "unary:1"], ["compile"]],
+        ids=" ".join,
+    )
+    def test_a_document_that_is_no_object_exits_2(self, tmp_path, capsys, argv):
+        doc = tmp_path / "list.json"
+        doc.write_text("[]")
+        assert main([argv[0], str(doc), *argv[1:]]) == 2
+        assert capsys.readouterr().err.startswith("error: $:")
+
+    def test_arith_override_on_a_gnn_that_is_no_object_exits_2(self, tmp_path, capsys):
+        doc = tmp_path / "lvp.json"
+        doc.write_text(json.dumps(_set(lvp_to_json(two_layer_instance()), ("gnn",), 5)))
+        assert main(["verify", str(doc), "--arith", "satint:7"]) == 2
+        assert capsys.readouterr().err.startswith("error: $.gnn:")
 
 
 class TestOracle:

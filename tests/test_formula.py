@@ -233,7 +233,7 @@ class TestQueries:
 
         def assert_walk(f):
             assert (f.fids, f.eids) == f.arena.reachable(f.root)
-            assert features_of(f) == features_of((f.arena, f.root))
+            assert features_of(f) == features_of(Formula(f.arena, f.root))
 
         rng = random.Random(61)
         for _ in range(100):

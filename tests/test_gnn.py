@@ -15,7 +15,6 @@ from gnncheck.gnn import (
     GnnModel,
     LinIneq,
     eval_linineq,
-    fnn_eval,
     fnn_eval_p,
     gnn_eval,
     gnn_from_json,
@@ -34,30 +33,28 @@ from conftest import (
 )
 
 
-def vals(spec, *literals):
-    return [Value.of(spec, s) for s in literals]
+def payloads(spec, *literals):
+    return [spec.parse_literal(s) for s in literals]
 
 
 class TestFnnEval:
     def test_first_layer_on_ones(self, supp_model):
         comb = supp_model.layers[0].comb
-        out = fnn_eval(comb, vals(SAT7, "1", "1", "1", "1"), SAT7)
-        assert [v.payload for v in out] == [0, 1]
+        assert fnn_eval_p(comb, payloads(SAT7, "1", "1", "1", "1"), SAT7) == [0, 1]
 
     def test_zero_annihilation(self):
         layer = FnnLayer(((0, 0),), (0,), ("relu",))
-        out = fnn_eval(Fnn((layer,)), vals(SAT7, "3", "-2"), SAT7)
-        assert [v.payload for v in out] == [0]
+        assert fnn_eval_p(Fnn((layer,)), payloads(SAT7, "3", "-2"), SAT7) == [0]
 
     def test_row_with_self_weight_variant(self):
         # comb rows as literally printed: second row keeps the 1/1000 self weight
         model = message_model(second_row_self_weight=True)
-        out = fnn_eval(model.layers[0].comb, vals(FIX32_4, "100", "1000"), FIX32_4)
-        assert [str(v) for v in out] == ["0.8000", "1.1000"]
+        out = fnn_eval_p(model.layers[0].comb, payloads(FIX32_4, "100", "1000"), FIX32_4)
+        assert [FIX32_4.format_payload(p) for p in out] == ["0.8000", "1.1000"]
 
     def test_dimension_mismatch(self, supp_model):
         with pytest.raises(UsageError):
-            fnn_eval(supp_model.layers[0].comb, vals(SAT7, "1"), SAT7)
+            fnn_eval_p(supp_model.layers[0].comb, payloads(SAT7, "1"), SAT7)
 
 
 class TestGnnEval:
@@ -276,3 +273,9 @@ class TestLinIneq:
         assert DeltaMode.parse("inf") == DeltaMode.infinite()
         with pytest.raises(UsageError):
             DeltaMode.parse("unary:-1")
+
+    @pytest.mark.parametrize("value", [2.5, "2", True, -1])
+    def test_delta_value_is_a_non_negative_int(self, value):
+        # 2.5 used to pass, and then crash the sampler on int.bit_length
+        with pytest.raises(UsageError):
+            DeltaMode("unary", value)

@@ -156,6 +156,12 @@ class TestBruteForce:
         assert isinstance(verdict, Unknown)
         assert verdict.reason == "depth-limit"
 
+    def test_negative_depth_is_refused(self):
+        # used to answer sat for x1 >= 0, and Unknown("depth-limit") for the aggregation
+        for text in ("x1 >= 0", "agg(x1) >= 1"):
+            with pytest.raises(UsageError, match="depth must be >= 0"):
+                brute_force_sat(parse(text, SAT15), delta=2, depth=-1)
+
     def test_monotone_in_delta(self):
         spec = ArithmeticSpec.satint(3)
         texts = ["agg(1) = 2", "agg(x1) >= 2", "agg(x1) = 3 and x1 >= 1", "maxagg(x1) = 2"]

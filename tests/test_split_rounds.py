@@ -24,9 +24,10 @@ from gnncheck.gnn import (
     LvpInstance,
     box_price,
     eval_linineq,
-    gnn_bounds,
+    fnn_bounds,
     gnn_eval,
     input_box,
+    last_fnns,
     last_layer_box,
 )
 from gnncheck.graph import LabeledGraph
@@ -60,8 +61,11 @@ def oracle_cases(count):
 def tightest_split_bound(instance, y, c):
     """The largest k for which the split proves c*y >= k and the output box
     does not, or None."""
-    box = dict(zip(instance.model.output_features, gnn_bounds(instance.model, input_box(instance), instance.delta)))
-    lo, hi = box[y]
+    model = instance.model
+    box = last_layer_box(model, input_box(instance), instance.delta)
+    for fnn in last_fnns(model):
+        box = fnn_bounds(fnn, box, model.spec)
+    lo, hi = dict(zip(model.output_features, box))[y]
     base = k = lo if c > 0 else -hi
     while k < instance.model.spec.max_payload:
         stronger = dataclasses.replace(instance, l_out=(LinIneq(((y, c),), k + 1),))

@@ -169,8 +169,8 @@ class TestExprRange:
         atoms = [arena.geq(e, 0) for e in (outer, negated, doubled)]
         search = _Search(Formula(arena, arena.conjoin(atoms)), DeltaMode.unary(1), Budget())
         st = _State()
-        st.bounds[search.key((), inner)] = (1, 2)  # contradicts the range: the interval is empty
-        root = search.key((), 0)  # the root word itself
+        root = 0  # the root word's offset: its store keys are the eids themselves
+        st.bounds[root + inner] = (1, 2)  # contradicts the range: the interval is empty
         assert search.expr_range(st, root, inner) == (4, 2)
         assert search.expr_range(st, root, outer) == (4, 2)
         # scale orders the ends of its image, whatever the sign of the weight

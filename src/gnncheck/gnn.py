@@ -561,53 +561,54 @@ def _fnn_from_json(doc: Any, spec: ArithmeticSpec, path: str) -> Fnn:
         raise SchemaError(str(exc), path) from None
 
 
-def gnn_from_json(doc: Any) -> GnnModel:
+def gnn_from_json(doc: Any, path: str = "$") -> GnnModel:
+    """Build a model from its JSON document, found at path in the input."""
     if not isinstance(doc, dict) or "arith" not in doc:
-        raise SchemaError("expected an object with 'arith'", "$")
+        raise SchemaError("expected an object with 'arith'", path)
     spec = ArithmeticSpec.parse(str(doc["arith"]))
-    features = _expect(doc, "features", list, "$", None)
-    dim = _expect(doc, "input_dim", int, "$", None)
+    features = _expect(doc, "features", list, path, None)
+    dim = _expect(doc, "input_dim", int, path, None)
     if features is None:
         if dim is None:
-            raise SchemaError("need 'features' or 'input_dim'", "$")
+            raise SchemaError("need 'features' or 'input_dim'", path)
         features = [f"x{i + 1}" for i in range(dim)]
     elif dim is not None and dim != len(features):
-        raise SchemaError("input_dim disagrees with features", "$.input_dim")
+        raise SchemaError("input_dim disagrees with features", f"{path}.input_dim")
     elif not all(isinstance(name, str) for name in features):
-        raise SchemaError("feature names must be strings", "$.features")
+        raise SchemaError("feature names must be strings", f"{path}.features")
     layers = []
-    for i, ld in enumerate(_expect(doc, "layers", list, "$", [])):
-        path = f"$.layers[{i}]"
+    for i, ld in enumerate(_expect(doc, "layers", list, path, [])):
+        at = f"{path}.layers[{i}]"
         if not isinstance(ld, dict):
-            raise SchemaError("expected an object", path)
+            raise SchemaError("expected an object", at)
         agg = ld.get("agg", "sum")
         weights = None
         if isinstance(agg, dict):
             kind = agg.get("kind")
             if kind != "weighted":
-                raise SchemaError(f"unknown aggregation {kind!r}", f"{path}.agg")
+                raise SchemaError(f"unknown aggregation {kind!r}", f"{at}.agg")
             weights = tuple(
-                _parse_payload(spec, w, f"{path}.agg.weights[{j}]")
-                for j, w in enumerate(_expect(agg, "weights", list, f"{path}.agg", []))
+                _parse_payload(spec, w, f"{at}.agg.weights[{j}]")
+                for j, w in enumerate(_expect(agg, "weights", list, f"{at}.agg", []))
             )
             agg = "weighted"
         elif agg not in AGG_LAYER_KINDS or agg == "weighted":
-            raise SchemaError(f"unknown aggregation {agg!r}", f"{path}.agg")
-        comb = _fnn_from_json(ld.get("comb"), spec, f"{path}.comb")
+            raise SchemaError(f"unknown aggregation {agg!r}", f"{at}.agg")
+        comb = _fnn_from_json(ld.get("comb"), spec, f"{at}.comb")
         try:
             layers.append(GnnLayer(agg, comb, weights))
         except UsageError as exc:
-            raise SchemaError(str(exc), path) from None
+            raise SchemaError(str(exc), at) from None
     if "out" not in doc:
-        raise SchemaError("missing output network", "$.out")
-    out = _fnn_from_json(doc["out"], spec, "$.out")
-    outputs = tuple(_expect(doc, "outputs", list, "$", [f"y{i + 1}" for i in range(out.output_dim)]))
+        raise SchemaError("missing output network", f"{path}.out")
+    out = _fnn_from_json(doc["out"], spec, f"{path}.out")
+    outputs = tuple(_expect(doc, "outputs", list, path, [f"y{i + 1}" for i in range(out.output_dim)]))
     if not all(isinstance(name, str) for name in outputs):
-        raise SchemaError("output names must be strings", "$.outputs")
+        raise SchemaError("output names must be strings", f"{path}.outputs")
     try:
         return GnnModel(spec, tuple(layers), out, tuple(features), outputs)
     except UsageError as exc:
-        raise SchemaError(str(exc), "$") from None
+        raise SchemaError(str(exc), path) from None
 
 
 def linineq_to_json(ineq: LinIneq, spec: ArithmeticSpec) -> dict[str, Any]:
@@ -647,7 +648,7 @@ def lvp_to_json(instance: LvpInstance) -> dict[str, Any]:
 def lvp_from_json(doc: Any) -> LvpInstance:
     if not isinstance(doc, dict) or "gnn" not in doc:
         raise SchemaError("expected an object with 'gnn'", "$")
-    model = gnn_from_json(doc["gnn"])
+    model = gnn_from_json(doc["gnn"], "$.gnn")
     spec = model.spec
     l_in, l_out = (
         tuple(linineq_from_json(q, spec, f"$.{key}[{i}]") for i, q in enumerate(_expect(doc, key, list, "$", [])))

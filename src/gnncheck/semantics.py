@@ -45,7 +45,6 @@ from .graph import LabeledGraph, PointedGraph
 @dataclass
 class Sat:
     model: PointedGraph
-    trace: dict[str, dict[int, int]] | None = None
 
 
 @dataclass
@@ -390,30 +389,6 @@ class _TreeSearch:
         n, k, low = self.spec.n_values, len(self.features), -self.spec.max_payload
         return tuple(low + i // n ** (k - 1 - f) % n for f in range(k))
 
-    def entries(self, ev: dict, i: int) -> dict[int, int]:
-        """The value of every expression at label i, from the values ev of one state."""
-        k, support = len(self.features), self.expr_support
-        out = {}
-        for eid in self.eids:
-            x = ev[eid]
-            if not isinstance(x, int):
-                s = support[eid]
-                x = x[i if len(s) == k else self._column_index(s, i)]
-                if self.lanes:
-                    x -= self.spec.max_payload
-            out[eid] = x
-        return out
-
-    def _column_index(self, support: tuple[int, ...], i: int) -> int:
-        """The index of label i in a column over support."""
-        if len(support) == len(self.features):
-            return i
-        n, k = self.spec.n_values, len(self.features)
-        j = 0
-        for f in support:
-            j = j * n + i // n ** (k - 1 - f) % n
-        return j
-
     def _first_labels(self, support: tuple[int, ...]) -> list[int]:
         """Per index of a column over support, the first label with the
         support values of that index: every other feature at its lowest."""
@@ -617,14 +592,6 @@ class _TreeSearch:
         if self.budget.expired():
             raise LimitHit("timeout")
 
-    def _step_acc(self, acc: tuple, prof: tuple[int, ...], pos: int) -> tuple:
-        """Advance all aggregation accumulators by one successor, at 1-based pos."""
-        spec = self.spec
-        return tuple(
-            spec.fold_step(kind, a, v if weights is None else spec.mul_p(weights[pos - 1], v))
-            for (_, kind, _, weights), a, v in zip(self.aggs, acc, self._payloads(prof))
-        )
-
     def _init_acc(self) -> tuple:
         return tuple(self.spec.fold_start(kind) for _, kind, _, _ in self.aggs)
 
@@ -710,29 +677,23 @@ class _TreeSearch:
                 self._charge(self.n_labels)
         return None, levels
 
-    def build_tree(self, witness, levels, depth: int):
+    def build_tree(self, witness, levels, depth: int) -> PointedGraph:
         nodes: list[str] = []
         edges: list[tuple[str, str]] = []
         labels: dict[str, dict[str, int]] = {}
-        trace: dict[str, dict[int, int]] = {}
         # pre-order from an explicit stack: a node, then its children's
         # subtrees in order, each edge listed just before its child
         stack = [(None, "v", witness, depth)]
         while stack:
-            parent, name, (i, arity, kids), level = stack.pop()
+            parent, name, (i, _, kids), level = stack.pop()
             if parent is not None:
                 edges.append((parent, name))
             nodes.append(name)
             labels[name] = dict(zip(self.features, self.label(i)))
-            acc = self._init_acc()
-            for pos, prof in enumerate(kids, start=1):
-                acc = self._step_acc(acc, prof, pos)
-            ev = self._state_values(self._finalize(acc, arity))
-            trace[name] = self.entries(ev, i)
             for pos in range(len(kids), 0, -1):
                 stack.append((name, f"{name}.{pos}", levels[level - 1][kids[pos - 1]], level - 1))
         graph = LabeledGraph(self.spec, self.features, tuple(nodes), tuple(edges), labels)
-        return PointedGraph(graph, "v"), trace
+        return PointedGraph(graph, "v")
 
 
 def brute_force_sat(
@@ -761,7 +722,7 @@ def brute_force_sat(
         return Unknown(hit.reason)
     if witness is None:
         return Unsat() if d >= needed else Unknown("depth-limit")
-    model, trace = search.build_tree(witness, levels, d)
+    model = search.build_tree(witness, levels, d)
     if not check(model.graph, model.point, f):
         raise RuntimeError("oracle produced a model that fails its own formula")
-    return Sat(model, trace)
+    return Sat(model)

@@ -238,10 +238,13 @@ class _Search:
         return memo
 
     def tick(self):
-        """Charge one tick to the budget; the clock is read once every 1 024."""
+        """Charge one tick, as ``Budget.charge(1)`` would; the clock is read
+        once every 1 024 ticks."""
         budget = self.budget
-        budget.charge(1)
-        if budget.ticks % 1024 == 0 and budget.expired():
+        ticks = budget.ticks = budget.ticks + 1
+        if budget.limit is not None and ticks > budget.limit:
+            raise LimitHit("node-limit")
+        if ticks % 1024 == 0 and budget.expired():
             raise LimitHit("timeout")
 
     def assign(self, st: _State, word: int, eid: int, payload: int):
@@ -323,8 +326,6 @@ class _Search:
         """
         values, nodes, unary = st.values, self.nodes, self.unary
         m = self.spec.max_payload
-        budget = self.budget
-        limit = budget.limit
         waiting: list[tuple[int, int]] = []  # (word, eid), innermost last
         while True:
             node = nodes[eid]
@@ -376,12 +377,7 @@ class _Search:
                     continue
                 out = self.spec.fold_finish(kind, acc, arity)
             while True:
-                # record the derived value: tick(), inline
-                ticks = budget.ticks = budget.ticks + 1
-                if limit is not None and ticks > limit:
-                    raise LimitHit("node-limit")
-                if ticks % 1024 == 0 and budget.expired():
-                    raise LimitHit("timeout")
+                self.tick()  # record the derived value
                 key = word + eid
                 bounds = st.bounds.get(key)
                 if bounds is not None and not bounds[0] <= out <= bounds[1]:
@@ -962,38 +958,25 @@ class _Search:
                 except _Clash:
                     st = None
 
-    def extract_model(self, st: _State) -> tuple[PointedGraph, dict[str, dict[int, int]]]:
-        # back from word numbers (key // stride) to tuples, which name the nodes
-        stride, tuples = self.stride, self.words
-        values = {(tuples[key // stride], key % stride): payload for key, payload in st.values.items()}
-        arities = {tuples[word // stride]: arity for word, arity in st.arity.items()}
-        words: set[Word] = {()}
-        for word, _ in values:
-            words.add(word)
-        for word, arity in arities.items():
-            words.add(word)
-            for i in range(1, arity + 1):
-                words.add(word + (i,))
-        for word in list(words):
-            while word:
-                word = word[:-1]
-                words.add(word)
-        ordered = sorted(words, key=lambda w: (len(w), w))
-        names = {w: "v" + ".".join(str(i) for i in w) if w else "v" for w in ordered}
-        features = self.formula.features
+    def extract_model(self, st: _State) -> PointedGraph:
+        """The tree the store describes, breadth first from the root word
+        through each word's arity: a word is named by its path (v, v1, v1.2)
+        and labeled by its stored feature values, 0 where none is stored."""
+        values = st.values
         feat_ids = {node[1]: eid for eid, node in self.nodes.items() if node[0] == "feat"}
-        labels = {}
-        for w in ordered:
-            labels[names[w]] = {f: values.get((w, feat_ids.get(f)), 0) for f in features}
-        edges = []
-        for w in ordered:
-            for i in range(1, arities.get(w, 0) + 1):
-                edges.append((names[w], names[w + (i,)]))
-        graph = LabeledGraph(self.spec, features, tuple(names[w] for w in ordered), tuple(edges), labels)
-        trace: dict[str, dict[int, int]] = {}
-        for (w, eid), payload in values.items():
-            trace.setdefault(names[w], {})[eid] = payload
-        return PointedGraph(graph, "v"), trace
+        columns = [(f, feat_ids.get(f)) for f in self.formula.features]
+        nodes, edges, labels = [], [], {}
+        queue = [(0, "v")]
+        for word, name in queue:
+            nodes.append(name)
+            labels[name] = {f: 0 if eid is None else values.get(word + eid, 0) for f, eid in columns}
+            arity = st.arity.get(word, 0)
+            prefix = name + "." if word else name
+            for i, succ in enumerate(self.successors(word, arity)[:arity], start=1):
+                edges.append((name, f"{prefix}{i}"))
+                queue.append((succ, f"{prefix}{i}"))
+        graph = LabeledGraph(self.spec, self.formula.features, tuple(nodes), tuple(edges), labels)
+        return PointedGraph(graph, "v")
 
 
 def solve(
@@ -1019,10 +1002,10 @@ def solve(
         if search.cap_truncated and has_aggs:
             return Unknown("depth-limit")
         return Unsat()
-    model, trace = search.extract_model(final)
+    model = search.extract_model(final)
     if not check(model.graph, model.point, formula):
         raise RuntimeError("tableau produced a model that fails its own formula")
-    return Sat(model, trace)
+    return Sat(model)
 
 
 def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpVerdict:

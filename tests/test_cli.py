@@ -81,7 +81,7 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "$.layers[0].comb" in err and "unknown activation 'sigmoid'" in err
+        assert "$.gnn.layers[0].comb" in err and "unknown activation 'sigmoid'" in err
 
     def test_emit_dot(self, supp_files, tmp_path, capsys):
         lvp, _, _ = supp_files
@@ -268,20 +268,20 @@ def _set(doc, keys, value):
 
 
 MALFORMED_LVP = [
-    (("gnn", "input_dim"), "abc", "$.input_dim"),
-    (("gnn", "input_dim"), [1], "$.input_dim"),
-    (("gnn", "layers"), 5, "$.layers"),
-    (("gnn", "layers", 0), 5, "$.layers[0]"),
-    (("gnn", "layers", 0, "comb", "weights"), 5, "$.layers[0].comb.weights"),
-    (("gnn", "layers", 0, "comb", "weights", 1), 5, "$.layers[0].comb.weights[1]"),
-    (("gnn", "layers", 0, "comb", "bias"), 5, "$.layers[0].comb.bias"),
-    (("gnn", "layers", 0, "comb", "activation"), 5, "$.layers[0].comb.activation"),
-    (("gnn", "layers", 0, "agg"), {"kind": "weighted", "weights": 5}, "$.layers[0].agg.weights"),
-    (("gnn", "features"), 5, "$.features"),
-    (("gnn", "features"), [["x1"], "x2"], "$.features"),
-    (("gnn", "outputs"), 5, "$.outputs"),
-    (("gnn", "outputs"), [["y1"], "y2", "y3"], "$.outputs"),
-    (("gnn", "out"), {"layers": 5}, "$.out.layers"),
+    (("gnn", "input_dim"), "abc", "$.gnn.input_dim"),
+    (("gnn", "input_dim"), [1], "$.gnn.input_dim"),
+    (("gnn", "layers"), 5, "$.gnn.layers"),
+    (("gnn", "layers", 0), 5, "$.gnn.layers[0]"),
+    (("gnn", "layers", 0, "comb", "weights"), 5, "$.gnn.layers[0].comb.weights"),
+    (("gnn", "layers", 0, "comb", "weights", 1), 5, "$.gnn.layers[0].comb.weights[1]"),
+    (("gnn", "layers", 0, "comb", "bias"), 5, "$.gnn.layers[0].comb.bias"),
+    (("gnn", "layers", 0, "comb", "activation"), 5, "$.gnn.layers[0].comb.activation"),
+    (("gnn", "layers", 0, "agg"), {"kind": "weighted", "weights": 5}, "$.gnn.layers[0].agg.weights"),
+    (("gnn", "features"), 5, "$.gnn.features"),
+    (("gnn", "features"), [["x1"], "x2"], "$.gnn.features"),
+    (("gnn", "outputs"), 5, "$.gnn.outputs"),
+    (("gnn", "outputs"), [["y1"], "y2", "y3"], "$.gnn.outputs"),
+    (("gnn", "out"), {"layers": 5}, "$.gnn.out.layers"),
     (("l_in",), 5, "$.l_in"),
     (("l_out",), 5, "$.l_out"),
     (("l_out", 0, "coeffs"), ["y1"], "$.l_out[0].coeffs"),
@@ -325,6 +325,13 @@ class TestMalformedJson:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:"), err
         assert "Traceback" not in err
+
+    def test_a_bare_gnn_reports_paths_from_its_own_root(self, supp_files, capsys):
+        # the gnn member of an instance reports under $.gnn (see MALFORMED_LVP)
+        _, gnn, graph = supp_files
+        gnn.write_text(json.dumps(_set(json.loads(gnn.read_text()), ("input_dim",), "abc")))
+        assert main(["eval", str(gnn), str(graph)]) == 2
+        assert capsys.readouterr().err.startswith("error: $.input_dim:")
 
     @pytest.mark.parametrize(
         "argv",

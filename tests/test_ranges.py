@@ -3,10 +3,11 @@
 ``_Search.structural_ranges`` gives each expression an interval that holds
 its value at any node of any graph within the search's arity cap.  The
 containment tests check that on random graphs with cycles and self-loops
-and on the models the tableau finds.  The differential test runs each search
-again with the table widened to [-M, M], which cuts nothing: the shipped
-search must never take more ticks, must agree with every decisive outcome of
-the widened one, and must find the same models.
+and at every node of the models the tableau and the oracle find.  The
+differential test runs each search again with the table widened to
+[-M, M], which cuts nothing: the shipped search must never take more ticks,
+must agree with every decisive outcome of the widened one, and must find
+the same models.
 """
 
 import random
@@ -18,7 +19,7 @@ from gnncheck.formula import parse
 from gnncheck.fuzz import random_formula
 from gnncheck.gnn import DeltaMode
 from gnncheck.graph import LabeledGraph
-from gnncheck.semantics import Budget, Sat, eval_payload
+from gnncheck.semantics import Budget, Sat, brute_force_sat, eval_payload
 from gnncheck.tableau import SolveLimits, _Search, solve
 
 from test_search_golden import MAX_TICKS, formula_cases, gnn_cases, search_outcome
@@ -73,19 +74,27 @@ def test_every_value_lies_in_its_structural_range(i0):
 
 
 def test_every_value_of_a_model_lies_in_its_structural_range():
-    models = 0
+    # every expression at every node of the models of both engines
+    models = {"tableau": 0, "oracle": 0}
     for _, f, delta in containment_cases(300):
         if delta.kind == "inf":
             continue
-        verdict = solve(f, delta, SolveLimits(max_terms=MAX_TICKS))
-        if not isinstance(verdict, Sat):
-            continue
-        table = _Search(f, delta, Budget()).structural_ranges()
-        for entries in verdict.trace.values():
-            for eid, payload in entries.items():
-                assert table[eid][0] <= payload <= table[eid][1], (f, delta, eid)
-        models += 1
-    assert models > 50
+        verdicts = {
+            "tableau": solve(f, delta, SolveLimits(max_terms=MAX_TICKS)),
+            "oracle": brute_force_sat(f, delta.value, max_steps=200_000),
+        }
+        table = None
+        for engine, verdict in verdicts.items():
+            if not isinstance(verdict, Sat):
+                continue
+            table = table or _Search(f, delta, Budget()).structural_ranges()
+            graph = verdict.model.graph
+            for v in graph.nodes:
+                for eid in f.eids:
+                    lo, hi = table[eid]
+                    assert lo <= eval_payload(graph, v, f.arena, eid) <= hi, (engine, f, delta, v, eid)
+            models[engine] += 1
+    assert models["tableau"] > 50 and models["oracle"] > 50
 
 
 def test_an_aggregation_ranges_over_its_hull():

@@ -5,9 +5,10 @@ GNN instances under a tick budget.  It was generated before the tableau's
 forward and interval evaluation were made table-driven; the search must
 still take exactly the same branches and records, so every outcome and tick
 count must repeat.  The MODELS dicts hold, for each case that ends in a
-model, a digest of the extracted graph and trace (node names and order,
-edges, labels, trace entries in order); they were generated before words
-became interned offsets in the tableau's store.
+model, a digest of the extracted graph and of the final store by node (node
+names and order, edges, labels, stored values in order); they were
+generated before words became interned offsets in the tableau's store, when
+the model carried that store as its trace.
 
 GOLDEN_FORMULAS' tick column was regenerated once, when the candidate
 streams were cut to the structural ranges (aggregations through
@@ -71,9 +72,15 @@ WIDE_SPEC, WIDE_DELTA = ArithmeticSpec.satint(15), DeltaMode.unary(12)
 
 
 def model_digest(search, final) -> str:
-    """sha256 prefix of the JSON of the extracted model, in extraction order."""
-    pointed, trace = search.extract_model(final)
-    graph = pointed.graph
+    """sha256 prefix of the JSON of the extracted model, in extraction order,
+    and of the final store by node: per word, in the order the store first
+    holds a value there, the node its path names and its values by
+    expression, in the order the store holds them."""
+    graph = search.extract_model(final).graph
+    trace: dict[str, dict[int, int]] = {}
+    for key, payload in final.values.items():
+        node = "v" + ".".join(map(str, search.words[key // search.stride]))
+        trace.setdefault(node, {})[key % search.stride] = payload
     doc = [list(graph.nodes), [list(edge) for edge in graph.edges], graph.labels, trace]
     return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()[:16]
 

@@ -171,15 +171,6 @@ class TestBruteForce:
                 if isinstance(brute_force_sat(f, delta=d), Sat):
                     assert isinstance(brute_force_sat(f, delta=d + 1), Sat)
 
-    def test_trace_matches_evaluator(self):
-        spec = ArithmeticSpec.satint(3)
-        f = parse("agg(x1 + 1) = 3 and x1 = 1", spec)
-        verdict = brute_force_sat(f, delta=3)
-        assert isinstance(verdict, Sat)
-        for node, values in verdict.trace.items():
-            for eid, payload in values.items():
-                assert eval_payload(verdict.model.graph, node, f.arena, eid) == payload
-
     def test_deterministic(self):
         spec = ArithmeticSpec.satint(2)
         f = parse("agg(x1) = 2 or x1 >= 1", spec)
@@ -330,24 +321,19 @@ def naive_sat_depth1(f, spec, delta):
 def recursive_build_tree(search, witness, levels, depth):
     """The oracle's tree building as it was written before it looped: a
     recursive pre-order, each edge listed just before its child's subtree."""
-    nodes, edges, labels, trace = [], [], {}, {}
+    nodes, edges, labels = [], [], {}
 
     def emit(name, wit, level):
-        i, arity, kids = wit
+        i, _, kids = wit
         nodes.append(name)
         labels[name] = dict(zip(search.features, search.label(i)))
-        acc = search._init_acc()
-        for pos, prof in enumerate(kids, start=1):
-            acc = search._step_acc(acc, prof, pos)
-        ev = search._state_values(search._finalize(acc, arity))
-        trace[name] = search.entries(ev, i)
         for pos, prof in enumerate(kids, start=1):
             child_name = f"{name}.{pos}"
             edges.append((name, child_name))
             emit(child_name, levels[level - 1][prof], level - 1)
 
     emit("v", witness, depth)
-    return nodes, edges, labels, trace
+    return nodes, edges, labels
 
 
 def build_tree_cases():
@@ -373,13 +359,10 @@ def test_build_tree_loop_matches_the_recursive_pre_order():
             continue
         if wit is None:
             continue
-        model, trace = search.build_tree(wit, levels, depth)
-        nodes, edges, labels, want_trace = recursive_build_tree(search, wit, levels, depth)
+        model = search.build_tree(wit, levels, depth)
+        nodes, edges, labels = recursive_build_tree(search, wit, levels, depth)
         graph = model.graph
         assert (graph.nodes, graph.edges, model.point) == (tuple(nodes), tuple(edges), "v"), i
         assert list(graph.labels.items()) == list(labels.items()), i
-        assert [(n, list(t.items())) for n, t in trace.items()] == [
-            (n, list(t.items())) for n, t in want_trace.items()
-        ], i
         built += 1
     assert built >= 100

@@ -16,12 +16,16 @@ interval services the tableau prunes its candidates with
 ``sum_left_window``, ``div_preimage``), and the inverse enumerators over
 ``Value``: every stream is lazy, deterministic and yields exactly the
 witnessing values.
+
+Specs are interned, one per value set, and each keeps the tables of its
+primitives that both engines read (``ArithmeticSpec.table``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Optional
 
 from .errors import ConfigError, UsageError
@@ -65,7 +69,52 @@ def weight_cap(weight_vectors: Iterable[tuple[int, ...] | None]) -> int | None:
     return min((len(w) for w in weight_vectors if w is not None), default=None)
 
 
-@dataclass(frozen=True)
+# The tables of primitive results (``ArithmeticSpec.table``) of every spec
+# hold at most about this many entries in all: past it, each starts again.
+TABLE_ENTRIES = 1 << 16
+_filled = 0  # entries added since the tables last started again
+_SPECS: dict[tuple, "ArithmeticSpec"] = {}  # every spec, by its fields
+
+
+class _Table(dict):
+    """Results of one primitive by the payload of its last operand, filled on demand."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, p: int) -> int:
+        out = self[p] = self.fn(p)
+        _filled_with(1)
+        return out
+
+    def at_each(self, payloads: list[int]) -> list[int]:
+        """The results at each of payloads.  Those missing are filled in one
+        batch, which costs less than a ``__missing__`` call each."""
+        out = list(map(self.get, payloads))
+        if None in out:
+            missing = set(payloads).difference(self)
+            self.update(zip(missing, map(self.fn, missing)))
+            out = list(map(self.__getitem__, payloads))
+            _filled_with(len(missing))
+        return out
+
+
+def _filled_with(n: int) -> None:
+    """Count n new entries; past TABLE_ENTRIES, empty every table in place,
+    so that none that a caller still holds keeps its entries."""
+    global _filled
+    _filled += n
+    if _filled > TABLE_ENTRIES:
+        _filled = 0
+        for spec in list(_SPECS.values()):  # copies: another thread may add one
+            for table in list(spec._tables.values()):
+                table.clear()
+
+
+@dataclass(frozen=True, eq=False)
 class ArithmeticSpec:
     """A finite saturating number set, described by its payload range and scale.
 
@@ -73,24 +122,34 @@ class ArithmeticSpec:
     the symmetric range [-M, M] of payloads, each denoting payload / 10**frac_decimals.
     ``scale`` (10**frac_decimals) and ``one``, the payload of the value 1 (the
     same number), are set once, when the spec is made.
+
+    Specs are interned: ``satint``, ``fixed`` and ``parse`` return one object
+    per value set, so equality and hashing are those of identity.
     """
 
     kind: str  # "satint" | "fixed"
     max_payload: int
     frac_decimals: int
     total_bits: int | None = None
-    scale: int = field(init=False, repr=False, compare=False)
-    one: int = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False)
+    one: int = field(init=False, repr=False)
+    _tables: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "scale", 10 ** self.frac_decimals)
         object.__setattr__(self, "one", self.scale)
+        object.__setattr__(self, "_tables", {})
+
+    @staticmethod
+    def _interned(*fields) -> "ArithmeticSpec":
+        # setdefault keeps the first spec made, also when two threads race
+        return _SPECS.get(fields) or _SPECS.setdefault(fields, ArithmeticSpec(*fields))
 
     @staticmethod
     def satint(a: int) -> "ArithmeticSpec":
         if a < 1:
             raise ConfigError(f"satint range must be >= 1 so that -1, 0, 1 are representable, got {a}")
-        return ArithmeticSpec("satint", a, 0, None)
+        return ArithmeticSpec._interned("satint", a, 0, None)
 
     @staticmethod
     def fixed(total_bits: int, frac_decimals: int) -> "ArithmeticSpec":
@@ -104,7 +163,7 @@ class ArithmeticSpec:
                 f"fixed:{total_bits}:{frac_decimals} cannot represent 1 "
                 f"(max payload {m} < 10^{frac_decimals})"
             )
-        return ArithmeticSpec("fixed", m, frac_decimals, total_bits)
+        return ArithmeticSpec._interned("fixed", m, frac_decimals, total_bits)
 
     @staticmethod
     def parse(text: str) -> "ArithmeticSpec":
@@ -146,6 +205,17 @@ class ArithmeticSpec:
         if not self.contains(p):
             raise UsageError(f"payload {p} outside {self.spec_string()}")
         return p
+
+    def table(self, name: str, *operands) -> dict[int, int]:
+        """The method ``name`` with these leading operands, by the payload of
+        its last: ``table("mul_p", 2)[p]`` is ``mul_p(2, p)``.  There is one
+        table per (name, operands), shared by every caller and filled on
+        demand, until the tables start again (``TABLE_ENTRIES``)."""
+        key = (name, *operands)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = _Table(partial(getattr(self, name), *operands))
+        return table
 
     # -- forward operations on payloads ------------------------------------
 

@@ -24,8 +24,9 @@ On a value set of at most 127 values (M = max_payload <= 63) columns are
 bytes, one lane of payload + M per entry, and every elementwise step runs in
 C through translation tables cached for the process.  63 is the largest M for
 which two lanes, each at most 2M, add to a byte (4M <= 252), so that two
-columns add as big integers.  Wider value sets keep lists of payloads.  The
-two column types charge, find and return the same.
+columns add as big integers.  Wider value sets keep lists of payloads, mapped
+through the spec's tables (``ArithmeticSpec.table``).  The two column types
+charge, find and return the same.
 """
 
 from __future__ import annotations
@@ -60,14 +61,15 @@ class Unknown:
 Verdict = Sat | Unsat | Unknown
 
 
-def eval_payload(graph: LabeledGraph, node: str, arena: Arena, eid: int, _memo=None) -> int:
+def eval_payload(graph: LabeledGraph, node: str, arena: Arena, eid: int, _values=None) -> int:
     """Value (as payload) of an expression at a node.
 
     The pairs (graph node, expression) wait on an explicit stack and are
     evaluated in the order of a recursive evaluation: operands left to right,
-    an aggregation's successors in order, each pair once.
+    an aggregation's successors in order, each pair once, kept in ``_values``
+    across the calls of one ``check``.
     """
-    memo = {} if _memo is None else _memo
+    memo = {} if _values is None else _values
     spec = arena.spec
     stack: list = [(node, eid, None)]  # None: not yet visited, else the expression node
     while stack:
@@ -203,12 +205,6 @@ class LimitHit(Exception):
         self.reason = reason
 
 
-# The oracle's tables of primitive results hold at most about this many
-# entries: the fold-step tables of a search with many accumulators and child
-# profiles would otherwise hold one entry per step charged.  Only value sets
-# wider than the byte lanes below use them.
-TABLE_ENTRIES = 1 << 16
-
 # Value sets of payloads up to this bound M (at most 127 values) keep the
 # oracle's columns as bytes, a lane of payload + M per entry.  Two lanes add
 # to at most 4M = 252, which still fits a byte, so two columns add as big
@@ -237,15 +233,6 @@ def _lane_table(spec: ArithmeticSpec, key: tuple) -> bytes:
         fn = getattr(spec, name)
         out = [fn(*key[1:], p) + m for p in spec.values_p()]
     return bytes(out).ljust(256, b"\0")
-
-
-@functools.lru_cache(maxsize=1024)
-def _payload_table(spec: ArithmeticSpec, key: tuple) -> tuple[int, ...]:
-    """An ArithmeticSpec method with leading operands, named by key as for
-    ``_lane_table``, applied to every payload p, at index p: a negative p
-    counts from the end."""
-    m = spec.max_payload
-    return tuple(map(functools.partial(getattr(spec, key[0]), *key[1:]), (*range(m + 1), *range(-m, 0))))
 
 
 def _spread_lanes(x: bytes, support: tuple[int, ...], union: tuple[int, ...], n: int) -> bytes:
@@ -305,12 +292,11 @@ class _TreeSearch:
     expression's entries are payload + M, a formula's 0 or 1, and a profile
     holds such lane values too.  ``bytes.translate`` does act, scale, a
     scalar sum, the tests and not; two columns add as big integers, then
-    through a clamp table; and and or are big-integer & and |.  The tables,
-    and those of the fold steps over profile payloads, are immutable and
-    cached per process and per (spec, step, operands).  Otherwise a column
-    is a list of payloads or bools, and the results of ``act``, ``scale``, a
-    scalar ``sum`` and each fold step are kept in tables that live as long
-    as the search, up to about TABLE_ENTRIES entries in all.
+    through a clamp table; and and or are big-integer & and |.  These lane
+    tables are immutable and cached per process and per (spec, step,
+    operands).  Otherwise a column is a list of payloads or bools, and
+    ``act``, ``scale``, a sum and the fold steps over profile payloads, on
+    either column type, read the spec's tables (``ArithmeticSpec.table``).
     """
 
     def __init__(self, f: Formula, delta: int, budget: Budget):
@@ -324,10 +310,7 @@ class _TreeSearch:
         self.delta = delta if f.weight_cap is None else min(delta, f.weight_cap)
         self.n_labels = self.spec.n_values ** len(self.features)
         self.lanes = self.spec.max_payload <= LANE_PAYLOAD  # columns as bytes
-        self.tables: dict[tuple, dict] = {}  # per method and leading operands: value -> result
-        self.table_room = TABLE_ENTRIES
         self.index_maps: dict[tuple, list[int]] = {}  # spreads and first labels, per supports
-        self.clamp: list[int] | None = None  # the sum of two columns, through add_p
         # level 0 charges all labels in one batch: when they exceed the budget,
         # the search stops there, so nothing is evaluated
         fits = budget.fits(self.n_labels)
@@ -425,30 +408,11 @@ class _TreeSearch:
     def _mapped(self, key: tuple, x):
         """An ArithmeticSpec method of one more operand, named with its leading
         operands by key (say ``("add_p", 3)``), applied to each entry of a
-        column, or of a list of payloads, through a table for key: a cached
-        one on byte lanes, else the search's own."""
-        if self.lanes:
-            if type(x) is bytes:
-                return x.translate(_lane_table(self.spec, key))
-            return list(map(_payload_table(self.spec, key).__getitem__, x))
-        table = self.tables.get(key)
-        if table is not None:
-            try:
-                return list(map(table.__getitem__, x))
-            except KeyError:
-                pass
-        else:
-            table = self.tables[key] = {}
-        fn = functools.partial(getattr(self.spec, key[0]), *key[1:])
-        missing = set(x).difference(table)
-        for v in missing:
-            table[v] = fn(v)
-        out = list(map(table.__getitem__, x))
-        self.table_room -= len(missing)
-        if self.table_room < 0:  # the tables are full: start them again
-            self.tables.clear()
-            self.table_room = TABLE_ENTRIES
-        return out
+        column, or of a list of payloads: a byte column through its lane
+        table, a list through the spec's table for key."""
+        if type(x) is bytes:
+            return x.translate(_lane_table(self.spec, key))
+        return self.spec.table(*key).at_each(x)
 
     def _payloads(self, x):
         """The payloads of the values of a profile, or of one aggregation's
@@ -466,10 +430,8 @@ class _TreeSearch:
         if tag == "feat":
             return bytes(range(spec.n_values)) if self.lanes else list(spec.values_p())
         if tag in ("act", "scale"):
-            x = ev[node[2]]
-            if not isinstance(x, int):
-                return self._mapped(("act_p" if tag == "act" else "mul_p", node[1]), x)
-            return spec.act_p(node[1], x) if tag == "act" else spec.mul_p(node[1], x)
+            key, x = ("act_p" if tag == "act" else "mul_p", node[1]), ev[node[2]]
+            return spec.table(*key)[x] if isinstance(x, int) else self._mapped(key, x)
         a, b = ev[node[1]], ev[node[2]]  # sum
         if isinstance(a, int):
             return spec.add_p(a, b) if isinstance(b, int) else self._mapped(("add_p", a), b)
@@ -482,12 +444,7 @@ class _TreeSearch:
         if self.lanes:
             s = int.from_bytes(a, "big") + int.from_bytes(b, "big")
             return s.to_bytes(len(a), "big").translate(_lane_table(spec, ("clamp",)))
-        if self.clamp is None:
-            # add_p(s, 0) for every sum s of two payloads, a negative s at
-            # its place from the end
-            top = 2 * spec.max_payload
-            self.clamp = [spec.add_p(v, 0) for v in (*range(top + 1), *range(-top, 0))]
-        return list(map(self.clamp.__getitem__, map(operator.add, a, b)))
+        return self._mapped(("add_p", 0), list(map(operator.add, a, b)))
 
     def _formula_value(self, fid: int, node: tuple, fv: dict, fs: dict, ev: dict):
         """The value of a formula node, given those of its operands.

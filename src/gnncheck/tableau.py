@@ -1,11 +1,11 @@
 """Tableau decision procedure for formula satisfiability and LVP verification.
 
 A branch keeps one value per (word, expression) pair; asserting a second,
-different value clashes the branch.  A word names a node of the tree model by
-its path: the root is (), its i-th successor (i,), and so on.  Each search
-interns its words and holds word number n as the offset n * K, where K
-(``_Search.stride``) exceeds every expression id of the formula.  The root
-word is 0, and the store key of a (word, expression) pair is the single
+different value clashes the branch.  A word names a node of the tree model:
+the root, or the i-th successor of a word.  Each search numbers its words as
+``_Search.successors`` first reaches them and holds word number n as the
+offset n * K, where K (``_Search.stride``) exceeds every expression id of the
+formula.  The root word is 0, and a (word, expression) pair's store key is the
 integer word + eid (eid = key % K, word = key - eid).  The engine alternates
 
 1. saturation: all deterministic consequences (boolean decomposition,
@@ -48,7 +48,6 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 from .arith import ArithmeticSpec, Value
 from .compile import CompiledInstance, compile_lvp
@@ -57,8 +56,6 @@ from .formula import Arena, Formula
 from .gnn import BoxSplit, DeltaMode, LvpInstance, eval_linineq, gnn_eval
 from .graph import LabeledGraph, PointedGraph
 from .semantics import Budget, LimitHit, Sat, Unknown, Unsat, Verdict, check, check_limits
-
-Word = tuple[int, ...]
 
 
 @dataclass
@@ -89,25 +86,11 @@ class _Clash(Exception):
     pass
 
 
-class _Memo(dict):
-    """Results of one unary primitive by argument payload, filled on demand."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, p: int) -> int:
-        out = self[p] = self.fn(p)
-        return out
-
-
 class _State:
     __slots__ = ("values", "arity", "bounds", "bools", "atoms", "obligations", "walks")
 
     # words are offsets and (word, expression) pairs store keys (see the
-    # module docstring); the tables themselves belong to the _Search
+    # module docstring); the word table itself belongs to the _Search
     def __init__(self):
         self.values: dict[int, int] = {}
         self.arity: dict[int, int] = {}
@@ -177,19 +160,17 @@ class _Search:
         self.budget = budget
         fids, eids = formula.fids, formula.eids
         # the node table: expression nodes by id, and for each act node and
-        # each non-zero scale node its child and the memo of its primitive
+        # each non-zero scale node its child and its primitive's table
         self.nodes: dict[int, tuple] = {eid: self.arena.expr(eid) for eid in eids}
-        self._memos: dict[tuple, _Memo] = {}
-        self.unary: dict[int, tuple[int, _Memo]] = {
-            eid: (node[2], self._memo(node[0], node[1]))
+        self.unary: dict[int, tuple[int, dict[int, int]]] = {
+            eid: (node[2], self.spec.table("act_p" if node[0] == "act" else "mul_p", node[1]))
             for eid, node in self.nodes.items()
             if node[0] == "act" or (node[0] == "scale" and node[1] != 0)
         }
         self._table: dict[int, tuple[int, int]] | None = None  # built on first use
-        # the word table: word number n has offset n * stride, its tuple in
-        # words[n] and the offsets of its successors 1, 2, ... in succs[n]
+        # the word table: word number n has offset n * stride and the offsets
+        # of its successors 1, 2, ... in succs[n]
         self.stride = max(eids, default=0) + 1
-        self.words: list[Word] = [()]
         self.succs: list[list[int]] = [[]]
         # arity cap: 2^n * |formula| successors always suffice for distinct
         # summand combinations, so larger guesses are never needed
@@ -218,24 +199,12 @@ class _Search:
 
     def successors(self, word: int, n: int) -> list[int]:
         """Offsets of the word's successors; entry i - 1 is the i-th, and at
-        least the first n exist (new ones are interned here)."""
+        least the first n exist (new ones are numbered here)."""
         succs = self.succs[word // self.stride]
-        if len(succs) < n:
-            path = self.words[word // self.stride]
-            for i in range(len(succs) + 1, n + 1):
-                succs.append(len(self.words) * self.stride)
-                self.words.append(path + (i,))
-                self.succs.append([])
+        while len(succs) < n:
+            succs.append(len(self.succs) * self.stride)
+            self.succs.append([])
         return succs
-
-    def _memo(self, tag: str, param) -> _Memo:
-        """Memo of act by an activation name or of scale by a weight, shared by
-        every node and walk step that applies the same primitive."""
-        memo = self._memos.get((tag, param))
-        if memo is None:
-            fn = self.spec.act_p if tag == "act" else self.spec.mul_p
-            memo = self._memos[(tag, param)] = _Memo(partial(fn, param))
-        return memo
 
     def tick(self):
         """Charge one tick, as ``Budget.charge(1)`` would; the clock is read
@@ -394,7 +363,7 @@ class _Search:
     def _contribution(self, node: tuple, pos: int, v: int) -> int:
         """What the successor at pos with value v adds to an aggregation."""
         weights = node[3]
-        return v if weights is None else self._memo("scale", weights[pos - 1])[v]
+        return v if weights is None else self.spec.table("mul_p", weights[pos - 1])[v]
 
     def expr_range(self, st: _State, word: int, eid: int) -> tuple[int, int]:
         """Sound interval over-approximation of the expression's value.
@@ -586,10 +555,10 @@ class _Search:
     def _oblige_unary(self, st: _State, word: int, eid: int) -> bool:
         """act/scale: verify a known child, else force a unique preimage."""
         key = word + eid
-        child, memo = self.unary[eid]
+        child, table = self.unary[eid]
         value = self.forward(st, word, child)
         if value is not None:
-            if memo[value] != st.values[key]:
+            if table[value] != st.values[key]:
                 raise _Clash()
             del st.obligations[key]
             return True
@@ -871,7 +840,7 @@ class _Search:
         else:  # weighted: candidate contribution is mul(w, v)
             contribs = []
             for i in range(pos + 1, arity + 1):
-                mul = self._memo("scale", weights[i - 1])
+                mul = self.spec.table("mul_p", weights[i - 1])
                 a, b = mul[flo], mul[fhi]
                 contribs.append((min(a, b), max(a, b)))
             rng = weighted_walk_window(self.spec, acc, target, weights[pos - 1], contribs, clo, chi)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnncheck import arith
 from gnncheck.arith import (
     ACTIVATIONS,
     ArithmeticSpec,
@@ -18,6 +19,7 @@ from gnncheck.arith import (
     values_lt,
 )
 from gnncheck.errors import ConfigError, UsageError
+from gnncheck.formula import Arena, import_formula, parse
 
 SAT10 = ArithmeticSpec.satint(10)
 FIX32_4 = ArithmeticSpec.fixed(32, 4)
@@ -40,6 +42,23 @@ class TestSpecConstruction:
     def test_parse_round_trip(self):
         for text in ("satint:10", "fixed:32:4", "fixed:16:1"):
             assert ArithmeticSpec.parse(text).spec_string() == text
+
+    def test_specs_are_interned(self):
+        assert ArithmeticSpec.parse("satint:7") is ArithmeticSpec.satint(7)
+        assert ArithmeticSpec.parse(" fixed:12:1") is ArithmeticSpec.fixed(12, 1)
+        # the same payload range and scale, but another value set
+        assert ArithmeticSpec.satint(63) != ArithmeticSpec.fixed(7, 0)
+        assert ArithmeticSpec.satint(7) != ArithmeticSpec.satint(8)
+        assert len({ArithmeticSpec.satint(7), ArithmeticSpec.parse("satint:7"), ArithmeticSpec.fixed(7, 0)}) == 2
+
+    def test_mixed_specs_rejected(self):
+        sat, fixed = ArithmeticSpec.satint(63), ArithmeticSpec.fixed(7, 0)
+        with pytest.raises(UsageError):
+            list(mul_inverses(Value(1, sat), Value(1, fixed)))
+        f = parse("x1 >= 1", sat)
+        with pytest.raises(UsageError):
+            import_formula(Arena(fixed), f.arena, f.root)
+        import_formula(Arena(ArithmeticSpec.satint(63)), f.arena, f.root)
 
     def test_bad_spec_strings(self):
         for text in ("satint", "satint:x", "fixed:32", "float:32", "satint:0"):
@@ -74,6 +93,40 @@ class TestSpecConstruction:
             v(FIX32_4, "0.00001")
         with pytest.raises(ConfigError):
             v(FIX32_4, "300000")
+
+
+class TestTables:
+    @pytest.mark.parametrize("text", ["satint:3", "fixed:5:1"])
+    def test_tables_are_the_primitives(self, text):
+        spec = ArithmeticSpec.parse(text)
+        ps = list(spec.values_p())
+        m = spec.max_payload
+        keys = [("act_p", name) for name in ACTIVATIONS]
+        keys += [(name, c) for c in ps for name in ("mul_p", "add_p")]
+        keys += [("fold_step", "max", acc) for acc in (None, *ps)]
+        for key in keys:
+            table = spec.table(*key)
+            assert ArithmeticSpec.parse(text).table(*key) is table
+            fn = getattr(spec, key[0])
+            want = [fn(*key[1:], p) for p in ps]
+            # filled in one batch, then read one entry at a time
+            assert table.at_each(ps[::2]) == want[::2], key
+            assert [table[p] for p in ps] == want, key
+        # a sum of two payloads, through add_p(0, .), clamps past ±M
+        sums = list(range(-2 * m, 2 * m + 1))
+        assert spec.table("add_p", 0).at_each(sums) == [spec.clamp(s) for s in sums]
+
+    def test_tables_start_again_in_place(self, monkeypatch):
+        monkeypatch.setattr(arith, "TABLE_ENTRIES", 4)
+        spec = ArithmeticSpec.satint(3)
+        held = spec.table("mul_p", -2)
+        assert [held[p] for p in spec.values_p()] == [spec.mul_p(-2, p) for p in spec.values_p()]
+        assert spec.table("add_p", 0).at_each([100, 101, 102, 103, 104]) == [3] * 5  # at most four fit
+        assert not held and spec.table("mul_p", -2) is held
+        assert [held[p] for p in spec.values_p()] == [spec.mul_p(-2, p) for p in spec.values_p()]
+        for s in range(105, 110):  # and one at a time
+            assert held[s] == -3
+        assert len(held) < 5
 
 
 class TestAdd:

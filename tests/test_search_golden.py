@@ -71,16 +71,28 @@ WIDE_FORMULA = "maxagg(agg(1)) >= 11 and maxagg(maxagg(x1)) >= 3 and agg(x2) = 2
 WIDE_SPEC, WIDE_DELTA = ArithmeticSpec.satint(15), DeltaMode.unary(12)
 
 
+def word_names(search) -> dict[int, str]:
+    """The node name of every word the search has reached, by offset: its
+    path from the root (v, v1, v1.2), walked through the successor table."""
+    names, queue = {0: "v"}, [0]
+    for word in queue:  # grows while it is walked, breadth first
+        prefix = names[word] + "." if word else "v"
+        for i, succ in enumerate(search.succs[word // search.stride], start=1):
+            names[succ] = f"{prefix}{i}"
+            queue.append(succ)
+    return names
+
+
 def model_digest(search, final) -> str:
     """sha256 prefix of the JSON of the extracted model, in extraction order,
     and of the final store by node: per word, in the order the store first
     holds a value there, the node its path names and its values by
     expression, in the order the store holds them."""
     graph = search.extract_model(final).graph
+    names = word_names(search)
     trace: dict[str, dict[int, int]] = {}
     for key, payload in final.values.items():
-        node = "v" + ".".join(map(str, search.words[key // search.stride]))
-        trace.setdefault(node, {})[key % search.stride] = payload
+        trace.setdefault(names[key - key % search.stride], {})[key % search.stride] = payload
     doc = [list(graph.nodes), [list(edge) for edge in graph.edges], graph.labels, trace]
     return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()[:16]
 

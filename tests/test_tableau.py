@@ -22,6 +22,7 @@ from gnncheck.tableau import (
 )
 
 from conftest import FIX32_4, SAT7, message_instance, message_model, two_layer_instance
+from test_search_golden import word_names
 
 SAT15 = ArithmeticSpec.satint(15)
 
@@ -205,9 +206,10 @@ class TestExtractModel:
         assert final is not None
         graph = search.extract_model(final).graph
         assert len(graph.nodes) > 1
+        names = word_names(search)
         for key, payload in final.values.items():
-            node = "v" + ".".join(map(str, search.words[key // search.stride]))
-            assert eval_payload(graph, node, f.arena, key % search.stride) == payload
+            eid = key % search.stride
+            assert eval_payload(graph, names[key - eid], f.arena, eid) == payload
 
 
 class TestVerifyLvp:

@@ -17,7 +17,7 @@ from .errors import GnnCheckError, SchemaError, UsageError
 from .formula import parse as parse_formula
 from .formula import to_text
 from .fuzz import run_differential
-from .gnn import DeltaMode, gnn_from_json, gnn_eval, lvp_from_json
+from .gnn import DeltaMode, LvpInstance, gnn_from_json, gnn_eval, lvp_from_json
 from .graph import _expect
 from .graph import load_json as graph_from_json
 from .graph import save_json as graph_to_json
@@ -64,7 +64,7 @@ def _load_doc(path: str) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise GnnCheckError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an int past the digit limit
         raise GnnCheckError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("expected an object", "$")
@@ -120,14 +120,23 @@ def _delta_for_oracle(text: str) -> int:
     return mode.value
 
 
-def cmd_verify(args) -> int:
+def _load_instance(args) -> LvpInstance:
+    """The LVP instance of the document, with --arith and (verify's)
+    --delta in place of its own.  Each flag is parsed before it is written
+    into the document, so a bad one is reported as a bad flag, with no
+    JSON path."""
     doc = _load_doc(args.instance)
     if args.arith:
-        _expect(doc, "gnn", dict, "$")["arith"] = args.arith
-    if args.delta:
+        spec = ArithmeticSpec.parse(args.arith)
+        _expect(doc, "gnn", dict, "$")["arith"] = spec.spec_string()
+    if getattr(args, "delta", None):
         mode = DeltaMode.parse(args.delta)
         doc["delta"] = {"mode": mode.kind} | ({} if mode.value is None else {"value": mode.value})
-    instance = lvp_from_json(doc)
+    return lvp_from_json(doc)
+
+
+def cmd_verify(args) -> int:
+    instance = _load_instance(args)
     result = verify_lvp(instance, _limits(args))
     as_json = args.output == "json"
     if isinstance(result, Valid):
@@ -163,11 +172,7 @@ def cmd_sat(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    doc = _load_doc(args.instance)
-    if args.arith:
-        _expect(doc, "gnn", dict, "$")["arith"] = args.arith
-    instance = lvp_from_json(doc)
-    print(to_text(compile_lvp(instance).formula))
+    print(to_text(compile_lvp(_load_instance(args)).formula))
     return EXIT_POSITIVE
 
 

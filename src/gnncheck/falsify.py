@@ -13,13 +13,15 @@ every drawn tree smallest first.  A drawn tree is kept compact: the
 successor counts of its nodes in breadth-first order and their label
 payloads in one flat list.  It is evaluated in that form (``tree_eval``), by
 the forward core that ``gnn.gnn_eval`` runs after its graph checks,
-``gnn.gnn_eval_p``: the breadth-first order is the core's node order.  Node
-names, edges, label dicts and the validated graph are built only for the hit
-a round returns.  A tree is as deep as the network has layers (deeper nodes
-cannot reach the point's output), and each node has at most ``arity_cap``
-successors.  Labels favour the values where saturating arithmetic turns: 0,
-±one, ±M and small multiples of one, next to uniform draws from the whole
-domain.  The point's label is drawn again until it satisfies L_in.
+``gnn.gnn_eval_p``: the breadth-first order is the core's node order.  Only
+the hit a round returns is built into a validated graph, by ``graph.tree``,
+which builds the tableau's models too and so names the nodes as they are
+named ("v", "v1", "v1.2").  A tree is as deep as the network has layers
+(deeper nodes cannot reach the point's output), and each node has at most
+``arity_cap`` successors.  Labels favour the values where saturating
+arithmetic turns: 0, ±one, ±M and small multiples of one, next to uniform
+draws from the whole domain.  The point's label is drawn again until it
+satisfies L_in.
 
 The draws come from a ``random.Random`` seeded by a sha256 of the instance's
 JSON, so an instance always gets the same trees, whatever PYTHONHASHSEED is.
@@ -46,7 +48,7 @@ import random
 
 from .arith import ArithmeticSpec, Value
 from .gnn import LvpInstance, eval_linineq, gnn_eval_p, lvp_to_json
-from .graph import LabeledGraph, PointedGraph
+from .graph import PointedGraph, tree
 from .semantics import Budget
 
 # Samples per instance.  Every one is drawn and charged unless a one-node
@@ -172,34 +174,13 @@ def label_payloads(bits, instance: LvpInstance, nodes: int) -> list[int] | None:
     return None
 
 
-def _shape(counts: list[int]) -> tuple[list[str], list[tuple[str, str]]]:
-    """Node names and edges of a tree given by its successor counts.  Names
-    follow the tableau's models: "v" is the point, "v1" its first successor,
-    "v1.2" that node's second."""
-    nodes, edges = ["v"], []
-    for at, count in enumerate(counts):
-        parent = nodes[at]
-        prefix = "v" if at == 0 else parent + "."
-        for i in range(1, count + 1):
-            child = f"{prefix}{i}"
-            edges.append((parent, child))
-            nodes.append(child)
-    return nodes, edges
-
-
-def _labels(instance: LvpInstance, nodes: list[str], payloads: list[int]) -> dict[str, dict[str, int]]:
-    """The label dicts of ``nodes`` from their flat payloads."""
-    features = instance.model.input_features
-    n = len(features)
-    return {name: dict(zip(features, payloads[i * n : i * n + n])) for i, name in enumerate(nodes)}
-
-
 def build_tree(instance: LvpInstance, counts: list[int], payloads: list[int]) -> PointedGraph:
-    """The validated graph of a compact tree, pointed at its root."""
+    """The validated graph of a compact tree, pointed at its root
+    (``graph.tree``)."""
     model = instance.model
-    nodes, edges = _shape(counts)
-    labels = _labels(instance, nodes, payloads)
-    return PointedGraph(LabeledGraph(model.spec, model.input_features, tuple(nodes), tuple(edges), labels), "v")
+    n = model.input_dim
+    rows = [payloads[i : i + n] for i in range(0, len(payloads), n)]
+    return tree(model.spec, model.input_features, counts, rows)
 
 
 class Sampler:
@@ -254,7 +235,7 @@ class Sampler:
             hit = _violation(instance, counts, payloads)
             if hit is not None:
                 return hit
-        drawn.sort(key=lambda tree: tree[0])  # stable: draw order among equals
+        drawn.sort(key=lambda t: t[0])  # stable: draw order among equals
         for _, counts, payloads in drawn:
             if budget.expired():
                 self.cut = True

@@ -179,9 +179,9 @@ class Arena:
             acc = self.or_(acc, fid)
         return acc
 
-    def true(self, feature_name: str = "x1") -> int:
+    def true(self) -> int:
         """The tautology, spelled x1 - x1 >= 0."""
-        x = self.feature(feature_name)
+        x = self.feature("x1")
         return self.geq(self.add(x, self.scale(-self.spec.one, x)), 0)
 
     # -- traversal -----------------------------------------------------------

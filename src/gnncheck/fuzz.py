@@ -6,11 +6,14 @@ import random
 from dataclasses import dataclass
 
 from .arith import ArithmeticSpec
-from .errors import UsageError
 from .formula import Arena, Formula, to_text
 from .gnn import DeltaMode
-from .semantics import Sat, Unknown, Unsat, brute_force_sat
+from .semantics import Sat, Unknown, Unsat, brute_force_sat, check_limits
 from .tableau import SolveLimits, solve
+
+# Seconds each solver gets per case, and the tableau's tick budget.
+TIME_LIMIT = 20.0
+MAX_TERMS = 2_000_000
 
 
 @dataclass
@@ -94,34 +97,22 @@ def run_differential(
     *,
     agg_kinds: tuple[str, ...] = ("sum",),
     max_agg_depth: int = 2,
-    n_features: int = 2,
-    compare_binary: bool = True,
-    time_limit: float = 20.0,
-    max_terms: int = 2_000_000,
 ) -> list[FuzzCase]:
     """Solve each random formula with the tableau and the brute-force oracle.
 
-    A case agrees when both sides return the same decisive verdict (and, when
-    requested, the binary-mode tableau concurs).
+    A case agrees when both sides return the same decisive verdict and the
+    binary-mode tableau concurs.
     """
-    if cases < 0 or max_agg_depth < 0:
-        raise UsageError(f"cases and max_agg_depth must be >= 0, got {cases} and {max_agg_depth}")
+    check_limits(None, cases=cases, max_agg_depth=max_agg_depth)
     rng = random.Random(seed)
     results = []
-    limits = SolveLimits(time_limit=time_limit, max_terms=max_terms)
+    limits = SolveLimits(time_limit=TIME_LIMIT, max_terms=MAX_TERMS)
     for i in range(cases):
-        f = random_formula(
-            rng,
-            spec,
-            max_agg_depth=max_agg_depth,
-            agg_kinds=agg_kinds,
-            delta=delta,
-            n_features=n_features,
-        )
+        f = random_formula(rng, spec, max_agg_depth=max_agg_depth, agg_kinds=agg_kinds, delta=delta)
         tv = solve(f, DeltaMode.unary(delta), limits)
-        ov = brute_force_sat(f, delta, time_limit=time_limit)
+        ov = brute_force_sat(f, delta, time_limit=TIME_LIMIT)
         agree = type(tv) is type(ov) and not isinstance(tv, Unknown)
-        if agree and compare_binary:
+        if agree:
             bv = solve(f, DeltaMode.binary(delta), limits)
             agree = type(bv) is type(tv)
         results.append(FuzzCase(i, to_text(f), _verdict_name(tv), _verdict_name(ov), agree))

@@ -20,7 +20,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .arith import ACTIVATIONS, ArithmeticSpec, Value, weight_cap
 from .errors import SchemaError, UsageError
-from .graph import PointedGraph, _expect
+from .graph import PointedGraph, _expect, _parse_payload, at_path
 from .semantics import Budget
 
 AGG_LAYER_KINDS = ("sum", "mean", "max", "weighted")
@@ -517,13 +517,6 @@ def gnn_to_json(model: GnnModel) -> dict[str, Any]:
     }
 
 
-def _parse_payload(spec: ArithmeticSpec, raw: Any, path: str) -> int:
-    try:
-        return spec.parse_literal(str(raw))
-    except Exception as exc:
-        raise SchemaError(str(exc), path) from None
-
-
 def _layer_from_json(doc: Any, spec: ArithmeticSpec, path: str) -> FnnLayer:
     if not isinstance(doc, dict) or "weights" not in doc:
         raise SchemaError("expected an object with 'weights'", path)
@@ -542,10 +535,7 @@ def _layer_from_json(doc: Any, spec: ArithmeticSpec, path: str) -> FnnLayer:
         acts = [acts] * len(weights)
     elif not isinstance(acts, list):
         raise SchemaError("'activation' must be str or list", f"{path}.activation")
-    try:
-        return FnnLayer(weights, bias, tuple(acts))
-    except UsageError as exc:
-        raise SchemaError(str(exc), path) from None
+    return at_path(path, FnnLayer, weights, bias, tuple(acts))
 
 
 def _fnn_from_json(doc: Any, spec: ArithmeticSpec, path: str) -> Fnn:
@@ -555,17 +545,14 @@ def _fnn_from_json(doc: Any, spec: ArithmeticSpec, path: str) -> Fnn:
         )
     else:
         layers = (_layer_from_json(doc, spec, path),)
-    try:
-        return Fnn(layers)
-    except UsageError as exc:
-        raise SchemaError(str(exc), path) from None
+    return at_path(path, Fnn, layers)
 
 
 def gnn_from_json(doc: Any, path: str = "$") -> GnnModel:
     """Build a model from its JSON document, found at path in the input."""
     if not isinstance(doc, dict) or "arith" not in doc:
         raise SchemaError("expected an object with 'arith'", path)
-    spec = ArithmeticSpec.parse(str(doc["arith"]))
+    spec = at_path(f"{path}.arith", ArithmeticSpec.parse, str(doc["arith"]))
     features = _expect(doc, "features", list, path, None)
     dim = _expect(doc, "input_dim", int, path, None)
     if features is None:
@@ -595,20 +582,14 @@ def gnn_from_json(doc: Any, path: str = "$") -> GnnModel:
         elif agg not in AGG_LAYER_KINDS or agg == "weighted":
             raise SchemaError(f"unknown aggregation {agg!r}", f"{at}.agg")
         comb = _fnn_from_json(ld.get("comb"), spec, f"{at}.comb")
-        try:
-            layers.append(GnnLayer(agg, comb, weights))
-        except UsageError as exc:
-            raise SchemaError(str(exc), at) from None
+        layers.append(at_path(at, GnnLayer, agg, comb, weights))
     if "out" not in doc:
         raise SchemaError("missing output network", f"{path}.out")
     out = _fnn_from_json(doc["out"], spec, f"{path}.out")
     outputs = tuple(_expect(doc, "outputs", list, path, [f"y{i + 1}" for i in range(out.output_dim)]))
     if not all(isinstance(name, str) for name in outputs):
         raise SchemaError("output names must be strings", f"{path}.outputs")
-    try:
-        return GnnModel(spec, tuple(layers), out, tuple(features), outputs)
-    except UsageError as exc:
-        raise SchemaError(str(exc), path) from None
+    return at_path(path, GnnModel, spec, tuple(layers), out, tuple(features), outputs)
 
 
 def linineq_to_json(ineq: LinIneq, spec: ArithmeticSpec) -> dict[str, Any]:
@@ -655,11 +636,5 @@ def lvp_from_json(doc: Any) -> LvpInstance:
         for key in ("l_in", "l_out")
     )
     raw_delta = _expect(doc, "delta", dict, "$", {"mode": "inf"})
-    try:
-        delta = DeltaMode(raw_delta.get("mode", "inf"), raw_delta.get("value"))
-    except UsageError as exc:
-        raise SchemaError(str(exc), "$.delta") from None
-    try:
-        return LvpInstance(model, l_in, l_out, delta)
-    except UsageError as exc:
-        raise SchemaError(str(exc), "$") from None
+    delta = at_path("$.delta", DeltaMode, raw_delta.get("mode", "inf"), raw_delta.get("value"))
+    return at_path("$", LvpInstance, model, l_in, l_out, delta)

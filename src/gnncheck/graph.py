@@ -3,15 +3,22 @@
 Successor order is the edge-declaration order; since saturating addition is
 order sensitive, every fold over successors (logic semantics, GNN evaluation,
 the brute-force oracle) uses this one order.
+
+``tree`` builds the pointed trees the tableau and the sampler answer with,
+and names their nodes: "v" is the point, "v1" its first successor, "v1.2"
+that node's second.  The loaders share one rule for malformed input: a
+constructor's ``UsageError`` or ``ConfigError`` is a ``SchemaError`` at the
+JSON path of what it was built from (``at_path``), and a bad literal is one
+at the literal's path (``_parse_payload``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .arith import ArithmeticSpec
-from .errors import SchemaError, UsageError
+from .errors import ConfigError, SchemaError, UsageError
 
 
 class LabeledGraph:
@@ -102,6 +109,23 @@ class PointedGraph:
             raise UsageError(f"point {self.point!r} is not a node")
 
 
+def tree(spec: ArithmeticSpec, features: tuple[str, ...], counts: list[int], rows: list[list[int]]) -> PointedGraph:
+    """The tree whose nodes, in breadth-first order, have ``counts[i]``
+    successors (none past the end of ``counts``) and the payloads ``rows[i]``
+    in feature order, pointed at its root.  The root is "v", its successors
+    "v1", "v2", ..., and the second successor of "v1" is "v1.2"."""
+    nodes, edges = ["v"], []
+    for at, count in enumerate(counts):
+        parent = nodes[at]
+        prefix = "v" if at == 0 else parent + "."
+        for i in range(1, count + 1):
+            child = f"{prefix}{i}"
+            edges.append((parent, child))
+            nodes.append(child)
+    labels = {name: dict(zip(features, row)) for name, row in zip(nodes, rows)}
+    return PointedGraph(LabeledGraph(spec, features, nodes, edges, labels), "v")
+
+
 def save_json(graph: LabeledGraph, point: str | None = None) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "features": list(graph.features),
@@ -132,6 +156,25 @@ def _expect(doc: Any, key: str, kind, path: str, default: Any = _REQUIRED):
     return value
 
 
+def at_path(path: str, make, *args):
+    """``make(*args)``, with its UsageError or ConfigError raised as a
+    SchemaError at ``path``."""
+    try:
+        return make(*args)
+    except (UsageError, ConfigError) as exc:
+        raise SchemaError(str(exc), path) from None
+
+
+def _parse_payload(spec: ArithmeticSpec, raw: Any, path: str) -> int:
+    """The payload of the literal ``raw``; a bad one is a SchemaError at
+    ``path``.  ``int`` raises ValueError on digits that ``str.isdigit``
+    passes, such as "²", and past the interpreter's digit limit."""
+    try:
+        return spec.parse_literal(str(raw))
+    except (ConfigError, ValueError) as exc:
+        raise SchemaError(str(exc), path) from None
+
+
 def load_json(doc: Any, spec: ArithmeticSpec) -> tuple[LabeledGraph, str | None]:
     """Build a graph from its JSON document; label strings are read under spec."""
     features = _expect(doc, "features", list, "$")
@@ -149,10 +192,7 @@ def load_json(doc: Any, spec: ArithmeticSpec) -> tuple[LabeledGraph, str | None]
         for name in features:
             if name not in raw_label:
                 raise SchemaError(f"missing feature {name!r}", f"{path}.label")
-            try:
-                lab[name] = spec.parse_literal(str(raw_label[name]))
-            except Exception as exc:
-                raise SchemaError(str(exc), f"{path}.label.{name}") from None
+            lab[name] = _parse_payload(spec, raw_label[name], f"{path}.label.{name}")
         nodes.append(node_id)
         labels[node_id] = lab
     edges = []
@@ -160,10 +200,7 @@ def load_json(doc: Any, spec: ArithmeticSpec) -> tuple[LabeledGraph, str | None]
         if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)):
             raise SchemaError("edge must be a [source, target] pair of node ids", f"$.edges[{i}]")
         edges.append((e[0], e[1]))
-    try:
-        graph = LabeledGraph(spec, tuple(features), tuple(nodes), tuple(edges), labels)
-    except UsageError as exc:
-        raise SchemaError(str(exc), "$") from None
+    graph = at_path("$", LabeledGraph, spec, tuple(features), tuple(nodes), tuple(edges), labels)
     point = _expect(doc, "point", str, "$", None)
     if point is not None and point not in labels:
         raise SchemaError(f"point {point!r} is not a node", "$.point")

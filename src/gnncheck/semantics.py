@@ -667,9 +667,7 @@ def brute_force_sat(
     such a tree model, so Unsat verdicts are decisive.  When an explicit lower
     depth is forced and no model is found the verdict is Unknown.
     """
-    if delta < 0:
-        raise UsageError(f"arity bound must be >= 0, got {delta}")
-    check_limits(time_limit, max_steps=max_steps, depth=depth)
+    check_limits(time_limit, delta=delta, max_steps=max_steps, depth=depth)
     needed = agg_depth(f)
     d = needed if depth is None else depth
     try:

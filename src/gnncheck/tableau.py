@@ -54,7 +54,7 @@ from .compile import CompiledInstance, compile_lvp
 from .falsify import EXTRA_ROUNDS, Sampler
 from .formula import Arena, Formula
 from .gnn import BoxSplit, DeltaMode, LvpInstance, eval_linineq, gnn_eval
-from .graph import LabeledGraph, PointedGraph
+from .graph import LabeledGraph, PointedGraph, tree
 from .semantics import Budget, LimitHit, Sat, Unknown, Unsat, Verdict, check, check_limits
 
 
@@ -495,7 +495,7 @@ class _Search:
                 progress = True
             else:
                 remaining.append((word, fid, sign))
-        st.bools = remaining + st.bools
+        st.bools = remaining
         return progress
 
     def _saturate_atoms(self, st: _State) -> bool:
@@ -929,23 +929,18 @@ class _Search:
 
     def extract_model(self, st: _State) -> PointedGraph:
         """The tree the store describes, breadth first from the root word
-        through each word's arity: a word is named by its path (v, v1, v1.2)
-        and labeled by its stored feature values, 0 where none is stored."""
+        through each word's arity, each word labeled by its stored feature
+        values, 0 where none is stored; ``graph.tree`` builds and names it."""
         values = st.values
         feat_ids = {node[1]: eid for eid, node in self.nodes.items() if node[0] == "feat"}
-        columns = [(f, feat_ids.get(f)) for f in self.formula.features]
-        nodes, edges, labels = [], [], {}
-        queue = [(0, "v")]
-        for word, name in queue:
-            nodes.append(name)
-            labels[name] = {f: 0 if eid is None else values.get(word + eid, 0) for f, eid in columns}
+        columns = [feat_ids.get(f) for f in self.formula.features]
+        counts, rows, queue = [], [], [0]
+        for word in queue:
+            rows.append([0 if eid is None else values.get(word + eid, 0) for eid in columns])
             arity = st.arity.get(word, 0)
-            prefix = name + "." if word else name
-            for i, succ in enumerate(self.successors(word, arity)[:arity], start=1):
-                edges.append((name, f"{prefix}{i}"))
-                queue.append((succ, f"{prefix}{i}"))
-        graph = LabeledGraph(self.spec, self.formula.features, tuple(nodes), tuple(edges), labels)
-        return PointedGraph(graph, "v")
+            counts.append(arity)
+            queue.extend(self.successors(word, arity)[:arity])
+        return tree(self.spec, self.formula.features, counts, rows)
 
 
 def solve(

@@ -289,6 +289,9 @@ MALFORMED_LVP = [
     (("delta",), {"mode": "unary", "value": 2.5}, "$.delta"),
     (("delta",), {"mode": "unary", "value": "2"}, "$.delta"),
     (("delta",), {"mode": "unary", "value": True}, "$.delta"),
+    (("gnn", "arith"), "bogus", "$.gnn.arith"),
+    (("gnn", "arith"), "satint:0", "$.gnn.arith"),
+    (("l_out", 0, "const"), "²", "$.l_out[0].const"),
 ]
 
 
@@ -310,17 +313,19 @@ class TestMalformedJson:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "keys, value, path",
+        "target, keys, value, path",
         [
-            (("point",), ["v"], "$.point"),
-            (("edges", 0, 1), ["v1"], "$.edges[0]"),
-            (("features", 0), ["x1"], "$.features"),
+            ("graph", ("point",), ["v"], "$.point"),
+            ("graph", ("edges", 0, 1), ["v1"], "$.edges[0]"),
+            ("graph", ("features", 0), ["x1"], "$.features"),
+            ("gnn", ("arith",), "bogus", "$.arith"),
         ],
-        ids=["point", "edge endpoint", "feature name"],
+        ids=["point", "edge endpoint", "feature name", "gnn arith"],
     )
-    def test_eval_exits_2(self, supp_files, capsys, keys, value, path):
+    def test_eval_exits_2(self, supp_files, capsys, target, keys, value, path):
         _, gnn, graph = supp_files
-        graph.write_text(json.dumps(_set(json.loads(graph.read_text()), keys, value)))
+        doc = {"gnn": gnn, "graph": graph}[target]
+        doc.write_text(json.dumps(_set(json.loads(doc.read_text()), keys, value)))
         assert main(["eval", str(gnn), str(graph)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:"), err
@@ -349,6 +354,26 @@ class TestMalformedJson:
         doc.write_text(json.dumps(_set(lvp_to_json(two_layer_instance()), ("gnn",), 5)))
         assert main(["verify", str(doc), "--arith", "satint:7"]) == 2
         assert capsys.readouterr().err.startswith("error: $.gnn:")
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"{", b'{"gnn": {}, "l_in": ' + b"1" * 5000 + b"}", b'{"gnn": "\xff"}'],
+        ids=["truncated", "int past the digit limit", "not utf-8"],
+    )
+    def test_a_document_that_is_no_json_exits_2(self, tmp_path, capsys, text):
+        doc = tmp_path / "lvp.json"
+        doc.write_bytes(text)
+        assert main(["verify", str(doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "compile"])
+    def test_a_bad_arith_flag_is_no_document_fault(self, supp_files, capsys, command):
+        lvp, _, _ = supp_files
+        assert main([command, str(lvp), "--arith", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad arithmetic spec 'bogus'"), err
+        assert "$." not in err
 
 
 class TestOracle:

@@ -5,7 +5,7 @@ import pytest
 
 from gnncheck.arith import ArithmeticSpec
 from gnncheck.errors import SchemaError, UsageError
-from gnncheck.graph import LabeledGraph, PointedGraph, load_json, save_json, to_dot
+from gnncheck.graph import LabeledGraph, PointedGraph, load_json, save_json, to_dot, tree
 
 SAT7 = ArithmeticSpec.satint(7)
 
@@ -49,6 +49,26 @@ class TestConstruction:
     def test_point_must_exist(self):
         with pytest.raises(UsageError):
             PointedGraph(supp_graph(), "zz")
+
+
+class TestTree:
+    def test_root_only(self):
+        for counts in ([], [0]):
+            t = tree(SAT7, ("x1", "x2"), counts, [[3, -1]])
+            assert t.point == "v"
+            assert t.graph.nodes == ("v",)
+            assert t.graph.edges == ()
+            assert t.graph.labels == {"v": {"x1": 3, "x2": -1}}
+
+    def test_breadth_first_names_edges_and_labels(self):
+        # node i has counts[i] successors; v1 and v2.1 lie past the end of counts
+        t = tree(SAT7, ("x1",), [2, 0, 1], [[0], [1], [2], [3]])
+        assert t.point == "v"
+        assert t.graph.nodes == ("v", "v1", "v2", "v2.1")
+        assert t.graph.edges == (("v", "v1"), ("v", "v2"), ("v2", "v2.1"))
+        assert t.graph.labels == {"v": {"x1": 0}, "v1": {"x1": 1}, "v2": {"x1": 2}, "v2.1": {"x1": 3}}
+        assert t.graph.successors("v1") == ()
+        assert t.graph.successors("v2.1") == ()
 
 
 class TestJson:

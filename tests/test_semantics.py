@@ -119,6 +119,10 @@ class TestBruteForce:
         with pytest.raises(UsageError):
             brute_force_sat(parse("agg(x1) >= 2", ArithmeticSpec.satint(3)), delta=2, **limits)
 
+    def test_a_negative_arity_bound_is_refused(self):
+        with pytest.raises(UsageError, match="must be >= 0"):
+            brute_force_sat(parse("agg(x1) >= 2", ArithmeticSpec.satint(3)), -1)
+
     def test_a_zero_step_limit_is_a_budget(self):
         f = parse("agg(x1) >= 2", ArithmeticSpec.satint(3))
         assert brute_force_sat(f, delta=2, max_steps=0) == Unknown("node-limit")

@@ -558,7 +558,6 @@ def gnn_from_json(doc: Any, path: str = "$") -> GnnModel:
     if features is None:
         if dim is None:
             raise SchemaError("need 'features' or 'input_dim'", path)
-        features = [f"x{i + 1}" for i in range(dim)]
     elif dim is not None and dim != len(features):
         raise SchemaError("input_dim disagrees with features", f"{path}.input_dim")
     elif not all(isinstance(name, str) for name in features):
@@ -586,6 +585,12 @@ def gnn_from_json(doc: Any, path: str = "$") -> GnnModel:
     if "out" not in doc:
         raise SchemaError("missing output network", f"{path}.out")
     out = _fnn_from_json(doc["out"], spec, f"{path}.out")
+    if features is None:
+        # checked before the names are made: their number comes from the document
+        width = layers[0].comb.input_dim // 2 if layers else out.input_dim
+        if dim != width:
+            raise SchemaError(f"input_dim {dim} disagrees with the network's input width {width}", f"{path}.input_dim")
+        features = [f"x{i + 1}" for i in range(dim)]
     outputs = tuple(_expect(doc, "outputs", list, path, [f"y{i + 1}" for i in range(out.output_dim)]))
     if not all(isinstance(name, str) for name in outputs):
         raise SchemaError("output names must be strings", f"{path}.outputs")

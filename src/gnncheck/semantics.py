@@ -409,9 +409,14 @@ class _TreeSearch:
         """An ArithmeticSpec method of one more operand, named with its leading
         operands by key (say ``("add_p", 3)``), applied to each entry of a
         column, or of a list of payloads: a byte column through its lane
-        table, a list through the spec's table for key."""
+        table, a list through the spec's table for key.  A list adds a
+        scalar a as add_p(0, a + p), through the one ``("add_p", 0)`` table,
+        not a table per addend."""
         if type(x) is bytes:
             return x.translate(_lane_table(self.spec, key))
+        if key[0] == "add_p" and key[1] != 0:
+            a = key[1]
+            return self.spec.table("add_p", 0).at_each([a + p for p in x])
         return self.spec.table(*key).at_each(x)
 
     def _payloads(self, x):

@@ -26,7 +26,10 @@ the search finds the same models in no more ticks.  Saturation keeps [-M, M]
 for aggregations not in the store.
 Aggregation constraints walk their successors incrementally with a running
 accumulator, which serves both the unary rule and the binary/unbounded rules;
-the arity modes differ only in the arity cap.
+the arity modes differ only in the arity cap.  Every aggregation kind walks by
+one rule (``walk_window``): a successor's candidates are the values from which
+the lowest and highest completions, through the later successors' structural
+ranges, can still reach the aggregation's value.
 
 The search's work is counted in ticks: one per branch alternative tried, one
 per value assigned, and one per value newly derived into the store by forward
@@ -112,42 +115,33 @@ class _State:
         return child
 
 
-def max_walk_window(spec: ArithmeticSpec, acc: int | None, target: int, reach_later: bool):
-    """Interval of successor values that keep a max walk able to end at target.
+def walk_window(spec: ArithmeticSpec, kind: str, acc: int | None, t: tuple[int, int], contrib, later, clo: int, chi: int):
+    """Interval of successor values in [clo, chi] from which an aggregation
+    walk can still fold into t, or None.
 
-    ``acc`` is the running maximum (None before the first successor) and
-    ``reach_later`` says whether a later successor can still supply the target.
-    A value above the target overshoots it; below it, the value only works when
-    the accumulator or a later successor supplies the target.
-    """
-    if acc is not None and acc > target:
-        return None
-    if reach_later or acc == target:
-        return (-spec.max_payload, target)
-    return (target, target)
-
-
-def weighted_walk_window(spec: ArithmeticSpec, acc: int, target: int, w: int, contribs, clo: int, chi: int):
-    """Interval of successor values in [clo, chi] from which a weighted walk
-    can still end at target.
-
-    A value v makes the accumulator ``add_p(acc, mul_p(w, v))``; each later
-    successor then adds a contribution from its ``(lo, hi)`` interval in
-    ``contribs``.  Saturating addition and multiplication are monotone, so
-    along v ordered by the sign of w neither the lowest nor the highest
-    completion decreases: the values whose lowest completion stays <= target
-    and whose highest reaches it form one interval, found by binary search.
+    A value v makes the accumulator ``fold_step(kind, acc, contrib[v])``
+    (``contrib`` None: v itself; for weighted, the weight's ``mul_p`` table),
+    and each later successor then folds in a contribution from its
+    ``(lo, hi)`` interval in ``later``.  t is the aggregation's value, or for
+    mean the sums that divide to it.  Every fold step is monotone, so along v
+    ordered so that the contribution ascends neither the lowest nor the
+    highest completion decreases: the values whose lowest completion is <=
+    t's top and whose highest is >= t's bottom form one interval, found by
+    binary search.  For sum, mean and max some choice of the later
+    contributions folds each of them into t; for weighted, whose later
+    intervals hold contributions that rounding skips, maybe not all do.
     """
 
     def completion(v: int, side: int) -> int:
-        x = spec.add_p(acc, spec.mul_p(w, v))
-        for c in contribs:
-            x = spec.add_p(x, c[side])
+        x = spec.fold_step(kind, acc, v if contrib is None else contrib[v])
+        for c in later:
+            x = spec.fold_step(kind, x, c[side])
         return x
 
-    vs = range(clo, chi + 1) if w >= 0 else range(chi, clo - 1, -1)
-    lo = bisect.bisect_left(vs, target, key=lambda v: completion(v, 1))
-    hi = bisect.bisect_right(vs, target, key=lambda v: completion(v, 0))
+    ascending = contrib is None or contrib[clo] <= contrib[chi]
+    vs = range(clo, chi + 1) if ascending else range(chi, clo - 1, -1)
+    lo = bisect.bisect_left(vs, t[0], key=lambda v: completion(v, 1))
+    hi = bisect.bisect_right(vs, t[1], key=lambda v: completion(v, 0))
     found = vs[lo:hi]
     return (min(found[0], found[-1]), max(found[0], found[-1])) if found else None
 
@@ -607,12 +601,6 @@ class _Search:
         if arity is None:
             return False
         kind, child = node[1], node[2]
-        if arity == 0:
-            # empty aggregate: every kind folds to 0
-            if target != 0:
-                raise _Clash()
-            del st.obligations[key]
-            return True
         values = [self.forward(st, succ, child) for succ in self.successors(word, arity)[:arity]]
         if all(v is not None for v in values):
             acc = self.spec.fold_start(kind)
@@ -821,47 +809,23 @@ class _Search:
         target = st.values[word + eid]
         arity = st.arity[word]
         succ = self.successors(word, pos)[pos - 1]
-        remaining = arity - pos
         known = self.forward(st, succ, child)
         clo, chi = (known, known) if known is not None else self._cut(child, *self.expr_range(st, succ, child))
-        flo, fhi = self._structural()[child] if remaining else (0, 0)
-        if kind in ("sum", "mean"):
-            if kind == "sum":
-                t = (target, target)
-            else:
-                t = self.spec.div_preimage(target, arity)
-                if t is None:
-                    return
-            alo, ahi = self._acc_window(t, remaining, flo, fhi)
-            rng = self.spec.add_preimage(acc, alo, ahi)
-        elif kind == "max":
-            reach_later = remaining >= 1 and flo <= target <= fhi
-            rng = max_walk_window(self.spec, acc, target, reach_later)
-        else:  # weighted: candidate contribution is mul(w, v)
-            contribs = []
-            for i in range(pos + 1, arity + 1):
-                mul = self.spec.table("mul_p", weights[i - 1])
-                a, b = mul[flo], mul[fhi]
-                contribs.append((min(a, b), max(a, b)))
-            rng = weighted_walk_window(self.spec, acc, target, weights[pos - 1], contribs, clo, chi)
+        t = self.spec.div_preimage(target, arity) if kind == "mean" else (target, target)
+        if t is None:
+            return
+        # each later successor contributes from the child's structural range
+        flo, fhi = self._structural()[child]
+        later = []
+        for i in range(pos + 1, arity + 1):
+            a, b = self._contribution(node, i, flo), self._contribution(node, i, fhi)
+            later.append((min(a, b), max(a, b)))
+        contrib = None if weights is None else self.spec.table("mul_p", weights[pos - 1])
+        rng = walk_window(self.spec, kind, acc, t, contrib, later, clo, chi)
         if rng is None:
             return
-        for v in range(max(rng[0], clo), min(rng[1], chi) + 1):
+        for v in range(rng[0], rng[1] + 1):
             yield ("walk_step", v)
-
-    def _acc_window(self, t: tuple[int, int], remaining: int, clo: int, chi: int) -> tuple[int, int]:
-        """Accumulator values from which the target interval stays reachable."""
-        m = self.spec.max_payload
-        t_lo, t_hi = t
-        if clo > 0 and t_hi == m:
-            hi = m
-        else:
-            hi = t_hi - remaining * clo
-        if chi < 0 and t_lo == -m:
-            lo = -m
-        else:
-            lo = t_lo - remaining * chi
-        return max(lo, -m), min(hi, m)
 
     def apply(self, st: _State, alternative):
         kind = alternative[0]

@@ -252,6 +252,17 @@ class TestJson:
         assert model.input_features == ("x1",)
         assert model.output_features == ("y1", "y2")
 
+    @pytest.mark.parametrize("layers", [False, True])
+    def test_input_dim_checked_against_the_network_before_naming(self, layers):
+        # the default names x1 ... xN are made only for an N the network takes:
+        # half the first combination's width, or the output network's width
+        doc = gnn_to_json(message_model() if layers else GnnModel(SAT7, (), Fnn.identity(1, SAT7), ("x1",), ("y1",)))
+        del doc["features"]
+        doc["input_dim"] = 3
+        with pytest.raises(SchemaError, match="input_dim 3 disagrees with the network's input width 1") as err:
+            gnn_from_json(doc)
+        assert err.value.path == "$.input_dim"
+
 
 class TestLinIneq:
     def test_eval_in_declared_order(self):

@@ -93,3 +93,15 @@ def test_byte_spread_is_the_index_gather(monkeypatch):
                     x = bytes(range(n**r))
                     gathered = bytes(search._spread(list(x), support, union))
                     assert semantics._spread_lanes(x, support, union, n) == gathered, (support, union)
+
+
+@pytest.mark.parametrize("arith", SPECS[2:])
+def test_list_sums_read_one_add_table(arith):
+    # a scalar plus a list column, and a sum's fold step over profile payloads,
+    # shift the list and read the ("add_p", 0) table: no table per addend
+    spec = ArithmeticSpec.parse(arith)
+    before = set(spec._tables)
+    f = parse(f"mean(agg(x1) + x1) = {spec.format_payload(7)} and agg(x1 + 3) >= 0", spec)
+    semantics.brute_force_sat(f, 2, max_steps=50_000)
+    added = set(spec._tables) - before
+    assert not [key for key in added if key[0] == "add_p" and key[1] != 0], sorted(added)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,10 +16,9 @@ from gnncheck.tableau import (
     Valid,
     _Search,
     _State,
-    max_walk_window,
     solve,
     verify_lvp,
-    weighted_walk_window,
+    walk_window,
 )
 
 from conftest import FIX32_4, SAT7, message_instance, message_model, two_layer_instance
@@ -266,8 +266,16 @@ class TestDifferential:
         assert all(r.agree for r in results), [r for r in results if not r.agree][:3]
 
 
-# Reference copies of the value scans that max_walk_window and
-# weighted_walk_window replace in the tableau's successor walk.
+# walk_window is the tableau's one rule for which values the next successor
+# of an aggregation walk may take.  It is checked four ways: against a linear
+# scan of the same rule (for its binary search), by brute force over the
+# later successors' values (exact for sum, mean and max; for weighted, where
+# rounding skips products, it holds every reachable value), and against
+# reference copies of the three rules it replaced: scan_weighted, the
+# accumulator window of sum and mean (acc_window), and scan_max where the
+# candidates lie in the later successors' range or none follows, as they do in
+# the tableau (its candidates and the later successors' values are cut to the
+# child's structural range).
 
 
 def scan_max(acc, target, remaining, clo, chi, flo, fhi):
@@ -306,35 +314,156 @@ def scan_weighted(spec, acc, target, w, contribs, clo, chi):
     return out
 
 
-def window_values(rng, clo, chi):
+def acc_window(spec, t, remaining, flo, fhi):
+    """Accumulator values from which t stays reachable when each of the
+    remaining successors adds a value in [flo, fhi]."""
+    m = spec.max_payload
+    t_lo, t_hi = t
+    hi = m if flo > 0 and t_hi == m else t_hi - remaining * flo
+    lo = -m if fhi < 0 and t_lo == -m else t_lo - remaining * fhi
+    return max(lo, -m), min(hi, m)
+
+
+def scan_acc_window(spec, acc, t, remaining, clo, chi, flo, fhi):
+    rng = spec.add_preimage(acc, *acc_window(spec, t, remaining, flo, fhi))
     return [] if rng is None else list(range(max(rng[0], clo), min(rng[1], chi) + 1))
 
 
+def scan_rule(spec, kind, acc, t, contrib, later, clo, chi):
+    """walk_window's rule, value by value."""
+    out = []
+    for v in range(clo, chi + 1):
+        lo = hi = spec.fold_step(kind, acc, v if contrib is None else contrib[v])
+        for c_lo, c_hi in later:
+            lo, hi = spec.fold_step(kind, lo, c_lo), spec.fold_step(kind, hi, c_hi)
+        if lo <= t[1] and hi >= t[0]:
+            out.append(v)
+    return out
+
+
+def window(spec, kind, acc, t, contrib, later, clo, chi):
+    rng = walk_window(spec, kind, acc, t, contrib, later, clo, chi)
+    return [] if rng is None else list(range(rng[0], rng[1] + 1))
+
+
 def new_max(spec, acc, target, remaining, clo, chi, flo, fhi):
-    reach_later = remaining >= 1 and flo <= target <= fhi
-    return window_values(max_walk_window(spec, acc, target, reach_later), clo, chi)
+    return window(spec, "max", acc, (target, target), None, [(flo, fhi)] * remaining, clo, chi)
 
 
 def new_weighted(spec, acc, target, w, contribs, clo, chi):
-    return window_values(weighted_walk_window(spec, acc, target, w, contribs, clo, chi), clo, chi)
+    return window(spec, "weighted", acc, (target, target), spec.table("mul_p", w), contribs, clo, chi)
+
+
+def reachable_values(spec, kind, acc, arity, target, weights, remaining, flo, fhi):
+    """The next successor's values from which some values in [flo, fhi] of
+    the remaining successors make the fold end at target."""
+    out = set()
+    for v in spec.values_p():
+        for us in itertools.product(range(flo, fhi + 1), repeat=remaining):
+            x = acc
+            for i, u in enumerate((v, *us)):
+                x = spec.fold_step(kind, x, u if weights is None else spec.mul_p(weights[i], u))
+            if spec.fold_finish(kind, x, arity) == target:
+                out.add(v)
+                break
+    return out
 
 
 def intervals(values):
     return [(lo, hi) for lo in values for hi in values if lo <= hi]
 
 
+def walk_inputs(spec, kind):
+    """(acc, t, contrib) of a walk step: acc None only for max's first
+    successor, t a target or, for mean, the sums that divide to one."""
+    vals = list(spec.values_p())
+    accs = [None] + vals if kind == "max" else vals
+    if kind == "mean":
+        ts = sorted({spec.div_preimage(k, n) for k in vals for n in (1, 2, 3)} - {None})
+    else:
+        ts = [(k, k) for k in vals]
+    contribs = [spec.table("mul_p", w) for w in vals] if kind == "weighted" else [None]
+    return list(itertools.product(accs, ts, contribs))
+
+
+KINDS = ("sum", "mean", "max", "weighted")
 SAT3 = ArithmeticSpec.satint(3)
 FIX5_1 = ArithmeticSpec.fixed(5, 1)
 
 
 class TestWalkWindows:
+    def test_matches_linear_scan_satint3(self):
+        vals = list(SAT3.values_p())
+        spans = intervals(vals)
+        later_sets = [[]] + [[c] for c in spans] + [[c, d] for c in spans[::5] for d in spans[::4]]
+        for kind in KINDS:
+            for (acc, t, contrib), later in itertools.product(walk_inputs(SAT3, kind), later_sets):
+                for clo, chi in spans if not later else spans[::3] if len(later) == 1 else [(-3, 3), (-1, 2)]:
+                    args = (SAT3, kind, acc, t, contrib, later, clo, chi)
+                    assert window(*args) == scan_rule(*args), args[1:]
+
+    def test_matches_linear_scan_fixed5_1_sampled(self):
+        rng = random.Random(7)
+        vals = list(FIX5_1.values_p())
+        for kind in KINDS:
+            inputs = walk_inputs(FIX5_1, kind)
+            for _ in range(1500):
+                acc, t, contrib = rng.choice(inputs)
+                later = [tuple(sorted(rng.choices(vals, k=2))) for _ in range(rng.randint(0, 2))]
+                clo, chi = sorted(rng.choices(vals, k=2))
+                args = (FIX5_1, kind, acc, t, contrib, later, clo, chi)
+                assert window(*args) == scan_rule(*args), args[1:]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_brute_force_over_later_values(self, kind):
+        # later successors take every value in [flo, fhi]; their contributions
+        # enter walk_window as the tableau builds them
+        spec, m = SAT3, SAT3.max_payload
+        vals = list(spec.values_p())
+        weight_rows = [(w, *ws) for w in vals for ws in ((-3, 2), (1, -2))] if kind == "weighted" else [None]
+        for acc, target, remaining, weights in itertools.product(
+            [None] + vals if kind == "max" else vals, vals, (0, 1, 2), weight_rows
+        ):
+            arity = (acc is not None) + 1 + remaining
+            t = spec.div_preimage(target, arity) if kind == "mean" else (target, target)
+            for flo, fhi in intervals(vals)[:: 1 if remaining < 2 else 3]:
+                reachable = reachable_values(spec, kind, acc, arity, target, weights, remaining, flo, fhi)
+                if t is None:
+                    assert not reachable
+                    continue
+                if weights is None:
+                    contrib, later = None, [(flo, fhi)] * remaining
+                else:
+                    contrib = spec.table("mul_p", weights[0])
+                    later = [tuple(sorted((spec.mul_p(w, flo), spec.mul_p(w, fhi)))) for w in weights[1 : 1 + remaining]]
+                found = set(window(spec, kind, acc, t, contrib, later, -m, m))
+                args = (kind, acc, target, remaining, flo, fhi, weights)
+                if kind == "weighted":
+                    assert reachable <= found, args
+                else:
+                    assert reachable == found, args
+
+    @pytest.mark.parametrize("kind", ["sum", "mean"])
+    def test_sum_and_mean_match_acc_window(self, kind):
+        vals = list(SAT3.values_p())
+        spans = intervals(vals)
+        for (acc, t, _), remaining in itertools.product(walk_inputs(SAT3, kind), (0, 1, 2)):
+            for flo, fhi in spans:
+                for clo, chi in spans[::3] + [(flo, fhi)]:
+                    args = (acc, t, remaining, clo, chi, flo, fhi)
+                    assert window(SAT3, kind, acc, t, None, [(flo, fhi)] * remaining, clo, chi) == scan_acc_window(
+                        SAT3, *args
+                    ), args
+
     def test_max_matches_scan_satint3(self):
         vals = list(SAT3.values_p())
         for acc in [None] + vals:
             for target in vals:
-                for remaining in (0, 1):
+                for remaining in (0, 1, 2):
                     for clo, chi in intervals(vals):
                         for flo, fhi in intervals(vals):
+                            if remaining and not flo <= clo <= chi <= fhi:
+                                continue
                             args = (acc, target, remaining, clo, chi, flo, fhi)
                             assert new_max(SAT3, *args) == scan_max(*args), args
 
@@ -346,8 +475,11 @@ class TestWalkWindows:
             for target in vals:
                 for remaining in (0, 1):
                     for clo, chi in spans + [(target, target), (target - 1, target + 1)]:
+                        clo, chi = max(clo, -m), min(chi, m)
                         for flo, fhi in spans:
-                            args = (acc, target, remaining, max(clo, -m), min(chi, m), flo, fhi)
+                            if remaining and not flo <= clo <= chi <= fhi:
+                                continue
+                            args = (acc, target, remaining, clo, chi, flo, fhi)
                             assert new_max(FIX5_1, *args) == scan_max(*args), args
 
     def test_weighted_matches_scan_satint3(self):

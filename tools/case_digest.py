@@ -1,0 +1,100 @@
+"""Print one sha256 per benchmark workload over the cases of seeds 0-15.
+
+Run from the root of a checkout:
+
+    python3 tools/case_digest.py
+
+The cases are those ``lvpbench/workloads.py`` generates for a 20-second run
+of ``lvpbench/run.py``, decided under the same limits.  Per ``lvp-grid`` case
+the digest covers the verdict, ``Valid.by``, the ``Unknown`` reason, the
+ticks the budget was charged, and the counterexample's graph JSON with its
+outputs.  Per ``fuzz-oracle`` case it covers the tableau's and the oracle's
+verdicts, the tableau's ticks, the oracle's steps and both models' graph
+JSON.  Two checkouts that print the same digests decide every case alike,
+with the same models, at the same cost in ticks and steps.  It uses the
+standard library only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib
+import json
+import sys
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "lvpbench")]
+
+from workloads import SAFETY_S, WORKLOADS  # noqa: E402
+
+SEEDS = range(0, 16)
+SECONDS = 20  # the benchmark's run length; it sets the number of cases per seed
+MODULES = ("arith", "formula", "graph", "semantics", "gnn", "compile", "tableau", "fuzz")
+
+
+def import_program() -> types.SimpleNamespace:
+    """The program's modules, with every budget they make recorded in order."""
+    p = types.SimpleNamespace(**{name: importlib.import_module(f"gnncheck.{name}") for name in MODULES})
+    p.budgets = []
+
+    class RecordedBudget(p.semantics.Budget):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            p.budgets.append(self)
+
+    p.semantics.Budget = p.tableau.Budget = RecordedBudget
+    return p
+
+
+def verdict(v) -> list:
+    """The verdict's class with its reason or phase, if any."""
+    return [type(v).__name__, getattr(v, "reason", None), getattr(v, "by", None)]
+
+
+def graph_json(p, pointed) -> dict:
+    return p.graph.save_json(pointed.graph, pointed.point)
+
+
+def lvp_grid_case(p, w, case) -> list:
+    inst = p.gnn.lvp_from_json(json.loads(case.text))
+    v = p.tableau.verify_lvp(inst, p.tableau.SolveLimits(time_limit=SAFETY_S, max_terms=w.max_terms))
+    record = [verdict(v), p.budgets[-1].ticks]
+    if isinstance(v, p.tableau.Invalid):
+        record += [graph_json(p, v.counterexample), [o.payload for o in v.outputs]]
+    return record
+
+
+def fuzz_oracle_case(p, w, case) -> list:
+    spec = p.arith.ArithmeticSpec.parse(case.meta["arith"])
+    delta = case.meta["delta"]
+    f = p.formula.parse(case.text, spec)
+    limits = p.tableau.SolveLimits(time_limit=SAFETY_S, max_terms=w.max_terms)
+    record = []
+    for solve in (
+        lambda: p.tableau.solve(f, p.gnn.DeltaMode.unary(delta), limits),
+        lambda: p.semantics.brute_force_sat(f, delta, max_steps=w.oracle_steps, time_limit=SAFETY_S),
+    ):
+        v = solve()
+        record += [verdict(v), p.budgets[-1].ticks]
+        if isinstance(v, p.semantics.Sat):
+            record.append(graph_json(p, v.model))
+    return record
+
+
+def main() -> int:
+    p = import_program()
+    for name, decide in (("lvp-grid", lvp_grid_case), ("fuzz-oracle", fuzz_oracle_case)):
+        w = WORKLOADS[name]
+        digest, n = hashlib.sha256(), max(100, round(w.per_second * SECONDS))
+        for seed in SEEDS:
+            for i in range(n):
+                case = w.make_case(p, seed, i)
+                digest.update(json.dumps([seed, i, decide(p, w, case)], sort_keys=True).encode() + b"\n")
+        print(f"{name} {digest.hexdigest()} ({len(SEEDS)} seeds x {n} cases)", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

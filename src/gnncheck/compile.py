@@ -6,6 +6,13 @@ products, zero biases, unit coefficients and identity activations are
 dropped.  Each dropped construct is exact in the arithmetic (0*x = 0,
 v + 0 = v, 1*v = v, id(v) = v), so evaluation of the canonical chain is
 bit-identical to the dense fold used by the forward evaluator.
+
+A compiled formula declares the whole instance: the model's input and
+output features, and the network's weight cap (``GnnModel.weight_cap``)
+as its own ``weight_cap``.  Dropping zero-weight products can leave a
+weighted layer with no aggregation in the formula, and the cap still
+holds, so every engine that reads the formula keeps the arity rule
+``gnn_eval`` enforces.
 """
 
 from __future__ import annotations
@@ -109,7 +116,10 @@ def compile_generalized(model: GnnModel, pre: Formula, post: Formula) -> Compile
 
 def _compiled(arena: Arena, root: int, model: GnnModel, outputs: tuple[str, ...]) -> CompiledInstance:
     """The formula at root, declaring the model's inputs and outputs besides
-    the features it mentions: one walk of the DAG, the formula's own."""
+    the features it mentions, and the smaller of its own weight cap and the
+    network's: one walk of the DAG, the formula's own."""
     formula = Formula(arena, root)
     formula.features = tuple(sorted(set(model.input_features) | set(outputs) | set(formula.features)))
+    caps = (formula.weight_cap, model.weight_cap)
+    formula.weight_cap = min((cap for cap in caps if cap is not None), default=None)
     return CompiledInstance(formula)

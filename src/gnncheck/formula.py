@@ -216,7 +216,9 @@ class Formula:
     changed once interned, so what a fixed root reaches stays the same when
     the arena grows.  ``weight_cap`` is the fewest weights of any weighted
     aggregation (``arith.weight_cap``), or None: no node of a model may have
-    more successors, whichever subformula it evaluates.
+    more successors, whichever subformula it evaluates.  A compiled formula
+    declares the smaller of that and the network's weight cap, which holds
+    even where no weighted aggregation is left in the formula.
     """
 
     arena: Arena

@@ -952,9 +952,10 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
        ``box_price`` ticks a box and at most ``MAX_BOXES`` boxes, the root
        counted as the first: ``Valid("split")``;
     4. up to ``EXTRA_ROUNDS`` more sampling rounds from the same generator;
-    5. the tableau, under δ capped at the network's weight cap
-       (``_network_delta``), the one ``gnn_eval`` enforces; its ``Unsat``
-       is ``Valid("tableau")``.
+    5. the tableau on the compiled formula under the instance's δ; the
+       formula declares the network's weight cap, the arity rule
+       ``gnn_eval`` enforces, so no model it finds breaks that rule.  Its
+       ``Unsat`` is ``Valid("tableau")``.
 
     A sampled counterexample's outputs come from the forward core
     (``gnn.gnn_eval_p``) on the drawn tree, a tableau model's from
@@ -979,7 +980,7 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
         hit = sampler.round()
         if hit is not None:
             return _checked_invalid(instance, compiled, *hit)
-    verdict = solve(compiled.formula, _network_delta(instance), limits, _budget=budget)
+    verdict = solve(compiled.formula, instance.delta, limits, _budget=budget)
     if isinstance(verdict, Unknown):
         return verdict
     if isinstance(verdict, Unsat):
@@ -992,20 +993,6 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
         LabeledGraph(instance.model.spec, inputs, graph.nodes, graph.edges, labels), model.point
     )
     return _checked_invalid(instance, compiled, projected, gnn_eval(instance.model, projected))
-
-
-def _network_delta(instance: LvpInstance) -> DeltaMode:
-    """The instance's δ, capped at the network's weight cap: ``gnn_eval``
-    rejects a node with more successors than that, so no counterexample has
-    one.  The search caps δ at the compiled formula's own weight cap as
-    well, but the compiler drops zero-weight products, so a weighted layer
-    can leave no aggregation in the formula and only this cap keeps it.  A
-    capped ``inf`` becomes ``binary``, which the tableau, as for ``inf``,
-    also bounds by its own combinatorial cap."""
-    delta, cap = instance.delta, instance.model.weight_cap
-    if cap is None or (delta.value is not None and delta.value <= cap):
-        return delta
-    return DeltaMode("binary" if delta.kind == "inf" else delta.kind, cap)
 
 
 def _checked_invalid(instance: LvpInstance, compiled: CompiledInstance, pointed: PointedGraph, outputs: list[Value]) -> Invalid:

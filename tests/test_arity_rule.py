@@ -7,6 +7,10 @@ operands of ``and`` and ``or``.  ``fuzz.random_formula`` gives every weighted
 aggregation exactly δ weights, so no cap binds on its formulas; the cases
 here rebuild them with shorter weight vectors, a sum aggregation around each
 weighted one, and every connective's operands swapped.
+
+A compiled formula declares the network's weight cap as its own, so the rule
+holds through compilation even where the compiler drops a weighted layer's
+every product and leaves no weighted aggregation in the formula.
 """
 
 import random
@@ -14,15 +18,17 @@ import random
 import pytest
 
 from gnncheck.arith import ArithmeticSpec
+from gnncheck.compile import compile_generalized, compile_lvp
 from gnncheck.errors import UsageError
 from gnncheck.formula import Arena, Formula, _rebuild, parse
 from gnncheck.fuzz import random_formula
-from gnncheck.gnn import DeltaMode
+from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnLayer, GnnModel, LinIneq, LvpInstance
 from gnncheck.graph import LabeledGraph
 from gnncheck.semantics import Sat, Unknown, Unsat, brute_force_sat, check
-from gnncheck.tableau import SolveLimits, solve
+from gnncheck.tableau import SolveLimits, Valid, solve, verify_lvp
 
 SAT3 = ArithmeticSpec.satint(3)
+SAT7 = ArithmeticSpec.satint(7)
 
 
 def verdicts(f, delta, max_arity=None):
@@ -140,3 +146,38 @@ def test_rebuilt_fuzz_cases_agree_across_engines_and_operand_orders():
         for graph in graphs:
             assert outcome(graph, pair[0]) == outcome(graph, pair[1]), i
     assert capped >= 10 and decided >= 30, (capped, decided)
+
+
+def dropped_weighted_instance():
+    """y1 is t = truncrelu(x1), in [0, 1], at the point plus the sum of t
+    over the point's successors.  The first layer is weighted with one
+    weight, and its combination ignores the aggregation, so compiling drops
+    that layer's only aggregation.  gnn_eval still gives no node two
+    successors, so y1 <= 2 holds (L_out is -y1 >= -2), while a point with
+    two successors, which δ 2 allows, would reach y1 = 3."""
+    model = GnnModel(
+        SAT7,
+        (
+            GnnLayer("weighted", Fnn((FnnLayer(((1, 0),), (0,), ("truncrelu",)),)), (1,)),
+            GnnLayer("sum", Fnn((FnnLayer(((1, 1),), (0,), ("id",)),))),
+        ),
+        Fnn((FnnLayer(((1,),), (0,), ("id",)),)),
+        ("x1",),
+        ("y1",),
+    )
+    return LvpInstance(model, (), (LinIneq((("y1", -1),), -2),), DeltaMode.unary(2))
+
+
+def test_a_compiled_formula_declares_the_networks_weight_cap():
+    instance = dropped_weighted_instance()
+    model = instance.model
+    pre, post = parse("true", SAT7), parse("-1*y1 >= -2", SAT7)
+    for formula in (compile_lvp(instance).formula, compile_generalized(model, pre, post).formula):
+        nodes = (formula.arena.expr(e) for e in formula.eids)
+        assert not any(node[0] == "agg" and node[1] == "weighted" for node in nodes)
+        assert formula.weight_cap == model.weight_cap == 1
+        assert brute_force_sat(formula, 2) == Unsat()
+    assert verify_lvp(instance) == Valid("tableau")
+    formula = compile_lvp(instance).formula
+    with pytest.raises(UsageError, match="1 weights for 2 successors"):
+        check(star(SAT7, formula.features, 2), "v", formula)

@@ -32,7 +32,7 @@ from gnncheck.gnn import (
 )
 from gnncheck.graph import LabeledGraph
 from gnncheck.semantics import Budget, Sat, Unknown, Unsat, brute_force_sat, check
-from gnncheck.tableau import Invalid, SolveLimits, Valid, _network_delta, verify_lvp
+from gnncheck.tableau import Invalid, SolveLimits, Valid, verify_lvp
 
 from test_compile import random_model
 from test_falsify import KINDS, deep_sum_instance, first_round, random_instance, relational_instance, split_instance
@@ -87,7 +87,7 @@ def test_the_oracle_never_satisfies_a_split_valid():
                     continue
                 proved += 1
                 formula = compile_lvp(dataclasses.replace(instance, l_out=(LinIneq(((y, c),), k),))).formula
-                verdict = brute_force_sat(formula, _network_delta(instance).value, max_steps=50_000)
+                verdict = brute_force_sat(formula, instance.delta.value, max_steps=50_000)
                 assert not isinstance(verdict, Sat), (i, y, c, k)
                 unsat += isinstance(verdict, Unsat)
     assert proved >= 30 and unsat >= 15

@@ -4,9 +4,9 @@ Successor order is the edge-declaration order; since saturating addition is
 order sensitive, every fold over successors (logic semantics, GNN evaluation,
 the brute-force oracle) uses this one order.
 
-``tree`` builds the pointed trees the tableau and the sampler answer with,
-and names their nodes: "v" is the point, "v1" its first successor, "v1.2"
-that node's second.  The loaders share one rule for malformed input: a
+``tree`` builds the pointed trees all three engines answer with (the
+tableau, the brute-force oracle and the sampler) and names their nodes:
+"v" is the point, "v1" its first successor, "v1.2" that node's second.  The loaders share one rule for malformed input: a
 constructor's ``UsageError`` or ``ConfigError`` is a ``SchemaError`` at the
 JSON path of what it was built from (``at_path``), and a bad literal is one
 at the literal's path (``_parse_payload``).

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from .arith import ArithmeticSpec
 from .errors import UsageError
 from .formula import Arena, Formula, agg_depth, features_of
-from .graph import LabeledGraph, PointedGraph
+from .graph import LabeledGraph, PointedGraph, tree
 
 
 @dataclass
@@ -620,11 +620,11 @@ class _TreeSearch:
                     continue  # every state gives the profiles of the first
                 for prof, i in self._profiles(self._finalize(acc, arity)).items():
                     if prof not in out:
-                        out[prof] = (i, arity, kids)
+                        out[prof] = (i, kids)
         return out
 
     def search(self, depth: int):
-        """First (label index, arity, child profiles) whose root satisfies the
+        """First (label index, child profiles) whose root satisfies the
         formula; each state charges one step per label up to the one found."""
         levels: list[dict] = [self.level_profiles(None)]
         for _ in range(max(0, depth - 1)):
@@ -635,27 +635,19 @@ class _TreeSearch:
                 i = self._first_true(self._finalize(acc, arity))
                 if i is not None:
                     self._charge(i + 1)  # stops here when label i lies past the budget
-                    return (i, arity, kids), levels
+                    return (i, kids), levels
                 self._charge(self.n_labels)
         return None, levels
 
     def build_tree(self, witness, levels, depth: int) -> PointedGraph:
-        nodes: list[str] = []
-        edges: list[tuple[str, str]] = []
-        labels: dict[str, dict[str, int]] = {}
-        # pre-order from an explicit stack: a node, then its children's
-        # subtrees in order, each edge listed just before its child
-        stack = [(None, "v", witness, depth)]
-        while stack:
-            parent, name, (i, _, kids), level = stack.pop()
-            if parent is not None:
-                edges.append((parent, name))
-            nodes.append(name)
-            labels[name] = dict(zip(self.features, self.label(i)))
-            for pos in range(len(kids), 0, -1):
-                stack.append((name, f"{name}.{pos}", levels[level - 1][kids[pos - 1]], level - 1))
-        graph = LabeledGraph(self.spec, self.features, tuple(nodes), tuple(edges), labels)
-        return PointedGraph(graph, "v")
+        """The witness's tree (``graph.tree``): its nodes read breadth first,
+        each a (label index, child profiles) pair of its level."""
+        queue, counts, rows = [(witness, depth)], [], []
+        for (i, kids), level in queue:  # the queue grows as it is read
+            counts.append(len(kids))
+            rows.append(self.label(i))
+            queue += [(levels[level - 1][prof], level - 1) for prof in kids]
+        return tree(self.spec, self.features, counts, rows)
 
 
 def brute_force_sat(

@@ -323,21 +323,24 @@ def naive_sat_depth1(f, spec, delta):
 
 
 def recursive_build_tree(search, witness, levels, depth):
-    """The oracle's tree building as it was written before it looped: a
-    recursive pre-order, each edge listed just before its child's subtree."""
-    nodes, edges, labels = [], [], {}
+    """The labels of the witness's tree, by a recursive pre-order walk, each
+    keyed by its node's path of successor positions from the root, as a
+    tuple."""
+    labels = {}
 
-    def emit(name, wit, level):
-        i, _, kids = wit
-        nodes.append(name)
-        labels[name] = dict(zip(search.features, search.label(i)))
+    def emit(path, wit, level):
+        i, kids = wit
+        labels[path] = dict(zip(search.features, search.label(i)))
         for pos, prof in enumerate(kids, start=1):
-            child_name = f"{name}.{pos}"
-            edges.append((name, child_name))
-            emit(child_name, levels[level - 1][prof], level - 1)
+            emit(path + (pos,), levels[level - 1][prof], level - 1)
 
-    emit("v", witness, depth)
-    return nodes, edges, labels
+    emit((), witness, depth)
+    return labels
+
+
+def tree_name(path):
+    """The name ``graph.tree`` gives the node at path: "v", "v1", "v1.2"."""
+    return "v" + ".".join(map(str, path))
 
 
 def build_tree_cases():
@@ -353,6 +356,9 @@ def build_tree_cases():
 
 
 def test_build_tree_loop_matches_the_recursive_pre_order():
+    """The oracle's model is the recursive walk's tree with its nodes listed
+    breadth first, ordered by (depth, path), each edge listed as its child
+    is, and named as every engine names a tree's nodes."""
     built = 0
     for i, (f, delta) in enumerate(build_tree_cases()):
         search = semantics._TreeSearch(f, delta, semantics.Budget(20_000))
@@ -364,9 +370,11 @@ def test_build_tree_loop_matches_the_recursive_pre_order():
         if wit is None:
             continue
         model = search.build_tree(wit, levels, depth)
-        nodes, edges, labels = recursive_build_tree(search, wit, levels, depth)
+        labels = recursive_build_tree(search, wit, levels, depth)
+        order = sorted(labels, key=lambda path: (len(path), path))
         graph = model.graph
-        assert (graph.nodes, graph.edges, model.point) == (tuple(nodes), tuple(edges), "v"), i
-        assert list(graph.labels.items()) == list(labels.items()), i
+        assert graph.nodes == tuple(map(tree_name, order)) and model.point == "v", i
+        assert graph.edges == tuple((tree_name(p[:-1]), tree_name(p)) for p in order[1:]), i
+        assert list(graph.labels.items()) == [(tree_name(p), labels[p]) for p in order], i
         built += 1
     assert built >= 100

@@ -18,11 +18,11 @@ from .formula import parse as parse_formula
 from .formula import to_text
 from .fuzz import run_differential
 from .gnn import DeltaMode, LvpInstance, gnn_from_json, gnn_eval, lvp_from_json
-from .graph import _expect
+from .graph import PointedGraph, _expect
 from .graph import load_json as graph_from_json
 from .graph import save_json as graph_to_json
 from .graph import to_dot
-from .semantics import ORACLE_STEPS, Sat, Unknown, Unsat, brute_force_sat
+from .semantics import ORACLE_STEPS, Sat, Unsat, brute_force_sat
 from .tableau import Invalid, SolveLimits, Valid, solve, verify_lvp
 
 EXIT_POSITIVE = 0
@@ -184,8 +184,6 @@ def cmd_eval(args) -> int:
         point = args.point
     if point is None:
         raise GnnCheckError("the graph document has no point; pass --point")
-    from .graph import PointedGraph
-
     outputs = gnn_eval(model, PointedGraph(graph, point))
     if args.output == "json":
         print(json.dumps({name: str(v) for name, v in zip(model.output_features, outputs)}))

@@ -28,7 +28,6 @@ is bounded by the interpreter's recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .arith import ACTIVATIONS, ArithmeticSpec, weight_cap
 from .errors import FormulaSyntaxError, UsageError

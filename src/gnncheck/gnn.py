@@ -15,8 +15,8 @@ every piece (branch and bound), charging each box to a tick budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping, Sequence
 
 from .arith import ACTIVATIONS, ArithmeticSpec, Value, weight_cap
 from .errors import SchemaError, UsageError

@@ -1,5 +1,7 @@
-"""The runtime depends on the standard library alone."""
+"""The runtime depends on the standard library alone, and each of its modules
+imports only names it references."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -28,3 +30,28 @@ def test_imports_load_only_standard_library_modules():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == []
+
+
+def imported_names(tree):
+    """Each name an import statement of the module binds, but for
+    ``__future__`` imports, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_imported_name_is_referenced():
+    # __init__.py imports names only to re-export them
+    package = Path(gnncheck.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported_names(tree) if name not in used]
+    assert unused == []

@@ -6,10 +6,11 @@ the brute-force oracle) uses this one order.
 
 ``tree`` builds the pointed trees all three engines answer with (the
 tableau, the brute-force oracle and the sampler) and names their nodes:
-"v" is the point, "v1" its first successor, "v1.2" that node's second.  The loaders share one rule for malformed input: a
-constructor's ``UsageError`` or ``ConfigError`` is a ``SchemaError`` at the
-JSON path of what it was built from (``at_path``), and a bad literal is one
-at the literal's path (``_parse_payload``).
+"v" is the point, "v1" its first successor, "v1.2" that node's second.
+The loaders share one rule for malformed input: a constructor's
+``UsageError`` or ``ConfigError`` is a ``SchemaError`` at the JSON path of
+what it was built from (``at_path``), and a bad literal is one at the
+literal's path (``_parse_payload``).
 """
 
 from __future__ import annotations

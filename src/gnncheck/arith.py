@@ -69,6 +69,14 @@ def weight_cap(weight_vectors: Iterable[tuple[int, ...] | None]) -> int | None:
     return min((len(w) for w in weight_vectors if w is not None), default=None)
 
 
+def arity_bound(*caps: int | None) -> int | None:
+    """The most successors a node may have: the least of the caps that are
+    not None (δ's value, a weight cap, an engine's own), or None when there
+    is none.  A cap of 0 is a bound, not a missing one.  Every engine and
+    phase reads its arity bound here."""
+    return min((cap for cap in caps if cap is not None), default=None)
+
+
 # The tables of primitive results (``ArithmeticSpec.table``) of every spec
 # hold at most about this many entries in all: past it, each starts again.
 TABLE_ENTRIES = 1 << 16

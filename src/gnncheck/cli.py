@@ -7,6 +7,7 @@ input errors, 3 unknown (limits hit).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -54,17 +55,30 @@ def _time_limit(args) -> float | None:
 
 
 def _limits(args) -> SolveLimits:
-    return SolveLimits(time_limit=_time_limit(args), max_terms=args.term_limit, max_arity=args.max_arity)
+    return SolveLimits(time_limit=_time_limit(args), max_terms=args.term_limit)
+
+
+@contextlib.contextmanager
+def _file(path: str, mode: str = "r"):
+    """The file, open as UTF-8 text.  One that cannot be opened, read or
+    written (a directory, a missing directory), or is not UTF-8, is an input
+    error (exit 2), never a verdict's exit code."""
+    try:
+        with open(path, mode, encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise GnnCheckError(f"cannot {'read' if mode == 'r' else 'write'} {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise GnnCheckError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _load_doc(path: str) -> dict:
     """The JSON object in the file; every document the CLI reads is one."""
+    with _file(path) as handle:
+        text = handle.read()
     try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise GnnCheckError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an int past the digit limit
+        doc = json.loads(text)
+    except ValueError as exc:  # bad JSON, or an int past the digit limit
         raise GnnCheckError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("expected an object", "$")
@@ -75,7 +89,7 @@ def _read_formula(args):
     spec = ArithmeticSpec.parse(args.arith)
     text = args.formula
     if os.path.exists(text):
-        with open(text) as handle:
+        with _file(text) as handle:
             text = handle.read()
     return parse_formula(text, spec, default_activation=args.alpha)
 
@@ -91,7 +105,7 @@ def _print_graph(graph, point, out):
 
 def _emit_dot(args, graph, point):
     if getattr(args, "emit_dot", None):
-        with open(args.emit_dot, "w") as handle:
+        with _file(args.emit_dot, "w") as handle:
             handle.write(to_dot(graph, point))
 
 
@@ -198,7 +212,6 @@ def cmd_oracle_sat(args) -> int:
     verdict = brute_force_sat(
         formula,
         _delta_for_oracle(args.delta),
-        depth=args.depth,
         time_limit=limits.time_limit,
         max_steps=ORACLE_STEPS if limits.max_terms is None else limits.max_terms,
     )
@@ -239,7 +252,6 @@ def _add_common(parser, required=False):
         "counterexample sampling and the box split that run first), or steps of the brute-force "
         "search for oracle sat",
     )
-    parser.add_argument("--max-arity", type=int, default=None, help="practical cap on guessed arities")
     parser.add_argument("--output", choices=("text", "json"), default="text")
 
 
@@ -278,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     _add_common(p, required=True)
     p.add_argument("--alpha", default="relu", choices=("relu", "truncrelu", "id"))
-    p.add_argument("--depth", type=int, default=None, help="tree depth (defaults to the aggregation depth)")
     p.add_argument("--emit-dot", help="write the model as DOT")
     p.set_defaults(func=cmd_oracle_sat)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .arith import arity_bound
 from .errors import UsageError
 from .formula import Arena, Formula, features_of, import_formula
 from .gnn import Fnn, GnnModel, LinIneq, LvpInstance
@@ -120,6 +121,5 @@ def _compiled(arena: Arena, root: int, model: GnnModel, outputs: tuple[str, ...]
     network's: one walk of the DAG, the formula's own."""
     formula = Formula(arena, root)
     formula.features = tuple(sorted(set(model.input_features) | set(outputs) | set(formula.features)))
-    caps = (formula.weight_cap, model.weight_cap)
-    formula.weight_cap = min((cap for cap in caps if cap is not None), default=None)
+    formula.weight_cap = arity_bound(formula.weight_cap, model.weight_cap)
     return CompiledInstance(formula)

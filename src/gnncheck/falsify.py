@@ -46,7 +46,7 @@ import hashlib
 import json
 import random
 
-from .arith import ArithmeticSpec, Value
+from .arith import ArithmeticSpec, Value, arity_bound
 from .gnn import LvpInstance, eval_linineq, gnn_eval_p, lvp_to_json
 from .graph import PointedGraph, tree
 from .semantics import Budget
@@ -83,8 +83,7 @@ def instance_rng(instance: LvpInstance) -> random.Random:
 def arity_cap(instance: LvpInstance) -> int:
     """Largest arity sampled: within δ, ``MAX_SAMPLED_ARITY`` and the
     network's weight cap."""
-    caps = (instance.delta.value, instance.model.weight_cap, MAX_SAMPLED_ARITY)
-    return min(c for c in caps if c is not None)
+    return arity_bound(instance.delta.value, instance.model.weight_cap, MAX_SAMPLED_ARITY)
 
 
 def _payloads(bits, count: int, spec: ArithmeticSpec) -> list[int]:

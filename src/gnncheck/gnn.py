@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .arith import ACTIVATIONS, ArithmeticSpec, Value, weight_cap
+from .arith import ACTIVATIONS, ArithmeticSpec, Value, arity_bound, weight_cap
 from .errors import SchemaError, UsageError
 from .graph import PointedGraph, _expect, _parse_payload, at_path
 from .semantics import Budget
@@ -257,23 +257,23 @@ def last_fnns(model: GnnModel) -> tuple[Fnn, ...]:
     return (model.layers[-1].comb, model.out) if model.layers else (model.out,)
 
 
-def last_layer_box(model: GnnModel, point: Box, delta: DeltaMode) -> Box:
+def last_layer_box(model: GnnModel, point: Box, cap: int | None) -> Box:
     """The box of the inputs of ``last_fnns`` at a point whose input
-    features lie in ``point``, over every graph whose nodes have at most δ
-    successors.
+    features lie in ``point``, over every graph whose nodes have at most
+    ``cap`` successors (None: any number).
 
     Two boxes go through layers 1..L-1: the point's, and one that holds
     every node's state (the point's own, successors', on cycles and
     self-loops), which starts at [-M, M].  Layer l maps the point box
     through comb(point ++ agg(any)) and the any-node box through
     comb(any ++ agg(any)), where agg is ``ArithmeticSpec.agg_hull`` over
-    arities 0..δ.  The last layer's input box is point ++ agg(any).
+    arities 0..cap.  The last layer's input box is point ++ agg(any).
     """
     spec = model.spec
     m = spec.max_payload
     anywhere = [(-m, m)] * model.input_dim
     for l, layer in enumerate(model.layers):
-        agg = [spec.agg_hull(layer.agg_kind, lo, hi, delta.value, layer.agg_weights) for lo, hi in anywhere]
+        agg = [spec.agg_hull(layer.agg_kind, lo, hi, cap, layer.agg_weights) for lo, hi in anywhere]
         if l == len(model.layers) - 1:
             return point + agg
         anywhere, point = fnn_bounds(layer.comb, anywhere + agg, spec), fnn_bounds(layer.comb, point + agg, spec)
@@ -408,7 +408,8 @@ def _meets_l_out(instance: LvpInstance, out_box: Box) -> bool:
 
 class BoxSplit:
     """Branch and bound over the last layer's input box of one instance
-    (``last_layer_box`` over ``input_box``, the root).
+    (``last_layer_box`` over ``input_box`` with δ capped at the network's
+    weight cap, ``arith.arity_bound``: the root).
 
     Each box is mapped through the last FNNs with ``fnn_bounds``.  A box
     whose outputs meet L_out is done; one that does not is bisected at the
@@ -425,7 +426,8 @@ class BoxSplit:
         model = instance.model
         self.fnns = last_fnns(model)
         point = input_box(instance)
-        self.root = None if point is None else last_layer_box(model, point, instance.delta)
+        cap = arity_bound(instance.delta.value, model.weight_cap)
+        self.root = None if point is None else last_layer_box(model, point, cap)
         first = self.fnns[0].layers[0]
         self.read = [i for i in range(first.input_dim) if any(row[i] for row in first.weights)]
         self._root_meets: bool | None = None

@@ -37,7 +37,7 @@ import operator
 import time
 from dataclasses import dataclass
 
-from .arith import ArithmeticSpec
+from .arith import ArithmeticSpec, arity_bound
 from .errors import UsageError
 from .formula import Arena, Formula, agg_depth, features_of
 from .graph import LabeledGraph, PointedGraph, tree
@@ -55,7 +55,7 @@ class Unsat:
 
 @dataclass
 class Unknown:
-    reason: str  # "timeout" | "node-limit" | "depth-limit"
+    reason: str  # "timeout" (the deadline passed) | "node-limit" (the ticks or steps ran out)
 
 
 Verdict = Sat | Unsat | Unknown
@@ -307,7 +307,7 @@ class _TreeSearch:
         self.budget = budget
         fids, self.eids = f.fids, f.eids
         self.aggs: list[tuple] = []  # (eid, kind, child, weights)
-        self.delta = delta if f.weight_cap is None else min(delta, f.weight_cap)
+        self.delta = arity_bound(delta, f.weight_cap)
         self.n_labels = self.spec.n_values ** len(self.features)
         self.lanes = self.spec.max_payload <= LANE_PAYLOAD  # columns as bytes
         self.index_maps: dict[tuple, list[int]] = {}  # spreads and first labels, per supports
@@ -653,28 +653,26 @@ class _TreeSearch:
 def brute_force_sat(
     f: Formula,
     delta: int,
-    depth: int | None = None,
     *,
     max_steps: int | None = ORACLE_STEPS,
     time_limit: float | None = None,
 ) -> Verdict:
-    """Exhaustive satisfiability over labeled trees of bounded depth and arity.
+    """Exhaustive satisfiability over labeled trees of depth agg_depth(f)
+    whose nodes have at most ``arity_bound(delta, f.weight_cap)`` successors.
 
-    Complete for trees of depth agg_depth(f): a satisfiable formula always has
-    such a tree model, so Unsat verdicts are decisive.  When an explicit lower
-    depth is forced and no model is found the verdict is Unknown.
+    A satisfiable formula always has such a tree model, so Unsat verdicts
+    are decisive; Unknown says the steps or the time ran out.
     """
-    check_limits(time_limit, delta=delta, max_steps=max_steps, depth=depth)
-    needed = agg_depth(f)
-    d = needed if depth is None else depth
+    check_limits(time_limit, delta=delta, max_steps=max_steps)
+    depth = agg_depth(f)
     try:
         search = _TreeSearch(f, delta, Budget(max_steps, time_limit))
-        witness, levels = search.search(d)
+        witness, levels = search.search(depth)
     except LimitHit as hit:
         return Unknown(hit.reason)
     if witness is None:
-        return Unsat() if d >= needed else Unknown("depth-limit")
-    model = search.build_tree(witness, levels, d)
+        return Unsat()
+    model = search.build_tree(witness, levels, depth)
     if not check(model.graph, model.point, f):
         raise RuntimeError("oracle produced a model that fails its own formula")
     return Sat(model)

@@ -26,10 +26,11 @@ the search finds the same models in no more ticks.  Saturation keeps [-M, M]
 for aggregations not in the store.
 Aggregation constraints walk their successors incrementally with a running
 accumulator, which serves both the unary rule and the binary/unbounded rules;
-the arity modes differ only in the arity cap.  Every aggregation kind walks by
-one rule (``walk_window``): a successor's candidates are the values from which
-the lowest and highest completions, through the later successors' structural
-ranges, can still reach the aggregation's value.
+every mode is capped alike (``arith.arity_bound``): δ's encoding only sizes
+the input.  Every aggregation kind walks by one rule (``walk_window``): a
+successor's candidates are the values from which the lowest and highest
+completions, through the later successors' structural ranges, can still
+reach the aggregation's value.
 
 The search's work is counted in ticks: one per branch alternative tried, one
 per value assigned, and one per value newly derived into the store by forward
@@ -52,7 +53,7 @@ import bisect
 from collections import deque
 from dataclasses import dataclass
 
-from .arith import ArithmeticSpec, Value
+from .arith import ArithmeticSpec, Value, arity_bound
 from .compile import CompiledInstance, compile_lvp
 from .falsify import EXTRA_ROUNDS, Sampler
 from .formula import Arena, Formula
@@ -65,10 +66,9 @@ from .semantics import Budget, LimitHit, Sat, Unknown, Unsat, Verdict, check, ch
 class SolveLimits:
     time_limit: float | None = None
     max_terms: int | None = None
-    max_arity: int | None = None
 
     def __post_init__(self):
-        check_limits(self.time_limit, max_terms=self.max_terms, max_arity=self.max_arity)
+        check_limits(self.time_limit, max_terms=self.max_terms)
 
 
 @dataclass
@@ -147,7 +147,7 @@ def walk_window(spec: ArithmeticSpec, kind: str, acc: int | None, t: tuple[int, 
 
 
 class _Search:
-    def __init__(self, formula: Formula, delta: DeltaMode, budget: Budget, max_arity: int | None = None):
+    def __init__(self, formula: Formula, delta: DeltaMode, budget: Budget):
         self.formula = formula
         self.arena: Arena = formula.arena
         self.spec: ArithmeticSpec = formula.spec
@@ -166,22 +166,11 @@ class _Search:
         # of its successors 1, 2, ... in succs[n]
         self.stride = max(eids, default=0) + 1
         self.succs: list[list[int]] = [[]]
-        # arity cap: 2^n * |formula| successors always suffice for distinct
+        # arity cap: δ, the weight cap (no model has a node of more
+        # successors), and 2^n * |formula|, enough successors for distinct
         # summand combinations, so larger guesses are never needed
         combinatorial = (2 ** self.spec.bit_width) * (len(fids) + len(eids))
-        if delta.kind == "unary":
-            cap = delta.value
-        elif delta.kind == "binary":
-            cap = min(delta.value, combinatorial)
-        else:
-            cap = combinatorial
-        # the weight cap is semantic: no model has a node of more successors
-        if formula.weight_cap is not None:
-            cap = min(cap, formula.weight_cap)
-        self.cap_truncated = max_arity is not None and max_arity < cap
-        if self.cap_truncated:
-            cap = max_arity
-        self.arity_cap = cap
+        self.arity_cap = arity_bound(delta.value, formula.weight_cap, combinatorial)
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -912,23 +901,21 @@ def solve(
 ) -> Verdict:
     """Decide satisfiability; Sat verdicts carry a checked model.
 
-    When the practical arity cap truncates the search space of the requested
-    mode, an exhausted search is inconclusive rather than Unsat.  The search
-    charges a budget of ``limits.max_terms`` ticks and ``limits.time_limit``
-    seconds; ``verify_lvp`` passes instead, as ``_budget``, the one its
-    earlier phases charged.
+    A node has at most ``arity_bound(δ, formula.weight_cap, 2^n * |formula|)``
+    successors; the last cap loses no model, so an exhausted search is Unsat
+    whatever δ's encoding.  The search charges a budget of
+    ``limits.max_terms`` ticks and ``limits.time_limit`` seconds;
+    ``verify_lvp`` passes instead, as ``_budget``, the one its earlier
+    phases charged.
     """
     limits = limits or SolveLimits()
     budget = Budget(limits.max_terms, limits.time_limit) if _budget is None else _budget
-    search = _Search(formula, delta, budget, limits.max_arity)
+    search = _Search(formula, delta, budget)
     try:
         final = search.attempt(search.root_state())
     except LimitHit as hit:
         return Unknown(hit.reason)
     if final is None:
-        has_aggs = any(node[0] == "agg" for node in search.nodes.values())
-        if search.cap_truncated and has_aggs:
-            return Unknown("depth-limit")
         return Unsat()
     model = search.extract_model(final)
     if not check(model.graph, model.point, formula):

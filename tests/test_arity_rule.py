@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from gnncheck.arith import ArithmeticSpec
+from gnncheck.arith import ArithmeticSpec, arity_bound
 from gnncheck.compile import compile_generalized, compile_lvp
 from gnncheck.errors import UsageError
 from gnncheck.formula import Arena, Formula, _rebuild, parse
@@ -31,9 +31,18 @@ SAT3 = ArithmeticSpec.satint(3)
 SAT7 = ArithmeticSpec.satint(7)
 
 
-def verdicts(f, delta, max_arity=None):
+def test_the_arity_bound_is_the_least_cap_given():
+    # a cap of 0 is a bound, not a missing one
+    assert arity_bound(0, None) == 0
+    assert arity_bound(None, 0, 4) == 0
+    assert arity_bound(3, None, 1) == 1
+    assert arity_bound(None, None) is None
+    assert arity_bound() is None
+
+
+def verdicts(f, delta):
     """The verdicts of solve under unary and binary δ, and of the oracle."""
-    limits = SolveLimits(max_terms=20_000, max_arity=max_arity)
+    limits = SolveLimits(max_terms=20_000)
     return [
         solve(f, DeltaMode.unary(delta), limits),
         solve(f, DeltaMode.binary(delta), limits),
@@ -57,19 +66,18 @@ def star(spec, features, arity):
 
 
 REPRODUCTIONS = [
-    ("agg(agg(1)) = 2 and wagg[1](x1) >= -3", 2, None),
-    ("(x1 >= 0 or wagg[1](x1) >= 0) and agg(1) = 2", 2, None),
-    ("(wagg[1](x1) >= 0 or x1 >= 0) and agg(1) = 2", 2, None),
-    # max_arity=1 is the weight cap, so it truncates nothing
-    ("wagg[1](x1) = 2 and agg(1) = 2", 3, 1),
+    ("agg(agg(1)) = 2 and wagg[1](x1) >= -3", 2),
+    ("(x1 >= 0 or wagg[1](x1) >= 0) and agg(1) = 2", 2),
+    ("(wagg[1](x1) >= 0 or x1 >= 0) and agg(1) = 2", 2),
+    ("wagg[1](x1) = 2 and agg(1) = 2", 3),
 ]
 
 
-@pytest.mark.parametrize("text,delta,max_arity", REPRODUCTIONS)
-def test_reproductions_are_unsat_for_every_engine(text, delta, max_arity):
+@pytest.mark.parametrize("text,delta", REPRODUCTIONS)
+def test_reproductions_are_unsat_for_every_engine(text, delta):
     f = parse(text, SAT3)
     assert f.weight_cap == 1
-    assert all(isinstance(v, Unsat) for v in verdicts(f, delta, max_arity)), verdicts(f, delta, max_arity)
+    assert all(isinstance(v, Unsat) for v in verdicts(f, delta)), verdicts(f, delta)
 
 
 def test_check_refuses_a_node_past_the_cap_whatever_the_operand_order():
@@ -154,7 +162,9 @@ def dropped_weighted_instance():
     weight, and its combination ignores the aggregation, so compiling drops
     that layer's only aggregation.  gnn_eval still gives no node two
     successors, so y1 <= 2 holds (L_out is -y1 >= -2), while a point with
-    two successors, which δ 2 allows, would reach y1 = 3."""
+    two successors, which δ 2 allows, would reach y1 = 3.  The interval
+    pass bounds the sum over the network's arity bound, one successor, so
+    it proves y1 <= 2 before the tableau runs."""
     model = GnnModel(
         SAT7,
         (
@@ -177,7 +187,11 @@ def test_a_compiled_formula_declares_the_networks_weight_cap():
         assert not any(node[0] == "agg" and node[1] == "weighted" for node in nodes)
         assert formula.weight_cap == model.weight_cap == 1
         assert brute_force_sat(formula, 2) == Unsat()
-    assert verify_lvp(instance) == Valid("tableau")
+    assert verify_lvp(instance) == Valid("bounds")
+    # verify_lvp no longer reaches the tableau here, so ask it directly
+    for delta in (DeltaMode.unary(2), DeltaMode.binary(2), DeltaMode.infinite()):
+        formula = compile_lvp(LvpInstance(model, (), instance.l_out, delta)).formula
+        assert solve(formula, delta, SolveLimits(max_terms=100_000)) == Unsat(), delta
     formula = compile_lvp(instance).formula
     with pytest.raises(UsageError, match="1 weights for 2 successors"):
         check(star(SAT7, formula.features, 2), "v", formula)

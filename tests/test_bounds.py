@@ -10,7 +10,7 @@ through ``fold_start``/``fold_step``/``fold_finish``, outputs through
 import itertools
 import random
 
-from gnncheck.arith import ArithmeticSpec
+from gnncheck.arith import ArithmeticSpec, arity_bound
 from gnncheck.compile import compile_lvp
 from gnncheck.gnn import (
     BoxSplit,
@@ -161,7 +161,7 @@ def test_every_output_lies_in_the_box():
         point = input_box(instance)
         if point is None:
             continue
-        box = last_layer_box(instance.model, point, delta)
+        box = last_layer_box(instance.model, point, arity_bound(delta.value, instance.model.weight_cap))
         for fnn in last_fnns(instance.model):
             box = fnn_bounds(fnn, box, spec)
         boxes += 1
@@ -208,31 +208,37 @@ def sum_sum_weighted_model():
 
 
 def test_weighted_cap_is_per_layer():
-    """The hull of each layer is taken over arities up to δ, or up to that
-    layer's weight count, not up to the fewest weights of any layer.
-    ``gnn_eval`` gives no node more successors than the weighted layer's one
-    weight, so this box is wider than the outputs can reach (y1 <= 1 holds,
-    as the next test shows), but it is sound: the per-layer hull
-    over-approximates the network's one arity rule."""
+    """``last_layer_box`` takes each layer's hull over arities up to the
+    cap it is given, or up to that layer's own weight count.  Given δ alone
+    it bounds y1 by 3, though ``gnn_eval`` gives no node more successors
+    than the weighted layer's one weight.  ``BoxSplit`` gives it δ capped at
+    the network's weight cap (``arith.arity_bound``), so the sum layers'
+    hulls are over one successor and y1 <= 1 holds on the whole box."""
     model = sum_sum_weighted_model()
-    # y1 is up to 3 when the successor may have 3 successors
     instance = LvpInstance(model, (), (LinIneq((("y1", -1),), -1),), DeltaMode.unary(3))
-    box = last_layer_box(model, input_box(instance), instance.delta)
-    for fnn in last_fnns(model):
-        box = fnn_bounds(fnn, box, model.spec)
-    assert box == [(0, 3)]
-    assert not BoxSplit(instance).bounds()
+
+    def output_box(cap):
+        box = last_layer_box(model, input_box(instance), cap)
+        for fnn in last_fnns(model):
+            box = fnn_bounds(fnn, box, model.spec)
+        return box
+
+    # y1 is up to 3 when the successor may have 3 successors
+    assert output_box(3) == [(0, 3)]
+    assert output_box(arity_bound(3, model.weight_cap)) == [(0, 1)]
+    assert BoxSplit(instance).bounds()
 
 
 def test_the_tableau_gives_no_node_more_successors_than_weights():
     """gnn_eval, and so the oracle, give no node more successors than the
-    weighted layer's one weight, so y1 <= 1 holds; the tableau must not
-    return a model whose successor has two, through verify_lvp or called
-    on the compiled formula under the instance's own δ."""
+    weighted layer's one weight, so y1 <= 1 holds.  verify_lvp's interval
+    pass proves it over that bound; the tableau, called on the compiled
+    formula under the instance's own δ, must not return a model whose
+    successor has two."""
     model = sum_sum_weighted_model()
     for delta in (DeltaMode.unary(3), DeltaMode.binary(3), DeltaMode.infinite()):
         instance = LvpInstance(model, (), (LinIneq((("y1", -1),), -1),), delta)
-        assert verify_lvp(instance, SolveLimits(max_terms=100_000)) == Valid("tableau"), delta
+        assert verify_lvp(instance, SolveLimits(max_terms=100_000)) == Valid("bounds"), delta
         assert solve(compile_lvp(instance).formula, delta, SolveLimits(max_terms=100_000)) == Unsat(), delta
     assert isinstance(brute_force_sat(compile_lvp(instance).formula, 3), Unsat)
 

@@ -223,12 +223,10 @@ class TestSat:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["sat", "x1>=0", "--arith", "satint:3", "--delta", "unary:1", "--max-arity", "-1"],
             ["sat", "x1>=0", "--arith", "satint:3", "--delta", "unary:1", "--term-limit", "-5"],
             ["oracle", "sat", "x1>=0", "--arith", "satint:3", "--delta", "unary:1", "--term-limit", "-5"],
             ["fuzz", "--cases", "-3"],
             ["fuzz", "--cases", "2", "--agg-depth", "-1"],
-            ["oracle", "sat", "x1 >= 0", "--arith", "satint:3", "--delta", "unary:2", "--depth", "-1"],
         ],
         ids=" ".join,
     )
@@ -236,6 +234,32 @@ class TestSat:
         # these used to run: exit 0, or 3 for a negative term limit
         assert main(argv) == 2
         assert "must be >= 0" in capsys.readouterr().err
+
+    def test_no_flag_truncates_the_arity_bound(self, capsys):
+        # --max-arity and oracle sat's --depth cut the search short of δ and
+        # the weight cap; both are gone, so argparse refuses them
+        for argv in (
+            ["sat", "agg(1) = 2", "--arith", "satint:3", "--delta", "unary:2", "--max-arity", "0"],
+            ["oracle", "sat", "agg(1) = 2", "--arith", "satint:3", "--delta", "unary:2", "--depth", "0"],
+        ):
+            assert main(argv) == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["a directory", "not utf-8", "dot into a missing directory"])
+    def test_a_file_that_cannot_be_read_or_written_exits_2(self, tmp_path, capsys, case):
+        # each used to raise out of main, and python -m exits 1 on an
+        # uncaught exception, which reads as unsat
+        argv = ["sat", "x1 >= 0", "--arith", "satint:3", "--delta", "unary:1"]
+        if case == "a directory":
+            argv[1] = str(tmp_path)
+        elif case == "not utf-8":
+            text = tmp_path / "q.lqg"
+            text.write_bytes(b"x1 >= 0 and \xff")
+            argv[1] = str(text)
+        else:
+            argv += ["--emit-dot", str(tmp_path / "missing" / "model.dot")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCompileEval:

@@ -154,18 +154,6 @@ class TestBruteForce:
         verdict = brute_force_sat(parse("x1 >= 0", FIX32_4), delta=1)
         assert isinstance(verdict, Unknown) and verdict.reason == "node-limit"
 
-    def test_depth_limit_yields_unknown(self):
-        f = parse("agg(1) = 2", SAT15)
-        verdict = brute_force_sat(f, delta=3, depth=0)
-        assert isinstance(verdict, Unknown)
-        assert verdict.reason == "depth-limit"
-
-    def test_negative_depth_is_refused(self):
-        # used to answer sat for x1 >= 0, and Unknown("depth-limit") for the aggregation
-        for text in ("x1 >= 0", "agg(x1) >= 1"):
-            with pytest.raises(UsageError, match="depth must be >= 0"):
-                brute_force_sat(parse(text, SAT15), delta=2, depth=-1)
-
     def test_monotone_in_delta(self):
         spec = ArithmeticSpec.satint(3)
         texts = ["agg(1) = 2", "agg(x1) >= 2", "agg(x1) = 3 and x1 >= 1", "maxagg(x1) = 2"]

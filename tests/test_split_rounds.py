@@ -9,7 +9,7 @@ import tracemalloc
 
 from gnncheck import falsify as falsify_mod
 from gnncheck import gnn as gnn_mod
-from gnncheck.arith import ArithmeticSpec
+from gnncheck.arith import ArithmeticSpec, arity_bound
 from gnncheck.compile import compile_lvp
 from gnncheck.falsify import EXTRA_ROUNDS, Sampler
 from gnncheck.gnn import (
@@ -58,11 +58,18 @@ def oracle_cases(count):
         yield LvpInstance(model, (LinIneq((("x1", 1),), rng.randint(-2, 2)),), (), delta)
 
 
+def root_box(instance):
+    """The last layer's input box over the instance's arity bound: δ capped
+    at the network's weight cap."""
+    model = instance.model
+    return last_layer_box(model, input_box(instance), arity_bound(instance.delta.value, model.weight_cap))
+
+
 def tightest_split_bound(instance, y, c):
     """The largest k for which the split proves c*y >= k and the output box
     does not, or None."""
     model = instance.model
-    box = last_layer_box(model, input_box(instance), instance.delta)
+    box = root_box(instance)
     for fnn in last_fnns(model):
         box = fnn_bounds(fnn, box, model.spec)
     lo, hi = dict(zip(model.output_features, box))[y]
@@ -112,7 +119,7 @@ def test_the_split_bisects_the_widest_dimension_depth_first_lower_half_first(mon
     instance = split_instance()
     boxes = recorded_boxes(monkeypatch, instance.model.layers[-1].comb)
     assert BoxSplit(instance).run(Budget()) == (True, len(boxes))
-    root = last_layer_box(instance.model, input_box(instance), instance.delta)
+    root = root_box(instance)
     # x1 and the sum over two successors both span [-7, 7], but the last
     # comb reads the sum with weight 0, so only x1 is split; y1 >= 0 holds
     # for x1 <= 0, and the upper half splits x1 again, lower half first
@@ -128,7 +135,7 @@ def test_verify_lvp_maps_the_root_box_once(monkeypatch):
     gives up and the tableau decides."""
     for instance in (split_instance(), relational_instance()):
         _, needed = BoxSplit(instance).run(Budget())
-        root = last_layer_box(instance.model, input_box(instance), instance.delta)
+        root = root_box(instance)
         with monkeypatch.context() as patched:
             boxes = recorded_boxes(patched, instance.model.layers[-1].comb)
             assert isinstance(verify_lvp(instance), Valid)

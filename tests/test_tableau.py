@@ -130,16 +130,9 @@ class TestSolve:
 
 
 class TestLimits:
-    def test_negative_max_arity_is_refused(self):
-        # it used to truncate every arity and report Unknown("depth-limit")
-        f = parse("agg(x1) >= -3", ArithmeticSpec.satint(3))
-        assert isinstance(solve(f, DeltaMode.unary(2), SolveLimits(max_arity=0)), Sat)
-        with pytest.raises(UsageError, match="max_arity"):
-            solve(f, DeltaMode.unary(2), SolveLimits(max_arity=-1))
-
     @pytest.mark.parametrize(
         "limits",
-        [{"time_limit": float("nan")}, {"time_limit": -1.0}, {"max_terms": -5}, {"max_arity": -1}],
+        [{"time_limit": float("nan")}, {"time_limit": -1.0}, {"max_terms": -5}],
         ids=repr,
     )
     def test_nan_or_negative_limits_are_refused(self, limits):
@@ -149,7 +142,7 @@ class TestLimits:
     def test_zero_limits_are_budgets(self):
         f = parse("x1 >= 0 and x2 >= 0", SAT7)
         assert solve(f, DeltaMode.unary(1), SolveLimits(max_terms=0)) == Unknown("node-limit")
-        assert isinstance(solve(f, DeltaMode.unary(1), SolveLimits(time_limit=0.0, max_arity=0)), Sat)
+        assert isinstance(solve(f, DeltaMode.unary(1), SolveLimits(time_limit=0.0)), Sat)
 
     @pytest.mark.parametrize("max_terms", range(0, 40, 3))
     def test_verify_leaves_the_tableau_valid_limits(self, msg_instance, max_terms):

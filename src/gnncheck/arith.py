@@ -9,13 +9,15 @@ Two families of value sets are supported:
 
 Internally every value is a scaled integer payload; all operations are exact
 integer arithmetic followed by round-to-nearest (ties away from zero) and a
-clamp.  Besides the forward operations and the aggregation fold with its
-interval hull over arities (``agg_hull``), this module provides the inverse
-interval services the tableau prunes its candidates with
-(``act_preimage_interval``, ``mul_preimage``, ``add_preimage``,
-``sum_left_window``, ``div_preimage``), and the inverse enumerators over
-``Value``: every stream is lazy, deterministic and yields exactly the
-witnessing values.
+clamp.  Besides the forward operations and the aggregation fold, this module
+holds every interval rule: the forward ones, the image of intervals under a
+primitive (``sum_image``, ``scale_image``, ``act_image``, ``row_image``, and
+``agg_hull`` over arities), which map an empty interval's ends like any
+other's (sum and act in place, scale sorted), and the backward ones the
+tableau prunes its candidates with (``act_preimage_interval``,
+``mul_preimage``, ``add_preimage``, ``sum_left_window``, ``div_preimage``).
+The inverse enumerators over ``Value`` are lazy, deterministic and yield
+exactly the witnessing values.
 
 Specs are interned, one per value set, and each keeps the tables of its
 primitives that both engines read (``ArithmeticSpec.table``).
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConfigError, UsageError
 
@@ -51,7 +53,8 @@ def _greatest(num: int, d: int, strict: bool) -> int:
     return -(-num // d) - 1 if strict else num // d
 
 
-def _intersect(a: Optional[tuple[int, int]], b: Optional[tuple[int, int]]) -> Optional[tuple[int, int]]:
+def intersect(a: Optional[tuple[int, int]], b: Optional[tuple[int, int]]) -> Optional[tuple[int, int]]:
+    """The payloads in both intervals, or None for none (None is the empty interval)."""
     if a is None or b is None:
         return None
     lo = max(a[0], b[0])
@@ -98,16 +101,11 @@ class _Table(dict):
         _filled_with(1)
         return out
 
-    def at_each(self, payloads: list[int]) -> list[int]:
-        """The results at each of payloads.  Those missing are filled in one
-        batch, which costs less than a ``__missing__`` call each."""
-        out = list(map(self.get, payloads))
-        if None in out:
-            missing = set(payloads).difference(self)
-            self.update(zip(missing, map(self.fn, missing)))
-            out = list(map(self.__getitem__, payloads))
-            _filled_with(len(missing))
-        return out
+    def at_each(self, payloads: Iterable[int]) -> list[int]:
+        """The results at each of payloads.  They are read once, so they may
+        be made on the fly (say the entrywise sums of two columns), and one
+        missing from the table is filled when first met."""
+        return list(map(self.__getitem__, payloads))
 
 
 def _filled_with(n: int) -> None:
@@ -288,6 +286,37 @@ class ArithmeticSpec:
             return self.div_p(acc, arity)
         return acc
 
+    # -- forward interval rules ----------------------------------------------
+    # The image of payload intervals (lo, hi) under a primitive.  Every
+    # primitive is monotone, so the image's ends are its values at the ends.
+    # An empty interval (lo > hi, from contradicting bounds) has no point to
+    # miss.  The one convention for it: sum_image and act_image map each end
+    # in place, so its order carries through, and scale_image sorts its ends.
+
+    def sum_image(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        """Image of add_p over the intervals a and b."""
+        m = self.max_payload
+        lo, hi = a[0] + b[0], a[1] + b[1]
+        return (-m if lo < -m else m if lo > m else lo, -m if hi < -m else m if hi > m else hi)
+
+    def scale_image(self, w: int, lo: int, hi: int) -> tuple[int, int]:
+        """Image of mul_p(w, .) over [lo, hi], its ends sorted."""
+        a, b = self.mul_p(w, lo), self.mul_p(w, hi)
+        return (a, b) if a <= b else (b, a)
+
+    def act_image(self, name: str, lo: int, hi: int) -> tuple[int, int]:
+        """Image of act_p(name, .) over [lo, hi], each end in place."""
+        return self.act_p(name, lo), self.act_p(name, hi)
+
+    def row_image(self, row: Sequence[int], box: Sequence[tuple[int, int]], bias: int = 0) -> tuple[int, int]:
+        """Image of a dense row over the inputs in box: the left fold of add_p
+        over mul_p(w_i, x_i), then add_p of the bias, as an FNN layer
+        evaluates it.  With bias 0, its low end is the row's least value."""
+        acc = (0, 0)
+        for w, (lo, hi) in zip(row, box):
+            acc = self.sum_image(acc, self.scale_image(w, lo, hi))
+        return self.sum_image(acc, (bias, bias))
+
     def agg_hull(
         self, kind: str, lo: int, hi: int, cap: int | None, weights: tuple[int, ...] | None = None
     ) -> tuple[int, int]:
@@ -309,14 +338,11 @@ class ArithmeticSpec:
             return (min(0, self.clamp(cap * lo)), max(0, self.clamp(cap * hi)))
         if kind != "weighted":  # max, mean
             return (min(lo, 0), max(hi, 0))
-        acc_lo = acc_hi = out_lo = out_hi = 0
+        acc = out = (0, 0)
         for w in weights[:cap]:
-            a, b = self.mul_p(w, lo), self.mul_p(w, hi)
-            if w < 0:
-                a, b = b, a
-            acc_lo, acc_hi = self.add_p(acc_lo, a), self.add_p(acc_hi, b)
-            out_lo, out_hi = min(out_lo, acc_lo), max(out_hi, acc_hi)
-        return (out_lo, out_hi)
+            acc = self.sum_image(acc, self.scale_image(w, lo, hi))
+            out = (min(out[0], acc[0]), max(out[1], acc[1]))
+        return out
 
     # -- literals ------------------------------------------------------------
 
@@ -385,7 +411,7 @@ class ArithmeticSpec:
             hi = thi if thi < one else m
             return (lo, hi)
         if name == "id":
-            return _intersect((tlo, thi), (-m, m))
+            return intersect((tlo, thi), (-m, m))
         raise ConfigError(f"unknown activation {name!r}; known: {', '.join(ACTIVATIONS)}")
 
     def _round_preimage(self, a: int, b: int, tlo: int, thi: int) -> Optional[tuple[int, int]]:
@@ -413,7 +439,7 @@ class ArithmeticSpec:
                 hi = _greatest(bound, d, thi >= 0)
             else:
                 lo = _least(-bound, d, thi >= 0)
-        return _intersect((lo, hi), (-m, m))
+        return intersect((lo, hi), (-m, m))
 
     def mul_preimage(self, c: int, tlo: int, thi: int) -> Optional[tuple[int, int]]:
         """Payload interval {p : mul_p(c, p) in [tlo, thi]} or None."""
@@ -431,7 +457,7 @@ class ArithmeticSpec:
         m = self.max_payload
         lo = -m if self.add_p(a, -m) >= tlo else tlo - a
         hi = m if self.add_p(a, m) <= thi else thi - a
-        return _intersect((lo, hi), (-m, m))
+        return intersect((lo, hi), (-m, m))
 
     def sum_left_window(self, k: int, blo: int, bhi: int) -> Optional[tuple[int, int]]:
         """Payload interval of k1 such that some k2 in [blo, bhi] has add_p(k1, k2) = k."""
@@ -442,7 +468,7 @@ class ArithmeticSpec:
             w = (-m, k - blo)
         else:
             w = (k - bhi, k - blo)
-        return _intersect(w, (-m, m))
+        return intersect(w, (-m, m))
 
     def div_preimage(self, k: int, m: int) -> Optional[tuple[int, int]]:
         """Payload interval {S : div_p(S, m) = k}."""

@@ -113,12 +113,12 @@ def _sat_result(args, verdict) -> int:
     as_json = args.output == "json"
     if isinstance(verdict, Sat):
         model = verdict.model
+        _emit_dot(args, model.graph, model.point)
         if as_json:
             print(json.dumps({"verdict": "sat", "model": graph_to_json(model.graph, model.point)}))
         else:
             print("sat")
             _print_graph(model.graph, model.point, sys.stdout)
-        _emit_dot(args, model.graph, model.point)
         return EXIT_POSITIVE
     if isinstance(verdict, Unsat):
         print(json.dumps({"verdict": "unsat"}) if as_json else "unsat")
@@ -159,6 +159,7 @@ def cmd_verify(args) -> int:
     if isinstance(result, Invalid):
         graph = result.counterexample.graph
         point = result.counterexample.point
+        _emit_dot(args, graph, point)
         outputs = {
             name: graph.spec.format_payload(v.payload)
             for name, v in zip(instance.model.output_features, result.outputs)
@@ -174,7 +175,6 @@ def cmd_verify(args) -> int:
             print("counterexample:")
             _print_graph(graph, point, sys.stdout)
             print("outputs: " + " ".join(f"{k}={v}" for k, v in outputs.items()))
-        _emit_dot(args, graph, point)
         return EXIT_NEGATIVE
     print(json.dumps({"verdict": "unknown", "reason": result.reason}) if as_json else f"unknown ({result.reason})")
     return EXIT_UNKNOWN

@@ -5,10 +5,10 @@ All numeric parameters are payloads of one arithmetic spec.  The affine
 accumulation inside an FNN layer is the left fold of saturating addition over
 weight*input products in input-index order, then the bias; the compiler
 unfolds formulas with the same chain so that logic and evaluation agree
-bit for bit.  ``fnn_bounds`` maps intervals through the same primitives,
-each of which is monotone, ``last_layer_box`` bounds the inputs of the last
-FNNs over every graph, and ``BoxSplit.bounds`` proves an LVP instance valid
-when its output constraints hold on the whole box those FNNs map it to.
+bit for bit.  ``fnn_bounds`` maps intervals through ``arith``'s interval
+rules, ``last_layer_box`` bounds the inputs of the last FNNs over every
+graph, and ``BoxSplit.bounds`` proves an LVP instance valid when its output
+constraints hold on the whole box those FNNs map it to.
 ``BoxSplit.run`` bisects the last layer's input box until they hold on
 every piece (branch and bound), charging each box to a tick budget.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .arith import ACTIVATIONS, ArithmeticSpec, Value, arity_bound, weight_cap
+from .arith import ACTIVATIONS, ArithmeticSpec, Value, arity_bound, intersect, weight_cap
 from .errors import SchemaError, UsageError
 from .graph import PointedGraph, _expect, _parse_payload, at_path
 from .semantics import Budget
@@ -234,20 +234,13 @@ Box = list[tuple[int, int]]
 
 
 def fnn_bounds(fnn: Fnn, box: Box, spec: ArithmeticSpec) -> Box:
-    """Interval of each output of the FNN over inputs in ``box``: every
-    primitive is monotone, so each end maps through it (a negative weight
-    swaps the ends of its product)."""
-    add_p, mul_p, act_p = spec.add_p, spec.mul_p, spec.act_p
+    """Interval of each output of the FNN over inputs in ``box``, layer by
+    layer by ``ArithmeticSpec.row_image`` and then ``act_image``."""
     for layer in fnn.layers:
-        nxt = []
-        for row, b, act in zip(layer.weights, layer.bias, layer.activations):
-            lo = hi = 0
-            for w, (xlo, xhi) in zip(row, box):
-                if w < 0:
-                    xlo, xhi = xhi, xlo
-                lo, hi = add_p(lo, mul_p(w, xlo)), add_p(hi, mul_p(w, xhi))
-            nxt.append((act_p(act, add_p(lo, b)), act_p(act, add_p(hi, b))))
-        box = nxt
+        box = [
+            spec.act_image(act, *spec.row_image(row, box, b))
+            for row, b, act in zip(layer.weights, layer.bias, layer.activations)
+        ]
     return box
 
 
@@ -372,13 +365,9 @@ def input_box(instance: LvpInstance) -> Box | None:
         if len(q.coeffs) != 1:
             continue
         ((var, c),) = q.coeffs
-        pre = spec.mul_preimage(c, q.const, m)
-        if pre is None:
+        box[var] = intersect(box[var], spec.mul_preimage(c, q.const, m))
+        if box[var] is None:
             return None
-        lo, hi = max(box[var][0], pre[0]), min(box[var][1], pre[1])
-        if lo > hi:
-            return None
-        box[var] = (lo, hi)
     return list(box.values())
 
 
@@ -390,20 +379,6 @@ def box_price(model: GnnModel) -> int:
     """The ticks one box of ``BoxSplit.run`` costs: a tick per FNN layer
     it is mapped through."""
     return sum(len(fnn.layers) for fnn in last_fnns(model))
-
-
-def _meets_l_out(instance: LvpInstance, out_box: Box) -> bool:
-    """Whether every output inequality holds at every point of the box."""
-    spec = instance.model.spec
-    box = dict(zip(instance.model.output_features, out_box))
-    for q in instance.l_out:
-        acc = 0  # the least value of the left-hand side over the box
-        for var, c in q.coeffs:
-            lo, hi = box[var]
-            acc = spec.add_p(acc, spec.mul_p(c, lo if c >= 0 else hi))
-        if acc < q.const:
-            return False
-    return True
 
 
 class BoxSplit:
@@ -433,9 +408,16 @@ class BoxSplit:
         self._root_meets: bool | None = None
 
     def _meets(self, box: Box) -> bool:
+        """Whether every output inequality holds wherever the last FNNs map
+        the box: whether its row's image there starts at its bound or above."""
+        spec = self.instance.model.spec
         for fnn in self.fnns:
-            box = fnn_bounds(fnn, box, self.instance.model.spec)
-        return _meets_l_out(self.instance, box)
+            box = fnn_bounds(fnn, box, spec)
+        out = dict(zip(self.instance.model.output_features, box))
+        return all(
+            spec.row_image([c for _, c in q.coeffs], [out[v] for v, _ in q.coeffs])[0] >= q.const
+            for q in self.instance.l_out
+        )
 
     def bounds(self) -> bool:
         """True when L_out holds on the root's whole output box, or no point

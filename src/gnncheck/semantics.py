@@ -415,8 +415,7 @@ class _TreeSearch:
         if type(x) is bytes:
             return x.translate(_lane_table(self.spec, key))
         if key[0] == "add_p" and key[1] != 0:
-            a = key[1]
-            return self.spec.table("add_p", 0).at_each([a + p for p in x])
+            return self.spec.table("add_p", 0).at_each(map(operator.add, x, itertools.repeat(key[1])))
         return self.spec.table(*key).at_each(x)
 
     def _payloads(self, x):
@@ -449,7 +448,7 @@ class _TreeSearch:
         if self.lanes:
             s = int.from_bytes(a, "big") + int.from_bytes(b, "big")
             return s.to_bytes(len(a), "big").translate(_lane_table(spec, ("clamp",)))
-        return self._mapped(("add_p", 0), list(map(operator.add, a, b)))
+        return self._mapped(("add_p", 0), map(operator.add, a, b))  # the sums are made on the fly
 
     def _formula_value(self, fid: int, node: tuple, fv: dict, fs: dict, ev: dict):
         """The value of a formula node, given those of its operands.

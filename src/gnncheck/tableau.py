@@ -16,8 +16,9 @@ integer word + eid (eid = key % K, word = key - eid).  The engine alternates
    children one at a time).
 
 Candidate streams are pruned by sound interval reasoning (value ranges of
-subexpressions and reachability of aggregation targets); pruned candidates
-provably cannot be completed, so the enumeration stays exhaustive.  Atom
+subexpressions, made of the forward interval rules of ``arith``, and
+reachability of aggregation targets); pruned candidates provably cannot be
+completed, so the enumeration stays exhaustive.  Atom
 guesses, inversions and successor walks are also cut to each expression's
 structural range, its interval at any word (``_Search.structural_ranges``,
 where an aggregation ranges over ``ArithmeticSpec.agg_hull`` of its child's
@@ -52,8 +53,9 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
-from .arith import ArithmeticSpec, Value, arity_bound
+from .arith import ArithmeticSpec, Value, arity_bound, intersect
 from .compile import CompiledInstance, compile_lvp
 from .falsify import EXTRA_ROUNDS, Sampler
 from .formula import Arena, Formula
@@ -130,7 +132,15 @@ def walk_window(spec: ArithmeticSpec, kind: str, acc: int | None, t: tuple[int, 
     binary search.  For sum, mean and max some choice of the later
     contributions folds each of them into t; for weighted, whose later
     intervals hold contributions that rounding skips, maybe not all do.
+
+    When every later interval is the same, as always for sum, mean and max,
+    its r copies fold as one step: r additions of one end c, all of one
+    sign, clamp only at the end, to add_p(x, r*c), and max takes c once.
     """
+    r = len(later)
+    if r > 1 and later.count(later[0]) == r:
+        lo, hi = later[0]
+        later = [(lo, hi) if kind == "max" else (r * lo, r * hi)]
 
     def completion(v: int, side: int) -> int:
         x = spec.fold_step(kind, acc, v if contrib is None else contrib[v])
@@ -154,13 +164,19 @@ class _Search:
         self.budget = budget
         fids, eids = formula.fids, formula.eids
         # the node table: expression nodes by id, and for each act node and
-        # each non-zero scale node its child and its primitive's table
+        # each non-zero scale node its child, its primitive's table, and its
+        # forward and backward interval rules, all from ``arith``
         self.nodes: dict[int, tuple] = {eid: self.arena.expr(eid) for eid in eids}
-        self.unary: dict[int, tuple[int, dict[int, int]]] = {
-            eid: (node[2], self.spec.table("act_p" if node[0] == "act" else "mul_p", node[1]))
-            for eid, node in self.nodes.items()
-            if node[0] == "act" or (node[0] == "scale" and node[1] != 0)
-        }
+        spec = self.spec
+        self.unary: dict[int, tuple] = {}
+        for eid, node in self.nodes.items():
+            if node[0] == "act":
+                name, image, preimage = "act_p", spec.act_image, spec.act_preimage_interval
+            elif node[0] == "scale" and node[1] != 0:
+                name, image, preimage = "mul_p", spec.scale_image, spec.mul_preimage
+            else:
+                continue
+            self.unary[eid] = (node[2], spec.table(name, node[1]), partial(image, node[1]), partial(preimage, node[1]))
         self._table: dict[int, tuple[int, int]] | None = None  # built on first use
         # the word table: word number n has offset n * stride and the offsets
         # of its successors 1, 2, ... in succs[n]
@@ -243,24 +259,17 @@ class _Search:
             st.bounds[key] = (lo, hi)
             changed = True
             node = self.nodes[eid]
-            tag = node[0]
-            if tag == "const":
+            if node[0] == "const":
                 if not lo <= node[1] <= hi:
                     raise _Clash()
                 return True
-            if eid not in self.unary:
+            op = self.unary.get(eid)
+            if op is None:
                 return True
-            pre = self._preimage(node, lo, hi)
+            pre = op[3](lo, hi)
             if pre is None:
                 raise _Clash()
-            eid, (lo, hi) = node[2], pre
-
-    def _preimage(self, node, lo: int, hi: int) -> tuple[int, int] | None:
-        """Payload interval of the child values an act node or a non-zero
-        scale node maps into [lo, hi], or None."""
-        if node[0] == "act":
-            return self.spec.act_preimage_interval(node[1], lo, hi)
-        return self.spec.mul_preimage(node[1], lo, hi)
+            eid, (lo, hi) = op[0], pre
 
     def forward(self, st: _State, word: int, eid: int) -> int | None:
         """Evaluate an expression at a word from the store, memoizing results."""
@@ -353,7 +362,8 @@ class _Search:
 
         Features and aggregations not in the store range over [-M, M].
         Subexpressions are ranged in post-order: an inverted id on the stack
-        combines the ranges of its operands, which lie on top of ``done``.
+        maps the ranges of its operands, which lie on top of ``done``, through
+        its interval rule (``arith``).
         """
         values, bounds, nodes, unary = st.values, st.bounds, self.nodes, self.unary
         m = self.spec.max_payload
@@ -383,30 +393,14 @@ class _Search:
                     lo, hi = -m, m
             else:
                 e = ~e
-                lo, hi = self._combine(e, done)
+                op = unary.get(e)
+                # the sum rule is symmetric, so the order of the pops is free
+                lo, hi = self.spec.sum_image(done.pop(), done.pop()) if op is None else op[2](*done.pop())
             bound = bounds.get(word + e)
             if bound is not None:
                 lo, hi = max(lo, bound[0]), min(hi, bound[1])
             done.append((lo, hi))
         return done[0]
-
-    def _combine(self, e: int, done: list[tuple[int, int]]) -> tuple[int, int]:
-        """Range of a sum, an act or a non-zero scale node from the ranges of
-        its operands, popped off the top of ``done`` (a sum's right one last)."""
-        op = self.unary.get(e)
-        if op is None:  # sum
-            m = self.spec.max_payload
-            lo2, hi2 = done.pop()
-            lo1, hi1 = done.pop()
-            lo, hi = lo1 + lo2, hi1 + hi2
-            return (-m if lo < -m else m if lo > m else lo, -m if hi < -m else m if hi > m else hi)
-        clo, chi = done.pop()
-        lo, hi = op[1][clo], op[1][chi]
-        # act maps each end in place, so an empty interval (lo > hi, from
-        # contradicting bounds) keeps its order; scale sorts them
-        if lo > hi and self.nodes[e][0] == "scale":
-            return hi, lo
-        return lo, hi
 
     def structural_ranges(self) -> dict[int, tuple[int, int]]:
         """Each expression's interval at any word, whatever the store holds:
@@ -422,9 +416,9 @@ class _Search:
             elif tag == "agg":
                 table[e] = self.spec.agg_hull(node[1], *table[node[2]], self.arity_cap, node[3])
             elif tag == "sum":
-                table[e] = self._combine(e, [table[node[1]], table[node[2]]])
+                table[e] = self.spec.sum_image(table[node[1]], table[node[2]])
             elif e in self.unary:
-                table[e] = self._combine(e, [table[node[2]]])
+                table[e] = self.unary[e][2](*table[node[2]])
             else:  # 0 * e
                 table[e] = (0, 0)
         return table
@@ -538,7 +532,7 @@ class _Search:
     def _oblige_unary(self, st: _State, word: int, eid: int) -> bool:
         """act/scale: verify a known child, else force a unique preimage."""
         key = word + eid
-        child, table = self.unary[eid]
+        child, table, _, _ = self.unary[eid]
         value = self.forward(st, word, child)
         if value is not None:
             if table[value] != st.values[key]:
@@ -564,20 +558,16 @@ class _Search:
             del st.obligations[key]
             return True
         if left is None and right is None:
-            lo1, hi1 = self.expr_range(st, word, node[1])
-            lo2, hi2 = self.expr_range(st, word, node[2])
-            if not self.spec.add_p(lo1, lo2) <= target <= self.spec.add_p(hi1, hi2):
+            lo, hi = self.spec.sum_image(self.expr_range(st, word, node[1]), self.expr_range(st, word, node[2]))
+            if not lo <= target <= hi:
                 raise _Clash()
             return False
         known, unknown = (left, node[2]) if left is not None else (right, node[1])
         rng = self.spec.add_preimage(known, target, target)
+        rng = rng and intersect(rng, self.expr_range(st, word, unknown))
         if rng is None:
             raise _Clash()
         lo, hi = rng
-        clo, chi = self.expr_range(st, word, unknown)
-        lo, hi = max(lo, clo), min(hi, chi)
-        if lo > hi:
-            raise _Clash()
         if lo == hi:
             self.assign(st, word, unknown, lo)
             return True
@@ -719,18 +709,14 @@ class _Search:
         eid = key % self.stride
         word = key - eid
         target = st.values[key]
-        node = self.nodes[eid]
-        if node[0] == "sum":
+        node, op = self.nodes[eid], self.unary.get(eid)
+        if op is None:  # sum
             operand = node[1]
-            blo, bhi = self.expr_range(st, word, node[2])
-            pre = self.spec.sum_left_window(target, blo, bhi)
+            pre = self.spec.sum_left_window(target, *self.expr_range(st, word, node[2]))
         else:
-            operand = node[2]
-            pre = self._preimage(node, target, target)
-        if pre is None:
-            return operand, 1, 0
-        lo, hi = self.expr_range(st, word, operand)
-        return operand, max(pre[0], lo), min(pre[1], hi)
+            operand, pre = op[0], op[3](target, target)
+        window = pre and intersect(pre, self.expr_range(st, word, operand))
+        return (operand, 1, 0) if window is None else (operand, *window)
 
     def alternatives(self, st: _State, choice):
         """Deterministic candidate stream for a choice point."""
@@ -785,10 +771,8 @@ class _Search:
         b = node[2]
         blo, bhi = self._cut(b, *self.expr_range(st, word, b))
         for k1 in range(lo, hi + 1):
-            partners = self.spec.add_preimage(k1, target, target)
-            if partners is None:
-                continue
-            for k2 in range(max(partners[0], blo), min(partners[1], bhi) + 1):
+            partners = intersect(self.spec.add_preimage(k1, target, target), (blo, bhi)) or (1, 0)
+            for k2 in range(partners[0], partners[1] + 1):
                 yield ("set2", word, operand, k1, b, k2)
 
     def _walk_alternatives(self, st: _State):
@@ -804,11 +788,8 @@ class _Search:
         if t is None:
             return
         # each later successor contributes from the child's structural range
-        flo, fhi = self._structural()[child]
-        later = []
-        for i in range(pos + 1, arity + 1):
-            a, b = self._contribution(node, i, flo), self._contribution(node, i, fhi)
-            later.append((min(a, b), max(a, b)))
+        r = self._structural()[child]
+        later = [r if weights is None else self.spec.scale_image(weights[i], *r) for i in range(pos, arity)]
         contrib = None if weights is None else self.spec.table("mul_p", weights[pos - 1])
         rng = walk_window(self.spec, kind, acc, t, contrib, later, clo, chi)
         if rng is None:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -109,7 +111,7 @@ class TestTables:
             assert ArithmeticSpec.parse(text).table(*key) is table
             fn = getattr(spec, key[0])
             want = [fn(*key[1:], p) for p in ps]
-            # filled in one batch, then read one entry at a time
+            # filled through at_each, then read one entry at a time
             assert table.at_each(ps[::2]) == want[::2], key
             assert [table[p] for p in ps] == want, key
         # a sum of two payloads, through add_p(0, .), clamps past ±M
@@ -127,6 +129,21 @@ class TestTables:
         for s in range(105, 110):  # and one at a time
             assert held[s] == -3
         assert len(held) < 5
+
+    @pytest.mark.parametrize("entries", [1 << 16, 6])
+    def test_at_each_reads_as_the_table(self, monkeypatch, entries):
+        # with 6 entries the tables start again in the middle of a call
+        monkeypatch.setattr(arith, "TABLE_ENTRIES", entries)
+        spec = ArithmeticSpec.satint(3)
+        table = spec.table("add_p", 0)
+        table.clear()
+        for payloads in ([0, 1, 2], [2, 1, 0, 0, 1], [5, -9, 2, 5, -9, 7, 8], [1, 2, 3, 4, -4, -5, -6, 9, 9, 9], []):
+            want = [spec.clamp(p) for p in payloads]
+            assert table.at_each(payloads) == want == [table[p] for p in payloads]
+            # read once, as the entrywise sums of two columns made on the fly
+            halves = [p // 2 for p in payloads], [p - p // 2 for p in payloads]
+            table.clear()
+            assert table.at_each(map(operator.add, *halves)) == want
 
 
 class TestAdd:
@@ -488,3 +505,78 @@ class TestIntegerPreimages:
                 for bhi in values[blo + m :]:
                     want = interval_of([k1 for k1 in values if hits[k1][bhi + m + 1] > hits[k1][blo + m]])
                     assert spec.sum_left_window(k, blo, bhi) == want, (k, blo, bhi)
+
+
+def boxes(spec):
+    """Every interval of payloads: the non-empty ones, and the empty ones
+    (lo > hi)."""
+    ps = list(spec.values_p())
+    return [(lo, hi) for lo in ps for hi in ps if lo <= hi], [(lo, hi) for lo in ps for hi in ps if lo > hi]
+
+
+def hull(outs):
+    return (min(outs), max(outs))
+
+
+class TestForwardIntervalRules:
+    """Each rule holds the image of every point of its box and, since every
+    primitive is monotone, reaches both ends of it: the image is the hull of
+    the pointwise results.  An empty box follows the stated convention."""
+
+    SATINT3 = ArithmeticSpec.satint(3)
+    FIXED5_1 = ArithmeticSpec.fixed(5, 1)
+
+    def test_sum_scale_and_act_exhaustive_satint3(self):
+        spec = self.SATINT3
+        full, empty = boxes(spec)
+        for a in full:
+            xs = range(a[0], a[1] + 1)
+            for b in full:
+                assert spec.sum_image(a, b) == hull([spec.add_p(x, y) for x in xs for y in range(b[0], b[1] + 1)])
+            for w in spec.values_p():  # every sign, 0 among them
+                assert spec.scale_image(w, *a) == hull([spec.mul_p(w, x) for x in xs])
+            for name in ACTIVATIONS:
+                assert spec.act_image(name, *a) == hull([spec.act_p(name, x) for x in xs])
+        # empty boxes: sum and act map each end in place, scale sorts
+        for a in empty:
+            for b in full + empty:
+                assert spec.sum_image(a, b) == spec.sum_image(b, a) == (spec.add_p(a[0], b[0]), spec.add_p(a[1], b[1]))
+            for w in spec.values_p():
+                assert spec.scale_image(w, *a) == tuple(sorted((spec.mul_p(w, a[0]), spec.mul_p(w, a[1]))))
+            for name in ACTIVATIONS:
+                assert spec.act_image(name, *a) == (spec.act_p(name, a[0]), spec.act_p(name, a[1]))
+
+    def test_row_exhaustive_satint3(self):
+        spec = self.SATINT3
+        full, _ = boxes(spec)
+        ps = list(spec.values_p())
+        rows, box_pairs = itertools.product(ps, repeat=2), itertools.product(full, repeat=2)
+        for i, (row, box) in enumerate(itertools.product(rows, box_pairs)):
+            bias = ps[i % len(ps)]  # every bias, in turn
+            points = itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+            want = hull([spec.add_p(spec.fold_add(map(spec.mul_p, row, x)), bias) for x in points])
+            assert spec.row_image(row, box, bias) == want, (row, box, bias)
+
+    def test_every_rule_sampled_fixed5_1(self):
+        spec, rng = self.FIXED5_1, random.Random(0)
+        m = spec.max_payload
+        ps = list(spec.values_p())
+
+        def box():
+            return tuple(sorted((rng.randint(-m, m), rng.randint(-m, m))))
+
+        for _ in range(2000):
+            a, b, w, name = box(), box(), rng.choice(ps + [0] * 3), rng.choice(ACTIVATIONS)
+            xs, ys = range(a[0], a[1] + 1), range(b[0], b[1] + 1)
+            assert spec.sum_image(a, b) == hull([spec.add_p(x, y) for x in xs for y in ys])
+            assert spec.scale_image(w, *a) == hull([spec.mul_p(w, x) for x in xs])
+            assert spec.act_image(name, *a) == hull([spec.act_p(name, x) for x in xs])
+            row, bias = [w, rng.choice(ps)][: rng.randint(1, 2)], rng.choice(ps)
+            points = itertools.product(xs, ys) if len(row) == 2 else ((x,) for x in xs)
+            want = hull([spec.add_p(spec.fold_add(map(spec.mul_p, row, x)), bias) for x in points])
+            assert spec.row_image(row, [a, b][: len(row)], bias) == want
+            # an empty box, under the convention
+            e = (a[1], a[0]) if a[0] < a[1] else (a[0] + 1, a[0]) if a[0] < m else (m, m - 1)
+            assert spec.sum_image(e, b) == (spec.add_p(e[0], b[0]), spec.add_p(e[1], b[1]))
+            assert spec.scale_image(w, *e) == tuple(sorted((spec.mul_p(w, e[0]), spec.mul_p(w, e[1]))))
+            assert spec.act_image(name, *e) == (spec.act_p(name, e[0]), spec.act_p(name, e[1]))

@@ -35,6 +35,17 @@ def supp_files(tmp_path):
     return lvp, gnn, graph
 
 
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(gnncheck.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "gnncheck.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+
+
 class TestVerify:
     def test_invalid_instance_exits_1(self, supp_files, capsys):
         lvp, _, _ = supp_files
@@ -89,6 +100,13 @@ class TestVerify:
         main(["verify", str(lvp), "--emit-dot", str(dot)])
         capsys.readouterr()
         assert dot.read_text().startswith("digraph")
+
+    def test_unwritable_dot_exits_2_with_nothing_on_stdout(self, supp_files, tmp_path):
+        # the counterexample used to be printed before the DOT file failed
+        lvp, _, _ = supp_files
+        run = _run_cli("verify", str(lvp), "--emit-dot", str(tmp_path / "missing" / "cex.dot"))
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr.startswith("error: cannot write")
 
     def test_schema_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -260,6 +278,13 @@ class TestSat:
             argv += ["--emit-dot", str(tmp_path / "missing" / "model.dot")]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unwritable_dot_exits_2_with_nothing_on_stdout(self, tmp_path):
+        # the model used to be printed before the DOT file failed
+        dot = str(tmp_path / "missing" / "model.dot")
+        run = _run_cli("sat", "x1>=0", "--arith", "satint:3", "--delta", "unary:1", "--emit-dot", dot)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr.startswith("error: cannot write")
 
 
 class TestCompileEval:

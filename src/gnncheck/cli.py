@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .arith import ArithmeticSpec
+from .arith import ACTIVATIONS, ArithmeticSpec
 from .compile import compile_lvp
 from .errors import GnnCheckError, SchemaError, UsageError
 from .formula import parse as parse_formula
@@ -230,8 +230,10 @@ def cmd_fuzz(args) -> int:
     )
     disagreements = [r for r in results if not r.agree]
     for r in disagreements:
-        print(f"case {r.index}: tableau={r.tableau} oracle={r.oracle}")
-        print(f"  {r.text}")
+        print(f"case {r.index}: {r.text}")
+        # the oracle does not run at the inf rung
+        for d, tableau, oracle in zip([*range(len(r.oracle)), "inf"], r.tableau, r.oracle + ("-",)):
+            print(f"  delta {d}: tableau={tableau} oracle={oracle}")
     summary = f"{len(results)} cases, {len(disagreements)} disagreements"
     if args.output == "json":
         print(json.dumps({"cases": len(results), "disagreements": len(disagreements)}))
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sat", help="decide satisfiability of a formula")
     p.add_argument("formula", help="formula text or a file containing it")
     _add_common(p, required=True)
-    p.add_argument("--alpha", default="relu", choices=("relu", "truncrelu", "id"), help="activation the alpha token resolves to")
+    p.add_argument("--alpha", default="relu", choices=ACTIVATIONS, help="activation the alpha token resolves to")
     p.add_argument("--emit-dot", help="write the model as DOT")
     p.set_defaults(func=cmd_sat)
 
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = osub.add_parser("sat", help="decide satisfiability by brute force")
     p.add_argument("formula")
     _add_common(p, required=True)
-    p.add_argument("--alpha", default="relu", choices=("relu", "truncrelu", "id"))
+    p.add_argument("--alpha", default="relu", choices=ACTIVATIONS)
     p.add_argument("--emit-dot", help="write the model as DOT")
     p.set_defaults(func=cmd_oracle_sat)
 

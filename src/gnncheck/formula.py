@@ -348,7 +348,7 @@ def import_formula(dst: Arena, src: Arena, fid: int) -> int:
 # -- concrete syntax ----------------------------------------------------------
 
 _AGG_NAMES = {"agg": "sum", "mean": "mean", "maxagg": "max"}
-_KEYWORDS = {"and", "or", "not", "true", "agg", "mean", "maxagg", "wagg", "alpha", "relu", "truncrelu", "id"}
+_KEYWORDS = {"and", "or", "not", "true", "agg", "mean", "maxagg", "wagg", "alpha", *ACTIVATIONS}
 
 
 class _Token:
@@ -550,7 +550,7 @@ class _Parser:
             return eid
         if tok.kind == "ident":
             name = tok.text
-            if name in ("relu", "truncrelu", "id", "alpha"):
+            if name in ACTIVATIONS or name == "alpha":
                 self.next()
                 self.expect("(")
                 child = self.expr()

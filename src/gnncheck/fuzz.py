@@ -1,27 +1,43 @@
-"""Seeded random formula generation and tableau-vs-oracle differential runs."""
+"""Seeded random formula generation and tableau-vs-oracle differential runs.
+
+``run_differential`` solves each formula on a ladder of arity bounds, δ = 0,
+1, ..., up to the asked δ, then unbounded.  The tableau runs at every rung and
+the brute-force oracle at every finite one.  Besides the two engines agreeing
+at each rung, the ladder checks that verdicts are monotone in δ: a bound that
+admits a model admits it at every larger bound, so no rung is unsatisfiable
+above a satisfiable one.  The unbounded rung is the tableau's alone; its arity
+cap, 2^bits * |formula|, can be far above δ, so it has its own tick budget,
+and running out of it there is no disagreement.
+"""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .arith import ArithmeticSpec
-from .formula import Arena, Formula, to_text
+from .arith import ACTIVATIONS, ArithmeticSpec
+from .errors import UsageError
+from .formula import AGG_KINDS, Arena, Formula, to_text
 from .gnn import DeltaMode
 from .semantics import Sat, Unknown, Unsat, brute_force_sat, check_limits
 from .tableau import SolveLimits, solve
 
-# Seconds each solver gets per case, and the tableau's tick budget.
+# Seconds each solver gets per case, and the tableau's tick budget at the
+# finite rungs and at the unbounded one.
 TIME_LIMIT = 20.0
 MAX_TERMS = 2_000_000
+INF_TERMS = 50_000
 
 
 @dataclass
 class FuzzCase:
+    """One formula's verdict names: the tableau's at δ = 0, ..., delta, inf,
+    the oracle's at δ = 0, ..., delta."""
+
     index: int
     text: str
-    tableau: str
-    oracle: str
+    tableau: tuple[str, ...]
+    oracle: tuple[str, ...]
     agree: bool
 
 
@@ -41,7 +57,7 @@ def random_formula(
     max_agg_depth: int = 2,
     max_agg_nodes: int = 2,
     agg_kinds: tuple[str, ...] = ("sum",),
-    activations: tuple[str, ...] = ("relu", "truncrelu", "id"),
+    activations: tuple[str, ...] = ACTIVATIONS,
     delta: int = 2,
     max_atoms: int = 3,
 ) -> Formula:
@@ -98,22 +114,27 @@ def run_differential(
     agg_kinds: tuple[str, ...] = ("sum",),
     max_agg_depth: int = 2,
 ) -> list[FuzzCase]:
-    """Solve each random formula with the tableau and the brute-force oracle.
-
-    A case agrees when both sides return the same decisive verdict and the
-    binary-mode tableau concurs.
-    """
-    check_limits(None, cases=cases, max_agg_depth=max_agg_depth)
+    """Solve each random formula on the δ ladder (module docstring).  A case
+    agrees when both engines return the same decisive verdict at ``delta``,
+    every decisive tableau verdict at a finite rung is the oracle's there,
+    and no rung is Unsat above a Sat one."""
+    check_limits(None, cases=cases, max_agg_depth=max_agg_depth, delta=delta)
+    for kind in agg_kinds:
+        if kind not in AGG_KINDS:
+            raise UsageError(f"unknown aggregation kind {kind!r}; known: {', '.join(AGG_KINDS)}")
     rng = random.Random(seed)
     results = []
     limits = SolveLimits(time_limit=TIME_LIMIT, max_terms=MAX_TERMS)
+    inf_limits = SolveLimits(time_limit=TIME_LIMIT, max_terms=INF_TERMS)
     for i in range(cases):
         f = random_formula(rng, spec, max_agg_depth=max_agg_depth, agg_kinds=agg_kinds, delta=delta)
-        tv = solve(f, DeltaMode.unary(delta), limits)
-        ov = brute_force_sat(f, delta, time_limit=TIME_LIMIT)
-        agree = type(tv) is type(ov) and not isinstance(tv, Unknown)
-        if agree:
-            bv = solve(f, DeltaMode.binary(delta), limits)
-            agree = type(bv) is type(tv)
-        results.append(FuzzCase(i, to_text(f), _verdict_name(tv), _verdict_name(ov), agree))
+        tvs = [solve(f, DeltaMode.unary(d), limits) for d in range(delta + 1)]
+        tvs.append(solve(f, DeltaMode.infinite(), inf_limits))
+        ovs = [brute_force_sat(f, d, time_limit=TIME_LIMIT) for d in range(delta + 1)]
+        agree = type(tvs[delta]) is type(ovs[delta]) and not isinstance(ovs[delta], Unknown)
+        agree &= all(isinstance(tv, Unknown) or type(tv) is type(ov) for tv, ov in zip(tvs, ovs))
+        # decisive verdicts in rung order: False (Unsat) may not follow True (Sat)
+        sat = [isinstance(v, Sat) for rung in zip(tvs, [*ovs, None]) for v in rung if isinstance(v, (Sat, Unsat))]
+        agree &= sat == sorted(sat)
+        results.append(FuzzCase(i, to_text(f), tuple(map(_verdict_name, tvs)), tuple(map(_verdict_name, ovs)), agree))
     return results

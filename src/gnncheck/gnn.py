@@ -330,9 +330,6 @@ class DeltaMode:
             return DeltaMode(parts[0], int(parts[1]))
         raise UsageError(f"bad delta {text!r}; expected unary:<k>, binary:<k> or inf")
 
-    def spec_string(self) -> str:
-        return "inf" if self.kind == "inf" else f"{self.kind}:{self.value}"
-
 
 @dataclass(frozen=True)
 class LvpInstance:

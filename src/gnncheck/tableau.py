@@ -26,12 +26,12 @@ range up to the arity cap).  That drops only failing subtrees, in place, so
 the search finds the same models in no more ticks.  Saturation keeps [-M, M]
 for aggregations not in the store.
 Aggregation constraints walk their successors incrementally with a running
-accumulator, which serves both the unary rule and the binary/unbounded rules;
-every mode is capped alike (``arith.arity_bound``): δ's encoding only sizes
-the input.  Every aggregation kind walks by one rule (``walk_window``): a
-successor's candidates are the values from which the lowest and highest
-completions, through the later successors' structural ranges, can still
-reach the aggregation's value.
+accumulator, up to the arity cap (``arith.arity_bound``).  ``solve`` hands
+the search δ's value alone: its encoding only sizes the input.  Every
+aggregation kind walks by one rule (``walk_window``): a successor's
+candidates are the values from which the lowest and highest completions,
+through the later successors' structural ranges, can still reach the
+aggregation's value.
 
 The search's work is counted in ticks: one per branch alternative tried, one
 per value assigned, and one per value newly derived into the store by forward
@@ -157,7 +157,7 @@ def walk_window(spec: ArithmeticSpec, kind: str, acc: int | None, t: tuple[int, 
 
 
 class _Search:
-    def __init__(self, formula: Formula, delta: DeltaMode, budget: Budget):
+    def __init__(self, formula: Formula, delta: int | None, budget: Budget):
         self.formula = formula
         self.arena: Arena = formula.arena
         self.spec: ArithmeticSpec = formula.spec
@@ -186,7 +186,7 @@ class _Search:
         # successors), and 2^n * |formula|, enough successors for distinct
         # summand combinations, so larger guesses are never needed
         combinatorial = (2 ** self.spec.bit_width) * (len(fids) + len(eids))
-        self.arity_cap = arity_bound(delta.value, formula.weight_cap, combinatorial)
+        self.arity_cap = arity_bound(delta, formula.weight_cap, combinatorial)
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -891,7 +891,7 @@ def solve(
     """
     limits = limits or SolveLimits()
     budget = Budget(limits.max_terms, limits.time_limit) if _budget is None else _budget
-    search = _Search(formula, delta, budget)
+    search = _Search(formula, delta.value, budget)
     try:
         final = search.attempt(search.root_state())
     except LimitHit as hit:

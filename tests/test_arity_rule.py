@@ -17,11 +17,12 @@ import random
 
 import pytest
 
+from gnncheck import tableau
 from gnncheck.arith import ArithmeticSpec, arity_bound
 from gnncheck.compile import compile_generalized, compile_lvp
 from gnncheck.errors import UsageError
 from gnncheck.formula import Arena, Formula, _rebuild, parse
-from gnncheck.fuzz import random_formula
+from gnncheck.fuzz import random_formula, run_differential
 from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnLayer, GnnModel, LinIneq, LvpInstance
 from gnncheck.graph import LabeledGraph
 from gnncheck.semantics import Sat, Unknown, Unsat, brute_force_sat, check
@@ -195,3 +196,17 @@ def test_a_compiled_formula_declares_the_networks_weight_cap():
     formula = compile_lvp(instance).formula
     with pytest.raises(UsageError, match="1 weights for 2 successors"):
         check(star(SAT7, formula.features, 2), "v", formula)
+
+
+def test_the_delta_ladder_catches_an_unbounded_rung_cut_short(monkeypatch):
+    # run_differential solves each case at δ = 0, ..., 3 and unbounded, and a
+    # verdict may only grow from Unsat to Sat up the ladder.  With the
+    # tableau's unbounded cap cut to one successor, some formula that needs
+    # two is Sat at δ 2 and Unsat at inf, which the ladder must flag
+    def run():
+        kinds = ("sum", "mean", "max", "weighted")
+        return [r.index for r in run_differential(100, seed=1, spec=SAT3, delta=3, agg_kinds=kinds) if not r.agree]
+
+    assert run() == []
+    monkeypatch.setattr(tableau, "arity_bound", lambda delta, *caps: 1 if delta is None else arity_bound(delta, *caps))
+    assert run(), "a tableau that caps unbounded δ at 1 passed the ladder"

@@ -245,13 +245,18 @@ class TestSat:
             ["oracle", "sat", "x1>=0", "--arith", "satint:3", "--delta", "unary:1", "--term-limit", "-5"],
             ["fuzz", "--cases", "-3"],
             ["fuzz", "--cases", "2", "--agg-depth", "-1"],
+            ["fuzz", "--cases", "5", "--agg", "bogus", "--agg-depth", "0"],
+            ["fuzz", "--cases", "0", "--agg", "bogus"],
+            ["fuzz", "--cases", "5", "--agg", "sum,,max"],
         ],
         ids=" ".join,
     )
     def test_negative_limits_exit_2(self, argv, capsys):
-        # these used to run: exit 0, or 3 for a negative term limit
+        # these used to run: exit 0, or 3 for a negative term limit.  An
+        # aggregation kind was checked only when the generator drew one
         assert main(argv) == 2
-        assert "must be >= 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("unknown aggregation kind" if "--agg" in argv else "must be >= 0") in err, err
 
     def test_no_flag_truncates_the_arity_bound(self, capsys):
         # --max-arity and oracle sat's --depth cut the search short of δ and
@@ -448,3 +453,20 @@ class TestFuzz:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         assert json.loads(first)["disagreements"] == 0
+
+    def test_a_disagreement_is_printed_rung_by_rung(self, monkeypatch, capsys):
+        # with the tableau's unbounded cap cut to one successor, case 7 of
+        # seed 1 is sat at delta 2 and 3 but unsat at inf
+        bound = gnncheck.tableau.arity_bound
+        monkeypatch.setattr(gnncheck.tableau, "arity_bound", lambda d, *caps: 1 if d is None else bound(d, *caps))
+        argv = ["fuzz", "--cases", "8", "--seed", "1", "--arith", "satint:3", "--delta", "unary:3"]
+        assert main([*argv, "--agg", "sum,mean,max,weighted"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "case 7: id(-1*wagg[-1,-3,-2](1)) = 3",
+            "  delta 0: tableau=unsat oracle=unsat",
+            "  delta 1: tableau=unsat oracle=unsat",
+            "  delta 2: tableau=sat oracle=sat",
+            "  delta 3: tableau=sat oracle=sat",
+            "  delta inf: tableau=unsat oracle=-",
+            "8 cases, 1 disagreements",
+        ]

@@ -167,7 +167,7 @@ def test_tableau_passes_on_a_deep_chain():
     top, x1 = chain(arena), arena.feature("x1")
     f = Formula(arena, arena.geq(top, 1))
     budget = Budget()
-    search = _Search(f, DeltaMode.unary(1), budget)
+    search = _Search(f, 1, budget)
     st = search.root_state()
     assert search.forward(st, 0, top) is None
     assert search.expr_range(st, 0, top) == (0, 3)

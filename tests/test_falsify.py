@@ -538,7 +538,7 @@ def test_tableau_gets_the_ticks_sampling_leaves():
     assert rounds == [None] * (1 + EXTRA_ROUNDS)
     proved, boxes = BoxSplit(instance).run(Budget())
     assert not proved and 1 < boxes < MAX_BOXES
-    search = _Search(compile_lvp(instance).formula, instance.delta, searched)
+    search = _Search(compile_lvp(instance).formula, instance.delta.value, searched)
     assert search.attempt(search.root_state()) is None
     needed = sampled.ticks + boxes * box_price(instance.model) + searched.ticks
     assert verify_lvp(instance, SolveLimits(max_terms=needed)) == Valid("tableau")

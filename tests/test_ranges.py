@@ -56,7 +56,7 @@ def random_graph(rng, spec, features, max_degree):
 def test_every_value_lies_in_its_structural_range(i0):
     checked = 0
     for rng, f, delta in list(containment_cases(i0 + 60))[i0:]:
-        search = _Search(f, delta, Budget())
+        search = _Search(f, delta.value, Budget())
         table = search.structural_ranges()
         assert set(table) == set(f.eids)
         degree = search.arity_cap
@@ -87,7 +87,7 @@ def test_every_value_of_a_model_lies_in_its_structural_range():
         for engine, verdict in verdicts.items():
             if not isinstance(verdict, Sat):
                 continue
-            table = table or _Search(f, delta, Budget()).structural_ranges()
+            table = table or _Search(f, delta.value, Budget()).structural_ranges()
             graph = verdict.model.graph
             for v in graph.nodes:
                 for eid in f.eids:
@@ -100,7 +100,7 @@ def test_every_value_of_a_model_lies_in_its_structural_range():
 def test_an_aggregation_ranges_over_its_hull():
     # the motivating case: the mean of relu(x2) cannot be negative
     f = parse("(-0.5*(x2 + -1.3) >= -0.7 or x1 = 0.2) and mean(relu(x2)) >= -1.4", ArithmeticSpec.fixed(5, 1))
-    search = _Search(f, DeltaMode.unary(3), Budget())
+    search = _Search(f, 3, Budget())
     agg = next(eid for eid, node in search.nodes.items() if node[0] == "agg")
     assert search.structural_ranges()[agg] == (0, 15)
     assert isinstance(solve(f, DeltaMode.unary(3), SolveLimits(max_terms=10)), Sat)
@@ -108,10 +108,10 @@ def test_an_aggregation_ranges_over_its_hull():
 
 def test_the_table_is_built_on_first_use_and_only_with_aggregations():
     spec = ArithmeticSpec.satint(3)
-    plain = _Search(parse("relu(x1) + x2 >= 2", spec), DeltaMode.unary(2), Budget())
+    plain = _Search(parse("relu(x1) + x2 >= 2", spec), 2, Budget())
     assert plain._table is None
     assert plain._structural() == {}
-    nested = _Search(parse("agg(relu(x1)) >= 2", spec), DeltaMode.unary(2), Budget())
+    nested = _Search(parse("agg(relu(x1)) >= 2", spec), 2, Budget())
     assert nested._table is None
     assert nested._structural() == nested.structural_ranges()
 

@@ -101,7 +101,7 @@ def search_outcome(formula, delta, max_terms=MAX_TICKS):
     """Run the search as ``solve`` does; return how it ended, its ticks and
     the digest of its model (None when it found none)."""
     budget = Budget(max_terms)
-    search = _Search(formula, delta, budget)
+    search = _Search(formula, delta.value, budget)
     try:
         final = search.attempt(search.root_state())
         outcome = "model" if final is not None else "exhausted"

@@ -160,7 +160,7 @@ class TestExprRange:
         negated = arena.scale(-1, inner)
         doubled = arena.scale(2, inner)
         atoms = [arena.geq(e, 0) for e in (outer, negated, doubled)]
-        search = _Search(Formula(arena, arena.conjoin(atoms)), DeltaMode.unary(1), Budget())
+        search = _Search(Formula(arena, arena.conjoin(atoms)), 1, Budget())
         st = _State()
         root = 0  # the root word's offset: its store keys are the eids themselves
         st.bounds[root + inner] = (1, 2)  # contradicts the range: the interval is empty
@@ -194,7 +194,7 @@ class TestExtractModel:
         # every value in the final store, at the node its word names, is the
         # value the evaluator gives the model there
         f = parse("agg(x1 + 1) = 3 and x1 = 2", ArithmeticSpec.satint(4))
-        search = _Search(f, DeltaMode.unary(3), Budget())
+        search = _Search(f, 3, Budget())
         final = search.attempt(search.root_state())
         assert final is not None
         graph = search.extract_model(final).graph
@@ -250,6 +250,15 @@ class TestDifferential:
             150, seed=81, spec=ArithmeticSpec.satint(5), delta=3, agg_kinds=("sum", "mean", "max", "weighted")
         )
         assert all(r.agree for r in results), [r for r in results if not r.agree][:3]
+
+    @pytest.mark.parametrize(
+        "delta,kinds,message",
+        [(-1, ("sum",), "delta must be >= 0"), (2, ("sum", ""), "unknown aggregation kind ''")],
+    )
+    def test_bad_delta_or_kind_is_refused_before_the_first_case(self, delta, kinds, message):
+        # with 0 cases no aggregation is drawn, so the arguments are checked first
+        with pytest.raises(UsageError, match=message):
+            run_differential(0, seed=0, spec=ArithmeticSpec.satint(3), delta=delta, agg_kinds=kinds)
 
     @pytest.mark.parametrize("kind", ["mean", "max", "weighted"])
     def test_variant_differential_agreement(self, kind):

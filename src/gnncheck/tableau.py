@@ -33,15 +33,22 @@ candidates are the values from which the lowest and highest completions,
 through the later successors' structural ranges, can still reach the
 aggregation's value.
 
+Forward evaluation (``_Search._derive``) records where it stops on an
+unknown expression: the unvalued feature or the word without an arity it
+reached first.  A stuck inversion that would branch less forward than
+backward grounds that feature or picks that arity.
+
 The search's work is counted in ticks: one per branch alternative tried, one
 per value assigned, and one per value newly derived into the store by forward
 evaluation, charged to a ``semantics.Budget`` of ``SolveLimits.max_terms``
-ticks and ``SolveLimits.time_limit`` seconds, whose clock is read once every
-1 024 ticks.  ``verify_lvp`` runs cheaper sound deciders first, and every
-phase charges the same budget.  Interval bounds of the network's outputs
-(``gnn.BoxSplit.bounds``) are free of ticks.  A round of counterexample
-sampling (``falsify.Sampler``) costs nodes × layers + 1 ticks per sampled
-tree; branch and bound over the last layer's input box
+ticks and ``SolveLimits.time_limit`` seconds.  The clock is read once every
+1 024 ticks, and in saturation once per atom and once per obligation, whose
+walks down unknown expressions charge no tick and take as long as the
+expression is deep.  ``verify_lvp`` runs cheaper sound deciders first, and
+every phase charges the same budget.  Interval bounds of the network's
+outputs (``gnn.BoxSplit.bounds``) are free of ticks.  A round of
+counterexample sampling (``falsify.Sampler``) costs nodes × layers + 1 ticks
+per sampled tree; branch and bound over the last layer's input box
 (``gnn.BoxSplit.run``) costs a tick per box per FNN layer, the root's box
 among them, though the bounds already mapped it; up to
 ``falsify.EXTRA_ROUNDS`` more rounds follow at the sampling price, and the
@@ -178,6 +185,7 @@ class _Search:
                 continue
             self.unary[eid] = (node[2], spec.table(name, node[1]), partial(image, node[1]), partial(preimage, node[1]))
         self._table: dict[int, tuple[int, int]] | None = None  # built on first use
+        self.stopped_at: tuple = ()  # the leaf the last stuck ``_derive`` stopped on
         # the word table: word number n has offset n * stride and the offsets
         # of its successors 1, 2, ... in succs[n]
         self.stride = max(eids, default=0) + 1
@@ -284,6 +292,9 @@ class _Search:
         node whose operand is missing waits on a stack while the operand is
         derived.  Then a unary node maps the operand's value, and a sum or an
         aggregation is evaluated again and finds the operand in the store.
+        When evaluation stops, ``stopped_at`` records the leaf it stopped on:
+        ``("feat", word, eid)``, an unvalued feature, or ``("arity", word)``,
+        a word whose aggregation has no arity yet.
         """
         values, nodes, unary = st.values, self.nodes, self.unary
         m = self.spec.max_payload
@@ -318,10 +329,12 @@ class _Search:
             elif tag == "const":
                 out = node[1]
             elif tag == "feat":
+                self.stopped_at = ("feat", word, eid)
                 return None
             else:  # agg
                 arity = st.arity.get(word)
                 if arity is None:
+                    self.stopped_at = ("arity", word)
                     return None
                 kind, child = node[1], node[2]
                 acc = self.spec.fold_start(kind)
@@ -478,7 +491,10 @@ class _Search:
     def _saturate_atoms(self, st: _State) -> bool:
         progress = False
         remaining = []
+        expired = self.budget.expired
         for word, fid, sign in st.atoms:
+            if expired():
+                raise LimitHit("timeout")
             node = self.arena.formula(fid)
             value = self.forward(st, word, node[1])
             k = node[2]
@@ -506,9 +522,12 @@ class _Search:
     def _saturate_obligations(self, st: _State) -> bool:
         progress = False
         stride = self.stride
+        expired = self.budget.expired
         for key in list(st.obligations):
             if key not in st.obligations:
                 continue
+            if expired():
+                raise LimitHit("timeout")
             eid = key % stride
             node = self.nodes[eid]
             tag = node[0]
@@ -650,55 +669,21 @@ class _Search:
 
     def _plan_stuck(self, st: _State, key):
         """Resolve a stuck inversion either backward (enumerate the rule's
-        witnesses) or forward (ground its first unknown leaf), whichever
-        branches less."""
+        witnesses) or forward (ground the leaf where evaluating the
+        obligation's node stops), whichever branches less.  Saturation
+        discharges or clashes every obligation whose operands evaluate, so
+        that evaluation stops at a leaf."""
         eid = key % self.stride
-        word = key - eid
-        leaf = self._first_unknown_leaf(st, word, eid)
+        if self._derive(st, key - eid, eid) is not None:
+            raise RuntimeError("an obligation whose operands are known survived saturation")
+        leaf = self.stopped_at
         operand, lo, hi = self._window(st, key)
-        invert = ("invert", key, operand, lo, hi)
-        if leaf is None:
-            return invert
-        if leaf[0] == "arity":
-            leaf_width = self.arity_cap + 1
-        else:
-            leaf_width = self.spec.n_values
+        leaf_width = self.arity_cap + 1 if leaf[0] == "arity" else self.spec.n_values
         # grounding collapses everything downstream of the leaf, backward
         # inversion tends to cascade; invert only when clearly narrower
         if hi - lo + 1 <= max(2, leaf_width // 64):
-            return invert
-        if leaf[0] == "arity":
-            return ("arity", leaf[1])
-        return ("ground", leaf[1], leaf[2])
-
-    def _first_unknown_leaf(self, st: _State, word: int, eid: int):
-        """First unvalued feature or missing arity the expression depends on.
-
-        Depth first, operands left to right.  An operand of a sum or of an
-        aggregation is only entered when forward evaluation leaves it unknown,
-        and that evaluation runs when the operand comes off the stack.
-        """
-        stack = [(word, eid, False)]  # (word, expression, evaluate first)
-        while stack:
-            word, eid, evaluate = stack.pop()
-            if evaluate and self.forward(st, word, eid) is not None:
-                continue
-            node = self.nodes[eid]
-            tag = node[0]
-            if tag == "feat":
-                if word + eid not in st.values:
-                    return ("feat", word, eid)
-            elif tag in ("act", "scale"):
-                stack.append((word, node[2], False))
-            elif tag == "sum":
-                stack += ((word, node[2], True), (word, node[1], True))
-            elif tag == "agg":
-                arity = st.arity.get(word)
-                if arity is None:
-                    return ("arity", word)
-                succs = self.successors(word, arity)[:arity]
-                stack += ((succ, node[2], True) for succ in reversed(succs))
-        return None
+            return ("invert", key, operand, lo, hi)
+        return leaf if leaf[0] == "arity" else ("ground", *leaf[1:])
 
     def _window(self, st: _State, key: int) -> tuple[int, int, int]:
         """Candidate interval (operand, lo, hi) of the backward inversion of

@@ -1,7 +1,7 @@
 """One arity rule for every engine: no node has more successors than the
 fewest weights of any weighted aggregation in the formula (``weight_cap``).
 
-The tableau (unary and binary δ), the brute-force oracle and the formula
+The tableau (at δ and unbounded), the brute-force oracle and the formula
 semantics must agree on which tree models exist, whatever the order of the
 operands of ``and`` and ``or``.  ``fuzz.random_formula`` gives every weighted
 aggregation exactly δ weights, so no cap binds on its formulas; the cases
@@ -21,8 +21,8 @@ from gnncheck import tableau
 from gnncheck.arith import ArithmeticSpec, arity_bound
 from gnncheck.compile import compile_generalized, compile_lvp
 from gnncheck.errors import UsageError
-from gnncheck.formula import Arena, Formula, _rebuild, parse
-from gnncheck.fuzz import random_formula, run_differential
+from gnncheck.formula import Arena, Formula, _rebuild, parse, to_text
+from gnncheck.fuzz import INF_TERMS, random_formula, run_differential
 from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnLayer, GnnModel, LinIneq, LvpInstance
 from gnncheck.graph import LabeledGraph
 from gnncheck.semantics import Sat, Unknown, Unsat, brute_force_sat, check
@@ -42,13 +42,15 @@ def test_the_arity_bound_is_the_least_cap_given():
 
 
 def verdicts(f, delta):
-    """The verdicts of solve under unary and binary δ, and of the oracle."""
-    limits = SolveLimits(max_terms=20_000)
-    return [
-        solve(f, DeltaMode.unary(delta), limits),
-        solve(f, DeltaMode.binary(delta), limits),
-        brute_force_sat(f, delta, max_steps=200_000),
-    ]
+    """The verdicts of solve at δ and at unbounded δ, and of the oracle at δ.
+
+    Unbounded, only the weight cap (and 2^n * |f|) bounds a node's
+    successors, so a Sat at δ stays Sat there wherever that rung decides.
+    """
+    at_delta = solve(f, DeltaMode.unary(delta), SolveLimits(max_terms=20_000))
+    at_inf = solve(f, DeltaMode.infinite(), SolveLimits(max_terms=INF_TERMS))
+    assert not (isinstance(at_delta, Sat) and isinstance(at_inf, Unsat)), to_text(f)
+    return [at_delta, at_inf, brute_force_sat(f, delta, max_steps=200_000)]
 
 
 def outcome(graph, f):
@@ -190,7 +192,7 @@ def test_a_compiled_formula_declares_the_networks_weight_cap():
         assert brute_force_sat(formula, 2) == Unsat()
     assert verify_lvp(instance) == Valid("bounds")
     # verify_lvp no longer reaches the tableau here, so ask it directly
-    for delta in (DeltaMode.unary(2), DeltaMode.binary(2), DeltaMode.infinite()):
+    for delta in (DeltaMode.unary(2), DeltaMode.infinite()):
         formula = compile_lvp(LvpInstance(model, (), instance.l_out, delta)).formula
         assert solve(formula, delta, SolveLimits(max_terms=100_000)) == Unsat(), delta
     formula = compile_lvp(instance).formula

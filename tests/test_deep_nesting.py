@@ -170,8 +170,8 @@ def test_tableau_passes_on_a_deep_chain():
     search = _Search(f, 1, budget)
     st = search.root_state()
     assert search.forward(st, 0, top) is None
+    assert search.stopped_at == ("feat", 0, x1)
     assert search.expr_range(st, 0, top) == (0, 3)
-    assert search._first_unknown_leaf(st, 0, top) == ("feat", 0, x1)
     assert search.tighten(st, 0, top, 1, 3)
     assert st.bounds[0 + x1] == (1, 3)
     search.assign(st, 0, x1, 2)

@@ -3,6 +3,11 @@
 Run from the root of a checkout:
 
     python3 tools/case_digest.py
+    python3 tools/case_digest.py --against ../other-checkout
+
+With ``--against PATH`` it also runs ``PATH/tools/case_digest.py`` in a
+child process while it computes its own digests, prints that checkout's
+lines after its own, and exits 1 when a line differs.
 
 The cases are those ``lvpbench/workloads.py`` generates for a 20-second run
 of ``lvpbench/run.py``, decided under the same limits.  Per ``lvp-grid`` case
@@ -17,9 +22,11 @@ standard library only.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib
 import json
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -84,7 +91,17 @@ def fuzz_oracle_case(p, w, case) -> list:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Print one sha256 per benchmark workload.")
+    parser.add_argument("--against", metavar="PATH", help="another checkout whose digests must be the same")
+    args = parser.parse_args()
+    other = None
+    if args.against is not None:
+        script = Path(args.against) / "tools" / "case_digest.py"
+        if not script.is_file():
+            parser.error(f"{script} does not exist")
+        other = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, text=True)
     p = import_program()
+    lines = []
     for name, decide in (("lvp-grid", lvp_grid_case), ("fuzz-oracle", fuzz_oracle_case)):
         w = WORKLOADS[name]
         digest, n = hashlib.sha256(), max(100, round(w.per_second * SECONDS))
@@ -92,8 +109,16 @@ def main() -> int:
             for i in range(n):
                 case = w.make_case(p, seed, i)
                 digest.update(json.dumps([seed, i, decide(p, w, case)], sort_keys=True).encode() + b"\n")
-        print(f"{name} {digest.hexdigest()} ({len(SEEDS)} seeds x {n} cases)", flush=True)
-    return 0
+        lines.append(f"{name} {digest.hexdigest()} ({len(SEEDS)} seeds x {n} cases)")
+        print(lines[-1], flush=True)
+    if other is None:
+        return 0
+    theirs = other.communicate()[0].splitlines()
+    print(f"against {args.against}:")
+    print(*theirs, sep="\n")
+    same = other.returncode == 0 and theirs == lines
+    print("same digests" if same else "digests differ")
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

@@ -9,13 +9,14 @@ Two families of value sets are supported:
 
 Internally every value is a scaled integer payload; all operations are exact
 integer arithmetic followed by round-to-nearest (ties away from zero) and a
-clamp.  Besides the forward operations and the aggregation fold, this module
-holds every interval rule: the forward ones, the image of intervals under a
-primitive (``sum_image``, ``scale_image``, ``act_image``, ``row_image``, and
-``agg_hull`` over arities), which map an empty interval's ends like any
-other's (sum and act in place, scale sorted), and the backward ones the
-tableau prunes its candidates with (``act_preimage_interval``,
-``mul_preimage``, ``add_preimage``, ``sum_left_window``, ``div_preimage``).
+clamp; so is every activation.  Besides the forward operations and the
+aggregation fold, this module holds every interval rule: the forward ones,
+the image of intervals under a primitive (``sum_image``, ``scale_image``,
+``act_image``, ``row_image``, and ``agg_hull`` over arities), which map an
+empty interval's ends like any other's (sum and act in place, scale sorted),
+and the backward ones the tableau prunes with (``mul_preimage``,
+``div_preimage``, and one clamp preimage for ``act_preimage_interval``,
+``add_preimage`` and ``sum_left_window``).
 The inverse enumerators over ``Value`` are lazy, deterministic and yield
 exactly the witnessing values.
 
@@ -32,7 +33,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConfigError, UsageError
 
-ACTIVATIONS = ("relu", "truncrelu", "id")
+# Every activation is a clamp: its ends, of a spec's M and one (``clamps``).
+_CLAMP_ENDS = {
+    "relu": lambda m, one: (0, m),
+    "truncrelu": lambda m, one: (0, one),
+    "id": lambda m, one: (-m, m),
+}
+ACTIVATIONS = tuple(_CLAMP_ENDS)
+AGG_KINDS = ("sum", "mean", "max", "weighted")  # the kinds the fold and agg_hull switch on
 
 
 def _round_div_away(num: int, den: int) -> int:
@@ -108,6 +116,13 @@ class _Table(dict):
         return list(map(self.__getitem__, payloads))
 
 
+class _Clamps(dict):
+    """The clamp ends of each activation, by name; an unknown name is a ConfigError."""
+
+    def __missing__(self, name: str):
+        raise ConfigError(f"unknown activation {name!r}; known: {', '.join(ACTIVATIONS)}")
+
+
 def _filled_with(n: int) -> None:
     """Count n new entries; past TABLE_ENTRIES, empty every table in place,
     so that none that a caller still holds keeps its entries."""
@@ -126,8 +141,8 @@ class ArithmeticSpec:
 
     ``max_payload`` is the largest representable payload M; the value set is
     the symmetric range [-M, M] of payloads, each denoting payload / 10**frac_decimals.
-    ``scale`` (10**frac_decimals) and ``one``, the payload of the value 1 (the
-    same number), are set once, when the spec is made.
+    ``scale`` (10**frac_decimals), ``one``, the payload of the value 1 (the
+    same number), and each activation's ends ``clamps`` are set once.
 
     Specs are interned: ``satint``, ``fixed`` and ``parse`` return one object
     per value set, so equality and hashing are those of identity.
@@ -139,11 +154,14 @@ class ArithmeticSpec:
     total_bits: int | None = None
     scale: int = field(init=False, repr=False)
     one: int = field(init=False, repr=False)
+    clamps: dict = field(init=False, repr=False)
     _tables: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "scale", 10 ** self.frac_decimals)
         object.__setattr__(self, "one", self.scale)
+        m, one = self.max_payload, self.one
+        object.__setattr__(self, "clamps", _Clamps((name, ends(m, one)) for name, ends in _CLAMP_ENDS.items()))
         object.__setattr__(self, "_tables", {})
 
     @staticmethod
@@ -247,13 +265,8 @@ class ArithmeticSpec:
         return self.clamp(_round_div_away(p, m))
 
     def act_p(self, name: str, p: int) -> int:
-        if name == "relu":
-            return p if p >= 0 else 0
-        if name == "truncrelu":
-            return max(0, min(self.one, p))
-        if name == "id":
-            return p
-        raise ConfigError(f"unknown activation {name!r}; known: {', '.join(ACTIVATIONS)}")
+        lo, hi = self.clamps[name]
+        return lo if p < lo else hi if p > hi else p
 
     def fold_add(self, payloads) -> int:
         """Left fold of saturating addition, empty fold = 0."""
@@ -396,23 +409,18 @@ class ArithmeticSpec:
 
     def act_preimage_interval(self, name: str, tlo: int, thi: int) -> Optional[tuple[int, int]]:
         """Payload interval {p : act(p) in [tlo, thi]} or None."""
-        m = self.max_payload
-        if tlo > thi:
+        return self._clamp_preimage(self.clamps[name], tlo, thi, 0, 0)
+
+    def _clamp_preimage(self, ends, tlo: int, thi: int, slo: int, shi: int) -> Optional[tuple[int, int]]:
+        """Payload interval {q : q + s clamped to ends is in [tlo, thi] for some
+        s in [slo, shi]}, or None.  An end of the target at or past the
+        clamp's end leaves that side unbounded.  An empty shift interval
+        (slo > shi) keeps the saturated sides of a window, and only those."""
+        clo, chi = ends
+        if max(tlo, clo) > min(thi, chi):
             return None
-        if name == "relu":
-            if thi < 0:
-                return None
-            return (tlo if tlo > 0 else -m, min(thi, m))
-        if name == "truncrelu":
-            one = self.one
-            if max(tlo, 0) > min(thi, one):
-                return None
-            lo = tlo if tlo > 0 else -m
-            hi = thi if thi < one else m
-            return (lo, hi)
-        if name == "id":
-            return intersect((tlo, thi), (-m, m))
-        raise ConfigError(f"unknown activation {name!r}; known: {', '.join(ACTIVATIONS)}")
+        m = self.max_payload
+        return intersect((-m if tlo <= clo else tlo - shi, m if thi >= chi else thi - slo), (-m, m))
 
     def _round_preimage(self, a: int, b: int, tlo: int, thi: int) -> Optional[tuple[int, int]]:
         """Payload interval {p : clamp(round_away(a*p/b)) in [tlo, thi]}, a != 0, b > 0.
@@ -451,24 +459,12 @@ class ArithmeticSpec:
         return self._round_preimage(c, self.scale, tlo, thi)
 
     def add_preimage(self, a: int, tlo: int, thi: int) -> Optional[tuple[int, int]]:
-        """Payload interval {q : add_p(a, q) in [tlo, thi]} or None."""
-        if tlo > thi:
-            return None
-        m = self.max_payload
-        lo = -m if self.add_p(a, -m) >= tlo else tlo - a
-        hi = m if self.add_p(a, m) <= thi else thi - a
-        return intersect((lo, hi), (-m, m))
+        """Payload interval {q : add_p(a, q) in [tlo, thi]} or None; add_p is id of the sum."""
+        return self._clamp_preimage(self.clamps["id"], tlo, thi, a, a)
 
     def sum_left_window(self, k: int, blo: int, bhi: int) -> Optional[tuple[int, int]]:
         """Payload interval of k1 such that some k2 in [blo, bhi] has add_p(k1, k2) = k."""
-        m = self.max_payload
-        if k == m:
-            w = (k - bhi, m)
-        elif k == -m:
-            w = (-m, k - blo)
-        else:
-            w = (k - bhi, k - blo)
-        return intersect(w, (-m, m))
+        return self._clamp_preimage(self.clamps["id"], k, k, blo, bhi)
 
     def div_preimage(self, k: int, m: int) -> Optional[tuple[int, int]]:
         """Payload interval {S : div_p(S, m) = k}."""
@@ -513,15 +509,18 @@ def values_lt(k: Value) -> Iterator[Value]:
         yield Value(p, spec)
 
 
+def _values_in(spec: ArithmeticSpec, rng: Optional[tuple[int, int]]) -> Iterator[Value]:
+    """The values of the payload interval rng (None: none), ascending."""
+    for p in range(rng[0], rng[1] + 1) if rng else ():
+        yield Value(p, spec)
+
+
 def add_inverses(k: Value) -> Iterator[tuple[Value, Value]]:
     """All pairs (k1, k2) with add_p(k1, k2) = k; k1 ascending, then k2 ascending."""
     spec = k.spec
     for p1 in range(-spec.max_payload, spec.max_payload + 1):
-        rng = spec.add_preimage(p1, k.payload, k.payload)
-        if rng is None:
-            continue
-        for p2 in range(rng[0], rng[1] + 1):
-            yield Value(p1, spec), Value(p2, spec)
+        for v2 in _values_in(spec, spec.add_preimage(p1, k.payload, k.payload)):
+            yield Value(p1, spec), v2
 
 
 def mul_inverses(c: Value, k: Value) -> Iterator[Value]:
@@ -529,18 +528,9 @@ def mul_inverses(c: Value, k: Value) -> Iterator[Value]:
     spec = k.spec
     if c.spec != spec:
         raise UsageError(f"mixed arithmetic specs: {c.spec.spec_string()} vs {spec.spec_string()}")
-    rng = spec.mul_preimage(c.payload, k.payload, k.payload)
-    if rng is None:
-        return
-    for p in range(rng[0], rng[1] + 1):
-        yield Value(p, spec)
+    yield from _values_in(spec, spec.mul_preimage(c.payload, k.payload, k.payload))
 
 
 def act_inverses(name: str, k: Value) -> Iterator[Value]:
     """All values v with act_p(name, v) = k, ascending."""
-    spec = k.spec
-    rng = spec.act_preimage(name, k.payload)
-    if rng is None:
-        return
-    for p in range(rng[0], rng[1] + 1):
-        yield Value(p, spec)
+    yield from _values_in(k.spec, k.spec.act_preimage(name, k.payload))

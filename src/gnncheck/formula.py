@@ -29,10 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import ACTIVATIONS, ArithmeticSpec, weight_cap
+from .arith import ACTIVATIONS, AGG_KINDS, ArithmeticSpec, weight_cap
 from .errors import FormulaSyntaxError, UsageError
-
-AGG_KINDS = ("sum", "mean", "max", "weighted")
 
 _ATOMS = ("geq", "eq")
 # positions of a node's children in its tuple, by tag; an atom's expression
@@ -411,6 +409,15 @@ def _tokenize(text: str) -> list[_Token]:
         raise FormulaSyntaxError(f"unexpected character {ch!r}", line, start_col)
     tokens.append(_Token("eof", "", line, col))
     return tokens
+
+
+def is_feature_name(name) -> bool:
+    """Whether formula text reads name back as one feature: an identifier that is no keyword."""
+    try:
+        tokens = _tokenize(name) if isinstance(name, str) else []
+    except FormulaSyntaxError:
+        return False
+    return len(tokens) == 2 and tokens[0].kind == "ident" and tokens[0].text == name and name not in _KEYWORDS
 
 
 class _Parser:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .arith import ACTIVATIONS, ArithmeticSpec
+from .arith import ACTIVATIONS, AGG_KINDS, ArithmeticSpec
 from .errors import UsageError
-from .formula import AGG_KINDS, Arena, Formula, to_text
+from .formula import Arena, Formula, to_text
 from .gnn import DeltaMode
 from .semantics import Sat, Unknown, Unsat, brute_force_sat, check_limits
 from .tableau import SolveLimits, solve

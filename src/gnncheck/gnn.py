@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .arith import ACTIVATIONS, ArithmeticSpec, Value, arity_bound, intersect, weight_cap
+from .arith import ACTIVATIONS, AGG_KINDS, ArithmeticSpec, Value, arity_bound, intersect, weight_cap
 from .errors import SchemaError, UsageError
+from .formula import is_feature_name
 from .graph import PointedGraph, _expect, _parse_payload, at_path
 from .semantics import Budget
-
-AGG_LAYER_KINDS = ("sum", "mean", "max", "weighted")
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class GnnLayer:
     agg_weights: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.agg_kind not in AGG_LAYER_KINDS:
+        if self.agg_kind not in AGG_KINDS:
             raise UsageError(f"unknown aggregation {self.agg_kind!r}")
         if (self.agg_kind == "weighted") != (self.agg_weights is not None):
             raise UsageError("aggregation weights are given exactly for weighted layers")
@@ -109,10 +108,13 @@ class GnnModel:
         dim = len(self.input_features)
         if dim == 0:
             raise UsageError("a GNN needs at least one input feature")
+        # compiled formulas name features by these strings: each must parse back,
+        # and a shared name would make an output and an input one feature
         names = self.input_features + self.output_features
+        for name in names:
+            if not is_feature_name(name):
+                raise UsageError(f"feature name {name!r} is not an identifier, or is a keyword of the formula syntax")
         if len(set(names)) != len(names):
-            # compiled formulas name features by these strings: a shared name
-            # would make an output and an input one feature
             raise UsageError(f"input and output feature names must be distinct, got {names}")
         for i, layer in enumerate(self.layers):
             if layer.comb.input_dim != 2 * dim:
@@ -559,7 +561,7 @@ def gnn_from_json(doc: Any, path: str = "$") -> GnnModel:
                 for j, w in enumerate(_expect(agg, "weights", list, f"{at}.agg", []))
             )
             agg = "weighted"
-        elif agg not in AGG_LAYER_KINDS or agg == "weighted":
+        elif agg not in AGG_KINDS or agg == "weighted":
             raise SchemaError(f"unknown aggregation {agg!r}", f"{at}.agg")
         comb = _fnn_from_json(ld.get("comb"), spec, f"{at}.comb")
         layers.append(at_path(at, GnnLayer, agg, comb, weights))

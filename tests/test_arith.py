@@ -492,6 +492,35 @@ class TestIntegerPreimages:
                     assert spec.add_preimage(a, tlo, thi) == want, (a, tlo, thi)
 
     @pytest.mark.parametrize("spec", WINDOW_SPECS, ids=lambda s: s.spec_string())
+    def test_empty_targets_have_no_preimage(self, spec):
+        # saturation hands these rules empty targets: contradicting bounds
+        # (tlo > thi), and (-M, -M - 1) for an atom "< -M"
+        values = list(spec.values_p())
+        m = spec.max_payload
+        for tlo, thi in [(tlo, thi) for tlo in values for thi in values if tlo > thi] + [(-m, -m - 1)]:
+            for name in ACTIVATIONS:
+                assert spec.act_preimage_interval(name, tlo, thi) is None, (name, tlo, thi)
+            for a in values:
+                assert spec.add_preimage(a, tlo, thi) is None, (a, tlo, thi)
+
+    @pytest.mark.parametrize("spec", WINDOW_SPECS, ids=lambda s: s.spec_string())
+    def test_sum_left_window_on_empty_partner_intervals(self, spec):
+        # the tableau passes the partner's range as it stands, empty (blo >
+        # bhi) under contradicting bounds, and its ticks rest on the answer:
+        # the window's end rule, under which at k = M only bhi bounds the
+        # window and at k = -M only blo, and elsewhere the window is empty
+        values = list(spec.values_p())
+        m = spec.max_payload
+        for k in values:
+            for blo in values:
+                for bhi in values[: blo + m]:
+                    want = None
+                    if k in (m, -m):
+                        end = bhi if k == m else blo
+                        want = interval_of([k1 for k1 in values if spec.add_p(k1, end) == k])
+                    assert spec.sum_left_window(k, blo, bhi) == want, (k, blo, bhi)
+
+    @pytest.mark.parametrize("spec", WINDOW_SPECS, ids=lambda s: s.spec_string())
     def test_sum_left_window_exhaustive(self, spec):
         values = list(spec.values_p())
         m = spec.max_payload

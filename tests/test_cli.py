@@ -299,6 +299,21 @@ class TestCompileEval:
         out = capsys.readouterr().out
         assert "agg(" in out and "not" in out
 
+    def test_compiled_formula_parses_back(self, tmp_path, capsys):
+        # the network's default names x1 and y1 ... y3 print as features that
+        # sat reads back; the instance is invalid, so the formula is sat
+        doc = lvp_to_json(two_layer_instance())
+        del doc["gnn"]["features"], doc["gnn"]["outputs"]
+        lvp = tmp_path / "defaults.json"
+        lvp.write_text(json.dumps(doc))
+        assert main(["compile", str(lvp)]) == 0
+        formula = capsys.readouterr().out.strip()
+        assert "y3" in formula
+        assert main(["verify", str(lvp)]) == 1
+        capsys.readouterr()
+        assert main(["sat", formula, "--arith", "satint:7", "--delta", "unary:2"]) == 0
+        assert capsys.readouterr().out.startswith("sat")
+
     def test_eval_golden_vector(self, supp_files, capsys):
         _, gnn, graph = supp_files
         assert main(["eval", str(gnn), str(graph)]) == 0

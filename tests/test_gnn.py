@@ -244,6 +244,25 @@ class TestJson:
         with pytest.raises(UsageError):
             GnnModel(SAT7, (), Fnn.identity(2, SAT7), ("x1", "x1"), ("y1", "y2"))
 
+    @pytest.mark.parametrize(
+        "key, names, bad",
+        [("features", ["and"], "and"), ("features", ["1x"], "1x"), ("features", [""], ""),
+         ("outputs", ["y 1", "y2"], "y 1"), ("outputs", ["y1", "relu"], "relu"), ("outputs", ["y1", "y-2"], "y-2")],
+    )
+    def test_feature_name_that_does_not_parse_back_rejected(self, key, names, bad):
+        # compile printed "and + -1*y 1 = 0 and not y 1 >= 0" for features
+        # ["and"] and outputs ["y 1"], and sat could not read it back
+        doc = gnn_to_json(message_model())
+        doc[key] = names
+        with pytest.raises(SchemaError, match=repr(bad)):
+            gnn_from_json(doc)
+        with pytest.raises(UsageError, match="not an identifier"):
+            GnnModel(SAT7, (), Fnn.identity(3, SAT7), ("x1",), ("y1", "y2", bad))
+
+    def test_feature_names_that_parse_back_accepted(self):
+        model = GnnModel(SAT7, (), Fnn.identity(2, SAT7), ("_x", "feat_2"), ("y1", "out9"))
+        assert model.input_features == ("_x", "feat_2")
+
     def test_default_feature_names(self):
         doc = gnn_to_json(message_model())
         del doc["features"]

@@ -1,4 +1,5 @@
-"""Print one sha256 per benchmark workload over the cases of seeds 0-15.
+"""Print one sha256 per workload over the cases of its seeds: ``lvp-grid``
+and ``fuzz-oracle`` on seeds 0-15, ``sum-chain`` on seeds 0-3.
 
 Run from the root of a checkout:
 
@@ -15,9 +16,10 @@ the digest covers the verdict, ``Valid.by``, the ``Unknown`` reason, the
 ticks the budget was charged, and the counterexample's graph JSON with its
 outputs.  Per ``fuzz-oracle`` case it covers the tableau's and the oracle's
 verdicts, the tableau's ticks, the oracle's steps and both models' graph
-JSON.  Two checkouts that print the same digests decide every case alike,
-with the same models, at the same cost in ticks and steps.  It uses the
-standard library only.
+JSON.  Per ``sum-chain`` case it covers the verdict, the ``Unknown`` reason,
+the ticks and the model's graph JSON.  Two checkouts that print the same
+digests decide every case alike, with the same models, at the same cost in
+ticks and steps.  It uses the standard library only.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "lvpbench")]
 
-from workloads import SAFETY_S, WORKLOADS  # noqa: E402
+from workloads import SAFETY_S, SAT7, WORKLOADS  # noqa: E402
 
-SEEDS = range(0, 16)
 SECONDS = 20  # the benchmark's run length; it sets the number of cases per seed
 MODULES = ("arith", "formula", "graph", "semantics", "gnn", "compile", "tableau", "fuzz")
 
@@ -90,8 +91,27 @@ def fuzz_oracle_case(p, w, case) -> list:
     return record
 
 
+def sum_chain_case(p, w, case) -> list:
+    f = p.formula.parse(case.text, p.arith.ArithmeticSpec.satint(SAT7))
+    limits = p.tableau.SolveLimits(time_limit=SAFETY_S, max_terms=w.max_terms)
+    v = p.tableau.solve(f, p.gnn.DeltaMode.unary(1), limits)
+    record = [verdict(v), p.budgets[-1].ticks]
+    if isinstance(v, p.semantics.Sat):
+        record.append(graph_json(p, v.model))
+    return record
+
+
+# each workload with its case digest and its seeds; sum-chain, whose cases
+# take longer, on fewer
+DIGESTS = (
+    ("lvp-grid", lvp_grid_case, range(0, 16)),
+    ("fuzz-oracle", fuzz_oracle_case, range(0, 16)),
+    ("sum-chain", sum_chain_case, range(0, 4)),
+)
+
+
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Print one sha256 per benchmark workload.")
+    parser = argparse.ArgumentParser(description="Print one sha256 per workload.")
     parser.add_argument("--against", metavar="PATH", help="another checkout whose digests must be the same")
     args = parser.parse_args()
     other = None
@@ -102,14 +122,14 @@ def main() -> int:
         other = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, text=True)
     p = import_program()
     lines = []
-    for name, decide in (("lvp-grid", lvp_grid_case), ("fuzz-oracle", fuzz_oracle_case)):
+    for name, decide, seeds in DIGESTS:
         w = WORKLOADS[name]
         digest, n = hashlib.sha256(), max(100, round(w.per_second * SECONDS))
-        for seed in SEEDS:
+        for seed in seeds:
             for i in range(n):
                 case = w.make_case(p, seed, i)
                 digest.update(json.dumps([seed, i, decide(p, w, case)], sort_keys=True).encode() + b"\n")
-        lines.append(f"{name} {digest.hexdigest()} ({len(SEEDS)} seeds x {n} cases)")
+        lines.append(f"{name} {digest.hexdigest()} ({len(seeds)} seeds x {n} cases)")
         print(lines[-1], flush=True)
     if other is None:
         return 0

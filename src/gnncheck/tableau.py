@@ -11,9 +11,12 @@ integer word + eid (eid = key % K, word = key - eid).  The engine alternates
 1. saturation: all deterministic consequences (boolean decomposition,
    forward evaluation of ground subexpressions, single-candidate inversions),
 2. a choice point, explored depth first in a fixed order: boolean splits,
-   then atom value guesses in the streams' canonical orders, then composite
-   inversions, then successor work (arities ascending from 0, successor
-   children one at a time).
+   then the arity of a word on which an open atom's forward evaluation
+   stopped in saturation's last pass over the atoms, then atom value guesses
+   in the streams' canonical orders, then composite inversions, then
+   successor work (arities ascending from 0, successor children one at a
+   time).  Choosing such an arity first saves guessing an aggregation's value
+   that every arity would then have to reconcile.
 
 Candidate streams are pruned by sound interval reasoning (value ranges of
 subexpressions, made of the forward interval rules of ``arith``, and
@@ -186,6 +189,9 @@ class _Search:
             self.unary[eid] = (node[2], spec.table(name, node[1]), partial(image, node[1]), partial(preimage, node[1]))
         self._table: dict[int, tuple[int, int]] | None = None  # built on first use
         self.stopped_at: tuple = ()  # the leaf the last stuck ``_derive`` stopped on
+        # in saturation's last pass over the atoms, the word without an arity
+        # that stopped the first open atom stopped by one, else None
+        self.atom_arity: int | None = None
         # the word table: word number n has offset n * stride and the offsets
         # of its successors 1, 2, ... in succs[n]
         self.stride = max(eids, default=0) + 1
@@ -492,6 +498,7 @@ class _Search:
         progress = False
         remaining = []
         expired = self.budget.expired
+        self.atom_arity = None
         for word, fid, sign in st.atoms:
             if expired():
                 raise LimitHit("timeout")
@@ -499,6 +506,8 @@ class _Search:
             value = self.forward(st, word, node[1])
             k = node[2]
             if value is None:
+                if self.atom_arity is None and self.stopped_at[0] == "arity":
+                    self.atom_arity = self.stopped_at[1]
                 m = self.spec.max_payload
                 if node[0] == "geq" and sign:
                     progress |= self.tighten(st, word, node[1], k, m)
@@ -619,6 +628,10 @@ class _Search:
             word, fid, sign = st.bools[0]
             node = self.arena.formula(fid)
             return ("bool", 0, word, node, sign)
+        # an open atom waits on a word's arity: choose it before guessing a
+        # value that every arity would have to reconcile
+        if self.atom_arity is not None:
+            return ("arity", self.atom_arity)
         deferred = None
         for idx, (word, fid, sign) in enumerate(st.atoms):
             # guessing a value for a sum with several unknown operands feeds

@@ -128,6 +128,24 @@ class TestSolve:
         assert isinstance(v, Sat)
         assert isinstance(solve(parse("truncrelu(x1) = 2", spec), DeltaMode.unary(1)), Unsat)
 
+    @pytest.mark.parametrize(
+        "text,arith,delta",
+        [
+            ("maxagg(x1) >= -0.7 and maxagg(-1.4) >= -0.8 and 0.4*relu(x2) >= -0.1", "fixed:5:1", 2),
+            ("mean(-4*maxagg(x1)) >= -2", "satint:5", 3),
+            ("not agg(id(agg(1.5))) >= 1.1 or id(0.1) + id(0.3*x2) >= -1.2", "fixed:5:1", 3),
+            ("not maxagg(x1 + x1) >= 0.8 and (not x2 >= -0.6 and x1 >= 0.5)", "fixed:5:1", 2),
+            ("maxagg(1.2*0.2 + id(0.2)) = 1.0 and (id(agg(x2)) >= 0.2 and x1 >= -0.6)", "fixed:5:1", 2),
+        ],
+    )
+    def test_arity_is_chosen_before_an_aggregation_value(self, text, arith, delta):
+        # an open atom's evaluation stops at a word without an arity; guessing
+        # the aggregation's value first took 5 000 ticks and more on each
+        f = parse(text, ArithmeticSpec.parse(arith))
+        expected = brute_force_sat(f, delta)
+        assert isinstance(expected, (Sat, Unsat))
+        assert type(solve(f, DeltaMode.unary(delta), SolveLimits(max_terms=100))) is type(expected)
+
 
 class TestLimits:
     @pytest.mark.parametrize(

@@ -286,7 +286,12 @@ class _TreeSearch:
     their union.  An index into a column maps to the first label with those
     support values: every other feature at its lowest value.  Nodes that
     depend on no aggregation value are evaluated once per search, checking
-    the deadline after each column, the others once per state.
+    the deadline after each column, the others once per state.  A static
+    formula column that holds one truth value at every label is held as
+    that scalar.  An and or an or that a static scalar operand decides
+    (false for and, true for or) is static too, whatever its other operand;
+    when that makes the root static, ``search`` answers it before it builds
+    any level.
 
     With ``lanes`` (max_payload <= LANE_PAYLOAD) a column is ``bytes``: an
     expression's entries are payload + M, a formula's 0 or 1, and a profile
@@ -347,15 +352,23 @@ class _TreeSearch:
         self.dyn_formulas: list[tuple[int, tuple]] = []
         for fid in fids:
             node = self.arena.formula(fid)
-            if node[0] in ("geq", "eq"):
+            tag = node[0]
+            if tag in ("geq", "eq"):
                 is_static = node[1] in static
             else:
                 is_static = all(k in self.static_formulas for k in node[1:])
+                # a static scalar operand decides an and when False and an
+                # or when True, whatever the other operand's value
+                if tag != "not" and any(self.static_formulas.get(k) is (tag == "or") for k in node[1:]):
+                    self.static_formulas[fid] = tag == "or"
+                    continue
             if fits and is_static:
-                self.static_formulas[fid] = self._formula_value(
-                    fid, node, self.static_formulas, self.static_supports, static
-                )
-                self._check_column(self.static_formulas[fid])
+                x = self._formula_value(fid, node, self.static_formulas, self.static_supports, static)
+                self._check_column(x)
+                # a column of one truth value at every label is that scalar
+                if not isinstance(x, int) and x.count(x[0]) == len(x):
+                    x = bool(x[0])
+                self.static_formulas[fid] = x
             else:
                 self.dyn_formulas.append((fid, node))
         self.static_profiles = all(child in static for _, _, child, _ in self.aggs)
@@ -511,7 +524,10 @@ class _TreeSearch:
         fv, fs = dict(self.static_formulas), {}
         for fid, node in self.dyn_formulas:
             fv[fid] = self._formula_value(fid, node, fv, fs, ev)
-        t = fv[self.root_fid]
+        return self._first_label(fv[self.root_fid], fs)
+
+    def _first_label(self, t, fs: dict) -> int | None:
+        """First label at which the root formula, of value t, holds."""
         if isinstance(t, int):
             return 0 if t else None
         try:
@@ -624,7 +640,18 @@ class _TreeSearch:
 
     def search(self, depth: int):
         """First (label index, child profiles) whose root satisfies the
-        formula; each state charges one step per label up to the one found."""
+        formula; each state charges one step per label up to the one found.
+
+        A static root formula, one no aggregation value can change, is
+        answered before any level is built, on a tree of one node, and
+        charged as level 0's one state is: a step per label, then one per
+        label up to the one found."""
+        root = self.static_formulas.get(self.root_fid)
+        if root is not None:
+            self._charge(self.n_labels)
+            i = self._first_label(root, {})
+            self._charge(self.n_labels if i is None else i + 1)
+            return (None if i is None else (i, ())), []
         levels: list[dict] = [self.level_profiles(None)]
         for _ in range(max(0, depth - 1)):
             levels.append(self.level_profiles(levels[-1]))

@@ -27,7 +27,14 @@ structural range, its interval at any word (``_Search.structural_ranges``,
 where an aggregation ranges over ``ArithmeticSpec.agg_hull`` of its child's
 range up to the arity cap).  That drops only failing subtrees, in place, so
 the search finds the same models in no more ticks.  Saturation keeps [-M, M]
-for aggregations not in the store.
+for aggregations not in the store, but an atom its expression's structural
+range cannot meet (``e >= k`` with the range's top below k, ``e = k`` with k
+outside it, or their negations) clashes as soon as the boolean decomposition
+reaches it, at any word.  A sum of an expression with itself, ``e + e``, is
+the scale by 2: ``add_p(v, v) == mul_p(2 * one, v)`` for every payload, so
+it is evaluated, ranged and inverted, and bounds pass through it, as through
+a unary node (``_Search.unary``): one child value at a time, not a pair of
+operand values.
 Aggregation constraints walk their successors incrementally with a running
 accumulator, up to the arity cap (``arith.arity_bound``).  ``solve`` hands
 the search δ's value alone: its encoding only sizes the input.  Every
@@ -127,6 +134,15 @@ class _State:
         return child
 
 
+def _meets(r: tuple[int, int], tag: str, k: int, sign: bool) -> bool:
+    """Whether a value in the interval r satisfies the atom e >= k (tag
+    "geq") or e = k (tag "eq"), or with sign False its negation."""
+    lo, hi = r
+    if tag == "geq":
+        return hi >= k if sign else lo < k
+    return lo <= k <= hi if sign else r != (k, k)
+
+
 def walk_window(spec: ArithmeticSpec, kind: str, acc: int | None, t: tuple[int, int], contrib, later, clo: int, chi: int):
     """Interval of successor values in [clo, chi] from which an aggregation
     walk can still fold into t, or None.
@@ -173,20 +189,24 @@ class _Search:
         self.spec: ArithmeticSpec = formula.spec
         self.budget = budget
         fids, eids = formula.fids, formula.eids
-        # the node table: expression nodes by id, and for each act node and
-        # each non-zero scale node its child, its primitive's table, and its
-        # forward and backward interval rules, all from ``arith``
+        # the node table: expression nodes by id, and for each act node, each
+        # non-zero scale node and each self-sum e + e its child, its
+        # primitive's table, and its forward and backward interval rules, all
+        # from ``arith``.  A self-sum is the scale by 2: add_p(v, v) is
+        # mul_p(2 * one, v) for every payload v
         self.nodes: dict[int, tuple] = {eid: self.arena.expr(eid) for eid in eids}
         spec = self.spec
         self.unary: dict[int, tuple] = {}
         for eid, node in self.nodes.items():
-            if node[0] == "act":
+            tag = node[0]
+            if tag == "act":
                 name, image, preimage = "act_p", spec.act_image, spec.act_preimage_interval
-            elif node[0] == "scale" and node[1] != 0:
+            elif (tag == "scale" and node[1] != 0) or (tag == "sum" and node[1] == node[2]):
                 name, image, preimage = "mul_p", spec.scale_image, spec.mul_preimage
             else:
                 continue
-            self.unary[eid] = (node[2], spec.table(name, node[1]), partial(image, node[1]), partial(preimage, node[1]))
+            operand, child = (2 * spec.one, node[1]) if tag == "sum" else node[1:]
+            self.unary[eid] = (child, spec.table(name, operand), partial(image, operand), partial(preimage, operand))
         self._table: dict[int, tuple[int, int]] | None = None  # built on first use
         self.stopped_at: tuple = ()  # the leaf the last stuck ``_derive`` stopped on
         # in saturation's last pass over the atoms, the word without an arity
@@ -308,7 +328,15 @@ class _Search:
         while True:
             node = nodes[eid]
             tag = node[0]
-            if tag == "sum":
+            op = unary.get(eid)
+            if op is not None:
+                value = values.get(word + op[0])
+                if value is None:
+                    waiting.append((word, eid))
+                    eid = op[0]
+                    continue
+                out = op[1][value]
+            elif tag == "sum":
                 left = values.get(word + node[1])
                 if left is None:
                     waiting.append((word, eid))
@@ -321,17 +349,8 @@ class _Search:
                     continue
                 out = left + right
                 out = -m if out < -m else m if out > m else out
-            elif tag == "act" or tag == "scale":
-                op = unary.get(eid)
-                if op is None:  # 0 * e
-                    out = 0
-                else:
-                    value = values.get(word + op[0])
-                    if value is None:
-                        waiting.append((word, eid))
-                        eid = op[0]
-                        continue
-                    out = op[1][value]
+            elif tag == "scale":  # 0 * e
+                out = 0
             elif tag == "const":
                 out = node[1]
             elif tag == "feat":
@@ -397,14 +416,14 @@ class _Search:
                     continue
                 node = nodes[e]
                 tag = node[0]
+                op = unary.get(e)
+                if op is not None:
+                    stack += (~e, op[0])
+                    continue
                 if tag == "sum":
                     stack += (~e, node[2], node[1])
                     continue
-                if tag == "act" or tag == "scale":
-                    op = unary.get(e)
-                    if op is not None:
-                        stack += (~e, op[0])
-                        continue
+                if tag == "scale":
                     lo, hi = 0, 0  # 0 * e
                 elif tag == "const":
                     lo, hi = node[1], node[1]
@@ -434,10 +453,11 @@ class _Search:
                 table[e] = (-m, m)
             elif tag == "agg":
                 table[e] = self.spec.agg_hull(node[1], *table[node[2]], self.arity_cap, node[3])
+            elif e in self.unary:
+                child, _, image, _ = self.unary[e]
+                table[e] = image(*table[child])
             elif tag == "sum":
                 table[e] = self.spec.sum_image(table[node[1]], table[node[2]])
-            elif e in self.unary:
-                table[e] = self.unary[e][2](*table[node[2]])
             else:  # 0 * e
                 table[e] = (0, 0)
         return table
@@ -472,6 +492,7 @@ class _Search:
         remaining = []
         queue = deque(st.bools)
         st.bools = []
+        structural = self._structural()
         while queue:
             word, fid, sign = queue.popleft()
             node = self.arena.formula(fid)
@@ -483,11 +504,16 @@ class _Search:
                 queue.append((word, node[1], sign))
                 queue.append((word, node[2], sign))
                 progress = True
-            elif tag == "eq" and sign:
-                self.assign(st, word, node[1], node[2])
-                progress = True
             elif tag in ("geq", "eq"):
-                st.atoms.append((word, fid, sign))
+                # an atom its expression's structural range cannot meet
+                # fails at every word
+                r = structural.get(node[1])
+                if r is not None and not _meets(r, tag, node[2], sign):
+                    raise _Clash()
+                if sign and tag == "eq":
+                    self.assign(st, word, node[1], node[2])
+                else:
+                    st.atoms.append((word, fid, sign))
                 progress = True
             else:
                 remaining.append((word, fid, sign))
@@ -540,17 +566,14 @@ class _Search:
             eid = key % stride
             node = self.nodes[eid]
             tag = node[0]
-            if tag == "act":
+            if eid in self.unary:
                 progress |= self._oblige_unary(st, key - eid, eid)
             elif tag == "scale":
-                if node[1] == 0:
-                    # 0 * e is 0 whatever e evaluates to
-                    if st.values[key] != 0:
-                        raise _Clash()
-                    del st.obligations[key]
-                    progress = True
-                    continue
-                progress |= self._oblige_unary(st, key - eid, eid)
+                # 0 * e is 0 whatever e evaluates to
+                if st.values[key] != 0:
+                    raise _Clash()
+                del st.obligations[key]
+                progress = True
             elif tag == "sum":
                 progress |= self._oblige_sum(st, key - eid, eid, node)
             else:  # agg
@@ -558,7 +581,8 @@ class _Search:
         return progress
 
     def _oblige_unary(self, st: _State, word: int, eid: int) -> bool:
-        """act/scale: verify a known child, else force a unique preimage."""
+        """act, scale or self-sum: verify a known child, else force a unique
+        preimage."""
         key = word + eid
         child, table, _, _ = self.unary[eid]
         value = self.forward(st, word, child)
@@ -669,6 +693,9 @@ class _Search:
                 # an unknown act or scale node has an unknown child
                 eid = node[2]
                 continue
+            # an unknown self-sum e + e has two unknown operands too: its
+            # atom waits, though its value would propagate, since each value
+            # guessed ahead of the aggregations' work repeats that work
             left = self.forward(st, word, node[1])
             right = self.forward(st, word, node[2])
             if left is None and right is None:
@@ -758,15 +785,14 @@ class _Search:
     def _invert_alternatives(self, st: _State, key: int, operand: int, lo: int, hi: int):
         eid = key % self.stride
         word = key - eid
-        node = self.nodes[eid]
         lo, hi = self._cut(operand, lo, hi)
-        if node[0] != "sum":
+        if eid in self.unary:
             for v in range(lo, hi + 1):
                 yield ("set", word, operand, v)
             return
         # sum with two unknown operands: pick the left value, derive partners
         target = st.values[key]
-        b = node[2]
+        b = self.nodes[eid][2]
         blo, bhi = self._cut(b, *self.expr_range(st, word, b))
         for k1 in range(lo, hi + 1):
             partners = intersect(self.spec.add_preimage(k1, target, target), (blo, bhi)) or (1, 0)

@@ -212,6 +212,23 @@ class TestMul:
                 assert spec.mul_p(c, p) == spec.clamp(rounded), (c, p)
 
 
+    @pytest.mark.parametrize("text", ["satint:1", "satint:3", "satint:5", "satint:7", "fixed:5:1"])
+    def test_a_self_sum_is_the_doubling_exhaustive(self, text):
+        # the tableau solves e + e as the scale by 2 * one: its table, image
+        # and preimage must be those of the sum of a value with itself
+        spec = ArithmeticSpec.parse(text)
+        two, vals = 2 * spec.one, list(spec.values_p())
+        for p in vals:
+            assert spec.add_p(p, p) == spec.mul_p(two, p), p
+        doubled = [(p, spec.add_p(p, p)) for p in vals]
+        for lo in vals:
+            for hi in vals:
+                if lo <= hi:
+                    assert spec.scale_image(two, lo, hi) == hull([d for p, d in doubled if lo <= p <= hi]), (lo, hi)
+                want = interval_of([p for p, d in doubled if lo <= d <= hi])
+                assert spec.mul_preimage(two, lo, hi) == want, (lo, hi)
+
+
 class TestDiv:
     def test_rounds_away_from_zero(self):
         assert SAT10.div_p(7, 2) == 4

@@ -5,6 +5,7 @@ import pytest
 
 from gnncheck import semantics
 from gnncheck.arith import ArithmeticSpec
+from gnncheck.cli import main
 from gnncheck.errors import UsageError
 from gnncheck.formula import features_of, parse, to_text
 from gnncheck.fuzz import random_formula
@@ -292,6 +293,38 @@ class TestOracleBudget:
                 verdict = brute_force_sat(f, delta, max_steps=end - 1)
                 assert isinstance(verdict, Unknown) and verdict.reason == "node-limit"
                 assert budgets[-1].ticks == end
+
+
+class TestStaticRoot:
+    """A root that no aggregation value can change is answered on a tree of
+    one node before any level is built, charged as level 0's one state: a
+    step per label, then one per label up to the first satisfying one."""
+
+    def test_a_constant_conjunct_decides_before_any_level(self, budgets):
+        # building the levels under it took more than 60 steps
+        args = ["-2 + 2 = 3 and agg(mean(x1)) >= -2", "--arith", "satint:3", "--delta", "unary:2", "--term-limit", "60"]
+        assert main(["oracle", "sat", *args]) == 1  # unsat
+        assert budgets[-1].batches == [7, 7]
+
+    @pytest.mark.parametrize(
+        "text,x1,batches",
+        [
+            ("maxagg(agg(x1)) = 3 or not 1 >= 2", -3, [7, 1]),
+            ("x1 >= 2 and (maxagg(agg(x1)) = 3 or 1 >= 0)", 2, [7, 6]),
+            # relu(x1) >= 0 holds at every label: a column of one value
+            ("relu(x1) >= 0 or agg(agg(x1)) = 3", -3, [7, 1]),
+        ],
+    )
+    def test_a_static_disjunct_gives_the_one_node_model(self, budgets, text, x1, batches):
+        v = brute_force_sat(parse(text, ArithmeticSpec.satint(3)), 2)
+        assert isinstance(v, Sat)
+        assert v.model.graph.nodes == ("v",) and v.model.graph.labels["v"] == {"x1": x1}
+        assert budgets[-1].batches == batches
+
+    def test_a_column_false_at_every_label_decides_a_conjunction(self, budgets):
+        v = brute_force_sat(parse("truncrelu(x1) >= 2 and agg(x1) >= 0", ArithmeticSpec.satint(3)), 2)
+        assert isinstance(v, Unsat)
+        assert budgets[-1].batches == [7, 7]
 
 
 def naive_sat_depth1(f, spec, delta):

@@ -147,6 +147,29 @@ class TestSolve:
         assert type(solve(f, DeltaMode.unary(delta), SolveLimits(max_terms=100))) is type(expected)
 
 
+    @pytest.mark.parametrize(
+        "text,arith,delta,expected",
+        [
+            # an atom its expression's structural range cannot meet, under
+            # the arity cap of δ = inf: each was Unknown at 50 000 ticks when
+            # every branch of root and successor arities met it on its own
+            ("relu(agg(mean(-1))) >= 1", "satint:3", None, Unsat),
+            ("not agg(mean(3)) >= -1 and not x1 + x1 + (x1 + x2) + truncrelu(3*(-1)) = -3", "satint:3", None, Unsat),
+            ("mean(agg(relu(x2))) >= 3 and (not x2 + 3 = 0 and x2 + -1 >= 3)", "satint:3", None, Unsat),
+            ("agg(agg(-2)) >= 1 and x2 + -2*1 + x2 >= 0 or not 3*(x1 + 1*x2) >= 0", "satint:3", None, Sat),
+            # a self-sum solved as the scale by 2, not by grounding
+            ("x1 + x1 >= 3 and not 2*x1 + (x1 + x2) >= 0", "satint:5", 2, Unsat),
+        ],
+    )
+    def test_what_the_formula_fixes_is_settled_before_branching(self, text, arith, delta, expected):
+        f = parse(text, ArithmeticSpec.parse(arith))
+        mode = DeltaMode.infinite() if delta is None else DeltaMode.unary(delta)
+        assert type(solve(f, mode, SolveLimits(max_terms=100))) is expected
+        # an Unsat under every arity is Unsat at δ 3; a Sat at δ 2 is the oracle's
+        if expected is Unsat or delta is not None:
+            assert type(brute_force_sat(f, 3 if delta is None else delta)) is expected
+
+
 class TestLimits:
     @pytest.mark.parametrize(
         "limits",

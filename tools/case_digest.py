@@ -6,9 +6,11 @@ Run from the root of a checkout:
     python3 tools/case_digest.py
     python3 tools/case_digest.py --against ../other-checkout
 
-With ``--against PATH`` it also runs ``PATH/tools/case_digest.py`` in a
-child process while it computes its own digests, prints that checkout's
-lines after its own, and exits 1 when a line differs.
+With ``--against PATH`` it also digests the checkout at PATH, by the same
+rules, in a child process while it computes its own digests.  It prints that
+checkout's lines after its own, then one line per case whose tableau verdict
+(``verify_lvp``'s on ``lvp-grid``) differs, as ``workload seed:index theirs
+→ ours``, and exits 1 when a digest differs.
 
 The cases are those ``lvpbench/workloads.py`` generates for a 20-second run
 of ``lvpbench/run.py``, decided under the same limits.  Per ``lvp-grid`` case
@@ -34,17 +36,17 @@ import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "lvpbench")]
-
-from workloads import SAFETY_S, SAT7, WORKLOADS  # noqa: E402
-
 SECONDS = 20  # the benchmark's run length; it sets the number of cases per seed
 MODULES = ("arith", "formula", "graph", "semantics", "gnn", "compile", "tableau", "fuzz")
 
 
-def import_program() -> types.SimpleNamespace:
-    """The program's modules, with every budget they make recorded in order."""
+def import_program(root: Path) -> types.SimpleNamespace:
+    """The modules of the program in the checkout at root, and its
+    workloads as ``wl``, with every budget the program makes recorded in
+    order."""
+    sys.path[:0] = [str(root / "src"), str(root / "lvpbench")]
     p = types.SimpleNamespace(**{name: importlib.import_module(f"gnncheck.{name}") for name in MODULES})
+    p.wl = importlib.import_module("workloads")
     p.budgets = []
 
     class RecordedBudget(p.semantics.Budget):
@@ -67,7 +69,7 @@ def graph_json(p, pointed) -> dict:
 
 def lvp_grid_case(p, w, case) -> list:
     inst = p.gnn.lvp_from_json(json.loads(case.text))
-    v = p.tableau.verify_lvp(inst, p.tableau.SolveLimits(time_limit=SAFETY_S, max_terms=w.max_terms))
+    v = p.tableau.verify_lvp(inst, p.tableau.SolveLimits(time_limit=p.wl.SAFETY_S, max_terms=w.max_terms))
     record = [verdict(v), p.budgets[-1].ticks]
     if isinstance(v, p.tableau.Invalid):
         record += [graph_json(p, v.counterexample), [o.payload for o in v.outputs]]
@@ -78,11 +80,11 @@ def fuzz_oracle_case(p, w, case) -> list:
     spec = p.arith.ArithmeticSpec.parse(case.meta["arith"])
     delta = case.meta["delta"]
     f = p.formula.parse(case.text, spec)
-    limits = p.tableau.SolveLimits(time_limit=SAFETY_S, max_terms=w.max_terms)
+    limits = p.tableau.SolveLimits(time_limit=p.wl.SAFETY_S, max_terms=w.max_terms)
     record = []
     for solve in (
         lambda: p.tableau.solve(f, p.gnn.DeltaMode.unary(delta), limits),
-        lambda: p.semantics.brute_force_sat(f, delta, max_steps=w.oracle_steps, time_limit=SAFETY_S),
+        lambda: p.semantics.brute_force_sat(f, delta, max_steps=w.oracle_steps, time_limit=p.wl.SAFETY_S),
     ):
         v = solve()
         record += [verdict(v), p.budgets[-1].ticks]
@@ -92,8 +94,8 @@ def fuzz_oracle_case(p, w, case) -> list:
 
 
 def sum_chain_case(p, w, case) -> list:
-    f = p.formula.parse(case.text, p.arith.ArithmeticSpec.satint(SAT7))
-    limits = p.tableau.SolveLimits(time_limit=SAFETY_S, max_terms=w.max_terms)
+    f = p.formula.parse(case.text, p.arith.ArithmeticSpec.satint(p.wl.SAT7))
+    limits = p.tableau.SolveLimits(time_limit=p.wl.SAFETY_S, max_terms=w.max_terms)
     v = p.tableau.solve(f, p.gnn.DeltaMode.unary(1), limits)
     record = [verdict(v), p.budgets[-1].ticks]
     if isinstance(v, p.semantics.Sat):
@@ -110,33 +112,60 @@ DIGESTS = (
 )
 
 
+def digests(root: Path, show: bool) -> tuple[list[str], dict[str, str]]:
+    """The digest lines of the checkout at root, printed as they are made
+    when show is set, and the verdict of each case by "workload
+    seed:index": the first verdict of its record, the tableau's or
+    ``verify_lvp``'s."""
+    p = import_program(root)
+    lines, verdicts = [], {}
+    for name, decide, seeds in DIGESTS:
+        w = p.wl.WORKLOADS[name]
+        digest, n = hashlib.sha256(), max(100, round(w.per_second * SECONDS))
+        for seed in seeds:
+            for i in range(n):
+                record = decide(p, w, w.make_case(p, seed, i))
+                digest.update(json.dumps([seed, i, record], sort_keys=True).encode() + b"\n")
+                kind, reason, by = record[0]
+                detail = reason or by
+                verdicts[f"{name} {seed}:{i}"] = kind if detail is None else f"{kind}({detail})"
+        lines.append(f"{name} {digest.hexdigest()} ({len(seeds)} seeds x {n} cases)")
+        if show:
+            print(lines[-1], flush=True)
+    return lines, verdicts
+
+
+# the child process of --against: the digests of the checkout named by its
+# one argument, as one JSON document on stdout
+CHILD = "import case_digest, json, sys; print(json.dumps(case_digest.digests(case_digest.Path(sys.argv[1]), False)))"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description="Print one sha256 per workload.")
     parser.add_argument("--against", metavar="PATH", help="another checkout whose digests must be the same")
     args = parser.parse_args()
     other = None
     if args.against is not None:
-        script = Path(args.against) / "tools" / "case_digest.py"
-        if not script.is_file():
-            parser.error(f"{script} does not exist")
-        other = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, text=True)
-    p = import_program()
-    lines = []
-    for name, decide, seeds in DIGESTS:
-        w = WORKLOADS[name]
-        digest, n = hashlib.sha256(), max(100, round(w.per_second * SECONDS))
-        for seed in seeds:
-            for i in range(n):
-                case = w.make_case(p, seed, i)
-                digest.update(json.dumps([seed, i, decide(p, w, case)], sort_keys=True).encode() + b"\n")
-        lines.append(f"{name} {digest.hexdigest()} ({len(seeds)} seeds x {n} cases)")
-        print(lines[-1], flush=True)
+        if not (Path(args.against) / "src" / "gnncheck").is_dir():
+            parser.error(f"{args.against} is not a checkout of gnncheck")
+        other = subprocess.Popen(
+            [sys.executable, "-c", CHILD, str(Path(args.against).resolve())],
+            stdout=subprocess.PIPE, text=True, cwd=Path(__file__).resolve().parent,
+        )
+    lines, verdicts = digests(ROOT, True)
     if other is None:
         return 0
-    theirs = other.communicate()[0].splitlines()
+    output = other.communicate()[0]
+    if other.returncode != 0:
+        print(f"digesting {args.against} failed")
+        return 1
+    theirs, their_verdicts = json.loads(output)
     print(f"against {args.against}:")
     print(*theirs, sep="\n")
-    same = other.returncode == 0 and theirs == lines
+    for case, verdict in verdicts.items():
+        if their_verdicts[case] != verdict:
+            print(f"{case} {their_verdicts[case]} → {verdict}")
+    same = theirs == lines
     print("same digests" if same else "digests differ")
     return 0 if same else 1
 

@@ -152,13 +152,14 @@ def check(graph: LabeledGraph, node: str, f: Formula) -> bool:
 
 def check_limits(time_limit: float | None, **counts: int | None) -> None:
     """Raise UsageError on a time limit that is NaN or negative (a NaN
-    deadline never passes, so it would turn the limit off) or on a negative
-    count limit, given by name."""
+    deadline never passes, so it would turn the limit off) or on a count
+    limit, given by name, that is not an int >= 0 (a NaN count is never
+    exceeded, so it too would turn the limit off)."""
     if time_limit is not None and not time_limit >= 0:
         raise UsageError(f"time_limit must be a non-negative number of seconds, got {time_limit!r}")
     for name, value in counts.items():
-        if value is not None and value < 0:
-            raise UsageError(f"{name} must be >= 0, got {value!r}")
+        if value is not None and not (type(value) is int and value >= 0):
+            raise UsageError(f"{name} must be >= 0 and an int, got {value!r}")
 
 
 # The oracle's step limit when none is given.
@@ -678,18 +679,21 @@ class _TreeSearch:
 
 def brute_force_sat(
     f: Formula,
-    delta: int,
+    delta: int | None,
     *,
     max_steps: int | None = ORACLE_STEPS,
     time_limit: float | None = None,
 ) -> Verdict:
     """Exhaustive satisfiability over labeled trees of depth agg_depth(f)
-    whose nodes have at most ``arity_bound(delta, f.weight_cap)`` successors.
+    whose nodes have at most ``arity_bound(delta, f.weight_cap)`` successors;
+    delta None bounds nothing, so the formula then needs a weight cap.
 
     A satisfiable formula always has such a tree model, so Unsat verdicts
     are decisive; Unknown says the steps or the time ran out.
     """
     check_limits(time_limit, delta=delta, max_steps=max_steps)
+    if arity_bound(delta, f.weight_cap) is None:
+        raise UsageError("the brute-force oracle needs a finite arity bound")
     depth = agg_depth(f)
     try:
         search = _TreeSearch(f, delta, Budget(max_steps, time_limit))

@@ -18,19 +18,18 @@ integer word + eid (eid = key % K, word = key - eid).  The engine alternates
    time).  Choosing such an arity first saves guessing an aggregation's value
    that every arity would then have to reconcile.
 
-Candidate streams are pruned by sound interval reasoning (value ranges of
-subexpressions, made of the forward interval rules of ``arith``, and
-reachability of aggregation targets); pruned candidates provably cannot be
-completed, so the enumeration stays exhaustive.  Atom
-guesses, inversions and successor walks are also cut to each expression's
-structural range, its interval at any word (``_Search.structural_ranges``,
-where an aggregation ranges over ``ArithmeticSpec.agg_hull`` of its child's
-range up to the arity cap).  That drops only failing subtrees, in place, so
-the search finds the same models in no more ticks.  Saturation keeps [-M, M]
-for aggregations not in the store, but an atom its expression's structural
-range cannot meet (``e >= k`` with the range's top below k, ``e = k`` with k
-outside it, or their negations) clashes as soon as the boolean decomposition
-reaches it, at any word.  A sum of an expression with itself, ``e + e``, is
+Every (word, expression) pair starts at its expression's structural range,
+its interval at any word (``_Search.structural_ranges``, where an
+aggregation ranges over ``ArithmeticSpec.agg_hull`` of its child's range up
+to the arity cap); the store's bounds only narrow it.  Saturation and the
+candidate streams of atom guesses, inversions, groundings and successor
+walks read that one range, through ``_Search.expr_range``, and the walks
+also the reachability of aggregation targets.  Pruned candidates provably
+cannot be completed, so the enumeration stays exhaustive.  An atom its
+expression's structural range cannot meet (``e >= k`` with the range's top
+below k, ``e = k`` with k outside it, or their negations) clashes as soon as
+the boolean decomposition reaches it, at any word, before the ticks
+``assign`` would charge.  A sum of an expression with itself, ``e + e``, is
 the scale by 2: ``add_p(v, v) == mul_p(2 * one, v)`` for every payload, so
 it is evaluated, ranged and inverted, and bounds pass through it, as through
 a unary node (``_Search.unary``): one child value at a time, not a pair of
@@ -112,7 +111,9 @@ class _State:
     __slots__ = ("values", "arity", "bounds", "bools", "atoms", "obligations", "walks")
 
     # words are offsets and (word, expression) pairs store keys (see the
-    # module docstring); the word table itself belongs to the _Search
+    # module docstring); the word table itself belongs to the _Search.
+    # bounds holds the pairs narrowed below their structural range; a pair
+    # missing from it has that range
     def __init__(self):
         self.values: dict[int, int] = {}
         self.arity: dict[int, int] = {}
@@ -207,7 +208,6 @@ class _Search:
                 continue
             operand, child = (2 * spec.one, node[1]) if tag == "sum" else node[1:]
             self.unary[eid] = (child, spec.table(name, operand), partial(image, operand), partial(preimage, operand))
-        self._table: dict[int, tuple[int, int]] | None = None  # built on first use
         self.stopped_at: tuple = ()  # the leaf the last stuck ``_derive`` stopped on
         # in saturation's last pass over the atoms, the word without an arity
         # that stopped the first open atom stopped by one, else None
@@ -221,6 +221,8 @@ class _Search:
         # summand combinations, so larger guesses are never needed
         combinatorial = (2 ** self.spec.bit_width) * (len(fids) + len(eids))
         self.arity_cap = arity_bound(delta, formula.weight_cap, combinatorial)
+        # every (word, expression) pair starts at its expression's range here
+        self.structural = self.structural_ranges()
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -264,17 +266,19 @@ class _Search:
             if node[1] != payload:
                 raise _Clash()
             return
-        bounds = st.bounds.get(key)
-        if bounds is not None and not bounds[0] <= payload <= bounds[1]:
+        bounds = st.bounds.get(key) or self.structural[eid]
+        if not bounds[0] <= payload <= bounds[1]:
             raise _Clash()
         st.values[key] = payload
         if tag != "feat":
             st.obligations[key] = True
 
     def tighten(self, st: _State, word: int, eid: int, lo: int, hi: int) -> bool:
-        """Narrow the known interval of an expression, pushing bounds through
-        invertible unary chains down to their leaves.  True when the
-        expression's own interval narrowed."""
+        """Narrow the known interval of an expression, at first its
+        structural range, pushing bounds through invertible unary chains
+        down to their leaves.  True when the expression's own interval
+        narrowed.  A constant's structural range is its value, so narrowing
+        it past that clashes."""
         changed = False
         while True:
             key = word + eid
@@ -283,20 +287,14 @@ class _Search:
                 if not lo <= known <= hi:
                     raise _Clash()
                 return changed
-            old = st.bounds.get(key)
-            if old is not None:
-                lo, hi = max(lo, old[0]), min(hi, old[1])
-                if (lo, hi) == old:
-                    return changed
+            old = st.bounds.get(key) or self.structural[eid]
+            lo, hi = max(lo, old[0]), min(hi, old[1])
+            if (lo, hi) == old:
+                return changed
             if lo > hi:
                 raise _Clash()
             st.bounds[key] = (lo, hi)
             changed = True
-            node = self.nodes[eid]
-            if node[0] == "const":
-                if not lo <= node[1] <= hi:
-                    raise _Clash()
-                return True
             op = self.unary.get(eid)
             if op is None:
                 return True
@@ -398,13 +396,15 @@ class _Search:
     def expr_range(self, st: _State, word: int, eid: int) -> tuple[int, int]:
         """Sound interval over-approximation of the expression's value.
 
-        Features and aggregations not in the store range over [-M, M].
-        Subexpressions are ranged in post-order: an inverted id on the stack
-        maps the ranges of its operands, which lie on top of ``done``, through
-        its interval rule (``arith``).
+        A leaf not in the store (a feature, an aggregation, a constant or
+        0 * e) starts at its structural range.  Subexpressions are ranged in
+        post-order: an inverted id on the stack maps the ranges of its
+        operands, which lie on top of ``done``, through its interval rule
+        (``arith``).  The rules are monotone, so every range lies in the
+        expression's structural range.  Each range is cut to the store's
+        bounds at that word.
         """
-        values, bounds, nodes, unary = st.values, st.bounds, self.nodes, self.unary
-        m = self.spec.max_payload
+        values, bounds, nodes, unary, structural = st.values, st.bounds, self.nodes, self.unary, self.structural
         done: list[tuple[int, int]] = []
         stack = [eid]
         while stack:
@@ -415,20 +415,14 @@ class _Search:
                     done.append((known, known))
                     continue
                 node = nodes[e]
-                tag = node[0]
                 op = unary.get(e)
                 if op is not None:
                     stack += (~e, op[0])
                     continue
-                if tag == "sum":
+                if node[0] == "sum":
                     stack += (~e, node[2], node[1])
                     continue
-                if tag == "scale":
-                    lo, hi = 0, 0  # 0 * e
-                elif tag == "const":
-                    lo, hi = node[1], node[1]
-                else:  # feat, agg
-                    lo, hi = -m, m
+                lo, hi = structural[e]  # a leaf: const, 0 * e, feat or agg
             else:
                 e = ~e
                 op = unary.get(e)
@@ -462,21 +456,6 @@ class _Search:
                 table[e] = (0, 0)
         return table
 
-    def _structural(self) -> dict[int, tuple[int, int]]:
-        """The structural range table, built on first use.  Without an
-        aggregation it would cut nothing from ``expr_range``, so it is left
-        empty."""
-        table = self._table
-        if table is None:
-            has_aggs = any(node[0] == "agg" for node in self.nodes.values())
-            table = self._table = self.structural_ranges() if has_aggs else {}
-        return table
-
-    def _cut(self, eid: int, lo: int, hi: int) -> tuple[int, int]:
-        """[lo, hi] cut to the expression's structural range."""
-        r = self._structural().get(eid)
-        return (lo, hi) if r is None else (max(lo, r[0]), min(hi, r[1]))
-
     # -- saturation -------------------------------------------------------------
 
     def saturate(self, st: _State):
@@ -492,7 +471,6 @@ class _Search:
         remaining = []
         queue = deque(st.bools)
         st.bools = []
-        structural = self._structural()
         while queue:
             word, fid, sign = queue.popleft()
             node = self.arena.formula(fid)
@@ -507,8 +485,7 @@ class _Search:
             elif tag in ("geq", "eq"):
                 # an atom its expression's structural range cannot meet
                 # fails at every word
-                r = structural.get(node[1])
-                if r is not None and not _meets(r, tag, node[2], sign):
+                if not _meets(self.structural[node[1]], tag, node[2], sign):
                     raise _Clash()
                 if sign and tag == "eq":
                     self.assign(st, word, node[1], node[2])
@@ -755,7 +732,7 @@ class _Search:
             _, idx, word, fid, sign = choice
             node = self.arena.formula(fid)
             eid, k = node[1], node[2]
-            lo, hi = self._cut(eid, *self.expr_range(st, word, eid))
+            lo, hi = self.expr_range(st, word, eid)
             if node[0] == "geq" and sign:
                 for v in range(max(k, lo), hi + 1):
                     yield ("set", word, eid, v)
@@ -772,7 +749,8 @@ class _Search:
             return
         if kind == "ground":
             _, word, eid = choice
-            for v in self.spec.values_p():
+            lo, hi = self.expr_range(st, word, eid)
+            for v in range(lo, hi + 1):
                 yield ("set", word, eid, v)
             return
         if kind == "walk":
@@ -785,7 +763,6 @@ class _Search:
     def _invert_alternatives(self, st: _State, key: int, operand: int, lo: int, hi: int):
         eid = key % self.stride
         word = key - eid
-        lo, hi = self._cut(operand, lo, hi)
         if eid in self.unary:
             for v in range(lo, hi + 1):
                 yield ("set", word, operand, v)
@@ -793,7 +770,7 @@ class _Search:
         # sum with two unknown operands: pick the left value, derive partners
         target = st.values[key]
         b = self.nodes[eid][2]
-        blo, bhi = self._cut(b, *self.expr_range(st, word, b))
+        blo, bhi = self.expr_range(st, word, b)
         for k1 in range(lo, hi + 1):
             partners = intersect(self.spec.add_preimage(k1, target, target), (blo, bhi)) or (1, 0)
             for k2 in range(partners[0], partners[1] + 1):
@@ -807,12 +784,12 @@ class _Search:
         arity = st.arity[word]
         succ = self.successors(word, pos)[pos - 1]
         known = self.forward(st, succ, child)
-        clo, chi = (known, known) if known is not None else self._cut(child, *self.expr_range(st, succ, child))
+        clo, chi = (known, known) if known is not None else self.expr_range(st, succ, child)
         t = self.spec.div_preimage(target, arity) if kind == "mean" else (target, target)
         if t is None:
             return
         # each later successor contributes from the child's structural range
-        r = self._structural()[child]
+        r = self.structural[child]
         later = [r if weights is None else self.spec.scale_image(weights[i], *r) for i in range(pos, arity)]
         contrib = None if weights is None else self.spec.table("mul_p", weights[pos - 1])
         rng = walk_window(self.spec, kind, acc, t, contrib, later, clo, chi)

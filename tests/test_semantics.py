@@ -113,7 +113,15 @@ class TestBruteForce:
         assert verdict.reason == "node-limit"
 
     @pytest.mark.parametrize(
-        "limits", [{"max_steps": -5}, {"time_limit": float("nan")}, {"time_limit": -1.0}], ids=repr
+        "limits",
+        [
+            {"max_steps": -5},
+            {"max_steps": float("nan")},
+            {"max_steps": 1.5},
+            {"time_limit": float("nan")},
+            {"time_limit": -1.0},
+        ],
+        ids=repr,
     )
     def test_nan_or_negative_limits_are_refused(self, limits):
         # SolveLimits refuses the same values, through the same validator
@@ -123,6 +131,13 @@ class TestBruteForce:
     def test_a_negative_arity_bound_is_refused(self):
         with pytest.raises(UsageError, match="must be >= 0"):
             brute_force_sat(parse("agg(x1) >= 2", ArithmeticSpec.satint(3)), -1)
+
+    def test_an_unbounded_arity_needs_a_weight_cap(self):
+        spec = ArithmeticSpec.satint(3)
+        with pytest.raises(UsageError, match="needs a finite arity bound"):
+            brute_force_sat(parse("agg(x1) >= 2", spec), None)
+        # a weighted aggregation caps the arity at its number of weights
+        assert isinstance(brute_force_sat(parse("wagg[1,1](x1) >= 2 and agg(x1) >= 2", spec), None), Sat)
 
     def test_a_zero_step_limit_is_a_budget(self):
         f = parse("agg(x1) >= 2", ArithmeticSpec.satint(3))

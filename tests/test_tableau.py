@@ -159,6 +159,10 @@ class TestSolve:
             ("agg(agg(-2)) >= 1 and x2 + -2*1 + x2 >= 0 or not 3*(x1 + 1*x2) >= 0", "satint:3", None, Sat),
             # a self-sum solved as the scale by 2, not by grounding
             ("x1 + x1 >= 3 and not 2*x1 + (x1 + x2) >= 0", "satint:5", 2, Unsat),
+            # an unvalued aggregation starts at its structural range in
+            # saturation too: each took more than 5 000 ticks at [-M, M]
+            ("-1.4 + x2 + -0.1*x1 + wagg[0.4,-0.1](0.8*x1) >= 0.0 or 0.9*(-0.2) >= -1.1", "fixed:5:1", 2, Sat),
+            ("wagg[-3,0,-3](x1 + 5) + agg(x1) = 5 or not 5*(-3) >= 0 and x2 >= 1", "satint:5", 3, Sat),
         ],
     )
     def test_what_the_formula_fixes_is_settled_before_branching(self, text, arith, delta, expected):
@@ -173,7 +177,13 @@ class TestSolve:
 class TestLimits:
     @pytest.mark.parametrize(
         "limits",
-        [{"time_limit": float("nan")}, {"time_limit": -1.0}, {"max_terms": -5}],
+        [
+            {"time_limit": float("nan")},
+            {"time_limit": -1.0},
+            {"max_terms": -5},
+            {"max_terms": float("nan")},
+            {"max_terms": 1.5},
+        ],
         ids=repr,
     )
     def test_nan_or_negative_limits_are_refused(self, limits):
@@ -211,6 +221,13 @@ class TestExprRange:
         # scale orders the ends of its image, whatever the sign of the weight
         assert search.expr_range(st, root, negated) == (-4, -2)
         assert search.expr_range(st, root, doubled) == (4, 7)
+
+    def test_an_unvalued_aggregation_starts_at_its_structural_range(self):
+        # the mean of relu(x2) cannot be negative, at any word
+        f = parse("mean(relu(x2)) >= -1.4", ArithmeticSpec.fixed(5, 1))
+        search = _Search(f, 3, Budget())
+        agg = next(eid for eid, node in search.nodes.items() if node[0] == "agg")
+        assert search.expr_range(_State(), 0, agg) == (0, 15)
 
 
 class TestExtractModel:

@@ -1,5 +1,8 @@
 """Print one sha256 per workload over the cases of its seeds: ``lvp-grid``
-and ``fuzz-oracle`` on seeds 0-15, ``sum-chain`` on seeds 0-3.
+and ``fuzz-oracle`` on seeds 0-15, ``sum-chain`` on seeds 0-3.  Each line
+also gives the ticks the tableau (``verify_lvp`` on ``lvp-grid``) was
+charged, summed over the cases, and how many of its verdicts are decisive,
+not ``Unknown``.
 
 Run from the root of a checkout:
 
@@ -122,14 +125,19 @@ def digests(root: Path, show: bool) -> tuple[list[str], dict[str, str]]:
     for name, decide, seeds in DIGESTS:
         w = p.wl.WORKLOADS[name]
         digest, n = hashlib.sha256(), max(100, round(w.per_second * SECONDS))
+        ticks = decisive = 0
         for seed in seeds:
             for i in range(n):
                 record = decide(p, w, w.make_case(p, seed, i))
                 digest.update(json.dumps([seed, i, record], sort_keys=True).encode() + b"\n")
                 kind, reason, by = record[0]
+                ticks += record[1]
+                decisive += kind != "Unknown"
                 detail = reason or by
                 verdicts[f"{name} {seed}:{i}"] = kind if detail is None else f"{kind}({detail})"
-        lines.append(f"{name} {digest.hexdigest()} ({len(seeds)} seeds x {n} cases)")
+        lines.append(
+            f"{name} {digest.hexdigest()} ({len(seeds)} seeds x {n} cases): {ticks} ticks, {decisive} decisive"
+        )
         if show:
             print(lines[-1], flush=True)
     return lines, verdicts

@@ -127,13 +127,6 @@ def _sat_result(args, verdict) -> int:
     return EXIT_UNKNOWN
 
 
-def _delta_for_oracle(text: str) -> int:
-    mode = DeltaMode.parse(text)
-    if mode.kind == "inf":
-        raise GnnCheckError("the brute-force oracle needs a finite arity bound")
-    return mode.value
-
-
 def _load_instance(args) -> LvpInstance:
     """The LVP instance of the document, with --arith and (verify's)
     --delta in place of its own.  Each flag is parsed before it is written
@@ -211,7 +204,7 @@ def cmd_oracle_sat(args) -> int:
     limits = _limits(args)
     verdict = brute_force_sat(
         formula,
-        _delta_for_oracle(args.delta),
+        DeltaMode.parse(args.delta).value,
         time_limit=limits.time_limit,
         max_steps=ORACLE_STEPS if limits.max_terms is None else limits.max_terms,
     )
@@ -224,7 +217,7 @@ def cmd_fuzz(args) -> int:
         args.cases,
         args.seed,
         spec,
-        _delta_for_oracle(args.delta),
+        DeltaMode.parse(args.delta).value,
         agg_kinds=tuple(args.agg.split(",")),
         max_agg_depth=args.agg_depth,
     )

@@ -119,6 +119,8 @@ def run_differential(
     every decisive tableau verdict at a finite rung is the oracle's there,
     and no rung is Unsat above a Sat one."""
     check_limits(None, cases=cases, max_agg_depth=max_agg_depth, delta=delta)
+    if delta is None:
+        raise UsageError("the delta ladder needs a finite delta")
     for kind in agg_kinds:
         if kind not in AGG_KINDS:
             raise UsageError(f"unknown aggregation kind {kind!r}; known: {', '.join(AGG_KINDS)}")

@@ -9,14 +9,17 @@ formula.  The root word is 0, and a (word, expression) pair's store key is the
 integer word + eid (eid = key % K, word = key - eid).  The engine alternates
 
 1. saturation: all deterministic consequences (boolean decomposition,
-   forward evaluation of ground subexpressions, single-candidate inversions),
+   forward evaluation of ground subexpressions, and the backward rule of
+   act, scale, self-sum and sum nodes, ``_Search._oblige``, which assigns
+   an operand whose window, ``_Search._window``, holds one value),
 2. a choice point, explored depth first in a fixed order: boolean splits,
    then the arity of a word on which an open atom's forward evaluation
    stopped in saturation's last pass over the atoms, then atom value guesses
-   in the streams' canonical orders, then composite inversions, then
-   successor work (arities ascending from 0, successor children one at a
-   time).  Choosing such an arity first saves guessing an aggregation's value
-   that every arity would then have to reconcile.
+   in the streams' canonical orders, then stuck inversions (the values of
+   one operand's window, or of the leaf its node's evaluation stopped on),
+   then successor work (arities ascending from 0, successor children one at
+   a time).  Choosing such an arity first saves guessing an aggregation's
+   value that every arity would then have to reconcile.
 
 Every (word, expression) pair starts at its expression's structural range,
 its interval at any word (``_Search.structural_ranges``, where an
@@ -543,62 +546,43 @@ class _Search:
             eid = key % stride
             node = self.nodes[eid]
             tag = node[0]
-            if eid in self.unary:
-                progress |= self._oblige_unary(st, key - eid, eid)
+            if eid in self.unary or tag == "sum":
+                progress |= self._oblige(st, key - eid, eid)
             elif tag == "scale":
                 # 0 * e is 0 whatever e evaluates to
                 if st.values[key] != 0:
                     raise _Clash()
                 del st.obligations[key]
                 progress = True
-            elif tag == "sum":
-                progress |= self._oblige_sum(st, key - eid, eid, node)
             else:  # agg
                 progress |= self._oblige_agg(st, key - eid, eid, node)
         return progress
 
-    def _oblige_unary(self, st: _State, word: int, eid: int) -> bool:
-        """act, scale or self-sum: verify a known child, else force a unique
-        preimage."""
+    def _oblige(self, st: _State, word: int, eid: int) -> bool:
+        """An act, scale, self-sum or sum node with a value: check it against
+        its operands once they are known, else narrow its first unknown
+        operand to its window (``_window``), clashing when that is empty and
+        assigning it when it is one value."""
         key = word + eid
-        child, table, _, _ = self.unary[eid]
-        value = self.forward(st, word, child)
+        op = self.unary.get(eid)
+        if op is None:  # sum
+            node = self.nodes[eid]
+            left = self.forward(st, word, node[1])
+            right = self.forward(st, word, node[2])
+            value = None if left is None or right is None else self.spec.add_p(left, right)
+        else:
+            child = self.forward(st, word, op[0])
+            value = None if child is None else op[1][child]
         if value is not None:
-            if table[value] != st.values[key]:
+            if value != st.values[key]:
                 raise _Clash()
             del st.obligations[key]
             return True
-        _, lo, hi = self._window(st, key)
+        operand, lo, hi = self._window(st, key)
         if lo > hi:
             raise _Clash()
         if lo == hi:
-            self.assign(st, word, child, lo)
-            return True
-        return False
-
-    def _oblige_sum(self, st: _State, word: int, eid: int, node) -> bool:
-        key = word + eid
-        target = st.values[key]
-        left = self.forward(st, word, node[1])
-        right = self.forward(st, word, node[2])
-        if left is not None and right is not None:
-            if self.spec.add_p(left, right) != target:
-                raise _Clash()
-            del st.obligations[key]
-            return True
-        if left is None and right is None:
-            lo, hi = self.spec.sum_image(self.expr_range(st, word, node[1]), self.expr_range(st, word, node[2]))
-            if not lo <= target <= hi:
-                raise _Clash()
-            return False
-        known, unknown = (left, node[2]) if left is not None else (right, node[1])
-        rng = self.spec.add_preimage(known, target, target)
-        rng = rng and intersect(rng, self.expr_range(st, word, unknown))
-        if rng is None:
-            raise _Clash()
-        lo, hi = rng
-        if lo == hi:
-            self.assign(st, word, unknown, lo)
+            self.assign(st, word, operand, lo)
             return True
         return False
 
@@ -658,8 +642,9 @@ class _Search:
 
     def _atom_stuck(self, st: _State, word: int, fid: int) -> bool:
         """True when assigning the atom's expression would hit a sum with two
-        unknown operands: guessing a value there cannot propagate.  The atom
-        is open after saturation, so its expression is unknown."""
+        unknown operands: a value guessed there propagates only when an
+        operand's window narrows to one value.  The atom is open after
+        saturation, so its expression is unknown."""
         eid = self.arena.formula(fid)[1]
         while True:
             node = self.nodes[eid]
@@ -685,13 +670,15 @@ class _Search:
                 return False
 
     def _plan_stuck(self, st: _State, key):
-        """Resolve a stuck inversion either backward (enumerate the rule's
-        witnesses) or forward (ground the leaf where evaluating the
-        obligation's node stops), whichever branches less.  Saturation
-        discharges or clashes every obligation whose operands evaluate, so
-        that evaluation stops at a leaf."""
+        """Resolve a stuck inversion either backward (enumerate the first
+        unknown operand's window) or forward (ground the leaf where
+        evaluating the obligation's node stops), whichever branches less.
+        Saturation discharges or clashes every obligation whose operands
+        evaluate, and assigns a one-value window, so that evaluation stops at
+        a leaf and the window holds two values or more."""
         eid = key % self.stride
-        if self._derive(st, key - eid, eid) is not None:
+        word = key - eid
+        if self._derive(st, word, eid) is not None:
             raise RuntimeError("an obligation whose operands are known survived saturation")
         leaf = self.stopped_at
         operand, lo, hi = self._window(st, key)
@@ -699,22 +686,30 @@ class _Search:
         # grounding collapses everything downstream of the leaf, backward
         # inversion tends to cascade; invert only when clearly narrower
         if hi - lo + 1 <= max(2, leaf_width // 64):
-            return ("invert", key, operand, lo, hi)
-        return leaf if leaf[0] == "arity" else ("ground", *leaf[1:])
+            return ("invert", word, operand, lo, hi)
+        if leaf[0] == "arity":
+            return leaf
+        return ("ground", leaf[1], leaf[2], *self.expr_range(st, leaf[1], leaf[2]))
 
     def _window(self, st: _State, key: int) -> tuple[int, int, int]:
-        """Candidate interval (operand, lo, hi) of the backward inversion of
-        an act, scale or sum obligation, empty when lo > hi: for act and
-        scale, the child values that map to the target; for a sum, the left
-        operand values that some value of the right one completes.  Either
-        is cut to the operand's range."""
+        """Candidate interval (operand, lo, hi) of an act, scale, self-sum or
+        sum node's first unknown operand, empty when lo > hi: the operand's
+        values, cut to its range, that can still give the node its value.
+        For act, scale and self-sum they are the child values that map to
+        it; for a sum, the values that some value in the other operand's
+        range completes to it.  add_p is symmetric, so ``sum_left_window``
+        gives either operand's window, and over a known operand's one value
+        it is ``add_preimage``."""
         eid = key % self.stride
         word = key - eid
         target = st.values[key]
-        node, op = self.nodes[eid], self.unary.get(eid)
+        op = self.unary.get(eid)
         if op is None:  # sum
-            operand = node[1]
-            pre = self.spec.sum_left_window(target, *self.expr_range(st, word, node[2]))
+            node = self.nodes[eid]
+            operand, other = node[1], node[2]
+            if word + operand in st.values:
+                operand, other = other, operand
+            pre = self.spec.sum_left_window(target, *self.expr_range(st, word, other))
         else:
             operand, pre = op[0], op[3](target, target)
         window = pre and intersect(pre, self.expr_range(st, word, operand))
@@ -744,12 +739,8 @@ class _Search:
                     if v != k:
                         yield ("set", word, eid, v)
             return
-        if kind == "invert":
-            yield from self._invert_alternatives(st, *choice[1:])
-            return
-        if kind == "ground":
-            _, word, eid = choice
-            lo, hi = self.expr_range(st, word, eid)
+        if kind in ("invert", "ground"):
+            _, word, eid, lo, hi = choice
             for v in range(lo, hi + 1):
                 yield ("set", word, eid, v)
             return
@@ -759,22 +750,6 @@ class _Search:
         # arity, ascending from 0
         for a in range(0, self.arity_cap + 1):
             yield ("set_arity", choice[1], a)
-
-    def _invert_alternatives(self, st: _State, key: int, operand: int, lo: int, hi: int):
-        eid = key % self.stride
-        word = key - eid
-        if eid in self.unary:
-            for v in range(lo, hi + 1):
-                yield ("set", word, operand, v)
-            return
-        # sum with two unknown operands: pick the left value, derive partners
-        target = st.values[key]
-        b = self.nodes[eid][2]
-        blo, bhi = self.expr_range(st, word, b)
-        for k1 in range(lo, hi + 1):
-            partners = intersect(self.spec.add_preimage(k1, target, target), (blo, bhi)) or (1, 0)
-            for k2 in range(partners[0], partners[1] + 1):
-                yield ("set2", word, operand, k1, b, k2)
 
     def _walk_alternatives(self, st: _State):
         word, eid, pos, acc = st.walks[0]
@@ -807,10 +782,6 @@ class _Search:
         elif kind == "set":
             _, word, eid, v = alternative
             self.assign(st, word, eid, v)
-        elif kind == "set2":
-            _, word, a, va, b, vb = alternative
-            self.assign(st, word, a, va)
-            self.assign(st, word, b, vb)
         elif kind == "set_arity":
             _, word, a = alternative
             st.arity[word] = a

@@ -459,6 +459,13 @@ class TestOracle:
     def test_oracle_rejects_infinite_delta(self, capsys):
         assert main(["oracle", "sat", "x1 >= 0", "--arith", "satint:3", "--delta", "inf"]) == 2
 
+    def test_oracle_takes_infinite_delta_under_a_weight_cap(self, capsys):
+        # the weighted aggregation bounds the arity where δ does not, so the
+        # oracle answers as sat does
+        argv = ["wagg[1,1](x1) >= 2", "--arith", "satint:3", "--delta", "inf"]
+        assert main(["sat", *argv]) == 0
+        assert main(["oracle", "sat", *argv]) == 0
+
 
 class TestFuzz:
     def test_fuzz_exits_zero_and_is_reproducible(self, capsys):
@@ -468,6 +475,12 @@ class TestFuzz:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         assert json.loads(first)["disagreements"] == 0
+
+    def test_fuzz_refuses_infinite_delta(self, capsys):
+        # the ladder solves at δ = 0, 1, ..., δ, so δ must be finite
+        assert main(["fuzz", "--cases", "1", "--seed", "0", "--arith", "satint:3", "--delta", "inf"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_a_disagreement_is_printed_rung_by_rung(self, monkeypatch, capsys):
         # with the tableau's unbounded cap cut to one successor, case 7 of

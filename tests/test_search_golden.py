@@ -32,7 +32,15 @@ a fourth time when every (word, expression) pair began at its structural
 range, in saturation as in the candidate streams, and ``ground`` began to
 enumerate only the feature's range: 18 formula searches fell in ticks
 (3 444 to 3 246 in total), none gained one or changed its outcome, and no
-model moved.  Regenerate them only for a
+model moved.  GOLDEN_FORMULAS, GOLDEN_GNNS and both MODELS dicts were
+regenerated a fifth time when one backward rule took over every act, scale,
+self-sum and sum obligation: saturation now assigns a sum operand whose
+window is one value also when both operands are unknown, and a stuck sum is
+inverted by enumerating its first unknown operand's window, not (left,
+right) pairs.  Formula cases 2 and 45 and GNN cases 13, 20 and 22 fell in
+ticks (3 246 to 3 241 and 15 360 to 15 357 in total), none gained one or
+changed its outcome, and the models of formula cases 2 and 45 and GNN cases
+13 and 22 moved.  WIDE_GOLDEN did not move.  Regenerate them only for a
 change that means to alter the search or the models:
 ``PYTHONPATH=src python tests/test_search_golden.py``.
 """
@@ -136,7 +144,7 @@ def digests(runs) -> dict[int, str]:
 
 
 GOLDEN_FORMULAS = [
-    ('exhausted', 0), ('model', 5), ('model', 10), ('model', 6), ('model', 5),
+    ('exhausted', 0), ('model', 5), ('model', 6), ('model', 6), ('model', 5),
     ('model', 7), ('model', 2), ('model', 4), ('exhausted', 0), ('model', 3),
     ('model', 10), ('model', 17), ('model', 23), ('model', 5), ('model', 14),
     ('model', 4), ('model', 4), ('exhausted', 0), ('exhausted', 0), ('model', 15),
@@ -145,7 +153,7 @@ GOLDEN_FORMULAS = [
     ('exhausted', 0), ('model', 4), ('model', 6), ('model', 4), ('exhausted', 0),
     ('model', 9), ('model', 1), ('model', 3), ('exhausted', 0), ('model', 3),
     ('exhausted', 2146), ('model', 4), ('exhausted', 36), ('model', 7), ('exhausted', 0),
-    ('model', 17), ('model', 18), ('model', 55), ('exhausted', 35), ('model', 9),
+    ('model', 16), ('model', 18), ('model', 55), ('exhausted', 35), ('model', 9),
     ('exhausted', 2), ('model', 4), ('model', 9), ('model', 13), ('model', 3),
     ('exhausted', 0), ('exhausted', 0), ('model', 1), ('model', 8), ('model', 1),
     ('model', 3), ('model', 12), ('model', 8), ('model', 6), ('exhausted', 2),
@@ -171,14 +179,14 @@ GOLDEN_FORMULAS = [
 GOLDEN_GNNS = [
     ('model', 1168), ('model', 562), ('exhausted', 1), ('node-limit', 4001), ('exhausted', 2),
     ('model', 38), ('model', 1524), ('model', 554), ('node-limit', 4001), ('exhausted', 6),
-    ('model', 166), ('model', 72), ('model', 33), ('model', 193), ('model', 109),
+    ('model', 166), ('model', 72), ('model', 33), ('model', 192), ('model', 109),
     ('exhausted', 2), ('model', 52), ('model', 2573), ('model', 41), ('model', 97),
-    ('model', 113), ('exhausted', 3), ('model', 47), ('exhausted', 2),
+    ('model', 112), ('exhausted', 3), ('model', 46), ('exhausted', 2),
 ]
 
 
 MODELS_FORMULAS = {
-    1: '199d64c50dc5442f', 2: '8f7299e35811fc15', 3: '30f4c20dd06439f1', 4: '0110d11cc3685458',
+    1: '199d64c50dc5442f', 2: 'fadd2cdff7dfc934', 3: '30f4c20dd06439f1', 4: '0110d11cc3685458',
     5: '8686de92df98d593', 6: '1e99e100042750c7', 7: '6e1100fc4421f765', 9: '83dd6d862d05dacf',
     10: '5f56eb819859233d', 11: '35cce0796f2f334c', 12: '12d9855e53995de3', 13: '710f6c4f9b1aa026',
     14: 'c17b6a19a19a1df6', 15: '28a72b301f100044', 16: '1d1e5b498f753344', 19: '05e41637b2d26721',
@@ -186,7 +194,7 @@ MODELS_FORMULAS = {
     25: 'de93d7e1e59bef5e', 26: 'e808809de9c31f4b', 27: '173c5bcd3b7da073', 28: 'b3284ef56c763987',
     29: 'e50511c84adbbc65', 31: '59d4c2d67218c3da', 32: '6fba2d7e642120f5', 33: 'fac1de05a60a133f',
     35: '4dda28dfc19b2aa3', 36: '274fc46ad5d229f9', 37: 'fac1de05a60a133f', 39: '27f742ddf3482bfb',
-    41: '7a597fabe6581bd4', 43: 'f9f4cb13fbbecfd2', 45: 'cdeed755c97a1014', 46: '77f1498720b8c017',
+    41: '7a597fabe6581bd4', 43: 'f9f4cb13fbbecfd2', 45: '98516fd334003498', 46: '77f1498720b8c017',
     47: '81a25fa00b5b4215', 49: '47806179eda75cdb', 51: '72c2ab8dc9becfd1', 52: 'afb6e17c188a06a7',
     53: '2a0530ddc988c111', 54: 'eaf085b938a01204', 57: '712900611303ffdc', 58: '79f1baf4a0157a55',
     59: '12bd2174d7fa7fdf', 60: '712900611303ffdc', 61: 'f3725192123d8622', 62: 'f6f2af4e7624b832',
@@ -213,8 +221,8 @@ MODELS_FORMULAS = {
 MODELS_GNNS = {
     0: '82e30edde7753315', 1: 'd4d8d5014fea346b', 5: '588e7e884ed3d01f', 6: 'd8ee7e6d61eb90c0',
     7: 'b56b55e5dc3a11b7', 10: '7ea07a179199cf35', 11: 'c00c37292f8ac885', 12: '59e1d690b2f3a26a',
-    13: 'a70d28e5c5027e78', 14: 'f2d04136a386f836', 16: 'f110e24f1fce807d', 17: 'c71124940aad8455',
-    18: 'f743e060b8147c37', 19: '73b143a12898ec44', 20: 'b6632c0c5b45a170', 22: '8d5884baf1f716db',
+    13: 'e8b0cfbef3aa8fe7', 14: 'f2d04136a386f836', 16: 'f110e24f1fce807d', 17: 'c71124940aad8455',
+    18: 'f743e060b8147c37', 19: '73b143a12898ec44', 20: 'b6632c0c5b45a170', 22: '47bcff35b8a02522',
 }
 
 WIDE_GOLDEN = ('model', 134, '343a1ce3e645b8e5')

@@ -163,6 +163,17 @@ class TestSolve:
             # saturation too: each took more than 5 000 ticks at [-M, M]
             ("-1.4 + x2 + -0.1*x1 + wagg[0.4,-0.1](0.8*x1) >= 0.0 or 0.9*(-0.2) >= -1.1", "fixed:5:1", 2, Sat),
             ("wagg[-3,0,-3](x1 + 5) + agg(x1) = 5 or not 5*(-3) >= 0 and x2 >= 1", "satint:5", 3, Sat),
+            # a stuck sum inverts its unknown operand: the last atom's sum
+            # has a known left operand, so its window is maxagg(x1)'s, twelve
+            # values wide, and the root's arity is chosen first; enumerating
+            # (left, right) pairs guessed the aggregation's value first and
+            # found no model in 2 000 000 ticks
+            (
+                "agg(truncrelu(x2) + (-0.6 + x1)) = -0.2 and not x2 = -1.0 and 1.5*id(-0.7) + maxagg(x1) = -1.5",
+                "fixed:5:1",
+                3,
+                Sat,
+            ),
         ],
     )
     def test_what_the_formula_fixes_is_settled_before_branching(self, text, arith, delta, expected):
@@ -172,6 +183,23 @@ class TestSolve:
         # an Unsat under every arity is Unsat at δ 3; a Sat at δ 2 is the oracle's
         if expected is Unsat or delta is not None:
             assert type(brute_force_sat(f, 3 if delta is None else delta)) is expected
+
+    def test_a_one_value_window_opens_no_choice_point(self, monkeypatch):
+        # both operands of the aggregated sum are unknown, and the first,
+        # maxagg(0), ranges over (0, 0): its window is one value, which
+        # saturation assigns, where an inversion choice took a tick for it
+        picked = []
+        pick_choice = _Search.pick_choice
+
+        def recording(search, st):
+            choice = pick_choice(search, st)
+            picked.append(choice)
+            return choice
+
+        monkeypatch.setattr(_Search, "pick_choice", recording)
+        f = parse("wagg[1,0,0](maxagg(0) + (x1 + x1)) = -4", ArithmeticSpec.satint(4))
+        assert isinstance(solve(f, DeltaMode.unary(3), SolveLimits(max_terms=100)), Sat)
+        assert picked and not any(choice is not None and choice[0] == "invert" for choice in picked)
 
 
 class TestLimits:

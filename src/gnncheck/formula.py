@@ -23,14 +23,23 @@ Every pass over a DAG follows one order, the walk of :meth:`Arena.reachable`:
 post-order, each node once, children before parents, left to right.  Passes
 that only read the DAG, or rebuild it, are loops over that list, so no pass
 is bounded by the interpreter's recursion limit.
+
+Formula text is read in one linear pass.  One regular expression scans it
+into (kind, text, offset) tokens and pairs each "(" with its ")"; a
+recursive descent reads the tokens.  At a literal, a "(" opens an atom's
+arithmetic group when the token after its ")" is "+", "-", ">=", "=" or
+"<", and a formula group otherwise, so valid text is read without going
+back.  An error's line and column are counted from its offset when it is
+raised.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .arith import ACTIVATIONS, AGG_KINDS, ArithmeticSpec, weight_cap
-from .errors import FormulaSyntaxError, UsageError
+from .errors import ConfigError, FormulaSyntaxError, UsageError
 
 _ATOMS = ("geq", "eq")
 # positions of a node's children in its tuple, by tag; an atom's expression
@@ -345,182 +354,148 @@ def import_formula(dst: Arena, src: Arena, fid: int) -> int:
 
 # -- concrete syntax ----------------------------------------------------------
 
-_AGG_NAMES = {"agg": "sum", "mean": "mean", "maxagg": "max"}
-_KEYWORDS = {"and", "or", "not", "true", "agg", "mean", "maxagg", "wagg", "alpha", *ACTIVATIONS}
+# the aggregation words of the text and the kinds they name; the printer
+# reads the table backwards
+_AGG_NAMES = {"agg": "sum", "mean": "mean", "maxagg": "max", "wagg": "weighted"}
+_AGG_WORDS = {kind: word for word, kind in _AGG_NAMES.items()}
+_KEYWORDS = {"and", "or", "not", "true", "alpha", *_AGG_NAMES, *ACTIVATIONS}
+_IDENT = re.compile(r"[^\W\d]\w*")
+# one token per match, the spaces between skipped: a number, an identifier,
+# an operator, or any other character, which is an error
+_TOKEN = re.compile(rf"(?P<number>\d+(?:\.\d+)?)|(?P<ident>{_IDENT.pattern})|(?P<op>>=|[-()*+=<,\[\]])|(?P<bad>\S)")
+_COMPARISONS = (">=", "=", "<")
+# the tokens that can follow an arithmetic group's ")" inside an atom
+_AFTER_GROUP = frozenset(("+", "-", *_COMPARISONS))
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+def _error(message: str, text: str, offset: int) -> FormulaSyntaxError:
+    """The error at offset in text, with its line and column counted from 1."""
+    return FormulaSyntaxError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(_Token("number", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith(">=", i):
-            tokens.append(_Token(">=", ">=", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in "()*+-=<,[]":
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _scan(text: str) -> tuple[list[tuple[str, str, int]], dict[int, int]]:
+    """The (kind, text, offset) tokens of text, the last of kind "eof", and
+    the index of the ")" that closes each "(" that is closed.  An operator's
+    kind is its text."""
+    tokens: list[tuple[str, str, int]] = []
+    closing: dict[int, int] = {}
+    opened: list[int] = []
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m[0]
+        if kind == "op":
+            kind = tok
+            if tok == "(":
+                opened.append(len(tokens))
+            elif tok == ")" and opened:
+                closing[opened.pop()] = len(tokens)
+        elif kind == "bad":
+            raise _error(f"unexpected character {tok!r}", text, m.start())
+        tokens.append((kind, tok, m.start()))
+    tokens.append(("eof", "", len(text)))
+    return tokens, closing
 
 
 def is_feature_name(name) -> bool:
     """Whether formula text reads name back as one feature: an identifier that is no keyword."""
-    try:
-        tokens = _tokenize(name) if isinstance(name, str) else []
-    except FormulaSyntaxError:
-        return False
-    return len(tokens) == 2 and tokens[0].kind == "ident" and tokens[0].text == name and name not in _KEYWORDS
+    return isinstance(name, str) and _IDENT.fullmatch(name) is not None and name not in _KEYWORDS
 
 
 class _Parser:
     def __init__(self, text: str, spec: ArithmeticSpec, default_activation: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens, self.closing = _scan(text)
         self.pos = 0
         self.arena = Arena(spec)
         self.spec = spec
         self.default_activation = default_activation
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise FormulaSyntaxError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+    def fail(self, message: str):
+        raise _error(message, self.text, self.peek()[2])
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        if self.peek()[0] != kind:
+            self.fail(f"expected {kind!r}, found {self.peek()[1] or 'end of input'!r}")
         return self.next()
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise FormulaSyntaxError(message, tok.line, tok.col)
-
-    def literal(self, tok: _Token, negative: bool = False) -> int:
-        text = ("-" if negative else "") + tok.text
+    def literal(self, tok: tuple[str, str, int], negative: bool = False) -> int:
         try:
-            return self.spec.parse_literal(text)
-        except Exception as exc:
-            raise FormulaSyntaxError(str(exc), tok.line, tok.col) from None
+            return self.spec.parse_literal(("-" if negative else "") + tok[1])
+        except (ConfigError, ValueError) as exc:
+            raise _error(str(exc), self.text, tok[2]) from None
 
     def parse(self) -> int:
         fid = self.formula()
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail(f"trailing input starting at {tok.text!r}")
+        if self.peek()[0] != "eof":
+            self.fail(f"trailing input starting at {self.peek()[1]!r}")
         return fid
 
     def formula(self) -> int:
         left = self.conj()
-        while self.peek().kind == "ident" and self.peek().text == "or":
+        while self.peek()[1] == "or":
             self.next()
             left = self.arena.or_(left, self.conj())
         return left
 
     def conj(self) -> int:
         left = self.lit()
-        while self.peek().kind == "ident" and self.peek().text == "and":
+        while self.peek()[1] == "and":
             self.next()
             left = self.arena.and_(left, self.lit())
         return left
 
     def lit(self) -> int:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "not":
+        kind, word, _ = self.peek()
+        if word == "not":
             self.next()
             return self.arena.not_(self.lit())
-        if tok.kind == "ident" and tok.text == "true":
+        if word == "true":
             self.next()
             return self.arena.true()
-        if tok.kind == "(":
-            # A "(" may open an arithmetic group of an atom or a nested
-            # formula; try the atom reading first and rewind on failure.
-            saved = self.pos
+        if kind != "(":
+            return self.atom()
+        # a "(" opens an atom's arithmetic group when what follows its ")"
+        # can follow one in an atom, and a formula group otherwise
+        close = self.closing.get(self.pos)
+        if close is not None and self.tokens[close + 1][0] in _AFTER_GROUP:
+            start = self.pos
             try:
                 return self.atom()
             except FormulaSyntaxError:
-                self.pos = saved
-            self.next()
-            fid = self.formula()
-            self.expect(")")
-            return fid
-        return self.atom()
+                # the text is malformed either way; report what reading
+                # the group as a formula finds
+                self.pos = start
+        self.next()
+        fid = self.formula()
+        self.expect(")")
+        return fid
 
     def atom(self) -> int:
         expr = self.expr()
-        tok = self.peek()
-        if tok.kind == ">=":
-            self.next()
-            return self.arena.geq(expr, self.signed_number())
-        if tok.kind == "=":
-            self.next()
-            return self.arena.eq(expr, self.signed_number())
-        if tok.kind == "<":
-            self.next()
-            return self.arena.not_(self.arena.geq(expr, self.signed_number()))
-        self.fail(f"expected a comparison, found {tok.text or 'end of input'!r}")
+        op = self.peek()[0]
+        if op not in _COMPARISONS:
+            self.fail(f"expected a comparison, found {self.peek()[1] or 'end of input'!r}")
+        self.next()
+        fid = (self.arena.eq if op == "=" else self.arena.geq)(expr, self.signed_number())
+        return self.arena.not_(fid) if op == "<" else fid
 
     def signed_number(self) -> int:
-        negative = False
-        if self.peek().kind == "-":
+        negative = self.peek()[0] == "-"
+        if negative:
             self.next()
-            negative = True
         return self.literal(self.expect("number"), negative)
 
     def expr(self) -> int:
         left = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+        while self.peek()[0] in ("+", "-"):
+            op = self.next()[0]
             right = self.term()
             if op == "-":
                 right = self.arena.scale(-self.spec.one, right)
@@ -528,84 +503,70 @@ class _Parser:
         return left
 
     def term(self) -> int:
-        tok = self.peek()
-        if tok.kind == "-":
+        negative = self.peek()[0] == "-"
+        if negative:
             self.next()
-            if self.peek().kind == "number":
-                payload = self.literal(self.next(), negative=True)
-                if self.peek().kind == "*":
-                    self.next()
-                    return self.arena.scale(payload, self.factor())
+        if self.peek()[0] == "number":
+            payload = self.literal(self.next(), negative)
+            if self.peek()[0] != "*":
                 return self.arena.const(payload)
-            return self.arena.scale(-self.spec.one, self.factor())
-        if tok.kind == "number":
-            payload = self.literal(self.next())
-            if self.peek().kind == "*":
-                self.next()
-                return self.arena.scale(payload, self.factor())
-            return self.arena.const(payload)
-        return self.factor()
+            self.next()
+            return self.arena.scale(payload, self.factor())
+        return self.arena.scale(-self.spec.one, self.factor()) if negative else self.factor()
 
     def factor(self) -> int:
-        tok = self.peek()
-        if tok.kind == "number":
+        kind, name, _ = self.peek()
+        if kind == "number":
             return self.arena.const(self.literal(self.next()))
-        if tok.kind == "(":
+        if kind == "(":
             self.next()
             eid = self.expr()
             self.expect(")")
             return eid
-        if tok.kind == "ident":
-            name = tok.text
-            if name in ACTIVATIONS or name == "alpha":
-                self.next()
-                self.expect("(")
-                child = self.expr()
-                self.expect(")")
-                act = self.default_activation if name == "alpha" else name
-                return self.arena.act(act, child)
-            if name in _AGG_NAMES:
-                self.next()
-                self.expect("(")
-                child = self.expr()
-                self.expect(")")
-                return self.arena.agg(_AGG_NAMES[name], child)
+        if name in ACTIVATIONS or name == "alpha" or name in _AGG_NAMES:
+            self.next()
+            weights = None
             if name == "wagg":
-                self.next()
                 self.expect("[")
                 weights = [self.signed_number()]
-                while self.peek().kind == ",":
+                while self.peek()[0] == ",":
                     self.next()
                     weights.append(self.signed_number())
                 self.expect("]")
-                self.expect("(")
-                child = self.expr()
-                self.expect(")")
-                return self.arena.agg("weighted", child, tuple(weights))
-            if name in _KEYWORDS:
-                self.fail(f"keyword {name!r} cannot be used as a feature")
-            self.next()
-            return self.arena.feature(name)
-        self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
+                weights = tuple(weights)
+            self.expect("(")
+            child = self.expr()
+            self.expect(")")
+            if name in _AGG_NAMES:
+                return self.arena.agg(_AGG_NAMES[name], child, weights)
+            return self.arena.act(self.default_activation if name == "alpha" else name, child)
+        if kind != "ident":
+            self.fail(f"expected an expression, found {name or 'end of input'!r}")
+        if name in _KEYWORDS:
+            self.fail(f"keyword {name!r} cannot be used as a feature")
+        self.next()
+        return self.arena.feature(name)
 
 
 def parse(text: str, spec: ArithmeticSpec, default_activation: str = "relu") -> Formula:
-    """Parse formula text into a hash-consed DAG."""
+    """Parse formula text into a hash-consed DAG.
+
+    Text nested past the interpreter's recursion limit is a
+    FormulaSyntaxError, "formula nested too deeply".
+    """
     parser = _Parser(text, spec, default_activation)
     try:
         root = parser.parse()
     except RecursionError:
         # the recursive descent ran out of interpreter stack
-        tok = parser.peek()
-        raise FormulaSyntaxError("formula nested too deeply", tok.line, tok.col) from None
+        raise _error("formula nested too deeply", text, parser.peek()[2]) from None
     return Formula(parser.arena, root)
 
 
-_AGG_TEXT = {"sum": "agg(", "mean": "mean(", "max": "maxagg("}
-
-
 def to_text(f: Formula) -> str:
-    """Canonical text; parsing it back yields a structurally identical DAG.
+    """Canonical text; parsing it back yields a structurally identical DAG
+    when the text is within the parser's nesting limit (300 nested ``relu(``
+    parse, 400 do not; see :func:`parse`).
 
     The printer works from an explicit stack of pending items, so nesting
     depth is not bounded by the interpreter's recursion limit.  An item is
@@ -633,7 +594,8 @@ def to_text(f: Formula) -> str:
                 emit(f"{node[1]}(")
                 stack += (")", node[2])
             elif tag == "agg":
-                emit(_AGG_TEXT.get(node[1]) or f"wagg[{','.join(fmt(w) for w in node[3])}](")
+                weights = "" if node[3] is None else f"[{','.join(fmt(w) for w in node[3])}]"
+                emit(f"{_AGG_WORDS[node[1]]}{weights}(")
                 stack += (")", node[2])
             elif tag == "scale":
                 emit(f"{fmt(node[1])}*")

@@ -7,10 +7,12 @@ from gnncheck.errors import FormulaSyntaxError
 from gnncheck.formula import (
     Arena,
     Formula,
+    _Parser,
     agg_depth,
     desugar_eq,
     features_of,
     import_formula,
+    is_feature_name,
     parse,
     rewrite_truncrelu,
     structural_key,
@@ -125,6 +127,48 @@ class TestParser:
         f = parse("wagg[1,2](x1) = 3", SAT15)
         agg = f.arena.expr(f.arena.formula(f.root)[1])
         assert agg[1] == "weighted" and agg[3] == (1, 2)
+
+    def test_nested_formula_groups_read_the_atom_once(self, monkeypatch):
+        # each "(" is read as a formula group straight away, since no "+",
+        # "-" or comparison follows its ")": the one atom is entered once
+        calls = []
+        atom = _Parser.atom
+        monkeypatch.setattr(_Parser, "atom", lambda self: calls.append(self.pos) or atom(self))
+        f = parse("(" * 250 + "x1 >= 1" + ")" * 250, SAT15)
+        assert f.arena.formula(f.root)[0] == "geq" and len(calls) == 1
+
+    # (text, message, line, column); an arithmetic-looking group that does
+    # not read as one is reported as the formula group it then is read as
+    MALFORMED = [
+        ("(x1 >= 1", "expected ')', found 'end of input'", 1, 9),
+        ("((x1 >= 1) and x2 >= 0", "expected ')', found 'end of input'", 1, 23),
+        ("x1 >= 1)", "trailing input starting at ')'", 1, 8),
+        ("(x1 >= 1))", "trailing input starting at ')'", 1, 10),
+        ("(x1 >= 1) + x2 >= 0", "trailing input starting at '+'", 1, 11),
+        ("(x1 >= 1 or x2 >= 1) >= 0", "trailing input starting at '>='", 1, 22),
+        ("(x1 >= 1 or x2 = 3) >= x1 = 1", "trailing input starting at '>='", 1, 21),
+        ("(not x1 >= 1) + 1 >= 0", "trailing input starting at '+'", 1, 15),
+        ("(not x1) = 2", "expected a comparison, found ')'", 1, 8),
+        ("(x1 + not x2) >= 1", "keyword 'not' cannot be used as a feature", 1, 7),
+        ("(x1 + x2 >= 1 or relu) >= 2", "expected '(', found ')'", 1, 22),
+        ("relu(x1 >= 1", "expected ')', found '>='", 1, 9),
+        ("x1 >= 1 and", "expected an expression, found 'end of input'", 1, 12),
+        ("x1 + >= 1", "expected an expression, found '>='", 1, 6),
+        ("x1 >= 1 or\n  x2 $ 1", "unexpected character '$'", 2, 6),
+        ("x1 >= 1 and   ", "expected an expression, found 'end of input'", 1, 15),
+    ]
+
+    @pytest.mark.parametrize(("text", "message", "line", "column"), MALFORMED)
+    def test_malformed_text_is_reported_where_it_goes_wrong(self, text, message, line, column):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text, SAT15)
+        assert (str(err.value), err.value.line, err.value.column) == (
+            f"{message} (line {line}, column {column})", line, column
+        )
+
+    def test_feature_names(self):
+        names = ["x1", "_a", "x1 ", "1x", "and", "relu", "x²", "", None]
+        assert [is_feature_name(name) for name in names] == [True, True, False, False, False, False, True, False, False]
 
 
 def check_on_single_node(f, **feats):

@@ -20,9 +20,12 @@ of ``lvpbench/run.py``, decided under the same limits.  Per ``lvp-grid`` case
 the digest covers the verdict, ``Valid.by``, the ``Unknown`` reason, the
 ticks the budget was charged, and the counterexample's graph JSON with its
 outputs.  Per ``fuzz-oracle`` case it covers the tableau's and the oracle's
-verdicts, the tableau's ticks, the oracle's steps and both models' graph
-JSON.  Per ``sum-chain`` case it covers the verdict, the ``Unknown`` reason,
-the ticks and the model's graph JSON.  Two checkouts that print the same
+verdicts, the tableau's ticks, the oracle's steps, both models' graph JSON,
+and the arena the parser built from the case's text: its expression and
+formula nodes in id order (``_exprs`` and ``_formulas``) and the root, so a
+parser that numbers nodes otherwise changes the digest.  Per ``sum-chain``
+case it covers the verdict, the ``Unknown`` reason, the ticks and the
+model's graph JSON.  Two checkouts that print the same
 digests decide every case alike, with the same models, at the same cost in
 ticks and steps.  It uses the standard library only.
 """
@@ -83,6 +86,7 @@ def fuzz_oracle_case(p, w, case) -> list:
     spec = p.arith.ArithmeticSpec.parse(case.meta["arith"])
     delta = case.meta["delta"]
     f = p.formula.parse(case.text, spec)
+    parsed = [f.arena._exprs[:], f.arena._formulas[:], f.root]  # before solving adds nodes
     limits = p.tableau.SolveLimits(time_limit=p.wl.SAFETY_S, max_terms=w.max_terms)
     record = []
     for solve in (
@@ -93,7 +97,7 @@ def fuzz_oracle_case(p, w, case) -> list:
         record += [verdict(v), p.budgets[-1].ticks]
         if isinstance(v, p.semantics.Sat):
             record.append(graph_json(p, v.model))
-    return record
+    return record + parsed
 
 
 def sum_chain_case(p, w, case) -> list:

@@ -4,14 +4,17 @@ A round (``Sampler.round``) draws ``SAMPLES`` random pointed trees for an
 LVP instance and returns, among those whose outputs violate L_out, the first
 with the fewest nodes.  ``verify_lvp`` runs one round, then up to
 ``EXTRA_ROUNDS`` more from the same generator when the first round and the
-box split decide nothing, and each round holds only its own trees.  A tree
-of one node, the point alone, is evaluated as soon as it is drawn, and a hit
-there ends the sampling: no later tree can be smaller.  The larger trees are
-kept until every tree is drawn, then evaluated smallest first up to the
-first hit, so the trees evaluated, and their order, are those of evaluating
-every drawn tree smallest first.  A drawn tree is kept compact: the
-successor counts of its nodes in breadth-first order and their label
-payloads in one flat list.  It is evaluated in that form (``tree_eval``), by
+box split decide nothing, and each round holds only its own trees.  A round
+draws each tree's shape first: the successor counts of its nodes in
+breadth-first order (``grow_counts``).  A tree of one node, the point alone,
+then draws its label and is evaluated at once, and a hit there ends the
+sampling: no later tree can be smaller.  A larger tree is kept as its shape
+alone until every shape is drawn; then the larger trees are taken smallest
+first, in draw order among equals, and each draws its label payloads, in one
+flat list, only when its turn comes, up to the first hit.  So the trees
+evaluated, and their order, are those of evaluating every drawn tree
+smallest first, and a tree past the first hit holds no labels and costs no
+label draws.  A tree is evaluated in its compact form (``tree_eval``), by
 the forward core that ``gnn.gnn_eval`` runs after its graph checks,
 ``gnn.gnn_eval_p``: the breadth-first order is the core's node order.  Only
 the hit a round returns is built into a validated graph, by ``graph.tree``,
@@ -21,41 +24,43 @@ named ("v", "v1", "v1.2").  A tree is as deep as the network has layers
 ``arity_cap`` successors.  Labels favour the values where saturating
 arithmetic turns: 0, ±one, ±M and small multiples of one, next to uniform
 draws from the whole domain.  The point's label is drawn again until it
-satisfies L_in.
+satisfies L_in, at most ``POINT_DRAWS`` times; a tree whose point never
+does is skipped.
 
-The draws come from a ``random.Random`` seeded by a sha256 of the instance's
-JSON, so an instance always gets the same trees, whatever PYTHONHASHSEED is.
-Each integer is drawn straight from its ``getrandbits`` by the rejection rule
-of ``randrange``, ``randint`` and ``choice`` (see ``_payloads``): the same
-words give the same values, without the calls of those methods.
-The search is charged to the ``semantics.Budget`` the sampler is given,
-which ``verify_lvp`` shares with its other phases, at a fixed price per
-drawn tree: its nodes times the layers, plus one for the output network.
-The price is not a count of evaluations (trees past the first hit are not
-evaluated, and the forward core skips the nodes that cannot reach the
-point's output).  Without a hit, or with a hit of more than one node, every
-tree is drawn and charged, so the ticks left to the tableau do not depend
-on the samples' outputs; a one-node hit is charged only the trees drawn up
-to it.  A tree that grows past the ticks left ends the round, and the
-sampling, as soon as a layer shows it.
+The draws come from a ``random.Random`` seeded by the instance's own names
+and payloads (``instance_rng``), so an instance always gets the same trees,
+whatever PYTHONHASHSEED is, also when it is rebuilt from its JSON.  Each
+integer is drawn straight from its ``getrandbits`` by the
+rejection rule of ``randrange``, ``randint`` and ``choice`` (see
+``_payloads``): the same words give the same values, without the calls of
+those methods.  The search is charged to the ``semantics.Budget`` the
+sampler is given, which ``verify_lvp`` shares with its other phases, at a
+fixed price per drawn tree: its nodes times the layers, plus one for the
+output network.  A tree is charged when its shape is drawn, whether or not
+its point meets L_in, so the ticks a round charges depend only on the
+shapes it draws.  The price is not a count of evaluations (trees past the
+first hit are not evaluated, and the forward core skips the nodes that
+cannot reach the point's output).  Without a hit, or with a hit of more
+than one node, every shape is drawn and charged, so the ticks left to the
+tableau do not depend on the samples' outputs; a one-node hit is charged
+only the shapes drawn up to it.  A tree that grows past the ticks left
+ends the round, and the sampling, as soon as a layer shows it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 
 from .arith import ArithmeticSpec, Value, arity_bound
-from .gnn import LvpInstance, eval_linineq, gnn_eval_p, lvp_to_json
+from .gnn import Fnn, LvpInstance, eval_linineq, gnn_eval_p
 from .graph import PointedGraph, tree
 from .semantics import Budget
 
 # Samples per instance.  Every one is drawn and charged unless a one-node
 # tree hits: after a larger hit a later, smaller tree makes a more readable
 # counterexample, and when nothing hits the tableau gets the ticks left
-# after all of them.  A drawn tree costs a few direct draws per node and is
-# held compact; only the trees up to the first smallest hit are evaluated,
+# after all of them.  A drawn tree's shape costs a direct draw per node;
+# only the trees up to the first smallest hit draw labels and are evaluated,
 # and only that hit is built into a graph, so an instance without a hit pays
 # the most wall time, about a few hundred tableau ticks' worth per sample,
 # and the number stays small.
@@ -74,10 +79,29 @@ POINT_DRAWS = 16
 Hit = tuple[PointedGraph, list[Value]]
 
 
+def _fnn_key(fnn: Fnn) -> tuple:
+    return tuple((l.weights, l.bias, l.activations) for l in fnn.layers)
+
+
 def instance_rng(instance: LvpInstance) -> random.Random:
-    """A generator seeded by the instance alone."""
-    doc = json.dumps(lvp_to_json(instance), sort_keys=True)
-    return random.Random(int.from_bytes(hashlib.sha256(doc.encode()).digest(), "big"))
+    """A generator seeded by the instance alone: by the ``repr`` of a tuple
+    of strings, integers and None that holds the spec, the feature names,
+    every layer's aggregation and weights, the constraints and δ.  It reads
+    the payloads the instance holds, so an instance rebuilt from its JSON
+    gets the same generator, and no hash seed enters it."""
+    model = instance.model
+    key = (
+        model.spec.spec_string(),
+        model.input_features,
+        model.output_features,
+        tuple((l.agg_kind, l.agg_weights, _fnn_key(l.comb)) for l in model.layers),
+        _fnn_key(model.out),
+        tuple((q.coeffs, q.const) for q in instance.l_in),
+        tuple((q.coeffs, q.const) for q in instance.l_out),
+        instance.delta.kind,
+        instance.delta.value,
+    )
+    return random.Random(repr(key))
 
 
 def arity_cap(instance: LvpInstance) -> int:
@@ -188,8 +212,9 @@ class Sampler:
 
     Each ``round`` draws ``SAMPLES`` trees where the last round stopped,
     under the same draw rule and price, and keeps them only until it
-    returns, so a round without a tick limit holds one round's trees.  A
-    round that stops at the budget's limit or deadline sets ``cut``.
+    returns, so a round without a tick limit holds one round's trees; of
+    those, only the trees it has evaluated drew their labels.  A round that
+    stops at the budget's limit or deadline sets ``cut``.
     """
 
     def __init__(self, instance: LvpInstance, budget: Budget):
@@ -202,28 +227,25 @@ class Sampler:
 
     def round(self) -> Hit | None:
         """The smallest counterexample of one round (the first of the
-        smallest) with its outputs, or None.  A one-node tree is evaluated
-        when it is drawn, and a hit there returns at once, charged the
-        trees drawn so far.  The larger trees are drawn and charged first,
-        and kept compact; then they are evaluated smallest first, in draw
-        order among equals, up to the first hit, which alone is built into
-        a graph.  The round stops drawing before a tree whose price no
-        longer fits the budget (as soon as its growth shows it), and once
-        the budget's deadline passes."""
+        smallest) with its outputs, or None.  Every tree's shape is drawn
+        and charged first; a one-node tree then draws its label and is
+        evaluated, and a hit there returns at once.  The larger trees are
+        kept as shapes, then taken smallest first, in draw order among
+        equals, each drawing its labels at its turn, up to the first hit,
+        which alone is built into a graph.  The round stops drawing before a
+        tree whose price no longer fits the budget (as soon as its growth
+        shows it), and once the budget's deadline passes."""
         instance, bits, budget, layers = self.instance, self.bits, self.budget, self.layers
-        drawn = []
+        shapes = []
         for _ in range(SAMPLES):
             counts = grow_counts(bits, layers, self.cap, budget)
             if counts is None:
                 self.cut = True
                 break
             size = 1 + sum(counts)
-            payloads = label_payloads(bits, instance, size)
-            if payloads is None:
-                continue
             budget.charge(price(size, layers))  # fits: grow_counts checked the whole tree
             if size > 1:
-                drawn.append((size, counts, payloads))
+                shapes.append((size, counts))
                 continue
             # the smallest-first pass would evaluate this tree before every
             # larger one and after the one-node trees drawn before it, and no
@@ -231,15 +253,15 @@ class Sampler:
             if budget.expired():
                 self.cut = True
                 return None
-            hit = _violation(instance, counts, payloads)
+            hit = _violation(instance, bits, counts, 1)
             if hit is not None:
                 return hit
-        drawn.sort(key=lambda t: t[0])  # stable: draw order among equals
-        for _, counts, payloads in drawn:
+        shapes.sort(key=lambda t: t[0])  # stable: draw order among equals
+        for size, counts in shapes:
             if budget.expired():
                 self.cut = True
                 break
-            hit = _violation(instance, counts, payloads)
+            hit = _violation(instance, bits, counts, size)
             if hit is not None:
                 return hit
         return None
@@ -265,8 +287,13 @@ def tree_eval(instance: LvpInstance, counts: list[int], payloads: list[int]) -> 
     return gnn_eval_p(model, rows, kids, within)
 
 
-def _violation(instance: LvpInstance, counts: list[int], payloads: list[int]) -> Hit | None:
-    """The tree, built, with its outputs when they violate L_out, else None."""
+def _violation(instance: LvpInstance, bits, counts: list[int], nodes: int) -> Hit | None:
+    """The tree of ``counts`` and ``nodes`` nodes, labelled now from
+    ``bits`` and built, with its outputs when they violate L_out; None when
+    they do not, or when its point fails L_in."""
+    payloads = label_payloads(bits, instance, nodes)
+    if payloads is None:
+        return None
     model = instance.model
     # through the module attribute, so that a wrapper installed on
     # tree_eval (a profiler, a test's recorder) sees every evaluation

@@ -604,8 +604,8 @@ class _TreeSearch:
 
         The states after positions 1..a are the same for every arity >= a, so
         each arity extends those of the last by one position.  The positions
-        it shares are charged again, batch for batch, so the budget sees what
-        it would if every arity extended its states from none.
+        it shares are charged again, in one batch per arity, so the budget
+        sees the steps it would if every arity extended its states from none.
         """
         states: dict[tuple, tuple] = {self._init_acc(): ()}
         yield 0, states
@@ -616,9 +616,8 @@ class _TreeSearch:
         cols = [list(self._payloads(col)) for col in zip(*profs)]
         shared: list[int] = []  # the number of states before each position so far
         for arity in range(1, max_arity + 1):
-            for n_states in shared:
-                for _ in range(n_states):
-                    self._charge(len(profs))
+            if shared:
+                self._charge(sum(shared) * len(profs))
             shared.append(len(states))
             states = self._extend(states, arity, profs, cols)
             yield arity, states

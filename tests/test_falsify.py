@@ -1,5 +1,6 @@
 """The counterexample sampler ahead of the tableau (gnncheck.falsify)."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -43,6 +44,8 @@ from gnncheck.gnn import (
     box_price,
     eval_linineq,
     gnn_eval,
+    lvp_from_json,
+    lvp_to_json,
 )
 from gnncheck.graph import LabeledGraph, PointedGraph, save_json
 from gnncheck.semantics import Budget, Unknown, Unsat, brute_force_sat
@@ -128,13 +131,24 @@ def test_direct_payload_draws_take_the_values_and_words_of_the_stdlib_calls():
                 assert ours.getstate() == twin.getstate(), (spec, seed)
 
 
-def sample_tree(rng, instance):
-    """The draws a ``Sampler`` round makes for one sample: successor counts,
-    then labels.  The built tree, or None when no drawn point label
-    satisfied L_in."""
-    counts = grow_counts(rng.getrandbits, len(instance.model.layers), arity_cap(instance), Budget())
-    payloads = label_payloads(rng.getrandbits, instance, 1 + sum(counts))
-    return None if payloads is None else build_tree(instance, counts, payloads)
+def round_trees(instance):
+    """The trees a ``Sampler`` round without a budget draws, built, in draw
+    order, each None when no drawn label of its point satisfied L_in: every
+    tree's successor counts, with a one-node tree's label drawn as soon as
+    its counts are, then the larger trees' labels, smallest first and in
+    draw order among equals.  A round draws these trees unless a hit ends
+    it first."""
+    bits = instance_rng(instance).getrandbits
+    layers, cap = len(instance.model.layers), arity_cap(instance)
+    shapes, labels = [], {}
+    for i in range(SAMPLES):
+        shapes.append(grow_counts(bits, layers, cap, Budget()))
+        if sum(shapes[i]) == 0:
+            labels[i] = label_payloads(bits, instance, 1)
+    for i in sorted(range(SAMPLES), key=lambda i: sum(shapes[i])):
+        if i not in labels:
+            labels[i] = label_payloads(bits, instance, 1 + sum(shapes[i]))
+    return [None if labels[i] is None else build_tree(instance, shapes[i], labels[i]) for i in range(SAMPLES)]
 
 
 def depths(graph):
@@ -165,9 +179,7 @@ def test_sampled_trees_respect_depth_arity_weights_and_l_in():
         if instance.delta.value is not None:
             bounds.append(instance.delta.value)
         assert cap == min(bounds)
-        sampler = instance_rng(instance)
-        for _ in range(20):
-            tree = sample_tree(sampler, instance)
+        for tree in round_trees(instance):
             if tree is None:
                 continue
             trees += 1
@@ -337,8 +349,7 @@ def test_sampling_keeps_the_smallest_hit_and_stops_drawing_at_a_one_node_hit(mon
     instance = positive_instance()
     evaluated = recording_eval(monkeypatch, lambda model: [-1])
     hit, ticks = first_round(instance)
-    rng = instance_rng(instance)
-    trees = [sample_tree(rng, instance) for _ in range(SAMPLES)]
+    trees = round_trees(instance)
     sizes = [len(t.graph.nodes) for t in trees]
     first = sizes.index(1)
     assert first > 0  # a larger tree is drawn before it
@@ -349,14 +360,14 @@ def test_sampling_keeps_the_smallest_hit_and_stops_drawing_at_a_one_node_hit(mon
 
 
 def test_a_one_node_hit_on_the_first_draw_grows_no_other_tree(monkeypatch):
-    """y1 = relu(x1 + relu(x1 + Σ)) >= 1 fails at a lone point with x1 <= 0,
+    """y1 = relu(x1 + relu(x1 + Σ)) >= 4 fails at a lone point with x1 <= 1,
     the first tree this instance draws."""
     spec = ArithmeticSpec.satint(7)
     comb = Fnn((FnnLayer(((1, 1),), (0,), ("relu",)),))
     out = Fnn((FnnLayer(((1,),), (0,), ("id",)),))
     model = GnnModel(spec, (GnnLayer("sum", comb),) * 2, out, ("x1",), ("y1",))
-    instance = LvpInstance(model, (), (LinIneq((("y1", 1),), 1),), DeltaMode.unary(3))
-    first = sample_tree(instance_rng(instance), instance)
+    instance = LvpInstance(model, (), (LinIneq((("y1", 1),), 4),), DeltaMode.unary(4))
+    first = round_trees(instance)[0]
     assert first.graph.nodes == ("v",)
     grown = []
 
@@ -374,9 +385,7 @@ def test_without_a_hit_every_drawn_tree_is_evaluated_once_smallest_first(monkeyp
     instance = positive_instance()
     evaluated = recording_eval(monkeypatch)
     assert first_round(instance)[0] is None
-    rng = instance_rng(instance)
-    trees = [sample_tree(rng, instance) for _ in range(SAMPLES)]
-    drawn = [t for t in trees if t is not None]
+    drawn = [t for t in round_trees(instance) if t is not None]
     assert evaluated == sorted(drawn, key=lambda t: len(t.graph.nodes))
 
 
@@ -399,14 +408,19 @@ def test_an_oversized_tree_stops_growing_at_the_budget():
     assert first_round(instance, Budget(10_000, time_limit=-1)) == (None, 0)  # a deadline passed
 
 
-def old_sample_tree(rng, instance, cap):
-    """The sampler's draws for one tree before they were split: the whole
-    tree, its labels and the point's redraws.  Returns the validated graph,
-    or None when the point failed L_in, with the tree's node count."""
-    model = instance.model
-    spec, features = model.spec, model.input_features
+def stdlib_shape(rng, instance, cap, left):
+    """The nodes and edges of a tree grown through ``randint``, node by
+    node breadth first, as deep as the network has layers; None as soon as
+    a layer shows that its price exceeds ``left`` ticks.  A later shape's
+    labels come after the draws of the layers grown here, so the tree stops
+    where the sampler's growth stops."""
+    layers = len(instance.model.layers)
     nodes, edges, frontier = ["v"], [], ["v"]
-    for _ in model.layers:
+    for depth in range(layers + 1):
+        if left is not None and len(nodes) * layers + 1 > left:
+            return None
+        if depth == layers:
+            break
         grown = []
         for parent in frontier:
             for i in range(1, rng.randint(0, cap) + 1):
@@ -415,47 +429,71 @@ def old_sample_tree(rng, instance, cap):
                 grown.append(child)
         nodes += grown
         frontier = grown
+    return nodes, edges
+
+
+def stdlib_labelled(rng, instance, nodes, edges):
+    """The validated tree of ``nodes`` and ``edges`` with labels drawn node
+    by node through the stdlib calls, and the point's drawn again until it
+    satisfies L_in; None when ``POINT_DRAWS`` draws of it fail."""
+    model = instance.model
+    spec, features = model.spec, model.input_features
     labels = {n: {f: stdlib_draw_payload(rng, spec) for f in features} for n in nodes}
     point = labels["v"]
     for _ in range(POINT_DRAWS):
         if all(eval_linineq(q, point, spec) for q in instance.l_in):
-            return PointedGraph(LabeledGraph(spec, features, tuple(nodes), tuple(edges), labels), "v"), len(nodes)
+            return PointedGraph(LabeledGraph(spec, features, tuple(nodes), tuple(edges), labels), "v")
         point.update((f, stdlib_draw_payload(rng, spec)) for f in features)
-    return None, len(nodes)
+    return None
 
 
-def old_falsify(instance, max_ticks=None):
-    """Reference: evaluate every tree in draw order, keep the first of the
-    smallest hits, and stop at a one-node hit, which no later tree can beat.
-    An over-budget tree ends sampling even when its point fails L_in: the
-    one way bounded growth may change the result, since it stops the tree
-    before the point is drawn."""
+def violation(instance, tree):
+    """``gnn_eval``'s outputs of the tree when they violate L_out, else None."""
+    model = instance.model
+    outputs = gnn_eval(model, tree)
+    out_vals = dict(zip(model.output_features, (v.payload for v in outputs)))
+    return None if all(eval_linineq(q, out_vals, model.spec) for q in instance.l_out) else outputs
+
+
+def every_tree_falsify(instance, max_ticks=None):
+    """Reference: draw the trees through the stdlib calls in the sampler's
+    order, charging each when its shape is drawn: a one-node tree's label at
+    once, the larger trees' labels after the last shape, smallest first.
+    Then evaluate every tree and keep the first of the smallest hits in draw
+    order.  A one-node hit ends the drawing, since no later tree can beat
+    it, and so does a shape whose price exceeds the ticks left."""
     model = instance.model
     rng = instance_rng(instance)
     cap = arity_cap(instance)
     layers = len(model.layers)
-    ticks, best = 0, None
+    ticks, trees, larger = 0, [], []
     for _ in range(SAMPLES):
-        tree, size = old_sample_tree(rng, instance, cap)
-        cost = size * layers + 1
-        if max_ticks is not None and ticks + cost > max_ticks:
+        shape = stdlib_shape(rng, instance, cap, None if max_ticks is None else max_ticks - ticks)
+        if shape is None:
             break
-        if tree is None:
+        nodes, edges = shape
+        ticks += len(nodes) * layers + 1
+        if len(nodes) > 1:
+            larger.append((len(trees), nodes, edges))
+            trees.append(None)
             continue
-        ticks += cost
-        outputs = gnn_eval(model, tree)
-        out_vals = dict(zip(model.output_features, (v.payload for v in outputs)))
-        if not all(eval_linineq(q, out_vals, model.spec) for q in instance.l_out):
-            if best is None or len(tree.graph.nodes) < len(best[0].graph.nodes):
-                best = (tree, outputs)
-            if size == 1:
-                break
-    return best, ticks
+        trees.append(stdlib_labelled(rng, instance, nodes, edges))
+        if trees[-1] is not None and violation(instance, trees[-1]) is not None:
+            break
+    for i, nodes, edges in sorted(larger, key=lambda t: len(t[1])):
+        trees[i] = stdlib_labelled(rng, instance, nodes, edges)
+    hits = [(len(t.graph.nodes), i) for i, t in enumerate(trees) if t is not None and violation(instance, t)]
+    if not hits:
+        return None, ticks
+    tree = trees[min(hits)[1]]
+    return (tree, violation(instance, tree)), ticks
 
 
 def smallest_first_falsify(instance, max_ticks=None):
-    """Reference: draw and charge every tree, then evaluate them smallest
-    first, in draw order among equals, up to the first hit."""
+    """Reference: draw and charge every tree's shape, with a one-node
+    tree's label drawn as soon as its shape is, then take the trees
+    smallest first, in draw order among equals, draw a larger tree's labels
+    at its turn, and evaluate up to the first hit."""
     model = instance.model
     bits = instance_rng(instance).getrandbits
     cap = arity_cap(instance)
@@ -466,13 +504,14 @@ def smallest_first_falsify(instance, max_ticks=None):
         if counts is None:
             break
         size = 1 + sum(counts)
-        payloads = label_payloads(bits, instance, size)
+        budget.charge(price(size, layers))
+        drawn.append((size, counts, label_payloads(bits, instance, 1) if size == 1 else None))
+    drawn.sort(key=lambda tree: tree[0])
+    for size, counts, payloads in drawn:
+        if size > 1:
+            payloads = label_payloads(bits, instance, size)
         if payloads is None:
             continue
-        budget.charge(price(size, layers))
-        drawn.append((size, counts, payloads))
-    drawn.sort(key=lambda tree: tree[0])
-    for _, counts, payloads in drawn:
         outputs = falsify_mod.tree_eval(instance, counts, payloads)
         out_vals = dict(zip(model.output_features, outputs))
         if not all(eval_linineq(q, out_vals, model.spec) for q in instance.l_out):
@@ -495,12 +534,12 @@ def comparison_cases():
 def test_smallest_first_matches_evaluating_every_tree():
     hits = cut = 0
     for i, instance, budgets in comparison_cases():
-        full = old_falsify(instance)
+        full = every_tree_falsify(instance)
         hits += full[0] is not None
         for budget in budgets:
-            old = old_falsify(instance, budget)
-            assert first_round(instance, Budget(budget)) == old, (i, budget)
-            cut += old[1] < full[1]
+            reference = every_tree_falsify(instance, budget)
+            assert first_round(instance, Budget(budget)) == reference, (i, budget)
+            cut += reference[1] < full[1]
     assert hits >= 100 and cut >= 300
 
 
@@ -517,6 +556,93 @@ def test_the_early_stop_evaluates_the_trees_of_the_smallest_first_pass(monkeypat
             assert hit == reference[0] and evaluated == ours, (i, budget)
             stopped += ticks < reference[1]
     assert stopped >= 100
+
+
+def recorded_shapes(monkeypatch):
+    """Route the sampler's growth (falsify.grow_counts) through a recorder
+    of the successor counts it returns, None for a tree cut short."""
+    shapes = []
+
+    def recorded(*args):
+        shapes.append(grow_counts(*args))
+        return shapes[-1]
+
+    monkeypatch.setattr(falsify_mod, "grow_counts", recorded)
+    return shapes
+
+
+def test_labels_are_drawn_only_for_the_trees_a_round_reaches(monkeypatch):
+    """A round draws labels in the order it evaluates, once per tree, and
+    evaluates each tree whose point meets L_in as soon as it is labelled;
+    the larger trees past a hit are never labelled."""
+    labelled = []
+
+    def counted(bits, instance, nodes):
+        payloads = label_payloads(bits, instance, nodes)
+        labelled.append((nodes, payloads is not None))
+        return payloads
+
+    monkeypatch.setattr(falsify_mod, "label_payloads", counted)
+    shapes = recorded_shapes(monkeypatch)
+    evaluated = recording_eval(monkeypatch)
+    unreached = 0
+    for i, instance, budgets in comparison_cases():
+        for budget in budgets:
+            for recorded in (labelled, shapes, evaluated):
+                recorded.clear()
+            hit, _ = first_round(instance, Budget(budget))
+            sizes = sorted(1 + sum(counts) for counts in shapes if counts is not None)
+            assert [n for n, _ in labelled] == sizes[: len(labelled)], (i, budget)
+            assert [n for n, ok in labelled if ok] == [len(t.graph.nodes) for t in evaluated], (i, budget)
+            if hit is None:
+                assert len(labelled) == len(sizes), (i, budget)
+            unreached += len(sizes) - len(labelled)
+    assert unreached >= 1000
+
+
+def test_a_round_is_charged_the_price_of_the_shapes_it_draws(monkeypatch):
+    shapes = recorded_shapes(monkeypatch)
+    for i, instance, budgets in comparison_cases():
+        layers = len(instance.model.layers)
+        for budget in budgets:
+            shapes.clear()
+            _, ticks = first_round(instance, Budget(budget))
+            assert ticks == sum(price(1 + sum(c), layers) for c in shapes if c is not None), (i, budget)
+    # no point meets x1 >= 8 on satint:7: every tree is drawn and charged,
+    # and none is evaluated
+    instance = dataclasses.replace(positive_instance(), l_in=(LinIneq((("x1", 1),), 8),))
+    evaluated = recording_eval(monkeypatch)
+    shapes.clear()
+    assert first_round(instance) == (None, sum(price(1 + sum(c), 1) for c in shapes))
+    assert len(shapes) == SAMPLES and evaluated == []
+
+
+def first_words(instance):
+    rng = instance_rng(instance)
+    return [rng.getrandbits(32) for _ in range(8)]
+
+
+def test_the_seed_survives_json_and_tells_instances_apart():
+    rng = random.Random(31)
+    specs = (ArithmeticSpec.satint(7), ArithmeticSpec.fixed(12, 1))
+    deltas = (DeltaMode.unary(1), DeltaMode.binary(3), DeltaMode.infinite())
+    for i in range(60):
+        instance = random_instance(rng, specs[i % 2], deltas[i % 3])
+        rebuilt = lvp_from_json(json.loads(json.dumps(lvp_to_json(instance))))
+        assert first_words(rebuilt) == first_words(instance), i
+    instance = relational_instance()
+    model = instance.model
+    out = model.out.layers[0]
+    changed = (
+        dataclasses.replace(model, out=Fnn((dataclasses.replace(out, weights=((2, -1),)),))),
+        dataclasses.replace(model, input_features=("z1",)),
+    )
+    others = [dataclasses.replace(instance, model=m) for m in changed] + [
+        dataclasses.replace(instance, l_out=(LinIneq((("y1", 1),), 1),)),
+        dataclasses.replace(instance, delta=DeltaMode.unary(3)),
+    ]
+    words = [first_words(other) for other in others]
+    assert first_words(instance) not in words and len({tuple(w) for w in words}) == len(words)
 
 
 def test_sampling_is_charged_to_the_tick_budget():
@@ -572,111 +698,111 @@ def test_hits_replay_and_never_meet_an_oracle_unsat():
 
 # (nodes of the hit, its output payloads, the first 16 hex digits of the
 # sha256 of its JSON, ticks spent) for each instance of sampler_results, or
-# None in the first three places when nothing was hit.  Generated while
-# gnn_eval still evaluated every node at every layer: the draws, their order
-# and the price of a tree must not depend on what the evaluator skips.  The
-# ticks of a one-node hit are the price of the trees drawn up to it.
+# None in the first three places when nothing was hit.  The draws, their
+# order and the price of a tree must not depend on what the evaluator skips.
+# The ticks are the price of every shape drawn, or of the shapes drawn up to
+# a one-node hit.
 SAMPLER_GOLDEN = [
-    (None, None, None, 191),
-    (1, [-1], '2af39d51f9e3df5e', 4),
-    (1, [-3], '3e6be5d7d66056db', 95),
+    (None, None, None, 221),
+    (1, [-1], '87f2e174bf72d428', 35),
+    (2, [-3], '6c4f402c5ff1a7b6', 107),
     (1, [1], '5108985dcc60bd3a', 1),
-    (1, [2], '859526904783eb98', 15),
-    (1, [-3], 'c7f4326143de274a', 5),
+    (1, [2], 'aacb4ceeaffadaac', 3),
+    (1, [-3], '5108985dcc60bd3a', 5),
     (None, None, None, 32),
-    (None, None, None, 616),
-    (None, None, None, 206),
-    (1, [-2], '1ad3dee26ebde290', 1),
-    (None, None, None, 748),
-    (1, [-2], '4b983455c2f8610e', 3),
-    (1, [-6], '1ad3dee26ebde290', 2),
-    (None, None, None, 676),
-    (1, [-3], '4b983455c2f8610e', 5),
-    (None, None, None, 4092),
-    (1, [-1], '6fc3c9567f47d52a', 22),
-    (4, [-1], 'c08790b401bf873c', 244),
-    (1, [-1], '4b983455c2f8610e', 25),
-    (1, [-409], 'a1c7846c576fb411', 11),
-    (1, [-2], '638c1c0df318fca6', 1),
-    (1, [-2], 'c7f4326143de274a', 1),
-    (1, [-1], 'e190c3bc2bb89559', 12),
-    (1, [1], '4b983455c2f8610e', 1),
-    (None, None, None, 32),
-    (None, None, None, 736),
-    (1, [-2], '50d29b9c1ae83214', 7),
-    (None, None, None, 140),
-    (None, None, None, 203),
-    (3, [-2], 'a1af89f4eb87f61d', 238),
-    (None, None, None, 2200),
-    (None, None, None, 5416),
-    (None, None, None, 86),
-    (1, [-7], 'dfd1b788566c3560', 1),
-    (1, [1], '87f2e174bf72d428', 2),
-    (1, [-2], 'e8263456efdda81b', 3),
-    (1, [-1], 'b263ac919291eaf8', 2),
-    (1, [-1], 'a1c7846c576fb411', 5),
-    (1, [-1], 'a7f759d1d7702a8b', 4),
-    (None, None, None, 1343),
-    (None, None, None, 206),
-    (1, [-3], '5dbb68cb381ca86a', 3),
-    (1, [-2], '5108985dcc60bd3a', 62),
-    (None, None, None, 268),
-    (None, None, None, 142),
-    (1, [-7], 'c85738ec7eb1ff8a', 5),
-    (1, [0], '0c05b29eedebe5a6', 96),
-    (None, None, None, 454),
-    (None, None, None, 79),
-    (1, [-1], '07b9da8d4748218a', 4),
-    (None, None, None, 737),
-    (1, [-7], '1ad3dee26ebde290', 377),
-    (None, None, None, 150),
-    (1, [-2], '950a4d2c49f542e6', 3),
-    (1, [-1], 'c9b3325f1c702189', 30),
-    (1, [-128], '892b0b518cb86507', 1),
-    (1, [-3], 'c063ae99852374e0', 24),
-    (1, [-7], '1ad3dee26ebde290', 2),
     (None, None, None, 476),
-    (1, [-3], 'a2608137619897f0', 80),
-    (1, [-2], 'fda243d5b727535a', 3),
-    (1, [-571], '53d18404555e2d44', 2),
-    (None, None, None, 280),
-    (None, None, None, 1592),
+    (None, None, None, 209),
+    (1, [-2], '4afa9b124426d6be', 1),
+    (None, None, None, 576),
+    (1, [-2], '4b983455c2f8610e', 314),
+    (1, [-6], '1ad3dee26ebde290', 3),
+    (None, None, None, 772),
+    (1, [-3], '4b983455c2f8610e', 23),
+    (None, None, None, 4812),
+    (1, [-1], '033eabbf0ed02eb1', 15),
+    (None, None, None, 198),
+    (1, [-1], '1ad3dee26ebde290', 3),
+    (1, [-249], '27b6aba70d405ad6', 2),
+    (1, [-2], '927caa8ae5889dc0', 12),
+    (1, [-2], 'c7f4326143de274a', 3),
+    (1, [-1], '87f2e174bf72d428', 12),
+    (1, [1], '50d29b9c1ae83214', 1),
     (None, None, None, 32),
-    (1, [0], 'c063ae99852374e0', 21),
-    (1, [0], '3326b575a9b28b9e', 10),
-    (None, None, None, 308),
-    (1, [-2], '4b983455c2f8610e', 18),
-    (2, [-5], '75891c4621addf9d', 452),
-    (1, [-2], 'a1c7846c576fb411', 5),
-    (1, [-3], '4b983455c2f8610e', 83),
-    (None, None, None, 280),
-    (1, [-207], '950a0e5305240578', 1),
-    (1, [-3], '5108985dcc60bd3a', 35),
-    (1, [-3], 'bd2f24a918d8e72c', 7),
-    (1, [2], '69cf3d7a5c3470b4', 10),
+    (None, None, None, 724),
+    (1, [-2], '4b983455c2f8610e', 2),
+    (None, None, None, 146),
+    (None, None, None, 203),
+    (3, [-2], '059e20ce7a7d416f', 256),
+    (None, None, None, 1940),
+    (None, None, None, 5172),
+    (None, None, None, 79),
+    (1, [-7], '206c542fb0a2036d', 2),
+    (1, [1], 'e190c3bc2bb89559', 10),
+    (1, [-2], '7ecd52b9c5f570c2', 34),
+    (1, [-1], 'a2608137619897f0', 3),
+    (1, [-1], '033eabbf0ed02eb1', 5),
+    (1, [-1], '243db7bb34f1d3e3', 3),
+    (None, None, None, 1289),
+    (None, None, None, 209),
+    (1, [-3], '5dbb68cb381ca86a', 14),
+    (1, [-2], '869941225cbb01e2', 2),
+    (None, None, None, 296),
+    (None, None, None, 150),
+    (1, [-7], '601873779d6f9610', 8),
+    (1, [0], '67ca4334e142672a', 129),
+    (None, None, None, 510),
+    (None, None, None, 79),
+    (1, [-1], '4b8d3fa4baeb306e', 11),
+    (None, None, None, 848),
+    (1, [-7], '1ad3dee26ebde290', 309),
+    (None, None, None, 140),
+    (1, [-2], 'e8263456efdda81b', 23),
+    (1, [-1], '0efe1378b68d7c1c', 4),
+    (1, [-404], 'cca36ee5a8a10783', 1),
+    (1, [-3], 'c7f4326143de274a', 8),
+    (1, [-5], '50d29b9c1ae83214', 32),
+    (None, None, None, 482),
+    (1, [-3], 'c7f2c052b5e8e978', 3),
+    (1, [-2], 'b263ac919291eaf8', 8),
+    (1, [-67], '2eb326525a7a1853', 1),
+    (None, None, None, 220),
+    (None, None, None, 1992),
+    (None, None, None, 32),
+    (1, [0], 'c063ae99852374e0', 2),
+    (1, [0], '4ce6ab469e541024', 10),
+    (None, None, None, 304),
+    (1, [-2], '50d29b9c1ae83214', 18),
+    (2, [-5], '5123aee2b5ff5956', 446),
+    (1, [-2], '033eabbf0ed02eb1', 35),
+    (1, [-3], '4b983455c2f8610e', 113),
+    (None, None, None, 232),
+    (1, [-117], '272356bb27ae27fb', 1),
+    (1, [-3], '5108985dcc60bd3a', 11),
+    (1, [-2], '54318b7893dacb0b', 68),
+    (1, [2], '69cf3d7a5c3470b4', 3),
     (1, [-3], '4b983455c2f8610e', 1),
-    (1, [-5], '4b983455c2f8610e', 541),
-    (1, [2], 'd9facfae9cc7058d', 12),
-    (1, [-2], '3e6be5d7d66056db', 5),
-    (1, [-1], 'dfd1b788566c3560', 84),
-    (None, None, None, 268),
-    (1, [-3], '1c614f1f85805224', 10),
-    (1, [-2], '5108985dcc60bd3a', 26),
-    (1, [-27], '3d96eff3abb96c8b', 4),
+    (1, [-5], 'aba32e137f039a19', 212),
+    (1, [2], 'cc1104be8857b1ed', 20),
+    (1, [-2], '22e21b6096a6b2f6', 2),
+    (1, [-1], 'ac511d489b6b92fd', 217),
+    (None, None, None, 264),
+    (1, [-1], '950a4d2c49f542e6', 2),
+    (1, [-2], 'c1b294b2910fd7d5', 11),
+    (1, [-43], 'a1c7846c576fb411', 44),
     (None, None, None, 32),
-    (1, [-7], '930cf264c4fe7411', 4),
-    (1, [1], '8737a5bc2b7e86cb', 10),
-    (1, [-3], '4b983455c2f8610e', 78),
-    (1, [-7], '7b01d21eab1eb59d', 1),
-    (1, [-319], '3c46a9eaae988b7c', 2),
-    (1, [-1], 'c063ae99852374e0', 5),
-    (1, [-2], '1ad3dee26ebde290', 8),
-    (None, None, None, 707),
-    (1, [-2], 'c7f4326143de274a', 52),
-    (2, [-4], 'e26d51fae590e4a5', 275),
-    (None, None, None, 202),
-    (2, [0], 'ebe837fa41391371', 350),
-    (1, [-5], 'dfd1b788566c3560', 4),
+    (1, [-5], 'dfd1b788566c3560', 6),
+    (1, [1], '83b3f9245eb3df73', 3),
+    (1, [-3], '4b983455c2f8610e', 83),
+    (1, [-7], 'dfd1b788566c3560', 1),
+    (1, [-259], '12307cba7e01f0fa', 1),
+    (1, [-1], 'c063ae99852374e0', 14),
+    (1, [-2], '1ad3dee26ebde290', 195),
+    (None, None, None, 839),
+    (2, [-2], '082c2c6f360e186c', 127),
+    (None, None, None, 240),
+    (None, None, None, 212),
+    (2, [0], '285e159e4c8dd3cf', 258),
+    (1, [-5], 'a99380b89478ef2b', 1),
 ]
 
 

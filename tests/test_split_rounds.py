@@ -196,9 +196,14 @@ def test_the_split_gives_up_at_a_failing_single_value_box(monkeypatch):
 
 
 def test_hits_of_later_rounds_replay_through_gnn_eval_and_check():
+    """Instances are drawn until hits of rounds 2 and 4 have replayed, up to
+    a fixed bound: about one instance in a hundred is first hit by a later
+    round, and one in a thousand by the last."""
     rng = random.Random(7)
     rounds = []
-    for i in range(100):
+    for i in range(10_000):
+        if len(rounds) >= 3 and {2, 4} <= set(rounds):
+            break
         spec = (ArithmeticSpec.satint(7), ArithmeticSpec.fixed(8, 1))[i % 2]
         instance = random_instance(rng, spec, DeltaMode.unary(1 + i % 3), max_layers=3)
         if BoxSplit(instance).bounds():

@@ -63,103 +63,103 @@ def outcome(instance) -> tuple:
 GOLDEN = [
     ('valid', 'bounds', None),
     ('valid', 'bounds', None),
-    ('invalid', 'ac511d489b6b92fd', [0, 2]),
-    ('invalid', 'b1de65655d1881fd', [1]),
-    ('invalid', '09261d812e77e3d5', [-3]),
+    ('invalid', 'cdb48df7af140584', [0, 2]),
+    ('invalid', 'e190c3bc2bb89559', [1]),
+    ('invalid', 'b263ac919291eaf8', [0]),
     ('valid', 'bounds', None),
     ('valid', 'bounds', None),
     ('valid', 'bounds', None),
     ('invalid', 'c063ae99852374e0', [1, 1]),
-    ('invalid', 'd9facfae9cc7058d', [1, 2]),
+    ('invalid', '69cf3d7a5c3470b4', [1, 2]),
     ('valid', 'split', None),
     ('valid', 'bounds', None),
-    ('invalid', 'f82d05bba5d1f6a0', [-3]),
+    ('invalid', '5a6c70020f551062', [-1]),
     ('invalid', '6c3fdbddece29450', [-5]),
     ('invalid', '4b983455c2f8610e', [-1, 2]),
-    ('invalid', '4351d01265d0ca8a', [0]),
+    ('invalid', '980696130cfbf435', [0]),
     ('invalid', '5108985dcc60bd3a', [-1]),
-    ('invalid', 'd2c308f2a321e407', [0]),
-    ('invalid', '071484783c3f989f', [-5]),
+    ('invalid', '8b71b46135416777', [0]),
+    ('invalid', '22e21b6096a6b2f6', [-4]),
+    ('invalid', '6a34f11e90704b96', [-1, -1]),
+    ('valid', 'bounds', None),
+    ('invalid', 'fd3eb90ef44c2fc1', [-2]),
+    ('invalid', '81a57f977a126f0b', [-2, 7]),
+    ('valid', 'bounds', None),
+    ('invalid', 'aace59ea4398611a', [-2, 0]),
+    ('valid', 'bounds', None),
+    ('valid', 'bounds', None),
+    ('valid', 'bounds', None),
+    ('valid', 'bounds', None),
+    ('invalid', 'd9facfae9cc7058d', [-2]),
+    ('invalid', '950a4d2c49f542e6', [0, -7]),
+    ('valid', 'bounds', None),
+    ('valid', 'bounds', None),
+    ('invalid', 'd9facfae9cc7058d', [-2]),
+    ('invalid', '4b983455c2f8610e', [-4]),
+    ('invalid', '87f2e174bf72d428', [3, 1]),
+    ('invalid', '54318b7893dacb0b', [1]),
+    ('invalid', '69cf3d7a5c3470b4', [-2, 1]),
+    ('valid', 'bounds', None),
+    ('valid', 'bounds', None),
+    ('valid', 'bounds', None),
+    ('valid', 'bounds', None),
+    ('valid', 'bounds', None),
+    ('valid', 'bounds', None),
+    ('invalid', 'c8888a6bbd44584e', [0]),
+    ('valid', 'bounds', None),
+    ('valid', 'bounds', None),
     ('invalid', '05d0d14aa6e75c32', [-1, -1]),
+    ('invalid', '4b983455c2f8610e', [-5, 6]),
+    ('invalid', '3ba77c0f0b9224f2', [-3, -3]),
+    ('invalid', '4b983455c2f8610e', [0]),
+    ('invalid', '7e92e926f1e16022', [-2, -2]),
+    ('invalid', 'd1c6e3c1326651f1', [-2]),
     ('valid', 'bounds', None),
-    ('invalid', '5cbd4148f8e5990e', [-2]),
-    ('invalid', '3b37c4fcf3b990ba', [-6, 7]),
+    ('invalid', 'c7aac956da704c82', [-4]),
+    ('invalid', 'd9facfae9cc7058d', [-1]),
     ('valid', 'bounds', None),
-    ('invalid', '5f9721f39e67e4cc', [-2, 0]),
-    ('valid', 'bounds', None),
-    ('valid', 'bounds', None),
-    ('valid', 'bounds', None),
-    ('valid', 'bounds', None),
-    ('invalid', '0c66d0d4828b0063', [-2]),
-    ('invalid', '930cf264c4fe7411', [0, -7]),
-    ('valid', 'bounds', None),
-    ('valid', 'bounds', None),
-    ('invalid', '8b71b46135416777', [-2]),
-    ('invalid', '1ad3dee26ebde290', [-4]),
-    ('invalid', '8b71b46135416777', [5, -1]),
-    ('invalid', '21322aa39ba55b9a', [-7]),
-    ('invalid', 'b4ebeb7a947e973c', [-2, 1]),
-    ('valid', 'bounds', None),
-    ('valid', 'bounds', None),
-    ('valid', 'bounds', None),
-    ('valid', 'bounds', None),
-    ('valid', 'bounds', None),
-    ('valid', 'bounds', None),
-    ('invalid', '329f2be06effd091', [0]),
-    ('valid', 'bounds', None),
-    ('valid', 'bounds', None),
-    ('invalid', '6f273169cfacbb47', [-1, 1]),
-    ('invalid', '50d29b9c1ae83214', [-2, 3]),
-    ('invalid', 'cd89ca44dd70c5a7', [-5, -7]),
-    ('invalid', '1ad3dee26ebde290', [0]),
-    ('invalid', 'ac750b920d7e7a12', [-2, -2]),
-    ('invalid', '927caa8ae5889dc0', [-7]),
-    ('valid', 'bounds', None),
-    ('invalid', 'dafd8e59dbe1b6d7', [-4]),
-    ('invalid', 'b12e9b84389ce2fd', [-1]),
-    ('valid', 'bounds', None),
-    ('invalid', 'd9facfae9cc7058d', [2, -2]),
-    ('invalid', 'c0cfbcf08daa8892', [1, 1]),
-    ('invalid', '6c8510bf54208ce6', [1]),
-    ('invalid', '09261d812e77e3d5', [-3]),
+    ('invalid', '033eabbf0ed02eb1', [2, -2]),
+    ('invalid', '22e21b6096a6b2f6', [-4, -1]),
+    ('invalid', 'f417ff90ca6c7262', [1]),
+    ('invalid', 'c8888a6bbd44584e', [-5]),
     ('invalid', '8b71b46135416777', [2]),
     ('invalid', 'c063ae99852374e0', [-1, 0]),
     ('valid', 'bounds', None),
-    ('invalid', '50d29b9c1ae83214', [-7, 5]),
+    ('invalid', 'c063ae99852374e0', [-4, 2]),
     ('valid', 'bounds', None),
     ('valid', 'bounds', None),
-    ('invalid', '91a70d138c83a365', [-2, 1]),
-    ('invalid', 'd0b1416f240c769e', [-2]),
-    ('valid', 'bounds', None),
-    ('valid', 'bounds', None),
-    ('valid', 'bounds', None),
-    ('valid', 'bounds', None),
-    ('invalid', '4b1f6a5ff221ede8', [0]),
-    ('valid', 'bounds', None),
-    ('invalid', '7f9542c4360b553d', [-1]),
-    ('invalid', 'a41559f0139860e6', [-2]),
+    ('invalid', 'b63eed29ad29b933', [-2, 1]),
+    ('invalid', '9ded189be0bc0839', [-4]),
     ('valid', 'bounds', None),
     ('valid', 'bounds', None),
     ('valid', 'bounds', None),
     ('valid', 'bounds', None),
+    ('invalid', 'c73035f52f4bfaab', [0]),
     ('valid', 'bounds', None),
-    ('invalid', 'a99380b89478ef2b', [-5]),
-    ('invalid', '69cf3d7a5c3470b4', [-1]),
+    ('invalid', '49f0567623bfcc1f', [-1]),
+    ('invalid', '873c34dc9ed53b41', [-2]),
+    ('valid', 'bounds', None),
+    ('valid', 'bounds', None),
+    ('valid', 'bounds', None),
+    ('valid', 'bounds', None),
+    ('valid', 'bounds', None),
+    ('invalid', '899dace79c4e2089', [-5]),
+    ('invalid', 'e190c3bc2bb89559', [-1]),
     ('invalid', 'c063ae99852374e0', [-4, 4]),
     ('invalid', '8b71b46135416777', [-2]),
-    ('invalid', '71dddadc8db30811', [-6, 4]),
-    ('invalid', '506340aa3adc8d77', [-1]),
+    ('invalid', 'b909cbe47f9a4f7a', [-6, 1]),
+    ('invalid', '8b71b46135416777', [-1]),
     ('valid', 'bounds', None),
-    ('invalid', '69cf3d7a5c3470b4', [2]),
-    ('invalid', 'fda243d5b727535a', [-7]),
-    ('invalid', 'b097752ce81b9516', [-1, 2]),
+    ('invalid', '8b71b46135416777', [2]),
+    ('invalid', '8f228631a9329dc4', [-7]),
+    ('invalid', '0ea969da64cda224', [-1, 2]),
     ('valid', 'bounds', None),
-    ('invalid', '87f2e174bf72d428', [-2, 1]),
-    ('invalid', '81a57f977a126f0b', [-4]),
+    ('invalid', '8b71b46135416777', [-2, -1]),
+    ('invalid', '02c57d09f7a85909', [-7]),
     ('valid', 'bounds', None),
-    ('invalid', '4afa9b124426d6be', [-6]),
-    ('invalid', '1377bbc33f9cca0a', [0]),
-    ('invalid', '50d29b9c1ae83214', [-1]),
+    ('invalid', 'c1b294b2910fd7d5', [-6]),
+    ('invalid', '3760cb748d95d7a2', [-1]),
+    ('invalid', '1ad3dee26ebde290', [-1]),
     ('invalid', '69cf3d7a5c3470b4', [-1]),
 ]
 

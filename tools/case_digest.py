@@ -13,7 +13,9 @@ With ``--against PATH`` it also digests the checkout at PATH, by the same
 rules, in a child process while it computes its own digests.  It prints that
 checkout's lines after its own, then one line per case whose tableau verdict
 (``verify_lvp``'s on ``lvp-grid``) differs, as ``workload seed:index theirs
-→ ours``, and exits 1 when a digest differs.
+→ ours``, then, for each workload whose digests differ, one line per seed
+whose count of decisive verdicts differs, as ``workload seed N: theirs →
+ours``, and exits 1 when a digest differs.
 
 The cases are those ``lvpbench/workloads.py`` generates for a 20-second run
 of ``lvpbench/run.py``, decided under the same limits.  Per ``lvp-grid`` case
@@ -147,6 +149,17 @@ def digests(root: Path, show: bool) -> tuple[list[str], dict[str, str]]:
     return lines, verdicts
 
 
+def decisive_by_seed(verdicts: dict[str, str], name: str) -> dict[int, int]:
+    """The number of decisive verdicts of the named workload, per seed."""
+    counts: dict[int, int] = {}
+    for case, kind in verdicts.items():
+        workload, _, at = case.partition(" ")
+        if workload == name:
+            seed = int(at.partition(":")[0])
+            counts[seed] = counts.get(seed, 0) + (not kind.startswith("Unknown"))
+    return counts
+
+
 # the child process of --against: the digests of the checkout named by its
 # one argument, as one JSON document on stdout
 CHILD = "import case_digest, json, sys; print(json.dumps(case_digest.digests(case_digest.Path(sys.argv[1]), False)))"
@@ -177,6 +190,13 @@ def main() -> int:
     for case, verdict in verdicts.items():
         if their_verdicts[case] != verdict:
             print(f"{case} {their_verdicts[case]} → {verdict}")
+    for ours, their_line in zip(lines, theirs):
+        if ours != their_line:
+            name = ours.split()[0]
+            mine, other = decisive_by_seed(verdicts, name), decisive_by_seed(their_verdicts, name)
+            for seed, count in mine.items():
+                if other[seed] != count:
+                    print(f"{name} seed {seed}: {other[seed]} → {count}")
     same = theirs == lines
     print("same digests" if same else "digests differ")
     return 0 if same else 1

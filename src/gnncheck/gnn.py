@@ -7,7 +7,7 @@ weight*input products in input-index order, then the bias; the compiler
 unfolds formulas with the same chain so that logic and evaluation agree
 bit for bit.  ``fnn_bounds`` maps intervals through ``arith``'s interval
 rules, ``last_layer_box`` bounds the inputs of the last FNNs over every
-graph, and ``BoxSplit.bounds`` proves an LVP instance valid when its output
+graph, and ``BoxSplit.proved`` says an LVP instance is valid when its output
 constraints hold on the whole box those FNNs map it to.
 ``BoxSplit.run`` bisects the last layer's input box until they hold on
 every piece (branch and bound), charging each box to a tick budget.
@@ -390,9 +390,11 @@ class BoxSplit:
     middle of its widest read dimension (the first of the widest), depth
     first, lower half first.  A read dimension is one that the first layer
     of the last FNNs reads with a non-zero weight: the others leave the
-    outputs' box as it is, so splitting them proves nothing.  ``bounds``
-    and ``run`` share the root's mapping, so it is mapped once whichever
-    asks first, and ``run`` still counts it as its first box.
+    outputs' box as it is, so splitting them proves nothing.  The root is
+    mapped once, when the split is built: ``proved`` is True when L_out
+    holds on its whole output box, or no point meets L_in, and then the
+    instance is valid (False says nothing).  ``run`` counts the root as its
+    first box and reads its outcome from ``proved``.
     """
 
     def __init__(self, instance: LvpInstance):
@@ -404,7 +406,7 @@ class BoxSplit:
         self.root = None if point is None else last_layer_box(model, point, cap)
         first = self.fnns[0].layers[0]
         self.read = [i for i in range(first.input_dim) if any(row[i] for row in first.weights)]
-        self._root_meets: bool | None = None
+        self.proved = self.root is None or self._meets(self.root)
 
     def _meets(self, box: Box) -> bool:
         """Whether every output inequality holds wherever the last FNNs map
@@ -417,15 +419,6 @@ class BoxSplit:
             spec.row_image([c for _, c in q.coeffs], [out[v] for v, _ in q.coeffs])[0] >= q.const
             for q in self.instance.l_out
         )
-
-    def bounds(self) -> bool:
-        """True when L_out holds on the root's whole output box, or no point
-        meets L_in: then the instance is valid.  False says nothing."""
-        if self.root is None:
-            return True
-        if self._root_meets is None:
-            self._root_meets = self._meets(self.root)
-        return self._root_meets
 
     def run(self, budget: Budget) -> tuple[bool, int]:
         """(proved, boxes mapped, the root among them).  Each box is charged
@@ -446,7 +439,7 @@ class BoxSplit:
             budget.charge(per_box)
             box = stack.pop()
             boxes += 1
-            if self._meets(box) if boxes > 1 else self.bounds():  # box 1 is the root
+            if self._meets(box) if boxes > 1 else self.proved:  # box 1 is the root, mapped once
                 continue
             if not self.read:
                 return False, boxes
@@ -463,14 +456,10 @@ class BoxSplit:
 # -- JSON schemas ---------------------------------------------------------------
 
 
-def _fmt(spec: ArithmeticSpec, p: int) -> str:
-    return spec.format_payload(p)
-
-
 def _layer_to_json(layer: FnnLayer, spec: ArithmeticSpec) -> dict[str, Any]:
     return {
-        "weights": [[_fmt(spec, w) for w in row] for row in layer.weights],
-        "bias": [_fmt(spec, b) for b in layer.bias],
+        "weights": [[spec.format_payload(w) for w in row] for row in layer.weights],
+        "bias": [spec.format_payload(b) for b in layer.bias],
         "activation": list(layer.activations),
     }
 
@@ -486,7 +475,7 @@ def gnn_to_json(model: GnnModel) -> dict[str, Any]:
     layers = []
     for layer in model.layers:
         if layer.agg_kind == "weighted":
-            agg: Any = {"kind": "weighted", "weights": [_fmt(spec, w) for w in layer.agg_weights]}
+            agg: Any = {"kind": "weighted", "weights": [spec.format_payload(w) for w in layer.agg_weights]}
         else:
             agg = layer.agg_kind
         layers.append({"agg": agg, "comb": _fnn_to_json(layer.comb, spec)})
@@ -582,8 +571,8 @@ def gnn_from_json(doc: Any, path: str = "$") -> GnnModel:
 
 def linineq_to_json(ineq: LinIneq, spec: ArithmeticSpec) -> dict[str, Any]:
     return {
-        "coeffs": {v: _fmt(spec, c) for v, c in ineq.coeffs},
-        "const": _fmt(spec, ineq.const),
+        "coeffs": {v: spec.format_payload(c) for v, c in ineq.coeffs},
+        "const": spec.format_payload(ineq.const),
         "rel": ">=",
     }
 

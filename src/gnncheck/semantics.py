@@ -20,13 +20,14 @@ step per (state, label) pair and per child profile folded into a state, for
 every arity, charged a state at a time, and the first witness is the one a
 label-by-label scan would find.
 
-On a value set of at most 127 values (M = max_payload <= 63) columns are
-bytes, one lane of payload + M per entry, and every elementwise step runs in
-C through translation tables cached for the process.  63 is the largest M for
-which two lanes, each at most 2M, add to a byte (4M <= 252), so that two
-columns add as big integers.  Wider value sets keep lists of payloads, mapped
-through the spec's tables (``ArithmeticSpec.table``).  The two column types
-charge, find and return the same.
+Formula columns are bytes of truth values (0 or 1) on every value set.  On
+a value set of at most 127 values (M = max_payload <= 63) expression columns
+are bytes too, one lane of payload + M per entry, and every elementwise step
+runs in C through translation tables cached for the process.  63 is the
+largest M for which two lanes, each at most 2M, add to a byte (4M <= 252), so
+that two columns add as big integers.  Wider value sets keep expression
+columns as lists of payloads, mapped through the spec's tables
+(``ArithmeticSpec.table``), which charge, find and return the same.
 """
 
 from __future__ import annotations
@@ -258,16 +259,6 @@ def _spread_lanes(x: bytes, support: tuple[int, ...], union: tuple[int, ...], n:
     return x
 
 
-def _first_of_each(keys, values) -> dict:
-    """Each distinct key with the value paired with its first occurrence, in
-    the order of first occurrences."""
-    first: dict = {}
-    for k, v in zip(keys, values):
-        if k not in first:
-            first[k] = v
-    return first
-
-
 def _union(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The union of two supports, in label order."""
     if a == b or not b:
@@ -294,15 +285,17 @@ class _TreeSearch:
     when that makes the root static, ``search`` answers it before it builds
     any level.
 
-    With ``lanes`` (max_payload <= LANE_PAYLOAD) a column is ``bytes``: an
-    expression's entries are payload + M, a formula's 0 or 1, and a profile
-    holds such lane values too.  ``bytes.translate`` does act, scale, a
-    scalar sum, the tests and not; two columns add as big integers, then
-    through a clamp table; and and or are big-integer & and |.  These lane
-    tables are immutable and cached per process and per (spec, step,
-    operands).  Otherwise a column is a list of payloads or bools, and
-    ``act``, ``scale``, a sum and the fold steps over profile payloads, on
-    either column type, read the spec's tables (``ArithmeticSpec.table``).
+    A formula's column is ``bytes`` of 0 or 1 on every value set: not goes
+    through a translation table, and and or are big-integer & and |.  With
+    ``lanes`` (max_payload <= LANE_PAYLOAD) an expression's column is
+    ``bytes`` too, of entries payload + M, and a profile holds such lane
+    values.  ``bytes.translate`` does act, scale, a scalar sum and the
+    tests; two columns add as big integers, then through a clamp table.
+    These lane tables are immutable and cached per process and per (spec,
+    step, operands).  Otherwise an expression's column is a list of
+    payloads, the tests build bytes from it, and ``act``, ``scale``, a sum
+    and the fold steps over profile payloads, on either column type, read
+    the spec's tables (``ArithmeticSpec.table``).
     """
 
     def __init__(self, f: Formula, delta: int, budget: Budget):
@@ -315,7 +308,7 @@ class _TreeSearch:
         self.aggs: list[tuple] = []  # (eid, kind, child, weights)
         self.delta = arity_bound(delta, f.weight_cap)
         self.n_labels = self.spec.n_values ** len(self.features)
-        self.lanes = self.spec.max_payload <= LANE_PAYLOAD  # columns as bytes
+        self.lanes = self.spec.max_payload <= LANE_PAYLOAD  # expression columns as bytes
         self.index_maps: dict[tuple, list[int]] = {}  # spreads and first labels, per supports
         # level 0 charges all labels in one batch: when they exceed the budget,
         # the search stops there, so nothing is evaluated
@@ -348,7 +341,7 @@ class _TreeSearch:
                 self.dyn_exprs.append((eid, node))
         self.child_supports = [support[child] for _, _, child, _ in self.aggs]
         self.profile_support = functools.reduce(_union, self.child_supports, ())
-        self.static_formulas: dict[int, bool | list[bool]] = {}
+        self.static_formulas: dict[int, bool | bytes] = {}
         self.static_supports: dict[int, tuple[int, ...]] = {}  # of their columns
         self.dyn_formulas: list[tuple[int, tuple]] = []
         for fid in fids:
@@ -372,7 +365,6 @@ class _TreeSearch:
                 self.static_formulas[fid] = x
             else:
                 self.dyn_formulas.append((fid, node))
-        self.static_profiles = all(child in static for _, _, child, _ in self.aggs)
 
     def _check_column(self, x) -> None:
         """After a column evaluated once per search, check the deadline."""
@@ -398,7 +390,7 @@ class _TreeSearch:
         if support == union:
             return x
         n = self.spec.n_values
-        if self.lanes:
+        if type(x) is bytes:
             return _spread_lanes(x, support, union, n)
         weight = {f: n ** (len(support) - 1 - p) for p, f in enumerate(support)}
         return map(x.__getitem__, self._index_map((support, union), union, weight))
@@ -479,13 +471,13 @@ class _TreeSearch:
             if isinstance(x, int):
                 return test(x)
             fs[fid] = self.expr_support[node[1]]
-            return x.translate(_lane_table(self.spec, (tag, k))) if self.lanes else list(map(test, x))
+            return x.translate(_lane_table(self.spec, (tag, k))) if self.lanes else bytes(map(test, x))
         if tag == "not":
             x = fv[node[1]]
             if isinstance(x, int):
                 return not x
             fs[fid] = self._formula_support(fs, node[1])
-            return x.translate(_lane_table(self.spec, ("not",))) if self.lanes else [not v for v in x]
+            return x.translate(_lane_table(self.spec, ("not",)))
         ga, gb = node[1], node[2]
         if isinstance(fv[ga], int):
             ga, gb = gb, ga
@@ -502,10 +494,8 @@ class _TreeSearch:
             a, b = self._spread(a, sa, union), self._spread(b, sb, union)
             sa = union
         fs[fid] = sa
-        if self.lanes:
-            n, a, b = len(a), int.from_bytes(a, "big"), int.from_bytes(b, "big")
-            return (a & b if tag == "and" else a | b).to_bytes(n, "big")
-        return list(map(operator.and_ if tag == "and" else operator.or_, a, b))
+        n, a, b = len(a), int.from_bytes(a, "big"), int.from_bytes(b, "big")
+        return (a & b if tag == "and" else a | b).to_bytes(n, "big")
 
     def _formula_support(self, fs: dict, fid: int) -> tuple[int, ...]:
         """The support of the column of formula fid."""
@@ -556,7 +546,10 @@ class _TreeSearch:
                 itertools.repeat(c + m, n) if isinstance(c, int) else self._spread(c, support, union)
                 for c, support in zip(cols, self.child_supports)
             ))
-            first = _first_of_each(rows, itertools.count())
+            first = {}
+            for j, row in enumerate(rows):
+                if row not in first:
+                    first[row] = j
         if len(union) == len(self.features):
             return first
         labels = self._first_labels(union)
@@ -593,7 +586,7 @@ class _TreeSearch:
             self._charge(len(profs))
             stepped = [self._mapped((*step, a), col) for step, a, col in zip(steps, acc, cols)]
             news = zip(*stepped) if stepped else [()] * len(profs)
-            for new, prof in _first_of_each(news, profs).items():
+            for new, prof in zip(news, profs):
                 if new not in nxt:
                     nxt[new] = kids + (prof,)
         return nxt
@@ -631,8 +624,6 @@ class _TreeSearch:
         for arity, states in self._states_by_arity(prev_level, 0 if prev_level is None else self.delta):
             for acc, kids in states.items():
                 self._charge(self.n_labels)
-                if self.static_profiles and out:
-                    continue  # every state gives the profiles of the first
                 for prof, i in self._profiles(self._finalize(acc, arity)).items():
                     if prof not in out:
                         out[prof] = (i, kids)

@@ -58,7 +58,7 @@ ticks and ``SolveLimits.time_limit`` seconds.  The clock is read once every
 walks down unknown expressions charge no tick and take as long as the
 expression is deep.  ``verify_lvp`` runs cheaper sound deciders first, and
 every phase charges the same budget.  Interval bounds of the network's
-outputs (``gnn.BoxSplit.bounds``) are free of ticks.  A round of
+outputs (``gnn.BoxSplit.proved``) are free of ticks.  A round of
 counterexample sampling (``falsify.Sampler``) costs nodes × layers + 1 ticks
 per sampled tree; branch and bound over the last layer's input box
 (``gnn.BoxSplit.run``) costs a tick per box per FNN layer, the root's box
@@ -519,9 +519,7 @@ class _Search:
                     progress |= self.tighten(st, word, node[1], k, m)
                 elif node[0] == "geq":
                     progress |= self.tighten(st, word, node[1], -m, k - 1)
-                elif sign:
-                    progress |= self.tighten(st, word, node[1], k, k)
-                else:
+                else:  # a negated eq: _saturate_bools assigns every positive one
                     lo, hi = self.expr_range(st, word, node[1])
                     if lo == hi == k:
                         raise _Clash()
@@ -538,9 +536,9 @@ class _Search:
         progress = False
         stride = self.stride
         expired = self.budget.expired
+        # each step deletes at most the key it discharges, so every key of
+        # the copy is still an obligation when its turn comes
         for key in list(st.obligations):
-            if key not in st.obligations:
-                continue
             if expired():
                 raise LimitHit("timeout")
             eid = key % stride
@@ -883,7 +881,7 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
     ``semantics.Budget`` built from ``limits``, so a phase gets the ticks
     and the time the earlier ones left:
 
-    1. an interval pass over the network (``BoxSplit.bounds``): when L_out
+    1. an interval pass over the network (``BoxSplit.proved``): when L_out
        holds on the whole output box the instance is ``Valid("bounds")``,
        with nothing compiled, sampled or searched and no ticks charged;
     2. a round of counterexample sampling (``falsify.Sampler``);
@@ -905,7 +903,7 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
     limits = limits or SolveLimits()
     budget = Budget(limits.max_terms, limits.time_limit)
     split = BoxSplit(instance)
-    if split.bounds():
+    if split.proved:
         return Valid("bounds")
     compiled = compile_lvp(instance)
     sampler = Sampler(instance, budget)

@@ -1,6 +1,6 @@
 """The interval pre-check ahead of sampling: ``ArithmeticSpec.agg_hull``,
 ``gnn.input_box``, ``gnn.last_layer_box`` mapped through ``gnn.last_fnns``
-with ``gnn.fnn_bounds``, and ``gnn.BoxSplit.bounds``.
+with ``gnn.fnn_bounds``, and ``gnn.BoxSplit.proved``.
 
 Each bound is checked against the program's own point semantics: folds
 through ``fold_start``/``fold_step``/``fold_finish``, outputs through
@@ -183,7 +183,7 @@ def test_oracle_never_satisfies_a_precheck_valid():
         spec = ArithmeticSpec.satint(2 + i % 2)
         delta = deltas[i % len(deltas)]
         instance = random_instance(rng, spec, delta, max_layers=1)
-        if not BoxSplit(instance).bounds():
+        if not BoxSplit(instance).proved:
             continue
         proved += 1
         verdict = brute_force_sat(compile_lvp(instance).formula, delta.value)
@@ -226,7 +226,7 @@ def test_weighted_cap_is_per_layer():
     # y1 is up to 3 when the successor may have 3 successors
     assert output_box(3) == [(0, 3)]
     assert output_box(arity_bound(3, model.weight_cap)) == [(0, 1)]
-    assert BoxSplit(instance).bounds()
+    assert BoxSplit(instance).proved
 
 
 def test_the_tableau_gives_no_node_more_successors_than_weights():

@@ -408,6 +408,55 @@ def test_an_oversized_tree_stops_growing_at_the_budget():
     assert first_round(instance, Budget(10_000, time_limit=-1)) == (None, 0)  # a deadline passed
 
 
+class ExpiresAt(Budget):
+    """A budget without limits whose deadline passes at the k-th call of
+    ``expired`` and stays passed."""
+
+    def __init__(self, k):
+        super().__init__()
+        self.k, self.calls = k, 0
+
+    def expired(self):
+        self.calls += 1
+        return self.calls >= self.k
+
+
+def test_a_deadline_that_passes_mid_round_cuts_it_before_the_next_labels(monkeypatch):
+    """The round asks the deadline after a one-node shape is charged and
+    before each deferred tree, and each time it draws that tree's labels
+    next.  A deadline that passes at one of these asks cuts the round there:
+    it returns None, is charged the shapes drawn so far, and draws no more
+    labels."""
+    instance = positive_instance()  # valid: no tree hits
+    layers = len(instance.model.layers)
+    labelled = []  # (the asks of the deadline so far, nodes) per label draw
+
+    def counted(bits, instance, nodes):
+        labelled.append((budget.calls, nodes))
+        return label_payloads(bits, instance, nodes)
+
+    monkeypatch.setattr(falsify_mod, "label_payloads", counted)
+    shapes = recorded_shapes(monkeypatch)
+    budget = ExpiresAt(float("inf"))
+    assert Sampler(instance, budget).round() is None
+    uncut = labelled[:]
+    ones = [calls for calls, nodes in uncut if nodes == 1]
+    deferred = [calls for calls, nodes in uncut if nodes > 1]
+    assert len(ones) >= 2 and len(deferred) >= 2
+    # the ask before the second one-node tree's label, then the ask before
+    # the second deferred tree's
+    for k, last_shape in ((ones[1], False), (deferred[1], True)):
+        before = [nodes for calls, nodes in uncut if calls < k]
+        labelled.clear()
+        shapes.clear()
+        budget = ExpiresAt(k)
+        sampler = Sampler(instance, budget)
+        assert sampler.round() is None and sampler.cut, k
+        assert None not in shapes and (len(shapes) == SAMPLES) == last_shape, k
+        assert budget.ticks == sum(price(1 + sum(c), layers) for c in shapes), k
+        assert [nodes for _, nodes in labelled] == before, k
+
+
 def stdlib_shape(rng, instance, cap, left):
     """The nodes and edges of a tree grown through ``randint``, node by
     node breadth first, as deep as the network has layers; None as soon as

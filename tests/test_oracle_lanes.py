@@ -105,3 +105,34 @@ def test_list_sums_read_one_add_table(arith):
     semantics.brute_force_sat(f, 2, max_steps=50_000)
     added = set(spec._tables) - before
     assert not [key for key in added if key[0] == "add_p" and key[1] != 0], sorted(added)
+
+
+@pytest.mark.parametrize("arith", SPECS[2:])
+def test_formula_columns_are_bytes_past_the_lanes(arith, monkeypatch):
+    # past LANE_PAYLOAD expression columns are lists, but every formula
+    # column is bytes of 0 or 1 with one entry per assignment of its support
+    spec = ArithmeticSpec.parse(arith)
+    formula_value = semantics._TreeSearch._formula_value
+    seen = set()
+
+    def checked(search, fid, node, fv, fs, ev):
+        x = formula_value(search, fid, node, fv, fs, ev)
+        if not isinstance(x, int):
+            assert type(x) is bytes and set(x) <= {0, 1}, node
+            assert len(x) == spec.n_values ** len(fs[fid]), node
+            seen.add(node[0])
+        return x
+
+    monkeypatch.setattr(semantics._TreeSearch, "_formula_value", checked)
+    one = spec.format_payload(spec.one)
+    texts = [
+        f"not x1 >= {one} and (x2 = 0 or x1 + x2 >= 0)",
+        f"agg(x1) >= {one} or not (x2 >= 0 and x1 = 0)",
+    ]
+    for text in texts:
+        assert not isinstance(semantics.brute_force_sat(parse(text, spec), 2, max_steps=STEPS), semantics.Unknown)
+    rng = random.Random(f"oracle-bytes:{arith}")
+    for i in range(20):
+        f = random_formula(rng, spec, n_features=1 + i % 2, agg_kinds=KINDS, delta=2)
+        semantics.brute_force_sat(f, 2, max_steps=STEPS)
+    assert seen == {"geq", "eq", "not", "and", "or"}

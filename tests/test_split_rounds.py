@@ -125,7 +125,7 @@ def test_the_split_bisects_the_widest_dimension_depth_first_lower_half_first(mon
     # for x1 <= 0, and the upper half splits x1 again, lower half first
     assert boxes[:4] == [root, [(-7, 0), (-7, 7)], [(1, 7), (-7, 7)], [(1, 4), (-7, 7)]]
     assert all(box[1] == (-7, 7) for box in boxes)
-    assert BoxSplit(instance).bounds() is False
+    assert BoxSplit(instance).proved is False
 
 
 def test_verify_lvp_maps_the_root_box_once(monkeypatch):
@@ -206,7 +206,7 @@ def test_hits_of_later_rounds_replay_through_gnn_eval_and_check():
             break
         spec = (ArithmeticSpec.satint(7), ArithmeticSpec.fixed(8, 1))[i % 2]
         instance = random_instance(rng, spec, DeltaMode.unary(1 + i % 3), max_layers=3)
-        if BoxSplit(instance).bounds():
+        if BoxSplit(instance).proved:
             continue
         sampler = Sampler(instance, Budget())
         if sampler.round() is not None or BoxSplit(instance).run(Budget())[0]:

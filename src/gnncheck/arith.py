@@ -21,7 +21,10 @@ The inverse enumerators over ``Value`` are lazy, deterministic and yield
 exactly the witnessing values.
 
 Specs are interned, one per value set, and each keeps the tables of its
-primitives that both engines read (``ArithmeticSpec.table``).
+primitives that both engines read (``ArithmeticSpec.table``), and one table
+of literals, by their text, that every loader and the formula parser read
+(``parse_literal``): a literal is decoded once per value set, however often
+a network repeats it.
 """
 
 from __future__ import annotations
@@ -96,7 +99,8 @@ _SPECS: dict[tuple, "ArithmeticSpec"] = {}  # every spec, by its fields
 
 
 class _Table(dict):
-    """Results of one primitive by the payload of its last operand, filled on demand."""
+    """Results of one primitive by its last operand, a payload (or a
+    literal's text), filled on demand.  A call that raises stores nothing."""
 
     __slots__ = ("fn",)
 
@@ -114,6 +118,17 @@ class _Table(dict):
         be made on the fly (say the entrywise sums of two columns), and one
         missing from the table is filled when first met."""
         return list(map(self.__getitem__, payloads))
+
+
+class _Literals(_Table):
+    """The payload of each literal by its text.  A value of another type,
+    such as a JSON number, is read as its text (``str``): only texts are
+    kept, since 1, 1.0 and True are one key but three literals."""
+
+    __slots__ = ()
+
+    def __missing__(self, text) -> int:
+        return super().__missing__(text) if type(text) is str else self[str(text)]
 
 
 class _Clamps(dict):
@@ -162,7 +177,7 @@ class ArithmeticSpec:
         object.__setattr__(self, "one", self.scale)
         m, one = self.max_payload, self.one
         object.__setattr__(self, "clamps", _Clamps((name, ends(m, one)) for name, ends in _CLAMP_ENDS.items()))
-        object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_tables", {("decode_literal",): _Literals(self.decode_literal)})
 
     @staticmethod
     def _interned(*fields) -> "ArithmeticSpec":
@@ -234,7 +249,9 @@ class ArithmeticSpec:
         """The method ``name`` with these leading operands, by the payload of
         its last: ``table("mul_p", 2)[p]`` is ``mul_p(2, p)``.  There is one
         table per (name, operands), shared by every caller and filled on
-        demand, until the tables start again (``TABLE_ENTRIES``)."""
+        demand, until the tables start again (``TABLE_ENTRIES``).
+        ``table("decode_literal")`` is the table of literals by their text
+        (``parse_literal``)."""
         key = (name, *operands)
         table = self._tables.get(key)
         if table is None:
@@ -360,6 +377,12 @@ class ArithmeticSpec:
     # -- literals ------------------------------------------------------------
 
     def parse_literal(self, text: str) -> int:
+        """The payload of a decimal literal, read from ``table("decode_literal")``:
+        each distinct text is decoded once (``decode_literal``), and one that
+        does not decode raises again wherever it is read."""
+        return self._tables[("decode_literal",)][text]
+
+    def decode_literal(self, text: str) -> int:
         """Parse a decimal literal into a payload, rejecting unrepresentable ones."""
         s = text.strip()
         sign = 1

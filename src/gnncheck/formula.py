@@ -407,6 +407,7 @@ class _Parser:
         self.pos = 0
         self.arena = Arena(spec)
         self.spec = spec
+        self.literals = spec.table("decode_literal")
         self.default_activation = default_activation
 
     def peek(self) -> tuple[str, str, int]:
@@ -427,7 +428,7 @@ class _Parser:
 
     def literal(self, tok: tuple[str, str, int], negative: bool = False) -> int:
         try:
-            return self.spec.parse_literal(("-" if negative else "") + tok[1])
+            return self.literals[("-" if negative else "") + tok[1]]
         except (ConfigError, ValueError) as exc:
             raise _error(str(exc), self.text, tok[2]) from None
 

@@ -11,6 +11,12 @@ graph, and ``BoxSplit.proved`` says an LVP instance is valid when its output
 constraints hold on the whole box those FNNs map it to.
 ``BoxSplit.run`` bisects the last layer's input box until they hold on
 every piece (branch and bound), charging each box to a tick budget.
+
+The JSON loaders read every list of literals (a weight row, a bias, a
+weighted aggregation's weights, an inequality's coefficients) with one
+``map`` over the spec's literal table, and make a JSON path only when a
+read fails (``graph.literal_fault``).  A weighted aggregation must give its
+``weights``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Any, Mapping, Sequence
 from .arith import ACTIVATIONS, AGG_KINDS, ArithmeticSpec, Value, arity_bound, intersect, weight_cap
 from .errors import SchemaError, UsageError
 from .formula import is_feature_name
-from .graph import PointedGraph, _expect, _parse_payload, at_path
+from .graph import LITERAL_FAULTS, PointedGraph, _expect, at_path, literal_fault
 from .semantics import Budget
 
 
@@ -496,12 +502,15 @@ def _layer_from_json(doc: Any, spec: ArithmeticSpec, path: str) -> FnnLayer:
     for j, row in enumerate(rows):
         if not isinstance(row, list):
             raise SchemaError("a weight row must be a list", f"{path}.weights[{j}]")
-    weights = tuple(
-        tuple(_parse_payload(spec, w, f"{path}.weights[{j}][{i}]") for i, w in enumerate(row))
-        for j, row in enumerate(rows)
-    )
-    bias = _expect(doc, "bias", list, path, [])
-    bias = tuple(_parse_payload(spec, b, f"{path}.bias[{j}]") for j, b in enumerate(bias))
+    decode = spec.table("decode_literal").__getitem__
+    try:
+        weights = tuple(tuple(map(decode, row)) for row in rows)
+        bias = tuple(map(decode, _expect(doc, "bias", list, path, [])))
+    except LITERAL_FAULTS:
+        for j, row in enumerate(rows):
+            literal_fault(spec, row, f"{path}.weights[{j}]")
+        literal_fault(spec, doc["bias"], f"{path}.bias")
+        raise
     acts = doc.get("activation", [])
     if isinstance(acts, str):
         acts = [acts] * len(weights)
@@ -545,10 +554,12 @@ def gnn_from_json(doc: Any, path: str = "$") -> GnnModel:
             kind = agg.get("kind")
             if kind != "weighted":
                 raise SchemaError(f"unknown aggregation {kind!r}", f"{at}.agg")
-            weights = tuple(
-                _parse_payload(spec, w, f"{at}.agg.weights[{j}]")
-                for j, w in enumerate(_expect(agg, "weights", list, f"{at}.agg", []))
-            )
+            raw = _expect(agg, "weights", list, f"{at}.agg")
+            try:
+                weights = tuple(map(spec.table("decode_literal").__getitem__, raw))
+            except LITERAL_FAULTS:
+                literal_fault(spec, raw, f"{at}.agg.weights")
+                raise
             agg = "weighted"
         elif agg not in AGG_KINDS or agg == "weighted":
             raise SchemaError(f"unknown aggregation {agg!r}", f"{at}.agg")
@@ -582,12 +593,15 @@ def linineq_from_json(doc: Any, spec: ArithmeticSpec, path: str) -> LinIneq:
         raise SchemaError("expected an object", path)
     if doc.get("rel", ">=") != ">=":
         raise SchemaError("only '>=' inequalities are supported", f"{path}.rel")
-    coeffs = tuple(
-        (var, _parse_payload(spec, c, f"{path}.coeffs.{var}"))
-        for var, c in _expect(doc, "coeffs", dict, path, {}).items()
-    )
-    const = _parse_payload(spec, doc.get("const", "0"), f"{path}.const")
-    return LinIneq(coeffs, const)
+    raw = _expect(doc, "coeffs", dict, path, {})
+    const = doc.get("const", "0")
+    decode = spec.table("decode_literal").__getitem__
+    try:
+        return LinIneq(tuple(zip(raw, map(decode, raw.values()))), decode(const))
+    except LITERAL_FAULTS:
+        literal_fault(spec, raw, f"{path}.coeffs")
+        literal_fault(spec, {"const": const}, path)
+        raise
 
 
 def lvp_to_json(instance: LvpInstance) -> dict[str, Any]:

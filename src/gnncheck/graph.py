@@ -10,7 +10,10 @@ tableau, the brute-force oracle and the sampler) and names their nodes:
 The loaders share one rule for malformed input: a constructor's
 ``UsageError`` or ``ConfigError`` is a ``SchemaError`` at the JSON path of
 what it was built from (``at_path``), and a bad literal is one at the
-literal's path (``_parse_payload``).
+literal's path (``literal_fault``).  They read a list of literals with one
+``map`` over the spec's literal table (``ArithmeticSpec.parse_literal``), and
+only when that read fails do they walk it again to make the first bad
+literal's path.
 """
 
 from __future__ import annotations
@@ -166,14 +169,24 @@ def at_path(path: str, make, *args):
         raise SchemaError(str(exc), path) from None
 
 
-def _parse_payload(spec: ArithmeticSpec, raw: Any, path: str) -> int:
-    """The payload of the literal ``raw``; a bad one is a SchemaError at
-    ``path``.  ``int`` raises ValueError on digits that ``str.isdigit``
-    passes, such as "²", and past the interpreter's digit limit."""
-    try:
-        return spec.parse_literal(str(raw))
-    except (ConfigError, ValueError) as exc:
-        raise SchemaError(str(exc), path) from None
+# What a read of a bad literal from a spec's literal table raises: the
+# decoder's ConfigError; ValueError from ``int`` on digits that
+# ``str.isdigit`` passes, such as "²", and past the interpreter's digit
+# limit; TypeError for a value that is no key, such as a list.
+LITERAL_FAULTS = (ConfigError, ValueError, TypeError)
+
+
+def literal_fault(spec: ArithmeticSpec, raws: list | dict, path: str) -> None:
+    """Raise the SchemaError of the first literal of raws that does not
+    decode, at its path: ``path[i]`` in a list, ``path.name`` in an object.
+    Return when every one decodes.  Loaders call it once a read of raws has
+    failed, so that they make no path before."""
+    named = isinstance(raws, dict)
+    for key, raw in raws.items() if named else enumerate(raws):
+        try:
+            spec.parse_literal(str(raw))
+        except (ConfigError, ValueError) as exc:
+            raise SchemaError(str(exc), f"{path}.{key}" if named else f"{path}[{key}]") from None
 
 
 def load_json(doc: Any, spec: ArithmeticSpec) -> tuple[LabeledGraph, str | None]:
@@ -183,19 +196,22 @@ def load_json(doc: Any, spec: ArithmeticSpec) -> tuple[LabeledGraph, str | None]
         raise SchemaError("feature names must be strings", "$.features")
     raw_nodes = _expect(doc, "nodes", list, "$")
     raw_edges = _expect(doc, "edges", list, "$")
+    decode = spec.table("decode_literal").__getitem__
     nodes = []
     labels: dict[str, dict[str, int]] = {}
     for i, nd in enumerate(raw_nodes):
         path = f"$.nodes[{i}]"
         node_id = _expect(nd, "id", str, path)
         raw_label = _expect(nd, "label", dict, path)
-        lab = {}
-        for name in features:
-            if name not in raw_label:
-                raise SchemaError(f"missing feature {name!r}", f"{path}.label")
-            lab[name] = _parse_payload(spec, raw_label[name], f"{path}.label.{name}")
+        try:
+            labels[node_id] = dict(zip(features, map(decode, map(raw_label.__getitem__, features))))
+        except (KeyError, *LITERAL_FAULTS):
+            for name in features:  # the first missing feature or bad literal, in feature order
+                if name not in raw_label:
+                    raise SchemaError(f"missing feature {name!r}", f"{path}.label") from None
+                literal_fault(spec, {name: raw_label[name]}, f"{path}.label")
+            raise
         nodes.append(node_id)
-        labels[node_id] = lab
     edges = []
     for i, e in enumerate(raw_edges):
         if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)):

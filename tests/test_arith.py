@@ -145,6 +145,59 @@ class TestTables:
             table.clear()
             assert table.at_each(map(operator.add, *halves)) == want
 
+    def test_equal_specs_share_the_literal_table(self):
+        table = ArithmeticSpec.parse("fixed:5:1").table("decode_literal")
+        assert ArithmeticSpec.fixed(5, 1).table("decode_literal") is table
+        assert ArithmeticSpec.fixed(5, 1).parse_literal("-1.2") == -12
+        assert table["-1.2"] == -12 and "-1.2" in table
+        assert ArithmeticSpec.satint(3).table("decode_literal") is not table
+
+    def test_the_literal_table_starts_again_in_place(self, monkeypatch):
+        monkeypatch.setattr(arith, "TABLE_ENTRIES", 4)
+        spec = ArithmeticSpec.satint(3)
+        held = spec.table("decode_literal")
+        held.clear()
+        monkeypatch.setattr(arith, "_filled", 0)
+        texts = ["1", "2", "3", "-1", "-2", "-3"]
+        assert [spec.parse_literal(t) for t in texts[:4]] == [1, 2, 3, -1]
+        assert list(held) == texts[:4]
+        assert [spec.parse_literal(t) for t in texts[4:]] == [-2, -3]  # the fifth starts the tables again
+        assert list(held) == ["-3"] and spec.table("decode_literal") is held
+        assert [held[t] for t in texts] == [1, 2, 3, -1, -2, -3]
+        # a primitive table's entries count against the same bound
+        held.clear()
+        monkeypatch.setattr(arith, "_filled", 0)
+        assert spec.parse_literal("0") == 0 and list(held) == ["0"]
+        spec.table("add_p", 0).clear()
+        spec.table("add_p", 0).at_each(range(100, 105))
+        assert "0" not in held and spec.table("decode_literal") is held
+        assert spec.parse_literal("0") == 0
+
+    # every form of literal, good and bad: sign, a leading +, short
+    # decimals, surrounding spaces, and JSON values read as their text
+    LITERALS = [
+        "0", "3", "-3", "+2", "-0", " 1", "1 ", "\t-1\n", "0.5", "-0.5", "+1.5", "1.5", "0.0", "01",
+        "4", "-4", "1.05", "1.", ".5", "", "-", "+", " ", "x", "1e1", "--1", "+-1", "²", "1_0", "1.5.0",
+        1, -1, 0, 1.5, -1.0, True, False, None, 1e1,
+    ]
+
+    @pytest.mark.parametrize("text", ["satint:3", "fixed:5:1"])
+    def test_the_literal_table_matches_the_uncached_parse(self, text):
+        spec = ArithmeticSpec.parse(text)
+        table = spec.table("decode_literal")
+        for _ in range(2):  # decoded, then read back
+            for lit in self.LITERALS:
+                try:
+                    want = spec.decode_literal(str(lit))
+                except (ConfigError, ValueError) as exc:
+                    with pytest.raises(type(exc)) as got:
+                        table[lit]
+                    assert str(got.value) == str(exc), lit
+                    assert str(lit) not in table, lit  # no failure is kept
+                else:
+                    assert table[lit] == spec.parse_literal(lit) == want, lit
+        assert all(type(key) is str for key in table)
+
 
 class TestAdd:
     def test_saturating_add_clamps(self):

@@ -9,7 +9,7 @@ import pytest
 import gnncheck
 from gnncheck.arith import ArithmeticSpec
 from gnncheck.cli import main
-from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnModel, LinIneq, LvpInstance, lvp_to_json, gnn_to_json
+from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnLayer, GnnModel, LinIneq, LvpInstance, lvp_to_json, gnn_to_json
 from gnncheck.graph import save_json
 
 from test_falsify import positive_instance, relational_instance, split_instance
@@ -361,6 +361,20 @@ MALFORMED_LVP = [
     (("gnn", "arith"), "bogus", "$.gnn.arith"),
     (("gnn", "arith"), "satint:0", "$.gnn.arith"),
     (("l_out", 0, "const"), "²", "$.l_out[0].const"),
+    # a bad literal keeps its exact path at every nesting, whatever its kind
+    (("gnn", "layers", 0, "comb", "weights", 1, 0), "8", "$.gnn.layers[0].comb.weights[1][0]"),
+    (("gnn", "layers", 0, "comb", "weights", 1, 3), {"w": "1"}, "$.gnn.layers[0].comb.weights[1][3]"),
+    (("gnn", "layers", 1, "comb", "bias", 0), [1], "$.gnn.layers[1].comb.bias[0]"),
+    (("gnn", "layers", 0, "comb", "bias", 1), True, "$.gnn.layers[0].comb.bias[1]"),
+    (("gnn", "layers", 0, "agg"), {"kind": "weighted", "weights": ["1", "1.5"]}, "$.gnn.layers[0].agg.weights[1]"),
+    (("gnn", "layers", 0, "agg"), {"kind": "weighted"}, "$.gnn.layers[0].agg"),
+    (
+        ("gnn", "out"),
+        {"layers": [{"weights": [["1", "0", "0"]], "bias": ["0"], "activation": "id"}, {"weights": [["x"]]}]},
+        "$.gnn.out.layers[1].weights[0][0]",
+    ),
+    (("l_in", 0, "coeffs", "x1"), "-", "$.l_in[0].coeffs.x1"),
+    (("l_in", 0, "const"), 1.5, "$.l_in[0].const"),
 ]
 
 
@@ -388,8 +402,10 @@ class TestMalformedJson:
             ("graph", ("edges", 0, 1), ["v1"], "$.edges[0]"),
             ("graph", ("features", 0), ["x1"], "$.features"),
             ("gnn", ("arith",), "bogus", "$.arith"),
+            ("graph", ("nodes", 1, "label", "x1"), "1.5", "$.nodes[1].label.x1"),
+            ("graph", ("nodes", 2, "label", "x2"), [0], "$.nodes[2].label.x2"),
         ],
-        ids=["point", "edge endpoint", "feature name", "gnn arith"],
+        ids=["point", "edge endpoint", "feature name", "gnn arith", "label literal", "label list"],
     )
     def test_eval_exits_2(self, supp_files, capsys, target, keys, value, path):
         _, gnn, graph = supp_files
@@ -399,6 +415,41 @@ class TestMalformedJson:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:"), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "agg, code, out",
+        [
+            # a missing key once read as [], a weight cap of 0 under which
+            # no node has a successor: valid, though one successor breaks it
+            ({"kind": "weighted"}, 2, "error: $.gnn.layers[0].agg: missing key 'weights'\n"),
+            ({"kind": "weighted", "weights": []}, 0, "valid\n"),
+            ({"kind": "weighted", "weights": ["1", "1"]}, 1, "invalid\n"),
+        ],
+        ids=["missing", "empty", "two"],
+    )
+    def test_a_weighted_aggregation_needs_its_weights(self, tmp_path, capsys, agg, code, out):
+        spec = ArithmeticSpec.satint(7)
+        layer = FnnLayer(((0, 1),), (0,), ("id",))
+        model = GnnModel(spec, (GnnLayer("sum", Fnn((layer,))),), Fnn.identity(1, spec), ("x1",), ("y1",))
+        inst = LvpInstance(model, (), (LinIneq((("y1", -1),), 0),), DeltaMode.unary(2))
+        doc = tmp_path / "lvp.json"
+        doc.write_text(json.dumps(_set(lvp_to_json(inst), ("gnn", "layers", 0, "agg"), agg)))
+        assert main(["verify", str(doc)]) == code
+        captured = capsys.readouterr()
+        assert (captured.err if code == 2 else captured.out).startswith(out)
+
+    def test_a_bad_literal_read_twice_reports_its_first_place_twice(self, tmp_path, capsys):
+        # the literal table keeps no failure: the second load decodes "8"
+        # again and fails at its first place again
+        doc = _set(lvp_to_json(two_layer_instance()), ("gnn", "layers", 0, "comb", "bias", 1), "8")
+        doc = _set(doc, ("gnn", "layers", 1, "comb", "weights", 0, 2), "8")
+        path = tmp_path / "lvp.json"
+        path.write_text(json.dumps(doc))
+        for _ in range(2):
+            assert main(["verify", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: $.gnn.layers[0].comb.bias[1]: literal '8' out of range for satint:7\n"
+        assert "8" not in ArithmeticSpec.satint(7).table("decode_literal")
 
     def test_a_bare_gnn_reports_paths_from_its_own_root(self, supp_files, capsys):
         # the gnn member of an instance reports under $.gnn (see MALFORMED_LVP)

@@ -2,9 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnncheck import gnn as gnn_mod
-from gnncheck.arith import ArithmeticSpec, Value
+from gnncheck.arith import ACTIVATIONS, AGG_KINDS, ArithmeticSpec, Value
 from gnncheck.errors import SchemaError, UsageError
 from gnncheck.gnn import (
     _aggregate,
@@ -14,6 +16,7 @@ from gnncheck.gnn import (
     GnnLayer,
     GnnModel,
     LinIneq,
+    LvpInstance,
     eval_linineq,
     fnn_eval_p,
     gnn_eval,
@@ -35,6 +38,55 @@ from conftest import (
 
 def payloads(spec, *literals):
     return [spec.parse_literal(s) for s in literals]
+
+
+ROUND_TRIP_SPECS = [
+    ArithmeticSpec.parse(t) for t in ("satint:1", "satint:7", "satint:300", "fixed:5:1", "fixed:12:1", "fixed:32:4")
+]
+
+
+@st.composite
+def lvp_instances(draw):
+    """Random LVP instances over satint and fixed-point value sets: up to two
+    GNN layers of any aggregation, FNNs of one or two layers, and up to two
+    input and two output inequalities."""
+    spec = draw(st.sampled_from(ROUND_TRIP_SPECS))
+    m = spec.max_payload
+    payload = st.integers(-m, m)
+
+    def row(n):
+        return tuple(draw(st.lists(payload, min_size=n, max_size=n)))
+
+    def fnn(n_in, n_out):
+        dims = [n_in, *(draw(st.integers(1, 3)) for _ in range(draw(st.integers(0, 1)))), n_out]
+        return Fnn(tuple(
+            FnnLayer(
+                tuple(row(a) for _ in range(b)),
+                row(b),
+                tuple(draw(st.lists(st.sampled_from(ACTIVATIONS), min_size=b, max_size=b))),
+            )
+            for a, b in zip(dims, dims[1:])
+        ))
+
+    inputs = tuple(f"x{i + 1}" for i in range(draw(st.integers(1, 3))))
+    dim, layers = len(inputs), []
+    for _ in range(draw(st.integers(0, 2))):
+        kind, width = draw(st.sampled_from(AGG_KINDS)), draw(st.integers(1, 3))
+        weights = row(draw(st.integers(0, 3))) if kind == "weighted" else None
+        layers.append(GnnLayer(kind, fnn(2 * dim, width), weights))
+        dim = width
+    outputs = tuple(f"y{i + 1}" for i in range(draw(st.integers(1, 2))))
+    model = GnnModel(spec, tuple(layers), fnn(dim, len(outputs)), inputs, outputs)
+
+    def ineqs(names):
+        return tuple(
+            LinIneq(tuple((v, draw(payload)) for v in draw(st.lists(st.sampled_from(names), unique=True))),
+                    draw(payload))
+            for _ in range(draw(st.integers(0, 2)))
+        )
+
+    delta = draw(st.sampled_from([DeltaMode.unary(0), DeltaMode.unary(2), DeltaMode.binary(5), DeltaMode.infinite()]))
+    return LvpInstance(model, ineqs(inputs), ineqs(outputs), delta)
 
 
 class TestFnnEval:
@@ -212,6 +264,13 @@ class TestJson:
 
     def test_lvp_round_trip(self, supp_instance):
         assert lvp_from_json(lvp_to_json(supp_instance)) == supp_instance
+
+    @settings(max_examples=200, deadline=None)
+    @given(lvp_instances())
+    def test_random_instances_round_trip(self, inst):
+        # every literal is read through the spec's literal table, whose
+        # entries earlier examples left behind
+        assert lvp_from_json(json.loads(json.dumps(lvp_to_json(inst)))) == inst
 
     def test_empty_lin_round_trips(self):
         inst = two_layer_instance()

@@ -221,18 +221,21 @@ def cmd_fuzz(args) -> int:
         agg_kinds=tuple(args.agg.split(",")),
         max_agg_depth=args.agg_depth,
     )
-    disagreements = [r for r in results if not r.agree]
-    for r in disagreements:
-        print(f"case {r.index}: {r.text}")
-        # the oracle does not run at the inf rung
-        for d, tableau, oracle in zip([*range(len(r.oracle)), "inf"], r.tableau, r.oracle + ("-",)):
-            print(f"  delta {d}: tableau={tableau} oracle={oracle}")
-    summary = f"{len(results)} cases, {len(disagreements)} disagreements"
+    # each disagreeing case rung by rung; the oracle does not run at the inf rung
+    failures = [(r, [*zip([*range(len(r.oracle)), "inf"], r.tableau, (*r.oracle, None))]) for r in results if not r.agree]
     if args.output == "json":
-        print(json.dumps({"cases": len(results), "disagreements": len(disagreements)}))
+        cases = [
+            {"index": r.index, "text": r.text, "rungs": [{"delta": d, "tableau": t, "oracle": o} for d, t, o in rungs]}
+            for r, rungs in failures
+        ]
+        print(json.dumps({"cases": len(results), "disagreements": len(failures), "failures": cases}))
     else:
-        print(summary)
-    return EXIT_POSITIVE if not disagreements else EXIT_NEGATIVE
+        for r, rungs in failures:
+            print(f"case {r.index}: {r.text}")
+            for d, tableau, oracle in rungs:
+                print(f"  delta {d}: tableau={tableau} oracle={oracle or '-'}")
+        print(f"{len(results)} cases, {len(failures)} disagreements")
+    return EXIT_POSITIVE if not failures else EXIT_NEGATIVE
 
 
 def _add_common(parser, required=False):

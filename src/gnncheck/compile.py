@@ -1,18 +1,19 @@
 """Unfold a quantized GNN plus linear constraints into one formula DAG.
 
-The produced formula is satisfiable exactly when the instance has a
-counterexample.  Unfolding canonicalizes the affine chains: zero-weight
+The produced formula, L_in and not L_out over the network's output
+expressions (``network_outputs``), is satisfiable exactly when the instance
+has a counterexample, and its models are those counterexamples, labelled
+with the inputs alone.  Unfolding canonicalizes the affine chains: zero-weight
 products, zero biases, unit coefficients and identity activations are
 dropped.  Each dropped construct is exact in the arithmetic (0*x = 0,
 v + 0 = v, 1*v = v, id(v) = v), so evaluation of the canonical chain is
 bit-identical to the dense fold used by the forward evaluator.
 
-A compiled formula declares the whole instance: the model's input and
-output features, and the network's weight cap (``GnnModel.weight_cap``)
-as its own ``weight_cap``.  Dropping zero-weight products can leave a
-weighted layer with no aggregation in the formula, and the cap still
-holds, so every engine that reads the formula keeps the arity rule
-``gnn_eval`` enforces.
+A compiled formula declares the whole instance: the model's input features,
+in model order, and the network's weight cap (``GnnModel.weight_cap``) as
+its own ``weight_cap``.  Dropping zero-weight products can leave a weighted
+layer with no aggregation in the formula, and the cap still holds, so every
+engine that reads the formula keeps the arity rule ``gnn_eval`` enforces.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .gnn import Fnn, GnnModel, LinIneq, LvpInstance
 @dataclass
 class CompiledInstance:
     formula: Formula
+    outputs: tuple[int, ...]  # each network output's expression id, in model order
 
 
 def _linear_chain(arena: Arena, terms: list[tuple[int, int]], bias: int) -> int:
@@ -61,24 +63,24 @@ def unfold_fnn(arena: Arena, fnn: Fnn, inputs: list[int]) -> list[int]:
     return state
 
 
-def compile_gnn(arena: Arena, model: GnnModel) -> tuple[int, tuple[str, ...]]:
-    """Build the formula stating that fresh output features equal the GNN outputs."""
+def network_outputs(arena: Arena, model: GnnModel) -> dict[str, int]:
+    """Each network output's expression over the input features, by name."""
     state = [arena.feature(name) for name in model.input_features]
     for layer in model.layers:
         aggs = [arena.agg(layer.agg_kind, s, layer.agg_weights) for s in state]
         state = unfold_fnn(arena, layer.comb, state + aggs)
-    outs = unfold_fnn(arena, model.out, state)
-    one = arena.spec.one
-    conjuncts = []
-    for eid, name in zip(outs, model.output_features):
-        y = arena.feature(name)
-        conjuncts.append(arena.eq(arena.add(eid, arena.scale(-one, y)), 0))
-    return arena.conjoin(conjuncts), tuple(model.output_features)
+    return dict(zip(model.output_features, unfold_fnn(arena, model.out, state)))
 
 
-def _ineq_atom(arena: Arena, ineq: LinIneq) -> int:
-    terms = [(coeff, arena.feature(var)) for var, coeff in ineq.coeffs]
-    expr = _linear_chain(arena, terms, 0)
+def compile_gnn(arena: Arena, model: GnnModel) -> tuple[int, tuple[str, ...]]:
+    """Build the formula stating that fresh output features equal the GNN outputs."""
+    outputs, one = network_outputs(arena, model), arena.spec.one
+    ties = [arena.eq(arena.add(e, arena.scale(-one, arena.feature(y))), 0) for y, e in outputs.items()]
+    return arena.conjoin(ties), tuple(model.output_features)
+
+
+def _ineq_atom(arena: Arena, ineq: LinIneq, exprs: dict[str, int]) -> int:
+    expr = _linear_chain(arena, [(coeff, exprs[var]) for var, coeff in ineq.coeffs], 0)
     return arena.geq(expr, ineq.const)
 
 
@@ -86,11 +88,11 @@ def compile_lvp(instance: LvpInstance) -> CompiledInstance:
     """Reduce an instance to satisfiability: valid iff the formula has no model."""
     model = instance.model
     arena = Arena(model.spec)
-    phi_n, outputs = compile_gnn(arena, model)
-    conjuncts = [_ineq_atom(arena, q) for q in instance.l_in]
-    conjuncts.append(phi_n)
+    outputs = network_outputs(arena, model)
+    inputs = {name: arena.feature(name) for name in model.input_features}
+    conjuncts = [_ineq_atom(arena, q, inputs) for q in instance.l_in]
     if instance.l_out:
-        negs = [arena.not_(_ineq_atom(arena, q)) for q in instance.l_out]
+        negs = [arena.not_(_ineq_atom(arena, q, outputs)) for q in instance.l_out]
         conjuncts.append(arena.disjoin(negs))
     else:
         # empty disjunction: no output constraint can fail, the formula is false
@@ -109,17 +111,15 @@ def compile_generalized(model: GnnModel, pre: Formula, post: Formula) -> Compile
     if bad_post:
         raise UsageError(f"postcondition mentions non-output features {sorted(bad_post)}")
     arena = Arena(model.spec)
-    phi_n, outputs = compile_gnn(arena, model)
+    outputs = network_outputs(arena, model)
     pre_id = import_formula(arena, pre.arena, pre.root)
-    post_id = import_formula(arena, post.arena, post.root)
-    return _compiled(arena, arena.conjoin([pre_id, phi_n, arena.not_(post_id)]), model, outputs)
+    post_id = import_formula(arena, post.arena, post.root, outputs)
+    return _compiled(arena, arena.conjoin([pre_id, arena.not_(post_id)]), model, outputs)
 
 
-def _compiled(arena: Arena, root: int, model: GnnModel, outputs: tuple[str, ...]) -> CompiledInstance:
-    """The formula at root, declaring the model's inputs and outputs besides
-    the features it mentions, and the smaller of its own weight cap and the
-    network's: one walk of the DAG, the formula's own."""
-    formula = Formula(arena, root)
-    formula.features = tuple(sorted(set(model.input_features) | set(outputs) | set(formula.features)))
+def _compiled(arena: Arena, root: int, model: GnnModel, outputs: dict[str, int]) -> CompiledInstance:
+    """The formula at root, declaring the model's inputs and the smaller of
+    its own weight cap and the network's."""
+    formula = Formula(arena, root, tuple(model.input_features))
     formula.weight_cap = arity_bound(formula.weight_cap, model.weight_cap)
-    return CompiledInstance(formula)
+    return CompiledInstance(formula, tuple(outputs.values()))

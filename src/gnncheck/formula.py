@@ -345,11 +345,12 @@ def structural_key(arena: Arena, fid: int):
     return exprs, tuple(_relabel(arena.formula(f), fat, at) for f in fids)
 
 
-def import_formula(dst: Arena, src: Arena, fid: int) -> int:
-    """Copy a formula DAG between arenas, re-sharing through the target's consing."""
+def import_formula(dst: Arena, src: Arena, fid: int, features: dict[str, int] | None = None) -> int:
+    """Copy a formula DAG between arenas, re-sharing through the target's
+    consing; a feature named in ``features`` becomes the expression it maps to."""
     if dst.spec != src.spec:
         raise UsageError("cannot import between arenas with different specs")
-    return _rebuild(dst, src, fid)
+    return _rebuild(dst, src, fid, lambda node: (features or {}).get(node[1]) if node[0] == "feat" else None)
 
 
 # -- concrete syntax ----------------------------------------------------------

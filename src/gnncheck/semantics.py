@@ -115,7 +115,7 @@ def eval_payload(graph: LabeledGraph, node: str, arena: Arena, eid: int, _values
     return memo[node, eid]
 
 
-def check(graph: LabeledGraph, node: str, f: Formula) -> bool:
+def check(graph: LabeledGraph, node: str, f: Formula, _values=None) -> bool:
     """Truth of a formula at a pointed graph.
 
     A graph with a node of more successors than ``f.weight_cap`` is no model
@@ -123,11 +123,12 @@ def check(graph: LabeledGraph, node: str, f: Formula) -> bool:
     evaluated, so the answer does not depend on which operands are reached.
     Connectives short-circuit left to right.  A connective waits on an
     explicit stack while its first operand is decided, then negates that
-    truth, keeps it, or hands over to its second operand.
+    truth, keeps it, or hands over to its second operand.  ``_values`` is
+    the memo of ``eval_payload``.
     """
     graph.require_arity(f.weight_cap)
     arena = f.arena
-    memo: dict = {}
+    memo: dict = {} if _values is None else _values
     truth = False
     stack = [(f.root, False)]
     while stack:

@@ -64,7 +64,8 @@ per sampled tree; branch and bound over the last layer's input box
 (``gnn.BoxSplit.run``) costs a tick per box per FNN layer, the root's box
 among them, though the bounds already mapped it; up to
 ``falsify.EXTRA_ROUNDS`` more rounds follow at the sampling price, and the
-tableau gets what is left.
+tableau gets what is left.  The compiled formula reads the inputs alone, so
+a tableau model of it is a counterexample as found.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ from .compile import CompiledInstance, compile_lvp
 from .falsify import EXTRA_ROUNDS, Sampler
 from .formula import Arena, Formula
 from .gnn import BoxSplit, DeltaMode, LvpInstance, eval_linineq, gnn_eval
-from .graph import LabeledGraph, PointedGraph, tree
-from .semantics import Budget, LimitHit, Sat, Unknown, Unsat, Verdict, check, check_limits
+from .graph import PointedGraph, tree
+from .semantics import Budget, LimitHit, Sat, Unknown, Unsat, Verdict, check, check_limits, eval_payload
 
 
 @dataclass
@@ -897,8 +898,8 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
 
     A sampled counterexample's outputs come from the forward core
     (``gnn.gnn_eval_p``) on the drawn tree, a tableau model's from
-    ``gnn_eval``; either way the formula semantics check them on the built
-    graph before it is returned.
+    ``gnn_eval`` on the model as found; either way ``_checked_invalid``
+    checks them against the formula semantics before it is returned.
     """
     limits = limits or SolveLimits()
     budget = Budget(limits.max_terms, limits.time_limit)
@@ -923,33 +924,24 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
         return verdict
     if isinstance(verdict, Unsat):
         return Valid("tableau")
-    model = verdict.model
-    inputs = tuple(instance.model.input_features)
-    graph = model.graph
-    labels = {n: {f: graph.labels[n].get(f, 0) for f in inputs} for n in graph.nodes}
-    projected = PointedGraph(
-        LabeledGraph(instance.model.spec, inputs, graph.nodes, graph.edges, labels), model.point
-    )
-    return _checked_invalid(instance, compiled, projected, gnn_eval(instance.model, projected))
+    return _checked_invalid(instance, compiled, verdict.model, gnn_eval(instance.model, verdict.model))
 
 
 def _checked_invalid(instance: LvpInstance, compiled: CompiledInstance, pointed: PointedGraph, outputs: list[Value]) -> Invalid:
     """The counterexample, once the point satisfies L_in, the outputs violate
-    L_out, and the compiled formula holds on the graph labelled with the
-    inputs and, at the point, the outputs."""
+    L_out, the compiled formula holds on the graph as drawn, and each output
+    expression evaluates there to the reported output, which also catches a
+    wrong output that L_out does not read.  ``check`` and the output
+    expressions share one memo, so each is evaluated once."""
     model, spec = instance.model, instance.model.spec
     graph, point = pointed.graph, pointed.point
     if not all(eval_linineq(q, graph.labels[point], spec) for q in instance.l_in):
         raise RuntimeError("counterexample fails the input constraints")
-    out_vals = dict(zip(model.output_features, (v.payload for v in outputs)))
-    if all(eval_linineq(q, out_vals, spec) for q in instance.l_out):
+    payloads = [v.payload for v in outputs]
+    if all(eval_linineq(q, dict(zip(model.output_features, payloads)), spec) for q in instance.l_out):
         raise RuntimeError("counterexample satisfies the output constraints")
-    features = compiled.formula.features
-    labels = {
-        n: {f: graph.labels[n].get(f, out_vals.get(f, 0) if n == point else 0) for f in features}
-        for n in graph.nodes
-    }
-    labelled = LabeledGraph(spec, features, graph.nodes, graph.edges, labels)
-    if not check(labelled, point, compiled.formula):
+    formula, memo = compiled.formula, {}
+    holds = check(graph, point, formula, _values=memo)
+    if not holds or payloads != [eval_payload(graph, point, formula.arena, e, memo) for e in compiled.outputs]:
         raise RuntimeError("the formula semantics reject the counterexample gnn_eval reports")
     return Invalid(pointed, outputs)

@@ -300,15 +300,16 @@ class TestCompileEval:
         assert "agg(" in out and "not" in out
 
     def test_compiled_formula_parses_back(self, tmp_path, capsys):
-        # the network's default names x1 and y1 ... y3 print as features that
-        # sat reads back; the instance is invalid, so the formula is sat
+        # the network's default input names x1 ... print as features that sat
+        # reads back, and no output name y1 ... y3 is printed; the instance is
+        # invalid, so the formula is sat
         doc = lvp_to_json(two_layer_instance())
         del doc["gnn"]["features"], doc["gnn"]["outputs"]
         lvp = tmp_path / "defaults.json"
         lvp.write_text(json.dumps(doc))
         assert main(["compile", str(lvp)]) == 0
         formula = capsys.readouterr().out.strip()
-        assert "y3" in formula
+        assert "x1" in formula and "y" not in formula
         assert main(["verify", str(lvp)]) == 1
         capsys.readouterr()
         assert main(["sat", formula, "--arith", "satint:7", "--delta", "unary:2"]) == 0
@@ -548,4 +549,23 @@ class TestFuzz:
             "  delta 3: tableau=sat oracle=sat",
             "  delta inf: tableau=unsat oracle=-",
             "8 cases, 1 disagreements",
+        ]
+
+    def test_a_disagreement_in_json_is_one_object(self, monkeypatch, capsys):
+        # the case the text output prints rung by rung is a failure of the one
+        # JSON object, with no line printed before it
+        bound = gnncheck.tableau.arity_bound
+        monkeypatch.setattr(gnncheck.tableau, "arity_bound", lambda d, *caps: 1 if d is None else bound(d, *caps))
+        argv = ["fuzz", "--cases", "8", "--seed", "1", "--arith", "satint:3", "--delta", "unary:3"]
+        assert main([*argv, "--agg", "sum,mean,max,weighted", "--output", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["cases"] == 8 and report["disagreements"] == 1
+        (case,) = report["failures"]
+        assert case["index"] == 7 and case["text"] == "id(-1*wagg[-1,-3,-2](1)) = 3"
+        assert [(r["delta"], r["tableau"], r["oracle"]) for r in case["rungs"]] == [
+            (0, "unsat", "unsat"),
+            (1, "unsat", "unsat"),
+            (2, "sat", "sat"),
+            (3, "sat", "sat"),
+            ("inf", "unsat", None),
         ]

@@ -1,14 +1,16 @@
+import dataclasses
 import random
 
 import pytest
 
-from gnncheck.arith import ArithmeticSpec
-from gnncheck.compile import compile_generalized, compile_gnn, compile_lvp, unfold_fnn
+from gnncheck.arith import ArithmeticSpec, arity_bound
+from gnncheck.compile import compile_generalized, compile_gnn, compile_lvp, network_outputs, unfold_fnn
 from gnncheck.errors import UsageError
 from gnncheck.formula import Arena, Formula, parse, structural_expr_key, structural_key, to_text
 from gnncheck.gnn import DeltaMode, Fnn, FnnLayer, GnnLayer, GnnModel, LinIneq, LvpInstance, gnn_eval
 from gnncheck.graph import LabeledGraph, PointedGraph
-from gnncheck.semantics import Sat, Unsat, brute_force_sat, check, eval_payload
+from gnncheck.semantics import Sat, Unknown, Unsat, brute_force_sat, check, eval_payload
+from gnncheck.tableau import solve
 
 from conftest import message_instance, message_model, two_layer_instance
 
@@ -141,8 +143,7 @@ class TestCompileLvp:
     def test_message_instance_shape(self):
         compiled = compile_lvp(message_instance())
         want = parse(
-            "x1 >= 100 and (relu(0.008*x1) + -1*y1 = 0 and 0.001*agg(x1) + -1*y2 = 0) "
-            "and not y1 >= 0.9",
+            "x1 >= 100 and not relu(0.008*x1) >= 0.9",
             FIX32_4,
         )
         assert structural_key(compiled.formula.arena, compiled.formula.root) == structural_key(
@@ -165,7 +166,8 @@ class TestCompileLvp:
         compiled = compile_lvp(inst)
         text = to_text(compiled.formula)
         assert "x_msg_count >= 100.0000" in text
-        assert "not y >= 0.6000" in text
+        assert "not relu(0.0080*x_msg_count) >= 0.6000" in text
+        assert compiled.formula.features == ("x_msg_count",)
 
     def test_empty_l_out_is_unsatisfiable(self):
         inst = message_instance()
@@ -239,6 +241,75 @@ def random_model(rng, spec, max_layers=2, max_dim=2):
     )
 
 
+def exhaustive_small_instances():
+    """Eight one-layer sum instances on satint:2, one input and one output."""
+    spec = ArithmeticSpec.satint(2)
+    rng = random.Random(3)
+    for _ in range(8):
+        model = random_model(rng, spec, max_layers=1, max_dim=1)
+        yield LvpInstance(
+            model,
+            (LinIneq(((model.input_features[0], spec.one),), rng.randint(-2, 2)),),
+            (LinIneq(((model.output_features[0], spec.one),), rng.randint(-2, 2)),),
+            DeltaMode.unary(2),
+        )
+
+
+AGG_KINDS = ("sum", "mean", "max", "weighted")
+
+
+def aggregation_instances():
+    """Seeded instances on satint:2-3 with 1-2 layers of every aggregation
+    kind, a weighted layer with 1..delta weights, delta 1-2, and L_in and
+    L_out of one or two inequalities over up to two features."""
+    rng = random.Random(41)
+    for i in range(40):
+        spec = ArithmeticSpec.satint(2 + i % 2)
+        delta = 1 + (i // 2) % 2
+        model = random_model(rng, spec)
+        layers = []
+        for j, layer in enumerate(model.layers):
+            kind = AGG_KINDS[(i + j) % 4]
+            weights = None
+            if kind == "weighted":
+                weights = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, delta)))
+            layers.append(GnnLayer(kind, layer.comb, weights))
+        model = dataclasses.replace(model, layers=tuple(layers))
+
+        def ineqs(names):
+            return tuple(
+                LinIneq(
+                    tuple((name, rng.choice((-1, 1))) for name in rng.sample(names, rng.randint(1, len(names)))),
+                    rng.randint(-2, 2),
+                )
+                for _ in range(rng.randint(1, 2))
+            )
+
+        yield LvpInstance(model, ineqs(model.input_features), ineqs(model.output_features), DeltaMode.unary(delta))
+
+
+def with_phi_n(inst):
+    """The reduction with phi_N: L_in and compile_gnn's ties of fresh output
+    features y to the output expressions and not L_out over y, declaring
+    the inputs, the outputs and the network's weight cap."""
+    model = inst.model
+    arena = Arena(model.spec)
+    phi_n, outputs = compile_gnn(arena, model)
+
+    def atom(q):
+        terms = [arena.scale(coeff, arena.feature(var)) for var, coeff in q.coeffs]
+        expr = terms[0]
+        for term in terms[1:]:
+            expr = arena.add(expr, term)
+        return arena.geq(expr, q.const)
+
+    l_in = [atom(q) for q in inst.l_in]
+    root = arena.conjoin([*l_in, phi_n, arena.disjoin([arena.not_(atom(q)) for q in inst.l_out])])
+    f = Formula(arena, root, tuple(model.input_features) + outputs)
+    f.weight_cap = arity_bound(f.weight_cap, model.weight_cap)
+    return f
+
+
 class TestBridges:
     def test_semantic_bridge_outputs_satisfy_phi_n(self):
         rng = random.Random(5)
@@ -280,20 +351,12 @@ class TestBridges:
                 assert not check(g2, point, f)
 
     def test_output_expressions_evaluate_to_gnn_outputs(self):
-        from gnncheck.semantics import eval_payload
-
         rng = random.Random(23)
         spec = ArithmeticSpec.satint(6)
         for _ in range(15):
             model = random_model(rng, spec)
             arena = Arena(spec)
-            state = [arena.feature(n) for n in model.input_features]
-            from gnncheck.compile import unfold_fnn
-
-            for layer in model.layers:
-                aggs = [arena.agg(layer.agg_kind, s, layer.agg_weights) for s in state]
-                state = unfold_fnn(arena, layer.comb, state + aggs)
-            outs = unfold_fnn(arena, model.out, state)
+            outs = network_outputs(arena, model).values()
             n = rng.randint(1, 3)
             nodes = tuple(f"n{i}" for i in range(n))
             edges = tuple(
@@ -308,20 +371,24 @@ class TestBridges:
                 assert eval_payload(g, nodes[0], arena, eid) == value.payload
 
     def test_validity_bridge_exhaustive_small(self):
-        spec = ArithmeticSpec.satint(2)
-        rng = random.Random(3)
-        for _ in range(8):
-            model = random_model(rng, spec, max_layers=1, max_dim=1)
-            inst = LvpInstance(
-                model,
-                (LinIneq (((model.input_features[0], spec.one),), rng.randint(-2, 2)),),
-                (LinIneq(((model.output_features[0], spec.one),), rng.randint(-2, 2)),),
-                DeltaMode.unary(2),
-            )
+        for inst in exhaustive_small_instances():
             compiled = compile_lvp(inst)
             verdict = brute_force_sat(compiled.formula, delta=2)
             valid_directly = enumerate_validity(inst, delta=2)
             assert isinstance(verdict, Unsat) == valid_directly
+
+    @pytest.mark.parametrize("instances", [exhaustive_small_instances, aggregation_instances], ids=lambda f: f.__name__)
+    def test_same_verdicts_as_with_phi_n(self, instances):
+        # L_out over the output expressions decides as L_in and phi_N and
+        # not L_out over output features tied to them, for both engines
+        for inst in instances():
+            delta = inst.delta.value
+            old, new = with_phi_n(inst), compile_lvp(inst).formula
+            oracle = [brute_force_sat(f, delta) for f in (old, new)]
+            assert not isinstance(oracle[0], Unknown)
+            assert [type(v) for v in oracle] == [type(oracle[0])] * 2
+            for f in (old, new):
+                assert type(solve(f, inst.delta)) is type(oracle[0])
 
     def test_size_linear_in_parameters(self):
         rng = random.Random(9)

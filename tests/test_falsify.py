@@ -331,6 +331,77 @@ def test_doctored_hit_trips_the_cross_check(monkeypatch):
         verify_lvp(instance)
 
 
+def two_output_instance():
+    """y1 = x1 and y2 = agg(x1); L_out reads y1 alone.  Invalid: x1 = 1
+    meets L_in and gives y1 = 1 < 2."""
+    spec = ArithmeticSpec.satint(7)
+    comb = Fnn((FnnLayer(((1, 0), (0, 1)), (0, 0), ("id", "id")),))
+    model = GnnModel(spec, (GnnLayer("sum", comb),), Fnn.identity(2, spec), ("x1",), ("y1", "y2"))
+    return LvpInstance(model, (LinIneq((("x1", 1),), 1),), (LinIneq((("y1", 1),), 2),), DeltaMode.unary(2))
+
+
+def wrong_second_output(payloads):
+    """The payloads with the second output moved by one, the first kept."""
+    y1, y2 = payloads
+    return [y1, y2 - 1 if y2 == 7 else y2 + 1]
+
+
+class NoSamples:
+    """A sampler whose rounds find nothing, so that the tableau decides."""
+
+    cut = True
+
+    def __init__(self, instance, budget):
+        pass
+
+    def round(self):
+        return None
+
+
+@pytest.mark.parametrize("path", ["sampler", "tableau"])
+def test_a_wrong_output_that_l_out_does_not_read_trips_the_cross_check(monkeypatch, path):
+    # L_out still fails and the reduction's formula still holds on the
+    # counterexample; only the comparison of the output expressions with the
+    # reported outputs can see that y2 is wrong
+    instance = two_output_instance()
+    assert isinstance(verify_lvp(instance), Invalid)
+    if path == "sampler":
+        monkeypatch.setattr(falsify_mod, "tree_eval", lambda *args: wrong_second_output(tree_eval(*args)))
+    else:
+
+        def doctored(model, pointed):
+            payloads = wrong_second_output([v.payload for v in gnn_eval(model, pointed)])
+            return [Value(p, model.spec) for p in payloads]
+
+        monkeypatch.setattr(gnncheck.tableau, "Sampler", NoSamples)
+        monkeypatch.setattr(gnncheck.tableau, "gnn_eval", doctored)
+    with pytest.raises(RuntimeError, match="semantics"):
+        verify_lvp(instance)
+
+
+def test_outputs_that_meet_l_out_trip_the_cross_check(monkeypatch):
+    # the tableau's model is a counterexample; doctored outputs that meet
+    # L_out are not
+    instance = two_output_instance()
+    monkeypatch.setattr(gnncheck.tableau, "Sampler", NoSamples)
+    monkeypatch.setattr(gnncheck.tableau, "gnn_eval", lambda model, pointed: [Value(2, model.spec)] * 2)
+    with pytest.raises(RuntimeError, match="satisfies the output constraints"):
+        verify_lvp(instance)
+
+
+def test_a_point_that_fails_l_in_trips_the_cross_check(monkeypatch):
+    # a sampled tree whose point is relabelled to fail L_in after its
+    # outputs were taken
+    instance = two_output_instance()
+
+    def relabelled(instance, counts, payloads):
+        return build_tree(instance, counts, [0, *payloads[1:]])
+
+    monkeypatch.setattr(falsify_mod, "build_tree", relabelled)
+    with pytest.raises(RuntimeError, match="input constraints"):
+        verify_lvp(instance)
+
+
 def recording_eval(monkeypatch, outputs=None):
     """Route the sampler's evaluations (falsify.tree_eval) through a
     recorder of the trees they evaluate, built; with ``outputs``, every call

@@ -40,7 +40,14 @@ inverted by enumerating its first unknown operand's window, not (left,
 right) pairs.  Formula cases 2 and 45 and GNN cases 13, 20 and 22 fell in
 ticks (3 246 to 3 241 and 15 360 to 15 357 in total), none gained one or
 changed its outcome, and the models of formula cases 2 and 45 and GNN cases
-13 and 22 moved.  WIDE_GOLDEN did not move.  Regenerate them only for a
+13 and 22 moved.  WIDE_GOLDEN did not move.  GOLDEN_GNNS and MODELS_GNNS
+were regenerated a sixth time when the compiler began to write L_out over
+the network's output expressions, without output features tied to them by
+``e + -1*y = 0``: the GNN formulas changed, so their searches did.  No
+outcome was lost: case 3 went from node-limit to a model, the others kept
+theirs, and the ticks fell from 15 357 to 14 296 in total; case 13 rose
+from 192 to 949 ticks and case 15 from 2 to 3 584, an exhaustion the tie's
+equality had settled by saturation.  Regenerate them only for a
 change that means to alter the search or the models:
 ``PYTHONPATH=src python tests/test_search_golden.py``.
 """
@@ -177,11 +184,11 @@ GOLDEN_FORMULAS = [
 ]
 
 GOLDEN_GNNS = [
-    ('model', 1168), ('model', 562), ('exhausted', 1), ('node-limit', 4001), ('exhausted', 2),
-    ('model', 38), ('model', 1524), ('model', 554), ('node-limit', 4001), ('exhausted', 6),
-    ('model', 166), ('model', 72), ('model', 33), ('model', 192), ('model', 109),
-    ('exhausted', 2), ('model', 52), ('model', 2573), ('model', 41), ('model', 97),
-    ('model', 112), ('exhausted', 3), ('model', 46), ('exhausted', 2),
+    ('model', 1165), ('model', 290), ('exhausted', 0), ('model', 1186), ('exhausted', 0),
+    ('model', 3), ('model', 907), ('model', 487), ('node-limit', 4001), ('exhausted', 0),
+    ('model', 157), ('model', 3), ('model', 17), ('model', 949), ('model', 109),
+    ('exhausted', 3584), ('model', 39), ('model', 1192), ('model', 28), ('model', 31),
+    ('model', 109), ('exhausted', 0), ('model', 39), ('exhausted', 0),
 ]
 
 
@@ -219,10 +226,11 @@ MODELS_FORMULAS = {
 }
 
 MODELS_GNNS = {
-    0: '82e30edde7753315', 1: 'd4d8d5014fea346b', 5: '588e7e884ed3d01f', 6: 'd8ee7e6d61eb90c0',
-    7: 'b56b55e5dc3a11b7', 10: '7ea07a179199cf35', 11: 'c00c37292f8ac885', 12: '59e1d690b2f3a26a',
-    13: 'e8b0cfbef3aa8fe7', 14: 'f2d04136a386f836', 16: 'f110e24f1fce807d', 17: 'c71124940aad8455',
-    18: 'f743e060b8147c37', 19: '73b143a12898ec44', 20: 'b6632c0c5b45a170', 22: '47bcff35b8a02522',
+    0: '2225d84147c69edb', 1: '585b2837c63d74df', 3: '6aaedc55e4caf781', 5: '6c511bef84e9db73',
+    6: 'e25240e987717e81', 7: '8da3753d7bbb39f7', 10: '537b3cada4f3a41b', 11: 'c1e954c62b50d7d9',
+    12: 'baa966d47e0a1c40', 13: 'c54d7be4985bf108', 14: '811bdb68f66c6d07', 16: '7bff1d89b399f7eb',
+    17: '82a879f703524cda', 18: '79c05a00585af302', 19: '741025069825ab21', 20: '66e399241019531a',
+    22: 'c48a930f14e183d3',
 }
 
 WIDE_GOLDEN = ('model', 134, '343a1ce3e645b8e5')

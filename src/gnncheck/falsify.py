@@ -1,31 +1,34 @@
 """Counterexample search by sampling, run ahead of the tableau.
 
-A round (``Sampler.round``) draws ``SAMPLES`` random pointed trees for an
-LVP instance and returns, among those whose outputs violate L_out, the first
-with the fewest nodes.  ``verify_lvp`` runs one round, then up to
-``EXTRA_ROUNDS`` more from the same generator when the first round and the
-box split decide nothing, and each round holds only its own trees.  A round
-draws each tree's shape first: the successor counts of its nodes in
-breadth-first order (``grow_counts``).  A tree of one node, the point alone,
-then draws its label and is evaluated at once, and a hit there ends the
-sampling: no later tree can be smaller.  A larger tree is kept as its shape
-alone until every shape is drawn; then the larger trees are taken smallest
-first, in draw order among equals, and each draws its label payloads, in one
-flat list, only when its turn comes, up to the first hit.  So the trees
-evaluated, and their order, are those of evaluating every drawn tree
-smallest first, and a tree past the first hit holds no labels and costs no
-label draws.  A tree is evaluated in its compact form (``tree_eval``), by
-the forward core that ``gnn.gnn_eval`` runs after its graph checks,
-``gnn.gnn_eval_p``: the breadth-first order is the core's node order.  Only
-the hit a round returns is built into a validated graph, by ``graph.tree``,
-which builds the tableau's models too and so names the nodes as they are
-named ("v", "v1", "v1.2").  A tree is as deep as the network has layers
-(deeper nodes cannot reach the point's output), and each node has at most
-``arity_cap`` successors.  Labels favour the values where saturating
+A round draws ``SAMPLES`` random pointed trees for an LVP instance;
+``Sampler.tries`` yields the outcome of each tree it evaluates, in turn (a
+hit, whose outputs violate L_out, or None), and ``Sampler.round`` returns
+its first hit: among the trees whose outputs violate L_out, the first with
+the fewest nodes.  ``verify_lvp`` takes the first tree of the first round,
+then the interval bounds, then the rest of that round from the same
+iterator; then up to ``EXTRA_ROUNDS`` more rounds from the same generator
+when the first round and the box split decide nothing, and each round holds
+only its own trees.  A round draws each tree's shape first: the successor
+counts of its nodes in breadth-first order (``grow_counts``).  A tree of one
+node, the point alone, then draws its label and is evaluated at once, and a
+hit there ends the sampling: no later tree can be smaller.  A larger tree is
+kept as its shape alone until every shape is drawn; then the larger trees
+are taken smallest first, in draw order among equals, and each draws its
+label payloads, in one flat list, only when its turn comes, up to the first
+hit.  So the trees evaluated, and their order, are those of evaluating every
+drawn tree smallest first, and a tree past the first hit holds no labels and
+costs no label draws.  A tree is evaluated in its compact form
+(``tree_eval``), by the forward core that ``gnn.gnn_eval`` runs after its
+graph checks, ``gnn.gnn_eval_p``: the breadth-first order is the core's node
+order.  Only the hit a round returns is built into a validated graph, by
+``graph.tree``, which builds the tableau's models too and so names the nodes
+as they are named ("v", "v1", "v1.2").  A tree is as deep as the network has
+layers (deeper nodes cannot reach the point's output), and each node has at
+most ``arity_cap`` successors.  Labels favour the values where saturating
 arithmetic turns: 0, ±one, ±M and small multiples of one, next to uniform
 draws from the whole domain.  The point's label is drawn again until it
-satisfies L_in, at most ``POINT_DRAWS`` times; a tree whose point never
-does is skipped.
+satisfies L_in, at most ``POINT_DRAWS`` times; a tree whose point never does
+is skipped.
 
 The draws come from a ``random.Random`` seeded by the instance's own names
 and payloads (``instance_rng``), so an instance always gets the same trees,
@@ -50,6 +53,7 @@ ends the round, and the sampling, as soon as a layer shows it.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 
 from .arith import ArithmeticSpec, Value, arity_bound
 from .gnn import Fnn, LvpInstance, eval_linineq, gnn_eval_p
@@ -225,16 +229,17 @@ class Sampler:
         self.layers = len(instance.model.layers)
         self.cut = False
 
-    def round(self) -> Hit | None:
-        """The smallest counterexample of one round (the first of the
-        smallest) with its outputs, or None.  Every tree's shape is drawn
-        and charged first; a one-node tree then draws its label and is
-        evaluated, and a hit there returns at once.  The larger trees are
-        kept as shapes, then taken smallest first, in draw order among
-        equals, each drawing its labels at its turn, up to the first hit,
-        which alone is built into a graph.  The round stops drawing before a
-        tree whose price no longer fits the budget (as soon as its growth
-        shows it), and once the budget's deadline passes."""
+    def tries(self) -> Iterator[Hit | None]:
+        """The outcome of every tree one round evaluates, in turn: its hit,
+        with its outputs, or None.  Every tree's shape is drawn and charged
+        first; a one-node tree then draws its label and is evaluated, and
+        its outcome is yielded before the next shape is drawn.  The larger
+        trees are kept as shapes, then taken smallest first, in draw order
+        among equals, each drawing its labels at its turn.  Only a hit is
+        built into a graph.  The round stops drawing before a tree whose
+        price no longer fits the budget (as soon as its growth shows it),
+        and once the budget's deadline passes.  A caller stops at the first
+        hit: no later tree of the round is smaller."""
         instance, bits, budget, layers = self.instance, self.bits, self.budget, self.layers
         shapes = []
         for _ in range(SAMPLES):
@@ -248,23 +253,22 @@ class Sampler:
                 shapes.append((size, counts))
                 continue
             # the smallest-first pass would evaluate this tree before every
-            # larger one and after the one-node trees drawn before it, and no
-            # later tree can be smaller: a hit here is its answer
+            # larger one and after the one-node trees drawn before it
             if budget.expired():
                 self.cut = True
-                return None
-            hit = _violation(instance, bits, counts, 1)
-            if hit is not None:
-                return hit
+                return
+            yield _violation(instance, bits, counts, 1)
         shapes.sort(key=lambda t: t[0])  # stable: draw order among equals
         for size, counts in shapes:
             if budget.expired():
                 self.cut = True
-                break
-            hit = _violation(instance, bits, counts, size)
-            if hit is not None:
-                return hit
-        return None
+                return
+            yield _violation(instance, bits, counts, size)
+
+    def round(self) -> Hit | None:
+        """The smallest counterexample of one round (the first of the
+        smallest) with its outputs, or None: the first hit of ``tries``."""
+        return next(filter(None, self.tries()), None)
 
 
 def tree_eval(instance: LvpInstance, counts: list[int], payloads: list[int]) -> list[int]:

@@ -57,15 +57,16 @@ ticks and ``SolveLimits.time_limit`` seconds.  The clock is read once every
 1 024 ticks, and in saturation once per atom and once per obligation, whose
 walks down unknown expressions charge no tick and take as long as the
 expression is deep.  ``verify_lvp`` runs cheaper sound deciders first, and
-every phase charges the same budget.  Interval bounds of the network's
-outputs (``gnn.BoxSplit.proved``) are free of ticks.  A round of
-counterexample sampling (``falsify.Sampler``) costs nodes × layers + 1 ticks
-per sampled tree; branch and bound over the last layer's input box
-(``gnn.BoxSplit.run``) costs a tick per box per FNN layer, the root's box
-among them, though the bounds already mapped it; up to
-``falsify.EXTRA_ROUNDS`` more rounds follow at the sampling price, and the
-tableau gets what is left.  The compiled formula reads the inputs alone, so
-a tableau model of it is a counterexample as found.
+every phase charges the same budget.  A round of counterexample sampling
+(``falsify.Sampler``) costs nodes × layers + 1 ticks per sampled tree, and
+its first evaluated tree runs before everything else.  Interval bounds of
+the network's outputs (``gnn.BoxSplit.proved``) charge no ticks; they run
+after that first tree and before the rest of its round.  Branch and bound
+over the last layer's input box (``gnn.BoxSplit.run``) costs a tick per box
+per FNN layer, the root's box among them, though the bounds already mapped
+it; up to ``falsify.EXTRA_ROUNDS`` more rounds follow at the sampling price,
+and the tableau gets what is left.  The compiled formula reads the inputs
+alone, so a tableau model of it is a counterexample as found.
 """
 
 from __future__ import annotations
@@ -882,19 +883,30 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
     ``semantics.Budget`` built from ``limits``, so a phase gets the ticks
     and the time the earlier ones left:
 
-    1. an interval pass over the network (``BoxSplit.proved``): when L_out
-       holds on the whole output box the instance is ``Valid("bounds")``,
-       with nothing compiled, sampled or searched and no ticks charged;
-    2. a round of counterexample sampling (``falsify.Sampler``);
-    3. branch and bound over the last layer's input box (``BoxSplit.run``
+    1. the first tree of a round of counterexample sampling
+       (``falsify.Sampler.tries``), charged the shapes drawn up to it;
+    2. an interval pass over the network (``BoxSplit.proved``), which
+       charges no ticks and draws nothing: when L_out holds on the whole
+       output box the instance is ``Valid("bounds")``, with nothing compiled
+       or searched;
+    3. the rest of that round, resumed where its first tree left it;
+    4. branch and bound over the last layer's input box (``BoxSplit.run``
        on the same split, whose root box is not mapped again), at
        ``box_price`` ticks a box and at most ``MAX_BOXES`` boxes, the root
        counted as the first: ``Valid("split")``;
-    4. up to ``EXTRA_ROUNDS`` more sampling rounds from the same generator;
-    5. the tableau on the compiled formula under the instance's δ; the
+    5. up to ``EXTRA_ROUNDS`` more sampling rounds from the same generator;
+    6. the tableau on the compiled formula under the instance's δ; the
        formula declares the network's weight cap, the arity rule
        ``gnn_eval`` enforces, so no model it finds breaks that rule.  Its
        ``Unsat`` is ``Valid("tableau")``.
+
+    Phases 1 and 3 are one round, split around phase 2.  The interval pass
+    takes no draws and no ticks, and when it proves the instance no
+    counterexample exists, so the verdicts, the counterexamples and the
+    ticks charged after it are those of running it before the round; run
+    after the first tree, it is saved on the cases that tree decides.  The
+    formula is compiled only when it is first read, by ``_checked_invalid``
+    or the tableau.
 
     A sampled counterexample's outputs come from the forward core
     (``gnn.gnn_eval_p``) on the drawn tree, a tableau model's from
@@ -903,14 +915,17 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
     """
     limits = limits or SolveLimits()
     budget = Budget(limits.max_terms, limits.time_limit)
+    sampler = Sampler(instance, budget)
+    tries = sampler.tries()
+    hit = next(tries, None)
+    if hit is not None:
+        return _checked_invalid(instance, compile_lvp(instance), *hit)
     split = BoxSplit(instance)
     if split.proved:
         return Valid("bounds")
-    compiled = compile_lvp(instance)
-    sampler = Sampler(instance, budget)
-    hit = sampler.round()
+    hit = next(filter(None, tries), None)
     if hit is not None:
-        return _checked_invalid(instance, compiled, *hit)
+        return _checked_invalid(instance, compile_lvp(instance), *hit)
     if split.run(budget)[0]:
         return Valid("split")
     for _ in range(EXTRA_ROUNDS):
@@ -918,7 +933,8 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
             break
         hit = sampler.round()
         if hit is not None:
-            return _checked_invalid(instance, compiled, *hit)
+            return _checked_invalid(instance, compile_lvp(instance), *hit)
+    compiled = compile_lvp(instance)
     verdict = solve(compiled.formula, instance.delta, limits, _budget=budget)
     if isinstance(verdict, Unknown):
         return verdict

@@ -15,7 +15,10 @@ checkout's lines after its own, then one line per case whose tableau verdict
 (``verify_lvp``'s on ``lvp-grid``) differs, as ``workload seed:index theirs
 → ours``, then, for each workload whose digests differ, one line per seed
 whose count of decisive verdicts differs, as ``workload seed N: theirs →
-ours``, and exits 1 when a digest differs.
+ours``, and one line that says how its records moved where the verdict did
+not, as ``workload: N records moved with no verdict move: ticks only K
+(verdict k, …), models M``: K of them in their ticks alone, M in the rest of
+the record.  It exits 1 when a digest differs.
 
 The cases are those ``lvpbench/workloads.py`` generates for a 20-second run
 of ``lvpbench/run.py``, decided under the same limits.  Per ``lvp-grid`` case
@@ -121,13 +124,15 @@ DIGESTS = (
 )
 
 
-def digests(root: Path, show: bool) -> tuple[list[str], dict[str, str]]:
+def digests(root: Path, show: bool) -> tuple[list[str], dict[str, list]]:
     """The digest lines of the checkout at root, printed as they are made
-    when show is set, and the verdict of each case by "workload
-    seed:index": the first verdict of its record, the tableau's or
-    ``verify_lvp``'s."""
+    when show is set, and the outcome of each case by "workload
+    seed:index": ``[verdict, ticks, rest]``, where the verdict is the first
+    of its record, the tableau's or ``verify_lvp``'s, the ticks are those
+    its budget was charged, and rest is a sha256 of the record without
+    them."""
     p = import_program(root)
-    lines, verdicts = [], {}
+    lines, outcomes = [], {}
     for name, decide, seeds in DIGESTS:
         w = p.wl.WORKLOADS[name]
         digest, n = hashlib.sha256(), max(100, round(w.per_second * SECONDS))
@@ -140,24 +145,50 @@ def digests(root: Path, show: bool) -> tuple[list[str], dict[str, str]]:
                 ticks += record[1]
                 decisive += kind != "Unknown"
                 detail = reason or by
-                verdicts[f"{name} {seed}:{i}"] = kind if detail is None else f"{kind}({detail})"
+                rest = hashlib.sha256(json.dumps(record[:1] + record[2:], sort_keys=True).encode()).hexdigest()
+                verdict = kind if detail is None else f"{kind}({detail})"
+                outcomes[f"{name} {seed}:{i}"] = [verdict, record[1], rest]
         lines.append(
             f"{name} {digest.hexdigest()} ({len(seeds)} seeds x {n} cases): {ticks} ticks, {decisive} decisive"
         )
         if show:
             print(lines[-1], flush=True)
-    return lines, verdicts
+    return lines, outcomes
 
 
-def decisive_by_seed(verdicts: dict[str, str], name: str) -> dict[int, int]:
+def decisive_by_seed(outcomes: dict[str, list], name: str) -> dict[int, int]:
     """The number of decisive verdicts of the named workload, per seed."""
     counts: dict[int, int] = {}
-    for case, kind in verdicts.items():
+    for case, (kind, _, _) in outcomes.items():
         workload, _, at = case.partition(" ")
         if workload == name:
             seed = int(at.partition(":")[0])
             counts[seed] = counts.get(seed, 0) + (not kind.startswith("Unknown"))
     return counts
+
+
+def moved_records(name: str, ours: dict[str, list], theirs: dict[str, list]) -> str:
+    """How the named workload's records moved where their verdicts did not:
+    how many moved, how many of those in their ticks alone, by verdict (the
+    most first), and how many in the rest of the record (its models and
+    outputs, and on ``fuzz-oracle`` the oracle's verdict and steps too).
+    The line names no case, so that no per-case verdict pattern can match
+    it."""
+    ticks_only: dict[str, int] = {}
+    models = 0
+    for case, (verdict, ticks, rest) in ours.items():
+        if not case.startswith(f"{name} "):
+            continue
+        their_verdict, their_ticks, their_rest = theirs[case]
+        if verdict != their_verdict:
+            continue
+        if rest != their_rest:
+            models += 1
+        elif ticks != their_ticks:
+            ticks_only[verdict] = ticks_only.get(verdict, 0) + 1
+    k = sum(ticks_only.values())
+    kinds = ", ".join(f"{v} {n}" for v, n in sorted(ticks_only.items(), key=lambda t: (-t[1], t[0])))
+    return f"{name}: {k + models} records moved with no verdict move: ticks only {k} ({kinds}), models {models}"
 
 
 # the child process of --against: the digests of the checkout named by its
@@ -177,26 +208,27 @@ def main() -> int:
             [sys.executable, "-c", CHILD, str(Path(args.against).resolve())],
             stdout=subprocess.PIPE, text=True, cwd=Path(__file__).resolve().parent,
         )
-    lines, verdicts = digests(ROOT, True)
+    lines, outcomes = digests(ROOT, True)
     if other is None:
         return 0
     output = other.communicate()[0]
     if other.returncode != 0:
         print(f"digesting {args.against} failed")
         return 1
-    theirs, their_verdicts = json.loads(output)
+    theirs, their_outcomes = json.loads(output)
     print(f"against {args.against}:")
     print(*theirs, sep="\n")
-    for case, verdict in verdicts.items():
-        if their_verdicts[case] != verdict:
-            print(f"{case} {their_verdicts[case]} → {verdict}")
+    for case, (verdict, _, _) in outcomes.items():
+        if their_outcomes[case][0] != verdict:
+            print(f"{case} {their_outcomes[case][0]} → {verdict}")
     for ours, their_line in zip(lines, theirs):
         if ours != their_line:
             name = ours.split()[0]
-            mine, other = decisive_by_seed(verdicts, name), decisive_by_seed(their_verdicts, name)
+            mine, other = decisive_by_seed(outcomes, name), decisive_by_seed(their_outcomes, name)
             for seed, count in mine.items():
                 if other[seed] != count:
                     print(f"{name} seed {seed}: {other[seed]} → {count}")
+            print(moved_records(name, outcomes, their_outcomes))
     same = theirs == lines
     print("same digests" if same else "digests differ")
     return 0 if same else 1

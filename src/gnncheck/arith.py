@@ -12,9 +12,9 @@ integer arithmetic followed by round-to-nearest (ties away from zero) and a
 clamp; so is every activation.  Besides the forward operations and the
 aggregation fold, this module holds every interval rule: the forward ones,
 the image of intervals under a primitive (``sum_image``, ``scale_image``,
-``act_image``, ``row_image``, and ``agg_hull`` over arities), which map an
-empty interval's ends like any other's (sum and act in place, scale sorted),
-and the backward ones the tableau prunes with (``mul_preimage``,
+``act_image``, and ``agg_hull`` over arities), which map an empty
+interval's ends like any other's (sum and act in place, scale sorted), and
+the backward ones the tableau prunes with (``mul_preimage``,
 ``div_preimage``, and one clamp preimage for ``act_preimage_interval``,
 ``add_preimage`` and ``sum_left_window``).
 The inverse enumerators over ``Value`` are lazy, deterministic and yield
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .errors import ConfigError, UsageError
 
@@ -337,15 +337,6 @@ class ArithmeticSpec:
     def act_image(self, name: str, lo: int, hi: int) -> tuple[int, int]:
         """Image of act_p(name, .) over [lo, hi], each end in place."""
         return self.act_p(name, lo), self.act_p(name, hi)
-
-    def row_image(self, row: Sequence[int], box: Sequence[tuple[int, int]], bias: int = 0) -> tuple[int, int]:
-        """Image of a dense row over the inputs in box: the left fold of add_p
-        over mul_p(w_i, x_i), then add_p of the bias, as an FNN layer
-        evaluates it.  With bias 0, its low end is the row's least value."""
-        acc = (0, 0)
-        for w, (lo, hi) in zip(row, box):
-            acc = self.sum_image(acc, self.scale_image(w, lo, hi))
-        return self.sum_image(acc, (bias, bias))
 
     def agg_hull(
         self, kind: str, lo: int, hi: int, cap: int | None, weights: tuple[int, ...] | None = None

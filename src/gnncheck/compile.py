@@ -30,6 +30,10 @@ from .gnn import Fnn, GnnModel, LinIneq, LvpInstance
 class CompiledInstance:
     formula: Formula
     outputs: tuple[int, ...]  # each network output's expression id, in model order
+    # what the last FNNs (the last layer's comb and ``out``) read: the point's
+    # states, then that layer's aggregations; without layers, the features
+    inputs: tuple[int, ...]
+    l_out: tuple[int, ...] = ()  # each L_out inequality's atom, in order (``compile_lvp``)
 
 
 def _linear_chain(arena: Arena, terms: list[tuple[int, int]], bias: int) -> int:
@@ -63,18 +67,20 @@ def unfold_fnn(arena: Arena, fnn: Fnn, inputs: list[int]) -> list[int]:
     return state
 
 
-def network_outputs(arena: Arena, model: GnnModel) -> dict[str, int]:
-    """Each network output's expression over the input features, by name."""
+def network_outputs(arena: Arena, model: GnnModel) -> tuple[dict[str, int], tuple[int, ...]]:
+    """Each network output's expression over the input features, by name,
+    and the expressions the last FNNs read (``CompiledInstance.inputs``)."""
     state = [arena.feature(name) for name in model.input_features]
+    last = state
     for layer in model.layers:
-        aggs = [arena.agg(layer.agg_kind, s, layer.agg_weights) for s in state]
-        state = unfold_fnn(arena, layer.comb, state + aggs)
-    return dict(zip(model.output_features, unfold_fnn(arena, model.out, state)))
+        last = state + [arena.agg(layer.agg_kind, s, layer.agg_weights) for s in state]
+        state = unfold_fnn(arena, layer.comb, last)
+    return dict(zip(model.output_features, unfold_fnn(arena, model.out, state))), tuple(last)
 
 
 def compile_gnn(arena: Arena, model: GnnModel) -> tuple[int, tuple[str, ...]]:
     """Build the formula stating that fresh output features equal the GNN outputs."""
-    outputs, one = network_outputs(arena, model), arena.spec.one
+    outputs, one = network_outputs(arena, model)[0], arena.spec.one
     ties = [arena.eq(arena.add(e, arena.scale(-one, arena.feature(y))), 0) for y, e in outputs.items()]
     return arena.conjoin(ties), tuple(model.output_features)
 
@@ -88,16 +94,17 @@ def compile_lvp(instance: LvpInstance) -> CompiledInstance:
     """Reduce an instance to satisfiability: valid iff the formula has no model."""
     model = instance.model
     arena = Arena(model.spec)
-    outputs = network_outputs(arena, model)
-    inputs = {name: arena.feature(name) for name in model.input_features}
-    conjuncts = [_ineq_atom(arena, q, inputs) for q in instance.l_in]
-    if instance.l_out:
-        negs = [arena.not_(_ineq_atom(arena, q, outputs)) for q in instance.l_out]
+    outputs, last = network_outputs(arena, model)
+    features = {name: arena.feature(name) for name in model.input_features}
+    conjuncts = [_ineq_atom(arena, q, features) for q in instance.l_in]
+    negs = [arena.not_(_ineq_atom(arena, q, outputs)) for q in instance.l_out]
+    l_out = tuple(arena.formula(neg)[1] for neg in negs)
+    if negs:
         conjuncts.append(arena.disjoin(negs))
     else:
         # empty disjunction: no output constraint can fail, the formula is false
         conjuncts.append(arena.not_(arena.geq(arena.const(0), 0)))
-    return _compiled(arena, arena.conjoin(conjuncts), model, outputs)
+    return _compiled(arena, arena.conjoin(conjuncts), model, outputs, last, l_out)
 
 
 def compile_generalized(model: GnnModel, pre: Formula, post: Formula) -> CompiledInstance:
@@ -111,15 +118,15 @@ def compile_generalized(model: GnnModel, pre: Formula, post: Formula) -> Compile
     if bad_post:
         raise UsageError(f"postcondition mentions non-output features {sorted(bad_post)}")
     arena = Arena(model.spec)
-    outputs = network_outputs(arena, model)
+    outputs, last = network_outputs(arena, model)
     pre_id = import_formula(arena, pre.arena, pre.root)
     post_id = import_formula(arena, post.arena, post.root, outputs)
-    return _compiled(arena, arena.conjoin([pre_id, arena.not_(post_id)]), model, outputs)
+    return _compiled(arena, arena.conjoin([pre_id, arena.not_(post_id)]), model, outputs, last)
 
 
-def _compiled(arena: Arena, root: int, model: GnnModel, outputs: dict[str, int]) -> CompiledInstance:
+def _compiled(arena: Arena, root: int, model: GnnModel, outputs: dict, last: tuple, l_out=()) -> CompiledInstance:
     """The formula at root, declaring the model's inputs and the smaller of
     its own weight cap and the network's."""
     formula = Formula(arena, root, tuple(model.input_features))
     formula.weight_cap = arity_bound(formula.weight_cap, model.weight_cap)
-    return CompiledInstance(formula, tuple(outputs.values()))
+    return CompiledInstance(formula, tuple(outputs.values()), last, l_out)

@@ -1,16 +1,11 @@
-"""Quantized aggregate-combine GNNs: data model, forward evaluation, interval
-bounds, JSON I/O.
+"""Quantized aggregate-combine GNNs: data model, forward evaluation, LVP
+instances, JSON I/O.
 
 All numeric parameters are payloads of one arithmetic spec.  The affine
 accumulation inside an FNN layer is the left fold of saturating addition over
 weight*input products in input-index order, then the bias; the compiler
 unfolds formulas with the same chain so that logic and evaluation agree
-bit for bit.  ``fnn_bounds`` maps intervals through ``arith``'s interval
-rules, ``last_layer_box`` bounds the inputs of the last FNNs over every
-graph, and ``BoxSplit.proved`` says an LVP instance is valid when its output
-constraints hold on the whole box those FNNs map it to.
-``BoxSplit.run`` bisects the last layer's input box until they hold on
-every piece (branch and bound), charging each box to a tick budget.
+bit for bit.
 
 The JSON loaders read every list of literals (a weight row, a bias, a
 weighted aggregation's weights, an inequality's coefficients) with one
@@ -24,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .arith import ACTIVATIONS, AGG_KINDS, ArithmeticSpec, Value, arity_bound, intersect, weight_cap
+from .arith import ACTIVATIONS, AGG_KINDS, ArithmeticSpec, Value, weight_cap
 from .errors import SchemaError, UsageError
 from .formula import is_feature_name
 from .graph import LITERAL_FAULTS, PointedGraph, _expect, at_path, literal_fault
-from .semantics import Budget
 
 
 @dataclass(frozen=True)
@@ -238,49 +232,6 @@ def gnn_eval_p(model: GnnModel, rows: list[list[int]], kids: Sequence[Sequence[i
     return fnn_eval_p(model.out, states[0], spec)
 
 
-Box = list[tuple[int, int]]
-
-
-def fnn_bounds(fnn: Fnn, box: Box, spec: ArithmeticSpec) -> Box:
-    """Interval of each output of the FNN over inputs in ``box``, layer by
-    layer by ``ArithmeticSpec.row_image`` and then ``act_image``."""
-    for layer in fnn.layers:
-        box = [
-            spec.act_image(act, *spec.row_image(row, box, b))
-            for row, b, act in zip(layer.weights, layer.bias, layer.activations)
-        ]
-    return box
-
-
-def last_fnns(model: GnnModel) -> tuple[Fnn, ...]:
-    """The FNNs after the last aggregation: the last layer's ``comb`` and
-    ``out``, or ``out`` alone without layers."""
-    return (model.layers[-1].comb, model.out) if model.layers else (model.out,)
-
-
-def last_layer_box(model: GnnModel, point: Box, cap: int | None) -> Box:
-    """The box of the inputs of ``last_fnns`` at a point whose input
-    features lie in ``point``, over every graph whose nodes have at most
-    ``cap`` successors (None: any number).
-
-    Two boxes go through layers 1..L-1: the point's, and one that holds
-    every node's state (the point's own, successors', on cycles and
-    self-loops), which starts at [-M, M].  Layer l maps the point box
-    through comb(point ++ agg(any)) and the any-node box through
-    comb(any ++ agg(any)), where agg is ``ArithmeticSpec.agg_hull`` over
-    arities 0..cap.  The last layer's input box is point ++ agg(any).
-    """
-    spec = model.spec
-    m = spec.max_payload
-    anywhere = [(-m, m)] * model.input_dim
-    for l, layer in enumerate(model.layers):
-        agg = [spec.agg_hull(layer.agg_kind, lo, hi, cap, layer.agg_weights) for lo, hi in anywhere]
-        if l == len(model.layers) - 1:
-            return point + agg
-        anywhere, point = fnn_bounds(layer.comb, anywhere + agg, spec), fnn_bounds(layer.comb, point + agg, spec)
-    return point
-
-
 # -- linear constraint systems and LVP instances -------------------------------
 
 
@@ -357,106 +308,6 @@ class LvpInstance:
             bad = set(ineq.variables()) - out_names
             if bad:
                 raise UsageError(f"output constraints mention unknown variables {sorted(bad)}")
-
-
-def input_box(instance: LvpInstance) -> Box | None:
-    """Interval of each input feature at a point that meets L_in, or None when
-    none does.  Only single-variable inequalities c*x >= k narrow the box
-    (to ``mul_preimage(c, k, M)``); the others are left out, which is sound."""
-    spec = instance.model.spec
-    m = spec.max_payload
-    box = dict.fromkeys(instance.model.input_features, (-m, m))
-    for q in instance.l_in:
-        if len(q.coeffs) != 1:
-            continue
-        ((var, c),) = q.coeffs
-        box[var] = intersect(box[var], spec.mul_preimage(c, q.const, m))
-        if box[var] is None:
-            return None
-    return list(box.values())
-
-
-# Boxes ``BoxSplit.run`` maps, at most, before it gives up.
-MAX_BOXES = 2000
-
-
-def box_price(model: GnnModel) -> int:
-    """The ticks one box of ``BoxSplit.run`` costs: a tick per FNN layer
-    it is mapped through."""
-    return sum(len(fnn.layers) for fnn in last_fnns(model))
-
-
-class BoxSplit:
-    """Branch and bound over the last layer's input box of one instance
-    (``last_layer_box`` over ``input_box`` with δ capped at the network's
-    weight cap, ``arith.arity_bound``: the root).
-
-    Each box is mapped through the last FNNs with ``fnn_bounds``.  A box
-    whose outputs meet L_out is done; one that does not is bisected at the
-    middle of its widest read dimension (the first of the widest), depth
-    first, lower half first.  A read dimension is one that the first layer
-    of the last FNNs reads with a non-zero weight: the others leave the
-    outputs' box as it is, so splitting them proves nothing.  The root is
-    mapped once, when the split is built: ``proved`` is True when L_out
-    holds on its whole output box, or no point meets L_in, and then the
-    instance is valid (False says nothing).  ``run`` counts the root as its
-    first box and reads its outcome from ``proved``.
-    """
-
-    def __init__(self, instance: LvpInstance):
-        self.instance = instance
-        model = instance.model
-        self.fnns = last_fnns(model)
-        point = input_box(instance)
-        cap = arity_bound(instance.delta.value, model.weight_cap)
-        self.root = None if point is None else last_layer_box(model, point, cap)
-        first = self.fnns[0].layers[0]
-        self.read = [i for i in range(first.input_dim) if any(row[i] for row in first.weights)]
-        self.proved = self.root is None or self._meets(self.root)
-
-    def _meets(self, box: Box) -> bool:
-        """Whether every output inequality holds wherever the last FNNs map
-        the box: whether its row's image there starts at its bound or above."""
-        spec = self.instance.model.spec
-        for fnn in self.fnns:
-            box = fnn_bounds(fnn, box, spec)
-        out = dict(zip(self.instance.model.output_features, box))
-        return all(
-            spec.row_image([c for _, c in q.coeffs], [out[v] for v, _ in q.coeffs])[0] >= q.const
-            for q in self.instance.l_out
-        )
-
-    def run(self, budget: Budget) -> tuple[bool, int]:
-        """(proved, boxes mapped, the root among them).  Each box is charged
-        ``box_price`` ticks to ``budget``.  Proved when every leaf meets
-        L_out, or when no point meets L_in (with no box mapped).  Not proved
-        at the first failing box of one value in every read dimension (at
-        the first failing box when none is read), when more boxes remain and
-        another no longer fits the budget or ``MAX_BOXES`` are mapped, or
-        once the budget's deadline passes: the earlier layers' boxes
-        over-approximate, so a failing leaf is no counterexample."""
-        if self.root is None:
-            return True, 0
-        per_box = box_price(self.instance.model)
-        stack, boxes = [self.root], 0
-        while stack:
-            if boxes == MAX_BOXES or not budget.fits(per_box) or budget.expired():
-                return False, boxes
-            budget.charge(per_box)
-            box = stack.pop()
-            boxes += 1
-            if self._meets(box) if boxes > 1 else self.proved:  # box 1 is the root, mapped once
-                continue
-            if not self.read:
-                return False, boxes
-            dim = max(self.read, key=lambda i: box[i][1] - box[i][0])
-            lo, hi = box[dim]
-            if lo == hi:  # one value in every read dimension
-                return False, boxes
-            mid = (lo + hi) // 2
-            stack.append(box[:dim] + [(mid + 1, hi)] + box[dim + 1 :])
-            stack.append(box[:dim] + [(lo, mid)] + box[dim + 1 :])
-        return True, boxes
 
 
 # -- JSON schemas ---------------------------------------------------------------

@@ -22,11 +22,12 @@ integer word + eid (eid = key % K, word = key - eid).  The engine alternates
    value that every arity would then have to reconcile.
 
 Every (word, expression) pair starts at its expression's structural range,
-its interval at any word (``_Search.structural_ranges``, where an
-aggregation ranges over ``ArithmeticSpec.agg_hull`` of its child's range up
-to the arity cap); the store's bounds only narrow it.  Saturation and the
-candidate streams of atom guesses, inversions, groundings and successor
-walks read that one range, through ``_Search.expr_range``, and the walks
+its interval at any word (``_Search.structural_ranges``, a pass of
+``bounds.dag_ranges``, where an aggregation ranges over
+``ArithmeticSpec.agg_hull`` of its child's range up to the arity cap); the
+store's bounds only narrow it.  Saturation and the candidate streams of
+atom guesses, inversions, groundings and successor walks read that one
+range, through ``_Search.expr_range``, and the walks
 also the reachability of aggregation targets.  Pruned candidates provably
 cannot be completed, so the enumeration stays exhaustive.  An atom its
 expression's structural range cannot meet (``e >= k`` with the range's top
@@ -59,14 +60,15 @@ walks down unknown expressions charge no tick and take as long as the
 expression is deep.  ``verify_lvp`` runs cheaper sound deciders first, and
 every phase charges the same budget.  A round of counterexample sampling
 (``falsify.Sampler``) costs nodes × layers + 1 ticks per sampled tree, and
-its first evaluated tree runs before everything else.  Interval bounds of
-the network's outputs (``gnn.BoxSplit.proved``) charge no ticks; they run
+its first evaluated tree runs before everything else.  Interval bounds on
+the compiled formula (``bounds.BoxSplit.proved``) charge no ticks; they run
 after that first tree and before the rest of its round.  Branch and bound
-over the last layer's input box (``gnn.BoxSplit.run``) costs a tick per box
-per FNN layer, the root's box among them, though the bounds already mapped
-it; up to ``falsify.EXTRA_ROUNDS`` more rounds follow at the sampling price,
-and the tableau gets what is left.  The compiled formula reads the inputs
-alone, so a tableau model of it is a counterexample as found.
+over the last layer's input box (``bounds.BoxSplit.run``) costs a tick per
+box per layer of the last FNNs, the root's box among them, though the
+bounds already mapped it; up to ``falsify.EXTRA_ROUNDS`` more rounds follow
+at the sampling price, and the tableau gets what is left.  The compiled
+formula reads the inputs alone, so a tableau model of it is a
+counterexample as found.
 """
 
 from __future__ import annotations
@@ -77,10 +79,11 @@ from dataclasses import dataclass
 from functools import partial
 
 from .arith import ArithmeticSpec, Value, arity_bound, intersect
+from .bounds import BoxSplit, dag_ranges
 from .compile import CompiledInstance, compile_lvp
 from .falsify import EXTRA_ROUNDS, Sampler
 from .formula import Arena, Formula
-from .gnn import BoxSplit, DeltaMode, LvpInstance, eval_linineq, gnn_eval
+from .gnn import DeltaMode, LvpInstance, eval_linineq, gnn_eval
 from .graph import PointedGraph, tree
 from .semantics import Budget, LimitHit, Sat, Unknown, Unsat, Verdict, check, check_limits, eval_payload
 
@@ -440,26 +443,10 @@ class _Search:
         return done[0]
 
     def structural_ranges(self) -> dict[int, tuple[int, int]]:
-        """Each expression's interval at any word, whatever the store holds:
-        an aggregation's is ``agg_hull`` of its child's over arities 0 to
-        the arity cap.  Built in post-order, so operands come first."""
-        m, table = self.spec.max_payload, {}
-        for e, node in self.nodes.items():
-            tag = node[0]
-            if tag == "const":
-                table[e] = (node[1], node[1])
-            elif tag == "feat":
-                table[e] = (-m, m)
-            elif tag == "agg":
-                table[e] = self.spec.agg_hull(node[1], *table[node[2]], self.arity_cap, node[3])
-            elif e in self.unary:
-                child, _, image, _ = self.unary[e]
-                table[e] = image(*table[child])
-            elif tag == "sum":
-                table[e] = self.spec.sum_image(table[node[1]], table[node[2]])
-            else:  # 0 * e
-                table[e] = (0, 0)
-        return table
+        """Each expression's interval at any word, whatever the store holds
+        (``bounds.dag_ranges`` over the formula): an aggregation's is
+        ``agg_hull`` of its child's over arities 0 to the arity cap."""
+        return dag_ranges(self.spec, self.nodes, self.formula.eids, self.arity_cap, ())
 
     # -- saturation -------------------------------------------------------------
 
@@ -884,11 +871,12 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
     and the time the earlier ones left:
 
     1. the first tree of a round of counterexample sampling
-       (``falsify.Sampler.tries``), charged the shapes drawn up to it;
-    2. an interval pass over the network (``BoxSplit.proved``), which
-       charges no ticks and draws nothing: when L_out holds on the whole
-       output box the instance is ``Valid("bounds")``, with nothing compiled
-       or searched;
+       (``falsify.Sampler.tries``), charged the shapes drawn up to it; then
+       the formula is compiled, once, for every later phase to read;
+    2. interval bounds on the compiled formula (``BoxSplit.proved``), which
+       charge no ticks and draw nothing: when every L_out atom holds on the
+       whole box of the last layer's inputs the instance is
+       ``Valid("bounds")``, with nothing searched;
     3. the rest of that round, resumed where its first tree left it;
     4. branch and bound over the last layer's input box (``BoxSplit.run``
        on the same split, whose root box is not mapped again), at
@@ -904,9 +892,7 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
     takes no draws and no ticks, and when it proves the instance no
     counterexample exists, so the verdicts, the counterexamples and the
     ticks charged after it are those of running it before the round; run
-    after the first tree, it is saved on the cases that tree decides.  The
-    formula is compiled only when it is first read, by ``_checked_invalid``
-    or the tableau.
+    after the first tree, it is saved on the cases that tree decides.
 
     A sampled counterexample's outputs come from the forward core
     (``gnn.gnn_eval_p``) on the drawn tree, a tableau model's from
@@ -918,14 +904,15 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
     sampler = Sampler(instance, budget)
     tries = sampler.tries()
     hit = next(tries, None)
+    compiled = compile_lvp(instance)
     if hit is not None:
-        return _checked_invalid(instance, compile_lvp(instance), *hit)
-    split = BoxSplit(instance)
+        return _checked_invalid(instance, compiled, *hit)
+    split = BoxSplit(instance, compiled)
     if split.proved:
         return Valid("bounds")
     hit = next(filter(None, tries), None)
     if hit is not None:
-        return _checked_invalid(instance, compile_lvp(instance), *hit)
+        return _checked_invalid(instance, compiled, *hit)
     if split.run(budget)[0]:
         return Valid("split")
     for _ in range(EXTRA_ROUNDS):
@@ -933,8 +920,7 @@ def verify_lvp(instance: LvpInstance, limits: SolveLimits | None = None) -> LvpV
             break
         hit = sampler.round()
         if hit is not None:
-            return _checked_invalid(instance, compile_lvp(instance), *hit)
-    compiled = compile_lvp(instance)
+            return _checked_invalid(instance, compiled, *hit)
     verdict = solve(compiled.formula, instance.delta, limits, _budget=budget)
     if isinstance(verdict, Unknown):
         return verdict

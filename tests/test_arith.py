@@ -645,17 +645,6 @@ class TestForwardIntervalRules:
             for name in ACTIVATIONS:
                 assert spec.act_image(name, *a) == (spec.act_p(name, a[0]), spec.act_p(name, a[1]))
 
-    def test_row_exhaustive_satint3(self):
-        spec = self.SATINT3
-        full, _ = boxes(spec)
-        ps = list(spec.values_p())
-        rows, box_pairs = itertools.product(ps, repeat=2), itertools.product(full, repeat=2)
-        for i, (row, box) in enumerate(itertools.product(rows, box_pairs)):
-            bias = ps[i % len(ps)]  # every bias, in turn
-            points = itertools.product(*(range(lo, hi + 1) for lo, hi in box))
-            want = hull([spec.add_p(spec.fold_add(map(spec.mul_p, row, x)), bias) for x in points])
-            assert spec.row_image(row, box, bias) == want, (row, box, bias)
-
     def test_every_rule_sampled_fixed5_1(self):
         spec, rng = self.FIXED5_1, random.Random(0)
         m = spec.max_payload
@@ -670,10 +659,6 @@ class TestForwardIntervalRules:
             assert spec.sum_image(a, b) == hull([spec.add_p(x, y) for x in xs for y in ys])
             assert spec.scale_image(w, *a) == hull([spec.mul_p(w, x) for x in xs])
             assert spec.act_image(name, *a) == hull([spec.act_p(name, x) for x in xs])
-            row, bias = [w, rng.choice(ps)][: rng.randint(1, 2)], rng.choice(ps)
-            points = itertools.product(xs, ys) if len(row) == 2 else ((x,) for x in xs)
-            want = hull([spec.add_p(spec.fold_add(map(spec.mul_p, row, x)), bias) for x in points])
-            assert spec.row_image(row, [a, b][: len(row)], bias) == want
             # an empty box, under the convention
             e = (a[1], a[0]) if a[0] < a[1] else (a[0] + 1, a[0]) if a[0] < m else (m, m - 1)
             assert spec.sum_image(e, b) == (spec.add_p(e[0], b[0]), spec.add_p(e[1], b[1]))

@@ -1,19 +1,20 @@
-"""The interval pre-check ahead of sampling: ``ArithmeticSpec.agg_hull``,
-``gnn.input_box``, ``gnn.last_layer_box`` mapped through ``gnn.last_fnns``
-with ``gnn.fnn_bounds``, and ``gnn.BoxSplit.proved``.
+"""The interval pre-check of ``verify_lvp``: ``ArithmeticSpec.agg_hull``,
+``bounds.input_box``, ``bounds.BoxSplit``'s root box mapped up the compiled
+formula by ``bounds.dag_ranges``, and ``bounds.BoxSplit.proved``.
 
 Each bound is checked against the program's own point semantics: folds
 through ``fold_start``/``fold_step``/``fold_finish``, outputs through
-``gnn_eval``, verdicts through the brute-force oracle.
+``gnn_eval``, the last layer's inputs and the L_out atoms through
+``semantics.eval_payload``, verdicts through the brute-force oracle.
 """
 
 import itertools
 import random
 
-from gnncheck.arith import ArithmeticSpec, arity_bound
+from gnncheck.arith import ArithmeticSpec
+from gnncheck.bounds import BoxSplit, _reach, dag_ranges, input_box
 from gnncheck.compile import compile_lvp
 from gnncheck.gnn import (
-    BoxSplit,
     DeltaMode,
     Fnn,
     FnnLayer,
@@ -22,14 +23,10 @@ from gnncheck.gnn import (
     LinIneq,
     LvpInstance,
     eval_linineq,
-    fnn_bounds,
     gnn_eval,
-    input_box,
-    last_fnns,
-    last_layer_box,
 )
 from gnncheck.graph import LabeledGraph, PointedGraph
-from gnncheck.semantics import Sat, Unsat, brute_force_sat
+from gnncheck.semantics import Sat, Unsat, brute_force_sat, eval_payload
 from gnncheck.tableau import Invalid, SolveLimits, Valid, solve, verify_lvp
 
 from test_compile import random_model
@@ -85,9 +82,10 @@ def test_hull_examples():
 
 
 def random_instance(rng, spec, delta, max_layers=3, max_dim=2):
-    """A ``random_model`` whose layers draw their aggregation kind, under a
-    random single-variable and, at width 2, a two-variable input constraint,
-    and a random output constraint on y1."""
+    """A ``random_model`` whose layers draw their aggregation kind (and
+    weights, clamped to the value set), under a random single-variable and,
+    at width 2, a two-variable input constraint, and a random output
+    constraint on y1."""
     base = random_model(rng, spec, max_layers, max_dim)
     one = spec.one
     layers = []
@@ -95,11 +93,11 @@ def random_instance(rng, spec, delta, max_layers=3, max_dim=2):
         kind = rng.choice(KINDS)
         weights = None
         if kind == "weighted":
-            weights = tuple(rng.randint(-2 * one, 2 * one) for _ in range(rng.randint(1, 4)))
+            weights = tuple(spec.clamp(rng.randint(-2 * one, 2 * one)) for _ in range(rng.randint(1, 4)))
         layers.append(GnnLayer(kind, layer.comb, weights))
     model = GnnModel(spec, tuple(layers), base.out, base.input_features, base.output_features)
     m = spec.max_payload
-    l_in = [LinIneq((("x1", rng.choice((-2, -1, 1, 2)) * one),), rng.randint(-m, m))]
+    l_in = [LinIneq((("x1", spec.clamp(rng.choice((-2, -1, 1, 2)) * one)),), rng.randint(-m, m))]
     if model.input_dim == 2 and rng.random() < 0.5:
         l_in.append(LinIneq((("x1", one), ("x2", -one)), rng.randint(-m, m)))
     l_out = (LinIneq((("y1", rng.choice((-1, 1)) * one),), rng.randint(-m, m)),)
@@ -151,6 +149,15 @@ def test_input_box_is_exact_for_single_variable_constraints():
             assert all(b == (-spec.max_payload, spec.max_payload) for b in box[1:])
 
 
+def mapped(compiled, split, box, tops):
+    """The ranges of the expressions tops, above the split's dimensions, on
+    the box: the pass ``BoxSplit`` maps a box with, up to other tops."""
+    nodes = compiled.formula.arena._exprs
+    order = sorted(_reach(nodes, tops, set(split.dims)) - set(split.dims))
+    table = dag_ranges(compiled.formula.spec, nodes, order, None, zip(split.dims, box))
+    return [table[e] for e in tops]
+
+
 def test_every_output_lies_in_the_box():
     rng = random.Random(7)
     graphs = boxes = 0
@@ -158,12 +165,11 @@ def test_every_output_lies_in_the_box():
         spec = SPECS[i % len(SPECS)]
         delta = DELTAS[i % len(DELTAS)]
         instance = random_instance(rng, spec, delta)
-        point = input_box(instance)
-        if point is None:
+        compiled = compile_lvp(instance)
+        split = BoxSplit(instance, compiled)
+        if split.root is None:
             continue
-        box = last_layer_box(instance.model, point, arity_bound(delta.value, instance.model.weight_cap))
-        for fnn in last_fnns(instance.model):
-            box = fnn_bounds(fnn, box, spec)
+        box = mapped(compiled, split, split.root, compiled.outputs)
         boxes += 1
         for _ in range(12):
             pointed = random_graph(rng, instance)
@@ -175,6 +181,49 @@ def test_every_output_lies_in_the_box():
     assert boxes >= 300 and graphs >= 3000
 
 
+def test_the_box_mapping_holds_the_point_semantics():
+    """At a point that meets L_in, of a graph with cycles and self-loops
+    within the arity bound, the root box holds the value of each input of
+    the last FNNs, and the range the root box, or any box in it that holds
+    those values, maps an L_out atom's expression to holds its value."""
+    rng = random.Random(13)
+    specs = tuple(ArithmeticSpec.satint(a) for a in range(3, 8)) + (ArithmeticSpec.fixed(5, 1),)
+    deltas = (DeltaMode.unary(1), DeltaMode.unary(2), DeltaMode.unary(3))
+    points = boxes = 0
+    kinds = set()
+    for i in range(300):
+        spec, delta = specs[i % len(specs)], deltas[(i // len(specs)) % len(deltas)]
+        instance = random_instance(rng, spec, delta)
+        if instance.model.output_dim == 2:
+            instance = LvpInstance(
+                instance.model, instance.l_in, instance.l_out + (LinIneq((("y1", 1), ("y2", -1)), 0),), delta
+            )
+        kinds.update(layer.agg_kind for layer in instance.model.layers)
+        compiled = compile_lvp(instance)
+        split = BoxSplit(instance, compiled)
+        if split.root is None:
+            continue
+        arena = compiled.formula.arena
+        exprs = [arena.formula(atom)[1] for atom in compiled.l_out]
+        for _ in range(6):
+            pointed = random_graph(rng, instance)
+            if pointed is None:
+                continue
+            memo = {}
+            at = [eval_payload(pointed.graph, pointed.point, arena, e, memo) for e in split.dims]
+            assert all(lo <= v <= hi for v, (lo, hi) in zip(at, split.root)), (i, at, split.root)
+            want = [eval_payload(pointed.graph, pointed.point, arena, e, memo) for e in exprs]
+            points += 1
+            for k in range(4):
+                # the root, then boxes in it around the point's values
+                box = [(rng.randint(lo, v), rng.randint(v, hi)) for v, (lo, hi) in zip(at, split.root)]
+                box = split.root if k == 0 else box
+                got = mapped(compiled, split, box, exprs)
+                assert all(lo <= v <= hi for v, (lo, hi) in zip(want, got)), (i, box, want, got)
+                boxes += 1
+    assert kinds == set(KINDS) and points >= 1000 and boxes >= 4000
+
+
 def test_oracle_never_satisfies_a_precheck_valid():
     rng = random.Random(99)
     deltas = (DeltaMode.unary(0), DeltaMode.unary(1), DeltaMode.unary(2), DeltaMode.binary(2))
@@ -183,7 +232,7 @@ def test_oracle_never_satisfies_a_precheck_valid():
         spec = ArithmeticSpec.satint(2 + i % 2)
         delta = deltas[i % len(deltas)]
         instance = random_instance(rng, spec, delta, max_layers=1)
-        if not BoxSplit(instance).proved:
+        if not BoxSplit(instance, compile_lvp(instance)).proved:
             continue
         proved += 1
         verdict = brute_force_sat(compile_lvp(instance).formula, delta.value)
@@ -208,25 +257,23 @@ def sum_sum_weighted_model():
 
 
 def test_weighted_cap_is_per_layer():
-    """``last_layer_box`` takes each layer's hull over arities up to the
-    cap it is given, or up to that layer's own weight count.  Given δ alone
-    it bounds y1 by 3, though ``gnn_eval`` gives no node more successors
-    than the weighted layer's one weight.  ``BoxSplit`` gives it δ capped at
-    the network's weight cap (``arith.arity_bound``), so the sum layers'
-    hulls are over one successor and y1 <= 1 holds on the whole box."""
+    """The root box takes each aggregation's hull over arities up to its
+    cap, or up to that aggregation's own weight count.  Given δ alone it
+    bounds y1 by 3, though ``gnn_eval`` gives no node more successors than
+    the weighted layer's one weight.  ``BoxSplit`` gives it δ capped at the
+    formula's weight cap, the network's (``arith.arity_bound``), so the sum
+    layers' hulls are over one successor and y1 <= 1 holds on the whole box."""
     model = sum_sum_weighted_model()
     instance = LvpInstance(model, (), (LinIneq((("y1", -1),), -1),), DeltaMode.unary(3))
-
-    def output_box(cap):
-        box = last_layer_box(model, input_box(instance), cap)
-        for fnn in last_fnns(model):
-            box = fnn_bounds(fnn, box, model.spec)
-        return box
-
+    compiled = compile_lvp(instance)
+    split = BoxSplit(instance, compiled)
+    assert mapped(compiled, split, split.root, compiled.outputs) == [(0, 1)]
+    assert split.proved
     # y1 is up to 3 when the successor may have 3 successors
-    assert output_box(3) == [(0, 3)]
-    assert output_box(arity_bound(3, model.weight_cap)) == [(0, 1)]
-    assert BoxSplit(instance).proved
+    compiled.formula.weight_cap = None
+    split = BoxSplit(instance, compiled)
+    assert mapped(compiled, split, split.root, compiled.outputs) == [(0, 3)]
+    assert not split.proved
 
 
 def test_the_tableau_gives_no_node_more_successors_than_weights():

@@ -1,5 +1,6 @@
 """``tools/case_digest.py``'s summary of the records that moved while their
-verdicts did not, on synthetic outcomes."""
+verdicts did not, and its lines of the records that moved in ticks alone, on
+synthetic outcomes."""
 
 import importlib.util
 import re
@@ -56,3 +57,21 @@ def test_the_summary_never_reads_as_a_case_line():
         assert not FLIP.search(line) and not re.match(r"^[^ ]+ [0-9]+:[0-9]+ ", line)
     # the pattern does catch a flip
     assert FLIP.search("lvp-grid 1:0 Valid(bounds) → Invalid")
+
+
+def test_records_moved_in_ticks_alone_are_listed_one_a_line():
+    assert case_digest.tick_moves("lvp-grid", OURS, THEIRS) == [
+        "lvp-grid 0:0 ticks 0 → 37 (Valid(bounds))",
+        "lvp-grid 0:1 ticks 0 → 21 (Valid(bounds))",
+        "lvp-grid 0:2 ticks 12 → 9 (Invalid)",
+    ]
+    assert case_digest.tick_moves("lvp-grid", OURS, THEIRS, limit=2)[2:] == ["… 1 more"]
+    assert case_digest.tick_moves("sum-chain", OURS, THEIRS) == []
+
+
+def test_tick_lines_never_read_as_a_flip():
+    theirs = {f"lvp-grid 0:{i}": [v, 5, "a"] for i, v in enumerate(("Valid(bounds)", "Invalid", "Sat", "Unsat"))}
+    ours = {case: [v, 7, "a"] for case, (v, _, _) in theirs.items()}
+    lines = case_digest.tick_moves("lvp-grid", ours, theirs)
+    assert len(lines) == 4
+    assert not any(FLIP.search(line) for line in lines)

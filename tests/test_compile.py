@@ -356,7 +356,7 @@ class TestBridges:
         for _ in range(15):
             model = random_model(rng, spec)
             arena = Arena(spec)
-            outs = network_outputs(arena, model).values()
+            outs = network_outputs(arena, model)[0].values()
             n = rng.randint(1, 3)
             nodes = tuple(f"n{i}" for i in range(n))
             edges = tuple(

@@ -31,9 +31,8 @@ from gnncheck.falsify import (
     price,
     tree_eval,
 )
+from gnncheck.bounds import MAX_BOXES, BoxSplit, box_price
 from gnncheck.gnn import (
-    MAX_BOXES,
-    BoxSplit,
     DeltaMode,
     Fnn,
     FnnLayer,
@@ -41,7 +40,6 @@ from gnncheck.gnn import (
     GnnModel,
     LinIneq,
     LvpInstance,
-    box_price,
     eval_linineq,
     gnn_eval,
     lvp_from_json,
@@ -782,7 +780,7 @@ def test_tableau_gets_the_ticks_sampling_leaves():
     sampler = Sampler(instance, sampled)
     rounds = [sampler.round() for _ in range(1 + EXTRA_ROUNDS)]
     assert rounds == [None] * (1 + EXTRA_ROUNDS)
-    proved, boxes = BoxSplit(instance).run(Budget())
+    proved, boxes = BoxSplit(instance, compile_lvp(instance)).run(Budget())
     assert not proved and 1 < boxes < MAX_BOXES
     search = _Search(compile_lvp(instance).formula, instance.delta.value, searched)
     assert search.attempt(search.root_state()) is None

@@ -2,8 +2,8 @@
 that moves nothing but the ticks of a ``Valid("bounds")``.
 
 ``reference_verify`` runs the same public phases in the other order: the
-interval pass, the compiled formula, a sampling round, the box split, the
-extra rounds and the tableau.  The interval pass draws nothing and charges
+compiled formula, the interval pass on it, a sampling round, the box split,
+the extra rounds and the tableau.  The interval pass draws nothing and charges
 no ticks, and a proof by it means that no counterexample exists, so on every
 instance and limit both orders give the same verdict, ``Valid.by``,
 ``Unknown`` reason, counterexample and outputs; every case that the bounds do
@@ -20,9 +20,10 @@ import pytest
 import gnncheck.falsify as falsify_mod
 import gnncheck.tableau as tableau_mod
 from gnncheck.arith import ArithmeticSpec
+from gnncheck.bounds import BoxSplit
 from gnncheck.compile import compile_lvp
 from gnncheck.falsify import EXTRA_ROUNDS, Sampler
-from gnncheck.gnn import BoxSplit, gnn_eval, lvp_from_json
+from gnncheck.gnn import gnn_eval, lvp_from_json
 from gnncheck.graph import save_json
 from gnncheck.semantics import Budget, Unknown, Unsat
 from gnncheck.tableau import Invalid, SolveLimits, Valid, solve, verify_lvp
@@ -90,13 +91,13 @@ INSTANCES = [grid_instance(i) for i in range(CASES)] + [relational_instance()]
 
 
 def reference_verify(instance, limits):
-    """The verdict and the budget of the phases in the order interval pass,
-    compile, round, box split, extra rounds, tableau."""
+    """The verdict and the budget of the phases in the order compile,
+    interval pass, round, box split, extra rounds, tableau."""
     budget = Budget(limits.max_terms, limits.time_limit)
-    split = BoxSplit(instance)
+    compiled = compile_lvp(instance)
+    split = BoxSplit(instance, compiled)
     if split.proved:
         return Valid("bounds"), budget
-    compiled = compile_lvp(instance)
     sampler = Sampler(instance, budget)
     hit = sampler.round()
     if hit is not None:
@@ -179,13 +180,15 @@ def test_each_artifact_is_built_at_its_first_use(monkeypatch):
         first = next(Sampler(instance, Budget(limits.max_terms)).tries(), None)
         calls.update(dict.fromkeys(calls, 0))
         v = verify_lvp(instance, limits)
-        assert calls["BoxSplit"] <= 1 and calls["compile_lvp"] <= 1, i
+        # every verdict compiles once, a Valid("bounds") too: the interval
+        # pass runs on the compiled formula
+        assert calls["BoxSplit"] <= 1 and calls["compile_lvp"] == 1, i
         if first is not None:
             first_hits += 1
             assert isinstance(v, Invalid), i
             assert calls == {"BoxSplit": 0, "compile_lvp": 1, "tree_eval": 1}, i
-        if isinstance(v, Valid):
-            assert calls["compile_lvp"] == (v.by == "tableau"), i
+        else:
+            assert calls["BoxSplit"] == 1, i
         if v == Valid("bounds"):
             bounds += 1
             assert calls["tree_eval"] <= 1, i

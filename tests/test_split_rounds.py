@@ -1,20 +1,19 @@
 """What ``verify_lvp`` runs between the first sampling round and the
 tableau: branch and bound over the last layer's input box
-(``gnn.BoxSplit.run``), then ``EXTRA_ROUNDS`` more rounds of the sampler
+(``bounds.BoxSplit.run``), then ``EXTRA_ROUNDS`` more rounds of the sampler
 (``falsify.Sampler``)."""
 
 import dataclasses
 import random
 import tracemalloc
 
+from gnncheck import bounds as bounds_mod
 from gnncheck import falsify as falsify_mod
-from gnncheck import gnn as gnn_mod
-from gnncheck.arith import ArithmeticSpec, arity_bound
+from gnncheck.arith import ArithmeticSpec
+from gnncheck.bounds import MAX_BOXES, BoxSplit, box_price
 from gnncheck.compile import compile_lvp
 from gnncheck.falsify import EXTRA_ROUNDS, Sampler
 from gnncheck.gnn import (
-    MAX_BOXES,
-    BoxSplit,
     DeltaMode,
     Fnn,
     FnnLayer,
@@ -22,18 +21,14 @@ from gnncheck.gnn import (
     GnnModel,
     LinIneq,
     LvpInstance,
-    box_price,
     eval_linineq,
-    fnn_bounds,
     gnn_eval,
-    input_box,
-    last_fnns,
-    last_layer_box,
 )
 from gnncheck.graph import LabeledGraph
 from gnncheck.semantics import Budget, Sat, Unknown, Unsat, brute_force_sat, check
 from gnncheck.tableau import Invalid, SolveLimits, Valid, verify_lvp
 
+from test_bounds import mapped
 from test_compile import random_model
 from test_falsify import KINDS, deep_sum_instance, first_round, random_instance, relational_instance, split_instance
 
@@ -58,25 +53,25 @@ def oracle_cases(count):
         yield LvpInstance(model, (LinIneq((("x1", 1),), rng.randint(-2, 2)),), (), delta)
 
 
-def root_box(instance):
-    """The last layer's input box over the instance's arity bound: δ capped
-    at the network's weight cap."""
-    model = instance.model
-    return last_layer_box(model, input_box(instance), arity_bound(instance.delta.value, model.weight_cap))
+def split_of(instance):
+    return BoxSplit(instance, compile_lvp(instance))
+
+
+def output_box(instance, box):
+    """The range of each output on a box of the split's dimensions."""
+    compiled = compile_lvp(instance)
+    return mapped(compiled, BoxSplit(instance, compiled), box, compiled.outputs)
 
 
 def tightest_split_bound(instance, y, c):
     """The largest k for which the split proves c*y >= k and the output box
     does not, or None."""
-    model = instance.model
-    box = root_box(instance)
-    for fnn in last_fnns(model):
-        box = fnn_bounds(fnn, box, model.spec)
-    lo, hi = dict(zip(model.output_features, box))[y]
+    box = output_box(instance, split_of(instance).root)
+    lo, hi = dict(zip(instance.model.output_features, box))[y]
     base = k = lo if c > 0 else -hi
     while k < instance.model.spec.max_payload:
         stronger = dataclasses.replace(instance, l_out=(LinIneq(((y, c),), k + 1),))
-        if not BoxSplit(stronger).run(Budget())[0]:
+        if not split_of(stronger).run(Budget())[0]:
             break
         k += 1
     return None if k == base else k
@@ -100,32 +95,32 @@ def test_the_oracle_never_satisfies_a_split_valid():
     assert proved >= 30 and unsat >= 15
 
 
-def recorded_boxes(monkeypatch, comb):
-    """Route gnn.fnn_bounds through a recorder of the boxes mapped through
-    ``comb``."""
+def recorded_boxes(monkeypatch):
+    """Route ``BoxSplit._meets`` through a recorder of the boxes it maps."""
     boxes = []
-    bounds = gnn_mod.fnn_bounds
+    meets = BoxSplit._meets
 
-    def recorded(fnn, box, spec):
-        if fnn is comb:
-            boxes.append(box)
-        return bounds(fnn, box, spec)
+    def recorded(split, box):
+        boxes.append(box)
+        return meets(split, box)
 
-    monkeypatch.setattr(gnn_mod, "fnn_bounds", recorded)
+    monkeypatch.setattr(BoxSplit, "_meets", recorded)
     return boxes
 
 
 def test_the_split_bisects_the_widest_dimension_depth_first_lower_half_first(monkeypatch):
     instance = split_instance()
-    boxes = recorded_boxes(monkeypatch, instance.model.layers[-1].comb)
-    assert BoxSplit(instance).run(Budget()) == (True, len(boxes))
-    root = root_box(instance)
+    boxes = recorded_boxes(monkeypatch)
+    split = split_of(instance)
+    assert split.run(Budget()) == (True, len(boxes))
     # x1 and the sum over two successors both span [-7, 7], but the last
-    # comb reads the sum with weight 0, so only x1 is split; y1 >= 0 holds
-    # for x1 <= 0, and the upper half splits x1 again, lower half first
-    assert boxes[:4] == [root, [(-7, 0), (-7, 7)], [(1, 7), (-7, 7)], [(1, 4), (-7, 7)]]
+    # comb reads the sum with weight 0, so L_out does not reach it and only
+    # x1 is split; y1 >= 0 holds for x1 <= 0, and the upper half splits x1
+    # again, lower half first
+    assert boxes[0] == split.root == [(-7, 7), (-7, 7)]
+    assert boxes[1:4] == [[(-7, 0), (-7, 7)], [(1, 7), (-7, 7)], [(1, 4), (-7, 7)]]
     assert all(box[1] == (-7, 7) for box in boxes)
-    assert BoxSplit(instance).proved is False
+    assert split.proved is False
 
 
 def test_verify_lvp_maps_the_root_box_once(monkeypatch):
@@ -134,10 +129,11 @@ def test_verify_lvp_maps_the_root_box_once(monkeypatch):
     ``split_instance`` the split proves it, on ``relational_instance`` it
     gives up and the tableau decides."""
     for instance in (split_instance(), relational_instance()):
-        _, needed = BoxSplit(instance).run(Budget())
-        root = root_box(instance)
+        split = split_of(instance)
+        _, needed = split.run(Budget())
+        root = split.root
         with monkeypatch.context() as patched:
-            boxes = recorded_boxes(patched, instance.model.layers[-1].comb)
+            boxes = recorded_boxes(patched)
             assert isinstance(verify_lvp(instance), Valid)
         assert boxes[0] == root and boxes.count(root) == 1
         assert len(boxes) == needed
@@ -150,21 +146,21 @@ def test_a_split_without_read_dimensions_gives_up_at_its_first_failing_box():
     comb = Fnn((FnnLayer(((0, 0),), (-1,), ("id",)),))
     model = GnnModel(spec, (GnnLayer("sum", comb),), Fnn.identity(1, spec), ("x1",), ("y1",))
     instance = LvpInstance(model, (), (LinIneq((("y1", 1),), 0),), DeltaMode.unary(2))
-    assert BoxSplit(instance).run(Budget()) == (False, 1)
+    assert split_of(instance).run(Budget()) == (False, 1)
 
 
 def test_the_split_respects_its_box_cap(monkeypatch):
-    instance = split_instance()
-    proved, needed = BoxSplit(instance).run(Budget())
+    split = split_of(split_instance())
+    proved, needed = split.run(Budget())
     assert proved and 1 < needed < MAX_BOXES
     with monkeypatch.context() as patched:
-        patched.setattr(gnn_mod, "MAX_BOXES", needed - 1)
-        assert BoxSplit(instance).run(Budget()) == (False, needed - 1)
-    per_box = box_price(instance.model)
-    assert BoxSplit(instance).run(Budget(needed * per_box)) == (True, needed)
-    assert BoxSplit(instance).run(Budget((needed - 1) * per_box)) == (False, needed - 1)
-    assert BoxSplit(instance).run(Budget(0)) == (False, 0)
-    assert BoxSplit(instance).run(Budget(None, time_limit=-1)) == (False, 0)  # a deadline passed
+        patched.setattr(bounds_mod, "MAX_BOXES", needed - 1)
+        assert split.run(Budget()) == (False, needed - 1)
+    per_box = box_price(split.instance.model)
+    assert split.run(Budget(needed * per_box)) == (True, needed)
+    assert split.run(Budget((needed - 1) * per_box)) == (False, needed - 1)
+    assert split.run(Budget(0)) == (False, 0)
+    assert split.run(Budget(None, time_limit=-1)) == (False, 0)  # a deadline passed
 
 
 def test_the_split_is_charged_to_the_tick_budget():
@@ -172,7 +168,7 @@ def test_the_split_is_charged_to_the_tick_budget():
     split stops a box early and the tableau gets at most one tick."""
     instance = split_instance()
     _, sampled = first_round(instance)
-    _, needed = BoxSplit(instance).run(Budget())
+    _, needed = split_of(instance).run(Budget())
     budget = sampled + needed * box_price(instance.model)
     assert verify_lvp(instance, SolveLimits(max_terms=budget)) == Valid("split")
     assert verify_lvp(instance, SolveLimits(max_terms=budget - 1)) == Unknown("node-limit")
@@ -184,15 +180,12 @@ def test_the_split_gives_up_at_a_failing_single_value_box(monkeypatch):
     box after it is mapped.  The last comb reads only those two (the
     aggregated ones with weight 0), so the others are never split."""
     instance = relational_instance()
-    boxes = recorded_boxes(monkeypatch, instance.model.layers[-1].comb)
-    proved, mapped = BoxSplit(instance).run(Budget())
-    assert not proved and mapped == len(boxes) < MAX_BOXES
+    boxes = recorded_boxes(monkeypatch)
+    proved, count = split_of(instance).run(Budget())
+    assert not proved and count == len(boxes) < MAX_BOXES
     last = boxes[-1]
     assert last[:2] == [(0, 0), (1, 1)] and last[2:] == boxes[0][2:]
-    out = last
-    for fnn in gnn_mod.last_fnns(instance.model):
-        out = gnn_mod.fnn_bounds(fnn, out, instance.model.spec)
-    assert out[0][0] < 0  # y1 >= 0 fails on it
+    assert output_box(instance, last)[0][0] < 0  # y1 >= 0 fails on it
 
 
 def test_hits_of_later_rounds_replay_through_gnn_eval_and_check():
@@ -206,10 +199,11 @@ def test_hits_of_later_rounds_replay_through_gnn_eval_and_check():
             break
         spec = (ArithmeticSpec.satint(7), ArithmeticSpec.fixed(8, 1))[i % 2]
         instance = random_instance(rng, spec, DeltaMode.unary(1 + i % 3), max_layers=3)
-        if BoxSplit(instance).proved:
+        split = split_of(instance)
+        if split.proved:
             continue
         sampler = Sampler(instance, Budget())
-        if sampler.round() is not None or BoxSplit(instance).run(Budget())[0]:
+        if sampler.round() is not None or split.run(Budget())[0]:
             continue
         hits = [sampler.round() for _ in range(EXTRA_ROUNDS)]
         found = [(k, hit) for k, hit in enumerate(hits, start=2) if hit is not None]

@@ -18,7 +18,9 @@ whose count of decisive verdicts differs, as ``workload seed N: theirs →
 ours``, and one line that says how its records moved where the verdict did
 not, as ``workload: N records moved with no verdict move: ticks only K
 (verdict k, …), models M``: K of them in their ticks alone, M in the rest of
-the record.  It exits 1 when a digest differs.
+the record.  Each of the K follows, as ``workload seed:index ticks theirs →
+ours (verdict)``, at most 20 per workload, then ``… N more``.  It exits 1
+when a digest differs.
 
 The cases are those ``lvpbench/workloads.py`` generates for a 20-second run
 of ``lvpbench/run.py``, decided under the same limits.  Per ``lvp-grid`` case
@@ -191,6 +193,20 @@ def moved_records(name: str, ours: dict[str, list], theirs: dict[str, list]) -> 
     return f"{name}: {k + models} records moved with no verdict move: ticks only {k} ({kinds}), models {models}"
 
 
+def tick_moves(name: str, ours: dict[str, list], theirs: dict[str, list], limit: int = 20) -> list[str]:
+    """A line per record of the named workload that moved in its ticks
+    alone, as ``workload seed:index ticks theirs → ours (verdict)``, the
+    first limit of them, then ``… N more`` for the rest.  The word "ticks"
+    after the case keeps each line off the per-case verdict pattern."""
+    moved = [
+        f"{case} ticks {theirs[case][1]} → {ticks} ({verdict})"
+        for case, (verdict, ticks, rest) in ours.items()
+        if case.startswith(f"{name} ") and theirs[case][0] == verdict and theirs[case][2] == rest
+        and theirs[case][1] != ticks
+    ]
+    return moved[:limit] + [f"… {len(moved) - limit} more"] * (len(moved) > limit)
+
+
 # the child process of --against: the digests of the checkout named by its
 # one argument, as one JSON document on stdout
 CHILD = "import case_digest, json, sys; print(json.dumps(case_digest.digests(case_digest.Path(sys.argv[1]), False)))"
@@ -229,6 +245,8 @@ def main() -> int:
                 if other[seed] != count:
                     print(f"{name} seed {seed}: {other[seed]} → {count}")
             print(moved_records(name, outcomes, their_outcomes))
+            for line in tick_moves(name, outcomes, their_outcomes):
+                print(line)
     same = theirs == lines
     print("same digests" if same else "digests differ")
     return 0 if same else 1
